@@ -2,10 +2,11 @@
 //!
 //! Committed BENCH_*.json files are only comparable across runs when the
 //! reader knows *what* produced them: the git commit, the SIMD dispatch
-//! tier the run selected, and how many cores the machine offered. This
-//! module collects those once, dependency-free (the commit is read
-//! straight from `.git`, no subprocess), and renders them as the
-//! `provenance` header every bench JSON carries.
+//! tier the run selected, the CRC32 kernel behind every checksummed block
+//! read, and how many cores the machine offered. This module collects
+//! those once, dependency-free (the commit is read straight from `.git`,
+//! no subprocess), and renders them as the `provenance` header every bench
+//! JSON carries.
 
 use std::path::Path;
 
@@ -19,6 +20,8 @@ pub struct Provenance {
     pub kernel: String,
     /// The tier's stable numeric code (0 = scalar, 1 = sse41, 2 = avx2).
     pub simd_code: u8,
+    /// Selected CRC32 kernel name (`clmul`/`slice16`).
+    pub crc_kernel: String,
     /// `std::thread::available_parallelism` at collection time.
     pub available_cores: usize,
     /// Caller-supplied run date (bench bins take `IQ_BENCH_DATE`, the CLI
@@ -34,6 +37,7 @@ pub fn collect(date: Option<&str>) -> Provenance {
         commit: git_commit().unwrap_or_else(|| "unknown".to_string()),
         kernel: iq_quantize::kernel_name().to_string(),
         simd_code: iq_quantize::simd::kernel().code(),
+        crc_kernel: iq_storage::crc_kernel().name().to_string(),
         available_cores: std::thread::available_parallelism().map_or(1, usize::from),
         date: date.unwrap_or("unknown").to_string(),
     }
@@ -44,8 +48,13 @@ impl Provenance {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"commit\": \"{}\", \"kernel\": \"{}\", \"simd_code\": {}, \
-             \"available_cores\": {}, \"date\": \"{}\"}}",
-            self.commit, self.kernel, self.simd_code, self.available_cores, self.date,
+             \"crc_kernel\": \"{}\", \"available_cores\": {}, \"date\": \"{}\"}}",
+            self.commit,
+            self.kernel,
+            self.simd_code,
+            self.crc_kernel,
+            self.available_cores,
+            self.date,
         )
     }
 }
@@ -102,6 +111,7 @@ mod tests {
         assert_eq!(p.date, "2026-08-08");
         assert!(["avx2", "sse41", "scalar"].contains(&p.kernel.as_str()));
         assert!(p.simd_code <= 2);
+        assert!(["clmul", "slice16"].contains(&p.crc_kernel.as_str()));
         assert!(p.available_cores >= 1);
         // This test runs inside the repo: the commit must resolve.
         assert!(p.commit == "unknown" || is_hash(&p.commit));
@@ -115,6 +125,7 @@ mod tests {
             "\"commit\"",
             "\"kernel\"",
             "\"simd_code\"",
+            "\"crc_kernel\"",
             "\"available_cores\"",
             "\"date\": \"unknown\"",
         ] {

@@ -1,61 +1,25 @@
 //! Per-block CRC32 checksumming.
 //!
 //! [`ChecksummedDevice`] wraps any [`BlockDevice`] and reserves the last
-//! four bytes of every *physical* block for a CRC32 (IEEE) of the block's
-//! payload. Layers above see a device whose logical block size is four
-//! bytes smaller; every read verifies the checksum of every block it
-//! touches and fails with [`IqError::ChecksumMismatch`] naming the first
-//! corrupt block. Writes compute checksums transparently.
+//! four bytes of every *physical* block for a CRC32 (IEEE, see
+//! [`crate::crc`]) of the block's payload. Layers above see a device
+//! whose logical block size is four bytes smaller; every read verifies the
+//! checksum of every block it touches and fails with
+//! [`IqError::ChecksumMismatch`] naming the first corrupt block. Writes
+//! compute checksums transparently.
 //!
 //! This is the same discipline production storage engines apply per WAL
 //! frame or per file page: a flipped bit anywhere in a block — payload or
 //! padding — is detected on the next read instead of silently corrupting
 //! query answers.
 
+use crate::crc::crc32;
 use crate::device::BlockDevice;
 use crate::error::{IqError, IqResult};
 use crate::model::SimClock;
 
 /// Bytes reserved per physical block for the CRC32 trailer.
 pub const CHECKSUM_BYTES: usize = 4;
-
-/// CRC32 (IEEE 802.3, reflected, init/final `0xFFFF_FFFF`) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
-}
-
-/// Streaming form: feed chunks with `state` starting at `0xFFFF_FFFF`,
-/// xor with `0xFFFF_FFFF` at the end.
-pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    let mut crc = state;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = CRC_TABLE[idx] ^ (crc >> 8);
-    }
-    crc
-}
-
-const CRC_TABLE: [u32; 256] = build_crc_table();
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
 
 /// A checksumming layer over any block device. See the module docs.
 pub struct ChecksummedDevice {
@@ -113,16 +77,12 @@ impl ChecksummedDevice {
         let physical_bs = self.inner.block_size();
         let nblocks = data.len().div_ceil(self.logical_bs);
         let mut out = Vec::with_capacity(nblocks * physical_bs);
-        let mut payload = vec![0u8; self.logical_bs];
-        for i in 0..nblocks {
-            let lo = i * self.logical_bs;
-            let hi = ((i + 1) * self.logical_bs).min(data.len());
-            payload.fill(0);
-            if lo < data.len() {
-                payload[..hi - lo].copy_from_slice(&data[lo..hi]);
-            }
-            out.extend_from_slice(&payload);
-            out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        for payload in data.chunks(self.logical_bs) {
+            let start = out.len();
+            out.extend_from_slice(payload);
+            out.resize(start + self.logical_bs, 0);
+            let crc = crc32(&out[start..]);
+            out.extend_from_slice(&crc.to_le_bytes());
         }
         out
     }

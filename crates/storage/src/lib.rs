@@ -15,11 +15,12 @@
 //!   (Figure 1): given the sorted positions of the blocks an index selected,
 //!   decide where to seek and where to over-read,
 //! * robustness: typed errors ([`IqError`]), per-block CRC32 checksumming
-//!   ([`ChecksummedDevice`]), deterministic fault injection
-//!   ([`FaultInjectingDevice`]) and bounded retry with backoff
-//!   ([`RetryPolicy`]).
+//!   ([`ChecksummedDevice`], over the runtime-dispatched [`crc`] kernels),
+//!   deterministic fault injection ([`FaultInjectingDevice`]) and bounded
+//!   retry with backoff ([`RetryPolicy`]).
 
 pub mod checksum;
+pub mod crc;
 pub mod device;
 pub mod error;
 pub mod fault;
@@ -31,7 +32,8 @@ pub mod retry;
 pub mod stack;
 pub mod wal;
 
-pub use checksum::{crc32, crc32_update, ChecksummedDevice, CHECKSUM_BYTES};
+pub use checksum::{ChecksummedDevice, CHECKSUM_BYTES};
+pub use crc::{crc32, crc32_update, crc_kernel, CrcKernel};
 pub use device::{BlockDevice, FileDevice, MemDevice};
 pub use error::{IqError, IqResult};
 pub use fault::{FaultConfig, FaultInjectingDevice, FaultStats};

@@ -1545,8 +1545,9 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
             tree.wasted_exact_blocks()
         );
         println!(
-            "  simd        : {} (scan kernels; set IQ_FORCE_SCALAR=1 to disable)",
-            iqtree_repro::quantize::kernel_name()
+            "  simd        : {} scan kernels, {} crc32 (set IQ_FORCE_SCALAR=1 to disable)",
+            iqtree_repro::quantize::kernel_name(),
+            iqtree_repro::storage::crc_kernel().name()
         );
         return Ok(());
     };

@@ -9,13 +9,8 @@ fn iq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iq"))
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iq-cli-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
+/// A fresh directory per test: the tests in this binary run in parallel,
+/// and each removes its own directory when it ends.
 fn temp_dir_tagged(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("iq-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -25,7 +20,7 @@ fn temp_dir_tagged(tag: &str) -> PathBuf {
 
 #[test]
 fn generate_build_query_roundtrip() {
-    let dir = temp_dir();
+    let dir = temp_dir_tagged("roundtrip");
     let csv = dir.join("pts.csv");
     let idx = dir.join("idx");
 
@@ -93,7 +88,7 @@ fn generate_build_query_roundtrip() {
 
 #[test]
 fn verify_detects_on_disk_corruption() {
-    let dir = temp_dir();
+    let dir = temp_dir_tagged("verify");
     let csv = dir.join("v.csv");
     let idx = dir.join("vidx");
     let out = iq()
@@ -276,7 +271,7 @@ fn checkpoint_and_recover_handle_a_torn_wal() {
 
 #[test]
 fn bench_subcommand_runs() {
-    let dir = temp_dir();
+    let dir = temp_dir_tagged("bench");
     let csv = dir.join("b.csv");
     let out = iq()
         .args(["generate", "--kind", "uniform", "--dim", "5", "--n", "2000"])
@@ -327,7 +322,7 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("missing --kind"));
 
     // Dimensionality mismatch on query.
-    let dir = temp_dir();
+    let dir = temp_dir_tagged("errors");
     let csv = dir.join("p.csv");
     std::fs::write(&csv, "0.1,0.2\n0.3,0.4\n0.5,0.6\n").expect("write csv");
     let idx = dir.join("i");
