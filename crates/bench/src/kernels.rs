@@ -1,8 +1,7 @@
-//! Microbenchmarks for the quantized-domain distance kernels: page-scan
-//! filter throughput (naive decode-then-`Metric` vs the lookup-table
-//! kernel), `DistTable` build cost, and the parallel build pipeline
-//! speedup. [`run_all`] renders everything as JSON; the `kernels` binary
-//! writes it to `BENCH_PR4.json`.
+//! Wall-clock microbenchmarks of the quantized-domain page-scan kernels,
+//! reported by `iq bench`: level-2 filter throughput (naive
+//! decode-then-`Metric` vs the lookup-table kernel) and the multi-query
+//! page-scan amortization sweep.
 //!
 //! These measure *wall-clock* time of the CPU kernels (unlike the figure
 //! runners, which report simulated time): the kernels change how fast the
@@ -10,13 +9,7 @@
 //! paths identically.
 
 use iq_geometry::{Mbr, Metric};
-use iq_obs::Registry;
-use iq_quantize::{
-    kernel_name, set_kernel_override, DistTable, DistTableBlock, ExactPageCodec, GridQuantizer,
-    Kernel, QuantizedPageCodec,
-};
-use iq_storage::{BlockDevice, MemDevice, ObservedDevice, SimClock};
-use iq_tree::build::{encode_pages, SolutionPage};
+use iq_quantize::{DistTable, DistTableBlock, GridQuantizer, QuantizedPageCodec};
 use std::time::Instant;
 
 /// Deterministic pseudo-uniform values in `[0, 1)` (no RNG state shared
@@ -41,50 +34,19 @@ pub struct ScanBench {
 
 /// Measures the page-scan filter: identical pages, identical queries,
 /// identical keys out of both paths (asserted) — only the kernel differs.
-pub fn page_scan_throughput(quick: bool) -> ScanBench {
-    const DIM: usize = 8;
-    const G: u32 = 6;
-    const BLOCK: usize = 4096;
-    let codec = QuantizedPageCodec::new(DIM, BLOCK);
-    let per_page = codec.capacity(G).min(200);
-    let n_pages = if quick { 8 } else { 64 };
-    let n_queries = if quick { 2 } else { 8 };
-    let iters = if quick { 1 } else { 6 };
-
-    let mut seed = 0xD15_7AB1Eu64;
-    let pages: Vec<(Mbr, Vec<u8>)> = (0..n_pages)
-        .map(|p| {
-            let base = p as f32 * 0.01;
-            let pts: Vec<Vec<f32>> = (0..per_page)
-                .map(|_| (0..DIM).map(|_| base + lcg(&mut seed)).collect())
-                .collect();
-            let mbr = Mbr::of_points(DIM, pts.iter().map(Vec::as_slice));
-            let block = codec.encode(
-                &mbr,
-                G,
-                pts.iter()
-                    .enumerate()
-                    .map(|(i, v)| (i as u32, v.as_slice())),
-            );
-            (mbr, block)
-        })
-        .collect();
-    let queries: Vec<Vec<f32>> = (0..n_queries)
-        .map(|_| (0..DIM).map(|_| lcg(&mut seed) * 1.5).collect())
-        .collect();
+pub fn page_scan_throughput() -> ScanBench {
+    let (codec, per_page, pages, queries) = scan_workload(8, 2);
 
     // Naive: decode the page into vectors, build each entry's cell box,
     // run the metric over it.
     let start = Instant::now();
     let mut naive_sink = 0.0f64;
-    for _ in 0..iters {
-        for q in &queries {
-            for (mbr, block) in &pages {
-                let page = codec.try_decode(block).expect("valid page");
-                let grid = GridQuantizer::new(mbr, page.bits());
-                for i in 0..page.len() {
-                    naive_sink += Metric::Euclidean.mindist_key(q, &grid.cell_box(page.cells(i)));
-                }
+    for q in &queries {
+        for (mbr, block) in &pages {
+            let page = codec.try_decode(block).expect("valid page");
+            let grid = GridQuantizer::new(mbr, page.bits());
+            for i in 0..page.len() {
+                naive_sink += Metric::Euclidean.mindist_key(q, &grid.cell_box(page.cells(i)));
             }
         }
     }
@@ -95,15 +57,13 @@ pub fn page_scan_throughput(quick: bool) -> ScanBench {
     let mut scratch: Vec<u32> = Vec::new();
     let start = Instant::now();
     let mut kernel_sink = 0.0f64;
-    for _ in 0..iters {
-        for q in &queries {
-            for (mbr, block) in &pages {
-                let view = codec.try_view(block).expect("valid page");
-                table.build(mbr, view.bits(), Metric::Euclidean, q, view.len());
-                view.for_each_entry(&mut scratch, |_, cells| {
-                    kernel_sink += table.mindist_key(cells);
-                });
-            }
+    for q in &queries {
+        for (mbr, block) in &pages {
+            let view = codec.try_view(block).expect("valid page");
+            table.build(mbr, view.bits(), Metric::Euclidean, q, view.len());
+            view.for_each_entry(&mut scratch, |_, cells| {
+                kernel_sink += table.mindist_key(cells);
+            });
         }
     }
     let kernel_t = start.elapsed().as_secs_f64();
@@ -115,7 +75,7 @@ pub fn page_scan_throughput(quick: bool) -> ScanBench {
         "kernel must not change the keys"
     );
 
-    let points = (iters * n_queries * n_pages * per_page) as f64;
+    let points = (queries.len() * pages.len() * per_page) as f64;
     let naive_pps = points / naive_t.max(1e-12);
     let kernel_pps = points / kernel_t.max(1e-12);
     ScanBench {
@@ -123,352 +83,6 @@ pub fn page_scan_throughput(quick: bool) -> ScanBench {
         kernel_pps,
         speedup: kernel_pps / naive_pps.max(1e-12),
     }
-}
-
-/// Cost of building one `DistTable` (nanoseconds), per `(dim, g)`.
-pub fn table_build_cost(quick: bool) -> Vec<(usize, u32, f64)> {
-    let iters = if quick { 20 } else { 2_000 };
-    let mut out = Vec::new();
-    let mut seed = 0xBEEFu64;
-    for &dim in &[8usize, 16] {
-        let lo: Vec<f32> = (0..dim).map(|_| lcg(&mut seed)).collect();
-        let hi: Vec<f32> = lo.iter().map(|l| l + 1.0).collect();
-        let mbr = Mbr::from_bounds(lo, hi);
-        let q: Vec<f32> = (0..dim).map(|_| lcg(&mut seed) * 2.0).collect();
-        for &g in &[4u32, 8] {
-            let mut table = DistTable::new();
-            // Hint large enough to force materialization: the build cost is
-            // what we're measuring.
-            table.build(&mbr, g, Metric::Euclidean, &q, 1 << 20);
-            let start = Instant::now();
-            for _ in 0..iters {
-                table.build(&mbr, g, Metric::Euclidean, &q, 1 << 20);
-            }
-            let ns = start.elapsed().as_nanos() as f64 / iters as f64;
-            out.push((dim, g, ns));
-        }
-    }
-    out
-}
-
-/// Wall-clock speedup of the parallel page-encoding pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct BuildBench {
-    /// Worker threads used for the parallel run.
-    pub threads: usize,
-    /// Sequential encode time, seconds.
-    pub seq_s: f64,
-    /// Parallel encode time, seconds.
-    pub par_s: f64,
-    /// `seq_s / par_s`.
-    pub speedup: f64,
-}
-
-/// The synthetic encode workload shared by the parallel-build benchmarks.
-fn build_workload(quick: bool) -> (iq_geometry::Dataset, Vec<SolutionPage>) {
-    const DIM: usize = 12;
-    const G: u32 = 8;
-    let n_pages = if quick { 32 } else { 256 };
-    let per_page = 120usize;
-    let mut seed = 0xC0FFEEu64;
-    let mut ds = iq_geometry::Dataset::with_capacity(DIM, n_pages * per_page);
-    let mut row = vec![0.0f32; DIM];
-    for _ in 0..n_pages * per_page {
-        row.fill_with(|| lcg(&mut seed));
-        ds.push(&row);
-    }
-    let solution: Vec<SolutionPage> = (0..n_pages)
-        .map(|p| {
-            let ids: Vec<u32> = (p * per_page..(p + 1) * per_page)
-                .map(|i| i as u32)
-                .collect();
-            let mbr = Mbr::of_points(DIM, ids.iter().map(|&i| ds.point(i as usize)));
-            SolutionPage { ids, mbr, g: G }
-        })
-        .collect();
-    (ds, solution)
-}
-
-/// Encodes the same solution with 1 thread and with 8 explicit workers,
-/// verifying byte-for-byte identity along the way.
-///
-/// The worker count is pinned, not taken from `available_parallelism()`:
-/// on a single-core machine that call returns 1, which silently turns the
-/// "parallel" run into a second sequential run and makes the reported
-/// speedup meaningless (an old run recorded `threads: 1, speedup: 0.891`
-/// this way). Eight workers are spawned regardless; on few cores the
-/// honest answer is a speedup near (or below) 1.0, and that is what gets
-/// reported. See [`parallel_build_sweep`] for per-thread-count numbers.
-pub fn parallel_build_speedup(quick: bool) -> BuildBench {
-    const THREADS: usize = 8;
-    let (ds, solution) = build_workload(quick);
-    let codec = QuantizedPageCodec::new(12, 4096);
-    let exact_codec = ExactPageCodec::new(12);
-
-    // Warm-up run (page cache, lazy init).
-    let _ = encode_pages(&ds, None, &solution, &codec, &exact_codec, 1);
-
-    let start = Instant::now();
-    let seq = encode_pages(&ds, None, &solution, &codec, &exact_codec, 1);
-    let seq_s = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let par = encode_pages(&ds, None, &solution, &codec, &exact_codec, THREADS);
-    let par_s = start.elapsed().as_secs_f64();
-
-    assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.quant, b.quant, "parallel encode must be deterministic");
-        assert_eq!(a.exact, b.exact, "parallel encode must be deterministic");
-    }
-
-    BuildBench {
-        threads: THREADS,
-        seq_s,
-        par_s,
-        speedup: seq_s / par_s.max(1e-12),
-    }
-}
-
-/// One measured run of the thread-count sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct BuildRun {
-    /// Worker threads actually spawned for this run.
-    pub threads: usize,
-    /// Encode time, seconds.
-    pub par_s: f64,
-    /// `sequential_s / par_s`.
-    pub speedup: f64,
-}
-
-/// Per-thread-count timings of the parallel encode pipeline.
-#[derive(Clone, Debug)]
-pub struct BuildSweep {
-    /// What `available_parallelism()` reports — recorded so a reader can
-    /// tell real scaling from an oversubscribed single-core box.
-    pub available_cores: usize,
-    /// Sequential (1-worker fast path) encode time, seconds.
-    pub sequential_s: f64,
-    /// One run per entry of the thread sweep, every one actually spawning
-    /// that many workers.
-    pub runs: Vec<BuildRun>,
-}
-
-/// Times the page-encode pipeline at 1, 2, 4 and 8 explicitly spawned
-/// workers against the sequential baseline, checking every run's output
-/// byte-identical. Speedups are whatever the machine gives — near 1.0 (or
-/// below, from thread overhead) on a single core — with
-/// `available_cores` on record next to them.
-pub fn parallel_build_sweep(quick: bool) -> BuildSweep {
-    let (ds, solution) = build_workload(quick);
-    let codec = QuantizedPageCodec::new(12, 4096);
-    let exact_codec = ExactPageCodec::new(12);
-
-    // Warm-up (page cache, lazy init).
-    let _ = encode_pages(&ds, None, &solution, &codec, &exact_codec, 1);
-    let start = Instant::now();
-    let seq = encode_pages(&ds, None, &solution, &codec, &exact_codec, 1);
-    let sequential_s = start.elapsed().as_secs_f64();
-
-    let runs = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|threads| {
-            let start = Instant::now();
-            // `encode_pages` treats `threads == 1` as the sequential fast
-            // path and spawns `threads` scoped workers otherwise.
-            let par = encode_pages(&ds, None, &solution, &codec, &exact_codec, threads);
-            let par_s = start.elapsed().as_secs_f64();
-            assert_eq!(seq.len(), par.len());
-            for (a, b) in seq.iter().zip(&par) {
-                assert_eq!(a.quant, b.quant, "encode must be thread-count invariant");
-                assert_eq!(a.exact, b.exact, "encode must be thread-count invariant");
-            }
-            BuildRun {
-                threads,
-                par_s,
-                speedup: sequential_s / par_s.max(1e-12),
-            }
-        })
-        .collect();
-
-    BuildSweep {
-        available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        sequential_s,
-        runs,
-    }
-}
-
-/// Renders the parallel-build thread sweep as the `BENCH_PR6.json`
-/// artifact (hand-formatted: the harness has no serde dependency).
-pub fn run_pr6(quick: bool) -> String {
-    let sweep = parallel_build_sweep(quick);
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"parallel build thread sweep\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"available_cores\": {},\n",
-        sweep.available_cores
-    ));
-    json.push_str(&format!("  \"sequential_s\": {:.6},\n", sweep.sequential_s));
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in sweep.runs.iter().enumerate() {
-        let sep = if i + 1 == sweep.runs.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"threads\": {}, \"parallel_s\": {:.6}, \"speedup\": {:.3}}}{sep}\n",
-            r.threads, r.par_s, r.speedup
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(
-        "  \"note\": \"workers are spawned explicitly per run; speedups near 1.0 are \
-         expected when available_cores is small\"\n",
-    );
-    json.push_str("}\n");
-    json
-}
-
-/// Cost of the observability layer, measured at both granularities that
-/// matter: single metric updates (the per-op price every instrumented
-/// call site pays) and block reads through an [`ObservedDevice`] (the
-/// price an instrumented device stack adds per I/O).
-#[derive(Clone, Copy, Debug)]
-pub struct ObsBench {
-    /// Counter update with a disabled registry, ns/op (one relaxed load).
-    pub counter_disabled_ns: f64,
-    /// Counter update with an enabled registry, ns/op.
-    pub counter_enabled_ns: f64,
-    /// Histogram observe with a disabled registry, ns/op.
-    pub histogram_disabled_ns: f64,
-    /// Histogram observe with an enabled registry, ns/op.
-    pub histogram_enabled_ns: f64,
-    /// Block read through a bare `MemDevice`, ns/read.
-    pub read_plain_ns: f64,
-    /// Same read through an `ObservedDevice` with a disabled registry.
-    pub read_observed_off_ns: f64,
-    /// Same read through an `ObservedDevice` with an enabled registry.
-    pub read_observed_on_ns: f64,
-    /// `read_observed_on_ns / read_plain_ns − 1`, in percent.
-    pub enabled_read_overhead_pct: f64,
-}
-
-/// Measures metric-update and observed-read costs against their
-/// uninstrumented baselines. Uses private per-case [`Registry`]
-/// instances, so the process-global registry is untouched.
-pub fn observability_overhead(quick: bool) -> ObsBench {
-    let ops = if quick { 20_000u64 } else { 2_000_000 };
-    let per_op = |registry: &Registry, f: &mut dyn FnMut(&Registry)| -> f64 {
-        f(registry); // warm-up: resolve handles, touch the buckets
-        let start = Instant::now();
-        f(registry);
-        start.elapsed().as_nanos() as f64 / ops as f64
-    };
-
-    let on = Registry::new();
-    let off = Registry::disabled();
-    let mut counter_loop = |reg: &Registry| {
-        let c = reg.counter("bench_ops_total");
-        for _ in 0..ops {
-            c.inc();
-        }
-    };
-    let counter_enabled_ns = per_op(&on, &mut counter_loop);
-    let counter_disabled_ns = per_op(&off, &mut counter_loop);
-    let mut histogram_loop = |reg: &Registry| {
-        let h = reg.histogram("bench_seconds");
-        let mut v = 1.0f64;
-        for _ in 0..ops {
-            h.observe(v);
-            v = if v > 1e6 { 1.0 } else { v * 1.0000001 };
-        }
-    };
-    let histogram_enabled_ns = per_op(&on, &mut histogram_loop);
-    let histogram_disabled_ns = per_op(&off, &mut histogram_loop);
-
-    // Block reads: the same MemDevice traffic bare and behind an
-    // ObservedDevice, free simulated clock so only wall-time differs.
-    let reads = if quick { 2_000u64 } else { 200_000 };
-    const BLOCK: usize = 4096;
-    let fill = |dev: &mut dyn BlockDevice| {
-        let mut clock = SimClock::default();
-        dev.append(&mut clock, &[7u8; BLOCK * 8]).expect("append");
-    };
-    let read_loop = |dev: &dyn BlockDevice| -> f64 {
-        let mut clock = SimClock::default();
-        let mut buf = [0u8; BLOCK];
-        let mut spin = 0u64;
-        let start = Instant::now();
-        for i in 0..reads {
-            dev.read_blocks(&mut clock, i % 8, &mut buf).expect("read");
-            spin = spin.wrapping_add(u64::from(buf[0]));
-        }
-        assert_eq!(spin, reads.wrapping_mul(7));
-        start.elapsed().as_nanos() as f64 / reads as f64
-    };
-    let mut plain = MemDevice::new(BLOCK);
-    fill(&mut plain);
-    let read_plain_ns = read_loop(&plain);
-    let mut observed_off = ObservedDevice::new(Box::new(MemDevice::new(BLOCK)), &off, "bench");
-    fill(&mut observed_off);
-    let read_observed_off_ns = read_loop(&observed_off);
-    let mut observed_on = ObservedDevice::new(Box::new(MemDevice::new(BLOCK)), &on, "bench");
-    fill(&mut observed_on);
-    let read_observed_on_ns = read_loop(&observed_on);
-
-    ObsBench {
-        counter_disabled_ns,
-        counter_enabled_ns,
-        histogram_disabled_ns,
-        histogram_enabled_ns,
-        read_plain_ns,
-        read_observed_off_ns,
-        read_observed_on_ns,
-        enabled_read_overhead_pct: (read_observed_on_ns / read_plain_ns.max(1e-12) - 1.0) * 100.0,
-    }
-}
-
-/// Runs every kernel microbenchmark and renders the results as a JSON
-/// object (hand-formatted: the harness has no serde dependency).
-pub fn run_all(quick: bool) -> String {
-    let scan = page_scan_throughput(quick);
-    let tables = table_build_cost(quick);
-    let build = parallel_build_speedup(quick);
-    let obs = observability_overhead(quick);
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"quantized-domain distance kernels\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"page_scan\": {{\"naive_points_per_sec\": {:.0}, \"kernel_points_per_sec\": {:.0}, \"speedup\": {:.3}}},\n",
-        scan.naive_pps, scan.kernel_pps, scan.speedup
-    ));
-    json.push_str("  \"table_build\": [\n");
-    for (i, (dim, g, ns)) in tables.iter().enumerate() {
-        let sep = if i + 1 == tables.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"dim\": {dim}, \"g\": {g}, \"ns_per_build\": {ns:.0}}}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"parallel_build\": {{\"threads\": {}, \"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3}}},\n",
-        build.threads, build.seq_s, build.par_s, build.speedup
-    ));
-    json.push_str(&format!(
-        "  \"observability\": {{\"counter_disabled_ns\": {:.2}, \"counter_enabled_ns\": {:.2}, \
-         \"histogram_disabled_ns\": {:.2}, \"histogram_enabled_ns\": {:.2}, \
-         \"read_plain_ns\": {:.1}, \"read_observed_off_ns\": {:.1}, \"read_observed_on_ns\": {:.1}, \
-         \"enabled_read_overhead_pct\": {:.2}}}\n",
-        obs.counter_disabled_ns,
-        obs.counter_enabled_ns,
-        obs.histogram_disabled_ns,
-        obs.histogram_enabled_ns,
-        obs.read_plain_ns,
-        obs.read_observed_off_ns,
-        obs.read_observed_on_ns,
-        obs.enabled_read_overhead_pct,
-    ));
-    json.push_str("}\n");
-    json
 }
 
 /// Shared page-scan workload: the codec, entries per page, the encoded
@@ -481,7 +95,7 @@ type ScanWorkload = (
 );
 
 /// Builds the shared page-scan workload: `n_pages` encoded quantized
-/// pages (DIM 8, g 6 — the PR 4 baseline shape) plus `n_queries` query
+/// pages (dimension 8, 6 bits per dimension) plus `n_queries` query
 /// points.
 fn scan_workload(n_pages: usize, n_queries: usize) -> ScanWorkload {
     const DIM: usize = 8;
@@ -513,119 +127,6 @@ fn scan_workload(n_pages: usize, n_queries: usize) -> ScanWorkload {
     (codec, per_page, pages, queries)
 }
 
-/// Single-query page-scan filter: the PR 4 per-entry lookup kernel vs the
-/// PR 9 batch kernel (whole-page decode + fold) under the detected SIMD
-/// dispatch and under forced-scalar fallback. All three paths produce
-/// bit-identical key sums (asserted).
-#[derive(Clone, Copy, Debug)]
-pub struct SimdScanBench {
-    /// Selected SIMD dispatch tier (`avx2` / `sse41` / `scalar`).
-    pub kernel: &'static str,
-    /// Points per second through the PR 4 per-entry lookup kernel.
-    pub pr4_pps: f64,
-    /// Points per second through the batch kernel, detected dispatch.
-    pub batch_pps: f64,
-    /// Points per second through the batch kernel, forced scalar.
-    pub batch_scalar_pps: f64,
-    /// `batch_pps / pr4_pps`.
-    pub simd_speedup: f64,
-    /// `batch_scalar_pps / pr4_pps` — the no-SIMD safety net.
-    pub scalar_ratio: f64,
-}
-
-/// Measures [`SimdScanBench`]: same pages, same queries, same fold order
-/// in every path, so the accumulated key sums must match bit-for-bit.
-pub fn page_scan_simd(quick: bool) -> SimdScanBench {
-    let n_pages = if quick { 8 } else { 64 };
-    let n_queries = if quick { 2 } else { 8 };
-    let iters = if quick { 1 } else { 8 };
-    // Best-of-N timing: each path runs `reps` full passes and reports the
-    // fastest, which filters out scheduler noise on small machines. Every
-    // pass accumulates into the same sink, so the cross-path bit-identity
-    // assertion still compares identical addition sequences.
-    let reps = if quick { 1 } else { 5 };
-    let (codec, per_page, pages, queries) = scan_workload(n_pages, n_queries);
-
-    // PR 4 kernel: per-(query, page) table, per-entry streaming lookups.
-    let mut table = DistTable::new();
-    let mut scratch: Vec<u32> = Vec::new();
-    let mut pr4_sink = 0.0f64;
-    let mut pr4_t = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..iters {
-            for q in &queries {
-                for (mbr, block) in &pages {
-                    let view = codec.try_view(block).expect("valid page");
-                    table.build(mbr, view.bits(), Metric::Euclidean, q, view.len());
-                    view.for_each_entry(&mut scratch, |_, cells| {
-                        pr4_sink += table.mindist_key(cells);
-                    });
-                }
-            }
-        }
-        pr4_t = pr4_t.min(start.elapsed().as_secs_f64());
-    }
-
-    let mut cells: Vec<u32> = Vec::new();
-    let mut keys: Vec<f64> = Vec::new();
-    let mut batch_pass = |sink: &mut f64| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            for _ in 0..iters {
-                for q in &queries {
-                    for (mbr, block) in &pages {
-                        let view = codec.try_view(block).expect("valid page");
-                        table.build(mbr, view.bits(), Metric::Euclidean, q, view.len());
-                        view.unpack_all(&mut cells);
-                        table.mindist_keys(&cells, &mut keys);
-                        for &k in &keys {
-                            *sink += k;
-                        }
-                    }
-                }
-            }
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    // Batch kernel under whatever dispatch the CPU detection selected.
-    let mut batch_sink = 0.0f64;
-    let batch_t = batch_pass(&mut batch_sink);
-
-    // Batch kernel pinned to the scalar fallback.
-    set_kernel_override(Some(Kernel::Scalar));
-    let mut scalar_sink = 0.0f64;
-    let scalar_t = batch_pass(&mut scalar_sink);
-    set_kernel_override(None);
-
-    assert_eq!(
-        pr4_sink.to_bits(),
-        batch_sink.to_bits(),
-        "batch kernel must not change the keys"
-    );
-    assert_eq!(
-        pr4_sink.to_bits(),
-        scalar_sink.to_bits(),
-        "scalar fallback must not change the keys"
-    );
-
-    let points = (iters * n_queries * n_pages * per_page) as f64;
-    let pr4_pps = points / pr4_t.max(1e-12);
-    let batch_pps = points / batch_t.max(1e-12);
-    let batch_scalar_pps = points / scalar_t.max(1e-12);
-    SimdScanBench {
-        kernel: kernel_name(),
-        pr4_pps,
-        batch_pps,
-        batch_scalar_pps,
-        simd_speedup: batch_pps / pr4_pps.max(1e-12),
-        scalar_ratio: batch_scalar_pps / pr4_pps.max(1e-12),
-    }
-}
-
 /// One batch size of the multi-query page-scan amortization sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct MultiqRow {
@@ -643,10 +144,8 @@ pub struct MultiqRow {
 /// [`DistTableBlock`] + `for_each_entry_multi`, reporting the per-pair
 /// cost. Larger Q shares the page decode (and loop overhead) across more
 /// queries, so the per-pair cost should fall monotonically.
-pub fn page_scan_multiq(quick: bool) -> Vec<MultiqRow> {
-    let n_pages = if quick { 8 } else { 48 };
-    let base_iters = if quick { 1 } else { 6 };
-    let (codec, per_page, pages, queries) = scan_workload(n_pages, 16);
+pub fn page_scan_multiq() -> Vec<MultiqRow> {
+    let (codec, per_page, pages, queries) = scan_workload(8, 16);
 
     let mut block_table = DistTableBlock::new();
     let mut cells: Vec<u32> = Vec::new();
@@ -656,37 +155,31 @@ pub fn page_scan_multiq(quick: bool) -> Vec<MultiqRow> {
     let mut base_ns = 0.0f64;
     for q in [1usize, 4, 16] {
         let qs: Vec<&[f32]> = queries[..q].iter().map(Vec::as_slice).collect();
-        // Same total (point, query) work at every batch size; best-of-N
-        // passes to filter scheduler noise.
-        let iters = base_iters * (16 / q);
-        let reps = if quick { 1 } else { 5 };
+        // Same total (point, query) work at every batch size.
+        let iters = 16 / q;
         let mut sink = 0.0f64;
-        let mut t = f64::INFINITY;
-        for _ in 0..reps {
-            let start = Instant::now();
-            for _ in 0..iters {
-                for (mbr, block) in &pages {
-                    let view = codec.try_view(block).expect("valid page");
-                    let ok =
-                        block_table.build(mbr, view.bits(), Metric::Euclidean, &qs, view.len());
-                    assert!(ok, "workload fits the materialization budget");
-                    view.for_each_entry_multi(
-                        &block_table,
-                        &mut cells,
-                        &mut lo,
-                        &mut hi,
-                        |_, _, lo, _| {
-                            for &v in lo {
-                                sink += v;
-                            }
-                        },
-                    );
-                }
+        let start = Instant::now();
+        for _ in 0..iters {
+            for (mbr, block) in &pages {
+                let view = codec.try_view(block).expect("valid page");
+                let ok = block_table.build(mbr, view.bits(), Metric::Euclidean, &qs, view.len());
+                assert!(ok, "workload fits the materialization budget");
+                view.for_each_entry_multi(
+                    &block_table,
+                    &mut cells,
+                    &mut lo,
+                    &mut hi,
+                    |_, _, lo, _| {
+                        for &v in lo {
+                            sink += v;
+                        }
+                    },
+                );
             }
-            t = t.min(start.elapsed().as_secs_f64());
         }
+        let t = start.elapsed().as_secs_f64();
         assert!(sink.is_finite());
-        let pairs = (iters * n_pages * per_page * q) as f64;
+        let pairs = (iters * pages.len() * per_page * q) as f64;
         let ns = t / pairs.max(1e-12) * 1e9;
         if q == 1 {
             base_ns = ns;
@@ -700,305 +193,26 @@ pub fn page_scan_multiq(quick: bool) -> Vec<MultiqRow> {
     rows
 }
 
-/// Runs the PR 9 suite — single-query SIMD vs scalar page scan,
-/// multi-query amortization sweep, and the parallel-build thread sweep on
-/// the coarsened work units — and renders `BENCH_PR9.json`
-/// (hand-formatted: the harness has no serde dependency).
-pub fn run_pr9(quick: bool) -> String {
-    let scan = page_scan_simd(quick);
-    let multiq = page_scan_multiq(quick);
-    let sweep = parallel_build_sweep(quick);
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"simd quantized-domain kernels + multi-query page scans\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"kernel\": \"{}\",\n", scan.kernel));
-    json.push_str(&format!(
-        "  \"page_scan_simd\": {{\"pr4_kernel_points_per_sec\": {:.0}, \"batch_points_per_sec\": {:.0}, \
-         \"batch_scalar_points_per_sec\": {:.0}, \"simd_speedup\": {:.3}, \"scalar_ratio\": {:.3}}},\n",
-        scan.pr4_pps, scan.batch_pps, scan.batch_scalar_pps, scan.simd_speedup, scan.scalar_ratio
-    ));
-    json.push_str("  \"page_scan_multiq\": [\n");
-    for (i, r) in multiq.iter().enumerate() {
-        let sep = if i + 1 == multiq.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"q\": {}, \"ns_per_point_query\": {:.2}, \"amortization\": {:.3}}}{sep}\n",
-            r.q, r.ns_per_point_query, r.amortization
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"parallel_build\": {{\"available_cores\": {}, \"sequential_s\": {:.6}, \"runs\": [",
-        sweep.available_cores, sweep.sequential_s
-    ));
-    for (i, r) in sweep.runs.iter().enumerate() {
-        let sep = if i + 1 == sweep.runs.len() { "" } else { ", " };
-        json.push_str(&format!(
-            "{{\"threads\": {}, \"parallel_s\": {:.6}, \"speedup\": {:.3}}}{sep}",
-            r.threads, r.par_s, r.speedup
-        ));
-    }
-    json.push_str("]},\n");
-    json.push_str(
-        "  \"note\": \"all three page-scan paths are asserted bit-identical in-process; \
-         build speedups near 1.0 are expected when available_cores is small\"\n",
-    );
-    json.push_str("}\n");
-    json
-}
-
-/// Cost of the PR 10 structured-tracing layer at both settings: the
-/// disabled path every query pays whether or not anyone is looking (must
-/// stay at the PR 5 counter floor — one branch on an `Option`), and the
-/// enabled path a sampled query pays per span.
-#[derive(Clone, Copy, Debug)]
-pub struct TraceBench {
-    /// Registry counter update with a disabled registry, ns/op — the PR 5
-    /// floor, re-measured in the same run for an apples-to-apples delta.
-    pub counter_disabled_ns: f64,
-    /// `span_begin` + `span_end` pair on an untraced clock, ns/pair.
-    pub span_pair_disabled_ns: f64,
-    /// `span_attr` on an untraced clock, ns/op (no formatting happens).
-    pub attr_disabled_ns: f64,
-    /// `span_count` on an untraced clock, ns/op.
-    pub count_disabled_ns: f64,
-    /// `span_begin` + `span_end` pair on a traced clock, ns/pair
-    /// (allocates a node and stamps two I/O snapshots).
-    pub span_pair_enabled_ns: f64,
-    /// `span_pair_disabled_ns − counter_disabled_ns`, in ns: what one
-    /// *disabled* span pair adds over the PR 5 per-op floor.
-    pub disabled_delta_ns: f64,
-}
-
-/// Measures the span API against the PR 5 disabled-counter floor. The
-/// disabled loops run on a clock that never called `enable_tracing`, i.e.
-/// the path every un-sampled production query takes.
-pub fn tracing_overhead(quick: bool) -> TraceBench {
-    use std::hint::black_box;
-    let ops = if quick { 20_000u64 } else { 2_000_000 };
-
-    // PR 5 floor: one relaxed-load counter update, disabled registry.
-    let off = Registry::disabled();
-    let c = off.counter("bench_ops_total");
-    c.inc(); // warm-up
-    let start = Instant::now();
-    for _ in 0..ops {
-        c.inc();
-    }
-    let counter_disabled_ns = start.elapsed().as_nanos() as f64 / ops as f64;
-
-    let mut clock = SimClock::default();
-    let mut run = |f: &mut dyn FnMut(&mut SimClock)| -> f64 {
-        f(&mut clock); // warm-up
-        let start = Instant::now();
-        f(&mut clock);
-        start.elapsed().as_nanos() as f64 / ops as f64
-    };
-    let span_pair_disabled_ns = run(&mut |c| {
-        for _ in 0..ops {
-            c.span_begin(black_box("query"));
-            c.span_end();
-        }
-    });
-    let attr_disabled_ns = run(&mut |c| {
-        for _ in 0..ops {
-            c.span_attr(black_box("k"), &black_box(10u32));
-        }
-    });
-    let count_disabled_ns = run(&mut |c| {
-        for _ in 0..ops {
-            c.span_count(black_box("pages_processed"), black_box(3));
-        }
-    });
-
-    // Enabled path: trace trees grow a node per span, so run in bounded
-    // bursts and drop each tree before the next burst.
-    let burst = 10_000u64.min(ops);
-    let bursts = ops.div_ceil(burst);
-    let mut traced = SimClock::default();
-    traced.enable_tracing();
-    let mut elapsed = 0.0f64;
-    for _ in 0..bursts {
-        let start = Instant::now();
-        for _ in 0..burst {
-            traced.span_begin(black_box("query"));
-            traced.span_end();
-        }
-        elapsed += start.elapsed().as_nanos() as f64;
-        drop(traced.take_trace());
-        traced.enable_tracing();
-    }
-    let span_pair_enabled_ns = elapsed / (bursts * burst) as f64;
-
-    TraceBench {
-        counter_disabled_ns,
-        span_pair_disabled_ns,
-        attr_disabled_ns,
-        count_disabled_ns,
-        span_pair_enabled_ns,
-        disabled_delta_ns: span_pair_disabled_ns - counter_disabled_ns,
-    }
-}
-
-/// Runs the PR 10 suite — span-API overhead at both settings against the
-/// PR 5 disabled-counter floor — and renders `BENCH_PR10.json` with a
-/// provenance header (hand-formatted: the harness has no serde
-/// dependency). `date` is caller-supplied; benchmarks never read clocks.
-pub fn run_pr10(quick: bool, date: Option<&str>) -> String {
-    let prov = crate::provenance::collect(date);
-    let t = tracing_overhead(quick);
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"structured-tracing span overhead\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"provenance\": {},\n", prov.to_json()));
-    json.push_str(&format!(
-        "  \"tracing\": {{\"counter_disabled_ns\": {:.2}, \"span_pair_disabled_ns\": {:.2}, \
-         \"attr_disabled_ns\": {:.2}, \"count_disabled_ns\": {:.2}, \
-         \"span_pair_enabled_ns\": {:.2}, \"disabled_delta_ns\": {:.2}}},\n",
-        t.counter_disabled_ns,
-        t.span_pair_disabled_ns,
-        t.attr_disabled_ns,
-        t.count_disabled_ns,
-        t.span_pair_enabled_ns,
-        t.disabled_delta_ns,
-    ));
-    json.push_str(
-        "  \"note\": \"disabled numbers are the path un-sampled queries take: one branch per \
-         span call, no allocation (pinned by crates/storage/tests/trace_alloc_free.rs); \
-         counter_disabled_ns re-measures the PR 5 floor and must stay within 10% of \
-         BENCH_PR4.json's observability.counter_disabled_ns\"\n",
-    );
-    json.push_str("}\n");
-    json
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn scan_bench_produces_positive_throughput() {
-        let s = page_scan_throughput(true);
+        let s = page_scan_throughput();
         assert!(s.naive_pps > 0.0);
         assert!(s.kernel_pps > 0.0);
         assert!(s.speedup > 0.0);
     }
 
     #[test]
-    fn build_bench_is_deterministic_and_positive() {
-        let b = parallel_build_speedup(true);
-        assert!(b.seq_s > 0.0);
-        assert!(b.par_s > 0.0);
-        assert_eq!(b.threads, 8, "the parallel run pins 8 explicit workers");
-    }
-
-    #[test]
-    fn build_sweep_spawns_every_thread_count() {
-        let s = parallel_build_sweep(true);
-        assert!(s.available_cores >= 1);
-        assert!(s.sequential_s > 0.0);
-        let counts: Vec<usize> = s.runs.iter().map(|r| r.threads).collect();
-        assert_eq!(counts, vec![1, 2, 4, 8]);
-        for r in &s.runs {
-            assert!(r.par_s > 0.0);
-            assert!(r.speedup > 0.0);
-        }
-    }
-
-    #[test]
-    fn pr6_report_is_well_formed() {
-        let json = run_pr6(true);
-        assert!(json.contains("\"available_cores\""));
-        assert!(json.contains("\"sequential_s\""));
-        assert!(json.contains("\"runs\""));
-        assert!(json.contains("\"threads\": 8"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn simd_scan_paths_agree_and_are_positive() {
-        let s = page_scan_simd(true);
-        assert!(s.pr4_pps > 0.0);
-        assert!(s.batch_pps > 0.0);
-        assert!(s.batch_scalar_pps > 0.0);
-        assert!(!s.kernel.is_empty());
-    }
-
-    #[test]
     fn multiq_sweep_covers_all_batch_sizes() {
-        let rows = page_scan_multiq(true);
+        let rows = page_scan_multiq();
         let qs: Vec<usize> = rows.iter().map(|r| r.q).collect();
         assert_eq!(qs, vec![1, 4, 16]);
         for r in &rows {
             assert!(r.ns_per_point_query > 0.0);
             assert!(r.amortization > 0.0);
         }
-    }
-
-    #[test]
-    fn pr9_report_is_well_formed() {
-        let json = run_pr9(true);
-        assert!(json.contains("\"kernel\""));
-        assert!(json.contains("\"page_scan_simd\""));
-        assert!(json.contains("\"page_scan_multiq\""));
-        assert!(json.contains("\"parallel_build\""));
-        assert!(json.contains("\"simd_speedup\""));
-        assert!(json.contains("\"amortization\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn json_report_is_well_formed() {
-        let json = run_all(true);
-        assert!(json.contains("\"page_scan\""));
-        assert!(json.contains("\"table_build\""));
-        assert!(json.contains("\"parallel_build\""));
-        assert!(json.contains("\"observability\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn tracing_overhead_is_measurable_and_disabled_stays_cheap() {
-        let t = tracing_overhead(true);
-        assert!(t.counter_disabled_ns >= 0.0);
-        assert!(t.span_pair_disabled_ns >= 0.0);
-        assert!(t.attr_disabled_ns >= 0.0);
-        assert!(t.count_disabled_ns >= 0.0);
-        assert!(t.span_pair_enabled_ns > 0.0);
-        // The disabled path is a branch; the enabled path allocates a node
-        // and stamps I/O counters. Disabled must be the cheaper of the two
-        // by a wide margin (loose bound: quick mode is noisy).
-        assert!(
-            t.span_pair_disabled_ns < t.span_pair_enabled_ns,
-            "disabled span pair ({:.2} ns) should undercut enabled ({:.2} ns)",
-            t.span_pair_disabled_ns,
-            t.span_pair_enabled_ns
-        );
-    }
-
-    #[test]
-    fn pr10_report_is_well_formed() {
-        let json = run_pr10(true, Some("2026-08-08"));
-        assert!(json.contains("\"provenance\""));
-        assert!(json.contains("\"commit\""));
-        assert!(json.contains("\"tracing\""));
-        assert!(json.contains("\"span_pair_disabled_ns\""));
-        assert!(json.contains("\"disabled_delta_ns\""));
-        assert!(json.contains("\"date\": \"2026-08-08\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        iq_obs::json::parse(&json).expect("report parses as JSON");
-    }
-
-    #[test]
-    fn observability_overhead_is_measurable() {
-        let o = observability_overhead(true);
-        assert!(o.counter_disabled_ns >= 0.0);
-        assert!(o.counter_enabled_ns >= 0.0);
-        assert!(o.histogram_disabled_ns >= 0.0);
-        assert!(o.histogram_enabled_ns >= 0.0);
-        assert!(o.read_plain_ns > 0.0);
-        assert!(o.read_observed_off_ns > 0.0);
-        assert!(o.read_observed_on_ns > 0.0);
     }
 }

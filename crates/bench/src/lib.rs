@@ -9,9 +9,14 @@
 //!
 //! Setting the environment variable `IQ_QUICK=1` shrinks data sizes and
 //! query counts by ~10× for smoke runs and CI.
+//!
+//! Besides the figures, [`kernels`] holds the page-scan microbenchmarks
+//! `iq bench` reports and [`provenance`] the run header shared with it.
+//! Wall-clock performance of whole workloads on real index files is
+//! measured by the separate `perfbench` package at the repository root,
+//! the one benchmark CI runs.
 
 pub mod ablations;
-pub mod approx;
 pub mod figures;
 pub mod kernels;
 pub mod provenance;

@@ -1,12 +1,12 @@
 //! Run provenance for benchmark artifacts.
 //!
-//! Committed BENCH_*.json files are only comparable across runs when the
-//! reader knows *what* produced them: the git commit, the SIMD dispatch
+//! Benchmark outputs are only comparable across runs when the reader
+//! knows *what* produced them: the git commit, the SIMD dispatch
 //! tier the run selected, the CRC32 kernel behind every checksummed block
 //! read, and how many cores the machine offered. This module collects
 //! those once, dependency-free (the commit is read straight from `.git`,
-//! no subprocess), and renders them as the `provenance` header every bench
-//! JSON carries.
+//! no subprocess), and renders them as the `provenance` header that
+//! `iq bench --json` and every perfbench run start with.
 
 use std::path::Path;
 
@@ -24,8 +24,8 @@ pub struct Provenance {
     pub crc_kernel: String,
     /// `std::thread::available_parallelism` at collection time.
     pub available_cores: usize,
-    /// Caller-supplied run date (bench bins take `IQ_BENCH_DATE`, the CLI
-    /// takes `--date`); `"unknown"` when not passed.
+    /// Caller-supplied run date (`iq bench` takes `--date`); `"unknown"`
+    /// when not passed.
     pub date: String,
 }
 

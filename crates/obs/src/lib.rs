@@ -1,6 +1,6 @@
 //! Observability layer for the IQ-tree reproduction.
 //!
-//! Four pieces, all dependency-free so every other crate can use them:
+//! Every piece is dependency-free, so every other crate can use it:
 //!
 //! - [`Registry`]: lock-cheap named metrics — atomic [`Counter`]s,
 //!   [`Gauge`]s and log-bucketed [`Histogram`]s — with Prometheus-text
@@ -8,8 +8,6 @@
 //!   lives behind [`global`], disabled by default: every handle guards
 //!   its update with one relaxed atomic load, so the disabled path is a
 //!   near-no-op.
-//! - [`SpanGuard`] / [`span!`]: RAII wall-time spans recorded into
-//!   histograms, no external tracing crate.
 //! - [`Phase`] / [`PhaseTimes`]: the five k-NN pipeline phases
 //!   (directory, plan, filter, refine, top-k) and per-phase
 //!   simulated + wall time, which `SimClock` attributes during queries.
@@ -32,7 +30,6 @@ pub mod json;
 pub mod phase;
 pub mod registry;
 pub mod slowlog;
-pub mod span;
 pub mod tracetree;
 pub mod window;
 
@@ -42,6 +39,5 @@ pub use json::JsonValue;
 pub use phase::{Phase, PhaseTimes, PHASES};
 pub use registry::{global, Counter, Gauge, Histogram, Registry, Snapshot};
 pub use slowlog::{SlowEntry, SlowLog};
-pub use span::SpanGuard;
 pub use tracetree::{TraceBuilder, TraceNode, TraceTree};
 pub use window::{TelemetryWindow, WindowReport};

@@ -48,9 +48,10 @@ pub enum IqError {
         /// Checksum computed over the payload read.
         computed: u32,
     },
-    /// A page or directory entry failed structural validation while
-    /// decoding (bad header, counts exceeding capacity, truncated bit
-    /// stream, …).
+    /// A page, directory entry, WAL frame or input file failed structural
+    /// validation while decoding (bad header, counts exceeding capacity,
+    /// truncated bit stream, unparsable coordinate, …). `detail` names
+    /// what was malformed.
     Decode {
         /// What was malformed.
         detail: String,
@@ -140,7 +141,7 @@ impl fmt::Display for IqError {
                 f,
                 "checksum mismatch at block {block}: stored {stored:#010x}, computed {computed:#010x}"
             ),
-            IqError::Decode { detail } => write!(f, "corrupt page: {detail}"),
+            IqError::Decode { detail } => write!(f, "malformed data: {detail}"),
             IqError::Superblock { detail } => write!(f, "invalid superblock: {detail}"),
             IqError::Version { found, supported } => write!(
                 f,

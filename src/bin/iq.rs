@@ -64,7 +64,10 @@ fn main() -> ExitCode {
         "checkpoint" => cmd_checkpoint(&opts),
         "recover" => cmd_recover(&opts),
         "bench" => cmd_bench(&opts),
-        _ => Err(format!("unknown command `{cmd}`")),
+        _ => {
+            eprintln!("error: unknown command `{cmd}`\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
     if let Some(path) = metrics_json {
         let json = iqtree_repro::obs::global().to_json();
@@ -76,7 +79,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -1396,10 +1399,10 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     // Candidate-filter throughput of the quantized-domain kernel (the
     // level-2 MINDIST pass), measured wall-clock on synthetic pages.
-    let filt = iq_bench::kernels::page_scan_throughput(true);
+    let filt = iq_bench::kernels::page_scan_throughput();
     // Multi-query page-scan amortization (one decode serving Q queries),
     // on the selected SIMD dispatch tier.
-    let multiq = iq_bench::kernels::page_scan_multiq(true);
+    let multiq = iq_bench::kernels::page_scan_multiq();
     let kernel = iqtree_repro::quantize::kernel_name();
     if json {
         json_rows.push(format!(

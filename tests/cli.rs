@@ -311,10 +311,12 @@ fn bench_subcommand_runs() {
 
 #[test]
 fn helpful_errors() {
-    // Unknown command.
+    // Unknown command: the one error that comes with the usage text.
     let out = iq().arg("frobnicate").output().expect("run");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown command"));
+    assert!(stderr.contains("usage:"));
 
     // Missing flag.
     let out = iq().args(["generate", "--dim", "3"]).output().expect("run");
@@ -348,5 +350,19 @@ fn helpful_errors() {
         .expect("run query");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("index is 2-d"));
+
+    // Malformed input data: one error line naming the line, no usage text.
+    let bad = dir.join("bad.csv");
+    std::fs::write(&bad, "0.1,0.2\n0.3,0.4\n0.5,oops\n").expect("write csv");
+    let out = iq()
+        .args(["build", "--input", bad.to_str().expect("utf8")])
+        .args(["--index", dir.join("bad").to_str().expect("utf8")])
+        .output()
+        .expect("run build");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 3"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    assert!(!stderr.contains("corrupt page"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

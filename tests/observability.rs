@@ -15,15 +15,8 @@ fn iq() -> Command {
     Command::new(env!("CARGO_BIN_EXE_iq"))
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("iq-obs-test-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Like [`temp_dir`] but namespaced per test, so tests running in
-/// parallel inside one harness process cannot race on the directory.
+/// A fresh directory namespaced per test, so tests running in parallel
+/// inside one harness process cannot race on it.
 fn temp_dir_named(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("iq-obs-test-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -56,7 +49,7 @@ fn build_index(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn query_trace_phases_sum_to_total() {
-    let dir = temp_dir();
+    let dir = temp_dir_named("trace");
     let idx = build_index(&dir);
     let out = iq()
         .args(["query", "--index", idx.to_str().expect("utf8")])
@@ -95,7 +88,7 @@ fn query_trace_phases_sum_to_total() {
 
 #[test]
 fn stats_exports_registry_in_both_formats() {
-    let dir = temp_dir();
+    let dir = temp_dir_named("stats");
     let idx = build_index(&dir);
 
     let out = iq()
@@ -156,7 +149,7 @@ fn stats_exports_registry_in_both_formats() {
 
 #[test]
 fn metrics_json_flag_writes_registry_snapshot() {
-    let dir = temp_dir();
+    let dir = temp_dir_named("metrics");
     let idx = build_index(&dir);
     let path = dir.join("metrics.json");
     let out = iq()
@@ -464,6 +457,23 @@ fn bench_persists_slow_log_and_telemetry_for_stats() {
     ] {
         assert!(report.contains(key), "missing {key} in report:\n{report}");
     }
+    // The kernel microbenchmarks ride along as their own rows.
+    let doc = iqtree_repro::obs::json::parse(report.trim()).expect("valid JSON");
+    let rows = doc.as_arr().expect("report is an array");
+    let engine_is = |r: &iqtree_repro::obs::JsonValue, name: &str| {
+        r.get("engine").and_then(|e| e.as_str()) == Some(name)
+    };
+    let filter = rows
+        .iter()
+        .find(|r| engine_is(r, "kernel-filter"))
+        .expect("kernel-filter row");
+    assert!(filter.get("filter_points_per_sec").and_then(|v| v.as_f64()) > Some(0.0));
+    let multiq: Vec<u64> = rows
+        .iter()
+        .filter(|r| engine_is(r, "page_scan_multiq"))
+        .map(|r| r.get("q").and_then(|q| q.as_u64()).expect("q"))
+        .collect();
+    assert_eq!(multiq, [1, 4, 16], "page_scan_multiq rows");
     assert!(dir.join("iq-slowlog.json").is_file());
     assert!(dir.join("iq-telemetry.json").is_file());
 
