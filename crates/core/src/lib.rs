@@ -32,7 +32,9 @@ pub use durability::RecoveryReport;
 use iq_cost::{DirectoryParams, RefineParams};
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
-use iq_storage::{read_to_vec_retry, BlockDevice, DeviceStack, IqResult, RetryPolicy, SimClock};
+use iq_storage::{
+    read_to_vec_retry, BlockDevice, DeviceStack, IqError, IqResult, RetryPolicy, SimClock,
+};
 use iq_wal::{Level, WalRecord};
 
 /// Construction and search options.
@@ -713,6 +715,51 @@ impl IqTree {
             .exact_codec
             .try_decode_entry_at(&buf[off..off + self.exact_codec.entry_bytes()])?;
         Ok(coords)
+    }
+
+    /// The one decoder of a page's exact (level-3) region, shared by the
+    /// degraded query paths and by updates and exports. Level-3 entries
+    /// are self-contained `(id, coords)` rows (Section 3.1), so the region
+    /// alone answers for the page. Reads the region (retried on transient
+    /// faults) and passes each of the page's `count` entries to `visit`
+    /// in slot order, an entry that does not fit the region or does not
+    /// decode as an error. A lenient caller counts those and goes on; a
+    /// strict one returns the error from `visit`, which ends the walk.
+    ///
+    /// Fails when the page is stored exactly (32 bits, no level 3), when
+    /// its region stays unreadable, or when `visit` fails.
+    pub(crate) fn for_each_exact_entry(
+        &self,
+        clock: &mut SimClock,
+        page_idx: usize,
+        mut visit: impl FnMut(IqResult<(u32, &[f32])>) -> IqResult<()>,
+    ) -> IqResult<()> {
+        let meta = &self.pages[page_idx];
+        if meta.g == EXACT_BITS {
+            return Err(IqError::Decode {
+                detail: format!("page {page_idx} is stored exactly and has no exact region"),
+            });
+        }
+        let region = self.try_read_exact_region(clock, page_idx)?;
+        let eb = self.exact_codec.entry_bytes();
+        let mut coords = vec![0.0f32; self.dim];
+        for i in 0..meta.count as usize {
+            let entry = match region.get(i * eb..(i + 1) * eb) {
+                Some(bytes) => self
+                    .exact_codec
+                    .try_decode_entry_into(bytes, &mut coords)
+                    .map(|id| (id, coords.as_slice())),
+                None => Err(IqError::Decode {
+                    detail: format!(
+                        "exact region of page {page_idx} holds {} byte(s), entry {i} needs {}",
+                        region.len(),
+                        (i + 1) * eb
+                    ),
+                }),
+            };
+            visit(entry)?;
+        }
+        Ok(())
     }
 
     /// Reads the full exact region of a page, retried on transient faults.

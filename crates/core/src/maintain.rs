@@ -10,8 +10,7 @@
 
 use crate::{IqTree, IqTreeOptions};
 use iq_geometry::Dataset;
-use iq_quantize::EXACT_BITS;
-use iq_storage::{BlockDevice, IqError, IqResult, SimClock};
+use iq_storage::{BlockDevice, IqResult, SimClock};
 
 impl IqTree {
     /// Extracts every `(id, point)` currently stored, in page order.
@@ -24,35 +23,13 @@ impl IqTree {
         let mut ids = Vec::with_capacity(self.len());
         let mut points = Dataset::with_capacity(dim, self.len());
         for idx in 0..self.pages().len() {
-            let meta = self.pages()[idx].clone();
-            if meta.count == 0 {
+            if self.pages()[idx].count == 0 {
                 continue;
             }
-            let block = meta.quant_block;
-            let bytes =
-                iq_storage::read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry())?;
-            let decoded = self.codec().try_decode(&bytes)?;
-            if decoded.bits() == EXACT_BITS {
-                for i in 0..decoded.len() {
-                    ids.push(decoded.id(i));
-                    points.push(&decoded.exact_point(i).ok_or_else(|| IqError::Decode {
-                        detail: format!("page {idx}: exact-bits point {i} missing"),
-                    })?);
-                }
-            } else {
-                let region = self.try_read_exact_region(clock, idx)?;
-                let eb = self.exact_codec().entry_bytes();
-                for i in 0..decoded.len() {
-                    let span = region
-                        .get(i * eb..(i + 1) * eb)
-                        .ok_or_else(|| IqError::Decode {
-                            detail: format!("exact region of page {idx} too short for entry {i}"),
-                        })?;
-                    let (id, coords) = self.exact_codec().try_decode_entry_at(span)?;
-                    debug_assert_eq!(id, decoded.id(i), "levels 2 and 3 agree on ids");
-                    ids.push(decoded.id(i));
-                    points.push(&coords);
-                }
+            let page = self.load_page(clock, idx)?;
+            ids.extend_from_slice(&page.ids);
+            for p in page.coords.chunks_exact(dim) {
+                points.push(p);
             }
         }
         Ok((ids, points))

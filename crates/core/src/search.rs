@@ -18,12 +18,13 @@
 use crate::{IqTree, PageMeta};
 use iq_cost::access_prob::fraction_in_ball;
 use iq_engine::{
-    drive, query_span_begin, query_span_end, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
-    QueryOptions, TopK, TracedResult,
+    drive, query_span_begin, query_span_end, refine_ascending, AccessMethod, CandidateHeap,
+    Executor, Filter, OrdKey, QueryOptions, TracedResult,
 };
+use iq_geometry::{Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::{
-    CellMatch, DistTable, DistTableBlock, WindowTable, EXACT_BITS, MAX_BLOCK_QUERIES,
+    CellMatch, DistTable, DistTableBlock, QuantPageView, WindowTable, EXACT_BITS, MAX_BLOCK_QUERIES,
 };
 use iq_storage::{fetch, read_to_vec_retry, SimClock};
 use std::cmp::Reverse;
@@ -35,23 +36,17 @@ use std::collections::{BinaryHeap, HashMap};
 /// re-exported here for backward compatibility.
 pub use iq_engine::QueryTrace;
 
-/// Folds one entry's MAXDIST key into a query's running bound δ: the
-/// bounded max-heap holds the `k` smallest MAXDIST keys seen so far, whose
-/// maximum is a certified upper bound on the true k-th-NN key (at least
-/// `k` entries are guaranteed no farther than it).
-fn note_bound(heap: &mut BinaryHeap<OrdKey>, delta: &mut f64, k: usize, hi: f64) {
-    if hi.is_nan() {
-        return;
-    }
-    if heap.len() < k {
-        heap.push(OrdKey(hi));
-        if heap.len() == k {
-            *delta = heap.peek().expect("heap holds k entries").0;
+/// Records the outcome of a level-3 fallback
+/// ([`IqTree::fallback_exact`]) in a query's trace: a recovered page
+/// counts as processed, its undecodable entries as skipped points.
+fn note_fallback(trace: &mut QueryTrace, outcome: Option<u64>) {
+    match outcome {
+        Some(undecodable) => {
+            trace.quant_fallbacks += 1;
+            trace.pages_processed += 1;
+            trace.points_skipped += undecodable;
         }
-    } else if hi < *delta {
-        heap.pop();
-        heap.push(OrdKey(hi));
-        *delta = heap.peek().expect("heap holds k entries").0;
+        None => trace.pages_lost += 1,
     }
 }
 
@@ -84,12 +79,65 @@ struct SearchState<'f> {
     processed: Vec<bool>,
     /// Reusable cell-number scratch for the streaming page decoder.
     cells: Vec<u32>,
-    /// Reusable coordinate scratch for exact (g = 32) pages and fallbacks.
+    /// Reusable coordinate scratch for exact (g = 32) pages.
     coords: Vec<f32>,
     /// Reusable per-(query, page-grid) distance-contribution table.
     table: DistTable,
     /// Reusable per-page MINDIST-key scratch for the batch fold kernel.
     keys: Vec<f64>,
+}
+
+/// One query of the shared batch walk: its [`Executor`] (top-k and
+/// trace) with the MAXDIST bound δ kept beside it, and its refinement
+/// candidates.
+struct BatchQuery<'q> {
+    q: &'q [f32],
+    exec: Executor,
+    /// The `k` smallest MAXDIST keys seen so far; their maximum δ is a
+    /// certified upper bound on the true k-th-NN key (at least `k`
+    /// entries are guaranteed no farther than it).
+    maxdist: BinaryHeap<OrdKey>,
+    /// δ, `+∞` until `k` keys are seen.
+    delta: f64,
+    /// Refinement candidates: `(lower-bound key, id, page, slot)`.
+    cands: Vec<(f64, u32, u32, u32)>,
+}
+
+impl BatchQuery<'_> {
+    /// Folds one entry's MAXDIST key into δ.
+    fn note_bound(&mut self, hi: f64) {
+        if hi.is_nan() {
+            return;
+        }
+        let k = self.exec.k();
+        if self.maxdist.len() < k {
+            self.maxdist.push(OrdKey(hi));
+            if self.maxdist.len() == k {
+                self.delta = self.maxdist.peek().expect("heap holds k entries").0;
+            }
+        } else if hi < self.delta {
+            self.maxdist.pop();
+            self.maxdist.push(OrdKey(hi));
+            self.delta = self.maxdist.peek().expect("heap holds k entries").0;
+        }
+    }
+
+    /// Offers an exact point, whose distance key also bounds δ.
+    fn offer_point(&mut self, metric: Metric, coords: &[f32], id: u32) {
+        let key = metric.distance_key(coords, self.q);
+        self.note_bound(key);
+        self.exec.offer(key, id);
+    }
+
+    /// Folds a quantized entry's bounds: its MAXDIST tightens δ, and an
+    /// entry whose MINDIST is within δ becomes a refinement candidate.
+    fn note_entry(&mut self, lo: f64, hi: f64, id: u32, page: u32, slot: u32) {
+        self.note_bound(hi);
+        if lo <= self.delta {
+            self.exec.trace.approx_enqueued += 1;
+            self.cands.push((lo, id, page, slot));
+        }
+    }
 }
 
 impl IqTree {
@@ -282,7 +330,8 @@ impl IqTree {
         // Rerank: provisional results from exact pages already carry true
         // distances; lower-bound-ranked candidates are refined in one
         // planned batch over the exact file (candidates that stay
-        // unreadable after retries are skipped, as in the pivot path).
+        // unreadable after retries are skipped and counted, as in the
+        // pivot path).
         clock.phase_begin(Phase::Refine);
         let mut batch: Vec<(usize, usize, u32)> = Vec::new();
         let mut rerank: Vec<(u32, f64)> = Vec::new();
@@ -292,10 +341,11 @@ impl IqTree {
                 None => rerank.push((id, dist)),
             }
         }
-        trace.refinements += batch.len() as u64;
-        self.refine_batch_with(clock, &batch, |id, coords| {
+        let unreadable = self.refine_batch_with(clock, &batch, |id, coords| {
             rerank.push((id, metric.key_to_distance(metric.distance_key(coords, q))));
         });
+        trace.refinements += batch.len() as u64 - unreadable;
+        trace.points_skipped += unreadable;
         clock.phase_begin(Phase::TopK);
         rerank.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -308,9 +358,7 @@ impl IqTree {
         (rerank, trace)
     }
 
-    /// Loads exactly one page (the "standard NN search" ablation, and the
-    /// degraded path when a sweep fails). Transient faults are retried; a
-    /// block that stays unreadable falls back to the exact region. Each
+    /// Loads exactly one page (the "standard NN search" ablation). Each
     /// page read consumes one unit of the `nprobes` budget; once spent,
     /// the page is scheduled away unread.
     fn process_single_page(
@@ -322,17 +370,12 @@ impl IqTree {
         exec: &mut Executor,
         heap: &mut CandidateHeap<Item>,
     ) {
-        let block = self.pages()[p].quant_block;
         st.processed[p] = true;
         if !exec.try_probe() {
             return;
         }
         exec.trace.runs += 1;
-        clock.phase_begin(Phase::Filter);
-        match read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()) {
-            Ok(buf) => self.consume_page_bytes(clock, q, p, &buf, st, exec, heap),
-            Err(_) => self.fallback_page(clock, q, p, st, exec),
-        }
+        self.consume_page(clock, q, p, None, st, exec, heap);
     }
 
     /// The time-optimized strategy: extend the read around the pivot while
@@ -450,26 +493,15 @@ impl IqTree {
         let start_block = self.pages()[first].quant_block;
         let run_len = (last - first + 1) as u64;
         clock.phase_begin(Phase::Filter);
-        let buf =
-            match read_to_vec_retry(self.quant_dev(), clock, start_block, run_len, self.retry()) {
-                Ok(buf) => buf,
-                Err(_) => {
-                    // One corrupt block poisons the whole ranged read: degrade
-                    // to one page at a time so only the bad page pays the
-                    // fallback, not the entire sweep.
-                    for p in members {
-                        if exec.is_pruned(st.page_key[p]) {
-                            st.processed[p] = true;
-                            exec.trace.pages_skipped += 1;
-                            continue;
-                        }
-                        self.process_single_page(clock, q, p, st, exec, heap);
-                    }
-                    return;
-                }
-            };
-        exec.trace.runs += 1;
-        let bs = buf.len() / run_len as usize;
+        // One corrupt block poisons the whole ranged read: then every member
+        // takes the read ladder's single retried read, so only the bad page
+        // pays the fallback, not the entire sweep.
+        let run = read_to_vec_retry(self.quant_dev(), clock, start_block, run_len, self.retry());
+        let run = run.ok();
+        if run.is_some() {
+            exec.trace.runs += 1;
+        }
+        let bs = self.block_size();
         for p in members {
             st.processed[p] = true;
             if exec.is_pruned(st.page_key[p]) {
@@ -482,14 +514,19 @@ impl IqTree {
             if !exec.try_probe() {
                 continue;
             }
-            let off = (p - first) * bs;
-            self.consume_page_bytes(clock, q, p, &buf[off..off + bs], st, exec, heap);
+            let planned = run.as_deref().map(|b| &b[(p - first) * bs..][..bs]);
+            if planned.is_none() {
+                exec.trace.runs += 1;
+            }
+            self.consume_page(clock, q, p, planned, st, exec, heap);
         }
     }
 
-    /// Decodes a loaded page and feeds its contents to the search: exact
+    /// Takes page `p` through the level-2 read ladder
+    /// ([`Self::quant_view`]) and feeds its contents to the search: exact
     /// entries update the result set directly, approximations enter the
-    /// priority list as point boxes.
+    /// priority list as point boxes. A page the ladder cannot deliver is
+    /// answered from its exact region.
     ///
     /// This is the level-2 hot loop: the page is streamed through a
     /// header-validated [`iq_quantize::QuantPageView`] and each candidate's
@@ -497,28 +534,22 @@ impl IqTree {
     /// allocations, no MBR construction, no f32 reconstruction, and
     /// bit-identical keys to the naive decode-then-`Metric` path.
     #[allow(clippy::too_many_arguments)]
-    fn consume_page_bytes(
+    fn consume_page(
         &self,
         clock: &mut SimClock,
         q: &[f32],
         p: usize,
-        bytes: &[u8],
+        planned: Option<&[u8]>,
         st: &mut SearchState<'_>,
         exec: &mut Executor,
         heap: &mut CandidateHeap<Item>,
     ) {
         clock.phase_begin(Phase::Filter);
         let metric = self.metric();
-        let view = match self.codec().try_view(bytes) {
-            Ok(v) => v,
-            Err(_) => {
-                // The block read fine (or came from cache) but its payload
-                // is garbage — corruption that slipped past the checksum
-                // layer. Same degradation as an unreadable block.
-                clock.note_corrupt_block();
-                self.fallback_page(clock, q, p, st, exec);
-                return;
-            }
+        let mut reread = Vec::new();
+        let Some(view) = self.quant_view(clock, p, planned, &mut reread) else {
+            self.fallback_page(clock, q, p, st.filter, exec);
+            return;
         };
         clock.charge_dist_evals(self.dim(), view.len() as u64);
         let SearchState {
@@ -566,56 +597,85 @@ impl IqTree {
         }
     }
 
-    /// Degraded path for the k-NN search: the quantized (level-2) block of
-    /// page `p` could not be read or decoded. When the page has an exact
-    /// (level-3) region, answer from it directly — exact rows are
-    /// self-contained `(id, coords)` entries, so the page contributes at
-    /// full precision, just without approximation pruning. Pages quantized
-    /// at 32 bits have no level-3 backing; their points are reported lost.
+    /// The level-2 read ladder every query path shares. The page's block
+    /// comes from `planned` — its slice of a planned or ranged read, when
+    /// that read succeeded — or else from one retried single-block read,
+    /// and is then header-validated. `None` means the page must be
+    /// answered from its exact region ([`Self::fallback_exact`]): the
+    /// block stayed unreadable (the checksum layer has counted it), or it
+    /// read fine but does not decode — corruption that slipped past the
+    /// checksums, counted here.
+    fn quant_view<'b>(
+        &self,
+        clock: &mut SimClock,
+        p: usize,
+        planned: Option<&'b [u8]>,
+        reread: &'b mut Vec<u8>,
+    ) -> Option<QuantPageView<'b>> {
+        let bytes = match planned {
+            Some(b) => b,
+            None => {
+                let block = self.pages()[p].quant_block;
+                *reread =
+                    read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()).ok()?;
+                reread.as_slice()
+            }
+        };
+        let view = self.codec().try_view(bytes);
+        if view.is_err() {
+            clock.note_corrupt_block();
+        }
+        view.ok()
+    }
+
+    /// The level-3 fallback of every query path: the quantized block of
+    /// page `p` could not be read or decoded, so the page is answered from
+    /// its exact region, whose self-contained `(id, coords)` entries give
+    /// full precision, just without approximation pruning. Calls
+    /// `visit(id, coords)` for each entry that decodes and charges
+    /// `queries` distance evaluations per entry. Returns the number of
+    /// entries that do not decode, or `None` when the page is lost: it is
+    /// stored exactly at 32 bits (no level 3) or its region stays
+    /// unreadable.
+    fn fallback_exact(
+        &self,
+        clock: &mut SimClock,
+        p: usize,
+        queries: u64,
+        mut visit: impl FnMut(u32, &[f32]),
+    ) -> Option<u64> {
+        let mut undecodable = 0;
+        self.for_each_exact_entry(clock, p, |entry| {
+            match entry {
+                Ok((id, coords)) => visit(id, coords),
+                Err(_) => undecodable += 1,
+            }
+            Ok(())
+        })
+        .ok()?;
+        let count = u64::from(self.pages()[p].count);
+        clock.charge_dist_evals(self.dim(), count * queries);
+        Some(undecodable)
+    }
+
+    /// [`Self::fallback_exact`] for the single-query walk: matching
+    /// entries go straight into the result set.
     fn fallback_page(
         &self,
         clock: &mut SimClock,
         q: &[f32],
         p: usize,
-        st: &mut SearchState<'_>,
+        filter: Option<&Filter>,
         exec: &mut Executor,
     ) {
         clock.phase_begin(Phase::Refine);
-        let meta = &self.pages()[p];
-        if meta.g == EXACT_BITS || meta.exact_blocks == 0 {
-            exec.trace.pages_lost += 1;
-            return;
-        }
-        let region = match self.try_read_exact_region(clock, p) {
-            Ok(r) => r,
-            Err(_) => {
-                // Both levels unreadable: the page really is gone.
-                exec.trace.pages_lost += 1;
-                return;
-            }
-        };
-        exec.trace.quant_fallbacks += 1;
-        exec.trace.pages_processed += 1;
         let metric = self.metric();
-        let eb = self.exact_codec().entry_bytes();
-        clock.charge_dist_evals(self.dim(), u64::from(meta.count));
-        let filter = st.filter;
-        let coords = &mut st.coords;
-        coords.resize(self.dim(), 0.0);
-        for i in 0..meta.count as usize {
-            let Some(bytes) = region.get(i * eb..(i + 1) * eb) else {
-                exec.trace.points_skipped += 1;
-                continue;
-            };
-            match self.exact_codec().try_decode_entry_into(bytes, coords) {
-                Ok(id) => {
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        exec.offer(metric.distance_key(coords, q), id);
-                    }
-                }
-                Err(_) => exec.trace.points_skipped += 1,
+        let outcome = self.fallback_exact(clock, p, 1, |id, coords| {
+            if filter.is_none_or(|f| f.matches(id)) {
+                exec.offer(metric.distance_key(coords, q), id);
             }
-        }
+        });
+        note_fallback(&mut exec.trace, outcome);
     }
 
     /// Exact k-NN for a micro-batch of queries in one shared page walk:
@@ -634,16 +694,16 @@ impl IqTree {
     ///    entries whose lower bound is within δ_q become per-query
     ///    refinement candidates. The walk stops when the popped key
     ///    exceeds every query's δ.
-    /// 2. **Refine.** Per query, candidates are visited in ascending
-    ///    lower-bound order until the bound proves the top-k complete;
-    ///    exact-point reads are shared across the batch through a
-    ///    `(page, slot)` cache, so a point refined for several queries is
-    ///    fetched once.
+    /// 2. **Refine.** Per query, the executor's [`refine_ascending`]
+    ///    visits candidates in ascending lower-bound order until the bound
+    ///    proves the top-k complete; exact-point reads are shared across
+    ///    the batch through a `(page, slot)` cache, so a point refined for
+    ///    several queries is fetched once.
     ///
     /// Results are exact for every query (same guarantee as
     /// [`IqTree::knn`]; ids at tied distances may differ). Corrupt pages
-    /// degrade through the exact region exactly as in the single-query
-    /// path.
+    /// degrade through the same read ladder and exact-region fallback as
+    /// the single-query path.
     fn knn_multi_traced_impl(
         &self,
         clock: &mut SimClock,
@@ -689,16 +749,21 @@ impl IqTree {
             heap.push(Reverse((OrdKey(minkey), i as u32)));
         }
 
-        let mut topk: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
-        let mut delta_heap: Vec<BinaryHeap<OrdKey>> = (0..nq).map(|_| BinaryHeap::new()).collect();
-        let mut delta = vec![f64::INFINITY; nq];
-        // Per-query refinement candidates: (lower-bound key, page, slot, id).
-        let mut cands: Vec<Vec<(f64, u32, u32, u32)>> = (0..nq).map(|_| Vec::new()).collect();
-        let mut traces = vec![QueryTrace::default(); nq];
+        let mut qs: Vec<BatchQuery> = queries
+            .iter()
+            .map(|&q| BatchQuery {
+                q,
+                exec: Executor::new(metric, k, &QueryOptions::EXACT, clock),
+                maxdist: BinaryHeap::new(),
+                delta: f64::INFINITY,
+                cands: Vec::new(),
+            })
+            .collect();
 
         // Reusable page-loop scratch.
         let mut block_table = DistTableBlock::new();
         let mut dist_table = DistTable::new();
+        let mut reread: Vec<u8> = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
         let mut lo_keys: Vec<f64> = Vec::new();
         let mut hi_keys: Vec<f64> = Vec::new();
@@ -706,13 +771,13 @@ impl IqTree {
         let mut active: Vec<usize> = Vec::new();
 
         while let Some(Reverse((OrdKey(minkey), pidx))) = heap.pop() {
-            let worst = delta.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let worst = qs.iter().map(|b| b.delta).fold(f64::NEG_INFINITY, f64::max);
             if minkey > worst {
                 break; // no query can still improve from any remaining page
             }
             let p = pidx as usize;
             active.clear();
-            active.extend((0..nq).filter(|&qi| page_qkey[p * nq + qi] <= delta[qi]));
+            active.extend((0..nq).filter(|&qi| page_qkey[p * nq + qi] <= qs[qi].delta));
             if active.is_empty() {
                 continue; // every query prunes this page: never read
             }
@@ -727,43 +792,25 @@ impl IqTree {
                         .expect("keys are never NaN")
                 })
                 .expect("active is non-empty");
-            traces[owner].runs += 1;
+            qs[owner].exec.trace.runs += 1;
             clock.phase_begin(Phase::Filter);
-            let block = self.pages()[p].quant_block;
-            let Ok(buf) = read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()) else {
-                self.multi_fallback_page(
-                    clock,
-                    queries,
-                    p,
-                    &active,
-                    filter,
-                    &mut topk,
-                    &mut delta_heap,
-                    &mut delta,
-                    &mut traces,
-                    k,
-                );
-                continue;
-            };
-            let Ok(view) = self.codec().try_view(&buf) else {
-                clock.note_corrupt_block();
-                self.multi_fallback_page(
-                    clock,
-                    queries,
-                    p,
-                    &active,
-                    filter,
-                    &mut topk,
-                    &mut delta_heap,
-                    &mut delta,
-                    &mut traces,
-                    k,
-                );
+            let Some(view) = self.quant_view(clock, p, None, &mut reread) else {
+                clock.phase_begin(Phase::Refine);
+                let outcome = self.fallback_exact(clock, p, active.len() as u64, |id, coords| {
+                    if filter.is_none_or(|f| f.matches(id)) {
+                        for &qi in &active {
+                            qs[qi].offer_point(metric, coords, id);
+                        }
+                    }
+                });
+                for &qi in &active {
+                    note_fallback(&mut qs[qi].exec.trace, outcome);
+                }
                 continue;
             };
             clock.charge_dist_evals(dim, view.len() as u64 * active.len() as u64);
             for &qi in &active {
-                traces[qi].pages_processed += 1;
+                qs[qi].exec.trace.pages_processed += 1;
             }
             if view.bits() == EXACT_BITS {
                 view.for_each_entry(&mut cells, |id, bits| {
@@ -771,16 +818,14 @@ impl IqTree {
                         coords.clear();
                         coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
                         for &qi in &active {
-                            let key = metric.distance_key(&coords, queries[qi]);
-                            note_bound(&mut delta_heap[qi], &mut delta[qi], k, key);
-                            topk[qi].insert(key, id);
+                            qs[qi].offer_point(metric, &coords, id);
                         }
                     }
                 });
                 continue;
             }
             let meta = &self.pages()[p];
-            let aq: Vec<&[f32]> = active.iter().map(|&qi| queries[qi]).collect();
+            let aq: Vec<&[f32]> = active.iter().map(|&qi| qs[qi].q).collect();
             if block_table.build(&meta.mbr, view.bits(), metric, &aq, view.len()) {
                 // One decoded pass, all active queries per entry: contiguous
                 // lane loads in the AVX2 kernel, scalar otherwise.
@@ -792,11 +837,7 @@ impl IqTree {
                     |slot, id, lo, hi| {
                         if filter.is_none_or(|f| f.matches(id)) {
                             for (ai, &qi) in active.iter().enumerate() {
-                                note_bound(&mut delta_heap[qi], &mut delta[qi], k, hi[ai]);
-                                if lo[ai] <= delta[qi] {
-                                    traces[qi].approx_enqueued += 1;
-                                    cands[qi].push((lo[ai], pidx, slot as u32, id));
-                                }
+                                qs[qi].note_entry(lo[ai], hi[ai], id, pidx, slot as u32);
                             }
                         }
                     },
@@ -806,16 +847,12 @@ impl IqTree {
                 // batch folds over the one shared decode.
                 view.unpack_all(&mut cells);
                 for &qi in &active {
-                    dist_table.build(&meta.mbr, view.bits(), metric, queries[qi], view.len());
+                    dist_table.build(&meta.mbr, view.bits(), metric, qs[qi].q, view.len());
                     dist_table.bounds_keys(&cells, &mut lo_keys, &mut hi_keys);
                     for (slot, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
                         let id = view.id(slot);
                         if filter.is_none_or(|f| f.matches(id)) {
-                            note_bound(&mut delta_heap[qi], &mut delta[qi], k, hi);
-                            if lo <= delta[qi] {
-                                traces[qi].approx_enqueued += 1;
-                                cands[qi].push((lo, pidx, slot as u32, id));
-                            }
+                            qs[qi].note_entry(lo, hi, id, pidx, slot as u32);
                         }
                     }
                 }
@@ -824,33 +861,26 @@ impl IqTree {
 
         // Phase 2: per-query refinement with batch-shared exact reads.
         clock.phase_begin(Phase::Refine);
-        let mut cache: HashMap<(u32, u32), Option<Vec<f32>>> = HashMap::new();
+        let mut exact: HashMap<(u32, u32), Option<Vec<f32>>> = HashMap::new();
         let mut results = Vec::with_capacity(nq);
-        for (qi, mut top) in topk.into_iter().enumerate() {
-            let mut list = std::mem::take(&mut cands[qi]);
-            list.sort_by(|a, b| {
+        for mut bq in qs {
+            bq.cands.sort_by(|a, b| {
                 a.0.partial_cmp(&b.0)
                     .expect("keys are never NaN")
-                    .then(a.3.cmp(&b.3))
+                    .then(a.1.cmp(&b.1))
             });
-            for &(lo, p, slot, id) in &list {
-                if top.len() == k && lo >= top.bound() {
-                    break; // nothing after this lower bound can enter
-                }
-                let coords = cache.entry((p, slot)).or_insert_with(|| {
-                    self.try_read_exact_point(clock, p as usize, slot as usize)
+            let bounds: Vec<(f64, u32)> = bq.cands.iter().map(|c| (c.0, c.1)).collect();
+            refine_ascending(&mut bq.exec, clock, &bounds, |clock, i, _| {
+                let (_, _, page, slot) = bq.cands[i];
+                let coords = exact.entry((page, slot)).or_insert_with(|| {
+                    self.try_read_exact_point(clock, page as usize, slot as usize)
                         .ok()
                 });
-                traces[qi].refinements += 1;
-                match coords {
-                    Some(c) => {
-                        clock.charge_dist_evals(dim, 1);
-                        top.insert(metric.distance_key(c, queries[qi]), id);
-                    }
-                    None => traces[qi].points_skipped += 1,
-                }
-            }
-            results.push((top.into_results(metric), traces[qi]));
+                let coords = coords.as_ref()?;
+                clock.charge_dist_evals(dim, 1);
+                Some(metric.distance_key(coords, bq.q))
+            });
+            results.push(bq.exec.into_results(metric));
         }
         clock.phase_end();
         if clock.tracing() {
@@ -872,137 +902,23 @@ impl IqTree {
         results
     }
 
-    /// Degraded path for the multi-query search: the quantized block of
-    /// page `p` could not be read or decoded, so every active query is
-    /// answered from the page's exact (level-3) region at full precision —
-    /// the batch analogue of [`Self::fallback_page`].
-    #[allow(clippy::too_many_arguments)]
-    fn multi_fallback_page(
-        &self,
-        clock: &mut SimClock,
-        queries: &[&[f32]],
-        p: usize,
-        active: &[usize],
-        filter: Option<&Filter>,
-        topk: &mut [TopK],
-        delta_heap: &mut [BinaryHeap<OrdKey>],
-        delta: &mut [f64],
-        traces: &mut [QueryTrace],
-        k: usize,
-    ) {
-        clock.phase_begin(Phase::Refine);
-        let meta = &self.pages()[p];
-        if meta.g == EXACT_BITS || meta.exact_blocks == 0 {
-            for &qi in active {
-                traces[qi].pages_lost += 1;
-            }
-            return;
-        }
-        let Ok(region) = self.try_read_exact_region(clock, p) else {
-            for &qi in active {
-                traces[qi].pages_lost += 1;
-            }
-            return;
-        };
-        let metric = self.metric();
-        let eb = self.exact_codec().entry_bytes();
-        clock.charge_dist_evals(self.dim(), u64::from(meta.count) * active.len() as u64);
-        let mut coords = vec![0.0f32; self.dim()];
-        for i in 0..meta.count as usize {
-            let Some(bytes) = region.get(i * eb..(i + 1) * eb) else {
-                for &qi in active {
-                    traces[qi].points_skipped += 1;
-                }
-                continue;
-            };
-            match self.exact_codec().try_decode_entry_into(bytes, &mut coords) {
-                Ok(id) => {
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        for &qi in active {
-                            let key = metric.distance_key(&coords, queries[qi]);
-                            note_bound(&mut delta_heap[qi], &mut delta[qi], k, key);
-                            topk[qi].insert(key, id);
-                        }
-                    }
-                }
-                Err(_) => {
-                    for &qi in active {
-                        traces[qi].points_skipped += 1;
-                    }
-                }
-            }
-        }
-        for &qi in active {
-            traces[qi].quant_fallbacks += 1;
-            traces[qi].pages_processed += 1;
-        }
-    }
-
-    /// Level-3 fallback for window/range queries: pushes every id in page
-    /// `p`'s exact region whose coordinates satisfy `accept`. Silently
-    /// contributes nothing when the page has no (readable) exact backing —
-    /// the corruption is already visible in the clock's I/O statistics.
-    fn fallback_scan_exact(
-        &self,
-        clock: &mut SimClock,
-        p: usize,
-        out: &mut Vec<u32>,
-        mut accept: impl FnMut(&[f32]) -> bool,
-    ) {
-        let meta = &self.pages()[p];
-        if meta.g == EXACT_BITS || meta.exact_blocks == 0 {
-            return;
-        }
-        let Ok(region) = self.try_read_exact_region(clock, p) else {
-            return;
-        };
-        let eb = self.exact_codec().entry_bytes();
-        clock.charge_dist_evals(self.dim(), u64::from(meta.count));
-        let mut coords = vec![0.0f32; self.dim()];
-        for i in 0..meta.count as usize {
-            let Some(bytes) = region.get(i * eb..(i + 1) * eb) else {
-                continue;
-            };
-            if let Ok(id) = self.exact_codec().try_decode_entry_into(bytes, &mut coords) {
-                if accept(&coords) {
-                    out.push(id);
-                }
-            }
-        }
-    }
-
     /// Batch-refines a known set of `(page, slot, id)` candidates: plans
     /// one optimal fetch over all exact-file blocks involved (Section 2 —
-    /// the positions are known in advance), then verifies each point with
-    /// `accept`. Returns the accepted ids. If the planned sweep fails even
-    /// after retries, degrades to one retried read per candidate, skipping
-    /// entries that stay unreadable.
-    fn refine_batch(
-        &self,
-        clock: &mut SimClock,
-        refinements: &[(usize, usize, u32)],
-        mut accept: impl FnMut(&[f32]) -> bool,
-    ) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.refine_batch_with(clock, refinements, |id, coords| {
-            if accept(coords) {
-                out.push(id);
-            }
-        });
-        out
-    }
-
-    /// Core of [`Self::refine_batch`]: plans the fetch, then calls `visit`
-    /// with each candidate's id and exact coordinates. Also the engine of
-    /// the `refine_factor` partial-refinement rerank in k-NN search.
+    /// the positions are known in advance), then calls `visit` with each
+    /// candidate's id and exact coordinates. A candidate the plan misses
+    /// (every candidate, if the planned sweep fails even after retries) or
+    /// whose entry does not decode takes one retried single read. Returns
+    /// how many candidates stayed unreadable; they are not visited. The
+    /// refinement step of `window`/`range` and of the `refine_factor`
+    /// rerank in k-NN search.
     fn refine_batch_with(
         &self,
         clock: &mut SimClock,
         refinements: &[(usize, usize, u32)],
         mut visit: impl FnMut(u32, &[f32]),
-    ) {
+    ) -> u64 {
         if refinements.is_empty() {
-            return;
+            return 0;
         }
         let bs = self.block_size();
         let pb = self.exact_codec().entry_bytes();
@@ -1017,25 +933,14 @@ impl IqTree {
         }
         positions.sort_unstable();
         positions.dedup();
-        let fetched = match self.retry().run(clock, |clock| {
-            fetch::fetch_blocks(self.exact_dev(), clock, &positions)
-        }) {
-            Ok(f) => f,
-            Err(_) => {
-                for &(page, slot, id) in refinements {
-                    if let Ok(coords) = self.try_read_exact_point(clock, page, slot) {
-                        clock.charge_dist_evals(self.dim(), 1);
-                        visit(id, &coords);
-                    }
-                }
-                return;
-            }
-        };
-        let block_bytes = |pos: u64| -> Option<&[u8]> {
-            let (run, buf) = fetched.iter().find(|(run, _)| run.contains(pos))?;
-            let off = ((pos - run.start) as usize) * bs;
-            buf.get(off..off + bs)
-        };
+        let fetched = self
+            .retry()
+            .run(clock, |clock| {
+                fetch::fetch_blocks(self.exact_dev(), clock, &positions)
+            })
+            .ok();
+        let block_bytes = |pos: u64| fetched.as_deref().and_then(|f| fetch::block_in(f, pos, bs));
+        let mut unreadable = 0;
         let mut point_buf = vec![0u8; pb];
         let mut coords = vec![0.0f32; self.dim()];
         for &(page, slot, id) in refinements {
@@ -1074,27 +979,37 @@ impl IqTree {
             if !decoded {
                 match self.try_read_exact_point(clock, page, slot) {
                     Ok(read) => coords.copy_from_slice(&read),
-                    Err(_) => continue,
+                    Err(_) => {
+                        unreadable += 1;
+                        continue;
+                    }
                 }
             }
             clock.charge_dist_evals(self.dim(), 1);
             visit(id, &coords);
         }
+        unreadable
     }
 
-    /// All points inside the query window (unordered ids) — the paper's
-    /// Section 2 case where the page set is known in advance: candidate
-    /// pages are exactly those whose MBR intersects the window, loaded with
-    /// the optimal batch-fetch schedule of Figure 1. A point is refined
-    /// only when its cell box straddles the window boundary.
-    ///
-    /// # Panics
-    /// Panics if the window's dimensionality mismatches.
-    pub fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
-        if self.is_empty() {
-            return Vec::new();
-        }
+    /// The Section 2 query over a page set known in advance, shared by
+    /// [`IqTree::window`] and [`IqTree::range`]. The candidate pages are
+    /// the non-empty ones whose MBR passes `select`; they load with the
+    /// optimal batch fetch of Figure 1 and go through the level-2 read
+    /// ladder. Entries of exact pages, and of pages answered from their
+    /// exact region, are kept when `accept` admits their coordinates.
+    /// Quantized pages are classified cell box by cell box:
+    /// `classify(mbr, view, cells, matches)` fills one [`CellMatch`] per
+    /// entry from the page's unpacked `cells`. A box inside the query is
+    /// kept as is; a box straddling its boundary is refined in one
+    /// batched sweep and verified with `accept`. Returns ids in no
+    /// particular order.
+    fn scan_known_pages(
+        &self,
+        clock: &mut SimClock,
+        select: impl Fn(&Mbr) -> bool,
+        accept: impl Fn(&[f32]) -> bool,
+        mut classify: impl FnMut(&Mbr, &QuantPageView<'_>, &[u32], &mut Vec<CellMatch>),
+    ) -> Vec<u32> {
         clock.phase_begin(Phase::Directory);
         self.charge_directory_scan(clock);
         clock.phase_begin(Phase::Plan);
@@ -1102,16 +1017,13 @@ impl IqTree {
             .pages()
             .iter()
             .enumerate()
-            .filter(|(_, m)| m.count > 0 && m.mbr.intersects(window))
+            .filter(|(_, m)| m.count > 0 && select(&m.mbr))
             .map(|(i, _)| i)
             .collect();
         let positions: Vec<u64> = candidates
             .iter()
             .map(|&i| self.pages()[i].quant_block)
             .collect();
-        // A failed sweep (corrupt block in the plan) degrades to one
-        // retried read per page; a page whose block stays unreadable is
-        // answered from its exact region.
         clock.phase_begin(Phase::Filter);
         let fetched = self
             .retry()
@@ -1119,37 +1031,25 @@ impl IqTree {
                 fetch::fetch_blocks(self.quant_dev(), clock, &positions)
             })
             .ok();
-        let bs = self.codec().block_size();
+        let bs = self.block_size();
         let mut out = Vec::new();
         let mut refinements: Vec<(usize, usize, u32)> = Vec::new();
         // Reusable per-query scratch: the page loop below is allocation-free
         // in the steady state.
+        let mut reread: Vec<u8> = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
         let mut coords: Vec<f32> = Vec::new();
-        let mut flags: Vec<u8> = Vec::new();
         let mut matches: Vec<CellMatch> = Vec::new();
-        let mut wtable = WindowTable::new();
         for &p in &candidates {
             let block = self.pages()[p].quant_block;
-            // A candidate missing from the sweep (or a failed sweep) falls
-            // back to one retried read; a page whose block stays unreadable
-            // is answered from its exact region.
-            let planned = fetched.as_ref().and_then(|fetched| {
-                let (run, buf) = fetched.iter().find(|(run, _)| run.contains(block))?;
-                let off = ((block - run.start) as usize) * bs;
-                buf.get(off..off + bs)
-            });
-            let reread;
-            let bytes = match planned {
-                Some(b) => Some(b),
-                None => {
-                    reread = read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry());
-                    reread.as_deref().ok()
-                }
-            };
-            let Some(view) = bytes.and_then(|b| self.codec().try_view(b).ok()) else {
-                self.fallback_scan_exact(clock, p, &mut out, |coords| {
-                    window.contains_point(coords)
+            let planned = fetched
+                .as_deref()
+                .and_then(|f| fetch::block_in(f, block, bs));
+            let Some(view) = self.quant_view(clock, p, planned, &mut reread) else {
+                self.fallback_exact(clock, p, 1, |id, coords| {
+                    if accept(coords) {
+                        out.push(id);
+                    }
                 });
                 continue;
             };
@@ -1158,16 +1058,13 @@ impl IqTree {
                 view.for_each_entry(&mut cells, |id, bits| {
                     coords.clear();
                     coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                    if window.contains_point(&coords) {
+                    if accept(&coords) {
                         out.push(id);
                     }
                 });
             } else {
-                wtable.build(&self.pages()[p].mbr, view.bits(), window, view.len());
-                // Whole-page classification through the SIMD flag-AND
-                // kernel — bit-identical to per-entry `classify`.
                 view.unpack_all(&mut cells);
-                wtable.classify_batch(&cells, &mut flags, &mut matches);
+                classify(&self.pages()[p].mbr, &view, &cells, &mut matches);
                 for (slot, &m) in matches.iter().enumerate() {
                     match m {
                         CellMatch::Disjoint => {}
@@ -1178,9 +1075,41 @@ impl IqTree {
             }
         }
         clock.phase_begin(Phase::Refine);
-        out.extend(self.refine_batch(clock, &refinements, |coords| window.contains_point(coords)));
+        self.refine_batch_with(clock, &refinements, |id, coords| {
+            if accept(coords) {
+                out.push(id);
+            }
+        });
         clock.phase_end();
         out
+    }
+
+    /// All points inside the query window (unordered ids) — the paper's
+    /// Section 2 case where the page set is known in advance: candidate
+    /// pages are exactly those whose MBR intersects the window, loaded with
+    /// the optimal batch-fetch schedule of Figure 1. A point is refined
+    /// only when its cell box straddles the window boundary.
+    ///
+    /// # Panics
+    /// Panics if the window's dimensionality mismatches.
+    pub fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
+        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
+        if self.is_empty() {
+            return Vec::new();
+        }
+        let mut wtable = WindowTable::new();
+        let mut flags: Vec<u8> = Vec::new();
+        self.scan_known_pages(
+            clock,
+            |mbr| mbr.intersects(window),
+            |coords| window.contains_point(coords),
+            |mbr, view, cells, matches| {
+                wtable.build(mbr, view.bits(), window, view.len());
+                // Whole-page classification through the SIMD flag-AND
+                // kernel — bit-identical to per-entry `classify`.
+                wtable.classify_batch(cells, &mut flags, matches);
+            },
+        )
     }
 
     /// All points within `radius` of `q` (unordered ids).
@@ -1194,99 +1123,33 @@ impl IqTree {
         if self.is_empty() {
             return Vec::new();
         }
-        clock.phase_begin(Phase::Directory);
-        self.charge_directory_scan(clock);
-        clock.phase_begin(Phase::Plan);
         let metric = self.metric();
         let key_r = metric.distance_to_key(radius);
-
-        let candidates: Vec<usize> = self
-            .pages()
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.count > 0 && metric.mindist_key(q, &m.mbr) <= key_r)
-            .map(|(i, _)| i)
-            .collect();
-        let positions: Vec<u64> = candidates
-            .iter()
-            .map(|&i| self.pages()[i].quant_block)
-            .collect();
-
-        let mut out = Vec::new();
-        let mut refinements: Vec<(usize, usize, u32)> = Vec::new(); // (page, slot, id)
-        clock.phase_begin(Phase::Filter);
-        let fetched = self
-            .retry()
-            .run(clock, |clock| {
-                fetch::fetch_blocks(self.quant_dev(), clock, &positions)
-            })
-            .ok();
-        let bs = self.codec().block_size();
-        // Reusable per-query scratch: the page loop below is allocation-free
-        // in the steady state.
-        let mut cells: Vec<u32> = Vec::new();
-        let mut coords: Vec<f32> = Vec::new();
+        let mut table = DistTable::new();
         let mut lo_keys: Vec<f64> = Vec::new();
         let mut hi_keys: Vec<f64> = Vec::new();
-        let mut table = DistTable::new();
-        for &p in &candidates {
-            let block = self.pages()[p].quant_block;
-            // Same degradation ladder as `window`: plan miss → single
-            // retried read → exact-region fallback.
-            let planned = fetched.as_ref().and_then(|fetched| {
-                let (run, buf) = fetched.iter().find(|(run, _)| run.contains(block))?;
-                let off = ((block - run.start) as usize) * bs;
-                buf.get(off..off + bs)
-            });
-            let reread;
-            let bytes = match planned {
-                Some(b) => Some(b),
-                None => {
-                    reread = read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry());
-                    reread.as_deref().ok()
-                }
-            };
-            let Some(view) = bytes.and_then(|b| self.codec().try_view(b).ok()) else {
-                self.fallback_scan_exact(clock, p, &mut out, |coords| {
-                    metric.distance_key(coords, q) <= key_r
-                });
-                continue;
-            };
-            clock.charge_dist_evals(self.dim(), view.len() as u64);
-            if view.bits() == EXACT_BITS {
-                view.for_each_entry(&mut cells, |id, bits| {
-                    coords.clear();
-                    coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                    if metric.distance_key(&coords, q) <= key_r {
-                        out.push(id);
-                    }
-                });
-            } else {
-                table.build(&self.pages()[p].mbr, view.bits(), metric, q, view.len());
+        self.scan_known_pages(
+            clock,
+            |mbr| metric.mindist_key(q, mbr) <= key_r,
+            |coords| metric.distance_key(coords, q) <= key_r,
+            |mbr, view, cells, matches| {
+                table.build(mbr, view.bits(), metric, q, view.len());
                 // Batch fold: MINDIST and MAXDIST keys for the whole page
                 // in one SIMD pass. Both comparisons stay in the key
                 // domain, so a box accepted without refinement satisfies
                 // the same `distance_key <= key_r` predicate refinement
                 // would have checked.
-                view.unpack_all(&mut cells);
-                table.bounds_keys(&cells, &mut lo_keys, &mut hi_keys);
-                for (slot, (&lo_key, &hi_key)) in lo_keys.iter().zip(&hi_keys).enumerate() {
-                    if lo_key <= key_r {
-                        if hi_key <= key_r {
-                            out.push(view.id(slot)); // box fully inside: no refinement
-                        } else {
-                            refinements.push((p, slot, view.id(slot)));
-                        }
+                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                matches.clear();
+                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
+                    match (lo <= key_r, hi <= key_r) {
+                        (false, _) => CellMatch::Disjoint,
+                        (true, true) => CellMatch::Inside,
+                        (true, false) => CellMatch::Partial,
                     }
-                }
-            }
-        }
-        clock.phase_begin(Phase::Refine);
-        out.extend(self.refine_batch(clock, &refinements, |coords| {
-            metric.distance_key(coords, q) <= key_r
-        }));
-        clock.phase_end();
-        out
+                }));
+            },
+        )
     }
 
     /// The cost model's prediction of what a `k`-NN query against the
@@ -1365,7 +1228,7 @@ impl AccessMethod for IqTree {
         IqTree::len(self)
     }
 
-    fn metric(&self) -> iq_geometry::Metric {
+    fn metric(&self) -> Metric {
         IqTree::metric(self)
     }
 
@@ -1397,23 +1260,14 @@ impl AccessMethod for IqTree {
         if opts.is_exact() && queries.len() > 1 && queries.len() <= MAX_BLOCK_QUERIES {
             return self.knn_multi_traced_impl(clock, queries, k, filter);
         }
-        queries
-            .iter()
-            .map(|q| {
-                let mut c = clock.clone();
-                c.reset();
-                let out = self.knn_opts_traced(&mut c, q, k, filter, opts);
-                clock.absorb(&c);
-                out
-            })
-            .collect()
+        iq_engine::knn_multi_per_query(self, clock, queries, k, filter, opts)
     }
 
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
         IqTree::range(self, clock, q, radius)
     }
 
-    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
+    fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
         IqTree::window(self, clock, window)
     }
 

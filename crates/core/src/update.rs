@@ -24,10 +24,11 @@ use iq_quantize::EXACT_BITS;
 use iq_storage::{IqError, IqResult, SimClock};
 use iq_wal::{Level, WalRecord};
 
-/// A fully materialized page during an update: ids plus exact coordinates.
-struct LoadedPage {
-    ids: Vec<u32>,
-    coords: Vec<f32>, // len × dim
+/// A fully materialized page during an update or an export: ids plus
+/// exact coordinates.
+pub(crate) struct LoadedPage {
+    pub(crate) ids: Vec<u32>,
+    pub(crate) coords: Vec<f32>, // len × dim
 }
 
 impl LoadedPage {
@@ -45,14 +46,14 @@ impl IqTree {
     ///
     /// Any unreadable or undecodable block surfaces as a typed error; the
     /// calling operation aborts without having touched the files.
-    fn load_page(&self, clock: &mut SimClock, idx: usize) -> IqResult<LoadedPage> {
-        let meta = self.pages()[idx].clone();
-        let block = meta.quant_block;
+    pub(crate) fn load_page(&self, clock: &mut SimClock, idx: usize) -> IqResult<LoadedPage> {
+        let block = self.pages()[idx].quant_block;
         let bytes = iq_storage::read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry())?;
         let decoded = self.codec().try_decode(&bytes)?;
+        let dim = self.dim();
         let ids: Vec<u32> = (0..decoded.len()).map(|i| decoded.id(i)).collect();
-        let coords: Vec<f32> = if decoded.bits() == EXACT_BITS {
-            let mut coords = Vec::with_capacity(decoded.len() * self.dim());
+        let mut coords = Vec::with_capacity(decoded.len() * dim);
+        if decoded.bits() == EXACT_BITS {
             for i in 0..decoded.len() {
                 coords.extend(decoded.exact_point(i).ok_or_else(|| IqError::Decode {
                     detail: format!(
@@ -61,27 +62,24 @@ impl IqTree {
                     ),
                 })?);
             }
-            coords
         } else {
-            let region = self.try_read_exact_region(clock, idx)?;
-            let codec = *self.exact_codec();
-            let eb = codec.entry_bytes();
-            let mut coords = Vec::with_capacity(decoded.len() * self.dim());
-            for i in 0..decoded.len() {
-                let span = region
-                    .get(i * eb..(i + 1) * eb)
-                    .ok_or_else(|| IqError::Decode {
-                        detail: format!(
-                            "exact region of page {idx} holds {} byte(s), entry {i} needs {}",
-                            region.len(),
-                            (i + 1) * eb
-                        ),
-                    })?;
-                let (_, pt) = codec.try_decode_entry_at(span)?;
-                coords.extend(pt);
+            self.for_each_exact_entry(clock, idx, |entry| {
+                let (id, point) = entry?;
+                let slot = coords.len() / dim;
+                debug_assert_eq!(Some(&id), ids.get(slot), "levels 2 and 3 agree on ids");
+                coords.extend_from_slice(point);
+                Ok(())
+            })?;
+            if coords.len() != ids.len() * dim {
+                return Err(IqError::Decode {
+                    detail: format!(
+                        "exact region of page {idx} holds {} point(s), its quantized block {}",
+                        coords.len() / dim,
+                        ids.len()
+                    ),
+                });
             }
-            coords
-        };
+        }
         Ok(LoadedPage { ids, coords })
     }
 

@@ -396,15 +396,17 @@ pub fn drive<T: Ord>(
     }
 }
 
-/// The sorted-sweep loop of filter-and-refine engines (VA-file):
-/// `candidates` is `(lower_bound, id)` in ascending lower-bound order;
-/// each is refined through `fetch` until the cheapest remaining one is
-/// prunable or a budget runs out.
+/// The sorted-sweep loop of filter-and-refine engines (the VA-file and
+/// the IQ-tree's batch walk): `candidates` is `(lower_bound, id)` in
+/// ascending lower-bound order; each is refined through
+/// `fetch(clock, position, id)` until the cheapest remaining one is
+/// prunable or a budget runs out. `position` indexes `candidates`, so a
+/// caller can keep per-candidate locations in a parallel list.
 pub fn refine_ascending(
     exec: &mut Executor,
     clock: &mut SimClock,
     candidates: &[(f64, u32)],
-    mut fetch: impl FnMut(&mut SimClock, u32) -> Option<f64>,
+    mut fetch: impl FnMut(&mut SimClock, usize, u32) -> Option<f64>,
 ) {
     for (i, &(lower, id)) in candidates.iter().enumerate() {
         if exec.is_pruned(lower) {
@@ -421,7 +423,7 @@ pub fn refine_ascending(
             exec.skip_candidates((candidates.len() - i) as u64);
             break;
         }
-        exec.refine_with(clock, id, |c| fetch(c, id));
+        exec.refine_with(clock, id, |c| fetch(c, i, id));
     }
 }
 
@@ -578,7 +580,8 @@ mod tests {
         let mut clock = SimClock::default();
         let cand: Vec<(f64, u32)> = (0..10).map(|i| (i as f64, i as u32)).collect();
         let mut fetched = 0u32;
-        refine_ascending(&mut e, &mut clock, &cand, |_c, id| {
+        refine_ascending(&mut e, &mut clock, &cand, |_c, i, id| {
+            assert_eq!(cand[i].1, id, "position indexes the candidate list");
             fetched += 1;
             Some(1000.0 + f64::from(id))
         });
@@ -594,7 +597,7 @@ mod tests {
         let mut e = exact_exec(1);
         let mut clock = SimClock::default();
         let cand = vec![(0.5, 1u32), (2.0, 2), (3.0, 3)];
-        refine_ascending(&mut e, &mut clock, &cand, |_c, _id| Some(1.0));
+        refine_ascending(&mut e, &mut clock, &cand, |_c, _i, _id| Some(1.0));
         // id 1 refined to key 1.0; the next lower bound 2.0 >= 1.0.
         assert_eq!(e.trace.refinements, 1);
         assert_eq!(e.trace.terminated_early, 0);

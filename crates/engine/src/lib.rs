@@ -171,16 +171,7 @@ pub trait AccessMethod: Send + Sync {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> Vec<TracedResult> {
-        queries
-            .iter()
-            .map(|q| {
-                let mut c = clock.clone();
-                c.reset();
-                let out = self.knn_opts_traced(&mut c, q, k, filter, opts);
-                clock.absorb(&c);
-                out
-            })
-            .collect()
+        knn_multi_per_query(self, clock, queries, k, filter, opts)
     }
 
     /// All points within `radius` of `q` under the index metric
@@ -203,6 +194,30 @@ pub trait AccessMethod: Send + Sync {
         let _ = (k, opts);
         None
     }
+}
+
+/// The default [`AccessMethod::knn_multi_opts_traced`]: the queries one
+/// by one through [`AccessMethod::knn_opts_traced`], each against a fresh
+/// reset clone of `clock` absorbed back in query order. Engines that
+/// override the batch call use it for the batches they cannot share.
+pub fn knn_multi_per_query<M: AccessMethod + ?Sized>(
+    method: &M,
+    clock: &mut SimClock,
+    queries: &[&[f32]],
+    k: usize,
+    filter: Option<&Filter>,
+    opts: &QueryOptions,
+) -> Vec<TracedResult> {
+    queries
+        .iter()
+        .map(|q| {
+            let mut c = clock.clone();
+            c.reset();
+            let out = method.knn_opts_traced(&mut c, q, k, filter, opts);
+            clock.absorb(&c);
+            out
+        })
+        .collect()
 }
 
 /// Upper bound on the number of queries [`knn_batch`] hands to one

@@ -15,7 +15,9 @@ pub struct QueryTrace {
     pub pages_skipped: u64,
     /// Contiguous read sweeps the scheduler issued.
     pub runs: u64,
-    /// Exact-point look-ups (third-level refinements).
+    /// Refinements: exact points read from the third level and compared
+    /// against the query. Only look-ups that produced coordinates count;
+    /// a look-up that fails is a skipped point instead.
     pub refinements: u64,
     /// Point approximations that entered the priority list.
     pub approx_enqueued: u64,
@@ -25,8 +27,12 @@ pub struct QueryTrace {
     /// Pages lost entirely (corrupt level-2 block with no readable exact
     /// backing): their points are missing from the result.
     pub pages_lost: u64,
-    /// Individual refinements skipped because the exact entry stayed
-    /// unreadable after retries.
+    /// Points whose exact entry stayed unreadable after retries: a
+    /// refinement look-up that failed, or an entry of a level-3 fallback
+    /// region that does not decode. These points are missing from the
+    /// result. Every k-NN path (the single-query walk, its
+    /// `refine_factor` rerank and the shared batch walk) counts this field
+    /// and `refinements` the same way.
     pub points_skipped: u64,
     /// Candidates dropped by an approximation knob (`nprobes` truncation
     /// or the `refine_factor` cap), not by the pruning bound.

@@ -118,6 +118,16 @@ pub fn fetch_blocks(
         .collect()
 }
 
+/// The bytes of block `pos` inside runs returned by [`fetch_blocks`]
+/// (blocks of `bs` bytes), or `None` when no run covers it.
+pub fn block_in(fetched: &[(Run, Vec<u8>)], pos: u64, bs: usize) -> Option<&[u8]> {
+    // Planned runs are sorted and disjoint.
+    let i = fetched.partition_point(|(run, _)| run.start + run.len <= pos);
+    let (run, buf) = fetched.get(i).filter(|(run, _)| run.contains(pos))?;
+    let off = ((pos - run.start) as usize) * bs;
+    buf.get(off..off + bs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,5 +308,12 @@ mod tests {
         assert_eq!(fetched[1].0, Run { start: 18, len: 1 });
         assert_eq!(clock.stats().seeks, 2);
         assert_eq!(clock.stats().blocks_read, 3);
+        // Selected and over-read blocks are found; blocks outside every
+        // run are not.
+        assert_eq!(block_in(&fetched, 2, 64), Some(&[2u8; 64][..]));
+        assert_eq!(block_in(&fetched, 18, 64), Some(&[18u8; 64][..]));
+        for pos in [0, 3, 17, 19] {
+            assert_eq!(block_in(&fetched, pos, 64), None, "block {pos}");
+        }
     }
 }

@@ -205,6 +205,49 @@ impl VaFile {
         t
     }
 
+    /// The approximation-file sweep every query shares: one sequential
+    /// read of the file in chunks of [`SCAN_CHUNK_BLOCKS`], each chunk's
+    /// whole entries unpacked in one SIMD pass and handed to
+    /// `visit(first_id, cells)` (`dim` cell numbers per entry, for points
+    /// `first_id..`). Charges `evals_per_point` distance evaluations for
+    /// every point.
+    fn sweep(
+        &self,
+        clock: &mut SimClock,
+        evals_per_point: u64,
+        mut visit: impl FnMut(usize, &[u32]),
+    ) {
+        let entry = self.entry_bytes;
+        let total_blocks = self.approx.num_blocks();
+        let mut processed = 0usize;
+        let mut carry: Vec<u8> = Vec::new();
+        let mut cells: Vec<u32> = Vec::new();
+        let mut block = 0u64;
+        while block < total_blocks && processed < self.n {
+            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
+            let chunk = self.approx.read_to_vec(clock, block, nb);
+            carry.extend_from_slice(&chunk.expect("read approximation file"));
+            let avail = (carry.len() / entry).min(self.n - processed);
+            if avail > 0 {
+                cells.clear();
+                cells.resize(avail * self.dim, 0);
+                iq_quantize::simd::unpack_block(
+                    &carry[..avail * entry],
+                    entry,
+                    0,
+                    self.bits,
+                    self.dim,
+                    &mut cells,
+                );
+                visit(processed, &cells);
+                carry.drain(..avail * entry);
+                processed += avail;
+            }
+            block += nb;
+        }
+        clock.charge_dist_evals(self.dim, evals_per_point * self.n as u64);
+    }
+
     /// Phase 1: scans the approximation file and produces per-point lower
     /// bounds plus the pruning threshold δ (the k-th smallest upper bound),
     /// all in the metric's comparable key space. When a `filter` is
@@ -222,56 +265,24 @@ impl VaFile {
         filter: Option<&Filter>,
     ) -> (Vec<f64>, f64) {
         let table = self.dist_table(q);
-        let entry = self.entry_bytes;
-
         let mut lower = Vec::with_capacity(self.n);
         // The k smallest upper bounds seen so far (δ is their max).
         let mut best_ub = TopK::new(k);
-        let total_blocks = self.approx.num_blocks();
-        let mut processed = 0usize;
-        let mut buf_carry: Vec<u8> = Vec::new();
-        let mut block = 0u64;
-        // Batch scratch: each chunk's entries are unpacked and bound in one
-        // SIMD pass (bit-identical to the per-entry lookup loop).
-        let mut block_cells: Vec<u32> = Vec::new();
         let mut lo_keys: Vec<f64> = Vec::new();
         let mut hi_keys: Vec<f64> = Vec::new();
-        while block < total_blocks && processed < self.n {
-            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
-            let chunk = self
-                .approx
-                .read_to_vec(clock, block, nb)
-                .expect("read approximation file");
-            buf_carry.extend_from_slice(&chunk);
-            let avail = (buf_carry.len() / entry).min(self.n - processed);
-            if avail > 0 {
-                block_cells.clear();
-                block_cells.resize(avail * self.dim, 0);
-                iq_quantize::simd::unpack_block(
-                    &buf_carry[..avail * entry],
-                    entry,
-                    0,
-                    self.bits,
-                    self.dim,
-                    &mut block_cells,
-                );
-                table.bounds_keys(&block_cells, &mut lo_keys, &mut hi_keys);
-                for j in 0..avail {
-                    let id = (processed + j) as u32;
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        lower.push(lo_keys[j]);
-                        best_ub.insert(hi_keys[j], id);
-                    } else {
-                        lower.push(f64::NAN);
-                    }
-                }
-                buf_carry.drain(..avail * entry);
-                processed += avail;
-            }
-            block += nb;
-        }
         // Two bound evaluations per scanned point.
-        clock.charge_dist_evals(self.dim, 2 * self.n as u64);
+        self.sweep(clock, 2, |first, cells| {
+            table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+            for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
+                let id = (first + j) as u32;
+                if filter.is_none_or(|f| f.matches(id)) {
+                    lower.push(lo);
+                    best_ub.insert(hi, id);
+                } else {
+                    lower.push(f64::NAN);
+                }
+            }
+        });
         // δ = the k-th smallest upper bound; +∞ while fewer than k points
         // exist (then every lower bound passes anyway, since lb <= ub).
         (lower, best_ub.bound())
@@ -365,7 +376,7 @@ impl VaFile {
         // distance undercuts the next lower bound (or a knob fires).
         clock.phase_begin(Phase::Refine);
         let mut p = vec![0.0f32; self.dim];
-        refine_ascending(&mut exec, clock, &cand, |clock, id| {
+        refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
             self.fetch_exact_into(clock, id as usize, &mut p);
             clock.charge_dist_evals(self.dim, 1);
             Some(metric.distance_key(&p, q))
@@ -385,136 +396,75 @@ impl VaFile {
         clock.phase_begin(Phase::Filter);
         let mut wtable = WindowTable::new();
         wtable.build(&self.mbr, self.bits, window, self.n);
-        let entry = self.entry_bytes;
-        let total_blocks = self.approx.num_blocks();
         let mut out = Vec::new();
         let mut to_verify: Vec<u32> = Vec::new();
-        let mut processed = 0usize;
-        let mut carry: Vec<u8> = Vec::new();
-        let mut block = 0u64;
-        // Batch scratch: whole-chunk unpack + SIMD window classification.
-        let mut block_cells: Vec<u32> = Vec::new();
         let mut flags: Vec<u8> = Vec::new();
         let mut matches: Vec<CellMatch> = Vec::new();
-        while block < total_blocks && processed < self.n {
-            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
-            let chunk = self
-                .approx
-                .read_to_vec(clock, block, nb)
-                .expect("read approximation file");
-            carry.extend_from_slice(&chunk);
-            let avail = (carry.len() / entry).min(self.n - processed);
-            if avail > 0 {
-                block_cells.clear();
-                block_cells.resize(avail * self.dim, 0);
-                iq_quantize::simd::unpack_block(
-                    &carry[..avail * entry],
-                    entry,
-                    0,
-                    self.bits,
-                    self.dim,
-                    &mut block_cells,
-                );
-                wtable.classify_batch(&block_cells, &mut flags, &mut matches);
-                for (j, &m) in matches.iter().enumerate() {
-                    match m {
-                        CellMatch::Inside => out.push((processed + j) as u32),
-                        CellMatch::Partial => to_verify.push((processed + j) as u32),
-                        CellMatch::Disjoint => {}
-                    }
+        self.sweep(clock, 1, |first, cells| {
+            wtable.classify_batch(cells, &mut flags, &mut matches);
+            for (j, &m) in matches.iter().enumerate() {
+                match m {
+                    CellMatch::Inside => out.push((first + j) as u32),
+                    CellMatch::Partial => to_verify.push((first + j) as u32),
+                    CellMatch::Disjoint => {}
                 }
-                carry.drain(..avail * entry);
-                processed += avail;
             }
-            block += nb;
-        }
-        clock.charge_dist_evals(self.dim, self.n as u64);
-        clock.phase_begin(Phase::Refine);
-        let mut p = vec![0.0f32; self.dim];
-        for id in to_verify {
-            self.fetch_exact_into(clock, id as usize, &mut p);
-            clock.charge_dist_evals(self.dim, 1);
-            if window.contains_point(&p) {
-                out.push(id);
-            }
-        }
-        clock.phase_end();
+        });
+        self.verify(clock, &to_verify, &mut out, |p| window.contains_point(p));
         out
     }
 
-    /// All points within `radius` of `q` (unordered ids). Points whose cell
-    /// box lies entirely within the radius are accepted without fetching
-    /// their exact coordinates.
+    /// All points within `radius` of `q` (unordered ids): one scan of the
+    /// approximation file classifies each cell box by both bounds. Boxes
+    /// entirely within the radius are accepted without fetching their
+    /// exact coordinates; only boxes straddling it are refined.
     pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
         assert_eq!(q.len(), self.dim);
         let key_r = self.metric.distance_to_key(radius);
-        // Reuse the filter scan with k = 1 to get lower bounds; re-derive
-        // upper bounds from the table for the containment shortcut.
         clock.phase_begin(Phase::Filter);
         let table = self.dist_table(q);
-        let (lower, _) = self.filter_phase(clock, q, 1, None);
-
         let mut out = Vec::new();
-        // Second pass over the in-memory bounds: fetch exact only when the
-        // cell box straddles the radius. We re-derive the upper bound by
-        // re-reading the approximation (already paid for above in I/O; the
-        // CPU is charged once more).
-        let entry = self.entry_bytes;
-        let total_blocks = self.approx.num_blocks();
-        let mut processed = 0usize;
-        let mut carry: Vec<u8> = Vec::new();
-        let mut block = 0u64;
         let mut to_verify: Vec<u32> = Vec::new();
-        // Batch scratch: upper bounds for the whole chunk in one SIMD fold.
-        let mut block_cells: Vec<u32> = Vec::new();
         let mut lo_keys: Vec<f64> = Vec::new();
         let mut hi_keys: Vec<f64> = Vec::new();
-        while block < total_blocks && processed < self.n {
-            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
-            let chunk = self
-                .approx
-                .read_to_vec(clock, block, nb)
-                .expect("read approximation file");
-            carry.extend_from_slice(&chunk);
-            let avail = (carry.len() / entry).min(self.n - processed);
-            if avail > 0 {
-                block_cells.clear();
-                block_cells.resize(avail * self.dim, 0);
-                iq_quantize::simd::unpack_block(
-                    &carry[..avail * entry],
-                    entry,
-                    0,
-                    self.bits,
-                    self.dim,
-                    &mut block_cells,
-                );
-                table.bounds_keys(&block_cells, &mut lo_keys, &mut hi_keys);
-                for j in 0..avail {
-                    if lower[processed + j] <= key_r {
-                        if hi_keys[j] <= key_r {
-                            out.push((processed + j) as u32);
-                        } else {
-                            to_verify.push((processed + j) as u32);
-                        }
+        // Two bound evaluations per scanned point, as in the k-NN filter.
+        self.sweep(clock, 2, |first, cells| {
+            table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+            for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
+                if lo <= key_r {
+                    if hi <= key_r {
+                        out.push((first + j) as u32);
+                    } else {
+                        to_verify.push((first + j) as u32);
                     }
                 }
-                carry.drain(..avail * entry);
-                processed += avail;
             }
-            block += nb;
-        }
-        clock.charge_dist_evals(self.dim, self.n as u64);
+        });
+        self.verify(clock, &to_verify, &mut out, |p| {
+            self.metric.distance_key(p, q) <= key_r
+        });
+        out
+    }
+
+    /// Refinement phase of `window` and `range`: fetches each point in
+    /// `ids` from the exact file and keeps those `accept` admits.
+    fn verify(
+        &self,
+        clock: &mut SimClock,
+        ids: &[u32],
+        out: &mut Vec<u32>,
+        accept: impl Fn(&[f32]) -> bool,
+    ) {
         clock.phase_begin(Phase::Refine);
         let mut p = vec![0.0f32; self.dim];
-        for id in to_verify {
+        for &id in ids {
             self.fetch_exact_into(clock, id as usize, &mut p);
             clock.charge_dist_evals(self.dim, 1);
-            if self.metric.distance_key(&p, q) <= key_r {
+            if accept(&p) {
                 out.push(id);
             }
         }
         clock.phase_end();
-        out
     }
 }
 
@@ -801,6 +751,21 @@ mod tests {
         let stats = clock.stats();
         assert!(stats.seeks >= 1);
         assert!(stats.blocks_read >= va.approx_blocks());
+    }
+
+    #[test]
+    fn window_and_range_sweep_the_approximation_file_once() {
+        let (_, va, mut clock) = make(5_000, 8, 4, 6);
+        // Far outside the data: every cell box is disjoint, so neither
+        // query verifies a point and only the one sweep is paid.
+        assert!(va.range(&mut clock, &[10.0f32; 8], 0.1).is_empty());
+        assert_eq!(clock.stats().seeks, 1, "range");
+        assert_eq!(clock.stats().blocks_read, va.approx_blocks(), "range");
+        clock.reset();
+        let w = Mbr::from_bounds(vec![5.0; 8], vec![6.0; 8]);
+        assert!(va.window(&mut clock, &w).is_empty());
+        assert_eq!(clock.stats().seeks, 1, "window");
+        assert_eq!(clock.stats().blocks_read, va.approx_blocks(), "window");
     }
 
     #[test]

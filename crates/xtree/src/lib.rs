@@ -22,7 +22,7 @@ use iq_engine::{
 };
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
-use iq_storage::{BlockDevice, SimClock};
+use iq_storage::{fetch, BlockDevice, SimClock};
 use node::{DataPage, DirEntry, Node};
 use split::{group_mbr, split_entries, SplitDecision};
 use std::cmp::Reverse;
@@ -461,23 +461,22 @@ impl XTree {
         let mut positions: Vec<u64> = pages.iter().map(|&id| self.pages[id as usize]).collect();
         positions.sort_unstable();
         positions.dedup();
-        let fetched = iq_storage::fetch::fetch_blocks(self.data.as_ref(), clock, &positions).ok();
+        let fetched = fetch::fetch_blocks(self.data.as_ref(), clock, &positions).ok();
         let bs = self.data.block_size();
         for &id in pages {
             let pos = self.pages[id as usize];
-            let planned: Option<Vec<u8>> = fetched.as_ref().and_then(|fetched| {
-                let (run, buf) = fetched.iter().find(|(run, _)| run.contains(pos))?;
-                let off = ((pos - run.start) as usize) * bs;
-                Some(buf[off..off + bs].to_vec())
-            });
-            let bytes = match planned {
+            let reread;
+            let bytes = match fetched.as_deref().and_then(|f| fetch::block_in(f, pos, bs)) {
                 Some(b) => b,
                 None => match self.data.read_to_vec(clock, pos, 1) {
-                    Ok(b) => b,
+                    Ok(b) => {
+                        reread = b;
+                        &reread
+                    }
                     Err(_) => continue,
                 },
             };
-            let page = DataPage::decode(&bytes, self.dim);
+            let page = DataPage::decode(bytes, self.dim);
             clock.charge_dist_evals(self.dim, page.len() as u64);
             visit(self.dim, &page);
         }

@@ -2,12 +2,14 @@
 //! through a [`FaultInjectingDevice`], exercising the retry path (transient
 //! faults must be invisible in the results) and the corruption-fallback
 //! path (a permanently corrupt quantized block degrades to the exact
-//! level, not to a panic or a wrong answer).
+//! level, not to a panic or a wrong answer, on every query path that reads
+//! one).
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::geometry::{Dataset, Metric};
+use iqtree_repro::engine::{knn_batch_traced, AccessMethod, QueryOptions, QueryTrace};
+use iqtree_repro::geometry::{Dataset, Mbr, Metric};
 use iqtree_repro::storage::{
-    BlockDevice, FaultConfig, FaultInjectingDevice, FileDevice, MemWal, SimClock,
+    BlockDevice, ChecksummedDevice, FaultConfig, FaultInjectingDevice, FileDevice, MemWal, SimClock,
 };
 use iqtree_repro::tree::verify::verify_index;
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -110,9 +112,80 @@ fn transient_faults_are_invisible_in_batch_results() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Distances from `q` to every point of `db`, ascending: the k = n
+/// brute-force answer.
+fn brute_all(db: &Dataset, q: &[f32]) -> Vec<f64> {
+    let m = Metric::Euclidean;
+    let mut all: Vec<f64> = (0..db.len()).map(|i| m.distance(db.point(i), q)).collect();
+    all.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    all
+}
+
+/// Asserts a k = n answer is exactly the brute-force one.
+fn assert_exact_knn(hits: &[(u32, f64)], db: &Dataset, q: &[f32], what: &str) {
+    assert_eq!(hits.len(), db.len(), "{what}: every point returned");
+    for (got, want) in hits.iter().zip(brute_all(db, q)) {
+        assert!((got.1 - want).abs() < 1e-9, "{what}: {} vs {want}", got.1);
+    }
+}
+
+/// Asserts a window or range answer that must cover the whole data set.
+fn assert_all_ids(mut ids: Vec<u32>, n: usize, what: &str) {
+    ids.sort_unstable();
+    assert_eq!(ids, (0..n as u32).collect::<Vec<_>>(), "{what}");
+}
+
+/// Runs every query path that reads a quantized block over `tree` with
+/// nothing prunable (k = n, a whole-space window, an all-covering range)
+/// and asserts each answer is exact and each raises `corrupt_blocks`: the
+/// single-query walk, its `refine_factor` rerank, the shared batch walk,
+/// `window` and `range`.
+fn assert_every_path_degrades_exactly(tree: &IqTree, clock: &mut SimClock, w: &Workload) {
+    let k = tree.len();
+    let dim = tree.dim();
+    let rerank = QueryOptions {
+        refine_factor: 2,
+        ..QueryOptions::EXACT
+    };
+    for q in w.queries.iter().take(4) {
+        for (what, opts) in [("pivot walk", QueryOptions::EXACT), ("rerank", rerank)] {
+            let before = clock.stats().corrupt_blocks;
+            let (hits, trace) = tree.knn_opts_traced(clock, q, k, None, &opts);
+            assert!(trace.quant_fallbacks >= 1, "{what}: no fallback: {trace:?}");
+            assert_eq!(trace.pages_lost, 0, "{what}: exact level was available");
+            assert_eq!(trace.points_skipped, 0, "{what}");
+            assert!(clock.stats().corrupt_blocks > before, "{what}");
+            // Degraded — but still exactly right.
+            assert_exact_knn(&hits, &w.db, q, what);
+        }
+    }
+
+    let queries: Vec<Vec<f32>> = w.queries.iter().take(8).map(<[f32]>::to_vec).collect();
+    assert_eq!(queries.len(), 8);
+    let before = clock.stats().corrupt_blocks;
+    let (batch, agg) = knn_batch_traced(tree, clock, &queries, k, 2);
+    assert!(clock.stats().corrupt_blocks > before, "batch walk");
+    assert!(agg.quant_fallbacks >= 1, "batch walk: no fallback: {agg:?}");
+    assert_eq!(agg.pages_lost + agg.points_skipped, 0, "batch walk");
+    for (q, (hits, _)) in queries.iter().zip(&batch) {
+        assert_exact_knn(hits, &w.db, q, "batch walk");
+    }
+
+    let before = clock.stats().corrupt_blocks;
+    let whole = Mbr::from_bounds(vec![-1.0; dim], vec![2.0; dim]);
+    assert_all_ids(tree.window(clock, &whole), k, "window");
+    assert!(clock.stats().corrupt_blocks > before, "window");
+
+    let before = clock.stats().corrupt_blocks;
+    let center = vec![0.5f32; dim];
+    assert_all_ids(tree.range(clock, &center, 10.0), k, "range");
+    assert!(clock.stats().corrupt_blocks > before, "range");
+}
+
 /// One permanently corrupt quantized (level-2) block: full-result k-NN
-/// still returns the exact answer by falling back to the level-3 exact
-/// page, and the corruption shows up in the trace and the I/O statistics.
+/// (single, reranked and batched), window and range queries still return
+/// the exact answer by falling back to the level-3 exact page, and the
+/// corruption shows up in the trace and the I/O statistics.
 #[test]
 fn corrupt_quant_block_falls_back_to_exact_level() {
     let dir = temp_dir("corrupt");
@@ -126,27 +199,87 @@ fn corrupt_quant_block_falls_back_to_exact_level() {
         }
         Box::new(f)
     });
+    assert_every_path_degrades_exactly(&tree, &mut clock, &w);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
 
-    // k = n: nothing is prunable, so the corrupt page must be visited.
-    let k = tree.len();
-    for q in w.queries.iter().take(4) {
-        let before = clock.stats().corrupt_blocks;
-        let (hits, trace) = tree.knn_traced(&mut clock, q, k);
-        assert!(trace.quant_fallbacks >= 1, "fallback never ran: {trace:?}");
-        assert_eq!(trace.pages_lost, 0, "exact level was available");
-        assert_eq!(trace.points_skipped, 0);
-        assert!(clock.stats().corrupt_blocks > before);
+/// A quantized block whose checksum is valid but whose payload does not
+/// decode (corruption that slipped past the checksum layer): every query
+/// path must count it in `corrupt_blocks` and answer from the exact level.
+#[test]
+fn undecodable_quant_payload_is_counted_on_every_path() {
+    let dir = temp_dir("undecodable");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    {
+        // Forge the page header *through* the checksum layer, so the block
+        // CRC stays valid: resolution 0 is outside 1..=32.
+        let raw = FileDevice::open(&dir.join(FILES[1]), 2048).expect("open quantized file");
+        let mut quant = ChecksummedDevice::new(Box::new(raw) as Box<dyn BlockDevice>);
+        let mut clock = SimClock::default();
+        let mut bytes = quant.read_to_vec(&mut clock, 0, 1).expect("readable");
+        bytes[2] = 0;
+        quant.write_blocks(&mut clock, 0, &bytes).expect("writable");
+    }
+    let (tree, mut clock) = reopen(&dir, 2048, 6, |_, d| d);
+    assert_every_path_degrades_exactly(&tree, &mut clock, &w);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
 
-        // Degraded — but still exactly right.
-        assert_eq!(hits.len(), k);
-        let m = Metric::Euclidean;
-        let mut expect: Vec<(u32, f64)> = (0..w.db.len())
-            .map(|i| (i as u32, m.distance(w.db.point(i), q)))
-            .collect();
-        expect.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"));
-        for (got, want) in hits.iter().zip(&expect) {
-            assert!((got.1 - want.1).abs() < 1e-9);
+/// One permanently corrupt exact (level-3) block: the refinements that
+/// land in it fail, and every k-NN path reports them the same way —
+/// `refinements` counts exact points read and compared, `points_skipped`
+/// the entries still unreadable after retries. With k = n nothing is
+/// prunable, so the two add up to the points on quantized pages and every
+/// readable point is returned.
+#[test]
+fn corrupt_exact_block_is_counted_alike_on_every_knn_path() {
+    let dir = temp_dir("corrupt-exact");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (tree, mut clock) = reopen(&dir, 2048, 6, |i, d| {
+        let f = FaultInjectingDevice::new(d, FaultConfig::none(5));
+        if i == 2 {
+            f.corrupt_block(0); // first exact block, permanently
         }
+        Box::new(f)
+    });
+    let n = tree.len() as u64;
+    let quantized: u64 = tree
+        .pages()
+        .iter()
+        .filter(|p| p.g < 32)
+        .map(|p| u64::from(p.count))
+        .sum();
+    assert!(quantized > 0, "expected quantized pages");
+    let check = |hits: &[(u32, f64)], trace: &QueryTrace, what: &str| {
+        assert!(trace.points_skipped > 0, "{what}: corruption never hit");
+        assert_eq!(
+            hits.len() as u64 + trace.points_skipped,
+            n,
+            "{what}: {trace:?}"
+        );
+        assert_eq!(
+            trace.refinements + trace.points_skipped,
+            quantized,
+            "{what}: {trace:?}"
+        );
+    };
+    let rerank = QueryOptions {
+        refine_factor: 2,
+        ..QueryOptions::EXACT
+    };
+    let k = n as usize;
+    for q in w.queries.iter().take(2) {
+        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &QueryOptions::EXACT);
+        check(&hits, &trace, "pivot walk");
+        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &rerank);
+        check(&hits, &trace, "rerank");
+    }
+    let queries: Vec<Vec<f32>> = w.queries.iter().take(8).map(<[f32]>::to_vec).collect();
+    let (batch, _) = knn_batch_traced(&tree, &mut clock, &queries, k, 2);
+    for (hits, trace) in &batch {
+        check(hits, trace, "batch walk");
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
