@@ -1,7 +1,6 @@
 //! Wall-clock microbenchmarks of the quantized-domain page-scan kernels,
 //! reported by `iq bench`: level-2 filter throughput (naive
-//! decode-then-`Metric` vs the lookup-table kernel) and the multi-query
-//! page-scan amortization sweep.
+//! decode-then-`Metric` vs the lookup-table kernel).
 //!
 //! These measure *wall-clock* time of the CPU kernels (unlike the figure
 //! runners, which report simulated time): the kernels change how fast the
@@ -9,7 +8,7 @@
 //! paths identically.
 
 use iq_geometry::{Mbr, Metric};
-use iq_quantize::{DistTable, DistTableBlock, GridQuantizer, QuantizedPageCodec};
+use iq_quantize::{DistTable, GridQuantizer, QuantizedPageCodec};
 use std::time::Instant;
 
 /// Deterministic pseudo-uniform values in `[0, 1)` (no RNG state shared
@@ -32,10 +31,37 @@ pub struct ScanBench {
     pub speedup: f64,
 }
 
-/// Measures the page-scan filter: identical pages, identical queries,
-/// identical keys out of both paths (asserted) — only the kernel differs.
+/// Measures the page-scan filter over 8 encoded quantized pages
+/// (dimension 8, 6 bits per dimension) and 2 query points: identical
+/// pages, identical queries, identical keys out of both paths (asserted) —
+/// only the kernel differs.
 pub fn page_scan_throughput() -> ScanBench {
-    let (codec, per_page, pages, queries) = scan_workload(8, 2);
+    const DIM: usize = 8;
+    const G: u32 = 6;
+    const BLOCK: usize = 4096;
+    let codec = QuantizedPageCodec::new(DIM, BLOCK);
+    let per_page = codec.capacity(G).min(200);
+    let mut seed = 0x51AD_BEA7u64;
+    let pages: Vec<(Mbr, Vec<u8>)> = (0..8)
+        .map(|p| {
+            let base = p as f32 * 0.01;
+            let pts: Vec<Vec<f32>> = (0..per_page)
+                .map(|_| (0..DIM).map(|_| base + lcg(&mut seed)).collect())
+                .collect();
+            let mbr = Mbr::of_points(DIM, pts.iter().map(Vec::as_slice));
+            let block = codec.encode(
+                &mbr,
+                G,
+                pts.iter()
+                    .enumerate()
+                    .map(|(i, v)| (i as u32, v.as_slice())),
+            );
+            (mbr, block)
+        })
+        .collect();
+    let queries: Vec<Vec<f32>> = (0..2)
+        .map(|_| (0..DIM).map(|_| lcg(&mut seed) * 1.5).collect())
+        .collect();
 
     // Naive: decode the page into vectors, build each entry's cell box,
     // run the metric over it.
@@ -85,114 +111,6 @@ pub fn page_scan_throughput() -> ScanBench {
     }
 }
 
-/// Shared page-scan workload: the codec, entries per page, the encoded
-/// pages (MBR + body), and the query points.
-type ScanWorkload = (
-    QuantizedPageCodec,
-    usize,
-    Vec<(Mbr, Vec<u8>)>,
-    Vec<Vec<f32>>,
-);
-
-/// Builds the shared page-scan workload: `n_pages` encoded quantized
-/// pages (dimension 8, 6 bits per dimension) plus `n_queries` query
-/// points.
-fn scan_workload(n_pages: usize, n_queries: usize) -> ScanWorkload {
-    const DIM: usize = 8;
-    const G: u32 = 6;
-    const BLOCK: usize = 4096;
-    let codec = QuantizedPageCodec::new(DIM, BLOCK);
-    let per_page = codec.capacity(G).min(200);
-    let mut seed = 0x51AD_BEA7u64;
-    let pages: Vec<(Mbr, Vec<u8>)> = (0..n_pages)
-        .map(|p| {
-            let base = p as f32 * 0.01;
-            let pts: Vec<Vec<f32>> = (0..per_page)
-                .map(|_| (0..DIM).map(|_| base + lcg(&mut seed)).collect())
-                .collect();
-            let mbr = Mbr::of_points(DIM, pts.iter().map(Vec::as_slice));
-            let block = codec.encode(
-                &mbr,
-                G,
-                pts.iter()
-                    .enumerate()
-                    .map(|(i, v)| (i as u32, v.as_slice())),
-            );
-            (mbr, block)
-        })
-        .collect();
-    let queries: Vec<Vec<f32>> = (0..n_queries)
-        .map(|_| (0..DIM).map(|_| lcg(&mut seed) * 1.5).collect())
-        .collect();
-    (codec, per_page, pages, queries)
-}
-
-/// One batch size of the multi-query page-scan amortization sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiqRow {
-    /// Queries evaluated per decoded page.
-    pub q: usize,
-    /// Nanoseconds per (point, query) evaluation — table build, page
-    /// decode and bound folds all included.
-    pub ns_per_point_query: f64,
-    /// `ns(Q=1) / ns(Q)` — how much the shared decode buys.
-    pub amortization: f64,
-}
-
-/// Multi-query page-scan sweep: evaluates the same total number of
-/// (point, query) pairs at batch sizes Q ∈ {1, 4, 16} through
-/// [`DistTableBlock`] + `for_each_entry_multi`, reporting the per-pair
-/// cost. Larger Q shares the page decode (and loop overhead) across more
-/// queries, so the per-pair cost should fall monotonically.
-pub fn page_scan_multiq() -> Vec<MultiqRow> {
-    let (codec, per_page, pages, queries) = scan_workload(8, 16);
-
-    let mut block_table = DistTableBlock::new();
-    let mut cells: Vec<u32> = Vec::new();
-    let mut lo: Vec<f64> = Vec::new();
-    let mut hi: Vec<f64> = Vec::new();
-    let mut rows: Vec<MultiqRow> = Vec::new();
-    let mut base_ns = 0.0f64;
-    for q in [1usize, 4, 16] {
-        let qs: Vec<&[f32]> = queries[..q].iter().map(Vec::as_slice).collect();
-        // Same total (point, query) work at every batch size.
-        let iters = 16 / q;
-        let mut sink = 0.0f64;
-        let start = Instant::now();
-        for _ in 0..iters {
-            for (mbr, block) in &pages {
-                let view = codec.try_view(block).expect("valid page");
-                let ok = block_table.build(mbr, view.bits(), Metric::Euclidean, &qs, view.len());
-                assert!(ok, "workload fits the materialization budget");
-                view.for_each_entry_multi(
-                    &block_table,
-                    &mut cells,
-                    &mut lo,
-                    &mut hi,
-                    |_, _, lo, _| {
-                        for &v in lo {
-                            sink += v;
-                        }
-                    },
-                );
-            }
-        }
-        let t = start.elapsed().as_secs_f64();
-        assert!(sink.is_finite());
-        let pairs = (iters * pages.len() * per_page * q) as f64;
-        let ns = t / pairs.max(1e-12) * 1e9;
-        if q == 1 {
-            base_ns = ns;
-        }
-        rows.push(MultiqRow {
-            q,
-            ns_per_point_query: ns,
-            amortization: base_ns / ns.max(1e-12),
-        });
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,16 +121,5 @@ mod tests {
         assert!(s.naive_pps > 0.0);
         assert!(s.kernel_pps > 0.0);
         assert!(s.speedup > 0.0);
-    }
-
-    #[test]
-    fn multiq_sweep_covers_all_batch_sizes() {
-        let rows = page_scan_multiq();
-        let qs: Vec<usize> = rows.iter().map(|r| r.q).collect();
-        assert_eq!(qs, vec![1, 4, 16]);
-        for r in &rows {
-            assert!(r.ns_per_point_query > 0.0);
-            assert!(r.amortization > 0.0);
-        }
     }
 }

@@ -678,11 +678,13 @@ impl IqTree {
             .set(self.wasted_exact_blocks as f64);
     }
 
-    /// Charges the first-level directory scan (every query starts with it)
-    /// and the per-entry MINDIST computations.
-    pub(crate) fn charge_directory_scan(&self, clock: &mut SimClock) {
+    /// Charges the first-level directory scan (every query starts with it):
+    /// one sequential sweep of the directory file, unless `read` is false
+    /// (a micro-batch sweeps it once for all its queries), and the
+    /// per-entry MINDIST computations.
+    pub(crate) fn charge_directory_scan(&self, clock: &mut SimClock, read: bool) {
         let nblocks = self.dir.num_blocks();
-        if nblocks > 0 {
+        if read && nblocks > 0 {
             // One sequential sweep. The in-memory directory is
             // authoritative after open, so a corrupt block here only
             // surfaces in the clock's corruption statistics.

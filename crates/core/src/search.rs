@@ -16,39 +16,24 @@
 //! either direction stops once the balance exceeds `t_seek`.
 
 use crate::{IqTree, PageMeta};
-use iq_cost::access_prob::fraction_in_ball;
+use iq_cost::access_probability;
 use iq_engine::{
-    drive, query_span_begin, query_span_end, refine_ascending, AccessMethod, CandidateHeap,
+    drive, knn_multi_per_query, query_span_begin, query_span_end, AccessMethod, CandidateHeap,
     Executor, Filter, OrdKey, QueryOptions, TracedResult,
 };
 use iq_geometry::{Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
-use iq_quantize::{
-    CellMatch, DistTable, DistTableBlock, QuantPageView, WindowTable, EXACT_BITS, MAX_BLOCK_QUERIES,
-};
+use iq_quantize::{CellMatch, DistTable, QuantPageView, WindowTable, EXACT_BITS};
 use iq_storage::{fetch, read_to_vec_retry, SimClock};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// What a nearest-neighbor query actually did — returned by
 /// [`IqTree::knn_traced`] for inspection, tuning and tests. The type lives
 /// in `iq-engine` so every access method reports work in the same shape;
 /// re-exported here for backward compatibility.
 pub use iq_engine::QueryTrace;
-
-/// Records the outcome of a level-3 fallback
-/// ([`IqTree::fallback_exact`]) in a query's trace: a recovered page
-/// counts as processed, its undecodable entries as skipped points.
-fn note_fallback(trace: &mut QueryTrace, outcome: Option<u64>) {
-    match outcome {
-        Some(undecodable) => {
-            trace.quant_fallbacks += 1;
-            trace.pages_processed += 1;
-            trace.points_skipped += undecodable;
-        }
-        None => trace.pages_lost += 1,
-    }
-}
 
 /// Heap entry target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -68,9 +53,12 @@ struct SearchState<'f> {
     /// result set or the priority list, so the pruning bound (and with it
     /// MINDIST page pruning) derives only from matching points.
     filter: Option<&'f Filter>,
+    /// The micro-batch read buffer, when the query runs inside one.
+    shared: Option<&'f mut SharedReads>,
     /// MINDIST key of every page.
     page_key: Vec<f64>,
-    /// Page indices sorted by ascending MINDIST key (priority order).
+    /// Page indices sorted by ascending MINDIST key (priority order);
+    /// built only when page runs will be planned.
     order: Vec<u32>,
     /// Rank of each page in `order` (pages before it are its
     /// higher-priority competitors).
@@ -87,57 +75,21 @@ struct SearchState<'f> {
     keys: Vec<f64>,
 }
 
-/// One query of the shared batch walk: its [`Executor`] (top-k and
-/// trace) with the MAXDIST bound δ kept beside it, and its refinement
-/// candidates.
-struct BatchQuery<'q> {
-    q: &'q [f32],
-    exec: Executor,
-    /// The `k` smallest MAXDIST keys seen so far; their maximum δ is a
-    /// certified upper bound on the true k-th-NN key (at least `k`
-    /// entries are guaranteed no farther than it).
-    maxdist: BinaryHeap<OrdKey>,
-    /// δ, `+∞` until `k` keys are seen.
-    delta: f64,
-    /// Refinement candidates: `(lower-bound key, id, page, slot)`.
-    cands: Vec<(f64, u32, u32, u32)>,
-}
-
-impl BatchQuery<'_> {
-    /// Folds one entry's MAXDIST key into δ.
-    fn note_bound(&mut self, hi: f64) {
-        if hi.is_nan() {
-            return;
-        }
-        let k = self.exec.k();
-        if self.maxdist.len() < k {
-            self.maxdist.push(OrdKey(hi));
-            if self.maxdist.len() == k {
-                self.delta = self.maxdist.peek().expect("heap holds k entries").0;
-            }
-        } else if hi < self.delta {
-            self.maxdist.pop();
-            self.maxdist.push(OrdKey(hi));
-            self.delta = self.maxdist.peek().expect("heap holds k entries").0;
-        }
-    }
-
-    /// Offers an exact point, whose distance key also bounds δ.
-    fn offer_point(&mut self, metric: Metric, coords: &[f32], id: u32) {
-        let key = metric.distance_key(coords, self.q);
-        self.note_bound(key);
-        self.exec.offer(key, id);
-    }
-
-    /// Folds a quantized entry's bounds: its MAXDIST tightens δ, and an
-    /// entry whose MINDIST is within δ becomes a refinement candidate.
-    fn note_entry(&mut self, lo: f64, hi: f64, id: u32, page: u32, slot: u32) {
-        self.note_bound(hi);
-        if lo <= self.delta {
-            self.exec.trace.approx_enqueued += 1;
-            self.cands.push((lo, id, page, slot));
-        }
-    }
+/// The reads one micro-batch shares ([`IqTree::knn_multi_opts_traced`]).
+/// Every query still runs the single-query walk on its own clock — its
+/// own MINDIST evaluations, pivot rule, knobs and trace — but a block an
+/// earlier query of the batch has read comes from memory, not the device.
+/// Only reads that succeeded are kept, so under faults each query
+/// degrades exactly as it would alone. The buffer lives for one call, so
+/// it holds at most what one micro-batch's queries read.
+#[derive(Default)]
+struct SharedReads {
+    /// Whether a query of the batch has swept the directory.
+    directory: bool,
+    /// Level-2 blocks that read and validated, by page.
+    quant: HashMap<u32, Vec<u8>>,
+    /// Exact coordinates read by refinements, by `(page, slot)`.
+    exact: HashMap<(u32, u32), Vec<f32>>,
 }
 
 impl IqTree {
@@ -185,7 +137,7 @@ impl IqTree {
         q: &[f32],
         k: usize,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT)
+        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT, None)
     }
 
     /// Shared search core; a pushed-down `filter` drops non-matching points
@@ -197,6 +149,10 @@ impl IqTree {
     /// executor owns pruning and every approximation knob. Under `opts`,
     /// `nprobes` caps the number of quantized data pages decoded and
     /// `refine_factor` caps exact-point look-ups at `k × refine_factor`.
+    ///
+    /// Inside a micro-batch, `shared` serves the blocks earlier queries
+    /// have read, and pages load one at a time: the Section 2.1 run
+    /// extension is planned for lone queries only.
     fn knn_traced_impl(
         &self,
         clock: &mut SimClock,
@@ -204,6 +160,7 @@ impl IqTree {
         k: usize,
         filter: Option<&Filter>,
         opts: &QueryOptions,
+        mut shared: Option<&mut SharedReads>,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
         assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
         if k == 0 || self.is_empty() || filter.is_some_and(|f| f.matching() == 0) {
@@ -220,17 +177,22 @@ impl IqTree {
         } else {
             k
         };
+        let plan_runs = self.options().scheduled_io && shared.is_none();
         query_span_begin(clock, "iqtree", k, filter, opts);
         let mut exec = Executor::new(self.metric(), budget, opts, clock);
         let mut deferred: HashMap<u32, (u32, u32)> = HashMap::new();
         clock.phase_begin(Phase::Directory);
-        self.charge_directory_scan(clock);
+        let read_dir = shared
+            .as_deref_mut()
+            .is_none_or(|s| !std::mem::replace(&mut s.directory, true));
+        self.charge_directory_scan(clock, read_dir);
 
         clock.phase_begin(Phase::Plan);
         let metric = self.metric();
         let n_pages = self.pages().len();
         let mut st = SearchState {
             filter,
+            shared,
             page_key: Vec::with_capacity(n_pages),
             order: Vec::new(),
             rank: Vec::new(),
@@ -254,19 +216,19 @@ impl IqTree {
                 st.processed[i] = true;
             }
         }
-        // Priority order for the access-probability prefix walks.
-        let mut order: Vec<u32> = (0..n_pages as u32).collect();
-        order.sort_by(|&a, &b| {
-            st.page_key[a as usize]
-                .partial_cmp(&st.page_key[b as usize])
-                .expect("keys are never NaN")
-        });
-        let mut rank = vec![0u32; n_pages];
-        for (pos, &i) in order.iter().enumerate() {
-            rank[i as usize] = pos as u32;
+        if plan_runs {
+            // Priority order for the access-probability prefix walks.
+            st.order = (0..n_pages as u32).collect();
+            st.order.sort_by(|&a, &b| {
+                st.page_key[a as usize]
+                    .partial_cmp(&st.page_key[b as usize])
+                    .expect("keys are never NaN")
+            });
+            st.rank = vec![0u32; n_pages];
+            for (pos, &i) in st.order.iter().enumerate() {
+                st.rank[i as usize] = pos as u32;
+            }
         }
-        st.order = order;
-        st.rank = rank;
 
         drive(
             &mut exec,
@@ -286,7 +248,7 @@ impl IqTree {
                             exec.skip_candidates(1);
                             return;
                         }
-                        if self.options().scheduled_io {
+                        if plan_runs {
                             self.process_page_run(clock, q, p, &mut st, exec, heap);
                         } else {
                             self.process_single_page(clock, q, p, &mut st, exec, heap);
@@ -306,13 +268,9 @@ impl IqTree {
                         // after retries is skipped (and counted): the query
                         // completes on the remaining points.
                         clock.phase_begin(Phase::Refine);
+                        let shared = st.shared.as_deref_mut();
                         exec.refine_with(clock, id, |clock| {
-                            self.try_read_exact_point(clock, page as usize, slot as usize)
-                                .ok()
-                                .map(|coords| {
-                                    clock.charge_dist_evals(self.dim(), 1);
-                                    metric.distance_key(&coords, q)
-                                })
+                            self.exact_point_key(clock, shared, page, slot, q)
                         });
                     }
                 }
@@ -331,20 +289,38 @@ impl IqTree {
         // distances; lower-bound-ranked candidates are refined in one
         // planned batch over the exact file (candidates that stay
         // unreadable after retries are skipped and counted, as in the
-        // pivot path).
+        // pivot path). Points an earlier query of the micro-batch read
+        // are not fetched again.
         clock.phase_begin(Phase::Refine);
         let mut batch: Vec<(usize, usize, u32)> = Vec::new();
         let mut rerank: Vec<(u32, f64)> = Vec::new();
-        for (id, dist) in results {
-            match deferred.get(&id) {
-                Some(&(page, slot)) => batch.push((page as usize, slot as usize, id)),
-                None => rerank.push((id, dist)),
+        let mut refined = 0;
+        let dist = |coords: &[f32]| metric.key_to_distance(metric.distance_key(coords, q));
+        for (id, d) in results {
+            let Some(&(page, slot)) = deferred.get(&id) else {
+                rerank.push((id, d));
+                continue;
+            };
+            match st
+                .shared
+                .as_deref()
+                .and_then(|s| s.exact.get(&(page, slot)))
+            {
+                Some(coords) => {
+                    clock.charge_dist_evals(self.dim(), 1);
+                    rerank.push((id, dist(coords)));
+                    refined += 1;
+                }
+                None => batch.push((page as usize, slot as usize, id)),
             }
         }
         let unreadable = self.refine_batch_with(clock, &batch, |id, coords| {
-            rerank.push((id, metric.key_to_distance(metric.distance_key(coords, q))));
+            rerank.push((id, dist(coords)));
+            if let Some(s) = st.shared.as_deref_mut() {
+                s.exact.insert(deferred[&id], coords.to_vec());
+            }
         });
-        trace.refinements += batch.len() as u64 - unreadable;
+        trace.refinements += refined + batch.len() as u64 - unreadable;
         trace.points_skipped += unreadable;
         clock.phase_begin(Phase::TopK);
         rerank.sort_by(|a, b| {
@@ -358,9 +334,10 @@ impl IqTree {
         (rerank, trace)
     }
 
-    /// Loads exactly one page (the "standard NN search" ablation). Each
-    /// page read consumes one unit of the `nprobes` budget; once spent,
-    /// the page is scheduled away unread.
+    /// Loads exactly one page (the "standard NN search" ablation, and
+    /// every page load inside a micro-batch). Each page read consumes one
+    /// unit of the `nprobes` budget; once spent, the page is scheduled
+    /// away unread. A page served from the micro-batch buffer is no run.
     fn process_single_page(
         &self,
         clock: &mut SimClock,
@@ -374,7 +351,13 @@ impl IqTree {
         if !exec.try_probe() {
             return;
         }
-        exec.trace.runs += 1;
+        if st
+            .shared
+            .as_deref()
+            .is_none_or(|s| !s.quant.contains_key(&(p as u32)))
+        {
+            exec.trace.runs += 1;
+        }
         self.consume_page(clock, q, p, None, st, exec, heap);
     }
 
@@ -393,44 +376,26 @@ impl IqTree {
     ) {
         clock.phase_begin(Phase::Plan);
         let disk = *clock.disk();
+        let metric = self.metric();
         let n_pages = self.pages().len();
         let bound = exec.prune_threshold();
 
-        // Access probability of page i (eq 2): product over its
+        // Access probability of page i (eq 2) over its unprocessed
         // higher-priority competitors — exactly the prefix of the sorted
         // order before its rank. The product collapses quickly (each
         // intersecting page holds many points), so the walk exits early
         // almost always.
-        let prob = |tree: &IqTree, st: &SearchState, i: usize| -> f64 {
-            if st.processed[i] {
-                return 0.0;
-            }
+        let prob = |st: &SearchState, i: usize| -> f64 {
             let key = st.page_key[i];
-            if key >= bound {
-                return 0.0; // already prunable
+            if st.processed[i] || key >= bound {
+                return 0.0; // already processed or prunable
             }
-            let metric = tree.metric();
-            let r = metric.key_to_distance(key);
-            let mut p = 1.0f64;
-            for &j in &st.order[..st.rank[i] as usize] {
-                let j = j as usize;
-                if j == i || st.processed[j] {
-                    continue;
-                }
-                let meta = &tree.pages()[j];
-                if meta.count == 0 {
-                    continue;
-                }
-                let frac = fraction_in_ball(metric, &meta.mbr, q, r);
-                if frac >= 1.0 {
-                    return 0.0;
-                }
-                p *= (1.0 - frac).powi(meta.count as i32);
-                if p < 1e-12 {
-                    return 0.0;
-                }
-            }
-            p
+            let competitors = st.order[..st.rank[i] as usize]
+                .iter()
+                .map(|&j| j as usize)
+                .filter(|&j| j != i && !st.processed[j])
+                .map(|j| (&self.pages()[j].mbr, self.pages()[j].count as usize));
+            access_probability(metric, q, metric.key_to_distance(key), competitors)
         };
 
         // `nprobes` caps how many pages will ever be decoded, so the run
@@ -445,7 +410,7 @@ impl IqTree {
         let mut ccb = 0.0f64;
         let mut i = pivot + 1;
         while i < n_pages && ccb < disk.t_seek {
-            let a = prob(self, st, i);
+            let a = prob(st, i);
             if a > 0.0 {
                 if decodable_left == 0 {
                     break;
@@ -464,7 +429,7 @@ impl IqTree {
         ccb = 0.0;
         let mut j = pivot as i64 - 1;
         while j >= 0 && ccb < disk.t_seek {
-            let a = prob(self, st, j as usize);
+            let a = prob(st, j as usize);
             if a > 0.0 {
                 if decodable_left == 0 {
                     break;
@@ -526,7 +491,9 @@ impl IqTree {
     /// ([`Self::quant_view`]) and feeds its contents to the search: exact
     /// entries update the result set directly, approximations enter the
     /// priority list as point boxes. A page the ladder cannot deliver is
-    /// answered from its exact region.
+    /// answered from its exact region. Inside a micro-batch, a block an
+    /// earlier query read stands in for the read, and a block this query
+    /// read and validated is kept for the queries after it.
     ///
     /// This is the level-2 hot loop: the page is streamed through a
     /// header-validated [`iq_quantize::QuantPageView`] and each candidate's
@@ -546,14 +513,9 @@ impl IqTree {
     ) {
         clock.phase_begin(Phase::Filter);
         let metric = self.metric();
-        let mut reread = Vec::new();
-        let Some(view) = self.quant_view(clock, p, planned, &mut reread) else {
-            self.fallback_page(clock, q, p, st.filter, exec);
-            return;
-        };
-        clock.charge_dist_evals(self.dim(), view.len() as u64);
         let SearchState {
             filter,
+            shared,
             cells,
             coords,
             table,
@@ -561,6 +523,18 @@ impl IqTree {
             ..
         } = st;
         let filter = *filter;
+        let buffered = shared.as_deref().and_then(|s| s.quant.get(&(p as u32)));
+        let mut reread = Vec::new();
+        let Some(view) = self.quant_view(
+            clock,
+            p,
+            planned.or(buffered.map(Vec::as_slice)),
+            &mut reread,
+        ) else {
+            self.fallback_page(clock, q, p, filter, exec);
+            return;
+        };
+        clock.charge_dist_evals(self.dim(), view.len() as u64);
         exec.trace.pages_processed += 1;
         if view.bits() == EXACT_BITS {
             view.for_each_entry(cells, |id, bits| {
@@ -593,6 +567,11 @@ impl IqTree {
                         Item::Point(p as u32, slot as u32, id),
                     )));
                 }
+            }
+        }
+        if let Some(s) = shared {
+            if !reread.is_empty() {
+                s.quant.insert(p as u32, reread);
             }
         }
     }
@@ -632,16 +611,14 @@ impl IqTree {
     /// page `p` could not be read or decoded, so the page is answered from
     /// its exact region, whose self-contained `(id, coords)` entries give
     /// full precision, just without approximation pruning. Calls
-    /// `visit(id, coords)` for each entry that decodes and charges
-    /// `queries` distance evaluations per entry. Returns the number of
-    /// entries that do not decode, or `None` when the page is lost: it is
-    /// stored exactly at 32 bits (no level 3) or its region stays
-    /// unreadable.
+    /// `visit(id, coords)` for each entry that decodes and charges one
+    /// distance evaluation per entry. Returns the number of entries that
+    /// do not decode, or `None` when the page is lost: it is stored
+    /// exactly at 32 bits (no level 3) or its region stays unreadable.
     fn fallback_exact(
         &self,
         clock: &mut SimClock,
         p: usize,
-        queries: u64,
         mut visit: impl FnMut(u32, &[f32]),
     ) -> Option<u64> {
         let mut undecodable = 0;
@@ -654,12 +631,13 @@ impl IqTree {
         })
         .ok()?;
         let count = u64::from(self.pages()[p].count);
-        clock.charge_dist_evals(self.dim(), count * queries);
+        clock.charge_dist_evals(self.dim(), count);
         Some(undecodable)
     }
 
-    /// [`Self::fallback_exact`] for the single-query walk: matching
-    /// entries go straight into the result set.
+    /// [`Self::fallback_exact`] for k-NN search: matching entries go
+    /// straight into the result set; a recovered page counts as
+    /// processed, its undecodable entries as skipped points.
     fn fallback_page(
         &self,
         clock: &mut SimClock,
@@ -670,236 +648,51 @@ impl IqTree {
     ) {
         clock.phase_begin(Phase::Refine);
         let metric = self.metric();
-        let outcome = self.fallback_exact(clock, p, 1, |id, coords| {
+        let outcome = self.fallback_exact(clock, p, |id, coords| {
             if filter.is_none_or(|f| f.matches(id)) {
                 exec.offer(metric.distance_key(coords, q), id);
             }
         });
-        note_fallback(&mut exec.trace, outcome);
+        match outcome {
+            Some(undecodable) => {
+                exec.trace.quant_fallbacks += 1;
+                exec.trace.pages_processed += 1;
+                exec.trace.points_skipped += undecodable;
+            }
+            None => exec.trace.pages_lost += 1,
+        }
     }
 
-    /// Exact k-NN for a micro-batch of queries in one shared page walk:
-    /// every quantized page is read and decoded **once** and all queries
-    /// are evaluated against it in a single pass through the multi-query
-    /// [`DistTableBlock`] SIMD kernels.
-    ///
-    /// Two phases:
-    ///
-    /// 1. **Filter.** Pages are popped from a heap keyed by the minimum
-    ///    MINDIST over the batch. Each query `q` tracks δ_q — the k-th
-    ///    smallest MAXDIST key seen so far, a certified upper bound on its
-    ///    true k-th-NN key — and participates in a page only while the
-    ///    page's MINDIST for `q` is within δ_q. Entries from exact
-    ///    (g = 32) pages contribute true distances immediately; quantized
-    ///    entries whose lower bound is within δ_q become per-query
-    ///    refinement candidates. The walk stops when the popped key
-    ///    exceeds every query's δ.
-    /// 2. **Refine.** Per query, the executor's [`refine_ascending`]
-    ///    visits candidates in ascending lower-bound order until the bound
-    ///    proves the top-k complete; exact-point reads are shared across
-    ///    the batch through a `(page, slot)` cache, so a point refined for
-    ///    several queries is fetched once.
-    ///
-    /// Results are exact for every query (same guarantee as
-    /// [`IqTree::knn`]; ids at tied distances may differ). Corrupt pages
-    /// degrade through the same read ladder and exact-region fallback as
-    /// the single-query path.
-    fn knn_multi_traced_impl(
+    /// Refines the point at `(page, slot)`: reads its exact coordinates
+    /// and returns their distance key from `q` (one charged distance
+    /// evaluation), or `None` when the entry stays unreadable after
+    /// retries. Inside a micro-batch, a point an earlier query read comes
+    /// from `shared`, and a fresh read is kept there.
+    fn exact_point_key(
         &self,
         clock: &mut SimClock,
-        queries: &[&[f32]],
-        k: usize,
-        filter: Option<&Filter>,
-    ) -> Vec<TracedResult> {
-        let nq = queries.len();
-        let metric = self.metric();
-        let dim = self.dim();
-        for q in queries {
-            assert_eq!(q.len(), dim, "query dimensionality mismatch");
-        }
-        if k == 0 || self.is_empty() || filter.is_some_and(|f| f.matching() == 0) {
-            return vec![(Vec::new(), QueryTrace::default()); nq];
-        }
-        if clock.tracing() {
-            clock.span_begin("iqtree_multi");
-            clock.span_attr("k", &k);
-            clock.span_attr("queries", &nq);
-            if let Some(f) = filter {
-                clock.span_attr("filter_matches", &f.matching());
+        shared: Option<&mut SharedReads>,
+        page: u32,
+        slot: u32,
+        q: &[f32],
+    ) -> Option<f64> {
+        let read = |clock: &mut SimClock| {
+            self.try_read_exact_point(clock, page as usize, slot as usize)
+                .ok()
+        };
+        let owned;
+        let coords: &[f32] = match shared {
+            Some(s) => match s.exact.entry((page, slot)) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(read(clock)?),
+            },
+            None => {
+                owned = read(clock)?;
+                &owned
             }
-        }
-        clock.phase_begin(Phase::Directory);
-        // One directory sweep serves the whole micro-batch.
-        self.charge_directory_scan(clock);
-
-        clock.phase_begin(Phase::Plan);
-        let n_pages = self.pages().len();
-        let mut page_qkey = vec![f64::INFINITY; n_pages * nq];
-        let mut heap: CandidateHeap<u32> = CandidateHeap::with_capacity(n_pages);
-        for (i, meta) in self.pages().iter().enumerate() {
-            if meta.count == 0 {
-                continue;
-            }
-            let mut minkey = f64::INFINITY;
-            for (qi, q) in queries.iter().enumerate() {
-                let key = metric.mindist_key(q, &meta.mbr);
-                page_qkey[i * nq + qi] = key;
-                minkey = minkey.min(key);
-            }
-            heap.push(Reverse((OrdKey(minkey), i as u32)));
-        }
-
-        let mut qs: Vec<BatchQuery> = queries
-            .iter()
-            .map(|&q| BatchQuery {
-                q,
-                exec: Executor::new(metric, k, &QueryOptions::EXACT, clock),
-                maxdist: BinaryHeap::new(),
-                delta: f64::INFINITY,
-                cands: Vec::new(),
-            })
-            .collect();
-
-        // Reusable page-loop scratch.
-        let mut block_table = DistTableBlock::new();
-        let mut dist_table = DistTable::new();
-        let mut reread: Vec<u8> = Vec::new();
-        let mut cells: Vec<u32> = Vec::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        let mut coords: Vec<f32> = Vec::new();
-        let mut active: Vec<usize> = Vec::new();
-
-        while let Some(Reverse((OrdKey(minkey), pidx))) = heap.pop() {
-            let worst = qs.iter().map(|b| b.delta).fold(f64::NEG_INFINITY, f64::max);
-            if minkey > worst {
-                break; // no query can still improve from any remaining page
-            }
-            let p = pidx as usize;
-            active.clear();
-            active.extend((0..nq).filter(|&qi| page_qkey[p * nq + qi] <= qs[qi].delta));
-            if active.is_empty() {
-                continue; // every query prunes this page: never read
-            }
-            // The active query with the smallest page key "owns" the read,
-            // so summed per-query runs equal physical page reads.
-            let owner = active
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    page_qkey[p * nq + a]
-                        .partial_cmp(&page_qkey[p * nq + b])
-                        .expect("keys are never NaN")
-                })
-                .expect("active is non-empty");
-            qs[owner].exec.trace.runs += 1;
-            clock.phase_begin(Phase::Filter);
-            let Some(view) = self.quant_view(clock, p, None, &mut reread) else {
-                clock.phase_begin(Phase::Refine);
-                let outcome = self.fallback_exact(clock, p, active.len() as u64, |id, coords| {
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        for &qi in &active {
-                            qs[qi].offer_point(metric, coords, id);
-                        }
-                    }
-                });
-                for &qi in &active {
-                    note_fallback(&mut qs[qi].exec.trace, outcome);
-                }
-                continue;
-            };
-            clock.charge_dist_evals(dim, view.len() as u64 * active.len() as u64);
-            for &qi in &active {
-                qs[qi].exec.trace.pages_processed += 1;
-            }
-            if view.bits() == EXACT_BITS {
-                view.for_each_entry(&mut cells, |id, bits| {
-                    if filter.is_none_or(|f| f.matches(id)) {
-                        coords.clear();
-                        coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                        for &qi in &active {
-                            qs[qi].offer_point(metric, &coords, id);
-                        }
-                    }
-                });
-                continue;
-            }
-            let meta = &self.pages()[p];
-            let aq: Vec<&[f32]> = active.iter().map(|&qi| qs[qi].q).collect();
-            if block_table.build(&meta.mbr, view.bits(), metric, &aq, view.len()) {
-                // One decoded pass, all active queries per entry: contiguous
-                // lane loads in the AVX2 kernel, scalar otherwise.
-                view.for_each_entry_multi(
-                    &block_table,
-                    &mut cells,
-                    &mut lo_keys,
-                    &mut hi_keys,
-                    |slot, id, lo, hi| {
-                        if filter.is_none_or(|f| f.matches(id)) {
-                            for (ai, &qi) in active.iter().enumerate() {
-                                qs[qi].note_entry(lo[ai], hi[ai], id, pidx, slot as u32);
-                            }
-                        }
-                    },
-                );
-            } else {
-                // Grid too fine to materialize a block table: per-query
-                // batch folds over the one shared decode.
-                view.unpack_all(&mut cells);
-                for &qi in &active {
-                    dist_table.build(&meta.mbr, view.bits(), metric, qs[qi].q, view.len());
-                    dist_table.bounds_keys(&cells, &mut lo_keys, &mut hi_keys);
-                    for (slot, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
-                        let id = view.id(slot);
-                        if filter.is_none_or(|f| f.matches(id)) {
-                            qs[qi].note_entry(lo, hi, id, pidx, slot as u32);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 2: per-query refinement with batch-shared exact reads.
-        clock.phase_begin(Phase::Refine);
-        let mut exact: HashMap<(u32, u32), Option<Vec<f32>>> = HashMap::new();
-        let mut results = Vec::with_capacity(nq);
-        for mut bq in qs {
-            bq.cands.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("keys are never NaN")
-                    .then(a.1.cmp(&b.1))
-            });
-            let bounds: Vec<(f64, u32)> = bq.cands.iter().map(|c| (c.0, c.1)).collect();
-            refine_ascending(&mut bq.exec, clock, &bounds, |clock, i, _| {
-                let (_, _, page, slot) = bq.cands[i];
-                let coords = exact.entry((page, slot)).or_insert_with(|| {
-                    self.try_read_exact_point(clock, page as usize, slot as usize)
-                        .ok()
-                });
-                let coords = coords.as_ref()?;
-                clock.charge_dist_evals(dim, 1);
-                Some(metric.distance_key(coords, bq.q))
-            });
-            results.push(bq.exec.into_results(metric));
-        }
-        clock.phase_end();
-        if clock.tracing() {
-            // Per-query attribution: phase times above are shared across
-            // the batch, so each query gets a zero-duration child span
-            // carrying its own counters; the parent carries the sums.
-            let mut agg = QueryTrace::default();
-            for (qi, (_, trace)) in results.iter().enumerate() {
-                agg.merge(trace);
-                clock.span_begin("query");
-                clock.span_attr("index", &qi);
-                for (name, v) in trace.fields() {
-                    clock.span_count(name, v);
-                }
-                clock.span_end();
-            }
-            query_span_end(clock, &agg);
-        }
-        results
+        };
+        clock.charge_dist_evals(self.dim(), 1);
+        Some(self.metric().distance_key(coords, q))
     }
 
     /// Batch-refines a known set of `(page, slot, id)` candidates: plans
@@ -1011,7 +804,7 @@ impl IqTree {
         mut classify: impl FnMut(&Mbr, &QuantPageView<'_>, &[u32], &mut Vec<CellMatch>),
     ) -> Vec<u32> {
         clock.phase_begin(Phase::Directory);
-        self.charge_directory_scan(clock);
+        self.charge_directory_scan(clock, true);
         clock.phase_begin(Phase::Plan);
         let candidates: Vec<usize> = self
             .pages()
@@ -1046,7 +839,7 @@ impl IqTree {
                 .as_deref()
                 .and_then(|f| fetch::block_in(f, block, bs));
             let Some(view) = self.quant_view(clock, p, planned, &mut reread) else {
-                self.fallback_exact(clock, p, 1, |id, coords| {
+                self.fallback_exact(clock, p, |id, coords| {
                     if accept(coords) {
                         out.push(id);
                     }
@@ -1241,14 +1034,14 @@ impl AccessMethod for IqTree {
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
         // True pushdown into the level-2 filter phase — no top-up rounds.
-        self.knn_traced_impl(clock, q, k, filter, opts)
+        self.knn_traced_impl(clock, q, k, filter, opts, None)
     }
 
-    /// Micro-batches route into the shared multi-query page walk — each
-    /// level-2 page is read and decoded once for the whole batch — when
-    /// the search is exact and the batch fits the block-table lane budget.
-    /// Approximate searches (the knobs are per-query semantics a shared
-    /// walk cannot honor) and degenerate batches take the per-query path.
+    /// Every query of the micro-batch runs the single-query walk on its
+    /// own fresh clock, exact or approximate, so results, knobs and time
+    /// budgets are per query. A batch of two or more shares its reads:
+    /// the directory is swept once, and level-2 blocks and exact points
+    /// read by one query serve the queries after it.
     fn knn_multi_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -1257,10 +1050,10 @@ impl AccessMethod for IqTree {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> Vec<TracedResult> {
-        if opts.is_exact() && queries.len() > 1 && queries.len() <= MAX_BLOCK_QUERIES {
-            return self.knn_multi_traced_impl(clock, queries, k, filter);
-        }
-        iq_engine::knn_multi_per_query(self, clock, queries, k, filter, opts)
+        let mut shared = (queries.len() > 1).then(SharedReads::default);
+        knn_multi_per_query(clock, queries, |clock, q| {
+            self.knn_traced_impl(clock, q, k, filter, opts, shared.as_mut())
+        })
     }
 
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
@@ -1590,6 +1383,106 @@ mod tests {
             let mut sc = iq_storage::SimClock::default();
             let want = tree.knn_filtered(&mut sc, q, 6, Some(&filter));
             assert_eq!(canon(got.clone()), canon(want));
+        }
+    }
+
+    #[test]
+    fn approximate_micro_batch_matches_solo_runs_and_shares_reads() {
+        use iq_engine::{AccessMethod, QueryOptions};
+        let ds = random_ds(2_500, 6, 37);
+        // A lone query on a scheduled tree spends `nprobes` and ε on the
+        // page runs it plans around the pivot; a batched query plans none.
+        // Without runs the two walks are the same, so only the shared
+        // reads can tell them apart — and they must not change an answer.
+        let opts = IqTreeOptions {
+            scheduled_io: false,
+            ..Default::default()
+        };
+        let (tree, _) = build_tree(&ds, opts, 1024);
+        let mut rng = StdRng::seed_from_u64(79);
+        let queries: Vec<Vec<f32>> = (0..8)
+            .map(|_| (0..6).map(|_| rng.gen()).collect())
+            .collect();
+        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
+        for opts in [
+            QueryOptions {
+                nprobes: Some(4),
+                refine_factor: 2,
+                ..QueryOptions::EXACT
+            },
+            QueryOptions {
+                epsilon: 0.5,
+                ..QueryOptions::EXACT
+            },
+        ] {
+            let (mut solo_blocks, mut solo_runs, mut batch_runs) = (0, 0, 0);
+            let mut mc = iq_storage::SimClock::default();
+            let multi = tree.knn_multi_opts_traced(&mut mc, &refs, 10, None, &opts);
+            for (q, (got, trace)) in queries.iter().zip(&multi) {
+                let mut sc = iq_storage::SimClock::default();
+                let (want, solo) = tree.knn_opts_traced(&mut sc, q, 10, None, &opts);
+                assert_eq!(*got, want, "{opts:?}");
+                solo_blocks += sc.stats().blocks_read;
+                solo_runs += solo.runs;
+                batch_runs += trace.runs;
+            }
+            assert!(
+                mc.stats().blocks_read < solo_blocks,
+                "{opts:?}: batch read {} blocks, solo runs {solo_blocks}",
+                mc.stats().blocks_read
+            );
+            // Level-2 pages, not just the directory, are shared.
+            assert!(batch_runs < solo_runs, "{opts:?}");
+        }
+    }
+
+    #[test]
+    fn approximate_batches_on_a_scheduled_tree_keep_solo_recall() {
+        use iq_engine::{knn_batch_opts_traced, AccessMethod, QueryOptions};
+        // The default tree plans page runs for a lone query and none for a
+        // batched one, so under `nprobes` or ε the two may return different
+        // answers. The batched answers must be at least as good.
+        let w = iq_data::Workload::generate(4_000, 64, |n| iq_data::cad_like(8, n, 4242));
+        let (tree, _) = build_tree(&w.db, IqTreeOptions::default(), 1024);
+        let queries: Vec<Vec<f32>> = w.queries.iter().map(<[f32]>::to_vec).collect();
+        let k = 10;
+        let truth: Vec<Vec<(u32, f64)>> = queries.iter().map(|q| brute_knn(&w.db, q, k)).collect();
+        let hits = |got: &[(u32, f64)], want: &[(u32, f64)]| {
+            got.iter()
+                .filter(|(id, _)| want.iter().any(|(w, _)| w == id))
+                .count()
+        };
+        for opts in [
+            QueryOptions {
+                nprobes: Some(4),
+                refine_factor: 2,
+                ..QueryOptions::EXACT
+            },
+            QueryOptions {
+                epsilon: 0.5,
+                ..QueryOptions::EXACT
+            },
+        ] {
+            let mut clock = iq_storage::SimClock::default();
+            let (batched, _) =
+                knn_batch_opts_traced(&tree, &mut clock, &queries, k, 2, None, &opts);
+            let (mut batch_hits, mut solo_hits) = (0, 0);
+            for ((q, want), (got, _)) in queries.iter().zip(&truth).zip(&batched) {
+                let mut sc = iq_storage::SimClock::default();
+                let (solo, _) = tree.knn_opts_traced(&mut sc, q, k, None, &opts);
+                batch_hits += hits(got, want);
+                solo_hits += hits(&solo, want);
+                assert_eq!(got.len(), k);
+                if opts.epsilon > 0.0 {
+                    for (g, t) in got.iter().zip(want) {
+                        assert!(g.1 <= (1.0 + opts.epsilon) * t.1 + 1e-9, "{opts:?}");
+                    }
+                }
+            }
+            assert!(
+                batch_hits >= solo_hits,
+                "{opts:?}: {batch_hits} < {solo_hits}"
+            );
         }
     }
 

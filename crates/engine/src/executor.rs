@@ -187,7 +187,6 @@ pub type CandidateHeap<T> = BinaryHeap<Reverse<(OrdKey, T)>>;
 /// per query, stream candidates through [`drive`] / [`refine_ascending`]
 /// / [`Executor::offer`], and finish with [`Executor::into_results`].
 pub struct Executor {
-    k: usize,
     top: TopK,
     /// Key-space factor of `(1 + epsilon)`: pruning compares lower
     /// bounds against `bound() / prune_scale`. Exactly `1.0` when
@@ -218,7 +217,6 @@ impl Executor {
             _ => f64::INFINITY,
         };
         Self {
-            k,
             top: TopK::new(k),
             prune_scale,
             probes_left: opts.nprobes.unwrap_or(u64::MAX),
@@ -227,11 +225,6 @@ impl Executor {
             trace: QueryTrace::default(),
             stopped: false,
         }
-    }
-
-    /// The `k` this search was asked for.
-    pub fn k(&self) -> usize {
-        self.k
     }
 
     /// Results currently held (at most `k`).
@@ -396,12 +389,12 @@ pub fn drive<T: Ord>(
     }
 }
 
-/// The sorted-sweep loop of filter-and-refine engines (the VA-file and
-/// the IQ-tree's batch walk): `candidates` is `(lower_bound, id)` in
-/// ascending lower-bound order; each is refined through
-/// `fetch(clock, position, id)` until the cheapest remaining one is
-/// prunable or a budget runs out. `position` indexes `candidates`, so a
-/// caller can keep per-candidate locations in a parallel list.
+/// The sorted-sweep loop of filter-and-refine engines (the VA-file):
+/// `candidates` is `(lower_bound, id)` in ascending lower-bound order;
+/// each is refined through `fetch(clock, position, id)` until the
+/// cheapest remaining one is prunable or a budget runs out. `position`
+/// indexes `candidates`, so a caller can keep per-candidate locations in
+/// a parallel list.
 pub fn refine_ascending(
     exec: &mut Executor,
     clock: &mut SimClock,

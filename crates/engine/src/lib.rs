@@ -147,19 +147,21 @@ pub trait AccessMethod: Send + Sync {
 
     /// Answers a micro-batch of queries sharing this index in one call:
     /// for each `queries[i]`, the `k` nearest neighbors among points
-    /// matching `filter` under `opts`, with that query's trace — exactly
-    /// what [`AccessMethod::knn_opts_traced`] would return, in query
+    /// matching `filter` under `opts`, with that query's trace, in query
     /// order.
     ///
-    /// The default runs the queries one by one, each against a fresh
-    /// reset clone of `clock` absorbed back in query order, so batch
-    /// accounting is identical to a serial cold run. Engines with a
-    /// quantized-domain representation override this to amortize work
-    /// across the batch — the IQ-tree evaluates all queries against each
-    /// decoded level-2 page in a single pass via the `DistTableBlock`
-    /// multi-query kernels in `iq-quantize` — while
-    /// preserving exact, per-query-identical *results* (simulated costs
-    /// legitimately drop: one page read serves the whole batch).
+    /// The default runs the queries one by one through
+    /// [`knn_multi_per_query`], each against a fresh reset clone of
+    /// `clock` absorbed back in query order, so batch accounting is
+    /// identical to a serial cold run. An engine may override this to
+    /// share reads across the batch — the IQ-tree runs every query
+    /// through its single-query walk over one micro-batch read buffer, so
+    /// a block one query has read costs the others nothing (simulated
+    /// costs legitimately drop). Exact answers are those of
+    /// [`AccessMethod::knn_opts_traced`]; under approximation knobs a
+    /// batched query may schedule its pages differently (the IQ-tree
+    /// plans no page runs inside a batch), so its answer may differ from
+    /// the lone query's while keeping each knob's guarantee.
     ///
     /// Callers must keep micro-batches at or below
     /// [`MAX_MICRO_BATCH`]; [`knn_batch`] does this automatically.
@@ -171,7 +173,9 @@ pub trait AccessMethod: Send + Sync {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> Vec<TracedResult> {
-        knn_multi_per_query(self, clock, queries, k, filter, opts)
+        knn_multi_per_query(clock, queries, |clock, q| {
+            self.knn_opts_traced(clock, q, k, filter, opts)
+        })
     }
 
     /// All points within `radius` of `q` under the index metric
@@ -196,24 +200,21 @@ pub trait AccessMethod: Send + Sync {
     }
 }
 
-/// The default [`AccessMethod::knn_multi_opts_traced`]: the queries one
-/// by one through [`AccessMethod::knn_opts_traced`], each against a fresh
-/// reset clone of `clock` absorbed back in query order. Engines that
-/// override the batch call use it for the batches they cannot share.
-pub fn knn_multi_per_query<M: AccessMethod + ?Sized>(
-    method: &M,
+/// How every [`AccessMethod::knn_multi_opts_traced`] runs its batch: the
+/// queries one by one through `run`, each against a fresh reset clone of
+/// `clock` absorbed back in query order, so time budgets, phase times and
+/// trace spans stay per query.
+pub fn knn_multi_per_query(
     clock: &mut SimClock,
     queries: &[&[f32]],
-    k: usize,
-    filter: Option<&Filter>,
-    opts: &QueryOptions,
+    mut run: impl FnMut(&mut SimClock, &[f32]) -> TracedResult,
 ) -> Vec<TracedResult> {
     queries
         .iter()
         .map(|q| {
             let mut c = clock.clone();
             c.reset();
-            let out = method.knn_opts_traced(&mut c, q, k, filter, opts);
+            let out = run(&mut c, q);
             clock.absorb(&c);
             out
         })
@@ -221,9 +222,9 @@ pub fn knn_multi_per_query<M: AccessMethod + ?Sized>(
 }
 
 /// Upper bound on the number of queries [`knn_batch`] hands to one
-/// [`AccessMethod::knn_multi_opts_traced`] call. Matches the lane budget of
-/// the quantize crate's multi-query distance tables (`MAX_BLOCK_QUERIES`):
-/// engines may assume micro-batches never exceed it.
+/// [`AccessMethod::knn_multi_opts_traced`] call: engines may assume
+/// micro-batches never exceed it. It bounds what an engine buffers for
+/// one micro-batch (the IQ-tree keeps every block its queries read).
 pub const MAX_MICRO_BATCH: usize = 8;
 
 /// Per-micro-batch outcome inside the batch executor: the traced results

@@ -4,7 +4,9 @@
 //! volumes, nearest-neighbor radii from point densities, Minkowski sums of a
 //! box and a sphere (exact for the maximum metric, the geometric-mean
 //! approximation of eq 12 *and* an exact elementary-symmetric-polynomial
-//! formula for the Euclidean metric), and box/sphere intersection volumes.
+//! formula for the Euclidean metric), and a quasi-Monte-Carlo estimate of
+//! box/sphere intersection volumes that the cost-model tests use as their
+//! oracle (the scheduler's eq 5 fractions live in `iq-cost`).
 
 use crate::{Mbr, Metric};
 
@@ -152,45 +154,6 @@ pub fn minkowski_box_ball(metric: Metric, sides: &[f32], r: f64) -> f64 {
     match metric {
         Metric::Maximum => minkowski_box_ball_max(sides, r),
         Metric::Euclidean | Metric::Manhattan => minkowski_box_ball_eucl_exact(sides, r),
-    }
-}
-
-/// Exact intersection volume of a box and an L∞ ball `{x : |x-q|_∞ ≤ r}` —
-/// the paper's eq (5):
-/// `Π max(0, min(ub_i, q_i + r) − max(lb_i, q_i − r))`.
-pub fn box_ball_intersection_max(mbr: &Mbr, q: &[f32], r: f64) -> f64 {
-    debug_assert_eq!(q.len(), mbr.dim());
-    (0..mbr.dim())
-        .map(|i| {
-            let lo = f64::from(mbr.lb(i)).max(f64::from(q[i]) - r);
-            let hi = f64::from(mbr.ub(i)).min(f64::from(q[i]) + r);
-            (hi - lo).max(0.0)
-        })
-        .product()
-}
-
-/// Approximate intersection volume of a box and a Euclidean ball: the exact
-/// intersection with the ball's bounding box, scaled by the ball's fill
-/// factor of that bounding box (`V_ball / (2r)^d`), clamped to the exact
-/// upper bounds (ball volume and box volume). The paper notes "for Euclidean
-/// and other metrics, the volume can be estimated using approximations".
-pub fn box_ball_intersection_eucl_approx(mbr: &Mbr, q: &[f32], r: f64) -> f64 {
-    let d = mbr.dim();
-    let bbox_int = box_ball_intersection_max(mbr, q, r);
-    if bbox_int == 0.0 || r == 0.0 {
-        return 0.0;
-    }
-    let fill = unit_ball_volume(d) / 2f64.powi(d as i32); // V_ball(r)/(2r)^d
-    (bbox_int * fill)
-        .min(ball_volume(Metric::Euclidean, d, r))
-        .min(mbr.volume())
-}
-
-/// Intersection volume of a box and a metric ball, dispatching per metric.
-pub fn box_ball_intersection(metric: Metric, mbr: &Mbr, q: &[f32], r: f64) -> f64 {
-    match metric {
-        Metric::Maximum => box_ball_intersection_max(mbr, q, r),
-        Metric::Euclidean | Metric::Manhattan => box_ball_intersection_eucl_approx(mbr, q, r),
     }
 }
 
@@ -375,36 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn intersection_max_full_containment() {
-        let mbr = Mbr::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
-        // Ball that swallows the box entirely.
-        let v = box_ball_intersection_max(&mbr, &[0.5, 0.5], 10.0);
-        assert!(close(v, 1.0, 1e-12));
-        // Ball fully inside the box.
-        let v = box_ball_intersection_max(&mbr, &[0.5, 0.5], 0.1);
-        assert!(close(v, 0.04, 1e-12));
-        // Disjoint.
-        assert_eq!(box_ball_intersection_max(&mbr, &[5.0, 5.0], 1.0), 0.0);
-    }
-
-    #[test]
-    fn intersection_eucl_approx_vs_qmc() {
-        let mbr = Mbr::from_bounds(vec![0.0, 0.0, 0.0], vec![1.0, 1.0, 1.0]);
-        let q = [0.2f32, 0.9, 0.4];
-        let r = 0.45;
-        let approx = box_ball_intersection_eucl_approx(&mbr, &q, r);
-        let mc = box_ball_intersection_qmc(Metric::Euclidean, &mbr, &q, r, 200_000);
-        // Crude approximation: demand same order of magnitude.
-        assert!(approx > 0.0 && mc > 0.0);
-        assert!(approx / mc < 3.0 && mc / approx < 3.0, "{approx} vs {mc}");
-    }
-
-    #[test]
     fn qmc_matches_exact_for_max_metric() {
         let mbr = Mbr::from_bounds(vec![0.0, 0.0], vec![1.0, 2.0]);
         let q = [0.3f32, 1.5];
         let r = 0.4;
-        let exact = box_ball_intersection_max(&mbr, &q, r);
+        // Eq 5: the L∞ ball clips to [0, 0.7] × [1.1, 1.9].
+        let exact = 0.7 * 0.8;
         let mc = box_ball_intersection_qmc(Metric::Maximum, &mbr, &q, r, 200_000);
         assert!(close(exact, mc, 0.02), "{exact} vs {mc}");
     }

@@ -40,7 +40,7 @@ pub struct SlowEntry {
 
 /// Sampler + bounded top-K-slowest retention.
 pub struct SlowLog {
-    sample_every: AtomicU64,
+    sample_every: u64,
     seen: AtomicU64,
     sampled: AtomicU64,
     retain: usize,
@@ -54,7 +54,7 @@ impl SlowLog {
     /// 1 samples everything.
     pub fn new(sample_every: u64, retain: usize) -> Self {
         SlowLog {
-            sample_every: AtomicU64::new(sample_every),
+            sample_every,
             seen: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
             retain: retain.max(1),
@@ -68,16 +68,11 @@ impl SlowLog {
         GLOBAL.get_or_init(|| SlowLog::new(DEFAULT_SAMPLE_EVERY, DEFAULT_RETAIN))
     }
 
-    /// Changes the sampling rate (0 disables, 1 samples everything).
-    pub fn set_sample_every(&self, n: u64) {
-        self.sample_every.store(n, Relaxed);
-    }
-
     /// Counts one query and reports whether it should be traced. The
     /// first query is always sampled (so short runs still retain
     /// something), then every `sample_every`-th after it.
     pub fn should_sample(&self) -> bool {
-        let every = self.sample_every.load(Relaxed);
+        let every = self.sample_every;
         if every == 0 {
             return false;
         }
@@ -152,7 +147,7 @@ impl SlowLog {
         out.push_str(&format!(
             "  ],\n  \"seen\": {},\n  \"sample_every\": {},\n  \"retain\": {}\n}}\n",
             self.seen.load(Relaxed),
-            self.sample_every.load(Relaxed),
+            self.sample_every,
             self.retain
         ));
         out

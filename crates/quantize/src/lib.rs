@@ -14,8 +14,7 @@
 //! * [`table`] — quantized-domain distance kernels: per-(query, grid)
 //!   lookup tables that reduce MINDIST/MAXDIST filtering and window
 //!   classification to `d` table lookups, bit-identical to the naive
-//!   decode-then-`Metric` path (including the multi-query
-//!   [`DistTableBlock`] evaluating a micro-batch per page pass),
+//!   decode-then-`Metric` path,
 //! * [`simd`] — runtime-dispatched (AVX2 / SSE4.1 / scalar) kernels behind
 //!   the batch unpack, fold and window-classification entry points.
 
@@ -29,4 +28,4 @@ pub use bits::{unpack_cells, BitReader, BitWriter};
 pub use grid::GridQuantizer;
 pub use page::{ExactPageCodec, QuantPageView, QuantizedEntry, QuantizedPageCodec, EXACT_BITS};
 pub use simd::{kernel_name, set_kernel_override, Kernel};
-pub use table::{CellMatch, DistTable, DistTableBlock, WindowTable, MAX_BLOCK_QUERIES};
+pub use table::{CellMatch, DistTable, WindowTable};

@@ -324,35 +324,6 @@ impl QuantPageView<'_> {
         }
         crate::simd::unpack_block(self.body, self.entry, 4, self.g, self.dim, out);
     }
-
-    /// Multi-query scan: decodes the page once and evaluates every entry
-    /// against **all** queries of `block`, calling
-    /// `f(slot, id, lo_keys, hi_keys)` with per-query MINDIST / MAXDIST
-    /// keys (`lo_keys[q]` for query `q < block.queries()`). `cells` and
-    /// `lo`/`hi` are reusable scratch buffers. Decode cost is paid once for
-    /// the whole micro-batch; keys are bit-identical to a per-query
-    /// [`crate::DistTable`] over the same grid.
-    pub fn for_each_entry_multi(
-        &self,
-        block: &crate::table::DistTableBlock,
-        cells: &mut Vec<u32>,
-        lo: &mut Vec<f64>,
-        hi: &mut Vec<f64>,
-        mut f: impl FnMut(usize, u32, &[f64], &[f64]),
-    ) {
-        debug_assert_eq!(block.dim(), self.dim);
-        self.unpack_all(cells);
-        let qpad = block.qpad();
-        let nq = block.queries();
-        lo.clear();
-        lo.resize(qpad, 0.0);
-        hi.clear();
-        hi.resize(qpad, 0.0);
-        for e in 0..self.len() {
-            block.bounds_into(&cells[e * self.dim..(e + 1) * self.dim], lo, hi);
-            f(e, self.id(e), &lo[..nq], &hi[..nq]);
-        }
-    }
 }
 
 /// Codec for exact (third-level) pages: rows of `u32 id | d × f32`

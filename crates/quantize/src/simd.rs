@@ -448,122 +448,6 @@ unsafe fn fold_block2_avx2(
 }
 
 // ---------------------------------------------------------------------------
-// multi-query fold: DistTableBlock rows for one entry, all queries per load
-// ---------------------------------------------------------------------------
-
-/// Folds the query-minor block tables (`rows[(i * cells + c) * qpad + q]`)
-/// for **one** entry: `out_lo[q]` / `out_hi[q]` receive query `q`'s
-/// MINDIST / MAXDIST keys. Because the queries of one `(dim, cell)` pair are
-/// contiguous, each dimension costs one plain vector load per 4 queries —
-/// no gathers. `qpad` is a multiple of 4 and `out_*` have length `qpad`.
-// The paired lo/hi tables and outputs are the kernel ABI, not a struct.
-#[allow(clippy::too_many_arguments)]
-pub fn fold_pair_multi(
-    op: FoldOp,
-    lo_rows: &[f64],
-    hi_rows: &[f64],
-    cells: usize,
-    qpad: usize,
-    entry_cells: &[u32],
-    out_lo: &mut [f64],
-    out_hi: &mut [f64],
-) {
-    debug_assert_eq!(qpad % 4, 0);
-    debug_assert_eq!(out_lo.len(), qpad);
-    debug_assert_eq!(out_hi.len(), qpad);
-    #[cfg(target_arch = "x86_64")]
-    if kernel() == Kernel::Avx2 {
-        // SAFETY: tier verified by runtime detection.
-        unsafe {
-            fold_pair_multi_avx2(
-                op,
-                lo_rows,
-                hi_rows,
-                cells,
-                qpad,
-                entry_cells,
-                out_lo,
-                out_hi,
-            )
-        };
-        return;
-    }
-    fold_pair_multi_scalar(
-        op,
-        lo_rows,
-        hi_rows,
-        cells,
-        qpad,
-        entry_cells,
-        out_lo,
-        out_hi,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fold_pair_multi_scalar(
-    op: FoldOp,
-    lo_rows: &[f64],
-    hi_rows: &[f64],
-    cells: usize,
-    qpad: usize,
-    entry_cells: &[u32],
-    out_lo: &mut [f64],
-    out_hi: &mut [f64],
-) {
-    out_lo.fill(0.0);
-    out_hi.fill(0.0);
-    for (i, &c) in entry_cells.iter().enumerate() {
-        let base = (i * cells + c as usize) * qpad;
-        for q in 0..qpad {
-            out_lo[q] = op.fold(out_lo[q], lo_rows[base + q]);
-            out_hi[q] = op.fold(out_hi[q], hi_rows[base + q]);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fold_pair_multi_avx2(
-    op: FoldOp,
-    lo_rows: &[f64],
-    hi_rows: &[f64],
-    cells: usize,
-    qpad: usize,
-    entry_cells: &[u32],
-    out_lo: &mut [f64],
-    out_hi: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-    let lp = lo_rows.as_ptr();
-    let hp = hi_rows.as_ptr();
-    let mut q0 = 0;
-    while q0 < qpad {
-        let mut alo = _mm256_setzero_pd();
-        let mut ahi = _mm256_setzero_pd();
-        for (i, &c) in entry_cells.iter().enumerate() {
-            let base = (i * cells + c as usize) * qpad + q0;
-            let vlo = _mm256_loadu_pd(lp.add(base));
-            let vhi = _mm256_loadu_pd(hp.add(base));
-            match op {
-                FoldOp::Sum => {
-                    alo = _mm256_add_pd(alo, vlo);
-                    ahi = _mm256_add_pd(ahi, vhi);
-                }
-                FoldOp::Max => {
-                    alo = _mm256_max_pd(alo, vlo);
-                    ahi = _mm256_max_pd(ahi, vhi);
-                }
-            }
-        }
-        _mm256_storeu_pd(out_lo.as_mut_ptr().add(q0), alo);
-        _mm256_storeu_pd(out_hi.as_mut_ptr().add(q0), ahi);
-        q0 += 4;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // flags: WindowTable AND-fold over an entry block
 // ---------------------------------------------------------------------------
 

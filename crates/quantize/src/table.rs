@@ -60,9 +60,6 @@ pub struct DistTable {
     /// `dim × cells` farthest-corner contributions in key space:
     /// `metric.contrib(far_gap(q_i, cell_lb, cell_ub))`.
     hi: Vec<f64>,
-    /// `dim × cells` center-distance contributions in key space — the
-    /// classic ADC estimate `metric.contrib(|q_i - cell_center|)`.
-    center: Vec<f64>,
     /// Query coordinates widened to f64.
     q: Vec<f64>,
     /// Grid lower bound per dimension, widened to f64.
@@ -87,7 +84,6 @@ impl DistTable {
             materialized: false,
             lo: Vec::new(),
             hi: Vec::new(),
-            center: Vec::new(),
             q: Vec::new(),
             grid_lb: Vec::new(),
             width: Vec::new(),
@@ -130,26 +126,25 @@ impl DistTable {
         self.materialized = cells <= MAX_TABLE_CELLS && cells <= 8 * hint_n.max(1);
         self.lo.clear();
         self.hi.clear();
-        self.center.clear();
         if !self.materialized {
             return;
         }
         self.lo.reserve(self.dim * cells);
         self.hi.reserve(self.dim * cells);
-        self.center.reserve(self.dim * cells);
         for i in 0..self.dim {
             let qi = self.q[i];
             let lb = self.grid_lb[i];
             let w = self.width[i];
+            // Cell c's upper edge is cell c + 1's lower edge: the same
+            // f32 rounding of the same expression, computed once.
+            let mut cell_lb = f64::from((lb + 0.0 * w) as f32);
             for c in 0..cells {
-                let cell_lb = f64::from((lb + c as f64 * w) as f32);
                 let cell_ub = f64::from((lb + (c + 1) as f64 * w) as f32);
                 self.lo
                     .push(metric.contrib(Metric::box_gap(qi, cell_lb, cell_ub)));
                 self.hi
                     .push(metric.contrib(Metric::far_gap(qi, cell_lb, cell_ub)));
-                let center = (cell_lb + cell_ub) * 0.5;
-                self.center.push(metric.contrib((qi - center).abs()));
+                cell_lb = cell_ub;
             }
         }
     }
@@ -233,25 +228,18 @@ impl DistTable {
 
     /// The asymmetric-distance (ADC) estimate in key space: the distance
     /// from the query to the candidate's cell *center*. Not a bound —
-    /// useful as a cheap ranking estimate and for benchmarking the kernel.
+    /// useful as a cheap ranking estimate. Computed from the cell edges on
+    /// every call; the table keeps no center column.
     #[inline]
     pub fn center_key(&self, cells: &[u32]) -> f64 {
         debug_assert_eq!(cells.len(), self.dim);
         let mut acc = 0.0f64;
-        if self.materialized {
-            for (i, &c) in cells.iter().enumerate() {
-                acc = self
-                    .metric
-                    .combine(acc, self.center[i * self.cells + c as usize]);
-            }
-        } else {
-            for (i, &c) in cells.iter().enumerate() {
-                let (lo, hi) = self.cell_edges(i, c);
-                let center = (lo + hi) * 0.5;
-                acc = self
-                    .metric
-                    .combine(acc, self.metric.contrib((self.q[i] - center).abs()));
-            }
+        for (i, &c) in cells.iter().enumerate() {
+            let (lo, hi) = self.cell_edges(i, c);
+            let center = (lo + hi) * 0.5;
+            acc = self
+                .metric
+                .combine(acc, self.metric.contrib((self.q[i] - center).abs()));
         }
         acc
     }
@@ -309,138 +297,6 @@ impl DistTable {
                 out_hi[j] = self.maxdist_key(cs);
             }
         }
-    }
-}
-
-/// Maximum queries a [`DistTableBlock`] evaluates per page pass. Chosen so
-/// the per-entry accumulator state (2 bounds × 16 queries of f64) stays in
-/// registers; engine micro-batches are capped to this.
-pub const MAX_BLOCK_QUERIES: usize = 16;
-
-/// A [`DistTable`] over `Q` queries sharing one page grid — the multi-query
-/// page-scan kernel.
-///
-/// Layout is query-minor: `lo[(i * cells + c) * qpad + q]`, with `qpad` the
-/// query count rounded up to 4 f64 lanes, so evaluating one entry costs one
-/// contiguous vector load per (dimension, 4 queries) — no gathers. Decode
-/// cost (unpacking the page's cells) is amortized over all `Q` queries.
-///
-/// Bit-for-bit contract: query `q`'s keys equal the keys of a single-query
-/// [`DistTable`] built from the same `(mbr, g, metric, q)` — same f32 cell
-/// edges, same index-order fold.
-#[derive(Clone, Debug, Default)]
-pub struct DistTableBlock {
-    metric: Metric,
-    dim: usize,
-    cells: usize,
-    nq: usize,
-    qpad: usize,
-    /// `dim × cells × qpad` lower-bound contributions, query-minor.
-    lo: Vec<f64>,
-    /// `dim × cells × qpad` farthest-corner contributions, query-minor.
-    hi: Vec<f64>,
-}
-
-impl DistTableBlock {
-    /// Creates an empty block table; call [`Self::build`] before use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re)builds the block for `queries` over the grid `(mbr, g)`, reusing
-    /// internal buffers. Returns `false` (leaving the block unusable for
-    /// this grid) when the table should not be materialized — the caller
-    /// then falls back to per-query [`DistTable`]s, which agree bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics if `g` is 0 or ≥ 32, `queries` is empty or longer than
-    /// [`MAX_BLOCK_QUERIES`], or any query dimension mismatches the MBR.
-    pub fn build(
-        &mut self,
-        mbr: &Mbr,
-        g: u32,
-        metric: Metric,
-        queries: &[&[f32]],
-        hint_n: usize,
-    ) -> bool {
-        assert!(
-            (1..EXACT_BITS).contains(&g),
-            "grid resolution must be in 1..=31 bits"
-        );
-        assert!(
-            (1..=MAX_BLOCK_QUERIES).contains(&queries.len()),
-            "1..={MAX_BLOCK_QUERIES} queries per block"
-        );
-        for q in queries {
-            assert_eq!(q.len(), mbr.dim(), "query dimension mismatch");
-        }
-        self.metric = metric;
-        self.dim = mbr.dim();
-        let cells = 1usize << g;
-        self.cells = cells;
-        self.nq = queries.len();
-        self.qpad = self.nq.div_ceil(4) * 4;
-        // The build cost is Q× a single table's, but so are the lookups it
-        // replaces — the same amortization rule applies per query.
-        if cells > MAX_TABLE_CELLS || cells > 8 * hint_n.max(1) {
-            self.lo.clear();
-            self.hi.clear();
-            return false;
-        }
-        let cells_f = f64::from(1u32 << g);
-        self.lo.clear();
-        self.lo.resize(self.dim * cells * self.qpad, 0.0);
-        self.hi.clear();
-        self.hi.resize(self.dim * cells * self.qpad, 0.0);
-        for i in 0..self.dim {
-            let lb = f64::from(mbr.lb(i));
-            let w = mbr.extent(i) / cells_f;
-            for c in 0..cells {
-                let cell_lb = f64::from((lb + c as f64 * w) as f32);
-                let cell_ub = f64::from((lb + (c + 1) as f64 * w) as f32);
-                let base = (i * cells + c) * self.qpad;
-                for (q, query) in queries.iter().enumerate() {
-                    let qi = f64::from(query[i]);
-                    self.lo[base + q] = metric.contrib(Metric::box_gap(qi, cell_lb, cell_ub));
-                    self.hi[base + q] = metric.contrib(Metric::far_gap(qi, cell_lb, cell_ub));
-                }
-            }
-        }
-        true
-    }
-
-    /// Number of queries in the block.
-    pub fn queries(&self) -> usize {
-        self.nq
-    }
-
-    /// Query count padded to the f64 lane width — the required length of
-    /// the `bounds_into` output slices.
-    pub fn qpad(&self) -> usize {
-        self.qpad
-    }
-
-    /// Dimensionality of the grid the block was built for.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// MINDIST and MAXDIST keys of one entry against **all** queries:
-    /// `out_lo[q]` / `out_hi[q]` for `q < queries()` (padding lanes hold
-    /// garbage). Output slices must be `qpad()` long.
-    #[inline]
-    pub fn bounds_into(&self, cells: &[u32], out_lo: &mut [f64], out_hi: &mut [f64]) {
-        debug_assert_eq!(cells.len(), self.dim);
-        simd::fold_pair_multi(
-            fold_op(self.metric),
-            &self.lo,
-            &self.hi,
-            self.cells,
-            self.qpad,
-            cells,
-            out_lo,
-            out_hi,
-        );
     }
 }
 

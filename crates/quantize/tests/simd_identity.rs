@@ -1,8 +1,8 @@
 //! Property tests pinning the SIMD kernels to the scalar oracle, bit for
 //! bit: batch unpack vs per-entry decode, batch MINDIST/MAXDIST folds vs the
-//! per-entry table methods, the multi-query `DistTableBlock` vs per-query
-//! `DistTable`s, and batch window classification vs per-entry `classify` —
-//! across bits 1..=16, all three metrics, and unaligned dims/page lengths.
+//! per-entry table methods, and batch window classification vs per-entry
+//! `classify` — across bits 1..=16, all three metrics, and unaligned
+//! dims/page lengths.
 //!
 //! The batch entry points dispatch to whatever tier the host CPU supports
 //! (AVX2 / SSE4.1 / scalar), so on a SIMD host these properties prove the
@@ -11,8 +11,7 @@
 
 use iq_geometry::{Mbr, Metric};
 use iq_quantize::{
-    set_kernel_override, DistTable, DistTableBlock, GridQuantizer, Kernel, QuantizedPageCodec,
-    WindowTable,
+    set_kernel_override, DistTable, GridQuantizer, Kernel, QuantizedPageCodec, WindowTable,
 };
 use proptest::prelude::*;
 
@@ -102,55 +101,6 @@ proptest! {
         }
     }
 
-    /// The multi-query block table equals per-query single tables bit for
-    /// bit, for every query of the block.
-    #[test]
-    fn prop_block_table_matches_single_query(
-        dim in 1usize..=9,
-        // The block stores dim × 2^g × qpad rows; capping g keeps each case
-        // to a few MB while still crossing every unpack width class.
-        g in 1u32..=10,
-        metric_ix in 0usize..3,
-        nq in 1usize..=16,
-        lb_raw in proptest::collection::vec(-8.0f32..8.0, 9),
-        ext_raw in proptest::collection::vec(0.0f32..5.0, 9),
-        rel in proptest::collection::vec(proptest::collection::vec(0.0f32..1.0, 9), 1..=20),
-        qrel in proptest::collection::vec(proptest::collection::vec(-0.5f32..1.5, 9), 16),
-    ) {
-        let metric = METRICS[metric_ix];
-        let (mbr, pts) = mk_case(dim, &lb_raw, &ext_raw, &rel);
-        let queries: Vec<Vec<f32>> = qrel[..nq]
-            .iter()
-            .map(|p| {
-                (0..dim)
-                    .map(|i| mbr.lb(i) + p[i] * (mbr.ub(i) - mbr.lb(i)))
-                    .collect()
-            })
-            .collect();
-        let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        let mut blockt = DistTableBlock::new();
-        prop_assert!(blockt.build(&mbr, g, metric, &qrefs, 1 << 20));
-        let grid = GridQuantizer::new(&mbr, g);
-        let singles: Vec<DistTable> = qrefs
-            .iter()
-            .map(|q| {
-                let mut t = DistTable::new();
-                t.build(&mbr, g, metric, q, 1 << 20);
-                t
-            })
-            .collect();
-        let mut lo = vec![0.0; blockt.qpad()];
-        let mut hi = vec![0.0; blockt.qpad()];
-        for p in &pts {
-            let cells = grid.encode(p);
-            blockt.bounds_into(&cells, &mut lo, &mut hi);
-            for (q, t) in singles.iter().enumerate() {
-                prop_assert_eq!(lo[q].to_bits(), t.mindist_key(&cells).to_bits());
-                prop_assert_eq!(hi[q].to_bits(), t.maxdist_key(&cells).to_bits());
-            }
-        }
-    }
-
     /// Batch window classification decides exactly like per-entry
     /// `classify`.
     #[test]
@@ -223,65 +173,4 @@ fn forced_scalar_matches_detected_tier() {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
-}
-
-/// `for_each_entry_multi` streams the same ids in slot order and the same
-/// per-query bounds as per-query single tables over `for_each_entry`.
-#[test]
-fn multi_entry_stream_matches_single_query_stream() {
-    let dim = 5;
-    let mbr = Mbr::from_bounds(vec![0.0; dim], vec![1.0; dim]);
-    let codec = QuantizedPageCodec::new(dim, 2048);
-    let pts: Vec<Vec<f32>> = (0..80)
-        .map(|j| {
-            (0..dim)
-                .map(|i| ((j * 13 + i * 29) % 83) as f32 / 83.0)
-                .collect()
-        })
-        .collect();
-    let g = 6;
-    let n = pts.len().min(codec.capacity(g));
-    let page = codec.encode(
-        &mbr,
-        g,
-        pts[..n]
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u32, p.as_slice())),
-    );
-    let view = codec.try_view(&page).expect("fresh page");
-    let queries: Vec<Vec<f32>> = (0..5)
-        .map(|j| {
-            (0..dim)
-                .map(|i| (j as f32 * 0.21 + i as f32 * 0.13) % 1.0)
-                .collect()
-        })
-        .collect();
-    let qrefs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-    let mut blockt = DistTableBlock::new();
-    assert!(blockt.build(&mbr, g, Metric::Euclidean, &qrefs, n));
-    let singles: Vec<DistTable> = qrefs
-        .iter()
-        .map(|q| {
-            let mut t = DistTable::new();
-            t.build(&mbr, g, Metric::Euclidean, q, n);
-            t
-        })
-        .collect();
-    let (mut cells, mut lo, mut hi) = (Vec::new(), Vec::new(), Vec::new());
-    let mut seen = 0usize;
-    let mut scratch = Vec::new();
-    let mut per_entry: Vec<(u32, Vec<u32>)> = Vec::new();
-    view.for_each_entry(&mut scratch, |id, cs| per_entry.push((id, cs.to_vec())));
-    view.for_each_entry_multi(&blockt, &mut cells, &mut lo, &mut hi, |slot, id, lo, hi| {
-        assert_eq!(slot, seen);
-        assert_eq!(id, per_entry[slot].0);
-        let cs = &per_entry[slot].1;
-        for (q, t) in singles.iter().enumerate() {
-            assert_eq!(lo[q].to_bits(), t.mindist_key(cs).to_bits());
-            assert_eq!(hi[q].to_bits(), t.maxdist_key(cs).to_bits());
-        }
-        seen += 1;
-    });
-    assert_eq!(seen, n);
 }

@@ -195,7 +195,10 @@ fn parse_cache_blocks(opts: &HashMap<String, String>) -> Result<Option<usize>, S
 
 fn parse_point(s: &str) -> Result<Vec<f32>, String> {
     s.split(',')
-        .map(|t| parse_num::<f32>(t.trim(), "coordinate"))
+        .map(|t| match parse_num::<f32>(t.trim(), "coordinate")? {
+            x if x.is_finite() => Ok(x),
+            _ => Err(format!("non-finite coordinate: `{}`", t.trim())),
+        })
         .collect()
 }
 
@@ -1400,23 +1403,12 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
     // Candidate-filter throughput of the quantized-domain kernel (the
     // level-2 MINDIST pass), measured wall-clock on synthetic pages.
     let filt = iq_bench::kernels::page_scan_throughput();
-    // Multi-query page-scan amortization (one decode serving Q queries),
-    // on the selected SIMD dispatch tier.
-    let multiq = iq_bench::kernels::page_scan_multiq();
-    let kernel = iqtree_repro::quantize::kernel_name();
     if json {
         json_rows.push(format!(
             "{{\"engine\":\"kernel-filter\",\"filter_points_per_sec\":{:.0},\
              \"naive_points_per_sec\":{:.0},\"speedup\":{:.3}}}",
             filt.kernel_pps, filt.naive_pps, filt.speedup
         ));
-        for r in &multiq {
-            json_rows.push(format!(
-                "{{\"engine\":\"page_scan_multiq\",\"kernel\":\"{kernel}\",\"q\":{},\
-                 \"ns_per_point_query\":{:.2},\"amortization\":{:.3}}}",
-                r.q, r.ns_per_point_query, r.amortization
-            ));
-        }
         let registry = iqtree_repro::obs::global().to_json();
         json_rows.push(format!(
             "{{\"engine\":\"metrics-registry\",\"registry\":{}}}",
@@ -1430,14 +1422,6 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
             filt.naive_pps / 1e6,
             filt.speedup
         );
-        print!("multi-query page scan ({kernel}):");
-        for r in &multiq {
-            print!(
-                " Q={} {:.1} ns/pt·q ({:.2}x)",
-                r.q, r.ns_per_point_query, r.amortization
-            );
-        }
-        println!();
         println!("(times are simulated: 10 ms seek, 1 ms / 8 KiB block, 100 ns CPU per dim-op)");
     }
     // Persist the observability artifacts next to the run so `iq stats

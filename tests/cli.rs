@@ -351,6 +351,20 @@ fn helpful_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("index is 2-d"));
 
+    // Non-finite query coordinates: one error line, exit 1, no search.
+    for point in ["nan,0.2", "0.1,inf", "-inf,0.2"] {
+        let out = iq()
+            .args(["query", "--index", idx.to_str().expect("utf8")])
+            .args(["--point", point])
+            .output()
+            .expect("run query");
+        assert_eq!(out.status.code(), Some(1), "{point}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("error: non-finite coordinate"), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(out.stdout.is_empty(), "{point}");
+    }
+
     // Malformed input data: one error line naming the line, no usage text.
     let bad = dir.join("bad.csv");
     std::fs::write(&bad, "0.1,0.2\n0.3,0.4\n0.5,oops\n").expect("write csv");
