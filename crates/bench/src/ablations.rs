@@ -143,7 +143,7 @@ pub fn model_validation(cfg: &Config) -> Table {
     ] {
         let n = cfg.scaled(100_000);
         let w = kind.workload(dim, n, cfg.queries, cfg.seed);
-        let df = crate::estimate_fractal(&w.db);
+        let df = iq_data::correlation_dimension_auto(&w.db);
         let mut clock = SimClock::new(cfg.disk, cfg.cpu);
         let opts = IqTreeOptions {
             fractal_dim: Some(df),
@@ -239,7 +239,7 @@ pub fn va_auto_ablation(cfg: &Config) -> Table {
     ] {
         let n = cfg.scaled(100_000);
         let w = kind.workload(dim, n, cfg.queries, cfg.seed);
-        let df = crate::estimate_fractal(&w.db);
+        let df = iq_data::correlation_dimension_auto(&w.db);
         let auto = iq_vafile::auto_bits(&cfg.disk, &cfg.cpu, &w.db, df);
         let auto_stats = crate::run_vafile(cfg, &w, auto.clamp(1, 16));
         let (swept, swept_stats) = crate::run_vafile_best(cfg, &w);
@@ -260,7 +260,6 @@ pub fn va_auto_ablation(cfg: &Config) -> Table {
 /// files sit behind an LRU buffer pool of the given size (fraction of the
 /// total index footprint), vs the paper's cold-cache default.
 pub fn cache_ablation(cfg: &Config) -> Table {
-    use iq_cache::CachedDevice;
     let n = cfg.scaled(100_000);
     let dim = 16;
     let w = DataKind::Uniform.workload(dim, n, cfg.queries, cfg.seed);
@@ -274,18 +273,15 @@ pub fn cache_ablation(cfg: &Config) -> Table {
         // Rough footprint: quantized level dominates reads.
         let footprint_blocks = (n * (4 + 2 * dim)) / cfg.disk.block_size + 64;
         let cap = ((footprint_blocks as f64 * frac) as usize).max(1);
+        let opts = IqTreeOptions {
+            cache_blocks: (frac > 0.0).then_some(cap),
+            ..Default::default()
+        };
         let tree = IqTree::build(
             &w.db,
             Metric::Euclidean,
-            IqTreeOptions::default(),
-            || {
-                let inner = Box::new(MemDevice::new(cfg.disk.block_size));
-                if frac > 0.0 {
-                    Box::new(CachedDevice::new(inner, cap))
-                } else {
-                    inner
-                }
-            },
+            opts,
+            || cfg.make_dev(),
             &mut clock,
         );
         // Warm up with one pass, then measure a second pass over the same
@@ -323,7 +319,7 @@ pub fn fractal_sweep(cfg: &Config) -> Table {
         let w = iq_data::Workload::generate(n, cfg.queries, |total| {
             iq_data::manifold(dim, intrinsic, total, 0.005, cfg.seed)
         });
-        let df = crate::estimate_fractal(&w.db);
+        let df = iq_data::correlation_dimension_auto(&w.db);
         let iq = crate::run_iqtree(
             cfg,
             &w,

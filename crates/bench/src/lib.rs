@@ -2,8 +2,8 @@
 //! (Section 4, Figures 7–12) plus a Figure-1 fetch-strategy ablation and
 //! the VA-file bits sweep the paper describes in its Section 4.2 setup.
 //!
-//! Every figure is regenerated by one binary (`cargo run --release -p
-//! iq-bench --bin figN`); `--bin all_figures` runs them all. Reported
+//! One binary regenerates the figures: `cargo run --release -p iq-bench
+//! --bin all_figures` runs them all, and `-- figN` runs one. Reported
 //! times are *simulated* seconds (disk model + CPU model), which is the
 //! quantity the paper's own cost argument is written in; see DESIGN.md.
 //!
@@ -58,7 +58,7 @@ impl Config {
         }
     }
 
-    /// A small fixed configuration for unit tests and Criterion benches.
+    /// A small fixed configuration for unit tests.
     pub fn tiny() -> Self {
         Self {
             disk: DiskModel::default(),
@@ -172,7 +172,7 @@ pub fn measure_method(
 pub fn run_iqtree(cfg: &Config, w: &Workload, opts: IqTreeOptions) -> RunStats {
     let mut opts = opts;
     if opts.fractal_dim.is_none() {
-        opts.fractal_dim = Some(estimate_fractal(&w.db));
+        opts.fractal_dim = Some(iq_data::correlation_dimension_auto(&w.db));
     }
     let mut clock = cfg.clock();
     let tree = IqTree::build(
@@ -183,21 +183,6 @@ pub fn run_iqtree(cfg: &Config, w: &Workload, opts: IqTreeOptions) -> RunStats {
         &mut clock,
     );
     measure_method(&w.queries, &mut clock, &tree)
-}
-
-/// Estimates the correlation fractal dimension on a capped subsample
-/// (estimation is O(N·levels); 50k points are plenty for a slope).
-pub fn estimate_fractal(ds: &Dataset) -> f64 {
-    const CAP: usize = 50_000;
-    if ds.len() <= CAP {
-        return iq_data::fractal::correlation_dimension_auto(ds);
-    }
-    let stride = ds.len().div_ceil(CAP);
-    let mut sub = Dataset::with_capacity(ds.dim(), ds.len() / stride + 1);
-    for i in (0..ds.len()).step_by(stride) {
-        sub.push(ds.point(i));
-    }
-    iq_data::fractal::correlation_dimension_auto(&sub)
 }
 
 /// Builds an X-tree and measures NN queries.
@@ -386,12 +371,5 @@ mod tests {
         let csv = t.render_csv();
         assert_eq!(csv.lines().next(), Some("dim,a,b"));
         assert!(csv.contains("4,0.500000,1.250000"));
-    }
-
-    #[test]
-    fn estimate_fractal_subsamples_large_sets() {
-        let ds = iq_data::uniform(4, 120_000, 3);
-        let df = estimate_fractal(&ds);
-        assert!((2.0..6.0).contains(&df), "{df}");
     }
 }

@@ -51,7 +51,7 @@ pub struct IqTreeOptions {
     /// `iq_data::correlation_dimension_auto` for real data.
     pub fractal_dim: Option<f64>,
     /// Put an LRU buffer pool of this many block frames in front of each
-    /// of the three level files ([`iq_cache::CachedDevice`]). `None` (the
+    /// of the three level files ([`iq_storage::CachedDevice`]). `None` (the
     /// default) keeps the paper's cold-query cost model: every block
     /// access pays the disk.
     pub cache_blocks: Option<usize>,
@@ -109,7 +109,7 @@ fn wrap_device(
         stack = stack.observe(&format!("{level}_checksum"));
     }
     if let Some(frames) = cache_blocks {
-        stack = stack.layer(|d| Box::new(iq_cache::CachedDevice::new(d, frames)));
+        stack = stack.cache(frames);
         if observed {
             stack = stack.observe(&format!("{level}_cache"));
         }

@@ -92,10 +92,23 @@ pub fn correlation_dimension(ds: &Dataset, g_min: u32, g_max: u32) -> f64 {
 /// Estimates `D_F` with default grid levels suited to the set's size and
 /// dimensionality (coarser grids for higher dimensions so cells stay
 /// populated and keys stay packable).
+///
+/// Sets larger than 50k points are estimated on an evenly strided
+/// subsample of at most 50k points: estimation is O(N·levels), and 50k
+/// points are plenty for a slope.
 pub fn correlation_dimension_auto(ds: &Dataset) -> f64 {
+    const CAP: usize = 50_000;
     let d = ds.dim() as u32;
     let g_max = (128 / d).clamp(2, 6);
-    correlation_dimension(ds, 1, g_max)
+    if ds.len() <= CAP {
+        return correlation_dimension(ds, 1, g_max);
+    }
+    let stride = ds.len().div_ceil(CAP);
+    let mut sub = Dataset::with_capacity(ds.dim(), ds.len() / stride + 1);
+    for i in (0..ds.len()).step_by(stride) {
+        sub.push(ds.point(i));
+    }
+    correlation_dimension(&sub, 1, g_max)
 }
 
 #[cfg(test)]
@@ -158,5 +171,12 @@ mod tests {
         }
         let df = correlation_dimension_auto(&ds);
         assert!((1.5..2.6).contains(&df), "got {df}");
+    }
+
+    #[test]
+    fn estimate_fractal_subsamples_large_sets() {
+        let ds = generate::uniform(4, 120_000, 3);
+        let df = correlation_dimension_auto(&ds);
+        assert!((2.0..6.0).contains(&df), "{df}");
     }
 }

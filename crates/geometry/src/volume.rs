@@ -157,30 +157,6 @@ pub fn minkowski_box_ball(metric: Metric, sides: &[f32], r: f64) -> f64 {
     }
 }
 
-/// The error function, via the Abramowitz & Stegun 7.1.26 rational
-/// approximation (absolute error < 1.5e-7 — far below the noise of the
-/// probabilistic models built on it).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    const A: [f64; 5] = [
-        0.254_829_592,
-        -0.284_496_736,
-        1.421_413_741,
-        -1.453_152_027,
-        1.061_405_429,
-    ];
-    const P: f64 = 0.327_591_1;
-    let t = 1.0 / (1.0 + P * x);
-    let poly = t * (A[0] + t * (A[1] + t * (A[2] + t * (A[3] + t * A[4]))));
-    sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Standard normal CDF `Φ(z)`.
-pub fn normal_cdf(z: f64) -> f64 {
-    0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
-}
-
 /// Deterministic quasi-Monte-Carlo estimate of the box/ball intersection
 /// volume (used in tests to validate the closed forms; additive-recurrence
 /// low-discrepancy sequence, no RNG dependency).

@@ -127,22 +127,4 @@ proptest! {
         let bigger = volume::minkowski_box_ball_eucl_exact(&sides, r + 0.1);
         prop_assert!(bigger >= eucl);
     }
-
-    /// erf/normal_cdf sanity: odd symmetry, range, monotonicity.
-    #[test]
-    fn prop_normal_cdf(z in -6.0f64..6.0, dz in 0.0f64..3.0) {
-        let p = volume::normal_cdf(z);
-        prop_assert!((0.0..=1.0).contains(&p));
-        prop_assert!(volume::normal_cdf(z + dz) >= p - 1e-9);
-        let sym = volume::normal_cdf(-z);
-        prop_assert!((p + sym - 1.0).abs() < 1e-6);
-    }
-}
-
-#[test]
-fn normal_cdf_known_values() {
-    assert!((volume::normal_cdf(0.0) - 0.5).abs() < 1e-9);
-    assert!((volume::normal_cdf(1.96) - 0.975).abs() < 1e-3);
-    assert!(volume::normal_cdf(-8.0) < 1e-9);
-    assert!(volume::normal_cdf(8.0) > 1.0 - 1e-9);
 }

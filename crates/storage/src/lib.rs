@@ -17,8 +17,11 @@
 //! * robustness: typed errors ([`IqError`]), per-block CRC32 checksumming
 //!   ([`ChecksummedDevice`], over the runtime-dispatched [`crc`] kernels),
 //!   deterministic fault injection ([`FaultInjectingDevice`]) and bounded
-//!   retry with backoff ([`RetryPolicy`]).
+//!   retry with backoff ([`RetryPolicy`]),
+//! * [`CachedDevice`] — the sharded LRU buffer pool, stacked above the
+//!   checksum by [`DeviceStack::cache`].
 
+pub mod cache;
 pub mod checksum;
 pub mod crc;
 pub mod device;
@@ -32,6 +35,7 @@ pub mod retry;
 pub mod stack;
 pub mod wal;
 
+pub use cache::{CacheStats, CachedDevice};
 pub use checksum::{ChecksummedDevice, CHECKSUM_BYTES};
 pub use crc::{crc32, crc32_update, crc_kernel, CrcKernel};
 pub use device::{BlockDevice, FileDevice, MemDevice};

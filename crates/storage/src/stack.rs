@@ -4,11 +4,10 @@
 //! layered device: a raw backend at the bottom, optional deterministic
 //! fault injection above it (simulated media), a per-block checksum layer
 //! that turns silent corruption into typed errors, a retry layer that
-//! absorbs transient faults, and (optionally, supplied by the caller as a
-//! closure because the buffer pool lives in a higher crate) an LRU cache
-//! on top. [`DeviceStack`] builds that tower in one call so the IQ-tree
-//! and the baselines of the paper's evaluation (VA-file, X-tree,
-//! sequential scan) run on identical storage semantics:
+//! absorbs transient faults, and optionally an LRU buffer pool
+//! ([`CachedDevice`]) on top. [`DeviceStack`] builds that tower in one call
+//! so the IQ-tree and the baselines of the paper's evaluation (VA-file,
+//! X-tree, sequential scan) run on identical storage semantics:
 //!
 //! ```
 //! use iq_storage::{DeviceStack, FaultConfig, MemDevice, RetryPolicy};
@@ -17,18 +16,20 @@
 //!     .faults(FaultConfig::transient(7, 0.05))
 //!     .checksum()
 //!     .retry(RetryPolicy::default())
+//!     .cache(256)
 //!     .build();
 //! assert_eq!(dev.block_size(), 4092); // checksum trailer is invisible above
 //! ```
 //!
-//! Layer order is fixed by semantics, not by call order: faults sit at the
-//! bottom (they model the medium), the checksum sits directly above them
-//! (so a flipped bit is detected before anything caches or retries stale
-//! bytes), retries sit above the checksum (transient `Io` errors are
-//! retried; `ChecksumMismatch` is corruption and surfaces immediately),
-//! and any caller-supplied layer (buffer pool) goes on top, holding only
-//! verified payload bytes.
+//! The builder wraps in call order and checks nothing, so callers add the
+//! layers bottom-up in the order their semantics require: faults at the
+//! bottom (they model the medium), the checksum directly above them (so a
+//! flipped bit is detected before anything caches or retries stale
+//! bytes), retries above the checksum (transient `Io` errors are retried;
+//! `ChecksumMismatch` is corruption and surfaces immediately), and the
+//! buffer pool on top, holding only verified payload bytes.
 
+use crate::cache::CachedDevice;
 use crate::checksum::ChecksummedDevice;
 use crate::device::BlockDevice;
 use crate::error::IqResult;
@@ -95,10 +96,9 @@ impl BlockDevice for RetryingDevice {
     }
 }
 
-/// Builder for the canonical layered device. See the module docs for the
-/// layer order contract; the builder enforces nothing and simply wraps in
-/// call order, so call it bottom-up: `faults` → `checksum` → `retry` →
-/// `layer` (cache).
+/// Builder for the canonical layered device. It wraps in call order, so
+/// call it bottom-up: `faults` → `checksum` → `retry` → `cache` (see the
+/// module docs for why).
 pub struct DeviceStack {
     dev: Box<dyn BlockDevice>,
 }
@@ -131,10 +131,14 @@ impl DeviceStack {
         }
     }
 
-    /// Adds an arbitrary caller-supplied layer (typically the LRU buffer
-    /// pool, which lives in `iq-cache` above this crate).
-    pub fn layer(self, f: impl FnOnce(Box<dyn BlockDevice>) -> Box<dyn BlockDevice>) -> Self {
-        Self { dev: f(self.dev) }
+    /// Adds an LRU buffer pool of `frames` blocks ([`CachedDevice`]).
+    ///
+    /// # Panics
+    /// Panics if `frames == 0`.
+    pub fn cache(self, frames: usize) -> Self {
+        Self {
+            dev: Box::new(CachedDevice::new(self.dev, frames)),
+        }
     }
 
     /// Adds a metrics layer reporting this point of the stack's traffic to
@@ -228,45 +232,18 @@ mod tests {
     }
 
     #[test]
-    fn layer_hook_applies_outermost() {
-        struct Tag(Box<dyn BlockDevice>);
-        impl BlockDevice for Tag {
-            fn block_size(&self) -> usize {
-                self.0.block_size()
-            }
-            fn num_blocks(&self) -> u64 {
-                self.0.num_blocks()
-            }
-            fn read_blocks(
-                &self,
-                clock: &mut SimClock,
-                start: u64,
-                buf: &mut [u8],
-            ) -> IqResult<()> {
-                self.0.read_blocks(clock, start, buf)
-            }
-            fn append(&mut self, clock: &mut SimClock, data: &[u8]) -> IqResult<u64> {
-                self.0.append(clock, data)
-            }
-            fn write_blocks(
-                &mut self,
-                clock: &mut SimClock,
-                start: u64,
-                data: &[u8],
-            ) -> IqResult<()> {
-                self.0.write_blocks(clock, start, data)
-            }
-            fn device_id(&self) -> u64 {
-                self.0.device_id()
-            }
-        }
+    fn cache_sits_above_the_checksum() {
         let mut dev = DeviceStack::new(Box::new(MemDevice::new(64)))
             .checksum()
-            .layer(|d| Box::new(Tag(d)))
+            .cache(4)
             .build();
         let mut clock = SimClock::default();
         let bs = dev.block_size();
+        assert_eq!(bs, 64 - CHECKSUM_BYTES);
         dev.append(&mut clock, &vec![1u8; bs]).unwrap();
+        clock.reset();
         assert_eq!(dev.read_to_vec(&mut clock, 0, 1).unwrap(), vec![1u8; bs]);
+        assert_eq!(clock.io_time(), 0.0, "served from the pool");
+        assert_eq!(clock.stats().cache_hits, 1);
     }
 }

@@ -4,7 +4,8 @@
 //! downstream users can write `use iqtree_repro::...`:
 //!
 //! * [`tree`] — the IQ-tree itself (the paper's contribution),
-//! * [`geometry`], [`storage`], [`quantize`], [`cost`], [`cache`] — the substrates,
+//! * [`geometry`], [`storage`] (devices and the buffer pool), [`quantize`],
+//!   [`cost`] — the substrates,
 //! * [`wal`] — the checksummed write-ahead log behind crash-consistent updates,
 //! * [`obs`] — metrics registry, spans, phase times and cost auditing,
 //! * [`data`] — synthetic data sets and fractal-dimension estimation,
@@ -38,7 +39,6 @@
 //! ```
 
 pub use iq_bench as bench;
-pub use iq_cache as cache;
 pub use iq_cost as cost;
 pub use iq_data as data;
 pub use iq_engine as engine;

@@ -56,6 +56,17 @@ fn reopen(
     dir: &Path,
     block: usize,
     dim: usize,
+    wrap: impl FnMut(usize, Box<dyn BlockDevice>) -> Box<dyn BlockDevice>,
+) -> (IqTree, SimClock) {
+    reopen_with(dir, block, dim, IqTreeOptions::default(), wrap)
+}
+
+/// [`reopen`] with explicit tree options.
+fn reopen_with(
+    dir: &Path,
+    block: usize,
+    dim: usize,
+    opts: IqTreeOptions,
     mut wrap: impl FnMut(usize, Box<dyn BlockDevice>) -> Box<dyn BlockDevice>,
 ) -> (IqTree, SimClock) {
     let mut clock = SimClock::default();
@@ -67,7 +78,7 @@ fn reopen(
     let tree = IqTree::open(
         dim,
         Metric::Euclidean,
-        IqTreeOptions::default(),
+        opts,
         open(0),
         open(1),
         open(2),
@@ -200,6 +211,51 @@ fn corrupt_quant_block_falls_back_to_exact_level() {
         Box::new(f)
     });
     assert_every_path_degrades_exactly(&tree, &mut clock, &w);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A tree behind a buffer pool (`cache_blocks`) with one permanently
+/// corrupt quantized block: the checksum sits below the pool, so the
+/// failed read is never cached. Running the same exact k-NN twice gives
+/// the brute-force answer both times, the warm second run falls back to
+/// the exact level just as often as the cold first one, and it still
+/// misses the pool (the corrupt block is read from the device again)
+/// while everything else is served from memory.
+#[test]
+fn cached_tree_never_serves_a_corrupt_block() {
+    let dir = temp_dir("cached-corrupt");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let opts = IqTreeOptions {
+        cache_blocks: Some(1_024),
+        ..Default::default()
+    };
+    let (tree, mut clock) = reopen_with(&dir, 2048, 6, opts, |i, d| {
+        let f = FaultInjectingDevice::new(d, FaultConfig::none(3));
+        if i == 1 {
+            f.corrupt_block(0); // first quantized page, permanently
+        }
+        Box::new(f)
+    });
+    let q = w.queries.point(0);
+    let k = tree.len();
+    let mut fallbacks = Vec::new();
+    for run in ["cold", "warm"] {
+        clock.reset();
+        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &QueryOptions::EXACT);
+        assert_exact_knn(&hits, &w.db, q, run);
+        assert!(trace.quant_fallbacks >= 1, "{run}: no fallback: {trace:?}");
+        assert!(
+            clock.stats().cache_misses >= 1,
+            "{run}: corrupt block cached"
+        );
+        fallbacks.push(trace.quant_fallbacks);
+    }
+    assert_eq!(
+        fallbacks[0], fallbacks[1],
+        "cold and warm runs degrade alike"
+    );
+    assert!(clock.stats().cache_hits > 0, "the pool served the warm run");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
