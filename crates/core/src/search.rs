@@ -73,6 +73,8 @@ struct SearchState<'f> {
     table: DistTable,
     /// Reusable per-page MINDIST-key scratch for the batch fold kernel.
     keys: Vec<f64>,
+    /// Reusable member list of the page run being processed.
+    members: Vec<usize>,
 }
 
 /// The reads one micro-batch shares ([`IqTree::knn_multi_opts_traced`]).
@@ -201,6 +203,7 @@ impl IqTree {
             coords: Vec::new(),
             table: DistTable::new(),
             keys: Vec::new(),
+            members: Vec::new(),
         };
         let mut heap: CandidateHeap<Item> = CandidateHeap::with_capacity(n_pages);
         for (i, meta) in self.pages().iter().enumerate() {
@@ -393,7 +396,7 @@ impl IqTree {
             let competitors = st.order[..st.rank[i] as usize]
                 .iter()
                 .map(|&j| j as usize)
-                .filter(|&j| j != i && !st.processed[j])
+                .filter(|&j| !st.processed[j])
                 .map(|j| (&self.pages()[j].mbr, self.pages()[j].count as usize));
             access_probability(metric, q, metric.key_to_distance(key), competitors)
         };
@@ -449,7 +452,9 @@ impl IqTree {
         // MINDIST order, not disk order: the nearest page tightens the
         // pruning bound first, letting the rest of the run be skipped or
         // decoded against a finite bound.
-        let mut members: Vec<usize> = (first..=last).filter(|&p| !st.processed[p]).collect();
+        let mut members = std::mem::take(&mut st.members);
+        members.clear();
+        members.extend((first..=last).filter(|&p| !st.processed[p]));
         members.sort_by(|&a, &b| {
             st.page_key[a]
                 .partial_cmp(&st.page_key[b])
@@ -467,7 +472,7 @@ impl IqTree {
             exec.trace.runs += 1;
         }
         let bs = self.block_size();
-        for p in members {
+        for &p in &members {
             st.processed[p] = true;
             if exec.is_pruned(st.page_key[p]) {
                 exec.trace.pages_skipped += 1;
@@ -485,6 +490,7 @@ impl IqTree {
             }
             self.consume_page(clock, q, p, planned, st, exec, heap);
         }
+        st.members = members;
     }
 
     /// Takes page `p` through the level-2 read ladder

@@ -4,7 +4,8 @@
 //!
 //! The sampler decides *which* queries get a trace at all (tracing a
 //! query costs allocations, so the unsampled path must stay free); the
-//! log then keeps only the top-K slowest by simulated time. Both are
+//! log then keeps only the top-K slowest by either clock — simulated or
+//! wall time — so a query slow in only one of them is kept. Both are
 //! cheap enough to leave always-on in drivers: one atomic per query for
 //! the sampler, one short mutex hold per *sampled* query for the log.
 //!
@@ -20,7 +21,7 @@ use std::sync::{Mutex, OnceLock};
 
 /// Default sampling rate: trace one query in this many.
 pub const DEFAULT_SAMPLE_EVERY: u64 = 64;
-/// Default retention: keep this many slowest traces.
+/// Default retention: keep this many slowest traces by each clock.
 pub const DEFAULT_RETAIN: usize = 16;
 
 /// One retained slow query.
@@ -28,9 +29,9 @@ pub const DEFAULT_RETAIN: usize = 16;
 pub struct SlowEntry {
     /// Where the query came from (`"iqtree k=10 q17"`, ...).
     pub label: String,
-    /// Total simulated seconds (the retention key).
+    /// Total simulated seconds (a retention key and the list order).
     pub sim: f64,
-    /// Total wall seconds.
+    /// Total wall seconds (the other retention key).
     pub wall: f64,
     /// Sample sequence number (position in the sampled stream).
     pub seq: u64,
@@ -38,20 +39,21 @@ pub struct SlowEntry {
     pub tree: TraceTree,
 }
 
-/// Sampler + bounded top-K-slowest retention.
+/// Sampler + bounded top-K-slowest retention by both clocks.
 pub struct SlowLog {
     sample_every: u64,
     seen: AtomicU64,
     sampled: AtomicU64,
     retain: usize,
-    /// Slowest-first, at most `retain` entries.
+    /// Slowest-first by simulated time: the union of the `retain`
+    /// slowest by simulated and by wall time, at most `2 × retain`.
     entries: Mutex<Vec<SlowEntry>>,
 }
 
 impl SlowLog {
     /// A log sampling 1 in `sample_every` queries and retaining the
-    /// `retain` slowest. `sample_every` of 0 disables sampling entirely;
-    /// 1 samples everything.
+    /// `retain` slowest by each clock. `sample_every` of 0 disables
+    /// sampling entirely; 1 samples everything.
     pub fn new(sample_every: u64, retain: usize) -> Self {
         SlowLog {
             sample_every,
@@ -80,9 +82,11 @@ impl SlowLog {
         n.is_multiple_of(every)
     }
 
-    /// Offers a completed trace; it is retained if the log is not full
-    /// or the query is slower than the current fastest retained entry.
-    /// Returns the sample sequence number assigned to it.
+    /// Offers a completed trace; it is retained while it ranks among the
+    /// `retain` slowest offered so far by simulated time or by wall time
+    /// (ties go to the earlier offer). The plan phase charges no
+    /// simulated time, so a plan-bound query can be kept only by wall
+    /// time. Returns the sample sequence number assigned to it.
     pub fn offer(&self, label: &str, tree: TraceTree) -> u64 {
         let seq = self.sampled.fetch_add(1, Relaxed);
         let entry = SlowEntry {
@@ -97,9 +101,24 @@ impl SlowLog {
             .iter()
             .position(|e| e.sim < entry.sim)
             .unwrap_or(entries.len());
-        if pos < self.retain {
-            entries.insert(pos, entry);
-            entries.truncate(self.retain);
+        entries.insert(pos, entry);
+        if entries.len() > self.retain {
+            // Keep the first `retain` by simulated time (the list order)
+            // plus the `retain` slowest by wall time, the earlier offer
+            // first on a tie.
+            let mut by_wall: Vec<usize> = (0..entries.len()).collect();
+            by_wall.sort_by(|&a, &b| {
+                entries[b]
+                    .wall
+                    .total_cmp(&entries[a].wall)
+                    .then(entries[a].seq.cmp(&entries[b].seq))
+            });
+            let mut keep: Vec<bool> = (0..entries.len()).map(|i| i < self.retain).collect();
+            for &i in &by_wall[..self.retain] {
+                keep[i] = true;
+            }
+            let mut flags = keep.into_iter();
+            entries.retain(|_| flags.next().unwrap_or(false));
         }
         seq
     }
@@ -109,7 +128,7 @@ impl SlowLog {
         self.seen.load(Relaxed)
     }
 
-    /// Retained entries, slowest first.
+    /// Retained entries, slowest simulated time first.
     pub fn entries(&self) -> Vec<SlowEntry> {
         self.entries.lock().expect("slow log poisoned").clone()
     }
@@ -215,10 +234,20 @@ mod tests {
     use crate::tracetree::TraceBuilder;
     use crate::Phase;
 
-    fn tree(sim: f64) -> TraceTree {
+    /// A synthetic tree whose root reads `sim` simulated and `wall` wall
+    /// seconds (not the builder's own elapsed time, so both retention
+    /// keys are fixed).
+    fn timed_tree(sim: f64, wall: f64) -> TraceTree {
         let mut b = TraceBuilder::new("query", 0.0, 0, 0);
-        b.phase_leaf(Phase::Filter, sim, sim / 10.0, 1, 2);
-        b.finish(sim, 1, 2)
+        b.phase_leaf(Phase::Filter, sim, wall, 1, 2);
+        let mut t = b.finish(sim, 1, 2);
+        t.root.wall = wall;
+        t
+    }
+
+    /// A tree whose wall time ranks like its simulated time.
+    fn tree(sim: f64) -> TraceTree {
+        timed_tree(sim, sim / 10.0)
     }
 
     #[test]
@@ -244,6 +273,32 @@ mod tests {
         }
         let sims: Vec<f64> = log.entries().iter().map(|e| e.sim).collect();
         assert_eq!(sims, vec![3.0, 2.5, 2.0]);
+    }
+
+    /// A query that charges almost no simulated time but the most wall
+    /// time (a plan-bound query) is retained next to the top by
+    /// simulated time, and leaves once slower wall times push it out.
+    #[test]
+    fn retains_top_k_by_either_clock() {
+        let log = SlowLog::new(1, 2);
+        log.offer("sim-heavy-1", timed_tree(3.0, 0.001));
+        log.offer("sim-heavy-2", timed_tree(2.0, 0.001));
+        log.offer("plan-bound", timed_tree(0.001, 0.5));
+        log.offer("fast", timed_tree(0.5, 0.0001));
+        let labels =
+            |log: &SlowLog| -> Vec<String> { log.entries().into_iter().map(|e| e.label).collect() };
+        assert_eq!(
+            labels(&log),
+            vec!["sim-heavy-1", "sim-heavy-2", "plan-bound"],
+            "the sim top 2 plus the wall top 2 (plan-bound, sim-heavy-1 by seq)"
+        );
+        log.offer("wall-heavy-1", timed_tree(0.002, 0.9));
+        log.offer("wall-heavy-2", timed_tree(0.003, 0.8));
+        assert_eq!(
+            labels(&log),
+            vec!["sim-heavy-1", "sim-heavy-2", "wall-heavy-2", "wall-heavy-1"]
+        );
+        assert!(log.render_text().contains("wall-heavy-1"));
     }
 
     #[test]

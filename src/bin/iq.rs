@@ -130,8 +130,8 @@ trace-event format, loadable in Perfetto / chrome://tracing.
 under the given knobs *without running it*; with --analyze (and --point)
 the query also runs and predicted vs observed are compared side by side.
 `iq stats --slow` prints the retained slow-query log (written by
-`iq bench` as iq-slowlog.json, 1-in-N sampled trace trees, top-K slowest
-kept); `iq stats --window <n>` reports counter rates and histogram
+`iq bench` as iq-slowlog.json, 1-in-N sampled trace trees, the top-K
+slowest by simulated and by wall time kept); `iq stats --window <n>` reports counter rates and histogram
 percentiles over the last n telemetry snapshots (iq-telemetry.json).
 --metrics-json <path> (any command) enables the global metrics registry and
 writes its JSON snapshot to <path> on exit.

@@ -1,13 +1,15 @@
 //! SIMD-dispatch conformance: every engine must return bit-identical
-//! results whether the quantized-domain scan kernels run on the detected
-//! SIMD tier or pinned to the scalar fallback, and the multi-query batch
+//! results and simulated time — and the IQ-tree the same planned page
+//! runs — whether the quantized-domain scan kernels and the eq 5 plan
+//! kernel run on the detected SIMD tier or pinned to the scalar
+//! fallback, and the multi-query batch
 //! path must agree with the single-query path query by query. CI runs
 //! this suite twice — once as-is and once with `IQ_FORCE_SCALAR=1` in the
 //! environment — so both the runtime override and the env escape hatch
 //! are on record.
 
 use iqtree_repro::data;
-use iqtree_repro::engine::knn_batch;
+use iqtree_repro::engine::{knn_batch, QueryOptions};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::quantize::{kernel_name, set_kernel_override, Kernel};
 use iqtree_repro::storage::{BlockDevice, MemDevice, SimClock};
@@ -39,7 +41,11 @@ fn canon(mut hits: Vec<(u32, f64)>) -> Vec<(u64, u32)> {
 }
 
 /// Runs every query type on every engine and returns one big canonical
-/// transcript, so two dispatch tiers can be compared wholesale.
+/// transcript, so two dispatch tiers can be compared wholesale. Besides
+/// the answers it records each engine's total simulated time and, for
+/// the IQ-tree, the page runs its Section 2.1 plan issued and the pages
+/// it processed per query: a plan kernel that diverged between tiers
+/// would move those while keeping the answers.
 fn transcript(ds: &Dataset, queries: &[Vec<f32>]) -> Vec<Vec<(u64, u32)>> {
     let mut out = Vec::new();
     for kind in EngineKind::ALL {
@@ -51,7 +57,13 @@ fn transcript(ds: &Dataset, queries: &[Vec<f32>]) -> Vec<Vec<(u64, u32)>> {
             let mut ids: Vec<u32> = engine.range(&mut clock, q, radius * (1.0 + 1e-9));
             ids.sort_unstable();
             out.push(ids.into_iter().map(|id| (0, id)).collect());
+            if kind == EngineKind::IqTree {
+                let opts = QueryOptions::default();
+                let (_, trace) = engine.knn_opts_traced(&mut clock, q, K, None, &opts);
+                out.push(vec![(trace.runs, 0), (trace.pages_processed, 1)]);
+            }
         }
+        out.push(vec![(clock.total_time().to_bits(), 0)]);
     }
     out
 }
