@@ -205,7 +205,7 @@ impl IqTree {
             keys: Vec::new(),
             members: Vec::new(),
         };
-        let mut heap: CandidateHeap<Item> = CandidateHeap::with_capacity(n_pages);
+        let mut live = Vec::with_capacity(n_pages);
         for (i, meta) in self.pages().iter().enumerate() {
             let key = if meta.count == 0 {
                 f64::INFINITY
@@ -214,11 +214,14 @@ impl IqTree {
             };
             st.page_key.push(key);
             if key.is_finite() {
-                heap.push(Reverse((OrdKey(key), Item::Page(i as u32))));
+                live.push(Reverse((OrdKey(key), Item::Page(i as u32))));
             } else {
                 st.processed[i] = true;
             }
         }
+        // One O(n) heapify. `(key, item)` orders distinct pages totally, so
+        // the pops come out as they would after one push per page.
+        let mut heap: CandidateHeap<Item> = CandidateHeap::from(live);
         if plan_runs {
             // Priority order for the access-probability prefix walks.
             st.order = (0..n_pages as u32).collect();
@@ -932,7 +935,7 @@ impl IqTree {
             |mbr| metric.mindist_key(q, mbr) <= key_r,
             |coords| metric.distance_key(coords, q) <= key_r,
             |mbr, view, cells, matches| {
-                table.build(mbr, view.bits(), metric, q, view.len());
+                table.build_bounds(mbr, view.bits(), metric, q, view.len());
                 // Batch fold: MINDIST and MAXDIST keys for the whole page
                 // in one SIMD pass. Both comparisons stay in the key
                 // domain, so a box accepted without refinement satisfies

@@ -6,6 +6,10 @@
 
 use crate::mbr::Mbr;
 
+/// Dimensions [`Metric::mindist_key`] and [`Metric::maxdist`] stage in one
+/// stack buffer before folding them.
+const FOLD_CHUNK: usize = 32;
+
 /// A Minkowski metric on `R^d`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Metric {
@@ -25,12 +29,15 @@ impl Metric {
     /// the per-dimension building block of MINDIST.
     #[inline]
     pub fn box_gap(x: f64, lo: f64, hi: f64) -> f64 {
+        // Two selects over both differences, the `x < lo` one last so it
+        // wins as the first branch of the plain `if`/`else if` would:
+        // straight-line code a loop over dimensions can vectorize.
+        let (below, above) = (lo - x, x - hi);
+        let gap = if x > hi { above } else { 0.0 };
         if x < lo {
-            lo - x
-        } else if x > hi {
-            x - hi
+            below
         } else {
-            0.0
+            gap
         }
     }
 
@@ -130,15 +137,11 @@ impl Metric {
     }
 
     /// MINDIST in key space (squared for Euclidean). Equivalent to folding
-    /// `contrib(box_gap(..))` over dimensions in index order with `combine`.
+    /// `contrib(box_gap(..))` over dimensions in index order with `combine`
+    /// — bit for bit: the fold keeps that order.
     pub fn mindist_key(self, q: &[f32], mbr: &Mbr) -> f64 {
         debug_assert_eq!(q.len(), mbr.dim());
-        let mut acc = 0.0f64;
-        for (i, &x) in q.iter().enumerate() {
-            let gap = Self::box_gap(f64::from(x), f64::from(mbr.lb(i)), f64::from(mbr.ub(i)));
-            acc = self.combine(acc, self.contrib(gap));
-        }
-        acc
+        self.fold_dims(q, mbr, Self::box_gap)
     }
 
     /// The one-dimensional distance from `x` to the *farther* edge of
@@ -153,21 +156,134 @@ impl Metric {
     /// key: the Euclidean fold takes a square root at the end.
     pub fn maxdist(self, q: &[f32], mbr: &Mbr) -> f64 {
         debug_assert_eq!(q.len(), mbr.dim());
+        self.key_to_distance(self.fold_dims(q, mbr, Self::far_gap))
+    }
+
+    /// Folds `contrib(gap(q_i, lb_i, ub_i))` over the dimensions in index
+    /// order with [`Self::combine`], seed `0.0`. Each chunk of up to
+    /// [`FOLD_CHUNK`] contributions is first written into a stack buffer by
+    /// a straight-line, branch-free loop the compiler can vectorize, then
+    /// folded in index order: the same IEEE operations in the same order as
+    /// the plain per-dimension loop, so the same bits.
+    #[inline(always)]
+    fn fold_dims(self, q: &[f32], mbr: &Mbr, gap: impl Fn(f64, f64, f64) -> f64) -> f64 {
+        let mut buf = [0.0f64; FOLD_CHUNK];
         let mut acc = 0.0f64;
-        for (i, &x) in q.iter().enumerate() {
-            let gap = Self::far_gap(f64::from(x), f64::from(mbr.lb(i)), f64::from(mbr.ub(i)));
-            acc = self.combine(acc, self.contrib(gap));
+        let (lbs, ubs) = (mbr.lbs(), mbr.ubs());
+        for (at, qs) in q.chunks(FOLD_CHUNK).enumerate() {
+            let n = qs.len();
+            let at = at * FOLD_CHUNK;
+            let (lbs, ubs, buf) = (&lbs[at..at + n], &ubs[at..at + n], &mut buf[..n]);
+            let dims = buf.iter_mut().zip(qs.iter().zip(lbs.iter().zip(ubs)));
+            if self == Metric::Euclidean {
+                for (c, (&x, (&lo, &hi))) in dims {
+                    let g = gap(f64::from(x), f64::from(lo), f64::from(hi));
+                    *c = g * g;
+                }
+            } else {
+                for (c, (&x, (&lo, &hi))) in dims {
+                    *c = gap(f64::from(x), f64::from(lo), f64::from(hi));
+                }
+            }
+            acc = match self {
+                Metric::Euclidean | Metric::Manhattan => buf.iter().fold(acc, |a, &c| a + c),
+                Metric::Maximum => buf.iter().fold(acc, |a, &c| a.max(c)),
+            };
         }
-        match self {
-            Metric::Euclidean => acc.sqrt(),
-            Metric::Maximum | Metric::Manhattan => acc,
-        }
+        acc
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const METRICS: [Metric; 3] = [Metric::Euclidean, Metric::Maximum, Metric::Manhattan];
+
+    /// [`Metric::mindist_key`] as the plain per-dimension loop: the
+    /// bit-identity oracle for the chunked fold.
+    fn oracle_mindist_key(m: Metric, q: &[f32], mbr: &Mbr) -> f64 {
+        let mut acc = 0.0f64;
+        for (i, &x) in q.iter().enumerate() {
+            let gap = Metric::box_gap(f64::from(x), f64::from(mbr.lb(i)), f64::from(mbr.ub(i)));
+            acc = m.combine(acc, m.contrib(gap));
+        }
+        acc
+    }
+
+    /// [`Metric::maxdist`] as the plain per-dimension loop.
+    fn oracle_maxdist(m: Metric, q: &[f32], mbr: &Mbr) -> f64 {
+        let mut acc = 0.0f64;
+        for (i, &x) in q.iter().enumerate() {
+            let gap = Metric::far_gap(f64::from(x), f64::from(mbr.lb(i)), f64::from(mbr.ub(i)));
+            acc = m.combine(acc, m.contrib(gap));
+        }
+        m.key_to_distance(acc)
+    }
+
+    /// Per-dimension box shapes: `0` a box around a free coordinate, `1`
+    /// a box whose lower edge is the query coordinate, `2` one whose upper
+    /// edge is, `3` a degenerate box at the query coordinate, `4` a
+    /// degenerate box elsewhere.
+    fn case_strategy() -> impl Strategy<Value = (Vec<f32>, Mbr)> {
+        let dim = (-10.0f32..10.0, -10.0f32..10.0, 0.0f32..5.0, 0u8..5);
+        proptest::collection::vec(dim, 1..=70).prop_map(|dims| {
+            let (mut q, mut lb, mut ub) = (Vec::new(), Vec::new(), Vec::new());
+            for (x, at, ext, shape) in dims {
+                let (l, u) = match shape {
+                    0 => (at, at + ext),
+                    1 => (x, x + ext),
+                    2 => (x - ext, x),
+                    3 => (x, x),
+                    _ => (at, at),
+                };
+                q.push(x);
+                lb.push(l);
+                ub.push(u);
+            }
+            (q, Mbr::from_bounds(lb, ub))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The chunked, branch-free MINDIST and MAXDIST return the plain
+        /// loops' bits for every dimensionality across the chunk boundary.
+        #[test]
+        fn prop_chunked_fold_matches_oracle((q, mbr) in case_strategy()) {
+            for m in METRICS {
+                prop_assert_eq!(
+                    m.mindist_key(&q, &mbr).to_bits(),
+                    oracle_mindist_key(m, &q, &mbr).to_bits(),
+                    "{:?} mindist_key d={}", m, q.len()
+                );
+                prop_assert_eq!(
+                    m.maxdist(&q, &mbr).to_bits(),
+                    oracle_maxdist(m, &q, &mbr).to_bits(),
+                    "{:?} maxdist d={}", m, q.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_query_matches_oracle() {
+        let mbr = Mbr::from_bounds(vec![0.0, -0.0, -1.0], vec![0.0, 1.0, -0.0]);
+        for q in [[0.0f32, -0.0, 0.0], [-0.0, 0.0, -0.0]] {
+            for m in METRICS {
+                assert_eq!(
+                    m.mindist_key(&q, &mbr).to_bits(),
+                    oracle_mindist_key(m, &q, &mbr).to_bits()
+                );
+                assert_eq!(
+                    m.maxdist(&q, &mbr).to_bits(),
+                    oracle_maxdist(m, &q, &mbr).to_bits()
+                );
+            }
+        }
+    }
 
     const A: [f32; 3] = [0.0, 0.0, 0.0];
     const B: [f32; 3] = [3.0, 4.0, 0.0];

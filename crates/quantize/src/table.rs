@@ -18,6 +18,16 @@
 //! `f32` cast and fold per-dimension contributions in index order with the
 //! same [`Metric::combine`].
 //!
+//! A table materializes only the rows its caller reads:
+//! [`DistTable::build`] fills the MINDIST rows (the k-NN walk reads nothing
+//! else), [`DistTable::build_bounds`] the MINDIST and MAXDIST rows (the
+//! range filter and the VA-file read both bounds of every entry). A MAXDIST
+//! read on a MINDIST-only table computes its contributions on the fly, so
+//! it can never see a stale row. Each row is one straight-line loop over
+//! the dimension's f32-rounded cell edges, computed once per dimension;
+//! the loop is compiled at baseline and with AVX2 and picked by the
+//! [`simd::kernel`] tier, with the same bits either way.
+//!
 //! For very fine grids (`2^g` large relative to the page population),
 //! materializing the table costs more than it saves; the table then keeps
 //! only the `O(dim)` grid parameters and computes contributions on the fly —
@@ -40,6 +50,103 @@ fn fold_op(metric: Metric) -> FoldOp {
 /// is used regardless of the population hint).
 const MAX_TABLE_CELLS: usize = 1 << 16;
 
+/// Edge `c` of a grid dimension with lower bound `lb` and cell width `w`:
+/// `lb + c·w` rounded through `f32`, then widened back. Cell `c` spans
+/// edges `c` and `c + 1` — exactly the bounds
+/// [`GridQuantizer::cell_lb`](crate::grid::GridQuantizer::cell_lb) /
+/// [`GridQuantizer::cell_ub`](crate::grid::GridQuantizer::cell_ub) produce.
+#[inline(always)]
+fn grid_edge(lb: f64, w: f64, c: f64) -> f64 {
+    f64::from((lb + c * w) as f32)
+}
+
+/// Writes all `out.len()` edges `0, 1, ..` of one grid dimension (see
+/// [`grid_edge`]). The edge number goes through `i32` so the loop
+/// vectorizes; `out` never holds more than `MAX_TABLE_CELLS + 1` edges.
+#[inline(always)]
+fn grid_edges(lb: f64, w: f64, out: &mut [f64]) {
+    for (c, e) in out.iter_mut().enumerate() {
+        *e = grid_edge(lb, w, f64::from(c as i32));
+    }
+}
+
+/// Writes `contrib(gap(x, lower[c], upper[c]))` for every cell `c` of one
+/// row: a straight-line loop over adjacent edge pairs.
+#[inline(always)]
+fn fill_row(
+    metric: Metric,
+    row: &mut [f64],
+    lower: &[f64],
+    upper: &[f64],
+    gap: impl Fn(f64, f64) -> f64,
+) {
+    let cells = row.iter_mut().zip(lower).zip(upper);
+    match metric {
+        Metric::Euclidean => {
+            for ((o, &lo), &hi) in cells {
+                let g = gap(lo, hi);
+                *o = g * g;
+            }
+        }
+        Metric::Maximum | Metric::Manhattan => {
+            for ((o, &lo), &hi) in cells {
+                *o = gap(lo, hi);
+            }
+        }
+    }
+}
+
+/// The table kernel: fills the `dim × cells` MINDIST rows `lo` and, when
+/// `hi` is non-empty, the MAXDIST rows `hi`, using `edges` (`cells + 1`
+/// long) as per-dimension scratch. Every cell holds exactly
+/// `metric.contrib(Metric::box_gap(..))` / `metric.contrib(Metric::far_gap(..))`
+/// of that cell's f32-rounded edges, so the tier it is compiled for never
+/// changes a bit.
+#[inline(always)]
+fn fill_rows(
+    metric: Metric,
+    q: &[f64],
+    grid_lb: &[f64],
+    width: &[f64],
+    edges: &mut [f64],
+    lo: &mut [f64],
+    hi: &mut [f64],
+) {
+    let cells = edges.len() - 1;
+    for (i, ((&x, &lb), &w)) in q.iter().zip(grid_lb).zip(width).enumerate() {
+        grid_edges(lb, w, edges);
+        let (lower, upper) = (&edges[..cells], &edges[1..]);
+        let row = i * cells..(i + 1) * cells;
+        fill_row(metric, &mut lo[row.clone()], lower, upper, |l, u| {
+            Metric::box_gap(x, l, u)
+        });
+        if !hi.is_empty() {
+            fill_row(metric, &mut hi[row], lower, upper, |l, u| {
+                Metric::far_gap(x, l, u)
+            });
+        }
+    }
+}
+
+/// [`fill_rows`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fill_rows_avx2(
+    metric: Metric,
+    q: &[f64],
+    grid_lb: &[f64],
+    width: &[f64],
+    edges: &mut [f64],
+    lo: &mut [f64],
+    hi: &mut [f64],
+) {
+    fill_rows(metric, q, grid_lb, width, edges, lo, hi);
+}
+
 /// Per-(query, grid) distance-contribution tables for quantized-domain
 /// filtering.
 ///
@@ -52,13 +159,17 @@ pub struct DistTable {
     dim: usize,
     /// Cells per dimension (`2^g`).
     cells: usize,
-    /// Whether the per-cell rows are materialized.
+    /// Whether the MINDIST rows are materialized.
     materialized: bool,
+    /// Whether the MAXDIST rows are materialized too
+    /// ([`DistTable::build_bounds`] on a materialized table).
+    with_max: bool,
     /// `dim × cells` lower-bound contributions in key space (row per
     /// dimension): `metric.contrib(box_gap(q_i, cell_lb, cell_ub))`.
     lo: Vec<f64>,
     /// `dim × cells` farthest-corner contributions in key space:
-    /// `metric.contrib(far_gap(q_i, cell_lb, cell_ub))`.
+    /// `metric.contrib(far_gap(q_i, cell_lb, cell_ub))`. Read only when
+    /// `with_max`: a MINDIST-only build leaves it stale.
     hi: Vec<f64>,
     /// Query coordinates widened to f64.
     q: Vec<f64>,
@@ -66,6 +177,8 @@ pub struct DistTable {
     grid_lb: Vec<f64>,
     /// Cell width per dimension (0 for degenerate dimensions).
     width: Vec<f64>,
+    /// The `cells + 1` edges of the dimension being filled (build scratch).
+    edges: Vec<f64>,
 }
 
 impl Default for DistTable {
@@ -82,25 +195,46 @@ impl DistTable {
             dim: 0,
             cells: 0,
             materialized: false,
+            with_max: false,
             lo: Vec::new(),
             hi: Vec::new(),
             q: Vec::new(),
             grid_lb: Vec::new(),
             width: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
-    /// (Re)builds the table for query `q` over the grid `(mbr, g)`,
+    /// (Re)builds the MINDIST table for query `q` over the grid `(mbr, g)`,
     /// reusing all internal buffers. `hint_n` is the expected number of
     /// candidates the table will filter (the page population): the per-cell
     /// rows are only materialized when the grid is coarse enough that the
     /// build cost amortizes over the scan; otherwise contributions are
     /// computed lazily — identical results either way.
     ///
+    /// Only the MINDIST rows are filled: MAXDIST reads ([`Self::maxdist_key`],
+    /// [`Self::maxdist`], the upper half of [`Self::bounds_keys`]) on this
+    /// table take the lazy path. Use [`Self::build_bounds`] when both bounds
+    /// are read per entry.
+    ///
     /// # Panics
     /// Panics if `g` is 0 or ≥ 32 (the exact case has no grid) or if the
     /// query dimension does not match the MBR.
     pub fn build(&mut self, mbr: &Mbr, g: u32, metric: Metric, q: &[f32], hint_n: usize) {
+        self.fill(mbr, g, metric, q, hint_n, false);
+    }
+
+    /// Like [`Self::build`], but also materializes the MAXDIST rows, for
+    /// callers that read both bounds of every entry (the range filter and
+    /// the VA-file).
+    ///
+    /// # Panics
+    /// As [`Self::build`].
+    pub fn build_bounds(&mut self, mbr: &Mbr, g: u32, metric: Metric, q: &[f32], hint_n: usize) {
+        self.fill(mbr, g, metric, q, hint_n, true);
+    }
+
+    fn fill(&mut self, mbr: &Mbr, g: u32, metric: Metric, q: &[f32], hint_n: usize, max: bool) {
         assert!(
             (1..EXACT_BITS).contains(&g),
             "grid resolution must be in 1..=31 bits"
@@ -124,29 +258,33 @@ impl DistTable {
         // pages win big, fine grids over sparse pages fall back to the lazy
         // path.
         self.materialized = cells <= MAX_TABLE_CELLS && cells <= 8 * hint_n.max(1);
-        self.lo.clear();
-        self.hi.clear();
+        self.with_max = self.materialized && max;
         if !self.materialized {
             return;
         }
-        self.lo.reserve(self.dim * cells);
-        self.hi.reserve(self.dim * cells);
-        for i in 0..self.dim {
-            let qi = self.q[i];
-            let lb = self.grid_lb[i];
-            let w = self.width[i];
-            // Cell c's upper edge is cell c + 1's lower edge: the same
-            // f32 rounding of the same expression, computed once.
-            let mut cell_lb = f64::from((lb + 0.0 * w) as f32);
-            for c in 0..cells {
-                let cell_ub = f64::from((lb + (c + 1) as f64 * w) as f32);
-                self.lo
-                    .push(metric.contrib(Metric::box_gap(qi, cell_lb, cell_ub)));
-                self.hi
-                    .push(metric.contrib(Metric::far_gap(qi, cell_lb, cell_ub)));
-                cell_lb = cell_ub;
-            }
+        // Every row cell is overwritten below; resizing only when the
+        // shape changes skips a fill pass over the rows.
+        self.lo.resize(self.dim * cells, 0.0);
+        if self.with_max {
+            self.hi.resize(self.dim * cells, 0.0);
         }
+        self.edges.resize(cells + 1, 0.0);
+        let (lo, edges) = (&mut self.lo[..], &mut self.edges[..]);
+        // An empty `hi` tells the kernel to skip the MAXDIST rows.
+        let hi = if self.with_max {
+            &mut self.hi[..]
+        } else {
+            &mut []
+        };
+        let (q, grid_lb, width) = (&self.q, &self.grid_lb, &self.width);
+        #[cfg(target_arch = "x86_64")]
+        if simd::kernel() == simd::Kernel::Avx2 {
+            // SAFETY: the AVX2 tier is selected only after runtime
+            // detection found AVX2 on this CPU.
+            unsafe { fill_rows_avx2(metric, q, grid_lb, width, edges, lo, hi) };
+            return;
+        }
+        fill_rows(metric, q, grid_lb, width, edges, lo, hi);
     }
 
     /// The metric the table was built for.
@@ -154,7 +292,8 @@ impl DistTable {
         self.metric
     }
 
-    /// Whether the per-cell rows are materialized (true for coarse grids).
+    /// Whether the per-cell MINDIST rows are materialized (true for coarse
+    /// grids).
     pub fn is_materialized(&self) -> bool {
         self.materialized
     }
@@ -164,11 +303,10 @@ impl DistTable {
     /// would produce.
     #[inline]
     fn cell_edges(&self, i: usize, c: u32) -> (f64, f64) {
-        let lb = self.grid_lb[i];
-        let w = self.width[i];
+        let (lb, w) = (self.grid_lb[i], self.width[i]);
         (
-            f64::from((lb + f64::from(c) * w) as f32),
-            f64::from((lb + f64::from(c + 1) * w) as f32),
+            grid_edge(lb, w, f64::from(c)),
+            grid_edge(lb, w, f64::from(c + 1)),
         )
     }
 
@@ -202,7 +340,7 @@ impl DistTable {
     pub fn maxdist_key(&self, cells: &[u32]) -> f64 {
         debug_assert_eq!(cells.len(), self.dim);
         let mut acc = 0.0f64;
-        if self.materialized {
+        if self.with_max {
             for (i, &c) in cells.iter().enumerate() {
                 acc = self
                     .metric
@@ -272,6 +410,8 @@ impl DistTable {
     /// Batch MINDIST *and* MAXDIST keys over an entry-major cell block in
     /// one pass (the VA-file filter and the range scan need both bounds per
     /// entry). Bit-identical to [`Self::mindist_key`] / [`Self::maxdist_key`].
+    /// The SIMD pass needs both row sets ([`Self::build_bounds`]); on a
+    /// table built by [`Self::build`] both keys come from the lazy path.
     pub fn bounds_keys(&self, block: &[u32], out_lo: &mut Vec<f64>, out_hi: &mut Vec<f64>) {
         let n = block.len().checked_div(self.dim).unwrap_or(0);
         debug_assert_eq!(block.len(), n * self.dim);
@@ -279,7 +419,7 @@ impl DistTable {
         out_lo.resize(n, 0.0);
         out_hi.clear();
         out_hi.resize(n, 0.0);
-        if self.materialized {
+        if self.with_max {
             simd::fold_block2(
                 fold_op(self.metric),
                 &self.lo,
@@ -331,11 +471,14 @@ pub struct WindowTable {
     materialized: bool,
     /// `dim × cells` flags (FLAG_INTERSECTS | FLAG_CONTAINED).
     flags: Vec<u8>,
-    /// Window bounds (exact f32 values, widened for storage only).
-    win_lb: Vec<f32>,
-    win_ub: Vec<f32>,
+    /// Window bounds, widened from f32 (exactly, so every comparison
+    /// decides as it would on the f32 values).
+    win_lb: Vec<f64>,
+    win_ub: Vec<f64>,
     grid_lb: Vec<f64>,
     width: Vec<f64>,
+    /// The `cells + 1` edges of the dimension being filled (build scratch).
+    edges: Vec<f64>,
 }
 
 impl Default for WindowTable {
@@ -356,6 +499,7 @@ impl WindowTable {
             win_ub: Vec::new(),
             grid_lb: Vec::new(),
             width: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -380,8 +524,8 @@ impl WindowTable {
         self.grid_lb.clear();
         self.width.clear();
         for i in 0..self.dim {
-            self.win_lb.push(window.lb(i));
-            self.win_ub.push(window.ub(i));
+            self.win_lb.push(f64::from(window.lb(i)));
+            self.win_ub.push(f64::from(window.ub(i)));
             self.grid_lb.push(f64::from(mbr.lb(i)));
             self.width.push(mbr.extent(i) / cells_f);
         }
@@ -391,28 +535,25 @@ impl WindowTable {
             return;
         }
         self.flags.reserve(self.dim * cells);
+        self.edges.resize(cells + 1, 0.0);
         for i in 0..self.dim {
-            for c in 0..cells {
-                let lb = self.grid_lb[i];
-                let w = self.width[i];
-                let cell_lb = (lb + c as f64 * w) as f32;
-                let cell_ub = (lb + (c + 1) as f64 * w) as f32;
-                self.flags.push(Self::dim_flags(
-                    self.win_lb[i],
-                    self.win_ub[i],
-                    cell_lb,
-                    cell_ub,
-                ));
-            }
+            grid_edges(self.grid_lb[i], self.width[i], &mut self.edges);
+            let (win_lb, win_ub) = (self.win_lb[i], self.win_ub[i]);
+            self.flags.extend(
+                self.edges
+                    .windows(2)
+                    .map(|e| Self::dim_flags(win_lb, win_ub, e[0], e[1])),
+            );
         }
         // Gather padding: the SIMD batch classifier reads 4 bytes per flag.
         self.flags.extend_from_slice(&[0u8; 3]);
     }
 
     /// The per-dimension flags, matching `Mbr::intersects` /
-    /// `Mbr::contains_mbr` comparisons exactly (closed intervals on f32).
+    /// `Mbr::contains_mbr` comparisons exactly (closed intervals; every
+    /// operand is an f32 value, widened exactly).
     #[inline]
-    fn dim_flags(win_lb: f32, win_ub: f32, cell_lb: f32, cell_ub: f32) -> u8 {
+    fn dim_flags(win_lb: f64, win_ub: f64, cell_lb: f64, cell_ub: f64) -> u8 {
         let mut f = 0u8;
         if win_lb <= cell_ub && cell_lb <= win_ub {
             f |= FLAG_INTERSECTS;
@@ -439,10 +580,9 @@ impl WindowTable {
             }
         } else {
             for (i, &c) in cells.iter().enumerate() {
-                let lb = self.grid_lb[i];
-                let w = self.width[i];
-                let cell_lb = (lb + f64::from(c) * w) as f32;
-                let cell_ub = (lb + f64::from(c + 1) * w) as f32;
+                let (lb, w) = (self.grid_lb[i], self.width[i]);
+                let cell_lb = grid_edge(lb, w, f64::from(c));
+                let cell_ub = grid_edge(lb, w, f64::from(c + 1));
                 all &= Self::dim_flags(self.win_lb[i], self.win_ub[i], cell_lb, cell_ub);
                 if all == 0 {
                     return CellMatch::Disjoint;

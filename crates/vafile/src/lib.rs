@@ -201,7 +201,7 @@ impl VaFile {
     /// same results either way.)
     fn dist_table(&self, q: &[f32]) -> DistTable {
         let mut t = DistTable::new();
-        t.build(&self.mbr, self.bits, self.metric, q, self.n);
+        t.build_bounds(&self.mbr, self.bits, self.metric, q, self.n);
         t
     }
 
