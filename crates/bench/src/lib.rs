@@ -16,6 +16,8 @@
 //! measured by the separate `perfbench` package at the repository root,
 //! the one benchmark CI runs.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod figures;
 pub mod kernels;

@@ -16,9 +16,9 @@ pub struct Provenance {
     /// Git commit hash of the working tree, or `"unknown"` outside a
     /// repository.
     pub commit: String,
-    /// Selected scan-kernel dispatch tier name (`avx2`/`sse41`/`scalar`).
+    /// Selected scan-kernel dispatch tier name (`avx2`/`scalar`).
     pub kernel: String,
-    /// The tier's stable numeric code (0 = scalar, 1 = sse41, 2 = avx2).
+    /// The tier's stable numeric code (0 = scalar, 2 = avx2).
     pub simd_code: u8,
     /// Selected CRC32 kernel name (`clmul`/`slice16`).
     pub crc_kernel: String,
@@ -109,7 +109,7 @@ mod tests {
     fn collect_fills_every_field() {
         let p = collect(Some("2026-08-08"));
         assert_eq!(p.date, "2026-08-08");
-        assert!(["avx2", "sse41", "scalar"].contains(&p.kernel.as_str()));
+        assert!(["avx2", "scalar"].contains(&p.kernel.as_str()));
         assert!(p.simd_code <= 2);
         assert!(["clmul", "slice16"].contains(&p.crc_kernel.as_str()));
         assert!(p.available_cores >= 1);

@@ -19,6 +19,8 @@
 //! same sweep whenever their access probability (Section 2.2) makes
 //! over-reading cheaper than a probable later seek.
 
+#![forbid(unsafe_code)]
+
 pub mod build;
 pub mod durability;
 pub mod maintain;
@@ -209,6 +211,84 @@ pub(crate) fn dir_entry_bytes(dim: usize) -> usize {
     8 * dim + 4 + 4 + 8 + 8 + 4
 }
 
+/// The one directory-entry codec, used by build, patch, open and verify.
+impl PageMeta {
+    /// Appends the [`dir_entry_bytes`]`(dim)`-byte encoding: the `d` lower
+    /// and `d` upper MBR bounds (`f32`), then `g`, `count`, `quant_block`,
+    /// `exact_start` and `exact_blocks`, all little-endian.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        for x in self.mbr.lbs().iter().chain(self.mbr.ubs()) {
+            out.extend_from_slice(&x.to_le_bytes());
+        }
+        out.extend_from_slice(&self.g.to_le_bytes());
+        out.extend_from_slice(&self.count.to_le_bytes());
+        out.extend_from_slice(&self.quant_block.to_le_bytes());
+        out.extend_from_slice(&self.exact_start.to_le_bytes());
+        out.extend_from_slice(&self.exact_blocks.to_le_bytes());
+    }
+
+    /// Decodes one [`Self::encode`]d entry of `codec.dim()` dimensions and
+    /// checks it against the index it belongs to: an MBR with `lb <= ub`
+    /// in every dimension, `g` in `1..=32`, at most a page's capacity of
+    /// points at `g`, and page references inside the level files `sb`
+    /// records. The message names the first check that fails.
+    pub(crate) fn decode(
+        entry: &[u8],
+        codec: &QuantizedPageCodec,
+        sb: &persist::Superblock,
+    ) -> Result<Self, String> {
+        let dim = codec.dim();
+        debug_assert_eq!(entry.len(), dir_entry_bytes(dim));
+        if dim == 0 {
+            return Err("MBR has no dimensions".into());
+        }
+        let (bounds, tail) = entry.split_at(8 * dim);
+        let coords: Vec<f32> = bounds
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes")))
+            .collect();
+        let (lb, ub) = coords.split_at(dim);
+        let inverted = |i: usize| lb[i].is_nan() || ub[i].is_nan() || lb[i] > ub[i];
+        if let Some(i) = (0..dim).find(|&i| inverted(i)) {
+            return Err(format!(
+                "MBR bounds [{}, {}] in dimension {i}",
+                lb[i], ub[i]
+            ));
+        }
+        let u32_at = |k: usize| u32::from_le_bytes(tail[k..k + 4].try_into().expect("4 bytes"));
+        let u64_at = |k: usize| u64::from_le_bytes(tail[k..k + 8].try_into().expect("8 bytes"));
+        let (g, count) = (u32_at(0), u32_at(4));
+        let (quant_block, exact_start, exact_blocks) = (u64_at(8), u64_at(16), u32_at(24));
+        if !(1..=EXACT_BITS).contains(&g) {
+            return Err(format!("resolution g = {g} outside 1..=32"));
+        }
+        if count as usize > codec.capacity(g) {
+            return Err(format!("{count} points exceed page capacity at {g} bits"));
+        }
+        if quant_block >= sb.quant_blocks {
+            return Err(format!(
+                "quantized block {quant_block} outside file of {} blocks",
+                sb.quant_blocks
+            ));
+        }
+        let exact_end = exact_start.checked_add(u64::from(exact_blocks));
+        if g < EXACT_BITS && exact_end.is_none_or(|end| end > sb.exact_blocks) {
+            return Err(format!(
+                "exact region [{exact_start}, +{exact_blocks}) outside file of {} blocks",
+                sb.exact_blocks
+            ));
+        }
+        Ok(Self {
+            mbr: Mbr::from_bounds(lb.to_vec(), ub.to_vec()),
+            g,
+            count,
+            quant_block,
+            exact_start,
+            exact_blocks,
+        })
+    }
+}
+
 impl IqTree {
     /// Bulk-loads an IQ-tree over `ds`.
     ///
@@ -352,21 +432,6 @@ impl IqTree {
         }
     }
 
-    /// Serializes one directory entry into `out`.
-    fn encode_dir_entry(&self, meta: &PageMeta, out: &mut Vec<u8>) {
-        for i in 0..self.dim {
-            out.extend_from_slice(&meta.mbr.lb(i).to_le_bytes());
-        }
-        for i in 0..self.dim {
-            out.extend_from_slice(&meta.mbr.ub(i).to_le_bytes());
-        }
-        out.extend_from_slice(&meta.g.to_le_bytes());
-        out.extend_from_slice(&meta.count.to_le_bytes());
-        out.extend_from_slice(&meta.quant_block.to_le_bytes());
-        out.extend_from_slice(&meta.exact_start.to_le_bytes());
-        out.extend_from_slice(&meta.exact_blocks.to_le_bytes());
-    }
-
     /// The current header state, serialized into logical block 0 of the
     /// directory file by [`Self::write_superblock`]. Level lengths come
     /// from [`Self::level_blocks`], so a superblock staged inside a
@@ -481,11 +546,9 @@ impl IqTree {
     /// entry payload in logical blocks 1.., then the superblock.
     fn rewrite_directory(&mut self, clock: &mut SimClock) -> IqResult<()> {
         let mut bytes = Vec::with_capacity(self.pages.len() * dir_entry_bytes(self.dim));
-        let pages = std::mem::take(&mut self.pages);
-        for meta in &pages {
-            self.encode_dir_entry(meta, &mut bytes);
+        for meta in &self.pages {
+            meta.encode(&mut bytes);
         }
-        self.pages = pages;
         let bs = self.dir.block_size();
         bytes.resize(bytes.len().div_ceil(bs) * bs, 0);
         if self.level_blocks(Level::Dir) == 0 {
@@ -516,8 +579,7 @@ impl IqTree {
             return self.rewrite_directory(clock);
         }
         let mut entry = Vec::with_capacity(eb);
-        let meta = self.pages[idx].clone();
-        self.encode_dir_entry(&meta, &mut entry);
+        self.pages[idx].encode(&mut entry);
         self.dir_bytes[start_byte..start_byte + eb].copy_from_slice(&entry);
         let first_block = start_byte / bs;
         let last_block = (start_byte + eb - 1) / bs;
@@ -876,6 +938,61 @@ mod tests {
         // one extra block holds the superblock.
         let bs = tree.block_size();
         assert_eq!(tree.dir.num_blocks(), 1 + expect_bytes.div_ceil(bs) as u64);
+    }
+
+    #[test]
+    fn dir_entry_codec_round_trips_and_rejects_out_of_range_fields() {
+        let ds = random_ds(1_000, 5, 5);
+        let (tree, _) = build_tree(&ds, IqTreeOptions::default(), 512);
+        let sb = tree.superblock();
+        let codec = tree.codec;
+        let eb = dir_entry_bytes(5);
+        for (e, meta) in tree.pages.iter().enumerate() {
+            let mut bytes = Vec::new();
+            meta.encode(&mut bytes);
+            assert_eq!(bytes, tree.dir_bytes[e * eb..(e + 1) * eb]);
+            let back = PageMeta::decode(&bytes, &codec, &sb).expect("valid entry");
+            assert_eq!(back.mbr, meta.mbr);
+            assert_eq!(
+                (back.g, back.count, back.quant_block),
+                (meta.g, meta.count, meta.quant_block)
+            );
+            assert_eq!(
+                (back.exact_start, back.exact_blocks),
+                (meta.exact_start, meta.exact_blocks)
+            );
+        }
+        // One bad field at a time on a copy of a page with an exact region.
+        let meta = tree
+            .pages
+            .iter()
+            .find(|m| m.g < EXACT_BITS)
+            .expect("a quantized page");
+        let bad = |edit: &dyn Fn(&mut PageMeta), want: &str| {
+            let mut m = meta.clone();
+            edit(&mut m);
+            let mut bytes = Vec::new();
+            m.encode(&mut bytes);
+            let err = PageMeta::decode(&bytes, &codec, &sb).expect_err(want);
+            assert!(err.contains(want), "{err:?} lacks {want:?}");
+        };
+        bad(&|m| m.g = 0, "resolution g = 0");
+        bad(
+            &|m| m.count = codec.capacity(m.g) as u32 + 1,
+            "exceed page capacity",
+        );
+        bad(&|m| m.quant_block = sb.quant_blocks, "quantized block");
+        bad(&|m| m.exact_start = u64::MAX, "exact region");
+        // Inverted or NaN bounds are an error, not a panic in `Mbr`.
+        let mut bytes = Vec::new();
+        meta.encode(&mut bytes);
+        bytes[..4].copy_from_slice(&f32::NAN.to_le_bytes());
+        let err = PageMeta::decode(&bytes, &codec, &sb).expect_err("NaN bound");
+        assert!(err.contains("dimension 0"), "{err}");
+        bytes[..4].copy_from_slice(&2.0f32.to_le_bytes());
+        bytes[4 * 5..4 * 5 + 4].copy_from_slice(&1.0f32.to_le_bytes());
+        let err = PageMeta::decode(&bytes, &codec, &sb).expect_err("lb > ub");
+        assert!(err.contains("[2, 1] in dimension 0"), "{err}");
     }
 
     #[test]

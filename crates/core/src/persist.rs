@@ -18,8 +18,8 @@
 
 use crate::{dir_entry_bytes, IqTree, IqTreeOptions, PageMeta};
 use iq_cost::{DirectoryParams, RefineParams};
-use iq_geometry::{Mbr, Metric};
-use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
+use iq_geometry::Metric;
+use iq_quantize::{ExactPageCodec, QuantizedPageCodec};
 use iq_storage::{crc32, read_to_vec_retry, BlockDevice, IqError, IqResult, SimClock};
 
 /// File magic at the start of the superblock.
@@ -326,55 +326,14 @@ impl IqTree {
         let mut pages = Vec::with_capacity(n_pages);
         let mut n = 0usize;
         for e in 0..n_pages {
-            let off = e * eb;
-            let entry = &dir_bytes[off..off + eb];
-            let f32_at =
-                |k: usize| f32::from_le_bytes(entry[4 * k..4 * k + 4].try_into().expect("4 bytes"));
-            let lb: Vec<f32> = (0..dim).map(&f32_at).collect();
-            let ub: Vec<f32> = (dim..2 * dim).map(&f32_at).collect();
-            let tail = &entry[8 * dim..];
-            let g = u32::from_le_bytes(tail[0..4].try_into().expect("4 bytes"));
-            let count = u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes"));
-            let quant_block = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-            let exact_start = u64::from_le_bytes(tail[16..24].try_into().expect("8 bytes"));
-            let exact_blocks = u32::from_le_bytes(tail[24..28].try_into().expect("4 bytes"));
-            if !(1..=EXACT_BITS).contains(&g) {
-                return Err(IqError::Decode {
-                    detail: format!("directory entry {e}: resolution g = {g} outside 1..=32"),
-                });
-            }
-            if count as usize > codec.capacity(g) {
-                return Err(IqError::Decode {
-                    detail: format!(
-                        "directory entry {e}: {count} points exceed page capacity at {g} bits"
-                    ),
-                });
-            }
-            if quant_block >= sb.quant_blocks {
-                return Err(IqError::Decode {
-                    detail: format!(
-                        "directory entry {e}: quantized block {quant_block} outside file of {} blocks",
-                        sb.quant_blocks
-                    ),
-                });
-            }
-            if g < EXACT_BITS && exact_start + u64::from(exact_blocks) > sb.exact_blocks {
-                return Err(IqError::Decode {
-                    detail: format!(
-                        "directory entry {e}: exact region [{exact_start}, +{exact_blocks}) outside file of {} blocks",
-                        sb.exact_blocks
-                    ),
-                });
-            }
-            n += count as usize;
-            pages.push(PageMeta {
-                mbr: Mbr::from_bounds(lb, ub),
-                g,
-                count,
-                quant_block,
-                exact_start,
-                exact_blocks,
-            });
+            let meta =
+                PageMeta::decode(&dir_bytes[e * eb..(e + 1) * eb], &codec, &sb).map_err(|msg| {
+                    IqError::Decode {
+                        detail: format!("directory entry {e}: {msg}"),
+                    }
+                })?;
+            n += meta.count as usize;
+            pages.push(meta);
         }
         if n as u64 != sb.n_points {
             return Err(superblock_err(format!(

@@ -900,16 +900,15 @@ impl IqTree {
             return Vec::new();
         }
         let mut wtable = WindowTable::new();
-        let mut flags: Vec<u8> = Vec::new();
         self.scan_known_pages(
             clock,
             |mbr| mbr.intersects(window),
             |coords| window.contains_point(coords),
             |mbr, view, cells, matches| {
                 wtable.build(mbr, view.bits(), window, view.len());
-                // Whole-page classification through the SIMD flag-AND
-                // kernel — bit-identical to per-entry `classify`.
-                wtable.classify_batch(cells, &mut flags, matches);
+                // Whole-page classification through the flag-AND row
+                // fold — bit-identical to per-entry `classify`.
+                wtable.classify_batch(cells, matches);
             },
         )
     }

@@ -14,7 +14,6 @@
 
 use crate::persist::Superblock;
 use crate::{dir_entry_bytes, PageMeta};
-use iq_geometry::Mbr;
 use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
 use iq_storage::{crc32, BlockDevice, ChecksummedDevice, SimClock};
 
@@ -220,12 +219,18 @@ pub fn verify_index(
             .map(|b| dir_blocks.get(b).cloned().flatten())
             .collect::<Option<Vec<Vec<u8>>>>()
             .map(|v| v.concat());
+        // Mirror the codec's precondition (header + one exact entry fits)
+        // so a garbage dim in a forged superblock cannot make verify panic.
+        let codec = (dim > 0 && bs >= 4 + 4 + 4 * dim).then(|| QuantizedPageCodec::new(dim, bs));
         let mut metas: Vec<(usize, PageMeta)> = Vec::new();
-        match payload {
-            None => report.errors.push(format!(
+        match (payload, &codec) {
+            (None, _) => report.errors.push(format!(
                 "directory payload unreadable ({payload_blocks} blocks for {n_pages} entries)"
             )),
-            Some(payload) => {
+            (Some(_), None) => report.errors.push(format!(
+                "superblock dimension {dim} does not fit a {bs}-byte page"
+            )),
+            (Some(payload), Some(codec)) => {
                 let computed = crc32(&payload);
                 if computed != sb.dir_crc {
                     report.errors.push(format!(
@@ -235,7 +240,7 @@ pub fn verify_index(
                 }
                 let mut total_points = 0u64;
                 for e in 0..n_pages {
-                    match decode_entry(&payload[e * eb..(e + 1) * eb], dim, &sb) {
+                    match PageMeta::decode(&payload[e * eb..(e + 1) * eb], codec, &sb) {
                         Ok(meta) => {
                             total_points += u64::from(meta.count);
                             metas.push((e, meta));
@@ -254,10 +259,7 @@ pub fn verify_index(
 
         // Every quantized block must decode as a page (the directory maps
         // pages 1:1 onto quantized blocks).
-        // Mirror the codec's precondition (header + one exact entry fits)
-        // so a garbage dim in a forged superblock cannot make verify panic.
-        if dim > 0 && bs >= 4 + 4 + 4 * dim {
-            let codec = QuantizedPageCodec::new(dim, bs);
+        if let Some(codec) = codec {
             for (b, bytes) in quant_blocks.iter().enumerate() {
                 if let Some(bytes) = bytes {
                     if codec.try_view(bytes).is_err() {
@@ -323,9 +325,6 @@ pub fn verify_index(
         }
     }
     report.levels.push(exact_rep);
-    // Keep level order directory, quantized, exact.
-    report.levels.swap(1, 2);
-    report.levels.swap(1, 2);
     report
 }
 
@@ -345,44 +344,6 @@ pub fn verify_index_with_wal(
     let mut report = verify_index(dir, quant, exact, clock);
     report.wal = Some(verify_wal(wal_image));
     report
-}
-
-/// Decodes one directory entry with the same validation `open` applies,
-/// but collecting a message instead of an error type.
-fn decode_entry(entry: &[u8], dim: usize, sb: &Superblock) -> Result<PageMeta, String> {
-    let f32_at =
-        |k: usize| f32::from_le_bytes(entry[4 * k..4 * k + 4].try_into().expect("4 bytes"));
-    let lb: Vec<f32> = (0..dim).map(&f32_at).collect();
-    let ub: Vec<f32> = (dim..2 * dim).map(&f32_at).collect();
-    let tail = &entry[8 * dim..];
-    let g = u32::from_le_bytes(tail[0..4].try_into().expect("4 bytes"));
-    let count = u32::from_le_bytes(tail[4..8].try_into().expect("4 bytes"));
-    let quant_block = u64::from_le_bytes(tail[8..16].try_into().expect("8 bytes"));
-    let exact_start = u64::from_le_bytes(tail[16..24].try_into().expect("8 bytes"));
-    let exact_blocks = u32::from_le_bytes(tail[24..28].try_into().expect("4 bytes"));
-    if !(1..=EXACT_BITS).contains(&g) {
-        return Err(format!("resolution g = {g} outside 1..=32"));
-    }
-    if quant_block >= sb.quant_blocks {
-        return Err(format!(
-            "quantized block {quant_block} outside file of {} blocks",
-            sb.quant_blocks
-        ));
-    }
-    if g < EXACT_BITS && exact_start + u64::from(exact_blocks) > sb.exact_blocks {
-        return Err(format!(
-            "exact region [{exact_start}, +{exact_blocks}) outside file of {} blocks",
-            sb.exact_blocks
-        ));
-    }
-    Ok(PageMeta {
-        mbr: Mbr::from_bounds(lb, ub),
-        g,
-        count,
-        quant_block,
-        exact_start,
-        exact_blocks,
-    })
 }
 
 #[cfg(test)]

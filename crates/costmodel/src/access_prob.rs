@@ -508,7 +508,7 @@ mod tests {
         let _pinned = TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let want = [Gap::Squared, Gap::Absolute].map(|gap| {
             let want = oracle_conv_fraction(mbr, q, budget, gap);
-            for tier in [Kernel::Scalar, Kernel::Sse41, Kernel::Avx2] {
+            for tier in [Kernel::Scalar, Kernel::Avx2] {
                 let active = set_kernel_override(Some(tier));
                 let got = conv_fraction(mbr, q, budget, gap);
                 assert_eq!(

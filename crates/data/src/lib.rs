@@ -8,6 +8,8 @@
 //! implements the correlation fractal-dimension estimator the cost model
 //! uses to correct for those properties.
 
+#![forbid(unsafe_code)]
+
 pub mod attrs;
 pub mod fractal;
 pub mod generate;

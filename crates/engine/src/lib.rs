@@ -18,6 +18,8 @@
 //!   (results and accumulated clock statistics are identical for every
 //!   thread count, including 1).
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 mod filter;
 mod topk;

@@ -8,6 +8,8 @@
 //! box/sphere intersection volumes (equations 5 and 8–12 of the ICDE 2000
 //! IQ-tree paper).
 
+#![forbid(unsafe_code)]
+
 pub mod mbr;
 pub mod metric;
 pub mod partition;

@@ -57,11 +57,22 @@ impl Metric {
     /// [`Metric::contrib`] values over dimensions **in index order** is
     /// bit-for-bit identical to [`Metric::mindist_key`] — the contract the
     /// quantized-domain lookup tables rely on.
+    ///
+    /// The L∞ max is a plain select: from seed 0.0 it returns the bits
+    /// `acc.max(contrib)` would for every contribution a gap yields (never
+    /// -0.0; a NaN is skipped by both), and it costs one `maxsd` where
+    /// `f64::max` adds a NaN fix-up to every table lookup.
     #[inline]
     pub fn combine(self, acc: f64, contrib: f64) -> f64 {
         match self {
             Metric::Euclidean | Metric::Manhattan => acc + contrib,
-            Metric::Maximum => acc.max(contrib),
+            Metric::Maximum => {
+                if contrib > acc {
+                    contrib
+                } else {
+                    acc
+                }
+            }
         }
     }
 
@@ -220,6 +231,19 @@ mod tests {
             acc = m.combine(acc, m.contrib(gap));
         }
         m.key_to_distance(acc)
+    }
+
+    /// The L∞ select in `combine` returns `f64::max`'s bits for every
+    /// contribution a gap can yield, NaN included.
+    #[test]
+    fn max_combine_matches_f64_max_on_gap_values() {
+        let vals = [0.0, 1e-300, 0.5, 7.25, f64::MAX, f64::INFINITY];
+        for &acc in &vals {
+            for c in vals.into_iter().chain([f64::NAN]) {
+                let got = Metric::Maximum.combine(acc, c);
+                assert_eq!(got.to_bits(), acc.max(c).to_bits(), "{acc} max {c}");
+            }
+        }
     }
 
     /// Per-dimension box shapes: `0` a box around a free coordinate, `1`

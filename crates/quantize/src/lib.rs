@@ -15,8 +15,9 @@
 //!   lookup tables that reduce MINDIST/MAXDIST filtering and window
 //!   classification to `d` table lookups, bit-identical to the naive
 //!   decode-then-`Metric` path,
-//! * [`simd`] — runtime-dispatched (AVX2 / SSE4.1 / scalar) kernels behind
-//!   the batch unpack, fold and window-classification entry points.
+//! * [`simd`] — the batch page kernels: the whole-page unpack (an AVX2
+//!   gather or scalar, picked once at runtime) and the one safe row fold
+//!   behind the batch MINDIST/MAXDIST keys and window classification.
 
 pub mod bits;
 pub mod grid;

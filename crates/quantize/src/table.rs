@@ -34,17 +34,8 @@
 //! still allocation-free and still bit-identical, just without the lookup.
 
 use crate::page::EXACT_BITS;
-use crate::simd::{self, FoldOp};
+use crate::simd;
 use iq_geometry::{Mbr, Metric};
-
-/// The SIMD fold op matching [`Metric::combine`] with seed `0.0`.
-#[inline]
-fn fold_op(metric: Metric) -> FoldOp {
-    match metric {
-        Metric::Euclidean | Metric::Manhattan => FoldOp::Sum,
-        Metric::Maximum => FoldOp::Max,
-    }
-}
 
 /// Hard cap on materialized cells per dimension (beyond this the lazy path
 /// is used regardless of the population hint).
@@ -364,42 +355,17 @@ impl DistTable {
         self.metric.key_to_distance(self.maxdist_key(cells))
     }
 
-    /// The asymmetric-distance (ADC) estimate in key space: the distance
-    /// from the query to the candidate's cell *center*. Not a bound —
-    /// useful as a cheap ranking estimate. Computed from the cell edges on
-    /// every call; the table keeps no center column.
-    #[inline]
-    pub fn center_key(&self, cells: &[u32]) -> f64 {
-        debug_assert_eq!(cells.len(), self.dim);
-        let mut acc = 0.0f64;
-        for (i, &c) in cells.iter().enumerate() {
-            let (lo, hi) = self.cell_edges(i, c);
-            let center = (lo + hi) * 0.5;
-            acc = self
-                .metric
-                .combine(acc, self.metric.contrib((self.q[i] - center).abs()));
-        }
-        acc
-    }
-
     /// Batch [`Self::mindist_key`] over an entry-major cell block
     /// (`block[j * dim..][..dim]` is entry `j`'s cells), one key per entry.
-    /// Dispatches to the SIMD fold when the table is materialized;
-    /// bit-identical to the per-entry scalar calls either way.
+    /// Folds the materialized rows with `simd::fold_rows`; bit-identical
+    /// to the per-entry calls either way.
     pub fn mindist_keys(&self, block: &[u32], out: &mut Vec<f64>) {
         let n = block.len().checked_div(self.dim).unwrap_or(0);
         debug_assert_eq!(block.len(), n * self.dim);
         out.clear();
         out.resize(n, 0.0);
         if self.materialized {
-            simd::fold_block(
-                fold_op(self.metric),
-                &self.lo,
-                self.cells,
-                self.dim,
-                block,
-                out,
-            );
+            self.fold_keys(&self.lo, block, out);
         } else {
             for (j, key) in out.iter_mut().enumerate() {
                 *key = self.mindist_key(&block[j * self.dim..(j + 1) * self.dim]);
@@ -410,7 +376,7 @@ impl DistTable {
     /// Batch MINDIST *and* MAXDIST keys over an entry-major cell block in
     /// one pass (the VA-file filter and the range scan need both bounds per
     /// entry). Bit-identical to [`Self::mindist_key`] / [`Self::maxdist_key`].
-    /// The SIMD pass needs both row sets ([`Self::build_bounds`]); on a
+    /// The row fold needs both row sets ([`Self::build_bounds`]); on a
     /// table built by [`Self::build`] both keys come from the lazy path.
     pub fn bounds_keys(&self, block: &[u32], out_lo: &mut Vec<f64>, out_hi: &mut Vec<f64>) {
         let n = block.len().checked_div(self.dim).unwrap_or(0);
@@ -420,16 +386,8 @@ impl DistTable {
         out_hi.clear();
         out_hi.resize(n, 0.0);
         if self.with_max {
-            simd::fold_block2(
-                fold_op(self.metric),
-                &self.lo,
-                &self.hi,
-                self.cells,
-                self.dim,
-                block,
-                out_lo,
-                out_hi,
-            );
+            self.fold_keys(&self.lo, block, out_lo);
+            self.fold_keys(&self.hi, block, out_hi);
         } else {
             for j in 0..n {
                 let cs = &block[j * self.dim..(j + 1) * self.dim];
@@ -437,6 +395,20 @@ impl DistTable {
                 out_hi[j] = self.maxdist_key(cs);
             }
         }
+    }
+
+    /// One key per entry of `block`: the materialized `rows` folded with
+    /// [`Metric::combine`] from seed `0.0`, as [`Self::mindist_key`] does.
+    fn fold_keys(&self, rows: &[f64], block: &[u32], out: &mut [f64]) {
+        simd::fold_rows(
+            rows,
+            self.cells,
+            self.dim,
+            block,
+            0.0,
+            |acc, c| self.metric.combine(acc, c),
+            out,
+        );
     }
 }
 
@@ -545,8 +517,6 @@ impl WindowTable {
                     .map(|e| Self::dim_flags(win_lb, win_ub, e[0], e[1])),
             );
         }
-        // Gather padding: the SIMD batch classifier reads 4 bytes per flag.
-        self.flags.extend_from_slice(&[0u8; 3]);
     }
 
     /// The per-dimension flags, matching `Mbr::intersects` /
@@ -589,6 +559,12 @@ impl WindowTable {
                 }
             }
         }
+        Self::decide(all)
+    }
+
+    /// The match an entry's AND-folded flags stand for.
+    #[inline]
+    fn decide(all: u8) -> CellMatch {
         if all & FLAG_CONTAINED != 0 {
             CellMatch::Inside
         } else if all & FLAG_INTERSECTS != 0 {
@@ -599,10 +575,9 @@ impl WindowTable {
     }
 
     /// Batch [`Self::classify`] over an entry-major cell block, one match
-    /// per entry. `raw` is reusable scratch (resized to one byte per entry).
-    /// The per-dimension AND-fold is order-independent, so the SIMD path
-    /// (which skips the scalar early exit) is decision-identical.
-    pub fn classify_batch(&self, block: &[u32], raw: &mut Vec<u8>, out: &mut Vec<CellMatch>) {
+    /// per entry. The per-dimension AND-fold is order-independent, so the
+    /// row fold (which skips the per-entry early exit) is decision-identical.
+    pub fn classify_batch(&self, block: &[u32], out: &mut Vec<CellMatch>) {
         let n = block.len().checked_div(self.dim).unwrap_or(0);
         debug_assert_eq!(block.len(), n * self.dim);
         out.clear();
@@ -610,25 +585,22 @@ impl WindowTable {
             out.extend((0..n).map(|j| self.classify(&block[j * self.dim..(j + 1) * self.dim])));
             return;
         }
-        raw.clear();
-        raw.resize(n, 0);
-        simd::and_fold_flags(
-            FLAG_INTERSECTS | FLAG_CONTAINED,
-            &self.flags,
-            self.cells,
-            self.dim,
-            block,
-            raw,
-        );
-        out.extend(raw.iter().map(|&all| {
-            if all & FLAG_CONTAINED != 0 {
-                CellMatch::Inside
-            } else if all & FLAG_INTERSECTS != 0 {
-                CellMatch::Partial
-            } else {
-                CellMatch::Disjoint
-            }
-        }));
+        // Chunks through a stack buffer keep the batch allocation-free.
+        let seed = FLAG_INTERSECTS | FLAG_CONTAINED;
+        let mut flags = [0u8; 64];
+        for cs in block.chunks(flags.len() * self.dim) {
+            let flags = &mut flags[..cs.len() / self.dim];
+            simd::fold_rows(
+                &self.flags,
+                self.cells,
+                self.dim,
+                cs,
+                seed,
+                |a, f| a & f,
+                flags,
+            );
+            out.extend(flags.iter().copied().map(Self::decide));
+        }
     }
 }
 
@@ -685,27 +657,6 @@ mod tests {
                     hot.maxdist(&cells).to_bits(),
                     cold.maxdist(&cells).to_bits()
                 );
-                assert_eq!(
-                    hot.center_key(&cells).to_bits(),
-                    cold.center_key(&cells).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn center_key_brackets_between_bounds() {
-        let mbr = mbr2();
-        let q = [-3.0f32, 8.0];
-        let mut t = DistTable::new();
-        t.build(&mbr, 5, Metric::Euclidean, &q, 1024);
-        for a in [0u32, 7, 31] {
-            for b in [0u32, 16, 31] {
-                let cells = [a, b];
-                let lo = t.mindist_key(&cells);
-                let hi = Metric::Euclidean.distance_to_key(t.maxdist(&cells));
-                let adc = t.center_key(&cells);
-                assert!(lo <= adc + 1e-9 && adc <= hi + 1e-9, "{lo} {adc} {hi}");
             }
         }
     }

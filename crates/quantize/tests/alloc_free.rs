@@ -1,14 +1,16 @@
-//! The level-2 scan kernel is allocation-free in steady state: once the
+//! The level-2 scan kernels are allocation-free in steady state: once the
 //! scratch buffers and table storage have grown to their working size, a
-//! full page scan (view + table build + streaming decode + MINDIST and
-//! MAXDIST lookups) performs **zero** heap allocations. Enforced with a
+//! page scan the way the engines run it (view + whole-page unpack + table
+//! build + batch MINDIST keys, batch MINDIST/MAXDIST keys from a
+//! both-bounds table, batch window classification) performs **zero** heap
+//! allocations, at whatever unpack tier the host selects. Enforced with a
 //! counting global allocator; the counter is thread-local so the harness
 //! thread cannot pollute the measurement.
 //!
 //! Single-test file on purpose: one process, one test thread.
 
 use iq_geometry::{Mbr, Metric};
-use iq_quantize::{DistTable, QuantizedPageCodec};
+use iq_quantize::{CellMatch, DistTable, QuantizedPageCodec, WindowTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -43,24 +45,48 @@ fn allocations() -> usize {
 
 const DIM: usize = 8;
 
-/// One full filter pass over a page: exactly what the level-2 scan does
-/// per page in `search.rs` (minus the candidate heap, which is caller
-/// state).
+/// The tables and reusable buffers one scanning thread keeps across pages.
+#[derive(Default)]
+struct Scan {
+    table: DistTable,
+    bounds: DistTable,
+    window: WindowTable,
+    cells: Vec<u32>,
+    keys: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    matches: Vec<CellMatch>,
+}
+
+/// One filter pass over a page through the batch kernels the engines call:
+/// the k-NN walk's `unpack_all` + `mindist_keys` (`search.rs`), the range
+/// scan's and the VA-file's `bounds_keys` on a `build_bounds` table, and the
+/// window scan's `classify_batch`.
 fn scan_page(
     codec: &QuantizedPageCodec,
     mbr: &Mbr,
     block: &[u8],
     q: &[f32],
-    table: &mut DistTable,
-    scratch: &mut Vec<u32>,
+    window: &Mbr,
+    s: &mut Scan,
 ) -> f64 {
     let view = codec.try_view(block).expect("valid page");
-    table.build(mbr, view.bits(), Metric::Euclidean, q, view.len());
-    let mut acc = 0.0f64;
-    view.for_each_entry(scratch, |id, cells| {
-        acc += table.mindist_key(cells) + table.maxdist_key(cells) + f64::from(id);
-    });
-    acc
+    let (g, n) = (view.bits(), view.len());
+    view.unpack_all(&mut s.cells);
+    s.table.build(mbr, g, Metric::Euclidean, q, n);
+    s.table.mindist_keys(&s.cells, &mut s.keys);
+    s.bounds.build_bounds(mbr, g, Metric::Euclidean, q, n);
+    s.bounds.bounds_keys(&s.cells, &mut s.lo, &mut s.hi);
+    s.window.build(mbr, g, window, n);
+    s.window.classify_batch(&s.cells, &mut s.matches);
+    let inside = s
+        .matches
+        .iter()
+        .filter(|&&m| m == CellMatch::Inside)
+        .count();
+    let ids: f64 = (0..n).map(|e| f64::from(view.id(e))).sum();
+    let keys = s.keys.iter().chain(&s.lo).chain(&s.hi).sum::<f64>();
+    keys + ids + inside as f64
 }
 
 #[test]
@@ -77,8 +103,9 @@ fn steady_state_page_scan_is_allocation_free() {
                 .collect()
         })
         .collect();
-    // g = 4 materializes the table; g = 14 exceeds MAX_TABLE_CELLS × dim
-    // budget and takes the lazy fold path. Both must be alloc-free.
+    // g = 4 materializes the tables; at g = 14 the 40-point page cannot
+    // amortize 2^14 cells a row and the tables take the lazy path. Both
+    // unpack through the detected tier, and both must be alloc-free.
     let blocks: Vec<Vec<u8>> = [4u32, 14]
         .iter()
         .map(|&g| {
@@ -92,20 +119,20 @@ fn steady_state_page_scan_is_allocation_free() {
         })
         .collect();
 
-    let mut table = DistTable::new();
-    let mut scratch: Vec<u32> = Vec::new();
+    let window = Mbr::from_bounds(vec![2.0; DIM], vec![7.5; DIM]);
+    let mut scan = Scan::default();
     // Warm-up: grows the scratch buffer and the table storage to their
     // steady-state capacity.
     let mut warm = 0.0;
     for block in &blocks {
-        warm += scan_page(&codec, &mbr, block, &q, &mut table, &mut scratch);
+        warm += scan_page(&codec, &mbr, block, &q, &window, &mut scan);
     }
 
     let before = allocations();
     let mut steady = 0.0;
     for _ in 0..3 {
         for block in &blocks {
-            steady += scan_page(&codec, &mbr, block, &q, &mut table, &mut scratch);
+            steady += scan_page(&codec, &mbr, block, &q, &window, &mut scan);
         }
     }
     let after = allocations();

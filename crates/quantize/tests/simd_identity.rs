@@ -1,14 +1,15 @@
-//! Property tests pinning the SIMD kernels to the scalar oracle, bit for
-//! bit: batch unpack vs per-entry decode, batch MINDIST/MAXDIST folds vs the
-//! per-entry table methods, batch window classification vs per-entry
+//! Property tests pinning the batch kernels to the per-entry oracle, bit
+//! for bit: batch unpack vs per-entry decode, batch MINDIST/MAXDIST folds vs
+//! the per-entry table methods, batch window classification vs per-entry
 //! `classify`, and the distance-table rows at every tier vs `Metric` on the
 //! cell box — across bits 1..=16, all three metrics, and unaligned
 //! dims/page lengths.
 //!
-//! The batch entry points dispatch to whatever tier the host CPU supports
-//! (AVX2 / SSE4.1 / scalar), so on a SIMD host these properties prove the
+//! The unpack and the table rows dispatch to whatever tier the host CPU
+//! supports (AVX2 / scalar), so on an AVX2 host these properties prove the
 //! vector paths; under `IQ_FORCE_SCALAR=1` (CI's forced leg) they prove the
-//! portable fallback against itself and the per-entry oracle.
+//! portable fallback against itself and the per-entry oracle. The row fold
+//! has one body at every tier.
 
 use iq_geometry::{Mbr, Metric};
 use iq_quantize::{
@@ -133,8 +134,8 @@ proptest! {
         for hint in [1usize << 20, 0] {
             let mut t = WindowTable::new();
             t.build(&mbr, g, &window, hint);
-            let (mut raw, mut out) = (Vec::new(), Vec::new());
-            t.classify_batch(&block, &mut raw, &mut out);
+            let mut out = Vec::new();
+            t.classify_batch(&block, &mut out);
             prop_assert_eq!(out.len(), pts.len());
             for (e, got) in out.iter().enumerate() {
                 let want = t.classify(&block[e * dim..(e + 1) * dim]);
@@ -149,7 +150,7 @@ static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 /// Every tier `set_kernel_override` can select (it clamps a tier the CPU
 /// lacks down to the detected one).
-const TIERS: [Kernel; 3] = [Kernel::Scalar, Kernel::Sse41, Kernel::Avx2];
+const TIERS: [Kernel; 2] = [Kernel::Scalar, Kernel::Avx2];
 
 /// Builds the query's coordinate in dimension `i` of `mbr` by `mode`: `0`
 /// inside the MBR at relative position `rel`, `1` exactly on edge `edge`

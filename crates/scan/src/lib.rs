@@ -6,6 +6,8 @@
 //! to clear (cf. \[7\] in the paper); the IQ-tree is designed to beat it by
 //! scanning *compressed* approximations instead.
 
+#![forbid(unsafe_code)]
+
 use iq_engine::{
     query_span_begin, query_span_end, AccessMethod, Executor, Filter, QueryOptions, QueryTrace,
 };

@@ -13,6 +13,8 @@
 //! grid with a fixed, manually chosen number of bits per dimension — the
 //! tuning knob the paper sweeps from 2 to 8 bits and picks the best of.
 
+#![forbid(unsafe_code)]
+
 use iq_cost::refine::RefineParams;
 use iq_engine::{
     query_span_begin, query_span_end, refine_ascending, AccessMethod, Executor, Filter,
@@ -398,10 +400,9 @@ impl VaFile {
         wtable.build(&self.mbr, self.bits, window, self.n);
         let mut out = Vec::new();
         let mut to_verify: Vec<u32> = Vec::new();
-        let mut flags: Vec<u8> = Vec::new();
         let mut matches: Vec<CellMatch> = Vec::new();
         self.sweep(clock, 1, |first, cells| {
-            wtable.classify_batch(cells, &mut flags, &mut matches);
+            wtable.classify_batch(cells, &mut matches);
             for (j, &m) in matches.iter().enumerate() {
                 match m {
                     CellMatch::Inside => out.push((first + j) as u32),

@@ -24,6 +24,8 @@
 //! files hold exactly the state of some committed prefix, and replaying
 //! the log reproduces the rest.
 
+#![forbid(unsafe_code)]
+
 pub mod frame;
 pub mod log;
 pub mod record;

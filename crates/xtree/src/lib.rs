@@ -13,6 +13,8 @@
 //! indexes, not their loaders. Dynamic inserts with the X-tree split /
 //! supernode machinery are supported as well.
 
+#![forbid(unsafe_code)]
+
 pub mod node;
 pub mod split;
 

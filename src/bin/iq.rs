@@ -1552,7 +1552,7 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     reg.gauge("index_wal_bytes").set(tree.wal_bytes() as f64);
     reg.gauge("wasted_exact_blocks")
         .set(tree.wasted_exact_blocks() as f64);
-    // Selected scan-kernel dispatch tier: 0 = scalar, 1 = sse41, 2 = avx2.
+    // Selected scan-kernel dispatch tier: 0 = scalar, 2 = avx2.
     reg.gauge("simd_dispatch")
         .set(f64::from(iqtree_repro::quantize::simd::kernel().code()));
     match format {

@@ -38,6 +38,8 @@
 //! println!("nn = {id} at {dist:.4} (simulated {:.1} ms)", clock.total_time() * 1e3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use iq_bench as bench;
 pub use iq_cost as cost;
 pub use iq_data as data;

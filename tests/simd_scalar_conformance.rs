@@ -127,6 +127,6 @@ fn env_var_forces_scalar_detection() {
     if forced {
         assert_eq!(kernel_name(), "scalar");
     } else {
-        assert!(["avx2", "sse41", "scalar"].contains(&kernel_name()));
+        assert!(["avx2", "scalar"].contains(&kernel_name()));
     }
 }
