@@ -18,6 +18,7 @@
 
 use crate::{measure, Config, DataKind, Table};
 use iq_cost::refine::RefineParams;
+use iq_engine::AccessMethod;
 use iq_geometry::{volume, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};

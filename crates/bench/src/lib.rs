@@ -275,25 +275,6 @@ impl Table {
         self.rows.push((x.to_string(), values));
     }
 
-    /// Renders the table as CSV (header row `x_label,series...`).
-    pub fn render_csv(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = write!(out, "{}", self.x_label);
-        for s in &self.series {
-            let _ = write!(out, ",{s}");
-        }
-        let _ = writeln!(out);
-        for (x, vals) in &self.rows {
-            let _ = write!(out, "{x}");
-            for v in vals {
-                let _ = write!(out, ",{v:.6}");
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
     /// Renders the table as aligned text (the format EXPERIMENTS.md
     /// embeds).
     pub fn render(&self) -> String {
@@ -370,8 +351,5 @@ mod tests {
         assert!(s.contains("# Demo"));
         assert!(s.contains("0.5000"));
         assert!(s.contains("1.2500"));
-        let csv = t.render_csv();
-        assert_eq!(csv.lines().next(), Some("dim,a,b"));
-        assert!(csv.contains("4,0.500000,1.250000"));
     }
 }

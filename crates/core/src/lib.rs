@@ -143,6 +143,7 @@ pub struct PageMeta {
 /// # Example
 ///
 /// ```
+/// use iq_engine::AccessMethod;
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_tree::{IqTree, IqTreeOptions};

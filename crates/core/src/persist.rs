@@ -374,6 +374,7 @@ impl IqTree {
 mod tests {
     use super::*;
     use crate::tests::random_ds;
+    use iq_engine::AccessMethod;
     use iq_storage::FileDevice;
     use std::path::PathBuf;
 

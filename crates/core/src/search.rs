@@ -18,8 +18,8 @@
 use crate::{IqTree, PageMeta};
 use iq_cost::access_probability;
 use iq_engine::{
-    drive, knn_multi_per_query, query_span_begin, query_span_end, AccessMethod, CandidateHeap,
-    Executor, Filter, OrdKey, QueryOptions, TracedResult,
+    drive, knn_multi_per_query, knn_query, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
+    QueryOptions, QueryTrace, TracedResult,
 };
 use iq_geometry::{Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
@@ -28,12 +28,6 @@ use iq_storage::{fetch, read_to_vec_retry, SimClock};
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// What a nearest-neighbor query actually did — returned by
-/// [`IqTree::knn_traced`] for inspection, tuning and tests. The type lives
-/// in `iq-engine` so every access method reports work in the same shape;
-/// re-exported here for backward compatibility.
-pub use iq_engine::QueryTrace;
 
 /// Heap entry target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -95,53 +89,6 @@ struct SharedReads {
 }
 
 impl IqTree {
-    /// Exact nearest neighbor of `q`, as `(id, distance)`.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
-    }
-
-    /// The `k` exact nearest neighbors of `q`, ordered by increasing
-    /// distance.
-    ///
-    /// Queries take `&self`: any number of threads may search one tree
-    /// concurrently, each with its own [`SimClock`] (the clock models one
-    /// disk arm, so it is inherently per-query state). See
-    /// [`IqTree::knn_batch`] for a ready-made parallel executor.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        self.knn_traced(clock, q, k).0
-    }
-
-    /// Answers every query in `queries` with a `k`-NN search, fanning the
-    /// batch out over `threads` OS threads that share `self`.
-    ///
-    /// Delegates to the engine-layer executor [`iq_engine::knn_batch`],
-    /// which works over any [`AccessMethod`]: each query runs against a
-    /// fresh clone of `clock` (reset to zero), so per-query costs are
-    /// charged exactly as in a serial cold run; the per-query clocks are
-    /// then folded back into `clock` in query order via
-    /// [`SimClock::absorb`]. Results and accumulated statistics are
-    /// therefore identical for every thread count, including `1`.
-    pub fn knn_batch(
-        &self,
-        clock: &mut SimClock,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-    ) -> Vec<Vec<(u32, f64)>> {
-        iq_engine::knn_batch(self, clock, queries, k, threads)
-    }
-
-    /// Like [`IqTree::knn`], additionally returning a [`QueryTrace`] of
-    /// what the search did.
-    pub fn knn_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT, None)
-    }
-
     /// Shared search core; a pushed-down `filter` drops non-matching points
     /// at page-decode time (level 2), so they never enter the priority list
     /// and are never refined, and `k` counts post-filter results.
@@ -155,6 +102,9 @@ impl IqTree {
     /// Inside a micro-batch, `shared` serves the blocks earlier queries
     /// have read, and pages load one at a time: the Section 2.1 run
     /// extension is planned for lone queries only.
+    ///
+    /// Runs behind [`knn_query`], which has already checked `q` and
+    /// answered trivial queries.
     fn knn_traced_impl(
         &self,
         clock: &mut SimClock,
@@ -164,10 +114,6 @@ impl IqTree {
         opts: &QueryOptions,
         mut shared: Option<&mut SharedReads>,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
-        assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
-        if k == 0 || self.is_empty() || filter.is_some_and(|f| f.matching() == 0) {
-            return (Vec::new(), QueryTrace::default());
-        }
         // Partial refinement (`refine_factor >= 2`): the quantized phase
         // ranks candidates by their cell lower bound alone — no per-pivot
         // exact reads — and the best `k × refine_factor` are then refined
@@ -180,7 +126,6 @@ impl IqTree {
             k
         };
         let plan_runs = self.options().scheduled_io && shared.is_none();
-        query_span_begin(clock, "iqtree", k, filter, opts);
         let mut exec = Executor::new(self.metric(), budget, opts, clock);
         let mut deferred: HashMap<u32, (u32, u32)> = HashMap::new();
         clock.phase_begin(Phase::Directory);
@@ -287,7 +232,6 @@ impl IqTree {
         let (results, mut trace) = exec.into_results(metric);
         if !partial {
             clock.phase_end();
-            query_span_end(clock, &trace);
             return (results, trace);
         }
 
@@ -336,7 +280,6 @@ impl IqTree {
         });
         rerank.truncate(k);
         clock.phase_end();
-        query_span_end(clock, &trace);
         (rerank, trace)
     }
 
@@ -794,7 +737,7 @@ impl IqTree {
     }
 
     /// The Section 2 query over a page set known in advance, shared by
-    /// [`IqTree::window`] and [`IqTree::range`]. The candidate pages are
+    /// the `window` and `range` queries. The candidate pages are
     /// the non-empty ones whose MBR passes `select`; they load with the
     /// optimal batch fetch of Figure 1 and go through the level-2 read
     /// ladder. Entries of exact pages, and of pages answered from their
@@ -886,73 +829,6 @@ impl IqTree {
         out
     }
 
-    /// All points inside the query window (unordered ids) — the paper's
-    /// Section 2 case where the page set is known in advance: candidate
-    /// pages are exactly those whose MBR intersects the window, loaded with
-    /// the optimal batch-fetch schedule of Figure 1. A point is refined
-    /// only when its cell box straddles the window boundary.
-    ///
-    /// # Panics
-    /// Panics if the window's dimensionality mismatches.
-    pub fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let mut wtable = WindowTable::new();
-        self.scan_known_pages(
-            clock,
-            |mbr| mbr.intersects(window),
-            |coords| window.contains_point(coords),
-            |mbr, view, cells, matches| {
-                wtable.build(mbr, view.bits(), window, view.len());
-                // Whole-page classification through the flag-AND row
-                // fold — bit-identical to per-entry `classify`.
-                wtable.classify_batch(cells, matches);
-            },
-        )
-    }
-
-    /// All points within `radius` of `q` (unordered ids).
-    ///
-    /// The set of candidate pages is known up front, so the optimal batch
-    /// fetch of Section 2 (Figure 1) loads them with the minimal
-    /// seek/over-read schedule. Points whose cell box lies entirely within
-    /// the radius are accepted without refinement.
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let metric = self.metric();
-        let key_r = metric.distance_to_key(radius);
-        let mut table = DistTable::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        self.scan_known_pages(
-            clock,
-            |mbr| metric.mindist_key(q, mbr) <= key_r,
-            |coords| metric.distance_key(coords, q) <= key_r,
-            |mbr, view, cells, matches| {
-                table.build_bounds(mbr, view.bits(), metric, q, view.len());
-                // Batch fold: MINDIST and MAXDIST keys for the whole page
-                // in one SIMD pass. Both comparisons stay in the key
-                // domain, so a box accepted without refinement satisfies
-                // the same `distance_key <= key_r` predicate refinement
-                // would have checked.
-                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-                matches.clear();
-                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
-                    match (lo <= key_r, hi <= key_r) {
-                        (false, _) => CellMatch::Disjoint,
-                        (true, true) => CellMatch::Inside,
-                        (true, false) => CellMatch::Partial,
-                    }
-                }));
-            },
-        )
-    }
-
     /// The cost model's prediction of what a `k`-NN query against the
     /// current page configuration will do: how many second-level pages it
     /// reads (eqs 16–18, k-NN sphere per footnote 1) and how long the three
@@ -1013,9 +889,9 @@ impl IqTree {
     }
 }
 
-/// The IQ-tree behind the engine-layer query trait: the same searches the
-/// inherent methods expose, callable through `&dyn AccessMethod` alongside
-/// the scan, VA-file and X-tree baselines.
+/// The IQ-tree's query surface: k-NN, range and window queries, callable
+/// through `&dyn AccessMethod` alongside the scan, VA-file and X-tree
+/// baselines.
 impl AccessMethod for IqTree {
     fn name(&self) -> &'static str {
         "iqtree"
@@ -1042,7 +918,9 @@ impl AccessMethod for IqTree {
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
         // True pushdown into the level-2 filter phase — no top-up rounds.
-        self.knn_traced_impl(clock, q, k, filter, opts, None)
+        knn_query(self, clock, q, k, filter, opts, |clock| {
+            self.knn_traced_impl(clock, q, k, filter, opts, None)
+        })
     }
 
     /// Every query of the micro-batch runs the single-query walk on its
@@ -1060,16 +938,77 @@ impl AccessMethod for IqTree {
     ) -> Vec<TracedResult> {
         let mut shared = (queries.len() > 1).then(SharedReads::default);
         knn_multi_per_query(clock, queries, |clock, q| {
-            self.knn_traced_impl(clock, q, k, filter, opts, shared.as_mut())
+            knn_query(self, clock, q, k, filter, opts, |clock| {
+                self.knn_traced_impl(clock, q, k, filter, opts, shared.as_mut())
+            })
         })
     }
 
+    /// All points within `radius` of `q` (unordered ids).
+    ///
+    /// The set of candidate pages is known up front, so the optimal batch
+    /// fetch of Section 2 (Figure 1) loads them with the minimal
+    /// seek/over-read schedule. Points whose cell box lies entirely within
+    /// the radius are accepted without refinement.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        IqTree::range(self, clock, q, radius)
+        assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
+        if self.is_empty() {
+            return Vec::new();
+        }
+        let metric = self.metric();
+        let key_r = metric.distance_to_key(radius);
+        let mut table = DistTable::new();
+        let mut lo_keys: Vec<f64> = Vec::new();
+        let mut hi_keys: Vec<f64> = Vec::new();
+        self.scan_known_pages(
+            clock,
+            |mbr| metric.mindist_key(q, mbr) <= key_r,
+            |coords| metric.distance_key(coords, q) <= key_r,
+            |mbr, view, cells, matches| {
+                table.build_bounds(mbr, view.bits(), metric, q, view.len());
+                // Batch fold: MINDIST and MAXDIST keys for the whole page
+                // in one SIMD pass. Both comparisons stay in the key
+                // domain, so a box accepted without refinement satisfies
+                // the same `distance_key <= key_r` predicate refinement
+                // would have checked.
+                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                matches.clear();
+                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
+                    match (lo <= key_r, hi <= key_r) {
+                        (false, _) => CellMatch::Disjoint,
+                        (true, true) => CellMatch::Inside,
+                        (true, false) => CellMatch::Partial,
+                    }
+                }));
+            },
+        )
     }
 
+    /// All points inside the query window (unordered ids) — the paper's
+    /// Section 2 case where the page set is known in advance: candidate
+    /// pages are exactly those whose MBR intersects the window, loaded with
+    /// the optimal batch-fetch schedule of Figure 1. A point is refined
+    /// only when its cell box straddles the window boundary.
+    ///
+    /// # Panics
+    /// Panics if the window's dimensionality mismatches.
     fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        IqTree::window(self, clock, window)
+        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
+        if self.is_empty() {
+            return Vec::new();
+        }
+        let mut wtable = WindowTable::new();
+        self.scan_known_pages(
+            clock,
+            |mbr| mbr.intersects(window),
+            |coords| window.contains_point(coords),
+            |mbr, view, cells, matches| {
+                wtable.build(mbr, view.bits(), window, view.len());
+                // Whole-page classification through the flag-AND row
+                // fold — bit-identical to per-entry `classify`.
+                wtable.classify_batch(cells, matches);
+            },
+        )
     }
 
     /// The trait has no disk handle, so the prediction prices I/O on the
@@ -1085,6 +1024,7 @@ impl AccessMethod for IqTree {
 mod tests {
     use crate::tests::{build_tree, random_ds};
     use crate::IqTreeOptions;
+    use iq_engine::AccessMethod;
     use iq_geometry::{Dataset, Metric};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 

@@ -543,6 +543,7 @@ impl IqTree {
 mod tests {
     use crate::tests::{build_tree, random_ds};
     use crate::IqTreeOptions;
+    use iq_engine::AccessMethod;
     use iq_geometry::{Dataset, Metric};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 

@@ -11,6 +11,7 @@
 //! observed page count must lie within `TOLERANCE_FACTOR`× of the
 //! prediction, in both directions, for every tested `k`.
 
+use iq_engine::AccessMethod;
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostAudit;
 use iq_storage::{CpuModel, DiskModel, MemDevice, SimClock};

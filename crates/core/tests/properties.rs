@@ -2,6 +2,7 @@
 //! the data distribution, block size, metric or option set, query results
 //! are exact and structural invariants hold.
 
+use iq_engine::AccessMethod;
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};

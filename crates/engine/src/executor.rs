@@ -28,55 +28,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::{Filter, QueryTrace, TopK};
+use crate::{QueryTrace, TopK};
 use iq_geometry::Metric;
 use iq_storage::SimClock;
-
-/// Opens the engine root span of one query on a tracing clock: the span
-/// is named after the engine and annotated with `k`, every non-neutral
-/// approximation knob and the filter's match count. A no-op (one branch)
-/// when the clock is not tracing. Pair with [`query_span_end`].
-pub fn query_span_begin(
-    clock: &mut SimClock,
-    engine: &str,
-    k: usize,
-    filter: Option<&Filter>,
-    opts: &QueryOptions,
-) {
-    if !clock.tracing() {
-        return;
-    }
-    clock.span_begin(engine);
-    clock.span_attr("k", &k);
-    if opts.epsilon > 0.0 {
-        clock.span_attr("epsilon", &opts.epsilon);
-    }
-    if let Some(m) = opts.nprobes {
-        clock.span_attr("nprobes", &m);
-    }
-    if opts.refine_factor >= 2 {
-        clock.span_attr("refine_factor", &opts.refine_factor);
-    }
-    if let Some(b) = opts.time_budget {
-        clock.span_attr("time_budget", &b);
-    }
-    if let Some(f) = filter {
-        clock.span_attr("filter_matches", &f.matching());
-    }
-}
-
-/// Closes the engine root span opened by [`query_span_begin`], first
-/// recording every non-zero [`QueryTrace`] counter on it. A no-op when
-/// the clock is not tracing.
-pub fn query_span_end(clock: &mut SimClock, trace: &QueryTrace) {
-    if !clock.tracing() {
-        return;
-    }
-    for (name, v) in trace.fields() {
-        clock.span_count(name, v);
-    }
-    clock.span_end();
-}
 
 /// Approximation knobs for a k-NN search. The default is **exact**: every
 /// engine must return the same bits as a sequential scan when given

@@ -147,7 +147,7 @@ pub fn knn_paginated_opts<M: AccessMethod + ?Sized>(
     page: &PageSpec,
     opts: &QueryOptions,
 ) -> Vec<(u32, f64)> {
-    let mut hits = method.knn_opts(clock, q, page.k, filter, opts);
+    let (mut hits, _) = method.knn_opts_traced(clock, q, page.k, filter, opts);
     hits.sort_by(|a, b| {
         a.1.partial_cmp(&b.1)
             .expect("no NaN distances")

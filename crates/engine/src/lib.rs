@@ -5,10 +5,15 @@
 //! single [`AccessMethod`] trait: `&self` queries (any number of threads
 //! may share one index), per-query [`SimClock`] accounting, and a unified
 //! [`QueryTrace`] so figure runners, the CLI and the conformance tests
-//! iterate `&dyn AccessMethod` instead of special-casing each backend.
+//! iterate `&dyn AccessMethod` instead of special-casing each backend. The
+//! trait is the engines' only query surface: they have no inherent k-NN
+//! methods.
 //!
 //! The crate also hosts the pieces every method used to duplicate:
 //!
+//! * [`knn_query`] — the one boundary every k-NN query passes: the
+//!   dimension check, the trivial-query early return and the engine's
+//!   root trace span,
 //! * [`TopK`] — the bounded best-list for k-NN searches (NaN-rejecting),
 //! * [`executor`] — the shared bound-driven query loop ([`Executor`],
 //!   [`drive`], [`refine_ascending`]) and the [`QueryOptions`]
@@ -25,10 +30,7 @@ mod filter;
 mod topk;
 mod trace;
 
-pub use executor::{
-    drive, query_span_begin, query_span_end, refine_ascending, CandidateHeap, Executor, OrdKey,
-    QueryOptions,
-};
+pub use executor::{drive, refine_ascending, CandidateHeap, Executor, OrdKey, QueryOptions};
 pub use filter::{knn_paginated, knn_paginated_opts, Filter, PageSpec};
 pub use topk::TopK;
 pub use trace::QueryTrace;
@@ -85,11 +87,15 @@ pub trait AccessMethod: Send + Sync {
     /// matching point has been considered, or an approximation knob cuts
     /// the search short (reported via `QueryTrace::terminated_early`).
     ///
-    /// Every engine implements this as a candidate *producer* into the
-    /// shared bound-driven [`Executor`], so pruning, ε-termination,
-    /// `nprobes` truncation, partial refinement and the time budget
-    /// behave identically across methods — and with default options each
-    /// engine is bit-for-bit identical to a sequential scan.
+    /// Every engine implements this by handing its search to
+    /// [`knn_query`]; the search is a candidate *producer* into the
+    /// shared bound-driven [`Executor`]. So the input check, pruning,
+    /// ε-termination, `nprobes` truncation, partial refinement and the
+    /// time budget behave identically across methods — and with default
+    /// options each engine is bit-for-bit identical to a sequential scan.
+    ///
+    /// # Panics
+    /// Panics if `q.len() != self.dim()` (see [`knn_query`]).
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -98,18 +104,6 @@ pub trait AccessMethod: Send + Sync {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace);
-
-    /// Like [`AccessMethod::knn_opts_traced`], without the trace.
-    fn knn_opts(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> Vec<(u32, f64)> {
-        self.knn_opts_traced(clock, q, k, filter, opts).0
-    }
 
     /// Like [`AccessMethod::knn`], additionally returning a
     /// [`QueryTrace`] of what the search did. Methods without a
@@ -124,19 +118,9 @@ pub trait AccessMethod: Send + Sync {
         self.knn_opts_traced(clock, q, k, None, &QueryOptions::EXACT)
     }
 
-    /// Exact filtered k-NN with a trace: [`AccessMethod::knn_opts_traced`]
-    /// under default (exact) options.
-    fn knn_filtered_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_opts_traced(clock, q, k, filter, &QueryOptions::EXACT)
-    }
-
-    /// Like [`AccessMethod::knn_filtered_traced`], without the trace.
+    /// Exact k-NN among the points matching `filter`:
+    /// [`AccessMethod::knn_opts_traced`] under default options, without
+    /// the trace.
     fn knn_filtered(
         &self,
         clock: &mut SimClock,
@@ -144,7 +128,8 @@ pub trait AccessMethod: Send + Sync {
         k: usize,
         filter: Option<&Filter>,
     ) -> Vec<(u32, f64)> {
-        self.knn_filtered_traced(clock, q, k, filter).0
+        self.knn_opts_traced(clock, q, k, filter, &QueryOptions::EXACT)
+            .0
     }
 
     /// Answers a micro-batch of queries sharing this index in one call:
@@ -200,6 +185,85 @@ pub trait AccessMethod: Send + Sync {
         let _ = (k, opts);
         None
     }
+}
+
+/// The boundary every k-NN query passes before engine code runs. Each
+/// engine's [`AccessMethod::knn_opts_traced`] hands its search to this
+/// function, and so does every query of the IQ-tree's micro-batch walk.
+///
+/// It checks that `q` has `method.dim()` coordinates, then answers a
+/// trivial query — `k == 0`, an empty index, or a `filter` matching no
+/// point — with no results and an empty trace, without touching `clock`.
+/// Any other query runs `search` inside the engine's root trace span,
+/// named [`AccessMethod::name`] and annotated with `k`, every non-neutral
+/// knob and the filter's match count; the span closes with the returned
+/// trace's counters.
+///
+/// # Panics
+/// Panics if `q.len() != method.dim()`.
+pub fn knn_query<M: AccessMethod + ?Sized>(
+    method: &M,
+    clock: &mut SimClock,
+    q: &[f32],
+    k: usize,
+    filter: Option<&Filter>,
+    opts: &QueryOptions,
+    search: impl FnOnce(&mut SimClock) -> TracedResult,
+) -> TracedResult {
+    assert_eq!(q.len(), method.dim(), "query dimensionality mismatch");
+    if k == 0 || method.is_empty() || filter.is_some_and(|f| f.matching() == 0) {
+        return (Vec::new(), QueryTrace::default());
+    }
+    query_span_begin(clock, method.name(), k, filter, opts);
+    let out = search(clock);
+    query_span_end(clock, &out.1);
+    out
+}
+
+/// Opens the engine root span of one query on a tracing clock: the span
+/// is named after the engine and annotated with `k`, every non-neutral
+/// approximation knob and the filter's match count. A no-op (one branch)
+/// when the clock is not tracing.
+fn query_span_begin(
+    clock: &mut SimClock,
+    engine: &str,
+    k: usize,
+    filter: Option<&Filter>,
+    opts: &QueryOptions,
+) {
+    if !clock.tracing() {
+        return;
+    }
+    clock.span_begin(engine);
+    clock.span_attr("k", &k);
+    if opts.epsilon > 0.0 {
+        clock.span_attr("epsilon", &opts.epsilon);
+    }
+    if let Some(m) = opts.nprobes {
+        clock.span_attr("nprobes", &m);
+    }
+    if opts.refine_factor >= 2 {
+        clock.span_attr("refine_factor", &opts.refine_factor);
+    }
+    if let Some(b) = opts.time_budget {
+        clock.span_attr("time_budget", &b);
+    }
+    if let Some(f) = filter {
+        clock.span_attr("filter_matches", &f.matching());
+    }
+}
+
+/// Closes the engine root span opened by [`query_span_begin`], first
+/// recording every non-zero [`QueryTrace`] counter on it. A no-op when
+/// the clock is not tracing.
+fn query_span_end(clock: &mut SimClock, trace: &QueryTrace) {
+    if !clock.tracing() {
+        return;
+    }
+    for (name, v) in trace.fields() {
+        clock.span_count(name, v);
+    }
+    clock.span_end();
 }
 
 /// How every [`AccessMethod::knn_multi_opts_traced`] runs its batch: the
@@ -314,16 +378,27 @@ pub fn knn_batch_opts_traced<M: AccessMethod + ?Sized>(
     slots.resize_with(batches.len(), || None);
     let chunk = batches.len().div_ceil(threads.max(1));
     std::thread::scope(|s| {
-        for (bs, outs) in batches.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (qs, out) in bs.iter().zip(outs.iter_mut()) {
-                    let refs: Vec<&[f32]> = qs.iter().map(Vec::as_slice).collect();
-                    let mut c = template.clone();
-                    let res = method.knn_multi_opts_traced(&mut c, &refs, k, filter, opts);
-                    debug_assert_eq!(res.len(), qs.len(), "one result per query");
-                    *out = Some((res, c));
-                }
-            });
+        let workers: Vec<_> = batches
+            .chunks(chunk)
+            .zip(slots.chunks_mut(chunk))
+            .map(|(bs, outs)| {
+                s.spawn(move || {
+                    for (qs, out) in bs.iter().zip(outs.iter_mut()) {
+                        let refs: Vec<&[f32]> = qs.iter().map(Vec::as_slice).collect();
+                        let mut c = template.clone();
+                        let res = method.knn_multi_opts_traced(&mut c, &refs, k, filter, opts);
+                        debug_assert_eq!(res.len(), qs.len(), "one result per query");
+                        *out = Some((res, c));
+                    }
+                })
+            })
+            .collect();
+        // A query that panics (say, on a wrong dimension) re-raises its
+        // own message in the caller, not the scope's generic one.
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let mut results = Vec::with_capacity(queries.len());
@@ -374,21 +449,23 @@ mod tests {
             q: &[f32],
             k: usize,
             filter: Option<&Filter>,
-            _opts: &QueryOptions,
+            opts: &QueryOptions,
         ) -> (Vec<(u32, f64)>, QueryTrace) {
-            clock.charge_dist_evals(self.dim, self.pts.len() as u64);
-            let mut top = TopK::new(k);
-            for (i, p) in self.pts.iter().enumerate() {
-                if filter.is_none_or(|f| f.matches(i as u32)) {
-                    top.insert(Metric::Euclidean.distance_key(p, q), i as u32);
+            knn_query(self, clock, q, k, filter, opts, |clock| {
+                clock.charge_dist_evals(self.dim, self.pts.len() as u64);
+                let mut top = TopK::new(k);
+                for (i, p) in self.pts.iter().enumerate() {
+                    if filter.is_none_or(|f| f.matches(i as u32)) {
+                        top.insert(Metric::Euclidean.distance_key(p, q), i as u32);
+                    }
                 }
-            }
-            let trace = QueryTrace {
-                pages_processed: 1,
-                refinements: k as u64,
-                ..QueryTrace::default()
-            };
-            (top.into_results(Metric::Euclidean), trace)
+                let trace = QueryTrace {
+                    pages_processed: 1,
+                    refinements: k as u64,
+                    ..QueryTrace::default()
+                };
+                (top.into_results(Metric::Euclidean), trace)
+            })
         }
         fn range(&self, _clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
             (0..self.pts.len() as u32)

@@ -105,22 +105,6 @@ impl Mbr {
         (0..self.dim()).map(|i| self.extent(i)).product()
     }
 
-    /// Sum of side lengths (the R*-tree "margin" surrogate).
-    pub fn margin(&self) -> f64 {
-        (0..self.dim()).map(|i| self.extent(i)).sum()
-    }
-
-    /// Geometric mean of the side lengths — the `a` of the paper's eq (12).
-    /// Zero-extent sides are clamped to a tiny positive value so one
-    /// degenerate dimension does not zero out the whole Minkowski sum.
-    pub fn geometric_mean_side(&self) -> f64 {
-        let d = self.dim() as f64;
-        let log_sum: f64 = (0..self.dim())
-            .map(|i| self.extent(i).max(f64::MIN_POSITIVE).ln())
-            .sum();
-        (log_sum / d).exp()
-    }
-
     /// Grows the box to contain `p`.
     pub fn extend_point(&mut self, p: &[f32]) {
         debug_assert_eq!(p.len(), self.dim());
@@ -236,11 +220,5 @@ mod tests {
         let a = Mbr::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]);
         assert_eq!(a.enlargement_for_point(&[0.5, 0.5]), 0.0);
         assert!((a.enlargement_for_point(&[2.0, 1.0]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_of_square_is_side() {
-        let a = Mbr::from_bounds(vec![0.0, 0.0], vec![2.0, 2.0]);
-        assert!((a.geometric_mean_side() - 2.0).abs() < 1e-9);
     }
 }

@@ -74,12 +74,6 @@ impl Dataset {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Mutably borrows point `i`.
-    #[inline]
-    pub fn point_mut(&mut self, i: usize) -> &mut [f32] {
-        &mut self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
     /// Appends a point.
     ///
     /// # Panics
@@ -155,12 +149,5 @@ mod tests {
         assert_eq!(ds.len(), 3);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail.point(0), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn point_mut_updates_in_place() {
-        let mut ds = Dataset::from_flat(2, vec![0.0; 4]);
-        ds.point_mut(1)[0] = 7.0;
-        assert_eq!(ds.point(1), &[7.0, 0.0]);
     }
 }

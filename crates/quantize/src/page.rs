@@ -234,15 +234,6 @@ impl QuantizedPageCodec {
             cells,
         })
     }
-
-    /// [`Self::try_decode`] for callers that trust the block (freshly
-    /// encoded in memory, or verified by the checksum layer).
-    ///
-    /// # Panics
-    /// Panics if the page is corrupt.
-    pub fn decode(&self, block: &[u8]) -> DecodedQuantPage {
-        self.try_decode(block).expect("corrupt quantized page")
-    }
 }
 
 /// A zero-copy, header-validated view of a quantized page.
@@ -360,20 +351,9 @@ impl ExactPageCodec {
         out
     }
 
-    /// Decodes entry `i` from a page buffer that starts at entry 0.
-    pub fn decode_entry(&self, page: &[u8], i: usize) -> (u32, Vec<f32>) {
-        let off = i * self.entry_bytes();
-        self.decode_entry_at(&page[off..off + self.entry_bytes()])
-    }
-
-    /// Decodes one entry from exactly [`Self::entry_bytes`] bytes.
-    pub fn decode_entry_at(&self, bytes: &[u8]) -> (u32, Vec<f32>) {
-        self.try_decode_entry_at(bytes)
-            .expect("corrupt exact entry")
-    }
-
-    /// Fallible form of [`Self::decode_entry_at`] for the degraded read
-    /// path (a truncated region surfaces as [`IqError::Decode`]).
+    /// Decodes one entry from exactly [`Self::entry_bytes`] bytes into
+    /// its id and coordinates, for the degraded read path (a truncated
+    /// region surfaces as [`IqError::Decode`]).
     pub fn try_decode_entry_at(&self, bytes: &[u8]) -> IqResult<(u32, Vec<f32>)> {
         let mut coords = vec![0.0f32; self.dim];
         let id = self.try_decode_entry_into(bytes, &mut coords)?;
@@ -468,7 +448,7 @@ mod tests {
         let pts: Vec<(u32, Vec<f32>)> = vec![(7, vec![0.1, 0.9, 0.5]), (42, vec![0.0, 1.0, 0.25])];
         let block = c.encode(&m, 4, pts.iter().map(|(id, p)| (*id, p.as_slice())));
         assert_eq!(block.len(), 256);
-        let dec = c.decode(&block);
+        let dec = c.try_decode(&block).expect("valid page");
         assert_eq!(dec.len(), 2);
         assert_eq!(dec.bits(), 4);
         assert_eq!(dec.id(0), 7);
@@ -486,11 +466,14 @@ mod tests {
         let m = mbr(2);
         let p = [0.123_456_79f32, -5.5];
         let block = c.encode(&m, EXACT_BITS, [(9u32, &p[..])].into_iter());
-        let dec = c.decode(&block);
+        let dec = c.try_decode(&block).expect("valid page");
         assert_eq!(dec.exact_point(0).expect("exact page"), p.to_vec());
         // Non-exact pages report None.
         let block = c.encode(&m, 8, [(9u32, &[0.5f32, 0.5][..])].into_iter());
-        assert_eq!(c.decode(&block).exact_point(0), None);
+        assert_eq!(
+            c.try_decode(&block).expect("valid page").exact_point(0),
+            None
+        );
     }
 
     #[test]
@@ -500,8 +483,12 @@ mod tests {
             vec![(11, vec![1., 2., 3., 4.]), (97, vec![5., 6., 7., 8.])];
         let bytes = c.encode(rows.iter().map(|(id, r)| (*id, r.as_slice())));
         assert_eq!(bytes.len(), 2 * 20);
-        assert_eq!(c.decode_entry(&bytes, 0), (11, rows[0].1.clone()));
-        assert_eq!(c.decode_entry(&bytes, 1), (97, rows[1].1.clone()));
+        let entry = |i: usize| {
+            c.try_decode_entry_at(&bytes[i * 20..(i + 1) * 20])
+                .expect("valid entry")
+        };
+        assert_eq!(entry(0), (11, rows[0].1.clone()));
+        assert_eq!(entry(1), (97, rows[1].1.clone()));
     }
 
     #[test]
@@ -574,7 +561,7 @@ mod tests {
                 g,
                 pts.iter().enumerate().map(|(i, p)| (i as u32, p.as_slice())),
             );
-            let dec = c.decode(&block);
+            let dec = c.try_decode(&block).expect("valid page");
             prop_assert_eq!(dec.len(), pts.len());
             let grid = GridQuantizer::new(&m, g);
             for (i, p) in pts.iter().enumerate() {

@@ -41,7 +41,7 @@ fn page_at_exact_capacity_roundtrips() {
                 .enumerate()
                 .map(|(i, p)| (i as u32, p.as_slice())),
         );
-        let dec = codec.decode(&block);
+        let dec = codec.try_decode(&block).expect("valid page");
         assert_eq!(dec.len(), cap, "g={g}");
         assert_eq!(dec.bits(), g);
     }
@@ -91,7 +91,7 @@ fn degenerate_mbr_quantizes_to_zero_cells() {
     let p = [0.25f32, 0.5, 0.75, 1.0];
     let mbr = Mbr::of_points(4, std::iter::once(&p[..]));
     let block = codec.encode(&mbr, 6, [(9u32, &p[..])].into_iter());
-    let dec = codec.decode(&block);
+    let dec = codec.try_decode(&block).expect("valid page");
     assert_eq!(dec.cells(0), &[0, 0, 0, 0]);
     let grid = GridQuantizer::new(&mbr, 6);
     let cell = grid.cell_box(dec.cells(0));
@@ -105,7 +105,7 @@ fn extreme_coordinates_survive_exact_pages() {
     let weird = [f32::MIN_POSITIVE, -1.0e30f32];
     let mbr = Mbr::of_points(2, std::iter::once(&weird[..]));
     let block = codec.encode(&mbr, EXACT_BITS, [(1u32, &weird[..])].into_iter());
-    let dec = codec.decode(&block);
+    let dec = codec.try_decode(&block).expect("valid page");
     assert_eq!(dec.exact_point(0).expect("exact"), weird.to_vec());
 }
 
@@ -127,7 +127,7 @@ proptest! {
             g,
             pts.iter().enumerate().map(|(i, p)| (i as u32, p.as_slice())),
         );
-        let dec = codec.decode(&block);
+        let dec = codec.try_decode(&block).expect("valid page");
         // Scribbling over the bytes AFTER the live entries must not change
         // anything.
         let live = 4 + n * codec.entry_bytes(g);
@@ -135,7 +135,7 @@ proptest! {
         for b in scribbled.iter_mut().skip(live) {
             *b = 0xA5;
         }
-        let dec2 = codec.decode(&scribbled);
+        let dec2 = codec.try_decode(&scribbled).expect("valid page");
         prop_assert_eq!(dec.len(), dec2.len());
         for i in 0..dec.len() {
             prop_assert_eq!(dec.id(i), dec2.id(i));

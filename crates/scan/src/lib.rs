@@ -8,9 +8,7 @@
 
 #![forbid(unsafe_code)]
 
-use iq_engine::{
-    query_span_begin, query_span_end, AccessMethod, Executor, Filter, QueryOptions, QueryTrace,
-};
+use iq_engine::{knn_query, AccessMethod, Executor, Filter, QueryOptions, QueryTrace};
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostPrediction;
 use iq_storage::{BlockDevice, SimClock};
@@ -24,6 +22,7 @@ const SCAN_CHUNK_BLOCKS: u64 = 256;
 /// # Example
 ///
 /// ```
+/// use iq_engine::AccessMethod;
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_scan::SeqScan;
@@ -64,26 +63,6 @@ impl SeqScan {
             n: ds.len(),
             dev,
         }
-    }
-
-    /// Dimensionality of the indexed points.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the file is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The distance metric queries are answered under.
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 
     /// Scans the file once, invoking `visit(id, coords)` for every point.
@@ -168,57 +147,6 @@ impl SeqScan {
         );
         (u64::from(id), block)
     }
-
-    /// Exact nearest neighbor of `q`, as `(id, distance)`.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
-    }
-
-    /// The `k` nearest neighbors of `q`, ordered by increasing distance.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        AccessMethod::knn_opts_traced(self, clock, q, k, None, &QueryOptions::EXACT).0
-    }
-
-    /// The `k` nearest neighbors of `q` among the points matching
-    /// `filter`: the same single sweep, with non-matching points dropped
-    /// before their distance is evaluated. The result is the filter-then-
-    /// scan oracle the other engines' filtered searches are tested
-    /// against.
-    pub fn knn_filtered(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: &Filter,
-    ) -> Vec<(u32, f64)> {
-        AccessMethod::knn_opts_traced(self, clock, q, k, Some(filter), &QueryOptions::EXACT).0
-    }
-
-    /// All points inside the query window (unordered ids).
-    pub fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        let mut out = Vec::new();
-        self.scan(clock, |id, p| {
-            if window.contains_point(p) {
-                out.push(id);
-            }
-        });
-        out
-    }
-
-    /// All points within `radius` of `q`, as ids (unordered).
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let metric = self.metric;
-        let key = metric.distance_to_key(radius);
-        let mut out = Vec::new();
-        self.scan(clock, |id, p| {
-            if metric.distance_key(p, q) <= key {
-                out.push(id);
-            }
-        });
-        out
-    }
 }
 
 impl AccessMethod for SeqScan {
@@ -239,10 +167,13 @@ impl AccessMethod for SeqScan {
     }
 
     /// The single scan search loop: one sequential sweep offering every
-    /// (matching) exact point to the shared [`Executor`]. The scan has no
-    /// approximation level, so `epsilon`, `nprobes` and `refine_factor`
-    /// cannot shorten it — only `time_budget` does (the sweep stops
-    /// between chunk reads, returning the best answer so far).
+    /// (matching) exact point to the shared [`Executor`]. With a filter
+    /// this is the filter-then-scan oracle the other engines' filtered
+    /// searches are tested against. The scan has no approximation level,
+    /// so `epsilon`, `nprobes` and `refine_factor` cannot shorten it —
+    /// only `time_budget` does (the sweep stops between chunk reads,
+    /// returning the best answer so far). The trace reports one run and
+    /// the blocks swept as `pages_processed`.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -251,29 +182,25 @@ impl AccessMethod for SeqScan {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
-        assert_eq!(q.len(), self.dim);
-        if k == 0 || self.n == 0 || filter.is_some_and(|f| f.matching() == 0) {
-            return (Vec::new(), QueryTrace::default());
-        }
-        let metric = self.metric;
-        query_span_begin(clock, "scan", k, filter, opts);
-        let mut exec = Executor::new(metric, k, opts, clock);
-        let deadline = opts
-            .time_budget
-            .map_or(f64::INFINITY, |b| clock.total_time() + b);
-        let (visited, blocks) = self.scan_bounded(clock, deadline, |id, p| {
-            if filter.is_none_or(|f| f.matches(id)) {
-                exec.offer(metric.distance_key(p, q), id);
-            }
-        });
-        exec.trace.pages_processed = blocks;
-        exec.trace.runs = 1;
-        exec.skip_candidates(self.n as u64 - visited);
-        clock.phase_begin(iq_obs::Phase::TopK);
-        let out = exec.into_results(metric);
-        clock.phase_end();
-        query_span_end(clock, &out.1);
-        out
+        knn_query(self, clock, q, k, filter, opts, |clock| {
+            let metric = self.metric;
+            let mut exec = Executor::new(metric, k, opts, clock);
+            let deadline = opts
+                .time_budget
+                .map_or(f64::INFINITY, |b| clock.total_time() + b);
+            let (visited, blocks) = self.scan_bounded(clock, deadline, |id, p| {
+                if filter.is_none_or(|f| f.matches(id)) {
+                    exec.offer(metric.distance_key(p, q), id);
+                }
+            });
+            exec.trace.pages_processed = blocks;
+            exec.trace.runs = 1;
+            exec.skip_candidates(self.n as u64 - visited);
+            clock.phase_begin(iq_obs::Phase::TopK);
+            let out = exec.into_results(metric);
+            clock.phase_end();
+            out
+        })
     }
 
     /// A sequential scan's cost is fully analytic: every query reads the
@@ -301,12 +228,30 @@ impl AccessMethod for SeqScan {
         })
     }
 
+    /// All points within `radius` of `q`, as ids (unordered).
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        SeqScan::range(self, clock, q, radius)
+        assert_eq!(q.len(), self.dim);
+        let metric = self.metric;
+        let key = metric.distance_to_key(radius);
+        let mut out = Vec::new();
+        self.scan(clock, |id, p| {
+            if metric.distance_key(p, q) <= key {
+                out.push(id);
+            }
+        });
+        out
     }
 
+    /// All points inside the query window (unordered ids).
     fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        SeqScan::window(self, clock, window)
+        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
+        let mut out = Vec::new();
+        self.scan(clock, |id, p| {
+            if window.contains_point(p) {
+                out.push(id);
+            }
+        });
+        out
     }
 }
 

@@ -17,8 +17,7 @@
 
 use iq_cost::refine::RefineParams;
 use iq_engine::{
-    query_span_begin, query_span_end, refine_ascending, AccessMethod, Executor, Filter,
-    QueryOptions, QueryTrace, TopK,
+    knn_query, refine_ascending, AccessMethod, Executor, Filter, QueryOptions, QueryTrace, TopK,
 };
 use iq_geometry::{Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
@@ -79,6 +78,7 @@ pub fn auto_bits(
 /// # Example
 ///
 /// ```
+/// use iq_engine::AccessMethod;
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_vafile::VaFile;
@@ -168,26 +168,6 @@ impl VaFile {
     /// Bits per dimension of the global grid.
     pub fn bits(&self) -> u32 {
         self.bits
-    }
-
-    /// Dimensionality of the indexed points.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The distance metric queries are answered under.
-    pub fn metric(&self) -> Metric {
-        self.metric
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the file is empty (never true: `build` rejects empty sets).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Size of the approximation file in blocks (what the filter phase
@@ -303,150 +283,6 @@ impl VaFile {
             .decode_entry_into(&buf[byte_off..byte_off + self.codec.entry_bytes()], out);
     }
 
-    /// Exact nearest neighbor of `q`.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
-    }
-
-    /// The `k` exact nearest neighbors of `q`, ordered by increasing
-    /// distance.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        self.knn_traced(clock, q, k).0
-    }
-
-    /// Like [`VaFile::knn`], additionally reporting what the two-phase
-    /// search did: the approximation sweep ([`QueryTrace::runs`] = 1,
-    /// `pages_processed` = blocks scanned), the candidates surviving the
-    /// filter (`approx_enqueued`) and the exact fetches actually performed
-    /// (`refinements`).
-    pub fn knn_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT)
-    }
-
-    /// Shared two-phase search; `filter` (if any) is pushed into the
-    /// approximation sweep, so δ and the candidate set derive only from
-    /// matching points and `k` counts post-filter results. Phase 2 is the
-    /// shared executor's [`refine_ascending`] sweep, which owns pruning,
-    /// ε-termination, the `refine_factor` cap and the time budget;
-    /// `nprobes` truncates the sorted candidate list first (IVF-style:
-    /// only the m best approximations are ever refined).
-    fn knn_traced_impl(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        assert_eq!(q.len(), self.dim);
-        if k == 0 || filter.is_some_and(|f| f.matching() == 0) {
-            return (Vec::new(), QueryTrace::default());
-        }
-        let metric = self.metric;
-        query_span_begin(clock, "vafile", k, filter, opts);
-        let mut exec = Executor::new(metric, k, opts, clock);
-        exec.trace.pages_processed = self.approx.num_blocks();
-        exec.trace.runs = 1;
-        clock.phase_begin(Phase::Filter);
-        let (lower, delta) = self.filter_phase(clock, q, k, filter);
-
-        // Candidates that the filter could not prune, by increasing lower
-        // bound. Filtered-out points carry a NaN lower bound, which fails
-        // `lb <= delta` even when δ is +∞, so they never become candidates.
-        clock.phase_begin(Phase::Plan);
-        let mut cand: Vec<(f64, u32)> = lower
-            .iter()
-            .enumerate()
-            .filter(|&(_, &lb)| lb <= delta)
-            .map(|(i, &lb)| (lb, i as u32))
-            .collect();
-        cand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        exec.trace.approx_enqueued = cand.len() as u64;
-        if let Some(m) = opts.nprobes {
-            if (cand.len() as u64) > m {
-                exec.skip_candidates(cand.len() as u64 - m);
-                cand.truncate(m as usize);
-            }
-        }
-
-        // Phase 2: refine in lower-bound order until the k-th best exact
-        // distance undercuts the next lower bound (or a knob fires).
-        clock.phase_begin(Phase::Refine);
-        let mut p = vec![0.0f32; self.dim];
-        refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
-            self.fetch_exact_into(clock, id as usize, &mut p);
-            clock.charge_dist_evals(self.dim, 1);
-            Some(metric.distance_key(&p, q))
-        });
-        clock.phase_begin(Phase::TopK);
-        let out = exec.into_results(metric);
-        clock.phase_end();
-        query_span_end(clock, &out.1);
-        out
-    }
-
-    /// All points inside the query window (unordered ids): one scan of the
-    /// approximation file; a point is refined only when its cell box
-    /// straddles the window boundary.
-    pub fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        clock.phase_begin(Phase::Filter);
-        let mut wtable = WindowTable::new();
-        wtable.build(&self.mbr, self.bits, window, self.n);
-        let mut out = Vec::new();
-        let mut to_verify: Vec<u32> = Vec::new();
-        let mut matches: Vec<CellMatch> = Vec::new();
-        self.sweep(clock, 1, |first, cells| {
-            wtable.classify_batch(cells, &mut matches);
-            for (j, &m) in matches.iter().enumerate() {
-                match m {
-                    CellMatch::Inside => out.push((first + j) as u32),
-                    CellMatch::Partial => to_verify.push((first + j) as u32),
-                    CellMatch::Disjoint => {}
-                }
-            }
-        });
-        self.verify(clock, &to_verify, &mut out, |p| window.contains_point(p));
-        out
-    }
-
-    /// All points within `radius` of `q` (unordered ids): one scan of the
-    /// approximation file classifies each cell box by both bounds. Boxes
-    /// entirely within the radius are accepted without fetching their
-    /// exact coordinates; only boxes straddling it are refined.
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let key_r = self.metric.distance_to_key(radius);
-        clock.phase_begin(Phase::Filter);
-        let table = self.dist_table(q);
-        let mut out = Vec::new();
-        let mut to_verify: Vec<u32> = Vec::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        // Two bound evaluations per scanned point, as in the k-NN filter.
-        self.sweep(clock, 2, |first, cells| {
-            table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-            for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
-                if lo <= key_r {
-                    if hi <= key_r {
-                        out.push((first + j) as u32);
-                    } else {
-                        to_verify.push((first + j) as u32);
-                    }
-                }
-            }
-        });
-        self.verify(clock, &to_verify, &mut out, |p| {
-            self.metric.distance_key(p, q) <= key_r
-        });
-        out
-    }
-
     /// Refinement phase of `window` and `range`: fetches each point in
     /// `ids` from the exact file and keeps those `accept` admits.
     fn verify(
@@ -486,6 +322,19 @@ impl AccessMethod for VaFile {
         self.metric
     }
 
+    /// The two-phase search. The `filter` (if any) is pushed into the
+    /// approximation sweep, so δ and the candidate set derive only from
+    /// matching points and `k` counts post-filter results — no top-up
+    /// rounds are ever needed. Phase 2 is the shared executor's
+    /// [`refine_ascending`] sweep, which owns pruning, ε-termination, the
+    /// `refine_factor` cap and the time budget; `nprobes` truncates the
+    /// sorted candidate list first (IVF-style: only the m best
+    /// approximations are ever refined).
+    ///
+    /// The trace reports the approximation sweep ([`QueryTrace::runs`] =
+    /// 1, `pages_processed` = blocks scanned), the candidates surviving
+    /// the filter (`approx_enqueued`) and the exact fetches actually
+    /// performed (`refinements`).
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -494,17 +343,104 @@ impl AccessMethod for VaFile {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
-        // True pushdown: the predicate rides the approximation sweep, so no
-        // top-up rounds are ever needed.
-        self.knn_traced_impl(clock, q, k, filter, opts)
+        knn_query(self, clock, q, k, filter, opts, |clock| {
+            let metric = self.metric;
+            let mut exec = Executor::new(metric, k, opts, clock);
+            exec.trace.pages_processed = self.approx.num_blocks();
+            exec.trace.runs = 1;
+            clock.phase_begin(Phase::Filter);
+            let (lower, delta) = self.filter_phase(clock, q, k, filter);
+
+            // Candidates that the filter could not prune, by increasing lower
+            // bound. Filtered-out points carry a NaN lower bound, which fails
+            // `lb <= delta` even when δ is +∞, so they never become candidates.
+            clock.phase_begin(Phase::Plan);
+            let mut cand: Vec<(f64, u32)> = lower
+                .iter()
+                .enumerate()
+                .filter(|&(_, &lb)| lb <= delta)
+                .map(|(i, &lb)| (lb, i as u32))
+                .collect();
+            cand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            exec.trace.approx_enqueued = cand.len() as u64;
+            if let Some(m) = opts.nprobes {
+                if (cand.len() as u64) > m {
+                    exec.skip_candidates(cand.len() as u64 - m);
+                    cand.truncate(m as usize);
+                }
+            }
+
+            // Phase 2: refine in lower-bound order until the k-th best exact
+            // distance undercuts the next lower bound (or a knob fires).
+            clock.phase_begin(Phase::Refine);
+            let mut p = vec![0.0f32; self.dim];
+            refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
+                self.fetch_exact_into(clock, id as usize, &mut p);
+                clock.charge_dist_evals(self.dim, 1);
+                Some(metric.distance_key(&p, q))
+            });
+            clock.phase_begin(Phase::TopK);
+            let out = exec.into_results(metric);
+            clock.phase_end();
+            out
+        })
     }
 
+    /// All points within `radius` of `q` (unordered ids): one scan of the
+    /// approximation file classifies each cell box by both bounds. Boxes
+    /// entirely within the radius are accepted without fetching their
+    /// exact coordinates; only boxes straddling it are refined.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        VaFile::range(self, clock, q, radius)
+        assert_eq!(q.len(), self.dim);
+        let key_r = self.metric.distance_to_key(radius);
+        clock.phase_begin(Phase::Filter);
+        let table = self.dist_table(q);
+        let mut out = Vec::new();
+        let mut to_verify: Vec<u32> = Vec::new();
+        let mut lo_keys: Vec<f64> = Vec::new();
+        let mut hi_keys: Vec<f64> = Vec::new();
+        // Two bound evaluations per scanned point, as in the k-NN filter.
+        self.sweep(clock, 2, |first, cells| {
+            table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+            for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
+                if lo <= key_r {
+                    if hi <= key_r {
+                        out.push((first + j) as u32);
+                    } else {
+                        to_verify.push((first + j) as u32);
+                    }
+                }
+            }
+        });
+        self.verify(clock, &to_verify, &mut out, |p| {
+            self.metric.distance_key(p, q) <= key_r
+        });
+        out
     }
 
+    /// All points inside the query window (unordered ids): one scan of the
+    /// approximation file; a point is refined only when its cell box
+    /// straddles the window boundary.
     fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        VaFile::window(self, clock, window)
+        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
+        clock.phase_begin(Phase::Filter);
+        let mut wtable = WindowTable::new();
+        wtable.build(&self.mbr, self.bits, window, self.n);
+        let mut out = Vec::new();
+        let mut to_verify: Vec<u32> = Vec::new();
+        let mut matches: Vec<CellMatch> = Vec::new();
+        self.sweep(clock, 1, |first, cells| {
+            wtable.classify_batch(cells, &mut matches);
+            for (j, &m) in matches.iter().enumerate() {
+                match m {
+                    CellMatch::Inside => out.push((first + j) as u32),
+                    CellMatch::Partial => to_verify.push((first + j) as u32),
+                    CellMatch::Disjoint => {}
+                }
+            }
+        });
+        self.verify(clock, &to_verify, &mut out, |p| window.contains_point(p));
+        out
     }
 
     /// The [`predict_cost`] model evaluated against this file's actual

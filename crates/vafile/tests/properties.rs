@@ -1,6 +1,7 @@
 //! Property-based tests of the VA-file's guarantees: exact results at
 //! every resolution, correct filter bounds, sane cost structure.
 
+use iq_engine::AccessMethod;
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_vafile::VaFile;

@@ -19,8 +19,8 @@ pub mod node;
 pub mod split;
 
 use iq_engine::{
-    drive, query_span_begin, query_span_end, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
-    QueryOptions, QueryTrace,
+    drive, knn_query, AccessMethod, CandidateHeap, Executor, Filter, OrdKey, QueryOptions,
+    QueryTrace,
 };
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
@@ -56,6 +56,7 @@ struct NodeAddr {
 /// # Example
 ///
 /// ```
+/// use iq_engine::AccessMethod;
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_xtree::{XTree, XTreeOptions};
@@ -193,21 +194,6 @@ impl XTree {
         }
     }
 
-    /// Dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the tree is empty (never true: `build` rejects empty sets).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Number of data pages.
     pub fn num_data_pages(&self) -> usize {
         self.pages.len()
@@ -221,11 +207,6 @@ impl XTree {
     /// Number of supernodes created by dynamic inserts.
     pub fn num_supernodes(&self) -> usize {
         self.supernodes
-    }
-
-    /// The distance metric queries are answered under.
-    pub fn metric(&self) -> Metric {
-        self.metric
     }
 
     fn read_node(&self, clock: &mut SimClock, id: u32) -> Node {
@@ -301,126 +282,6 @@ impl XTree {
         self.nodes.len() as u32 - 1
     }
 
-    /// Exact nearest neighbor of `q` via best-first (Hjaltason/Samet)
-    /// search.
-    pub fn nearest(&self, clock: &mut SimClock, q: &[f32]) -> Option<(u32, f64)> {
-        self.knn(clock, q, 1).pop()
-    }
-
-    /// The `k` exact nearest neighbors of `q`, ordered by increasing
-    /// distance.
-    pub fn knn(&self, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
-        self.knn_traced(clock, q, k).0
-    }
-
-    /// Like [`XTree::knn`], additionally reporting the best-first
-    /// descent's work: directory nodes visited count as
-    /// [`QueryTrace::runs`] (one random I/O each), data pages decoded as
-    /// `pages_processed`.
-    pub fn knn_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        self.knn_traced_impl(clock, q, k, None, &QueryOptions::EXACT)
-    }
-
-    /// The best-first descent as a producer into the shared bound-driven
-    /// [`Executor`]: directory nodes and data pages stream through
-    /// [`drive`] in ascending MINDIST order; pruning, ε-termination and
-    /// the budgets live in the executor. A pushed-down `filter` drops
-    /// non-matching points at page-decode time, so the pruning bound
-    /// derives only from matching points and stays exact. `nprobes`
-    /// counts decoded data pages — once spent, no further page read can
-    /// improve the answer, so the descent stops outright.
-    fn knn_traced_impl(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        assert_eq!(q.len(), self.dim);
-        if k == 0 || filter.is_some_and(|f| f.matching() == 0) {
-            return (Vec::new(), QueryTrace::default());
-        }
-        let metric = self.metric;
-        query_span_begin(clock, "xtree", k, filter, opts);
-        let mut exec = Executor::new(metric, k, opts, clock);
-        let mut heap: CandidateHeap<Target> = CandidateHeap::new();
-        heap.push(Reverse((OrdKey(0.0), Target::Node(self.root))));
-        drive(
-            &mut exec,
-            clock,
-            &mut heap,
-            |exec, clock, _mindist, target, heap| match target {
-                Target::Node(id) => {
-                    clock.phase_begin(Phase::Directory);
-                    let node = self.read_node(clock, id);
-                    clock.charge_dist_evals(self.dim, node.entries.len() as u64);
-                    exec.trace.runs += 1;
-                    for e in &node.entries {
-                        let d = metric.mindist_key(q, &e.mbr);
-                        if !exec.is_pruned(d) {
-                            let t = if node.leaf_children {
-                                Target::Page(e.child)
-                            } else {
-                                Target::Node(e.child)
-                            };
-                            exec.trace.approx_enqueued += 1;
-                            heap.push(Reverse((OrdKey(d), t)));
-                        }
-                    }
-                }
-                Target::Page(id) => {
-                    if !exec.try_probe() {
-                        exec.stop();
-                        return;
-                    }
-                    clock.phase_begin(Phase::Filter);
-                    let page = self.read_page(clock, id);
-                    clock.charge_dist_evals(self.dim, page.len() as u64);
-                    exec.trace.runs += 1;
-                    exec.trace.pages_processed += 1;
-                    for (i, &pid) in page.ids.iter().enumerate() {
-                        if filter.is_none_or(|f| f.matches(pid)) {
-                            exec.offer(metric.distance_key(page.point(i, self.dim), q), pid);
-                        }
-                    }
-                }
-            },
-        );
-        clock.phase_begin(Phase::TopK);
-        let out = exec.into_results(metric);
-        clock.phase_end();
-        query_span_end(clock, &out.1);
-        out
-    }
-
-    /// All points within `radius` of `q` (unordered ids).
-    ///
-    /// The directory descent determines the full set of candidate data
-    /// pages up front (the paper's Section 2 observation for range
-    /// queries), which are then loaded with the optimal batch-fetch
-    /// schedule instead of one random access each.
-    pub fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let key_r = self.metric.distance_to_key(radius);
-        let metric = self.metric;
-        let pages = self.collect_pages(clock, |mbr| metric.mindist_key(q, mbr) <= key_r);
-        let mut out = Vec::new();
-        self.visit_pages_batched(clock, &pages, |dim, page| {
-            for (i, &pid) in page.ids.iter().enumerate() {
-                if metric.distance_key(page.point(i, dim), q) <= key_r {
-                    out.push(pid);
-                }
-            }
-        });
-        out
-    }
-
     /// Descends the directory, returning the data pages whose MBR satisfies
     /// `select` (directory nodes are read with random I/O, as on any
     /// hierarchical index).
@@ -482,22 +343,6 @@ impl XTree {
             clock.charge_dist_evals(self.dim, page.len() as u64);
             visit(self.dim, &page);
         }
-    }
-
-    /// All points inside the query window (unordered ids), with batched
-    /// data-page loading like [`XTree::range`].
-    pub fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        let pages = self.collect_pages(clock, |mbr| mbr.intersects(window));
-        let mut out = Vec::new();
-        self.visit_pages_batched(clock, &pages, |dim, page| {
-            for (i, &pid) in page.ids.iter().enumerate() {
-                if window.contains_point(page.point(i, dim)) {
-                    out.push(pid);
-                }
-            }
-        });
-        out
     }
 
     /// Deletes the point `id` located at `p`. Returns `true` if found.
@@ -786,6 +631,19 @@ impl AccessMethod for XTree {
         self.metric
     }
 
+    /// Exact k-NN via the best-first (Hjaltason/Samet) descent, as a
+    /// producer into the shared bound-driven [`Executor`]: directory
+    /// nodes and data pages stream through [`drive`] in ascending MINDIST
+    /// order; pruning, ε-termination and the budgets live in the
+    /// executor. A pushed-down `filter` drops non-matching points at
+    /// page-decode time, so the pruning bound derives only from matching
+    /// points and stays exact — no top-up rounds. `nprobes` counts
+    /// decoded data pages — once spent, no further page read can improve
+    /// the answer, so the descent stops outright.
+    ///
+    /// The trace counts directory nodes and data pages read as
+    /// [`QueryTrace::runs`] (one random I/O each) and data pages decoded
+    /// as `pages_processed`.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -794,16 +652,95 @@ impl AccessMethod for XTree {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
-        // True pushdown into the best-first descent — no top-up rounds.
-        self.knn_traced_impl(clock, q, k, filter, opts)
+        knn_query(self, clock, q, k, filter, opts, |clock| {
+            let metric = self.metric;
+            let mut exec = Executor::new(metric, k, opts, clock);
+            let mut heap: CandidateHeap<Target> = CandidateHeap::new();
+            heap.push(Reverse((OrdKey(0.0), Target::Node(self.root))));
+            drive(
+                &mut exec,
+                clock,
+                &mut heap,
+                |exec, clock, _mindist, target, heap| match target {
+                    Target::Node(id) => {
+                        clock.phase_begin(Phase::Directory);
+                        let node = self.read_node(clock, id);
+                        clock.charge_dist_evals(self.dim, node.entries.len() as u64);
+                        exec.trace.runs += 1;
+                        for e in &node.entries {
+                            let d = metric.mindist_key(q, &e.mbr);
+                            if !exec.is_pruned(d) {
+                                let t = if node.leaf_children {
+                                    Target::Page(e.child)
+                                } else {
+                                    Target::Node(e.child)
+                                };
+                                exec.trace.approx_enqueued += 1;
+                                heap.push(Reverse((OrdKey(d), t)));
+                            }
+                        }
+                    }
+                    Target::Page(id) => {
+                        if !exec.try_probe() {
+                            exec.stop();
+                            return;
+                        }
+                        clock.phase_begin(Phase::Filter);
+                        let page = self.read_page(clock, id);
+                        clock.charge_dist_evals(self.dim, page.len() as u64);
+                        exec.trace.runs += 1;
+                        exec.trace.pages_processed += 1;
+                        for (i, &pid) in page.ids.iter().enumerate() {
+                            if filter.is_none_or(|f| f.matches(pid)) {
+                                exec.offer(metric.distance_key(page.point(i, self.dim), q), pid);
+                            }
+                        }
+                    }
+                },
+            );
+            clock.phase_begin(Phase::TopK);
+            let out = exec.into_results(metric);
+            clock.phase_end();
+            out
+        })
     }
 
+    /// All points within `radius` of `q` (unordered ids).
+    ///
+    /// The directory descent determines the full set of candidate data
+    /// pages up front (the paper's Section 2 observation for range
+    /// queries), which are then loaded with the optimal batch-fetch
+    /// schedule instead of one random access each.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        XTree::range(self, clock, q, radius)
+        assert_eq!(q.len(), self.dim);
+        let key_r = self.metric.distance_to_key(radius);
+        let metric = self.metric;
+        let pages = self.collect_pages(clock, |mbr| metric.mindist_key(q, mbr) <= key_r);
+        let mut out = Vec::new();
+        self.visit_pages_batched(clock, &pages, |dim, page| {
+            for (i, &pid) in page.ids.iter().enumerate() {
+                if metric.distance_key(page.point(i, dim), q) <= key_r {
+                    out.push(pid);
+                }
+            }
+        });
+        out
     }
 
-    fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        XTree::window(self, clock, window)
+    /// All points inside the query window (unordered ids), with batched
+    /// data-page loading like `range`.
+    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
+        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
+        let pages = self.collect_pages(clock, |mbr| mbr.intersects(window));
+        let mut out = Vec::new();
+        self.visit_pages_batched(clock, &pages, |dim, page| {
+            for (i, &pid) in page.ids.iter().enumerate() {
+                if window.contains_point(page.point(i, dim)) {
+                    out.push(pid);
+                }
+            }
+        });
+        out
     }
 
     /// Sphere-volume estimate of the leaves a best-first k-NN descent
@@ -1013,6 +950,17 @@ mod tests {
             .expect("non-empty");
         assert_eq!(id, 777);
         assert!(d < 1e-9);
+    }
+
+    #[test]
+    fn knn_on_a_tree_emptied_by_deletes_charges_nothing() {
+        let (ds, mut t, mut clock) = make(50, 3, 93, 512);
+        for i in 0..50u32 {
+            assert!(t.delete(&mut clock, i, ds.point(i as usize)));
+        }
+        clock.reset();
+        assert!(t.nearest(&mut clock, &[0.5, 0.5, 0.5]).is_none());
+        assert_eq!(clock.total_time(), 0.0, "no root read for an empty tree");
     }
 
     #[test]

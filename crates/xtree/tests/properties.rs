@@ -2,6 +2,7 @@
 //! structural invariants of the directory under bulk load and dynamic
 //! inserts.
 
+use iq_engine::AccessMethod;
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_xtree::{XTree, XTreeOptions};

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example image_search`
 
 use iqtree_repro::data::{self, Workload};
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};

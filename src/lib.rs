@@ -18,6 +18,7 @@
 //!
 //! ```
 //! use iqtree_repro::data::{self, Workload};
+//! use iqtree_repro::engine::AccessMethod;
 //! use iqtree_repro::geometry::Metric;
 //! use iqtree_repro::storage::{MemDevice, SimClock};
 //! use iqtree_repro::tree::{IqTree, IqTreeOptions};

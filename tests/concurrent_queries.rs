@@ -4,6 +4,7 @@
 //! detail, never an accounting one.
 
 use iqtree_repro::data;
+use iqtree_repro::engine::{knn_batch, AccessMethod};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{IoStats, MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -60,7 +61,7 @@ fn knn_batch_matches_serial_for_every_thread_count() {
     let mut reference: Option<SimClock> = None;
     for threads in [1, 2, 8] {
         let mut clock = SimClock::default();
-        let batch = tree.knn_batch(&mut clock, &queries, k, threads);
+        let batch = knn_batch(&tree, &mut clock, &queries, k, threads);
         assert_eq!(batch, serial, "results differ at {threads} threads");
         assert!(
             clock.stats().blocks_read <= serial_clock.stats().blocks_read,
@@ -135,13 +136,13 @@ fn batch_over_a_cached_tree_is_consistent_and_cheaper() {
     let queries = query_workload(16);
 
     let mut cold_clock = SimClock::default();
-    let expect = cold.knn_batch(&mut cold_clock, &queries, 4, 4);
+    let expect = knn_batch(&cold, &mut cold_clock, &queries, 4, 4);
 
     // Warm the pool, then run the measured batch.
     let mut warmup = SimClock::default();
-    tree.knn_batch(&mut warmup, &queries, 4, 4);
+    knn_batch(&tree, &mut warmup, &queries, 4, 4);
     let mut clock = SimClock::default();
-    let got = tree.knn_batch(&mut clock, &queries, 4, 4);
+    let got = knn_batch(&tree, &mut clock, &queries, 4, 4);
 
     assert_eq!(got, expect, "cache must be invisible in the results");
     assert!(
@@ -156,13 +157,13 @@ fn batch_over_a_cached_tree_is_consistent_and_cheaper() {
 fn empty_and_degenerate_batches() {
     let tree = build(500, IqTreeOptions::default());
     let mut clock = SimClock::default();
-    assert!(tree.knn_batch(&mut clock, &[], 3, 4).is_empty());
+    assert!(knn_batch(&tree, &mut clock, &[], 3, 4).is_empty());
     assert_eq!(clock.stats(), IoStats::default());
     // More threads than queries.
     let queries = query_workload(2);
-    let res = tree.knn_batch(&mut clock, &queries, 1, 64);
+    let res = knn_batch(&tree, &mut clock, &queries, 1, 64);
     assert_eq!(res.len(), 2);
     // threads == 0 is clamped to 1.
-    let res0 = tree.knn_batch(&mut SimClock::default(), &queries, 1, 0);
+    let res0 = knn_batch(&tree, &mut SimClock::default(), &queries, 1, 0);
     assert_eq!(res0, res);
 }

@@ -3,6 +3,7 @@
 //! result correctness.
 
 use iqtree_repro::data::{self, Workload};
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};

@@ -22,6 +22,7 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use iqtree_repro::data;
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, FaultConfig, FaultInjectingDevice, IqResult, MemDevice, MemWal, SimClock, WalStore,

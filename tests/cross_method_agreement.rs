@@ -4,6 +4,7 @@
 //! them.
 
 use iqtree_repro::data::{self, Workload};
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};

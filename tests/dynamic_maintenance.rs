@@ -3,6 +3,7 @@
 //! points from all query types, and the X-tree survives the same regime.
 
 use iqtree_repro::data::{self};
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};

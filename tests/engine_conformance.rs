@@ -2,12 +2,14 @@
 //! X-tree — must agree *exactly* with the sequential scan on the same
 //! clustered workload, for every supported metric and query type, and the
 //! shared batch executor must be thread-count-invariant for each of them.
-//! A final test drives the baselines through a [`DeviceStack`] injecting
+//! A third test drives the baselines through a [`DeviceStack`] injecting
 //! transient faults: with the retry layer in the stack, results must still
-//! match the scan bit for bit.
+//! match the scan bit for bit. The last pins the k-NN query boundary every
+//! engine shares: trivial queries cost nothing, and a query of the wrong
+//! dimension panics with one message on every path.
 
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_batch, AccessMethod};
+use iqtree_repro::engine::{knn_batch, AccessMethod, Filter, QueryOptions, QueryTrace};
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
 use iqtree_repro::storage::{
     BlockDevice, DeviceStack, FaultConfig, MemDevice, RetryPolicy, SimClock,
@@ -160,4 +162,73 @@ fn engines_agree_with_scan_under_injected_transient_faults() {
     }
     assert!(clock.stats().io_retries > 0, "faults were never injected");
     assert_engines_match_scan(&engines, &queries, "faulty");
+}
+
+/// The message of the panic `f` raises, or `None` if it returns.
+fn panic_message(f: impl FnOnce()) -> Option<String> {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+}
+
+#[test]
+fn knn_boundary_is_shared_by_every_engine() {
+    let (ds, queries) = clustered();
+    let nothing = Filter::from_fn(ds.len(), |_| false);
+    for &kind in &EngineKind::ALL {
+        let eng = build_engine(
+            kind,
+            &ds,
+            Metric::Euclidean,
+            plain_dev,
+            &mut SimClock::default(),
+        );
+        let name = eng.name();
+        // `k = 0` and a filter that matches no id are answered before any
+        // engine code runs: no results, an empty trace, nothing charged
+        // and no engine span on a tracing clock.
+        for (what, k, filter) in [("k = 0", 0, None), ("empty filter", 5, Some(&nothing))] {
+            let mut clock = SimClock::default();
+            clock.enable_tracing();
+            let (hits, trace) =
+                eng.knn_opts_traced(&mut clock, &queries[0], k, filter, &QueryOptions::EXACT);
+            assert!(hits.is_empty(), "{name} {what}");
+            assert_eq!(trace, QueryTrace::default(), "{name} {what}");
+            assert_eq!(clock.total_time(), 0.0, "{name} {what}");
+            let tree = clock.take_trace().expect("tracing was on");
+            assert!(tree.root.children.is_empty(), "{name} {what}: {tree:?}");
+        }
+        // A query one coordinate short panics with the boundary's message,
+        // alone and inside a batch (the IQ-tree's micro-batch override).
+        let short = queries[0][..DIM - 1].to_vec();
+        let expect = "query dimensionality mismatch";
+        let solo = panic_message(|| {
+            eng.knn_opts_traced(
+                &mut SimClock::default(),
+                &short,
+                5,
+                None,
+                &QueryOptions::EXACT,
+            );
+        });
+        assert!(
+            solo.as_deref().is_some_and(|m| m.contains(expect)),
+            "{name} solo: {solo:?}"
+        );
+        let batch = panic_message(|| {
+            knn_batch(
+                eng.as_ref(),
+                &mut SimClock::default(),
+                &[short.clone(), short.clone()],
+                5,
+                1,
+            );
+        });
+        assert!(
+            batch.as_deref().is_some_and(|m| m.contains(expect)),
+            "{name} batch: {batch:?}"
+        );
+    }
 }

@@ -6,7 +6,7 @@
 //! one).
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::{knn_batch_traced, AccessMethod, QueryOptions, QueryTrace};
+use iqtree_repro::engine::{knn_batch, knn_batch_traced, AccessMethod, QueryOptions, QueryTrace};
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
 use iqtree_repro::storage::{
     BlockDevice, ChecksummedDevice, FaultConfig, FaultInjectingDevice, FileDevice, MemWal, SimClock,
@@ -101,7 +101,7 @@ fn transient_faults_are_invisible_in_batch_results() {
     let queries: Vec<Vec<f32>> = w.queries.iter().map(<[f32]>::to_vec).collect();
 
     let (clean_tree, mut clean_clock) = reopen(&dir, 4096, 8, |_, d| d);
-    let clean = clean_tree.knn_batch(&mut clean_clock, &queries, 10, 4);
+    let clean = knn_batch(&clean_tree, &mut clean_clock, &queries, 10, 4);
 
     let cfg = FaultConfig {
         seed: 7,
@@ -113,7 +113,7 @@ fn transient_faults_are_invisible_in_batch_results() {
     let (faulty_tree, mut faulty_clock) = reopen(&dir, 4096, 8, |_, d| {
         Box::new(FaultInjectingDevice::new(d, cfg))
     });
-    let faulty = faulty_tree.knn_batch(&mut faulty_clock, &queries, 10, 4);
+    let faulty = knn_batch(&faulty_tree, &mut faulty_clock, &queries, 10, 4);
 
     assert_eq!(clean, faulty, "retries must hide every transient fault");
     let stats = faulty_clock.stats();

@@ -3,6 +3,7 @@
 //! the backend, is the source of truth for cost).
 
 use iqtree_repro::data::{self, Workload};
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, ChecksummedDevice, FileDevice, IqError, MemDevice, MmapFileDevice, SimClock,

@@ -2,6 +2,7 @@
 //! methods and match a brute-force filter.
 
 use iqtree_repro::data::{self, Workload};
+use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::{Mbr, Metric};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
