@@ -33,7 +33,7 @@ use build::{optimize_partitions, OptimizeTrace, SolutionPage};
 pub use durability::RecoveryReport;
 use iq_cost::{DirectoryParams, RefineParams};
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
-use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
+use iq_quantize::{ExactBlocks, ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
 use iq_storage::{
     read_to_vec_retry, BlockDevice, DeviceStack, IqError, IqResult, RetryPolicy, SimClock,
 };
@@ -756,30 +756,29 @@ impl IqTree {
         clock.charge_dist_evals(self.dim, self.pages.len() as u64);
     }
 
-    /// Reads and decodes the exact coordinates of the point at `slot`
-    /// within page `page_idx` (a refinement: random access into the
-    /// third-level file, retried on transient faults).
-    pub(crate) fn try_read_exact_point(
+    /// Refines the point at `slot` within page `page_idx` (Section 3.2):
+    /// decodes its exact coordinates into `coords` through the query's
+    /// exact-block buffer. Only blocks the buffer lacks are read — a
+    /// random access into the third-level file, retried on transient
+    /// faults — and they are kept only when the read succeeds. Fails when
+    /// the entry stays unreadable or does not decode.
+    pub(crate) fn read_exact_entry(
         &self,
         clock: &mut SimClock,
+        exact: &mut ExactBlocks,
         page_idx: usize,
         slot: usize,
-    ) -> IqResult<Vec<f32>> {
+        coords: &mut [f32],
+    ) -> IqResult<u32> {
         let meta = &self.pages[page_idx];
         debug_assert!(meta.g < EXACT_BITS, "exact pages are never refined");
-        let bs = self.exact.block_size();
-        let (first, nblocks, off) = self.exact_codec.entry_span(slot, bs);
-        let buf = read_to_vec_retry(
-            self.exact.as_ref(),
-            clock,
-            meta.exact_start + first,
-            nblocks,
-            &self.opts.retry,
-        )?;
-        let (_, coords) = self
-            .exact_codec
-            .try_decode_entry_at(&buf[off..off + self.exact_codec.entry_bytes()])?;
-        Ok(coords)
+        exact.entry_into(
+            &self.exact_codec,
+            meta.exact_start,
+            slot,
+            coords,
+            |first, n| read_to_vec_retry(self.exact.as_ref(), clock, first, n, &self.opts.retry),
+        )
     }
 
     /// The one decoder of a page's exact (level-3) region, shared by the

@@ -18,15 +18,14 @@
 use crate::{IqTree, PageMeta};
 use iq_cost::access_probability;
 use iq_engine::{
-    drive, knn_multi_per_query, knn_query, AccessMethod, CandidateHeap, Executor, Filter, OrdKey,
-    QueryOptions, QueryTrace, TracedResult,
+    drive, knn_multi_per_query, knn_query, range_query, window_query, AccessMethod, CandidateHeap,
+    Executor, Filter, OrdKey, QueryOptions, QueryTrace, TracedResult,
 };
 use iq_geometry::{Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
-use iq_quantize::{CellMatch, DistTable, QuantPageView, WindowTable, EXACT_BITS};
+use iq_quantize::{CellMatch, DistTable, ExactBlocks, QuantPageView, WindowTable, EXACT_BITS};
 use iq_storage::{fetch, read_to_vec_retry, SimClock};
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Heap entry target.
@@ -47,8 +46,10 @@ struct SearchState<'f> {
     /// result set or the priority list, so the pruning bound (and with it
     /// MINDIST page pruning) derives only from matching points.
     filter: Option<&'f Filter>,
-    /// The micro-batch read buffer, when the query runs inside one.
-    shared: Option<&'f mut SharedReads>,
+    /// The micro-batch's level-2 blocks, when the query runs inside one.
+    quant: Option<&'f mut HashMap<u32, Vec<u8>>>,
+    /// The exact blocks this query — or its micro-batch — has read.
+    exact: &'f mut ExactBlocks,
     /// MINDIST key of every page.
     page_key: Vec<f64>,
     /// Page indices sorted by ascending MINDIST key (priority order);
@@ -61,7 +62,8 @@ struct SearchState<'f> {
     processed: Vec<bool>,
     /// Reusable cell-number scratch for the streaming page decoder.
     cells: Vec<u32>,
-    /// Reusable coordinate scratch for exact (g = 32) pages.
+    /// Reusable coordinate scratch for exact (g = 32) pages and
+    /// refinements.
     coords: Vec<f32>,
     /// Reusable per-(query, page-grid) distance-contribution table.
     table: DistTable,
@@ -78,14 +80,13 @@ struct SearchState<'f> {
 /// Only reads that succeeded are kept, so under faults each query
 /// degrades exactly as it would alone. The buffer lives for one call, so
 /// it holds at most what one micro-batch's queries read.
-#[derive(Default)]
 struct SharedReads {
     /// Whether a query of the batch has swept the directory.
     directory: bool,
     /// Level-2 blocks that read and validated, by page.
     quant: HashMap<u32, Vec<u8>>,
-    /// Exact coordinates read by refinements, by `(page, slot)`.
-    exact: HashMap<(u32, u32), Vec<f32>>,
+    /// Exact blocks read by refinements: the batch's one exact buffer.
+    exact: ExactBlocks,
 }
 
 impl IqTree {
@@ -99,8 +100,11 @@ impl IqTree {
     /// `nprobes` caps the number of quantized data pages decoded and
     /// `refine_factor` caps exact-point look-ups at `k × refine_factor`.
     ///
-    /// Inside a micro-batch, `shared` serves the blocks earlier queries
-    /// have read, and pages load one at a time: the Section 2.1 run
+    /// Every refinement reads through one exact-block buffer, so the query
+    /// reads each exact block at most once: its own buffer when it runs
+    /// alone, the batch's when it runs inside a micro-batch. There,
+    /// `shared` also serves the level-2 blocks and the directory sweep of
+    /// earlier queries, and pages load one at a time: the Section 2.1 run
     /// extension is planned for lone queries only.
     ///
     /// Runs behind [`knn_query`], which has already checked `q` and
@@ -112,7 +116,7 @@ impl IqTree {
         k: usize,
         filter: Option<&Filter>,
         opts: &QueryOptions,
-        mut shared: Option<&mut SharedReads>,
+        shared: Option<&mut SharedReads>,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
         // Partial refinement (`refine_factor >= 2`): the quantized phase
         // ranks candidates by their cell lower bound alone — no per-pivot
@@ -128,10 +132,19 @@ impl IqTree {
         let plan_runs = self.options().scheduled_io && shared.is_none();
         let mut exec = Executor::new(self.metric(), budget, opts, clock);
         let mut deferred: HashMap<u32, (u32, u32)> = HashMap::new();
+        let mut own_exact;
+        let (read_dir, quant, exact) = match shared {
+            Some(s) => (
+                !std::mem::replace(&mut s.directory, true),
+                Some(&mut s.quant),
+                &mut s.exact,
+            ),
+            None => {
+                own_exact = ExactBlocks::new(self.block_size());
+                (true, None, &mut own_exact)
+            }
+        };
         clock.phase_begin(Phase::Directory);
-        let read_dir = shared
-            .as_deref_mut()
-            .is_none_or(|s| !std::mem::replace(&mut s.directory, true));
         self.charge_directory_scan(clock, read_dir);
 
         clock.phase_begin(Phase::Plan);
@@ -139,7 +152,8 @@ impl IqTree {
         let n_pages = self.pages().len();
         let mut st = SearchState {
             filter,
-            shared,
+            quant,
+            exact,
             page_key: Vec::with_capacity(n_pages),
             order: Vec::new(),
             rank: Vec::new(),
@@ -219,9 +233,8 @@ impl IqTree {
                         // after retries is skipped (and counted): the query
                         // completes on the remaining points.
                         clock.phase_begin(Phase::Refine);
-                        let shared = st.shared.as_deref_mut();
                         exec.refine_with(clock, id, |clock| {
-                            self.exact_point_key(clock, shared, page, slot, q)
+                            self.exact_point_key(clock, &mut st, page, slot, q)
                         });
                     }
                 }
@@ -239,38 +252,22 @@ impl IqTree {
         // distances; lower-bound-ranked candidates are refined in one
         // planned batch over the exact file (candidates that stay
         // unreadable after retries are skipped and counted, as in the
-        // pivot path). Points an earlier query of the micro-batch read
+        // pivot path). Blocks an earlier query of the micro-batch read
         // are not fetched again.
         clock.phase_begin(Phase::Refine);
         let mut batch: Vec<(usize, usize, u32)> = Vec::new();
         let mut rerank: Vec<(u32, f64)> = Vec::new();
-        let mut refined = 0;
-        let dist = |coords: &[f32]| metric.key_to_distance(metric.distance_key(coords, q));
         for (id, d) in results {
-            let Some(&(page, slot)) = deferred.get(&id) else {
-                rerank.push((id, d));
-                continue;
-            };
-            match st
-                .shared
-                .as_deref()
-                .and_then(|s| s.exact.get(&(page, slot)))
-            {
-                Some(coords) => {
-                    clock.charge_dist_evals(self.dim(), 1);
-                    rerank.push((id, dist(coords)));
-                    refined += 1;
-                }
-                None => batch.push((page as usize, slot as usize, id)),
+            match deferred.get(&id) {
+                Some(&(page, slot)) => batch.push((page as usize, slot as usize, id)),
+                None => rerank.push((id, d)),
             }
         }
-        let unreadable = self.refine_batch_with(clock, &batch, |id, coords| {
-            rerank.push((id, dist(coords)));
-            if let Some(s) = st.shared.as_deref_mut() {
-                s.exact.insert(deferred[&id], coords.to_vec());
-            }
+        let unreadable = self.refine_batch_with(clock, st.exact, &batch, |id, coords| {
+            let d = metric.key_to_distance(metric.distance_key(coords, q));
+            rerank.push((id, d));
         });
-        trace.refinements += refined + batch.len() as u64 - unreadable;
+        trace.refinements += batch.len() as u64 - unreadable;
         trace.points_skipped += unreadable;
         clock.phase_begin(Phase::TopK);
         rerank.sort_by(|a, b| {
@@ -301,9 +298,9 @@ impl IqTree {
             return;
         }
         if st
-            .shared
+            .quant
             .as_deref()
-            .is_none_or(|s| !s.quant.contains_key(&(p as u32)))
+            .is_none_or(|quant| !quant.contains_key(&(p as u32)))
         {
             exec.trace.runs += 1;
         }
@@ -467,7 +464,7 @@ impl IqTree {
         let metric = self.metric();
         let SearchState {
             filter,
-            shared,
+            quant,
             cells,
             coords,
             table,
@@ -475,7 +472,7 @@ impl IqTree {
             ..
         } = st;
         let filter = *filter;
-        let buffered = shared.as_deref().and_then(|s| s.quant.get(&(p as u32)));
+        let buffered = quant.as_deref().and_then(|quant| quant.get(&(p as u32)));
         let mut reread = Vec::new();
         let Some(view) = self.quant_view(
             clock,
@@ -521,9 +518,9 @@ impl IqTree {
                 }
             }
         }
-        if let Some(s) = shared {
+        if let Some(quant) = quant {
             if !reread.is_empty() {
-                s.quant.insert(p as u32, reread);
+                quant.insert(p as u32, reread);
             }
         }
     }
@@ -615,50 +612,46 @@ impl IqTree {
         }
     }
 
-    /// Refines the point at `(page, slot)`: reads its exact coordinates
-    /// and returns their distance key from `q` (one charged distance
+    /// Refines the point at `(page, slot)` through the query's exact-block
+    /// buffer and returns its distance key from `q` (one charged distance
     /// evaluation), or `None` when the entry stays unreadable after
-    /// retries. Inside a micro-batch, a point an earlier query read comes
-    /// from `shared`, and a fresh read is kept there.
+    /// retries.
     fn exact_point_key(
         &self,
         clock: &mut SimClock,
-        shared: Option<&mut SharedReads>,
+        st: &mut SearchState<'_>,
         page: u32,
         slot: u32,
         q: &[f32],
     ) -> Option<f64> {
-        let read = |clock: &mut SimClock| {
-            self.try_read_exact_point(clock, page as usize, slot as usize)
-                .ok()
-        };
-        let owned;
-        let coords: &[f32] = match shared {
-            Some(s) => match s.exact.entry((page, slot)) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => e.insert(read(clock)?),
-            },
-            None => {
-                owned = read(clock)?;
-                &owned
-            }
-        };
+        st.coords.resize(self.dim(), 0.0);
+        self.read_exact_entry(
+            clock,
+            st.exact,
+            page as usize,
+            slot as usize,
+            &mut st.coords,
+        )
+        .ok()?;
         clock.charge_dist_evals(self.dim(), 1);
-        Some(self.metric().distance_key(coords, q))
+        Some(self.metric().distance_key(&st.coords, q))
     }
 
-    /// Batch-refines a known set of `(page, slot, id)` candidates: plans
-    /// one optimal fetch over all exact-file blocks involved (Section 2 —
-    /// the positions are known in advance), then calls `visit` with each
-    /// candidate's id and exact coordinates. A candidate the plan misses
-    /// (every candidate, if the planned sweep fails even after retries) or
-    /// whose entry does not decode takes one retried single read. Returns
-    /// how many candidates stayed unreadable; they are not visited. The
-    /// refinement step of `window`/`range` and of the `refine_factor`
-    /// rerank in k-NN search.
+    /// Batch-refines a known set of `(page, slot, id)` candidates through
+    /// the exact-block buffer `exact`: plans one optimal fetch over every
+    /// exact-file block involved that the buffer lacks (Section 2 — the
+    /// positions are known in advance) and keeps its runs if it succeeds,
+    /// then calls `visit` with each candidate's id and exact coordinates.
+    /// A candidate whose blocks the fetch did not deliver (every
+    /// candidate, if the planned sweep fails even after retries) reads
+    /// them with one retried read. Returns how many candidates stayed
+    /// unreadable or did not decode; they are not visited. The refinement
+    /// step of `window`/`range` and of the `refine_factor` rerank in k-NN
+    /// search.
     fn refine_batch_with(
         &self,
         clock: &mut SimClock,
+        exact: &mut ExactBlocks,
         refinements: &[(usize, usize, u32)],
         mut visit: impl FnMut(u32, &[f32]),
     ) -> u64 {
@@ -666,69 +659,34 @@ impl IqTree {
             return 0;
         }
         let bs = self.block_size();
-        let pb = self.exact_codec().entry_bytes();
-        // Every block any candidate touches, in disk order.
+        // Every block a candidate touches that the buffer lacks, in disk
+        // order.
         let mut positions: Vec<u64> = Vec::with_capacity(refinements.len() * 2);
         for &(page, slot, _) in refinements {
-            let meta = &self.pages()[page];
+            let start = self.pages()[page].exact_start;
             let (first, nblocks, _) = self.exact_codec().entry_span(slot, bs);
-            for b in 0..nblocks {
-                positions.push(meta.exact_start + first + b);
-            }
+            positions
+                .extend((start + first..start + first + nblocks).filter(|&b| !exact.contains(b)));
         }
         positions.sort_unstable();
         positions.dedup();
-        let fetched = self
-            .retry()
-            .run(clock, |clock| {
+        if !positions.is_empty() {
+            let fetched = self.retry().run(clock, |clock| {
                 fetch::fetch_blocks(self.exact_dev(), clock, &positions)
-            })
-            .ok();
-        let block_bytes = |pos: u64| fetched.as_deref().and_then(|f| fetch::block_in(f, pos, bs));
+            });
+            for (run, bytes) in fetched.into_iter().flatten() {
+                exact.keep(run.start, bytes);
+            }
+        }
         let mut unreadable = 0;
-        let mut point_buf = vec![0u8; pb];
         let mut coords = vec![0.0f32; self.dim()];
         for &(page, slot, id) in refinements {
-            let meta = &self.pages()[page];
-            let (first, nblocks, byte_off) = self.exact_codec().entry_span(slot, bs);
-            // A block missing from the plan or a payload that fails to
-            // decode is corruption, not a crash: degrade that candidate to
-            // one retried single-block read, skipping it if it stays
-            // unreadable (the damage is visible in the clock statistics).
-            let mut planned = true;
-            if nblocks == 1 {
-                match block_bytes(meta.exact_start + first) {
-                    Some(bytes) => point_buf.copy_from_slice(&bytes[byte_off..byte_off + pb]),
-                    None => planned = false,
-                }
-            } else {
-                // Straddles a block boundary: stitch.
-                let mut cursor = 0usize;
-                let mut off = byte_off;
-                for b in 0..nblocks {
-                    let Some(bytes) = block_bytes(meta.exact_start + first + b) else {
-                        planned = false;
-                        break;
-                    };
-                    let take = (bs - off).min(pb - cursor);
-                    point_buf[cursor..cursor + take].copy_from_slice(&bytes[off..off + take]);
-                    cursor += take;
-                    off = 0;
-                }
-            }
-            let decoded = planned
-                && self
-                    .exact_codec()
-                    .try_decode_entry_into(&point_buf, &mut coords)
-                    .is_ok();
-            if !decoded {
-                match self.try_read_exact_point(clock, page, slot) {
-                    Ok(read) => coords.copy_from_slice(&read),
-                    Err(_) => {
-                        unreadable += 1;
-                        continue;
-                    }
-                }
+            if self
+                .read_exact_entry(clock, exact, page, slot, &mut coords)
+                .is_err()
+            {
+                unreadable += 1;
+                continue;
             }
             clock.charge_dist_evals(self.dim(), 1);
             visit(id, &coords);
@@ -820,7 +778,8 @@ impl IqTree {
             }
         }
         clock.phase_begin(Phase::Refine);
-        self.refine_batch_with(clock, &refinements, |id, coords| {
+        let mut exact = ExactBlocks::new(bs);
+        self.refine_batch_with(clock, &mut exact, &refinements, |id, coords| {
             if accept(coords) {
                 out.push(id);
             }
@@ -833,7 +792,10 @@ impl IqTree {
     /// current page configuration will do: how many second-level pages it
     /// reads (eqs 16–18, k-NN sphere per footnote 1) and how long the three
     /// levels take together (eq 23 with the k-NN refinement expectation of
-    /// eq 15 summed over live pages).
+    /// eq 15 summed over live pages). A query reads each exact block once,
+    /// so each page's refinements are charged its expected distinct exact
+    /// blocks ([`iq_cost::expected_distinct_blocks`]), not one random
+    /// access each; `refine_pages` still reports the refinements.
     ///
     /// This is the "predicted" side of [`iq_obs::CostAudit`]; the observed
     /// side is the [`QueryTrace`] / [`SimClock`] of a real query.
@@ -860,23 +822,37 @@ impl IqTree {
         if let Some(m) = opts.nprobes {
             pages = pages.min(m as f64);
         }
-        let mut refine_pages = 0.0;
-        for meta in &live {
-            let sides: Vec<f32> = (0..self.dim()).map(|i| meta.mbr.extent(i) as f32).collect();
-            refine_pages += iq_cost::expected_refinements_knn(
-                self.refine_params(),
-                &sides,
-                meta.count as usize,
-                meta.g,
-                k,
-            );
-        }
+        // Expected refinements per page (eq 15), with its exact region's
+        // size in blocks.
+        let per_page: Vec<(f64, u32)> = live
+            .iter()
+            .map(|meta| {
+                let sides: Vec<f32> = (0..self.dim()).map(|i| meta.mbr.extent(i) as f32).collect();
+                let r = iq_cost::expected_refinements_knn(
+                    self.refine_params(),
+                    &sides,
+                    meta.count as usize,
+                    meta.g,
+                    k,
+                );
+                (r, meta.exact_blocks)
+            })
+            .collect();
+        let all: f64 = per_page.iter().map(|&(r, _)| r).sum();
+        let mut refine_pages = all;
         if opts.refine_factor >= 2 {
             refine_pages = refine_pages.min((k as f64) * f64::from(opts.refine_factor));
         }
+        // A query reads each exact block once, so a page's refinements
+        // cost its expected distinct blocks, each a random access.
+        let scale = if all > 0.0 { refine_pages / all } else { 0.0 };
+        let refine_blocks: f64 = per_page
+            .iter()
+            .map(|&(r, blocks)| iq_cost::expected_distinct_blocks(blocks, r * scale))
+            .sum();
         let mut io_seconds = iq_cost::first_level_cost(self.dir_params(), disk, n)
             + iq_cost::directory::second_level_cost_for_k(disk, n, pages)
-            + refine_pages * (disk.t_seek + disk.t_xfer);
+            + refine_blocks * (disk.t_seek + disk.t_xfer);
         if let Some(b) = opts.time_budget {
             io_seconds = io_seconds.min(b);
         }
@@ -926,8 +902,8 @@ impl AccessMethod for IqTree {
     /// Every query of the micro-batch runs the single-query walk on its
     /// own fresh clock, exact or approximate, so results, knobs and time
     /// budgets are per query. A batch of two or more shares its reads:
-    /// the directory is swept once, and level-2 blocks and exact points
-    /// read by one query serve the queries after it.
+    /// the directory is swept once, and level-2 and exact blocks read by
+    /// one query serve the queries after it.
     fn knn_multi_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -936,7 +912,11 @@ impl AccessMethod for IqTree {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> Vec<TracedResult> {
-        let mut shared = (queries.len() > 1).then(SharedReads::default);
+        let mut shared = (queries.len() > 1).then(|| SharedReads {
+            directory: false,
+            quant: HashMap::new(),
+            exact: ExactBlocks::new(self.block_size()),
+        });
         knn_multi_per_query(clock, queries, |clock, q| {
             knn_query(self, clock, q, k, filter, opts, |clock| {
                 self.knn_traced_impl(clock, q, k, filter, opts, shared.as_mut())
@@ -951,37 +931,35 @@ impl AccessMethod for IqTree {
     /// seek/over-read schedule. Points whose cell box lies entirely within
     /// the radius are accepted without refinement.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim(), "query dimensionality mismatch");
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let metric = self.metric();
-        let key_r = metric.distance_to_key(radius);
-        let mut table = DistTable::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        self.scan_known_pages(
-            clock,
-            |mbr| metric.mindist_key(q, mbr) <= key_r,
-            |coords| metric.distance_key(coords, q) <= key_r,
-            |mbr, view, cells, matches| {
-                table.build_bounds(mbr, view.bits(), metric, q, view.len());
-                // Batch fold: MINDIST and MAXDIST keys for the whole page
-                // in one SIMD pass. Both comparisons stay in the key
-                // domain, so a box accepted without refinement satisfies
-                // the same `distance_key <= key_r` predicate refinement
-                // would have checked.
-                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-                matches.clear();
-                matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
-                    match (lo <= key_r, hi <= key_r) {
-                        (false, _) => CellMatch::Disjoint,
-                        (true, true) => CellMatch::Inside,
-                        (true, false) => CellMatch::Partial,
-                    }
-                }));
-            },
-        )
+        range_query(self, clock, q, radius, |clock| {
+            let metric = self.metric();
+            let key_r = metric.distance_to_key(radius);
+            let mut table = DistTable::new();
+            let mut lo_keys: Vec<f64> = Vec::new();
+            let mut hi_keys: Vec<f64> = Vec::new();
+            self.scan_known_pages(
+                clock,
+                |mbr| metric.mindist_key(q, mbr) <= key_r,
+                |coords| metric.distance_key(coords, q) <= key_r,
+                |mbr, view, cells, matches| {
+                    table.build_bounds(mbr, view.bits(), metric, q, view.len());
+                    // Batch fold: MINDIST and MAXDIST keys for the whole
+                    // page in one SIMD pass. Both comparisons stay in the
+                    // key domain, so a box accepted without refinement
+                    // satisfies the same `distance_key <= key_r` predicate
+                    // refinement would have checked.
+                    table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                    matches.clear();
+                    matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
+                        match (lo <= key_r, hi <= key_r) {
+                            (false, _) => CellMatch::Disjoint,
+                            (true, true) => CellMatch::Inside,
+                            (true, false) => CellMatch::Partial,
+                        }
+                    }));
+                },
+            )
+        })
     }
 
     /// All points inside the query window (unordered ids) — the paper's
@@ -989,26 +967,21 @@ impl AccessMethod for IqTree {
     /// pages are exactly those whose MBR intersects the window, loaded with
     /// the optimal batch-fetch schedule of Figure 1. A point is refined
     /// only when its cell box straddles the window boundary.
-    ///
-    /// # Panics
-    /// Panics if the window's dimensionality mismatches.
     fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim(), "window dimensionality mismatch");
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let mut wtable = WindowTable::new();
-        self.scan_known_pages(
-            clock,
-            |mbr| mbr.intersects(window),
-            |coords| window.contains_point(coords),
-            |mbr, view, cells, matches| {
-                wtable.build(mbr, view.bits(), window, view.len());
-                // Whole-page classification through the flag-AND row
-                // fold — bit-identical to per-entry `classify`.
-                wtable.classify_batch(cells, matches);
-            },
-        )
+        window_query(self, clock, window, |clock| {
+            let mut wtable = WindowTable::new();
+            self.scan_known_pages(
+                clock,
+                |mbr| mbr.intersects(window),
+                |coords| window.contains_point(coords),
+                |mbr, view, cells, matches| {
+                    wtable.build(mbr, view.bits(), window, view.len());
+                    // Whole-page classification through the flag-AND row
+                    // fold — bit-identical to per-entry `classify`.
+                    wtable.classify_batch(cells, matches);
+                },
+            )
+        })
     }
 
     /// The trait has no disk handle, so the prediction prices I/O on the

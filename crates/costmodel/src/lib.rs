@@ -28,4 +28,7 @@ pub use directory::{
     expected_pages_accessed, expected_pages_accessed_knn, first_level_cost, second_level_cost,
     total_cost, DirectoryParams,
 };
-pub use refine::{expected_refinements, expected_refinements_knn, refinement_cost, RefineParams};
+pub use refine::{
+    expected_distinct_blocks, expected_refinements, expected_refinements_knn, refinement_cost,
+    RefineParams,
+};

@@ -134,6 +134,22 @@ pub fn refinement_cost(p: &RefineParams, disk: &DiskModel, sides: &[f32], m: usi
     expected_refinements(p, sides, m, g) * (disk.t_seek + disk.t_xfer)
 }
 
+/// The expected number of distinct blocks that `refinements` random
+/// refinements touch in an exact region of `blocks` blocks, when a query
+/// reads each block at most once: `B·(1 − (1 − 1/B)^r)`, each refinement
+/// landing in one of the `B` blocks uniformly. One refinement reads one
+/// block; many read at most all `B`. Capped at `refinements`, since the
+/// formula is for whole refinements and a fractional expectation below
+/// one would otherwise round up.
+pub fn expected_distinct_blocks(blocks: u32, refinements: f64) -> f64 {
+    if blocks == 0 || refinements <= 0.0 {
+        return 0.0;
+    }
+    let b = f64::from(blocks);
+    let distinct = b * (1.0 - (1.0 - 1.0 / b).powf(refinements));
+    distinct.min(refinements)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +157,30 @@ mod tests {
 
     fn params(d: usize) -> RefineParams {
         RefineParams::uniform(Metric::Euclidean, d, 100_000)
+    }
+
+    #[test]
+    fn distinct_blocks_run_from_one_to_the_region() {
+        // One refinement reads one block, whatever the region's size.
+        for b in [1u32, 2, 7, 100] {
+            assert!(
+                (expected_distinct_blocks(b, 1.0) - 1.0).abs() < 1e-12,
+                "B={b}"
+            );
+        }
+        // Many refinements read the whole region, never more.
+        assert!((expected_distinct_blocks(8, 1_000.0) - 8.0).abs() < 1e-9);
+        let mut prev = 0.0;
+        for r in 1..=50 {
+            let d = expected_distinct_blocks(8, f64::from(r));
+            assert!(d >= prev && d <= 8.0 && d <= f64::from(r), "r={r}: {d}");
+            prev = d;
+        }
+        // No region, or no refinement, reads nothing; a fractional
+        // expectation never exceeds itself.
+        assert_eq!(expected_distinct_blocks(0, 5.0), 0.0);
+        assert_eq!(expected_distinct_blocks(5, 0.0), 0.0);
+        assert!(expected_distinct_blocks(2, 0.5) <= 0.5);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! The crate also hosts the pieces every method used to duplicate:
 //!
-//! * [`knn_query`] — the one boundary every k-NN query passes: the
-//!   dimension check, the trivial-query early return and the engine's
-//!   root trace span,
+//! * [`knn_query`], [`range_query`] and [`window_query`] — the one
+//!   boundary each kind of query passes: the dimension check, the
+//!   trivial-query early return and the engine's root trace span,
 //! * [`TopK`] — the bounded best-list for k-NN searches (NaN-rejecting),
 //! * [`executor`] — the shared bound-driven query loop ([`Executor`],
 //!   [`drive`], [`refine_ascending`]) and the [`QueryOptions`]
@@ -166,10 +166,18 @@ pub trait AccessMethod: Send + Sync {
     }
 
     /// All points within `radius` of `q` under the index metric
-    /// (unordered ids).
+    /// (unordered ids). Every engine implements this by handing its search
+    /// to [`range_query`].
+    ///
+    /// # Panics
+    /// Panics if `q.len() != self.dim()`.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32>;
 
-    /// All points inside the query window (unordered ids).
+    /// All points inside the query window (unordered ids). Every engine
+    /// implements this by handing its search to [`window_query`].
+    ///
+    /// # Panics
+    /// Panics if `window.dim() != self.dim()`.
     fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32>;
 
     /// Cost-model prediction for a `k`-NN query under `opts`, if this
@@ -218,6 +226,77 @@ pub fn knn_query<M: AccessMethod + ?Sized>(
     let out = search(clock);
     query_span_end(clock, &out.1);
     out
+}
+
+/// The boundary every range query passes before engine code runs: each
+/// engine's [`AccessMethod::range`] hands its search to this function.
+///
+/// It checks that `q` has `method.dim()` coordinates, then answers a
+/// query on an empty index with no ids, without touching `clock`. Any
+/// other query runs `search` inside the engine's root trace span, named
+/// [`AccessMethod::name`] and annotated with the radius and, on close,
+/// the number of hits.
+///
+/// # Panics
+/// Panics if `q.len() != method.dim()`.
+pub fn range_query<M: AccessMethod + ?Sized>(
+    method: &M,
+    clock: &mut SimClock,
+    q: &[f32],
+    radius: f64,
+    search: impl FnOnce(&mut SimClock) -> Vec<u32>,
+) -> Vec<u32> {
+    assert_eq!(q.len(), method.dim(), "query dimensionality mismatch");
+    in_root_span(
+        method,
+        clock,
+        |clock| clock.span_attr("radius", &radius),
+        search,
+    )
+}
+
+/// The boundary every window query passes before engine code runs: each
+/// engine's [`AccessMethod::window`] hands its search to this function.
+/// Like [`range_query`]: one dimension check, no I/O on an empty index,
+/// and the engine's root trace span, annotated with the number of hits.
+///
+/// # Panics
+/// Panics if `window.dim() != method.dim()`.
+pub fn window_query<M: AccessMethod + ?Sized>(
+    method: &M,
+    clock: &mut SimClock,
+    window: &Mbr,
+    search: impl FnOnce(&mut SimClock) -> Vec<u32>,
+) -> Vec<u32> {
+    assert_eq!(window.dim(), method.dim(), "window dimensionality mismatch");
+    in_root_span(method, clock, |_| {}, search)
+}
+
+/// The shared tail of [`range_query`] and [`window_query`]: no ids and no
+/// I/O on an empty index, otherwise `search` inside the engine's root
+/// span, which `annotate` labels when the clock is tracing. The query's
+/// last phase ends before the span closes, so every phase lands inside.
+fn in_root_span<M: AccessMethod + ?Sized>(
+    method: &M,
+    clock: &mut SimClock,
+    annotate: impl FnOnce(&mut SimClock),
+    search: impl FnOnce(&mut SimClock) -> Vec<u32>,
+) -> Vec<u32> {
+    if method.is_empty() {
+        return Vec::new();
+    }
+    let tracing = clock.tracing();
+    if tracing {
+        clock.span_begin(method.name());
+        annotate(clock);
+    }
+    let hits = search(clock);
+    clock.phase_end();
+    if tracing {
+        clock.span_count("hits", hits.len() as u64);
+        clock.span_end();
+    }
+    hits
 }
 
 /// Opens the engine root span of one query on a tracing clock: the span
@@ -467,15 +546,19 @@ mod tests {
                 (top.into_results(Metric::Euclidean), trace)
             })
         }
-        fn range(&self, _clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-            (0..self.pts.len() as u32)
-                .filter(|&i| Metric::Euclidean.distance(&self.pts[i as usize], q) <= radius)
-                .collect()
+        fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
+            range_query(self, clock, q, radius, |_| {
+                (0..self.pts.len() as u32)
+                    .filter(|&i| Metric::Euclidean.distance(&self.pts[i as usize], q) <= radius)
+                    .collect()
+            })
         }
-        fn window(&self, _clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-            (0..self.pts.len() as u32)
-                .filter(|&i| window.contains_point(&self.pts[i as usize]))
-                .collect()
+        fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
+            window_query(self, clock, window, |_| {
+                (0..self.pts.len() as u32)
+                    .filter(|&i| window.contains_point(&self.pts[i as usize]))
+                    .collect()
+            })
         }
     }
 

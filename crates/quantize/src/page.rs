@@ -351,28 +351,11 @@ impl ExactPageCodec {
         out
     }
 
-    /// Decodes one entry from exactly [`Self::entry_bytes`] bytes into
-    /// its id and coordinates, for the degraded read path (a truncated
-    /// region surfaces as [`IqError::Decode`]).
-    pub fn try_decode_entry_at(&self, bytes: &[u8]) -> IqResult<(u32, Vec<f32>)> {
-        let mut coords = vec![0.0f32; self.dim];
-        let id = self.try_decode_entry_into(bytes, &mut coords)?;
-        Ok((id, coords))
-    }
-
-    /// Decodes one entry into a caller-provided coordinate buffer of length
-    /// `dim`, returning the entry's id — the allocation-free workhorse of
-    /// the exact-page and degraded-fallback scan loops.
-    ///
-    /// # Panics
-    /// Panics if the entry is corrupt (see [`Self::try_decode_entry_into`]).
-    pub fn decode_entry_into(&self, bytes: &[u8], out: &mut [f32]) -> u32 {
-        self.try_decode_entry_into(bytes, out)
-            .expect("corrupt exact entry")
-    }
-
-    /// Fallible form of [`Self::decode_entry_into`]: a truncated region
-    /// surfaces as [`IqError::Decode`].
+    /// Decodes one entry from exactly [`Self::entry_bytes`] bytes into a
+    /// caller-provided coordinate buffer of length `dim`, returning the
+    /// entry's id — the allocation-free decoder of refinements and of the
+    /// exact-region scans. A truncated entry surfaces as
+    /// [`IqError::Decode`].
     ///
     /// # Panics
     /// Panics if `out.len() != dim` (programmer error, not a data error).
@@ -484,8 +467,11 @@ mod tests {
         let bytes = c.encode(rows.iter().map(|(id, r)| (*id, r.as_slice())));
         assert_eq!(bytes.len(), 2 * 20);
         let entry = |i: usize| {
-            c.try_decode_entry_at(&bytes[i * 20..(i + 1) * 20])
-                .expect("valid entry")
+            let mut coords = vec![0.0f32; 4];
+            let id = c
+                .try_decode_entry_into(&bytes[i * 20..(i + 1) * 20], &mut coords)
+                .expect("valid entry");
+            (id, coords)
         };
         assert_eq!(entry(0), (11, rows[0].1.clone()));
         assert_eq!(entry(1), (97, rows[1].1.clone()));
@@ -494,7 +480,9 @@ mod tests {
     #[test]
     fn truncated_exact_entry_is_an_error() {
         let c = ExactPageCodec::new(4);
-        let err = c.try_decode_entry_at(&[0u8; 7]).unwrap_err();
+        let err = c
+            .try_decode_entry_into(&[0u8; 7], &mut [0.0; 4])
+            .unwrap_err();
         assert!(err.is_corruption());
     }
 

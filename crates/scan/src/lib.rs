@@ -8,7 +8,9 @@
 
 #![forbid(unsafe_code)]
 
-use iq_engine::{knn_query, AccessMethod, Executor, Filter, QueryOptions, QueryTrace};
+use iq_engine::{
+    knn_query, range_query, window_query, AccessMethod, Executor, Filter, QueryOptions, QueryTrace,
+};
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostPrediction;
 use iq_storage::{BlockDevice, SimClock};
@@ -230,28 +232,30 @@ impl AccessMethod for SeqScan {
 
     /// All points within `radius` of `q`, as ids (unordered).
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let metric = self.metric;
-        let key = metric.distance_to_key(radius);
-        let mut out = Vec::new();
-        self.scan(clock, |id, p| {
-            if metric.distance_key(p, q) <= key {
-                out.push(id);
-            }
-        });
-        out
+        range_query(self, clock, q, radius, |clock| {
+            let metric = self.metric;
+            let key = metric.distance_to_key(radius);
+            let mut out = Vec::new();
+            self.scan(clock, |id, p| {
+                if metric.distance_key(p, q) <= key {
+                    out.push(id);
+                }
+            });
+            out
+        })
     }
 
     /// All points inside the query window (unordered ids).
     fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        let mut out = Vec::new();
-        self.scan(clock, |id, p| {
-            if window.contains_point(p) {
-                out.push(id);
-            }
-        });
-        out
+        window_query(self, clock, window, |clock| {
+            let mut out = Vec::new();
+            self.scan(clock, |id, p| {
+                if window.contains_point(p) {
+                    out.push(id);
+                }
+            });
+            out
+        })
     }
 }
 

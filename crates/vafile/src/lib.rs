@@ -17,13 +17,15 @@
 
 use iq_cost::refine::RefineParams;
 use iq_engine::{
-    knn_query, refine_ascending, AccessMethod, Executor, Filter, QueryOptions, QueryTrace, TopK,
+    knn_query, range_query, refine_ascending, window_query, AccessMethod, Executor, Filter,
+    QueryOptions, QueryTrace, TopK,
 };
 use iq_geometry::{Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
-use iq_quantize::{BitWriter, CellMatch, DistTable, ExactPageCodec, GridQuantizer, WindowTable};
-use iq_storage::DiskModel;
-use iq_storage::{BlockDevice, SimClock};
+use iq_quantize::{
+    BitWriter, CellMatch, DistTable, ExactBlocks, ExactPageCodec, GridQuantizer, WindowTable,
+};
+use iq_storage::{read_to_vec_retry, BlockDevice, DiskModel, RetryPolicy, SimClock};
 
 /// Blocks fetched per sequential read during the filter scan.
 const SCAN_CHUNK_BLOCKS: u64 = 256;
@@ -270,21 +272,38 @@ impl VaFile {
         (lower, best_ub.bound())
     }
 
-    /// Fetches the exact coordinates of point `i` (random access into the
-    /// exact file) into a caller-provided buffer.
-    fn fetch_exact_into(&self, clock: &mut SimClock, i: usize, out: &mut [f32]) {
-        let bs = self.exact.block_size();
-        let (first, nblocks, byte_off) = self.codec.entry_span(i, bs);
-        let buf = self
-            .exact
-            .read_to_vec(clock, first, nblocks)
-            .expect("read exact file");
-        self.codec
-            .decode_entry_into(&buf[byte_off..byte_off + self.codec.entry_bytes()], out);
+    /// Fetches the exact coordinates of point `i` into `out` through the
+    /// query's exact-block buffer: a random access into the exact file,
+    /// retried on transient faults, only for blocks the buffer lacks (as
+    /// the IQ-tree refines). Charges one distance evaluation and returns
+    /// `true`, or returns `false` when the entry stays unreadable or does
+    /// not decode.
+    fn fetch_exact_into(
+        &self,
+        clock: &mut SimClock,
+        blocks: &mut ExactBlocks,
+        i: usize,
+        out: &mut [f32],
+    ) -> bool {
+        let read = |first, n| {
+            read_to_vec_retry(
+                self.exact.as_ref(),
+                clock,
+                first,
+                n,
+                &RetryPolicy::default(),
+            )
+        };
+        let ok = blocks.entry_into(&self.codec, 0, i, out, read).is_ok();
+        if ok {
+            clock.charge_dist_evals(self.dim, 1);
+        }
+        ok
     }
 
     /// Refinement phase of `window` and `range`: fetches each point in
-    /// `ids` from the exact file and keeps those `accept` admits.
+    /// `ids` from the exact file and keeps those `accept` admits. An entry
+    /// that stays unreadable is left out.
     fn verify(
         &self,
         clock: &mut SimClock,
@@ -293,11 +312,10 @@ impl VaFile {
         accept: impl Fn(&[f32]) -> bool,
     ) {
         clock.phase_begin(Phase::Refine);
+        let mut blocks = ExactBlocks::new(self.exact.block_size());
         let mut p = vec![0.0f32; self.dim];
         for &id in ids {
-            self.fetch_exact_into(clock, id as usize, &mut p);
-            clock.charge_dist_evals(self.dim, 1);
-            if accept(&p) {
+            if self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p) && accept(&p) {
                 out.push(id);
             }
         }
@@ -333,8 +351,10 @@ impl AccessMethod for VaFile {
     ///
     /// The trace reports the approximation sweep ([`QueryTrace::runs`] =
     /// 1, `pages_processed` = blocks scanned), the candidates surviving
-    /// the filter (`approx_enqueued`) and the exact fetches actually
-    /// performed (`refinements`).
+    /// the filter (`approx_enqueued`), the exact points read and compared
+    /// (`refinements`) and those that stayed unreadable
+    /// (`points_skipped`). Refinements read through one exact-block buffer
+    /// per query, so each exact block is read at most once.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -373,11 +393,11 @@ impl AccessMethod for VaFile {
             // Phase 2: refine in lower-bound order until the k-th best exact
             // distance undercuts the next lower bound (or a knob fires).
             clock.phase_begin(Phase::Refine);
+            let mut blocks = ExactBlocks::new(self.exact.block_size());
             let mut p = vec![0.0f32; self.dim];
             refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
-                self.fetch_exact_into(clock, id as usize, &mut p);
-                clock.charge_dist_evals(self.dim, 1);
-                Some(metric.distance_key(&p, q))
+                self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p)
+                    .then(|| metric.distance_key(&p, q))
             });
             clock.phase_begin(Phase::TopK);
             let out = exec.into_results(metric);
@@ -391,62 +411,65 @@ impl AccessMethod for VaFile {
     /// entirely within the radius are accepted without fetching their
     /// exact coordinates; only boxes straddling it are refined.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let key_r = self.metric.distance_to_key(radius);
-        clock.phase_begin(Phase::Filter);
-        let table = self.dist_table(q);
-        let mut out = Vec::new();
-        let mut to_verify: Vec<u32> = Vec::new();
-        let mut lo_keys: Vec<f64> = Vec::new();
-        let mut hi_keys: Vec<f64> = Vec::new();
-        // Two bound evaluations per scanned point, as in the k-NN filter.
-        self.sweep(clock, 2, |first, cells| {
-            table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-            for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
-                if lo <= key_r {
-                    if hi <= key_r {
-                        out.push((first + j) as u32);
-                    } else {
-                        to_verify.push((first + j) as u32);
+        range_query(self, clock, q, radius, |clock| {
+            let key_r = self.metric.distance_to_key(radius);
+            clock.phase_begin(Phase::Filter);
+            let table = self.dist_table(q);
+            let mut out = Vec::new();
+            let mut to_verify: Vec<u32> = Vec::new();
+            let mut lo_keys: Vec<f64> = Vec::new();
+            let mut hi_keys: Vec<f64> = Vec::new();
+            // Two bound evaluations per scanned point, as in the k-NN filter.
+            self.sweep(clock, 2, |first, cells| {
+                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
+                    if lo <= key_r {
+                        if hi <= key_r {
+                            out.push((first + j) as u32);
+                        } else {
+                            to_verify.push((first + j) as u32);
+                        }
                     }
                 }
-            }
-        });
-        self.verify(clock, &to_verify, &mut out, |p| {
-            self.metric.distance_key(p, q) <= key_r
-        });
-        out
+            });
+            self.verify(clock, &to_verify, &mut out, |p| {
+                self.metric.distance_key(p, q) <= key_r
+            });
+            out
+        })
     }
 
     /// All points inside the query window (unordered ids): one scan of the
     /// approximation file; a point is refined only when its cell box
     /// straddles the window boundary.
     fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        clock.phase_begin(Phase::Filter);
-        let mut wtable = WindowTable::new();
-        wtable.build(&self.mbr, self.bits, window, self.n);
-        let mut out = Vec::new();
-        let mut to_verify: Vec<u32> = Vec::new();
-        let mut matches: Vec<CellMatch> = Vec::new();
-        self.sweep(clock, 1, |first, cells| {
-            wtable.classify_batch(cells, &mut matches);
-            for (j, &m) in matches.iter().enumerate() {
-                match m {
-                    CellMatch::Inside => out.push((first + j) as u32),
-                    CellMatch::Partial => to_verify.push((first + j) as u32),
-                    CellMatch::Disjoint => {}
+        window_query(self, clock, window, |clock| {
+            clock.phase_begin(Phase::Filter);
+            let mut wtable = WindowTable::new();
+            wtable.build(&self.mbr, self.bits, window, self.n);
+            let mut out = Vec::new();
+            let mut to_verify: Vec<u32> = Vec::new();
+            let mut matches: Vec<CellMatch> = Vec::new();
+            self.sweep(clock, 1, |first, cells| {
+                wtable.classify_batch(cells, &mut matches);
+                for (j, &m) in matches.iter().enumerate() {
+                    match m {
+                        CellMatch::Inside => out.push((first + j) as u32),
+                        CellMatch::Partial => to_verify.push((first + j) as u32),
+                        CellMatch::Disjoint => {}
+                    }
                 }
-            }
-        });
-        self.verify(clock, &to_verify, &mut out, |p| window.contains_point(p));
-        out
+            });
+            self.verify(clock, &to_verify, &mut out, |p| window.contains_point(p));
+            out
+        })
     }
 
     /// The [`predict_cost`] model evaluated against this file's actual
     /// grid: one sequential sweep of the approximation file plus the
-    /// expected k-NN refinements as random accesses (uniformity
-    /// assumption over the data MBR). `refine_factor` and `nprobes` cap
+    /// expected k-NN refinements (uniformity assumption over the data
+    /// MBR), charged as the distinct exact blocks they touch, each a
+    /// random access. `refine_factor` and `nprobes` cap
     /// the refinement term; a `time_budget` clips the total.
     fn cost_prediction(&self, k: usize, opts: &QueryOptions) -> Option<CostPrediction> {
         let disk = DiskModel::default();
@@ -462,8 +485,11 @@ impl AccessMethod for VaFile {
             refine_pages = refine_pages.min(m as f64);
         }
         let pages = approx_blocks as f64;
+        // A query reads each exact block once.
+        let exact_blocks = u32::try_from(self.exact.num_blocks()).unwrap_or(u32::MAX);
+        let refine_blocks = iq_cost::expected_distinct_blocks(exact_blocks, refine_pages);
         let mut io_seconds =
-            disk.scan_cost(approx_blocks) + refine_pages * (disk.t_seek + disk.t_xfer);
+            disk.scan_cost(approx_blocks) + refine_blocks * (disk.t_seek + disk.t_xfer);
         if let Some(b) = opts.time_budget {
             io_seconds = io_seconds.min(b);
         }

@@ -19,8 +19,8 @@ pub mod node;
 pub mod split;
 
 use iq_engine::{
-    drive, knn_query, AccessMethod, CandidateHeap, Executor, Filter, OrdKey, QueryOptions,
-    QueryTrace,
+    drive, knn_query, range_query, window_query, AccessMethod, CandidateHeap, Executor, Filter,
+    OrdKey, QueryOptions, QueryTrace,
 };
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
@@ -712,35 +712,37 @@ impl AccessMethod for XTree {
     /// queries), which are then loaded with the optimal batch-fetch
     /// schedule instead of one random access each.
     fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        assert_eq!(q.len(), self.dim);
-        let key_r = self.metric.distance_to_key(radius);
-        let metric = self.metric;
-        let pages = self.collect_pages(clock, |mbr| metric.mindist_key(q, mbr) <= key_r);
-        let mut out = Vec::new();
-        self.visit_pages_batched(clock, &pages, |dim, page| {
-            for (i, &pid) in page.ids.iter().enumerate() {
-                if metric.distance_key(page.point(i, dim), q) <= key_r {
-                    out.push(pid);
+        range_query(self, clock, q, radius, |clock| {
+            let key_r = self.metric.distance_to_key(radius);
+            let metric = self.metric;
+            let pages = self.collect_pages(clock, |mbr| metric.mindist_key(q, mbr) <= key_r);
+            let mut out = Vec::new();
+            self.visit_pages_batched(clock, &pages, |dim, page| {
+                for (i, &pid) in page.ids.iter().enumerate() {
+                    if metric.distance_key(page.point(i, dim), q) <= key_r {
+                        out.push(pid);
+                    }
                 }
-            }
-        });
-        out
+            });
+            out
+        })
     }
 
     /// All points inside the query window (unordered ids), with batched
     /// data-page loading like `range`.
     fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        let pages = self.collect_pages(clock, |mbr| mbr.intersects(window));
-        let mut out = Vec::new();
-        self.visit_pages_batched(clock, &pages, |dim, page| {
-            for (i, &pid) in page.ids.iter().enumerate() {
-                if window.contains_point(page.point(i, dim)) {
-                    out.push(pid);
+        window_query(self, clock, window, |clock| {
+            let pages = self.collect_pages(clock, |mbr| mbr.intersects(window));
+            let mut out = Vec::new();
+            self.visit_pages_batched(clock, &pages, |dim, page| {
+                for (i, &pid) in page.ids.iter().enumerate() {
+                    if window.contains_point(page.point(i, dim)) {
+                        out.push(pid);
+                    }
                 }
-            }
-        });
-        out
+            });
+            out
+        })
     }
 
     /// Sphere-volume estimate of the leaves a best-first k-NN descent

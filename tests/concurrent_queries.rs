@@ -4,8 +4,8 @@
 //! detail, never an accounting one.
 
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_batch, AccessMethod};
-use iqtree_repro::geometry::Metric;
+use iqtree_repro::engine::{knn_batch, knn_batch_traced, AccessMethod, QueryTrace};
+use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{IoStats, MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
 use std::sync::Arc;
@@ -13,10 +13,13 @@ use std::sync::Arc;
 const DIM: usize = 8;
 
 fn build(n: usize, opts: IqTreeOptions) -> IqTree {
-    let db = data::uniform(DIM, n, 7);
+    build_on(&data::uniform(DIM, n, 7), opts)
+}
+
+fn build_on(db: &Dataset, opts: IqTreeOptions) -> IqTree {
     let mut clock = SimClock::default();
     IqTree::build(
-        &db,
+        db,
         Metric::Euclidean,
         opts,
         || Box::new(MemDevice::new(2048)),
@@ -49,39 +52,60 @@ fn serial_run(tree: &IqTree, queries: &[Vec<f32>], k: usize) -> (Vec<Vec<(u32, f
 
 #[test]
 fn knn_batch_matches_serial_for_every_thread_count() {
-    let tree = build(4_000, IqTreeOptions::default());
-    let queries = query_workload(24);
-    let k = 5;
-    let (serial, serial_clock) = serial_run(&tree, &queries, k);
+    // Uniform data, and CAD-like clustered data, whose exact queries
+    // refine many points per page: there, the queries of a micro-batch
+    // share exact blocks as well as level-2 pages.
+    let cad = data::Workload::generate(4_000, 24, |n| data::cad_like(DIM, n, 13));
+    let cad_queries: Vec<Vec<f32>> = cad.queries.iter().map(<[f32]>::to_vec).collect();
+    let workloads = [
+        (
+            "uniform",
+            build(4_000, IqTreeOptions::default()),
+            query_workload(24),
+        ),
+        (
+            "cad",
+            build_on(&cad.db, IqTreeOptions::default()),
+            cad_queries,
+        ),
+    ];
+    for (name, tree, queries) in &workloads {
+        let k = 5;
+        let (serial, serial_clock) = serial_run(tree, queries, k);
 
-    // The batch executor groups queries into micro-batches that share one
-    // page walk, so it reads *fewer* blocks than the serial loop — the
-    // answers must still be identical, and the accounting must not depend
-    // on the thread count (micro-batches are formed in query order).
-    let mut reference: Option<SimClock> = None;
-    for threads in [1, 2, 8] {
-        let mut clock = SimClock::default();
-        let batch = knn_batch(&tree, &mut clock, &queries, k, threads);
-        assert_eq!(batch, serial, "results differ at {threads} threads");
-        assert!(
-            clock.stats().blocks_read <= serial_clock.stats().blocks_read,
-            "shared page walk must never read more than the serial loop: {} vs {}",
-            clock.stats().blocks_read,
-            serial_clock.stats().blocks_read
-        );
-        match &reference {
-            None => reference = Some(clock),
-            Some(r) => {
-                assert_eq!(
-                    clock.stats(),
-                    r.stats(),
-                    "merged IoStats differ at {threads} threads"
-                );
-                assert_eq!(
-                    clock.io_time(),
-                    r.io_time(),
-                    "merged io_time differs at {threads} threads"
-                );
+        // The batch executor groups queries into micro-batches that share
+        // one page walk, so it reads *fewer* blocks than the serial loop —
+        // the answers must still be identical, and the answers, traces and
+        // accounting must not depend on the thread count (micro-batches
+        // are formed in query order).
+        let mut reference: Option<(Vec<QueryTrace>, SimClock)> = None;
+        for threads in [1, 2, 8] {
+            let mut clock = SimClock::default();
+            let (batch, _) = knn_batch_traced(tree, &mut clock, queries, k, threads);
+            let (hits, traces): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
+            assert_eq!(hits, serial, "{name}: results differ at {threads} threads");
+            assert!(
+                clock.stats().blocks_read <= serial_clock.stats().blocks_read,
+                "{name}: shared page walk must never read more than the serial loop: \
+                 {} vs {}",
+                clock.stats().blocks_read,
+                serial_clock.stats().blocks_read
+            );
+            match &reference {
+                None => reference = Some((traces, clock)),
+                Some((t, r)) => {
+                    assert_eq!(&traces, t, "{name}: traces differ at {threads} threads");
+                    assert_eq!(
+                        clock.stats(),
+                        r.stats(),
+                        "{name}: merged IoStats differ at {threads} threads"
+                    );
+                    assert_eq!(
+                        clock.io_time(),
+                        r.io_time(),
+                        "{name}: merged io_time differs at {threads} threads"
+                    );
+                }
             }
         }
     }

@@ -4,9 +4,10 @@
 //! shared batch executor must be thread-count-invariant for each of them.
 //! A third test drives the baselines through a [`DeviceStack`] injecting
 //! transient faults: with the retry layer in the stack, results must still
-//! match the scan bit for bit. The last pins the k-NN query boundary every
-//! engine shares: trivial queries cost nothing, and a query of the wrong
-//! dimension panics with one message on every path.
+//! match the scan bit for bit. The last two pin the query boundaries every
+//! engine shares: trivial k-NN queries cost nothing, a query of the wrong
+//! dimension panics with one message per kind of query on every path, and
+//! range and window queries run inside the engine's root span.
 
 use iqtree_repro::data;
 use iqtree_repro::engine::{knn_batch, AccessMethod, Filter, QueryOptions, QueryTrace};
@@ -230,5 +231,58 @@ fn knn_boundary_is_shared_by_every_engine() {
             batch.as_deref().is_some_and(|m| m.contains(expect)),
             "{name} batch: {batch:?}"
         );
+    }
+}
+
+#[test]
+fn range_and_window_boundary_is_shared_by_every_engine() {
+    let (ds, queries) = clustered();
+    let whole = Mbr::from_bounds(vec![-1.0; DIM], vec![2.0; DIM]);
+    for &kind in &EngineKind::ALL {
+        let eng = build_engine(
+            kind,
+            &ds,
+            Metric::Euclidean,
+            plain_dev,
+            &mut SimClock::default(),
+        );
+        let name = eng.name();
+        // A query one coordinate short panics with one message per kind
+        // of query on every engine.
+        let short = queries[0][..DIM - 1].to_vec();
+        let range = panic_message(|| {
+            eng.range(&mut SimClock::default(), &short, 0.5);
+        });
+        assert!(
+            range
+                .as_deref()
+                .is_some_and(|m| m.contains("query dimensionality mismatch")),
+            "{name} range: {range:?}"
+        );
+        let short_window = Mbr::from_bounds(vec![0.0; DIM - 1], vec![1.0; DIM - 1]);
+        let window = panic_message(|| {
+            eng.window(&mut SimClock::default(), &short_window);
+        });
+        assert!(
+            window
+                .as_deref()
+                .is_some_and(|m| m.contains("window dimensionality mismatch")),
+            "{name} window: {window:?}"
+        );
+        // A valid query runs inside the engine's root span, which carries
+        // the radius and the hit count.
+        let mut clock = SimClock::default();
+        clock.enable_tracing();
+        let hits = eng.range(&mut clock, &queries[0], 0.3);
+        let all = eng.window(&mut clock, &whole);
+        assert_eq!(all.len(), ds.len(), "{name}");
+        let tree = clock.take_trace().expect("tracing was on");
+        let spans: Vec<_> = tree.root.children.iter().collect();
+        assert_eq!(spans.len(), 2, "{name}: {tree:?}");
+        for (span, n) in spans.iter().zip([hits.len(), all.len()]) {
+            assert_eq!(span.name, name);
+            assert!(span.counters.contains(&("hits".to_string(), n as u64)));
+        }
+        assert!(spans[0].attrs.iter().any(|(k, _)| k == "radius"), "{name}");
     }
 }

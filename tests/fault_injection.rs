@@ -8,14 +8,18 @@
 use iqtree_repro::data::{self, Workload};
 use iqtree_repro::engine::{knn_batch, knn_batch_traced, AccessMethod, QueryOptions, QueryTrace};
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
+use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{
-    BlockDevice, ChecksummedDevice, FaultConfig, FaultInjectingDevice, FileDevice, MemWal, SimClock,
+    BlockDevice, ChecksummedDevice, FaultConfig, FaultInjectingDevice, FileDevice, IqError,
+    IqResult, MemDevice, MemWal, SimClock,
 };
 use iqtree_repro::tree::verify::verify_index;
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::vafile::VaFile;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 const FILES: [&str; 3] = ["dir.bin", "quant.bin", "exact.bin"];
 
@@ -338,6 +342,239 @@ fn corrupt_exact_block_is_counted_alike_on_every_knn_path() {
         check(hits, trace, "batch walk");
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The raw reads of one device, as `(start, blocks)`, plus an optional
+/// block whose next `fail_left` reads fail with a transient error.
+#[derive(Default)]
+struct ReadLog {
+    reads: Vec<(u64, u64)>,
+    fail_block: Option<u64>,
+    fail_left: u32,
+}
+
+impl ReadLog {
+    /// How many logged reads covered `block`.
+    fn reads_of(&self, block: u64) -> usize {
+        self.reads
+            .iter()
+            .filter(|&&(start, n)| (start..start + n).contains(&block))
+            .count()
+    }
+}
+
+/// A device that records every read into a shared [`ReadLog`] and fails
+/// the reads its log arms.
+struct LoggedDevice {
+    inner: Box<dyn BlockDevice>,
+    log: Arc<Mutex<ReadLog>>,
+}
+
+impl BlockDevice for LoggedDevice {
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+
+    fn read_blocks(&self, clock: &mut SimClock, start: u64, buf: &mut [u8]) -> IqResult<()> {
+        {
+            let mut log = self.log.lock().expect("log lock");
+            let n = (buf.len() / self.block_size()) as u64;
+            log.reads.push((start, n));
+            if let Some(block) = log.fail_block {
+                if log.fail_left > 0 && (start..start + n).contains(&block) {
+                    log.fail_left -= 1;
+                    return Err(IqError::Io {
+                        op: "read",
+                        block,
+                        transient: true,
+                        detail: "flaky".into(),
+                    });
+                }
+            }
+        }
+        self.inner.read_blocks(clock, start, buf)
+    }
+
+    fn append(&mut self, clock: &mut SimClock, data: &[u8]) -> IqResult<u64> {
+        self.inner.append(clock, data)
+    }
+
+    fn write_blocks(&mut self, clock: &mut SimClock, start: u64, data: &[u8]) -> IqResult<()> {
+        self.inner.write_blocks(clock, start, data)
+    }
+
+    fn device_id(&self) -> u64 {
+        self.inner.device_id()
+    }
+}
+
+/// Reopens the index files with the exact file behind a [`LoggedDevice`]
+/// and returns the tree with the exact file's log.
+fn reopen_logged(dir: &Path, block: usize, dim: usize) -> (IqTree, SimClock, Arc<Mutex<ReadLog>>) {
+    let log = Arc::new(Mutex::new(ReadLog::default()));
+    let (tree, clock) = reopen(dir, block, dim, |i, d| {
+        if i == 2 {
+            Box::new(LoggedDevice {
+                inner: d,
+                log: Arc::clone(&log),
+            })
+        } else {
+            d
+        }
+    });
+    (tree, clock, log)
+}
+
+/// A lone query reads each exact block once: refinements that land in a
+/// block the query has already read are served from its buffer. Over a
+/// few exact queries, refinements outnumber the exact blocks read, no
+/// block is read twice by one query, and every answer is the scan's.
+#[test]
+fn a_lone_query_reads_each_exact_block_once() {
+    let dir = temp_dir("exact-once");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6);
+    let scan = SeqScan::build(
+        &w.db,
+        Metric::Euclidean,
+        Box::new(MemDevice::new(2048)),
+        &mut SimClock::default(),
+    );
+    let (mut refinements, mut reads) = (0, 0);
+    for q in w.queries.iter() {
+        log.lock().expect("log lock").reads.clear();
+        let (hits, trace) = tree.knn_traced(&mut clock, q, 40);
+        let want = scan.knn(&mut SimClock::default(), q, 40);
+        assert_eq!(hits, want);
+        let log = log.lock().expect("log lock");
+        let blocks = log.reads.iter().map(|&(start, _)| start);
+        for b in blocks.clone() {
+            assert_eq!(log.reads_of(b), 1, "exact block {b} read twice");
+        }
+        assert_eq!(trace.points_skipped, 0);
+        refinements += trace.refinements;
+        reads += log.reads.len() as u64;
+    }
+    assert!(reads > 0, "no refinement read the exact file");
+    assert!(
+        refinements > reads,
+        "no two refinements shared a block: {refinements} refinements, {reads} reads"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// An exact block whose read fails after every retry is not kept: the
+/// next refinement that needs it reads it again. In the pivot walk only
+/// the refinement that met the failure is skipped — the block's other
+/// points are all answered — and in the `refine_factor` rerank the failed
+/// planned sweep falls back to single reads, so the answer equals the
+/// fault-free one.
+#[test]
+fn a_failed_exact_read_is_retried_by_the_next_refinement() {
+    let dir = temp_dir("exact-retry");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6);
+    let attempts = IqTreeOptions::default().retry.max_attempts;
+    let q = w.queries.point(0);
+    let rerank = QueryOptions {
+        refine_factor: 2,
+        ..QueryOptions::EXACT
+    };
+    for (k, opts) in [(tree.len(), QueryOptions::EXACT), (10, rerank)] {
+        // A fault-free run, and the first exact block it read.
+        log.lock().expect("log lock").reads.clear();
+        let (clean, clean_trace) = tree.knn_opts_traced(&mut clock, q, k, None, &opts);
+        let block = log.lock().expect("log lock").reads[0].0;
+        // The same query with that block's first reads failing.
+        {
+            let mut log = log.lock().expect("log lock");
+            log.reads.clear();
+            log.fail_block = Some(block);
+            log.fail_left = attempts;
+        }
+        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &opts);
+        let log = log.lock().expect("log lock");
+        assert_eq!(log.fail_left, 0, "k={k}: the failure never fired");
+        assert!(
+            log.reads_of(block) > attempts as usize,
+            "k={k}: the block was never read again"
+        );
+        if opts.refine_factor >= 2 {
+            assert_eq!(hits, clean, "rerank answer changed");
+            assert_eq!(trace.points_skipped, 0);
+            assert_eq!(trace.refinements, clean_trace.refinements);
+        } else {
+            // One refinement met the failure; every other point, the rest
+            // of the failed block's included, is answered exactly.
+            assert_eq!(trace.points_skipped, 1);
+            assert_eq!(trace.refinements + 1, clean_trace.refinements);
+            assert_eq!(hits.len() + 1, clean.len());
+            let kept: Vec<_> = clean.iter().filter(|h| hits.contains(h)).collect();
+            assert_eq!(kept.len(), hits.len(), "an answer changed");
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The VA-file refines through the same kind of exact-block buffer: a
+/// query reads each exact block once. An exact block that stays
+/// unreadable is no panic: its entries are skipped and counted in
+/// `points_skipped`, as the IQ-tree counts them, and every other point is
+/// answered.
+#[test]
+fn va_file_skips_unreadable_exact_entries() {
+    let w = Workload::generate(2_000, 4, |n| data::uniform(6, n, 7));
+    let log = Arc::new(Mutex::new(ReadLog::default()));
+    let exact = LoggedDevice {
+        inner: Box::new(MemDevice::new(512)),
+        log: Arc::clone(&log),
+    };
+    let mut clock = SimClock::default();
+    let va = VaFile::build(
+        &w.db,
+        Metric::Euclidean,
+        4,
+        Box::new(MemDevice::new(512)),
+        Box::new(exact),
+        &mut clock,
+    );
+    let n = w.db.len();
+    let q = w.queries.point(0);
+    log.lock().expect("log lock").reads.clear();
+    let (clean, clean_trace) = va.knn_traced(&mut clock, q, 50);
+    {
+        let log = log.lock().expect("log lock");
+        for &(start, _) in &log.reads {
+            assert_eq!(log.reads_of(start), 1, "exact block {start} read twice");
+        }
+        assert!(clean_trace.refinements > log.reads.len() as u64);
+    }
+
+    {
+        let mut log = log.lock().expect("log lock");
+        log.fail_block = Some(0);
+        log.fail_left = u32::MAX;
+    }
+    let (hits, trace) = va.knn_traced(&mut clock, q, n);
+    assert!(trace.points_skipped > 0, "the failure never fired");
+    assert_eq!(hits.len() as u64 + trace.points_skipped, n as u64);
+    assert_eq!(trace.refinements, hits.len() as u64);
+    // Only the entries in block 0 are lost: the 18 whole 28-byte entries
+    // of its 512 bytes and the one straddling into block 1.
+    assert_eq!(trace.points_skipped, 19);
+    assert!(hits.iter().all(|&(id, _)| id >= 19));
+    // The answer is the clean one where k covers it.
+    let good: Vec<_> = clean.iter().filter(|(id, _)| *id >= 19).collect();
+    assert!(good.iter().all(|h| hits.contains(h)));
+    // Range and window verification skip the lost entries the same way.
+    let ids = va.range(&mut clock, q, 0.25);
+    assert!(ids.iter().all(|&id| id >= 19));
 }
 
 /// A WAL-attached tree under transient read faults: logged inserts and
