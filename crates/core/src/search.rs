@@ -16,7 +16,7 @@
 //! either direction stops once the balance exceeds `t_seek`.
 
 use crate::{IqTree, PageMeta};
-use iq_cost::access_probability;
+use iq_cost::GapSums;
 use iq_engine::{
     drive, knn_multi_per_query, knn_query, range_query, window_query, AccessMethod, CandidateHeap,
     Executor, Filter, OrdKey, QueryOptions, QueryTrace, TracedResult,
@@ -58,6 +58,9 @@ struct SearchState<'f> {
     /// Rank of each page in `order` (pages before it are its
     /// higher-priority competitors).
     rank: Vec<u32>,
+    /// The eq 5 distributions the plan has built, by (page, radius
+    /// class); empty unless page runs are planned.
+    gaps: GapSums,
     /// Pages already loaded and processed (or scheduled away).
     processed: Vec<bool>,
     /// Reusable cell-number scratch for the streaming page decoder.
@@ -157,6 +160,7 @@ impl IqTree {
             page_key: Vec::with_capacity(n_pages),
             order: Vec::new(),
             rank: Vec::new(),
+            gaps: GapSums::default(),
             processed: vec![false; n_pages],
             cells: Vec::new(),
             coords: Vec::new(),
@@ -241,6 +245,8 @@ impl IqTree {
             },
         );
 
+        clock.span_count("plan.builds", st.gaps.builds());
+        clock.span_count("plan.reads", st.gaps.reads());
         clock.phase_begin(Phase::TopK);
         let (results, mut trace) = exec.into_results(metric);
         if !partial {
@@ -330,18 +336,27 @@ impl IqTree {
         // higher-priority competitors — exactly the prefix of the sorted
         // order before its rank. The product collapses quickly (each
         // intersecting page holds many points), so the walk exits early
-        // almost always.
-        let prob = |st: &SearchState, i: usize| -> f64 {
+        // almost always. Each competitor's eq 5 fraction is read from the
+        // query's cache of distributions.
+        let pages = self.pages();
+        let prob = |st: &mut SearchState, i: usize| -> f64 {
             let key = st.page_key[i];
             if st.processed[i] || key >= bound {
                 return 0.0; // already processed or prunable
             }
-            let competitors = st.order[..st.rank[i] as usize]
+            let SearchState {
+                order,
+                rank,
+                processed,
+                gaps,
+                ..
+            } = st;
+            let competitors = order[..rank[i] as usize]
                 .iter()
                 .map(|&j| j as usize)
-                .filter(|&j| !st.processed[j])
-                .map(|j| (&self.pages()[j].mbr, self.pages()[j].count as usize));
-            access_probability(metric, q, metric.key_to_distance(key), competitors)
+                .filter(|&j| !processed[j])
+                .map(|j| (j, &pages[j].mbr, pages[j].count as usize));
+            gaps.access_probability(metric, q, metric.key_to_distance(key), competitors)
         };
 
         // `nprobes` caps how many pages will ever be decoded, so the run
@@ -792,10 +807,12 @@ impl IqTree {
     /// current page configuration will do: how many second-level pages it
     /// reads (eqs 16–18, k-NN sphere per footnote 1) and how long the three
     /// levels take together (eq 23 with the k-NN refinement expectation of
-    /// eq 15 summed over live pages). A query reads each exact block once,
-    /// so each page's refinements are charged its expected distinct exact
-    /// blocks ([`iq_cost::expected_distinct_blocks`]), not one random
-    /// access each; `refine_pages` still reports the refinements.
+    /// eq 15 summed over live pages). The refinements land on the pages the
+    /// query reads, an equal share each, and a query reads each exact
+    /// block once, so each read page's share is charged its expected
+    /// distinct exact blocks ([`iq_cost::expected_distinct_blocks`], over
+    /// the mean exact region), not one random access each;
+    /// `refine_pages` still reports the refinements.
     ///
     /// This is the "predicted" side of [`iq_obs::CostAudit`]; the observed
     /// side is the [`QueryTrace`] / [`SimClock`] of a real query.
@@ -822,34 +839,35 @@ impl IqTree {
         if let Some(m) = opts.nprobes {
             pages = pages.min(m as f64);
         }
-        // Expected refinements per page (eq 15), with its exact region's
-        // size in blocks.
-        let per_page: Vec<(f64, u32)> = live
+        // Expected refinements (eq 15), summed over the live pages.
+        let mut refine_pages: f64 = live
             .iter()
             .map(|meta| {
                 let sides: Vec<f32> = (0..self.dim()).map(|i| meta.mbr.extent(i) as f32).collect();
-                let r = iq_cost::expected_refinements_knn(
+                iq_cost::expected_refinements_knn(
                     self.refine_params(),
                     &sides,
                     meta.count as usize,
                     meta.g,
                     k,
-                );
-                (r, meta.exact_blocks)
+                )
             })
-            .collect();
-        let all: f64 = per_page.iter().map(|&(r, _)| r).sum();
-        let mut refine_pages = all;
+            .sum();
         if opts.refine_factor >= 2 {
             refine_pages = refine_pages.min((k as f64) * f64::from(opts.refine_factor));
         }
-        // A query reads each exact block once, so a page's refinements
-        // cost its expected distinct blocks, each a random access.
-        let scale = if all > 0.0 { refine_pages / all } else { 0.0 };
-        let refine_blocks: f64 = per_page
-            .iter()
-            .map(|&(r, blocks)| iq_cost::expected_distinct_blocks(blocks, r * scale))
-            .sum();
+        // Refinements land on the pages the query reads (eqs 16–18), and
+        // a query reads each exact block once: each read page's share of
+        // the refinements costs its expected distinct blocks, each a
+        // random access.
+        let read_pages = pages.max(1.0);
+        let mean_blocks =
+            live.iter().map(|m| f64::from(m.exact_blocks)).sum::<f64>() / n.max(1) as f64;
+        let refine_blocks = read_pages
+            * iq_cost::expected_distinct_blocks(
+                mean_blocks.round() as u32,
+                refine_pages / read_pages,
+            );
         let mut io_seconds = iq_cost::first_level_cost(self.dir_params(), disk, n)
             + iq_cost::directory::second_level_cost_for_k(disk, n, pages)
             + refine_blocks * (disk.t_seek + disk.t_xfer);
@@ -1248,6 +1266,30 @@ mod tests {
         let exact = tree.predict_knn_cost(&disk, 25);
         assert!(capped.pages <= exact.pages.min(2.0));
         assert!(capped.io_seconds <= exact.io_seconds.min(1e-4));
+    }
+
+    /// Refinements land on the pages the query reads: with more than one
+    /// expected refinement per read page, several share an exact block,
+    /// and the predicted refinement I/O falls below one random access
+    /// per refinement.
+    #[test]
+    fn predicted_refinements_share_blocks_on_read_pages() {
+        let ds = random_ds(20_000, 8, 29);
+        let (tree, _) = build_tree(&ds, IqTreeOptions::default(), 4096);
+        let disk = iq_storage::DiskModel::default();
+        let n = tree.pages().iter().filter(|p| p.count > 0).count();
+        for k in [100usize, 400] {
+            let pred = tree.predict_knn_cost(&disk, k);
+            assert!(pred.refine_pages > pred.pages, "k={k}: {pred:?}");
+            let refine_io = pred.io_seconds
+                - iq_cost::first_level_cost(tree.dir_params(), &disk, n)
+                - iq_cost::directory::second_level_cost_for_k(&disk, n, pred.pages);
+            let random = pred.refine_pages * (disk.t_seek + disk.t_xfer);
+            assert!(
+                refine_io > 0.0 && refine_io < random,
+                "k={k}: {refine_io} vs {random}"
+            );
+        }
     }
 
     /// Sorts by (distance bits, id) so tied distances compare stably

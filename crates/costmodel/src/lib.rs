@@ -19,11 +19,13 @@
 //! nearest-neighbor descent (eqs 2–5), which the time-optimized page-access
 //! strategy of Section 2.1 trades against seek savings.
 
+#![forbid(unsafe_code)]
+
 pub mod access_prob;
 pub mod directory;
 pub mod refine;
 
-pub use access_prob::{access_probability, fraction_in_ball};
+pub use access_prob::{access_probability, fraction_in_ball, GapSums};
 pub use directory::{
     expected_pages_accessed, expected_pages_accessed_knn, first_level_cost, second_level_cost,
     total_cost, DirectoryParams,

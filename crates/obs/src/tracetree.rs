@@ -71,6 +71,22 @@ impl TraceNode {
         }
     }
 
+    /// The sum of counter `key` over this subtree (0 when no node has
+    /// it).
+    pub fn counter_total(&self, key: &str) -> u64 {
+        let own: u64 = self
+            .counters
+            .iter()
+            .filter(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .sum();
+        own + self
+            .children
+            .iter()
+            .map(|c| c.counter_total(key))
+            .sum::<u64>()
+    }
+
     /// Number of nodes in this subtree (including self).
     pub fn node_count(&self) -> usize {
         1 + self

@@ -13,7 +13,7 @@ use iq_engine::{
 };
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostPrediction;
-use iq_storage::{BlockDevice, SimClock};
+use iq_storage::{read_to_vec_retry, BlockDevice, RetryPolicy, SimClock};
 
 /// Number of blocks fetched per read while scanning (bounds buffer memory;
 /// has no effect on simulated cost because the reads stay sequential).
@@ -78,14 +78,20 @@ impl SeqScan {
 
     /// Like [`SeqScan::scan`], stopping between chunk reads once the
     /// clock reaches `deadline` (simulated seconds). Returns the number
-    /// of points visited and the number of blocks read; with an infinite
-    /// deadline those are always the whole file.
+    /// of points visited, the number lost to unreadable chunks and the
+    /// number of blocks swept; with an infinite deadline the first two
+    /// always add up to the whole file.
+    ///
+    /// Each chunk read is retried ([`RetryPolicy::default`]). A chunk
+    /// that stays unreadable is skipped: ids are positional, so the
+    /// sweep resumes at the first point that starts after it, and the
+    /// points it held, including one straddling into it, are lost.
     fn scan_bounded(
         &self,
         clock: &mut SimClock,
         deadline: f64,
         mut visit: impl FnMut(u32, &[f32]),
-    ) -> (u64, u64) {
+    ) -> (u64, u64, u64) {
         // The whole sweep is one filter pass over exact data; there is no
         // separate planning or refinement to attribute time to.
         clock.phase_begin(iq_obs::Phase::Filter);
@@ -94,10 +100,15 @@ impl SeqScan {
         let pb = self.dim * 4;
         let mut carry: Vec<u8> = Vec::with_capacity(pb);
         let mut id: u32 = 0;
+        let mut lost: u64 = 0;
+        // Bytes at the head of the next chunk that belong to a lost point.
+        let mut skip = 0usize;
         let mut coords = vec![0.0f32; self.dim];
-        let mut consume = |bytes: &[u8], id: &mut u32, carry: &mut Vec<u8>| {
-            let mut off = 0;
-            // Finish a point straddling the previous chunk.
+        let mut consume = |bytes: &[u8], id: &mut u32, carry: &mut Vec<u8>, skip: &mut usize| {
+            let mut off = (*skip).min(bytes.len());
+            *skip -= off;
+            // Finish a point straddling the previous chunk (never after a
+            // lost chunk: that drops the carry).
             if !carry.is_empty() {
                 let need = pb - carry.len();
                 carry.extend_from_slice(&bytes[..need]);
@@ -133,21 +144,28 @@ impl SeqScan {
                 break;
             }
             let n = chunk.min(total_blocks - block);
-            let buf = self
-                .dev
-                .read_to_vec(clock, block, n)
-                .expect("read scan chunk");
-            consume(&buf, &mut id, &mut carry);
+            match read_to_vec_retry(self.dev.as_ref(), clock, block, n, &RetryPolicy::default()) {
+                Ok(buf) => consume(&buf, &mut id, &mut carry, &mut skip),
+                Err(_) => {
+                    let end = (block + n) as usize * bs;
+                    let resume = end.div_ceil(pb).min(self.n) as u32;
+                    lost += u64::from(resume - id);
+                    id = resume;
+                    skip = (id as usize * pb).saturating_sub(end);
+                    carry.clear();
+                }
+            }
             block += n;
         }
+        let visited = u64::from(id) - lost;
         // CPU cost: one distance-like evaluation per visited point.
-        clock.charge_dist_evals(self.dim, u64::from(id));
+        clock.charge_dist_evals(self.dim, visited);
         clock.phase_end();
         debug_assert!(
             block < total_blocks || id as usize == self.n,
             "block size {bs} scan desynchronized"
         );
-        (u64::from(id), block)
+        (visited, lost, block)
     }
 }
 
@@ -174,8 +192,9 @@ impl AccessMethod for SeqScan {
     /// searches are tested against. The scan has no approximation level,
     /// so `epsilon`, `nprobes` and `refine_factor` cannot shorten it —
     /// only `time_budget` does (the sweep stops between chunk reads,
-    /// returning the best answer so far). The trace reports one run and
-    /// the blocks swept as `pages_processed`.
+    /// returning the best answer so far). The trace reports one run, the
+    /// blocks swept as `pages_processed` and the points of chunks that
+    /// stayed unreadable as `points_skipped`.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -190,14 +209,15 @@ impl AccessMethod for SeqScan {
             let deadline = opts
                 .time_budget
                 .map_or(f64::INFINITY, |b| clock.total_time() + b);
-            let (visited, blocks) = self.scan_bounded(clock, deadline, |id, p| {
+            let (visited, lost, blocks) = self.scan_bounded(clock, deadline, |id, p| {
                 if filter.is_none_or(|f| f.matches(id)) {
                     exec.offer(metric.distance_key(p, q), id);
                 }
             });
             exec.trace.pages_processed = blocks;
             exec.trace.runs = 1;
-            exec.skip_candidates(self.n as u64 - visited);
+            exec.trace.points_skipped = lost;
+            exec.skip_candidates(self.n as u64 - visited - lost);
             clock.phase_begin(iq_obs::Phase::TopK);
             let out = exec.into_results(metric);
             clock.phase_end();

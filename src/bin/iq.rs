@@ -584,7 +584,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let traced = opts.contains_key("trace");
     let trace_tree = opts.contains_key("trace-tree");
     let trace_json = opts.get("trace-json").cloned();
-    if trace_tree || trace_json.is_some() {
+    if traced || trace_tree || trace_json.is_some() {
         clock.enable_tracing();
     }
     let (hits, trace) = if paged {
@@ -643,6 +643,9 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         print_trace(eng.as_ref(), &clock, &trace, page.k, &qopts);
     }
     if let Some(tree) = clock.take_trace() {
+        if traced {
+            print_plan_cache(&tree.root);
+        }
         if trace_tree {
             print!("{}", tree.render_text());
         }
@@ -742,6 +745,21 @@ fn print_trace(
     }
 }
 
+/// The Section 2.1 plan's eq 5 cache, from a traced query's span
+/// counters: the distributions the plan built and the fractions it read.
+/// Prints nothing for a query that planned no page runs.
+fn print_plan_cache(root: &iqtree_repro::obs::TraceNode) {
+    let builds = root.counter_total("plan.builds");
+    let reads = root.counter_total("plan.reads");
+    if reads > 0 {
+        println!(
+            "plan: {builds} eq 5 distribution(s) built for {reads} fraction read(s) \
+             ({:.1}% read without a build)",
+            (reads - builds) as f64 / reads as f64 * 100.0,
+        );
+    }
+}
+
 /// `iq explain`: the engine's cost-model prediction of a k-NN query under
 /// the given knob/filter combination, *without executing it* — expected
 /// filter-phase page accesses, expected exact-point refinements, and
@@ -775,11 +793,18 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
                 eng.dim()
             ));
         }
+        clock.enable_tracing();
         let (_, trace) = eng.knn_opts_traced(&mut clock, &point, k, filter.as_ref(), &qopts);
         Some(trace)
     } else {
         None
     };
+    let plan = clock.take_trace().map(|tree| {
+        (
+            tree.root.counter_total("plan.builds"),
+            tree.root.counter_total("plan.reads"),
+        )
+    });
     if json {
         let mut out = format!(
             "{{\"explain\":{{\"engine\":\"{}\",\"k\":{k},\"exact\":{},\
@@ -794,10 +819,11 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         );
         if let Some(t) = &observed {
             let audit = explain_audit(&pred, t, &clock);
+            let (builds, reads) = plan.unwrap_or_default();
             out.push_str(&format!(
                 ",\"observed\":{{\"pages\":{},\"refinements\":{},\"io_ms\":{:.6},\
-                 \"total_ms\":{:.6}}},\"audit\":{{\"pages_rel_err\":{:.6},\
-                 \"io_rel_err\":{:.6}}}",
+                 \"total_ms\":{:.6},\"plan_builds\":{builds},\"plan_reads\":{reads}}},\
+                 \"audit\":{{\"pages_rel_err\":{:.6},\"io_rel_err\":{:.6}}}",
                 t.pages_processed,
                 t.refinements,
                 clock.io_time() * 1e3,
@@ -865,6 +891,9 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             "  signed relative error: pages {pages_err:+.2}, io {io_err:+.2} \
              (prediction − observation, over observation)",
         );
+        if let Some((builds, reads)) = plan {
+            println!("  plan                   {builds} eq 5 build(s), {reads} fraction read(s)");
+        }
     }
     Ok(())
 }

@@ -577,6 +577,55 @@ fn va_file_skips_unreadable_exact_entries() {
     assert!(ids.iter().all(|&id| id >= 19));
 }
 
+/// The sequential scan under a chunk that stays unreadable: no panic. The
+/// chunk's read is retried, then skipped; the sweep resumes at the first
+/// point that starts after it, the lost points are counted in
+/// `points_skipped`, and every other point is answered as in a clean run.
+#[test]
+fn scan_skips_an_unreadable_chunk() {
+    // 20,000 6-d points of 24 bytes in 512-byte blocks: 938 blocks, read
+    // in chunks of 256 blocks (128 KiB).
+    let w = Workload::generate(20_000, 2, |n| data::uniform(6, n, 17));
+    let log = Arc::new(Mutex::new(ReadLog::default()));
+    let dev = LoggedDevice {
+        inner: Box::new(MemDevice::new(512)),
+        log: Arc::clone(&log),
+    };
+    let mut clock = SimClock::default();
+    let scan = SeqScan::build(&w.db, Metric::Euclidean, Box::new(dev), &mut clock);
+    let n = w.db.len();
+    let q = w.queries.point(0);
+    let (clean, clean_trace) = scan.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(clean_trace.points_skipped, 0);
+
+    // Block 300 lies in the second chunk, bytes 131,072..262,144. Point
+    // 5,461 starts at byte 131,064 and straddles into it; point 10,923
+    // is the first to start after it (byte 262,152).
+    {
+        let mut log = log.lock().expect("log lock");
+        log.fail_block = Some(300);
+        log.fail_left = u32::MAX;
+    }
+    let lost = 5_461..10_923u32;
+    let (hits, trace) = scan.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(trace.points_skipped, u64::from(lost.end - lost.start));
+    assert_eq!(hits.len() + lost.len(), n);
+    assert_eq!(trace.candidates_skipped, 0);
+    assert!(
+        log.lock().expect("log lock").reads_of(300) > 2,
+        "the chunk read is retried"
+    );
+    let kept: Vec<(u32, f64)> = clean
+        .iter()
+        .copied()
+        .filter(|(id, _)| !lost.contains(id))
+        .collect();
+    assert_eq!(hits, kept);
+    // A top-10 query answers from the points that were read.
+    let (top, _) = scan.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+    assert_eq!(top, kept[..10]);
+}
+
 /// A WAL-attached tree under transient read faults: logged inserts and
 /// deletes (whose find/load phases read through the retry layer)
 /// interleave with plain `&self` k-NN reads, and every answer — during

@@ -245,6 +245,35 @@ fn span_tree_phase_leaves_sum_to_flat_phase_times() {
     }
 }
 
+/// A lone query plans page runs (Section 2.1) and says on its engine span
+/// how much eq 5 work the plan did: the distributions it built and the
+/// fractions it read. Each (page, radius class) is built once and read at
+/// every radius of its class, so reads outnumber builds.
+#[test]
+fn lone_query_span_reports_plan_cache() {
+    let (ds, queries) = small_workload();
+    let eng = build(EngineKind::IqTree, &ds);
+    for q in &queries {
+        let mut clock = SimClock::default();
+        clock.enable_tracing();
+        let (_, trace) = eng.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+        assert!(trace.runs > 0);
+        let tree = clock.take_trace().expect("tracing was on");
+        let span = &tree.root.children[0];
+        assert_eq!(span.name, "iqtree");
+        let count = |key: &str| {
+            span.counters
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or(0, |(_, v)| *v)
+        };
+        let (builds, reads) = (count("plan.builds"), count("plan.reads"));
+        assert!(reads > 0, "the plan read no fraction");
+        assert!(builds < reads, "{builds} builds for {reads} reads");
+        assert_eq!(tree.root.counter_total("plan.reads"), reads);
+    }
+}
+
 /// A micro-batch's per-query attribution: each query returns exactly its
 /// solo results, and each query's own `iqtree` span carries exactly that
 /// query's [`QueryTrace`] counters.

@@ -1,8 +1,9 @@
 //! SIMD-dispatch conformance: every engine must return bit-identical
 //! results and simulated time — and the IQ-tree the same planned page
-//! runs — whether the quantized-domain scan kernels and the eq 5 plan
-//! kernel run on the detected SIMD tier or pinned to the scalar
-//! fallback, and the multi-query batch
+//! runs — whether the quantized-domain scan kernels run on the detected
+//! SIMD tier or pinned to the scalar fallback (the eq 5 plan kernel has
+//! one build, so its page runs must not move either), and the
+//! multi-query batch
 //! path must agree with the single-query path query by query. CI runs
 //! this suite twice — once as-is and once with `IQ_FORCE_SCALAR=1` in the
 //! environment — so both the runtime override and the env escape hatch
@@ -44,8 +45,8 @@ fn canon(mut hits: Vec<(u32, f64)>) -> Vec<(u64, u32)> {
 /// transcript, so two dispatch tiers can be compared wholesale. Besides
 /// the answers it records each engine's total simulated time and, for
 /// the IQ-tree, the page runs its Section 2.1 plan issued and the pages
-/// it processed per query: a plan kernel that diverged between tiers
-/// would move those while keeping the answers.
+/// it processed per query: a kernel that diverged between tiers would
+/// move those while keeping the answers.
 fn transcript(ds: &Dataset, queries: &[Vec<f32>]) -> Vec<Vec<(u64, u32)>> {
     let mut out = Vec::new();
     for kind in EngineKind::ALL {
