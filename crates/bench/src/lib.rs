@@ -10,8 +10,8 @@
 //! Setting the environment variable `IQ_QUICK=1` shrinks data sizes and
 //! query counts by ~10× for smoke runs and CI.
 //!
-//! Besides the figures, [`kernels`] holds the page-scan microbenchmarks
-//! `iq bench` reports and [`provenance`] the run header shared with it.
+//! Besides the figures, [`provenance`] holds the run header `iq bench`
+//! shares.
 //! Wall-clock performance of whole workloads on real index files is
 //! measured by the separate `perfbench` package at the repository root,
 //! the one benchmark CI runs.
@@ -20,7 +20,6 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod kernels;
 pub mod provenance;
 
 use iq_data::Workload;

@@ -166,7 +166,7 @@ pub trait AccessMethod: Send + Sync {
     }
 
     /// All points within `radius` of `q` under the index metric
-    /// (unordered ids). Every engine implements this by handing its search
+    /// (unordered ids; none for a negative or NaN radius). Every engine implements this by handing its search
     /// to [`range_query`].
     ///
     /// # Panics
@@ -232,10 +232,10 @@ pub fn knn_query<M: AccessMethod + ?Sized>(
 /// engine's [`AccessMethod::range`] hands its search to this function.
 ///
 /// It checks that `q` has `method.dim()` coordinates, then answers a
-/// query on an empty index with no ids, without touching `clock`. Any
-/// other query runs `search` inside the engine's root trace span, named
-/// [`AccessMethod::name`] and annotated with the radius and, on close,
-/// the number of hits.
+/// query on an empty index, or with a radius that is negative or NaN, with
+/// no ids, without touching `clock`. Any other query runs `search` inside
+/// the engine's root trace span, named [`AccessMethod::name`] and
+/// annotated with the radius and, on close, the number of hits.
 ///
 /// # Panics
 /// Panics if `q.len() != method.dim()`.
@@ -247,6 +247,11 @@ pub fn range_query<M: AccessMethod + ?Sized>(
     search: impl FnOnce(&mut SimClock) -> Vec<u32>,
 ) -> Vec<u32> {
     assert_eq!(q.len(), method.dim(), "query dimensionality mismatch");
+    // Under L2 the engines compare squared keys, so a negative radius
+    // would otherwise match the points within its absolute value.
+    if radius.is_nan() || radius < 0.0 {
+        return Vec::new();
+    }
     in_root_span(
         method,
         clock,

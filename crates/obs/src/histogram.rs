@@ -45,11 +45,6 @@ pub fn bucket_index(v: f64) -> usize {
     1 + (exp - MIN_EXP) as usize * SUBS + sub
 }
 
-/// Index of the overflow bucket.
-pub(crate) fn last_bucket_index() -> usize {
-    BUCKETS - 1
-}
-
 /// Lower/upper value bounds of a bucket. The underflow bucket spans
 /// `[0, 2^MIN_EXP)`; the overflow bucket spans `[2^MAX_EXP, +inf)`.
 pub fn bucket_bounds(index: usize) -> (f64, f64) {

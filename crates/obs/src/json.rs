@@ -1,9 +1,9 @@
 //! Minimal JSON reader for the observability artifacts this crate emits.
 //!
-//! The registry, slow-query log and telemetry window are persisted as
+//! The registry, slow-query log and trace trees are persisted as
 //! hand-rolled JSON (the workspace is dependency-free by design); reading
-//! them back — `iq stats --slow` / `--window` render files written by an
-//! earlier process — needs a parser. This one covers exactly the JSON
+//! them back — `iq stats --slow` renders a file written by an earlier
+//! process — needs a parser. This one covers exactly the JSON
 //! subset those emitters produce plus standard escapes, and rejects
 //! anything else with a position-carrying error.
 

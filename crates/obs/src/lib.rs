@@ -20,8 +20,6 @@
 //!   pretty text and Chrome trace-event JSON (Perfetto-loadable).
 //! - [`SlowLog`]: a 1-in-N sampler plus bounded top-K-slowest retention
 //!   of full trace trees, JSON-persistable for `iq stats --slow`.
-//! - [`TelemetryWindow`]: a bounded ring of periodic [`Snapshot`]s with
-//!   diff-derived counter rates and window-restricted percentiles.
 //! - [`json`]: a minimal parser for reading those artifacts back.
 
 pub mod audit;
@@ -31,7 +29,6 @@ pub mod phase;
 pub mod registry;
 pub mod slowlog;
 pub mod tracetree;
-pub mod window;
 
 pub use audit::{AuditSummary, CostAudit, CostPrediction};
 pub use histogram::{bucket_bounds, bucket_index, HistogramSnapshot};
@@ -40,4 +37,3 @@ pub use phase::{Phase, PhaseTimes, PHASES};
 pub use registry::{global, Counter, Gauge, Histogram, Registry, Snapshot};
 pub use slowlog::{SlowEntry, SlowLog};
 pub use tracetree::{TraceBuilder, TraceNode, TraceTree};
-pub use window::{TelemetryWindow, WindowReport};

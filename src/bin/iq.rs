@@ -94,7 +94,7 @@ const USAGE: &str = "usage:
   iq range    --index <dir> --point <x,y,...> --radius <r> [--cache-blocks <frames>] [--engine <e>]
   iq batch    --index <dir> --queries <file> [--k <k>] [--filter <expr>] [--limit <m>] [--offset <o>] [--epsilon <e>] [--nprobes <p>] [--refine-factor <f>] [--budget-ms <ms>] [--threads <t>] [--cache-blocks <frames>] [--engine <e>]
   iq stats    --index <dir> [--format <prometheus|json>] [--cache-blocks <frames>]
-  iq stats    --slow [--slow-log <path>] | --window <n> [--telemetry <path>]
+  iq stats    --slow [--slow-log <path>]
   iq verify   --index <dir>
   iq checkpoint --index <dir>
   iq recover  --index <dir> [--dry-run]
@@ -131,8 +131,7 @@ under the given knobs *without running it*; with --analyze (and --point)
 the query also runs and predicted vs observed are compared side by side.
 `iq stats --slow` prints the retained slow-query log (written by
 `iq bench` as iq-slowlog.json, 1-in-N sampled trace trees, the top-K
-slowest by simulated and by wall time kept); `iq stats --window <n>` reports counter rates and histogram
-percentiles over the last n telemetry snapshots (iq-telemetry.json).
+slowest by simulated and by wall time kept).
 --metrics-json <path> (any command) enables the global metrics registry and
 writes its JSON snapshot to <path> on exit.
 `iq checkpoint` folds the write-ahead log into the base files (reclaiming
@@ -1239,9 +1238,8 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
 /// out as the query workload. Every engine is built through the
 /// [`iqtree_repro::build_engine_with`] factory and queried through
 /// `&dyn AccessMethod`. With `--json`, emits one machine-readable object
-/// per engine instead of the text table, plus a `kernel-filter` row with
-/// the measured candidate-filter throughput (points/sec in the quantized
-/// domain, wall-clock).
+/// per engine and workload instead of the text table, after a provenance
+/// row. The sampled trace trees go to the slow-query log.
 fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
     use iqtree_repro::data::Workload;
     use iqtree_repro::{EngineKind, EngineOptions};
@@ -1250,17 +1248,13 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
     let queries: usize = opts
         .get("queries")
         .map_or(Ok(20), |s| parse_num(s, "--queries"))?;
+    if queries == 0 {
+        return Err("--queries must be at least 1".into());
+    }
     let metric = parse_metric(opts)?;
     let json = opts.contains_key("json");
-    // The bench always records: the JSON report embeds the registry
-    // snapshot, and the periodic telemetry snapshots persisted for
-    // `iq stats --window` need live counters. Recording must be on before
-    // the engines (and their device stacks) are built.
-    iqtree_repro::obs::global().set_enabled(true);
     let provenance = iq_bench::provenance::collect(opts.get("date").map(String::as_str));
     let slowlog = iqtree_repro::obs::SlowLog::global();
-    let mut telemetry = iqtree_repro::obs::TelemetryWindow::new(32);
-    let mut sim_elapsed = 0.0f64;
     let all = load_vectors(input)?.points;
     if all.len() <= queries {
         return Err(format!("need more than {queries} points for a benchmark"));
@@ -1293,6 +1287,21 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         va_bits: Some(bits),
         ..Default::default()
     };
+    // Both workloads query the same four engines, built once, in order.
+    let engines: Vec<_> = EngineKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let eng = iqtree_repro::build_engine_with(
+                kind,
+                &w.db,
+                metric,
+                eng_opts.clone(),
+                || Box::new(MemDevice::new(8192)),
+                &mut build_clock,
+            );
+            (kind, eng)
+        })
+        .collect();
 
     let mut clock = SimClock::default();
     // Provenance leads the JSON report: every committed BENCH artifact
@@ -1301,15 +1310,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         "{{\"engine\":\"provenance\",\"provenance\":{}}}",
         provenance.to_json()
     )];
-    for kind in EngineKind::ALL {
-        let eng = iqtree_repro::build_engine_with(
-            kind,
-            &w.db,
-            metric,
-            eng_opts.clone(),
-            || Box::new(MemDevice::new(8192)),
-            &mut build_clock,
-        );
+    for (kind, eng) in &engines {
         let mut total = 0.0;
         let mut seeks = 0u64;
         let mut blocks = 0u64;
@@ -1326,8 +1327,6 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
                 slowlog.offer(&format!("{}/nn/q{qi}", eng.name()), tree);
             }
         }
-        sim_elapsed += total;
-        telemetry.push(sim_elapsed, iqtree_repro::obs::global().snapshot());
         let nq = w.queries.len() as f64;
         if json {
             json_rows.push(format!(
@@ -1343,7 +1342,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         } else {
             println!(
                 "{:<28} {:>9.2} ms/query   {:>6.1} seeks/query",
-                display(kind),
+                display(*kind),
                 total / nq * 1e3,
                 seeks as f64 / nq,
             );
@@ -1369,15 +1368,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
             filter.selectivity()
         );
     }
-    for kind in EngineKind::ALL {
-        let eng = iqtree_repro::build_engine_with(
-            kind,
-            &w.db,
-            metric,
-            eng_opts.clone(),
-            || Box::new(MemDevice::new(8192)),
-            &mut build_clock,
-        );
+    for (kind, eng) in &engines {
         let page = PageSpec::top(fk);
         let mut total = 0.0;
         let mut recall_sum = 0.0;
@@ -1408,8 +1399,6 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
                 .count();
             recall_sum += matched as f64 / oracle.len().max(1) as f64;
         }
-        sim_elapsed += total;
-        telemetry.push(sim_elapsed, iqtree_repro::obs::global().snapshot());
         let nq = w.queries.len() as f64;
         if json {
             json_rows.push(format!(
@@ -1423,56 +1412,33 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         } else {
             println!(
                 "{:<28} {:>9.2} ms/query   recall {:.3}",
-                display(kind),
+                display(*kind),
                 total / nq * 1e3,
                 recall_sum / nq,
             );
         }
     }
-    // Candidate-filter throughput of the quantized-domain kernel (the
-    // level-2 MINDIST pass), measured wall-clock on synthetic pages.
-    let filt = iq_bench::kernels::page_scan_throughput();
     if json {
-        json_rows.push(format!(
-            "{{\"engine\":\"kernel-filter\",\"filter_points_per_sec\":{:.0},\
-             \"naive_points_per_sec\":{:.0},\"speedup\":{:.3}}}",
-            filt.kernel_pps, filt.naive_pps, filt.speedup
-        ));
-        let registry = iqtree_repro::obs::global().to_json();
-        json_rows.push(format!(
-            "{{\"engine\":\"metrics-registry\",\"registry\":{}}}",
-            registry.trim_end()
-        ));
         println!("[{}]", json_rows.join(","));
     } else {
-        println!(
-            "\nquantized-domain filter: {:.1} Mpts/s (naive decode: {:.1} Mpts/s, {:.2}x)",
-            filt.kernel_pps / 1e6,
-            filt.naive_pps / 1e6,
-            filt.speedup
-        );
-        println!("(times are simulated: 10 ms seek, 1 ms / 8 KiB block, 100 ns CPU per dim-op)");
+        println!("\n(times are simulated: 10 ms seek, 1 ms / 8 KiB block, 100 ns CPU per dim-op)");
     }
-    // Persist the observability artifacts next to the run so `iq stats
-    // --slow` / `--window` can read them back later.
+    // Persist the slow-query log next to the run so `iq stats --slow` can
+    // read it back later.
     std::fs::write(SLOWLOG_FILE, slowlog.to_json())
         .map_err(|e| format!("write {SLOWLOG_FILE}: {e}"))?;
-    std::fs::write(TELEMETRY_FILE, telemetry.to_json())
-        .map_err(|e| format!("write {TELEMETRY_FILE}: {e}"))?;
     if !json {
         println!(
-            "wrote {SLOWLOG_FILE} ({} retained) and {TELEMETRY_FILE} ({} snapshot(s))",
-            slowlog.entries().len(),
-            telemetry.len()
+            "wrote {SLOWLOG_FILE} ({} retained)",
+            slowlog.entries().len()
         );
     }
     Ok(())
 }
 
-/// Default paths of the observability artifacts `iq bench` persists next
-/// to wherever it runs; `iq stats --slow` / `--window` read them back.
+/// Default path of the slow-query log `iq bench` persists next to
+/// wherever it runs; `iq stats --slow` reads it back.
 const SLOWLOG_FILE: &str = "iq-slowlog.json";
-const TELEMETRY_FILE: &str = "iq-telemetry.json";
 
 /// `iq stats --slow`: the retained slow-query log — the top-K slowest
 /// sampled queries with their full trace trees.
@@ -1496,33 +1462,9 @@ fn cmd_stats_slow(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `iq stats --window <n>`: counter rates and histogram percentiles over
-/// the last `n` persisted telemetry snapshots.
-fn cmd_stats_window(opts: &HashMap<String, String>) -> Result<(), String> {
-    let n: usize = parse_num(req(opts, "window")?, "--window")?;
-    let path = opts
-        .get("telemetry")
-        .map_or(TELEMETRY_FILE, String::as_str)
-        .to_string();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("read {path}: {e} (run `iq bench` first, or pass --telemetry)"))?;
-    let window = iqtree_repro::obs::TelemetryWindow::load_json(&text)?;
-    let Some(report) = window.report(n) else {
-        return Err(format!(
-            "{path} holds {} snapshot(s); a window of {n} needs at least 2",
-            window.len(),
-        ));
-    };
-    print!("{}", iqtree_repro::obs::window::render_report(&report));
-    Ok(())
-}
-
 fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     if opts.contains_key("slow") {
         return cmd_stats_slow(opts);
-    }
-    if opts.contains_key("window") {
-        return cmd_stats_window(opts);
     }
     let index = PathBuf::from(req(opts, "index")?);
     let format = opts.get("format").map(String::as_str);

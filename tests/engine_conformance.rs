@@ -6,8 +6,9 @@
 //! transient faults: with the retry layer in the stack, results must still
 //! match the scan bit for bit. The last two pin the query boundaries every
 //! engine shares: trivial k-NN queries cost nothing, a query of the wrong
-//! dimension panics with one message per kind of query on every path, and
-//! range and window queries run inside the engine's root span.
+//! dimension panics with one message per kind of query on every path,
+//! range and window queries run inside the engine's root span, and a
+//! negative or NaN radius matches nothing at no cost under every metric.
 
 use iqtree_repro::data;
 use iqtree_repro::engine::{knn_batch, AccessMethod, Filter, QueryOptions, QueryTrace};
@@ -284,5 +285,26 @@ fn range_and_window_boundary_is_shared_by_every_engine() {
             assert!(span.counters.contains(&("hits".to_string(), n as u64)));
         }
         assert!(spans[0].attrs.iter().any(|(k, _)| k == "radius"), "{name}");
+    }
+    // A negative or NaN radius matches no point and costs nothing, under
+    // every metric: L2 keys are squared, so −r must not act as r.
+    for metric in metrics() {
+        for eng in build_all(&ds, metric, plain_dev) {
+            let name = eng.name();
+            let q = &queries[0];
+            // The 5th-NN distance, inflated past the key round-trip.
+            let r = eng.knn(&mut SimClock::default(), q, 5)[4].1 * (1.0 + 1e-9);
+            assert!(eng.range(&mut SimClock::default(), q, r).len() >= 5);
+            for radius in [-r, f64::NAN] {
+                let mut clock = SimClock::default();
+                clock.enable_tracing();
+                let hits = eng.range(&mut clock, q, radius);
+                let tree = clock.take_trace().expect("tracing was on");
+                assert!(hits.is_empty(), "{metric:?} {name}: r {radius}: {hits:?}");
+                assert_eq!(clock.total_time(), 0.0, "{metric:?} {name}: r {radius}");
+                assert_eq!(clock.stats().blocks_read, 0, "{metric:?} {name}");
+                assert!(tree.root.children.is_empty(), "{metric:?} {name}: {tree:?}");
+            }
+        }
     }
 }
