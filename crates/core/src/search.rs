@@ -8,6 +8,18 @@
 //! processed. A point's exact coordinates are read if and only if its box
 //! becomes the pivot of the list, which the paper proves unavoidable.
 //!
+//! Most approximations never become the pivot, so the list keeps only
+//! those that can: while a query decodes pages it tracks U, the
+//! `budget`-th smallest *settle key* seen so far (the key an
+//! approximation is settled at when popped: its cell MAXDIST when popping
+//! refines it, its MINDIST under partial refinement). Once the
+//! approximations behind U are popped, the result set holds `budget` keys
+//! no larger than U, so an approximation whose MINDIST exceeds U is
+//! pruned before it could be popped. Such entries wait in a spill list
+//! behind a sentinel; if a sentinel is ever popped (a witness's
+//! refinement failed under a fault) the spill list returns to the list,
+//! and the pops go on exactly as if it had never left.
+//!
 //! When the pivot is a page and scheduled I/O is enabled, the cumulated-
 //! cost-balance algorithm of Section 2.1 extends the read around the pivot
 //! in both disk directions: a neighboring page with access probability `a`
@@ -19,7 +31,7 @@ use crate::{IqTree, PageMeta};
 use iq_cost::GapSums;
 use iq_engine::{
     drive, knn_multi_per_query, knn_query, range_query, window_query, AccessMethod, CandidateHeap,
-    Executor, Filter, OrdKey, QueryOptions, QueryTrace, TracedResult,
+    Executor, Filter, OrdKey, QueryOptions, QueryTrace, TopK, TracedResult,
 };
 use iq_geometry::{Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
@@ -31,6 +43,13 @@ use std::collections::HashMap;
 /// Heap entry target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Item {
+    /// The spill sentinel, keyed by the smallest key in the spill list
+    /// when it was pushed. Declared first, so `(key, Spill)` pops before
+    /// every page or point with the same key: the drive loop's checks on
+    /// it see the key of the entry that would have popped next, and
+    /// popping it (which moves the spill list into the heap) changes no
+    /// outcome.
+    Spill,
     /// A quantized data page (by index).
     Page(u32),
     /// A point approximation: `(page, slot, id)` — refined when popped.
@@ -74,6 +93,20 @@ struct SearchState<'f> {
     keys: Vec<f64>,
     /// Reusable member list of the page run being processed.
     members: Vec<usize>,
+    /// Whether popped approximations are settled at their MINDIST
+    /// (`refine_factor >= 2`) rather than refined.
+    partial: bool,
+    /// The `budget` smallest settle keys of the approximations pushed so
+    /// far; its bound is U.
+    settle: TopK,
+    /// Approximations under the pruning bound whose MINDIST exceeded U
+    /// when decoded, as `(key, page, slot, id)`.
+    spill: Vec<(f64, u32, u32, u32)>,
+    /// Key of the newest sentinel guarding `spill` (`+∞` while it is
+    /// empty).
+    spill_min: f64,
+    /// Spilled approximations a sentinel moved back into the heap.
+    merged: u64,
 }
 
 /// The reads one micro-batch shares ([`IqTree::knn_multi_opts_traced`]).
@@ -167,6 +200,11 @@ impl IqTree {
             table: DistTable::new(),
             keys: Vec::new(),
             members: Vec::new(),
+            partial,
+            settle: TopK::new(budget),
+            spill: Vec::new(),
+            spill_min: f64::INFINITY,
+            merged: 0,
         };
         let mut live = Vec::with_capacity(n_pages);
         for (i, meta) in self.pages().iter().enumerate() {
@@ -205,6 +243,17 @@ impl IqTree {
             &mut heap,
             |exec, clock, key, item, heap| {
                 match item {
+                    Item::Spill => {
+                        // Popped only when the approximations behind U did
+                        // not all settle (a refinement failed), or when an
+                        // earlier sentinel already merged its entries; an
+                        // early merge changes no pop either.
+                        st.merged += st.spill.len() as u64;
+                        heap.extend(st.spill.drain(..).map(|(key, page, slot, id)| {
+                            Reverse((OrdKey(key), Item::Point(page, slot, id)))
+                        }));
+                        st.spill_min = f64::INFINITY;
+                    }
                     Item::Page(p) => {
                         let p = p as usize;
                         if st.processed[p] {
@@ -247,6 +296,13 @@ impl IqTree {
 
         clock.span_count("plan.builds", st.gaps.builds());
         clock.span_count("plan.reads", st.gaps.reads());
+        // Every approximation under the bound was pushed or spilled, and
+        // every spilled one is merged back or still in the spill list.
+        let spilled = st.merged + st.spill.len() as u64;
+        let pushed = exec.trace.approx_enqueued - spilled + st.merged;
+        clock.span_count("filter.pushed", pushed);
+        clock.span_count("filter.spilled", spilled);
+        clock.span_count("filter.merged", st.merged);
         clock.phase_begin(Phase::TopK);
         let (results, mut trace) = exec.into_results(metric);
         if !partial {
@@ -484,6 +540,10 @@ impl IqTree {
             coords,
             table,
             keys,
+            partial,
+            settle,
+            spill,
+            spill_min,
             ..
         } = st;
         let filter = *filter;
@@ -520,17 +580,45 @@ impl IqTree {
             // No exact result is offered while filtering approximations, so
             // the pruning threshold is loop-invariant.
             let bound = exec.prune_threshold();
+            let dim = self.dim();
+            let mut u = settle.bound();
+            let mut page_min = f64::INFINITY;
             for (slot, &key) in keys.iter().enumerate() {
                 // Filtered-out points never enter the priority list: they
                 // are neither refined nor allowed to influence the bound.
                 let id = view.id(slot);
-                if filter.is_none_or(|f| f.matches(id)) && key < bound {
-                    exec.trace.approx_enqueued += 1;
-                    heap.push(Reverse((
-                        OrdKey(key),
-                        Item::Point(p as u32, slot as u32, id),
-                    )));
+                if !(filter.is_none_or(|f| f.matches(id)) && key < bound) {
+                    continue;
                 }
+                exec.trace.approx_enqueued += 1;
+                if key > u {
+                    // Pruned before it could pop unless a witness of U
+                    // fails to settle: set aside.
+                    spill.push((key, p as u32, slot as u32, id));
+                    page_min = page_min.min(key);
+                    continue;
+                }
+                // Only an entry with MINDIST <= U can tighten U, so only
+                // these need a settle key.
+                let settle_key = if *partial {
+                    key
+                } else {
+                    table.maxdist_key(&cells[slot * dim..(slot + 1) * dim])
+                };
+                if settle.insert(settle_key, id) {
+                    u = settle.bound();
+                }
+                heap.push(Reverse((
+                    OrdKey(key),
+                    Item::Point(p as u32, slot as u32, id),
+                )));
+            }
+            if page_min < *spill_min {
+                // The spill list's minimum fell: guard it with a new
+                // sentinel. An older one, popped later, finds its entry
+                // merged back but not yet popped.
+                *spill_min = page_min;
+                heap.push(Reverse((OrdKey(page_min), Item::Spill)));
             }
         }
         if let Some(quant) = quant {

@@ -31,6 +31,31 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// Every report goes through [`emit`]: `out!` is `print!`, `outln!` is
+/// `println!`.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes report text to stdout. A reader that closes the pipe early
+/// (`iq bench | head -5`) has taken all it wants, so the program ends
+/// there with success; any other write error ends it with one error line.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
@@ -302,7 +327,7 @@ fn cmd_generate(opts: &HashMap<String, String>) -> Result<(), String> {
         }
         other => return Err(format!("unknown format `{other}` (use csv or fvecs)")),
     }
-    println!(
+    outln!(
         "wrote {} points of dimension {dim} to {out} ({format})",
         ds.len()
     );
@@ -342,12 +367,12 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
     } else {
         vd.attrs.names().join(", ")
     };
-    println!(
+    outln!(
         "{input}: {} points, {}-d, attributes: {attr_names}",
         vd.points.len(),
         vd.points.dim(),
     );
-    println!(
+    outln!(
         "read {} blocks of {block} B via {} in {:.2} simulated ms",
         dev.num_blocks(),
         if dev.is_mapped() { "mmap" } else { "pread" },
@@ -364,7 +389,7 @@ fn cmd_ingest(opts: &HashMap<String, String>) -> Result<(), String> {
             }
             _ => data::write_vec_csv(outp, &vd).map_err(|e| format!("write {out}: {e}"))?,
         }
-        println!("converted to {out}");
+        outln!("converted to {out}");
     }
     Ok(())
 }
@@ -450,14 +475,14 @@ fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
     // insert/delete is logged before it touches the base files.
     FileWal::open(&index.join(WAL_FILE)).map_err(|e| format!("create {WAL_FILE}: {e}"))?;
     let (d, q, e) = tree.storage_blocks();
-    println!(
+    outln!(
         "built IQ-tree over {} points ({}-d): {} pages, resolutions {:?}",
         tree.len(),
         ds.dim(),
         tree.num_pages(),
         tree.bits_histogram(),
     );
-    println!(
+    outln!(
         "storage: directory {d} + quantized {q} + exact {e} blocks of {block} B \
          (scanned level at {:.0}% of exact size)",
         tree.compression_ratio() * 100.0,
@@ -606,13 +631,13 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         eng.knn_opts_traced(&mut clock, &point, page.k, None, &qopts)
     };
     for (rank, (id, dist)) in hits.iter().enumerate() {
-        println!(
+        outln!(
             "{:>3}. id {id:>8}  distance {dist:.6}",
             page.offset + rank + 1
         );
     }
     if let Some(f) = &filter {
-        println!(
+        outln!(
             "-- filter matches {} of {} points (selectivity {:.3})",
             f.matching(),
             f.domain(),
@@ -620,7 +645,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     if !qopts.is_exact() {
-        println!(
+        outln!(
             "-- approximate search ({}): {}",
             describe_query_opts(&qopts),
             if trace.terminated_early > 0 {
@@ -630,7 +655,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
             },
         );
     }
-    println!(
+    outln!(
         "-- {} result(s) from {} in {:.2} simulated ms ({} seeks, {} blocks)",
         hits.len(),
         eng.name(),
@@ -644,14 +669,15 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     if let Some(tree) = clock.take_trace() {
         if traced {
             print_plan_cache(&tree.root);
+            print_priority_list(&tree.root);
         }
         if trace_tree {
-            print!("{}", tree.render_text());
+            out!("{}", tree.render_text());
         }
         if let Some(path) = trace_json {
             std::fs::write(&path, tree.to_chrome_json())
                 .map_err(|e| format!("write {path}: {e}"))?;
-            println!(
+            outln!(
                 "-- wrote Chrome trace ({} span(s)) to {path}; load it in Perfetto or chrome://tracing",
                 tree.root.node_count(),
             );
@@ -691,9 +717,9 @@ fn print_trace(
 ) {
     let p = clock.phase_times();
     let total = clock.total_time();
-    println!("phase breakdown:          simulated        wall");
+    outln!("phase breakdown:          simulated        wall");
     for ph in iqtree_repro::obs::PHASES {
-        println!(
+        outln!(
             "  {:<10} {:>16.4} ms {:>10.4} ms",
             ph.name(),
             p.sim[ph.index()] * 1e3,
@@ -705,13 +731,13 @@ fn print_trace(
     } else {
         100.0
     };
-    println!(
+    outln!(
         "  {:<10} {:>16.4} ms of {:.4} ms total ({covered:.1}% attributed)",
         "sum",
         p.total_sim() * 1e3,
         total * 1e3,
     );
-    println!(
+    outln!(
         "trace: {} pages processed, {} skipped, {} runs, {} refinements, {} approximations enqueued",
         trace.pages_processed,
         trace.pages_skipped,
@@ -720,20 +746,22 @@ fn print_trace(
         trace.approx_enqueued,
     );
     if trace.degraded() {
-        println!(
+        outln!(
             "       degraded: {} quantized fallbacks, {} pages lost, {} points skipped",
-            trace.quant_fallbacks, trace.pages_lost, trace.points_skipped,
+            trace.quant_fallbacks,
+            trace.pages_lost,
+            trace.points_skipped,
         );
     }
     if trace.terminated_early > 0 || trace.candidates_skipped > 0 {
-        println!(
+        outln!(
             "       approximate: terminated early, {} candidate(s) skipped by knobs",
             trace.candidates_skipped,
         );
     }
     if let Some(pred) = eng.cost_prediction(k, qopts) {
         let ratio = trace.pages_processed as f64 / pred.pages.max(1e-12);
-        println!(
+        outln!(
             "cost model: predicted {:.1} page accesses (observed {}, ratio {ratio:.2}), \
              predicted {:.2} ms I/O (observed {:.2} ms)",
             pred.pages,
@@ -751,10 +779,24 @@ fn print_plan_cache(root: &iqtree_repro::obs::TraceNode) {
     let builds = root.counter_total("plan.builds");
     let reads = root.counter_total("plan.reads");
     if reads > 0 {
-        println!(
+        outln!(
             "plan: {builds} eq 5 distribution(s) built for {reads} fraction read(s) \
              ({:.1}% read without a build)",
             (reads - builds) as f64 / reads as f64 * 100.0,
+        );
+    }
+}
+
+/// The IQ-tree's priority list, from a traced query's span counters: the
+/// point approximations under the pruning bound, and how many entered the
+/// list; the rest were set aside, as they cannot become the pivot.
+/// Prints nothing for an engine without the list.
+fn print_priority_list(root: &iqtree_repro::obs::TraceNode) {
+    let pushed = root.counter_total("filter.pushed");
+    if pushed + root.counter_total("filter.spilled") > 0 {
+        outln!(
+            "approximations: {} under the bound, {pushed} entered the priority list",
+            root.counter_total("approx_enqueued"),
         );
     }
 }
@@ -802,6 +844,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         (
             tree.root.counter_total("plan.builds"),
             tree.root.counter_total("plan.reads"),
+            tree.root.counter_total("filter.pushed"),
         )
     });
     if json {
@@ -818,10 +861,11 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         );
         if let Some(t) = &observed {
             let audit = explain_audit(&pred, t, &clock);
-            let (builds, reads) = plan.unwrap_or_default();
+            let (builds, reads, pushes) = plan.unwrap_or_default();
             out.push_str(&format!(
                 ",\"observed\":{{\"pages\":{},\"refinements\":{},\"io_ms\":{:.6},\
-                 \"total_ms\":{:.6},\"plan_builds\":{builds},\"plan_reads\":{reads}}},\
+                 \"total_ms\":{:.6},\"plan_builds\":{builds},\"plan_reads\":{reads},\
+                 \"heap_pushes\":{pushes}}},\
                  \"audit\":{{\"pages_rel_err\":{:.6},\"io_rel_err\":{:.6}}}",
                 t.pages_processed,
                 t.refinements,
@@ -832,10 +876,10 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             ));
         }
         out.push_str("}}");
-        println!("{out}");
+        outln!("{out}");
         return Ok(());
     }
-    println!(
+    outln!(
         "explain: {} k-NN, k={k} ({})",
         eng.name(),
         if qopts.is_exact() {
@@ -845,7 +889,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         },
     );
     if let Some(f) = &filter {
-        println!(
+        outln!(
             "  filter matches {} of {} points (selectivity {:.3}); the model \
              predicts the unfiltered search (a pushed-down filter only drops \
              candidates, it reads no extra pages)",
@@ -854,44 +898,53 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             f.selectivity(),
         );
     }
-    println!(
+    outln!(
         "  predicted filter phase : {:.1} page access(es) (directory + approximation sweep)",
         pred.filter_pages,
     );
-    println!(
+    outln!(
         "  predicted refine phase : {:.1} exact-point read(s)",
         pred.refine_pages,
     );
-    println!(
+    outln!(
         "  predicted I/O          : {:.2} simulated ms",
         pred.io_seconds * 1e3,
     );
     if let Some(t) = &observed {
         let (pages_err, io_err) = explain_audit(&pred, t, &clock);
-        println!("analyze (ran the query):");
-        println!(
+        outln!("analyze (ran the query):");
+        outln!(
             "                         {:>12}  {:>12}",
-            "predicted", "observed"
+            "predicted",
+            "observed"
         );
-        println!(
+        outln!(
             "  pages                  {:>12.1}  {:>12}",
-            pred.pages, t.pages_processed,
+            pred.pages,
+            t.pages_processed,
         );
-        println!(
+        outln!(
             "  refinements            {:>12.1}  {:>12}",
-            pred.refine_pages, t.refinements,
+            pred.refine_pages,
+            t.refinements,
         );
-        println!(
+        outln!(
             "  I/O ms                 {:>12.2}  {:>12.2}",
             pred.io_seconds * 1e3,
             clock.io_time() * 1e3,
         );
-        println!(
+        outln!(
             "  signed relative error: pages {pages_err:+.2}, io {io_err:+.2} \
              (prediction − observation, over observation)",
         );
-        if let Some((builds, reads)) = plan {
-            println!("  plan                   {builds} eq 5 build(s), {reads} fraction read(s)");
+        if let Some((builds, reads, pushes)) = plan {
+            outln!("  plan                   {builds} eq 5 build(s), {reads} fraction read(s)");
+            if pushes > 0 {
+                outln!(
+                    "  priority list          {pushes} of {} approximation(s) pushed",
+                    t.approx_enqueued,
+                );
+            }
         }
     }
     Ok(())
@@ -925,12 +978,12 @@ fn cmd_range(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     let mut hits = eng.range(&mut clock, &point, radius);
     hits.sort_unstable();
-    println!("{} point(s) within {radius}", hits.len());
+    outln!("{} point(s) within {radius}", hits.len());
     for chunk in hits.chunks(10) {
         let row: Vec<String> = chunk.iter().map(u32::to_string).collect();
-        println!("  {}", row.join(" "));
+        outln!("  {}", row.join(" "));
     }
-    println!(
+    outln!(
         "-- {:.2} simulated ms ({} seeks, {} blocks)",
         clock.total_time() * 1e3,
         clock.stats().seeks,
@@ -1008,11 +1061,11 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
             .iter()
             .map(|(id, dist)| format!("{id}:{dist:.6}"))
             .collect();
-        println!("query {i:>4}: {}", row.join(" "));
+        outln!("query {i:>4}: {}", row.join(" "));
     }
     let nq = queries.len().max(1) as f64;
     if !qopts.is_exact() {
-        println!(
+        outln!(
             "-- approximate search ({}): {} of {} queries terminated early, \
              {} candidate(s) skipped by knobs",
             describe_query_opts(&qopts),
@@ -1021,7 +1074,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
             agg.candidates_skipped,
         );
     }
-    println!(
+    outln!(
         "-- {} queries against {} on {} thread(s): {:.2} simulated ms total \
          ({:.2} ms/query, {} seeks, {} blocks)",
         queries.len(),
@@ -1070,45 +1123,54 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
         )
     };
 
-    println!("verify {index:?} (block size {} B)", meta.block);
+    outln!("verify {index:?} (block size {} B)", meta.block);
     for (level, file) in report.levels.iter().zip(FILES) {
         let bad = level.corrupt_blocks.len();
-        println!(
+        outln!(
             "  {:<10} {file:<10} {:>8} blocks   {:>4} checksum failure(s)",
-            level.name, level.blocks, bad
+            level.name,
+            level.blocks,
+            bad
         );
         for &b in &level.corrupt_blocks {
-            println!("      corrupt block {b}");
+            outln!("      corrupt block {b}");
         }
     }
     match &report.superblock {
-        Some(sb) => println!(
+        Some(sb) => outln!(
             "  superblock: {} pages, {} points, dim {}, directory CRC {:#010x}",
-            sb.n_pages, sb.n_points, sb.dim, sb.dir_crc
+            sb.n_pages,
+            sb.n_points,
+            sb.dim,
+            sb.dir_crc
         ),
-        None => println!("  superblock: unreadable"),
+        None => outln!("  superblock: unreadable"),
     }
     for e in &report.errors {
-        println!("  error: {e}");
+        outln!("  error: {e}");
     }
     for &b in &report.undecodable_pages {
-        println!("  error: quantized block {b} passes its CRC but does not decode");
+        outln!("  error: quantized block {b} passes its CRC but does not decode");
     }
     if let Some(wal) = &report.wal {
-        println!(
+        outln!(
             "  wal: {} byte(s), {} frame(s), {} committed transaction(s), \
              {} uncommitted frame(s), {} torn byte(s)",
-            wal.bytes, wal.frames, wal.committed_txns, wal.uncommitted_frames, wal.torn_bytes,
+            wal.bytes,
+            wal.frames,
+            wal.committed_txns,
+            wal.uncommitted_frames,
+            wal.torn_bytes,
         );
         if let Some(r) = &wal.stop_reason {
-            println!("  wal: scan stopped early: {r}");
+            outln!("  wal: scan stopped early: {r}");
         }
         if !wal.is_clean() {
-            println!("  wal: needs recovery (`iq recover --index ...`)");
+            outln!("  wal: needs recovery (`iq recover --index ...`)");
         }
     }
     if report.is_clean() {
-        println!("index is clean");
+        outln!("index is clean");
         Ok(())
     } else {
         Err(format!(
@@ -1137,7 +1199,7 @@ fn cmd_checkpoint(opts: &HashMap<String, String>) -> Result<(), String> {
     let generation = tree
         .checkpoint(&mut clock)
         .map_err(|e| format!("checkpoint: {e}"))?;
-    println!(
+    outln!(
         "checkpointed {index:?}: generation {generation}, folded {wal_before} WAL byte(s), \
          reclaimed {wasted_before} orphaned exact block(s) of {} B \
          ({:.2} simulated ms)",
@@ -1160,7 +1222,7 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
     if opts.contains_key("dry-run") {
         let image = std::fs::read(&wal_path).map_err(|e| format!("read {WAL_FILE}: {e}"))?;
         let scan = iqtree_repro::wal::scan(&image);
-        println!(
+        outln!(
             "dry run: {} byte(s) of log, {} whole frame(s), {} committed transaction(s)",
             image.len(),
             scan.frames,
@@ -1171,10 +1233,10 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
                 || "(empty)".to_string(),
                 iqtree_repro::wal::WalRecord::describe,
             );
-            println!("  txn {:>4}: {} record(s)  {head}", t.txn, t.records.len());
+            outln!("  txn {:>4}: {} record(s)  {head}", t.txn, t.records.len());
         }
         if !scan.uncommitted.is_empty() {
-            println!(
+            outln!(
                 "  would discard {} uncommitted frame(s) (bytes {}..{})",
                 scan.uncommitted.len(),
                 scan.committed_len,
@@ -1182,7 +1244,7 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
             );
         }
         if scan.torn_bytes > 0 {
-            println!(
+            outln!(
                 "  would discard {} torn byte(s) at the tail{}",
                 scan.torn_bytes,
                 scan.stop_reason
@@ -1190,7 +1252,7 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
                     .map_or_else(String::new, |r| format!(" ({r})")),
             );
         }
-        println!(
+        outln!(
             "recovery would replay {} transaction(s) and truncate the log to {} byte(s)",
             scan.txns.len(),
             scan.committed_len,
@@ -1218,7 +1280,7 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
         &mut clock,
     )
     .map_err(|e| format!("recover: {e}"))?;
-    println!(
+    outln!(
         "recovered {index:?}: replayed {} transaction(s) ({} frame(s)), \
          discarded {} byte(s), log now {} byte(s), {} point(s) indexed",
         report.replayed_txns,
@@ -1228,7 +1290,7 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
         tree.len(),
     );
     if report.log_was_clean() {
-        println!("log was already clean: nothing to do");
+        outln!("log was already clean: nothing to do");
     }
     Ok(())
 }
@@ -1263,7 +1325,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
     let dim = w.db.dim();
     let df = iqtree_repro::data::correlation_dimension_auto(&w.db);
     if !json {
-        println!(
+        outln!(
             "{} points, {dim}-d, {queries} held-out queries, fractal dim ~ {df:.2}\n",
             w.db.len()
         );
@@ -1340,7 +1402,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
                 blocks as f64 / nq,
             ));
         } else {
-            println!(
+            outln!(
                 "{:<28} {:>9.2} ms/query   {:>6.1} seeks/query",
                 display(*kind),
                 total / nq * 1e3,
@@ -1363,25 +1425,17 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         data::Predicate::parse(filter_expr)?.compile(&attrs)?
     };
     if !json {
-        println!(
+        outln!(
             "\nfiltered k-NN (k={fk}, filter `{filter_expr}`, selectivity {:.3}):",
             filter.selectivity()
         );
     }
-    for (kind, eng) in &engines {
-        let page = PageSpec::top(fk);
-        let mut total = 0.0;
-        let mut recall_sum = 0.0;
-        for (qi, q) in w.queries.iter().enumerate() {
-            clock.reset();
-            if slowlog.should_sample() {
-                clock.enable_tracing();
-            }
-            let got = knn_paginated(eng.as_ref(), &mut clock, q, Some(&filter), &page);
-            total += clock.total_time();
-            if let Some(tree) = clock.take_trace() {
-                slowlog.offer(&format!("{}/filtered/q{qi}", eng.name()), tree);
-            }
+    // The oracle depends on the query alone: one per query, shared by
+    // the four engines.
+    let oracles: Vec<Vec<(u32, f64)>> = w
+        .queries
+        .iter()
+        .map(|q| {
             let mut oracle: Vec<(u32, f64)> = (0..w.db.len() as u32)
                 .filter(|&i| filter.matches(i))
                 .map(|i| (i, metric.distance(w.db.point(i as usize), q)))
@@ -1392,6 +1446,23 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
                     .then(a.0.cmp(&b.0))
             });
             oracle.truncate(fk);
+            oracle
+        })
+        .collect();
+    for (kind, eng) in &engines {
+        let page = PageSpec::top(fk);
+        let mut total = 0.0;
+        let mut recall_sum = 0.0;
+        for (qi, (q, oracle)) in w.queries.iter().zip(&oracles).enumerate() {
+            clock.reset();
+            if slowlog.should_sample() {
+                clock.enable_tracing();
+            }
+            let got = knn_paginated(eng.as_ref(), &mut clock, q, Some(&filter), &page);
+            total += clock.total_time();
+            if let Some(tree) = clock.take_trace() {
+                slowlog.offer(&format!("{}/filtered/q{qi}", eng.name()), tree);
+            }
             let matched = oracle
                 .iter()
                 .zip(&got)
@@ -1410,7 +1481,7 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
                 total / nq * 1e3,
             ));
         } else {
-            println!(
+            outln!(
                 "{:<28} {:>9.2} ms/query   recall {:.3}",
                 display(*kind),
                 total / nq * 1e3,
@@ -1419,16 +1490,16 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     if json {
-        println!("[{}]", json_rows.join(","));
+        outln!("[{}]", json_rows.join(","));
     } else {
-        println!("\n(times are simulated: 10 ms seek, 1 ms / 8 KiB block, 100 ns CPU per dim-op)");
+        outln!("\n(times are simulated: 10 ms seek, 1 ms / 8 KiB block, 100 ns CPU per dim-op)");
     }
     // Persist the slow-query log next to the run so `iq stats --slow` can
     // read it back later.
     std::fs::write(SLOWLOG_FILE, slowlog.to_json())
         .map_err(|e| format!("write {SLOWLOG_FILE}: {e}"))?;
     if !json {
-        println!(
+        outln!(
             "wrote {SLOWLOG_FILE} ({} retained)",
             slowlog.entries().len()
         );
@@ -1451,14 +1522,14 @@ fn cmd_stats_slow(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| format!("read {path}: {e} (run `iq bench` first, or pass --slow-log)"))?;
     let entries = iqtree_repro::obs::SlowLog::load_json(&text)?;
     if entries.is_empty() {
-        println!("{path}: no slow queries retained");
+        outln!("{path}: no slow queries retained");
         return Ok(());
     }
-    println!(
+    outln!(
         "{path}: {} retained slow quer(ies), slowest first",
         entries.len()
     );
-    print!("{}", iqtree_repro::obs::slowlog::render_entries(&entries));
+    out!("{}", iqtree_repro::obs::slowlog::render_entries(&entries));
     Ok(())
 }
 
@@ -1477,20 +1548,20 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     let (tree, _, meta) = open_tree(&index, parse_cache_blocks(opts)?)?;
     let (d, q, e) = tree.storage_blocks();
     let Some(format) = format else {
-        println!("IQ-tree index at {index:?}");
-        println!("  points      : {}", tree.len());
-        println!("  dimension   : {}", meta.dim);
-        println!("  metric      : {:?}", meta.metric);
-        println!("  block size  : {} B", meta.block);
-        println!("  pages       : {}", tree.num_pages());
-        println!("  resolutions : {:?}", tree.bits_histogram());
-        println!("  blocks      : dir {d}, quantized {q}, exact {e}");
-        println!(
+        outln!("IQ-tree index at {index:?}");
+        outln!("  points      : {}", tree.len());
+        outln!("  dimension   : {}", meta.dim);
+        outln!("  metric      : {:?}", meta.metric);
+        outln!("  block size  : {} B", meta.block);
+        outln!("  pages       : {}", tree.num_pages());
+        outln!("  resolutions : {:?}", tree.bits_histogram());
+        outln!("  blocks      : dir {d}, quantized {q}, exact {e}");
+        outln!(
             "  compression : scanned level at {:.0}% of exact",
             tree.compression_ratio() * 100.0
         );
-        println!("  generation  : {}", tree.generation());
-        println!(
+        outln!("  generation  : {}", tree.generation());
+        outln!(
             "  wal         : {}",
             if tree.has_wal() {
                 format!("{} byte(s) pending", tree.wal_bytes())
@@ -1498,11 +1569,11 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
                 "none (read-only or pre-WAL index)".to_string()
             }
         );
-        println!(
+        outln!(
             "  wasted      : {} orphaned exact block(s) (reclaimed by `iq checkpoint`)",
             tree.wasted_exact_blocks()
         );
-        println!(
+        outln!(
             "  simd        : {} scan kernels, {} crc32 (set IQ_FORCE_SCALAR=1 to disable)",
             iqtree_repro::quantize::kernel_name(),
             iqtree_repro::storage::crc_kernel().name()
@@ -1527,8 +1598,8 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     reg.gauge("simd_dispatch")
         .set(f64::from(iqtree_repro::quantize::simd::kernel().code()));
     match format {
-        "prometheus" => print!("{}", reg.to_prometheus()),
-        "json" => print!("{}", reg.to_json()),
+        "prometheus" => out!("{}", reg.to_prometheus()),
+        "json" => out!("{}", reg.to_json()),
         other => return Err(format!("unknown format `{other}` (use prometheus or json)")),
     }
     Ok(())

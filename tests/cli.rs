@@ -395,3 +395,34 @@ fn helpful_errors() {
     assert!(!stderr.contains("corrupt page"), "{stderr}");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// A reader that closes the pipe early (`iq bench | head -1`) has taken
+/// what it wants: the program ends quietly with success, with no panic
+/// and no exit 101.
+#[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = temp_dir_tagged("pipe");
+    let fixture = std::fs::canonicalize("tests/fixtures/cad600_8d.fvecs").expect("fixture");
+    let mut child = iq()
+        .current_dir(&dir)
+        .args(["bench", "--input", fixture.to_str().expect("utf8")])
+        .args(["--queries", "8"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn bench");
+    let mut first = String::new();
+    // The reader, and with it the pipe's read end, is dropped at the end
+    // of this statement; the engine rows are written after it.
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    assert!(first.contains("held-out queries"), "{first}");
+    let out = child.wait_with_output().expect("wait for bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

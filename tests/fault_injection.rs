@@ -6,7 +6,9 @@
 //! one).
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::{knn_batch, knn_batch_traced, AccessMethod, QueryOptions, QueryTrace};
+use iqtree_repro::engine::{
+    knn_batch, knn_batch_traced, AccessMethod, Filter, QueryOptions, QueryTrace,
+};
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{
@@ -18,6 +20,7 @@ use iqtree_repro::tree::{IqTree, IqTreeOptions};
 use iqtree_repro::vafile::VaFile;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::collections::{BTreeSet, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -517,6 +520,105 @@ fn a_failed_exact_read_is_retried_by_the_next_refinement() {
             assert_eq!(hits.len() + 1, clean.len());
             let kept: Vec<_> = clean.iter().filter(|h| hits.contains(h)).collect();
             assert_eq!(kept.len(), hits.len(), "an answer changed");
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The priority list's spill path under faults. A lone query sets aside
+/// the approximations whose MINDIST exceeds U, the k-th smallest cell
+/// MAXDIST seen, as they cannot pop once the approximations behind U are
+/// refined. Here every exact block a clean query refined stays
+/// unreadable, so those refinements fail, the pruning bound never reaches
+/// U, and the spill sentinel must return the set-aside entries to the
+/// list. The answer is still the exact top-k over the points that can be
+/// read, every lost point nearer than its k-th answer is counted, alone
+/// and under a pushed-down filter. Under `refine_factor 2` a popped point
+/// settles at its lower bound without a read, so nothing is merged; the
+/// rerank skips and counts the lost candidates and answers the rest
+/// exactly.
+#[test]
+fn spilled_approximations_return_when_refinements_fail() {
+    let dir = temp_dir("spill");
+    let w = Workload::generate(6_000, 4, |n| data::cad_like(8, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let n = w.db.len();
+    let k = 10;
+    let even = Filter::from_fn(n, |id| id % 2 == 0);
+    let rerank = QueryOptions {
+        refine_factor: 2,
+        ..QueryOptions::EXACT
+    };
+    let dist = |id: u32, q: &[f32]| Metric::Euclidean.distance(w.db.point(id as usize), q);
+    for filter in [None, Some(&even)] {
+        let matches = |id: u32| filter.is_none_or(|f| f.matches(id));
+        for q in w.queries.iter() {
+            // The exact blocks the clean query refines.
+            let (tree, mut clock, log) = reopen_logged(&dir, 2048, 8);
+            log.lock().expect("log lock").reads.clear();
+            let (clean, _) = tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let blocks: BTreeSet<u64> = log
+                .lock()
+                .expect("log lock")
+                .reads
+                .iter()
+                .flat_map(|&(start, n)| start..start + n)
+                .collect();
+            let (tree, mut clock) = reopen(&dir, 2048, 8, |i, d| {
+                let f = FaultInjectingDevice::new(d, FaultConfig::none(5));
+                if i == 2 {
+                    for &b in &blocks {
+                        f.corrupt_block(b);
+                    }
+                }
+                Box::new(f)
+            });
+            // The points that can still be read: a k = n query answers
+            // every one of them.
+            let (all, _) = tree.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+            let readable: HashSet<u32> = all.iter().map(|h| h.0).collect();
+            assert!(clean.iter().all(|h| !readable.contains(&h.0)));
+            let mut want: Vec<(u32, f64)> = readable
+                .iter()
+                .filter(|&&id| matches(id))
+                .map(|&id| (id, dist(id, q)))
+                .collect();
+            want.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(a.0.cmp(&b.0)));
+            want.truncate(k);
+            let kth = want.last().expect("k answers").1;
+            let lost_near = (0..n as u32)
+                .filter(|&id| matches(id) && !readable.contains(&id) && dist(id, q) < kth)
+                .count() as u64;
+            assert!(lost_near >= k as u64);
+
+            clock.enable_tracing();
+            let (hits, trace) =
+                tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let spans = clock.take_trace().expect("tracing was on");
+            assert_eq!(hits.len(), k);
+            for (got, want) in hits.iter().zip(&want) {
+                assert_eq!(got.0, want.0, "{hits:?} vs {want:?}");
+                assert!((got.1 - want.1).abs() < 1e-9);
+            }
+            assert!(
+                trace.points_skipped >= lost_near,
+                "{lost_near} lost points nearer than the answer: {trace:?}"
+            );
+            assert!(
+                spans.root.counter_total("filter.merged") > 0,
+                "the spill list never returned: {trace:?}"
+            );
+
+            clock.enable_tracing();
+            let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, filter, &rerank);
+            let spans = clock.take_trace().expect("tracing was on");
+            assert!(trace.points_skipped > 0, "the rerank met no lost point");
+            assert!(hits.len() as u64 + trace.points_skipped >= k as u64);
+            for &(id, d) in &hits {
+                assert!(readable.contains(&id) && matches(id), "{id}");
+                assert!((d - dist(id, q)).abs() < 1e-9);
+            }
+            assert_eq!(spans.root.counter_total("filter.merged"), 0);
         }
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");

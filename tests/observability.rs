@@ -82,6 +82,10 @@ fn query_trace_phases_sum_to_total() {
     );
     assert!(stdout.contains("pages processed"), "{stdout}");
     assert!(stdout.contains("cost model: predicted"), "{stdout}");
+    assert!(
+        stdout.contains("approximations: ") && stdout.contains("entered the priority list"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -273,6 +277,33 @@ fn lone_query_span_reports_plan_cache() {
     }
 }
 
+/// A lone exact query keeps its priority list small: of the point
+/// approximations under the pruning bound, only those whose MINDIST is
+/// within U (the k-th smallest cell MAXDIST seen) enter the list, and the
+/// engine span says how many. On clean data nothing set aside is ever
+/// merged back.
+#[test]
+fn lone_query_span_reports_priority_list_pushes() {
+    let w = data::Workload::generate(6_000, 4, |n| data::cad_like(16, n, 93));
+    let eng = build(EngineKind::IqTree, &w.db);
+    for q in w.queries.iter() {
+        let mut clock = SimClock::default();
+        clock.enable_tracing();
+        let (_, trace) = eng.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+        let tree = clock.take_trace().expect("tracing was on");
+        let count = |key: &str| tree.root.counter_total(key);
+        let (pushed, spilled) = (count("filter.pushed"), count("filter.spilled"));
+        let enqueued = trace.approx_enqueued;
+        assert!(enqueued > 0, "no approximation under the bound");
+        assert_eq!(pushed + spilled, enqueued, "{pushed} + {spilled}");
+        assert!(
+            pushed < enqueued / 10,
+            "{pushed} of {enqueued} approximations pushed"
+        );
+        assert_eq!(count("filter.merged"), 0);
+    }
+}
+
 /// A micro-batch's per-query attribution: each query returns exactly its
 /// solo results, and each query's own `iqtree` span carries exactly that
 /// query's [`QueryTrace`] counters.
@@ -427,6 +458,14 @@ fn explain_analyze_stays_within_cost_band() {
         .and_then(|v| v.as_f64())
         .expect("observed pages");
     assert!(observed >= 1.0, "the query must read pages: {text}");
+    // The fixture's few pages are stored exactly, so no approximation
+    // enters the priority list; the field is reported all the same.
+    let pushes = explain
+        .get("observed")
+        .and_then(|p| p.get("heap_pushes"))
+        .and_then(|v| v.as_f64())
+        .expect("observed heap pushes");
+    assert_eq!(pushes, 0.0, "{text}");
     let ratio = predicted / observed;
     assert!(
         (1.0 / 3.0..=3.0).contains(&ratio),
