@@ -20,6 +20,14 @@
 //! refinement failed under a fault) the spill list returns to the list,
 //! and the pops go on exactly as if it had never left.
 //!
+//! U bounds pages too. Every approximation of a page whose MINDIST exceeds
+//! U would be set aside, so a planned run holds such a member undecoded:
+//! its probe is spent and its slice of the run is kept, and it returns to
+//! the list at its MINDIST, to be decoded from those bytes should it ever
+//! pop. By the same argument it pops only when a witness of U failed to
+//! settle. Its access probability (eq 2) is 0, so the plan neither prices
+//! it nor extends a run over it for its sake.
+//!
 //! When the pivot is a page and scheduled I/O is enabled, the cumulated-
 //! cost-balance algorithm of Section 2.1 extends the read around the pivot
 //! in both disk directions: a neighboring page with access probability `a`
@@ -52,6 +60,9 @@ enum Item {
     Spill,
     /// A quantized data page (by index).
     Page(u32),
+    /// A run member held undecoded past U: `(page, run)`, where `run`
+    /// indexes the kept run buffers (`None` when the ranged read failed).
+    Held(u32, Option<u32>),
     /// A point approximation: `(page, slot, id)` — refined when popped.
     Point(u32, u32, u32),
 }
@@ -107,6 +118,16 @@ struct SearchState<'f> {
     spill_min: f64,
     /// Spilled approximations a sentinel moved back into the heap.
     merged: u64,
+    /// Whether `nprobes` caps the query: the plan then prices pages past
+    /// U as it would any other.
+    capped: bool,
+    /// Run buffers with held members, as `(first page, bytes)`.
+    held_runs: Vec<(usize, Vec<u8>)>,
+    /// Pages decoded (or recovered from their exact region), held past U,
+    /// and decoded after all when their held item popped.
+    decoded: u64,
+    held: u64,
+    unheld: u64,
 }
 
 /// The reads one micro-batch shares ([`IqTree::knn_multi_opts_traced`]).
@@ -205,6 +226,11 @@ impl IqTree {
             spill: Vec::new(),
             spill_min: f64::INFINITY,
             merged: 0,
+            capped: opts.nprobes.is_some_and(|m| m != u64::MAX),
+            held_runs: Vec::new(),
+            decoded: 0,
+            held: 0,
+            unheld: 0,
         };
         let mut live = Vec::with_capacity(n_pages);
         for (i, meta) in self.pages().iter().enumerate() {
@@ -272,6 +298,23 @@ impl IqTree {
                             self.process_single_page(clock, q, p, &mut st, exec, heap);
                         }
                     }
+                    Item::Held(p, run) => {
+                        // Popped only when a witness of U did not settle
+                        // (a refinement failed). The page's probe is spent
+                        // and it was counted when held; decode it from the
+                        // kept run, or through the single-block ladder.
+                        st.unheld += 1;
+                        let (p, bs) = (p as usize, self.block_size());
+                        let kept = run.map(|r| std::mem::take(&mut st.held_runs[r as usize]));
+                        let planned = kept.as_ref().map(|(first, b)| &b[(p - first) * bs..][..bs]);
+                        if planned.is_none() {
+                            exec.trace.runs += 1;
+                        }
+                        self.consume_page(clock, q, p, planned, &mut st, exec, heap);
+                        if let (Some(r), Some(kept)) = (run, kept) {
+                            st.held_runs[r as usize] = kept;
+                        }
+                    }
                     Item::Point(page, slot, id) => {
                         if partial {
                             // Rank by the quantized lower bound now; the exact
@@ -303,6 +346,9 @@ impl IqTree {
         clock.span_count("filter.pushed", pushed);
         clock.span_count("filter.spilled", spilled);
         clock.span_count("filter.merged", st.merged);
+        clock.span_count("filter.pages_decoded", st.decoded);
+        clock.span_count("filter.pages_held", st.held);
+        clock.span_count("filter.pages_unheld", st.unheld);
         clock.phase_begin(Phase::TopK);
         let (results, mut trace) = exec.into_results(metric);
         if !partial {
@@ -366,13 +412,17 @@ impl IqTree {
         {
             exec.trace.runs += 1;
         }
-        self.consume_page(clock, q, p, None, st, exec, heap);
+        if self.consume_page(clock, q, p, None, st, exec, heap) {
+            exec.trace.pages_processed += 1;
+        }
     }
 
     /// The time-optimized strategy: extend the read around the pivot while
     /// the cumulated cost balance stays favorable (Section 2.1), then load
     /// the whole sequence in one sweep and process every unprocessed page
-    /// in it.
+    /// in it. A member whose MINDIST exceeds U spends its probe but is
+    /// held undecoded: the run buffer is kept, and the page returns to the
+    /// priority list at its MINDIST.
     fn process_page_run(
         &self,
         clock: &mut SimClock,
@@ -395,10 +445,18 @@ impl IqTree {
         // almost always. Each competitor's eq 5 fraction is read from the
         // query's cache of distributions.
         let pages = self.pages();
+        // A page past U would be held, not decoded: it is needed only if a
+        // witness of U fails to settle, so its access probability is 0.
+        // Under an `nprobes` cap the plan prices it as any other page.
+        let u = if st.capped {
+            f64::INFINITY
+        } else {
+            st.settle.bound()
+        };
         let prob = |st: &mut SearchState, i: usize| -> f64 {
             let key = st.page_key[i];
-            if st.processed[i] || key >= bound {
-                return 0.0; // already processed or prunable
+            if st.processed[i] || key >= bound || key > u {
+                return 0.0; // already processed, prunable or past U
             }
             let SearchState {
                 order,
@@ -486,9 +544,12 @@ impl IqTree {
             exec.trace.runs += 1;
         }
         let bs = self.block_size();
+        let run_slot = run.is_some().then_some(st.held_runs.len() as u32);
+        let mut holds = false;
         for &p in &members {
             st.processed[p] = true;
-            if exec.is_pruned(st.page_key[p]) {
+            let key = st.page_key[p];
+            if exec.is_pruned(key) {
                 exec.trace.pages_skipped += 1;
                 continue; // loaded as filler; nothing useful inside
             }
@@ -498,11 +559,26 @@ impl IqTree {
             if !exec.try_probe() {
                 continue;
             }
+            if key > st.settle.bound() {
+                // Every approximation inside would be set aside: hold the
+                // page. Members come in MINDIST order and U only falls, so
+                // every later member is held too.
+                exec.trace.pages_processed += 1;
+                st.held += 1;
+                holds = true;
+                heap.push(Reverse((OrdKey(key), Item::Held(p as u32, run_slot))));
+                continue;
+            }
             let planned = run.as_deref().map(|b| &b[(p - first) * bs..][..bs]);
             if planned.is_none() {
                 exec.trace.runs += 1;
             }
-            self.consume_page(clock, q, p, planned, st, exec, heap);
+            if self.consume_page(clock, q, p, planned, st, exec, heap) {
+                exec.trace.pages_processed += 1;
+            }
+        }
+        if let (true, Some(run)) = (holds, run) {
+            st.held_runs.push((first, run));
         }
         st.members = members;
     }
@@ -520,6 +596,9 @@ impl IqTree {
     /// MINDIST comes from the per-(query, grid) [`DistTable`] — no `Vec`
     /// allocations, no MBR construction, no f32 reconstruction, and
     /// bit-identical keys to the naive decode-then-`Metric` path.
+    ///
+    /// Returns whether the page was taken: decoded, or recovered from its
+    /// exact region. The caller counts it as processed.
     #[allow(clippy::too_many_arguments)]
     fn consume_page(
         &self,
@@ -530,7 +609,7 @@ impl IqTree {
         st: &mut SearchState<'_>,
         exec: &mut Executor,
         heap: &mut CandidateHeap<Item>,
-    ) {
+    ) -> bool {
         clock.phase_begin(Phase::Filter);
         let metric = self.metric();
         let SearchState {
@@ -544,6 +623,7 @@ impl IqTree {
             settle,
             spill,
             spill_min,
+            decoded,
             ..
         } = st;
         let filter = *filter;
@@ -555,11 +635,12 @@ impl IqTree {
             planned.or(buffered.map(Vec::as_slice)),
             &mut reread,
         ) else {
-            self.fallback_page(clock, q, p, filter, exec);
-            return;
+            let recovered = self.fallback_page(clock, q, p, filter, exec);
+            *decoded += u64::from(recovered);
+            return recovered;
         };
         clock.charge_dist_evals(self.dim(), view.len() as u64);
-        exec.trace.pages_processed += 1;
+        *decoded += 1;
         if view.bits() == EXACT_BITS {
             view.for_each_entry(cells, |id, bits| {
                 if filter.is_none_or(|f| f.matches(id)) {
@@ -626,6 +707,7 @@ impl IqTree {
                 quant.insert(p as u32, reread);
             }
         }
+        true
     }
 
     /// The level-2 read ladder every query path shares. The page's block
@@ -688,8 +770,8 @@ impl IqTree {
     }
 
     /// [`Self::fallback_exact`] for k-NN search: matching entries go
-    /// straight into the result set; a recovered page counts as
-    /// processed, its undecodable entries as skipped points.
+    /// straight into the result set; its undecodable entries count as
+    /// skipped points. Returns whether the page was recovered.
     fn fallback_page(
         &self,
         clock: &mut SimClock,
@@ -697,7 +779,7 @@ impl IqTree {
         p: usize,
         filter: Option<&Filter>,
         exec: &mut Executor,
-    ) {
+    ) -> bool {
         clock.phase_begin(Phase::Refine);
         let metric = self.metric();
         let outcome = self.fallback_exact(clock, p, |id, coords| {
@@ -708,10 +790,13 @@ impl IqTree {
         match outcome {
             Some(undecodable) => {
                 exec.trace.quant_fallbacks += 1;
-                exec.trace.pages_processed += 1;
                 exec.trace.points_skipped += undecodable;
+                true
             }
-            None => exec.trace.pages_lost += 1,
+            None => {
+                exec.trace.pages_lost += 1;
+                false
+            }
         }
     }
 

@@ -9,7 +9,11 @@
 /// sequential scan processes all pages and refines nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryTrace {
-    /// Quantized pages decoded and processed.
+    /// Pages taken past the pruning bound δ: decoded (or answered from
+    /// their exact region), or, in the IQ-tree's planned runs, held
+    /// undecoded because their MINDIST exceeds U, an upper bound on the
+    /// k-th answer's key. A held page is counted once, when it is held,
+    /// and never again, even if it is decoded later.
     pub pages_processed: u64,
     /// Pages loaded but skipped (over-read filler or already prunable).
     pub pages_skipped: u64,

@@ -30,6 +30,7 @@ use iqtree_repro::EngineKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 /// Every report goes through [`emit`]: `out!` is `print!`, `outln!` is
 /// `println!`.
@@ -788,10 +789,22 @@ fn print_plan_cache(root: &iqtree_repro::obs::TraceNode) {
 }
 
 /// The IQ-tree's priority list, from a traced query's span counters: the
-/// point approximations under the pruning bound, and how many entered the
-/// list; the rest were set aside, as they cannot become the pivot.
-/// Prints nothing for an engine without the list.
+/// pages decoded and those held undecoded past U, the point
+/// approximations under the pruning bound, and how many entered the list;
+/// the rest were set aside, as they cannot become the pivot. Prints
+/// nothing for an engine without the list.
 fn print_priority_list(root: &iqtree_repro::obs::TraceNode) {
+    let decoded = root.counter_total("filter.pages_decoded");
+    let held = root.counter_total("filter.pages_held");
+    if decoded + held > 0 {
+        let unheld = root.counter_total("filter.pages_unheld");
+        let after = if unheld > 0 {
+            format!(" ({unheld} decoded after all)")
+        } else {
+            String::new()
+        };
+        outln!("pages: {decoded} decoded, {held} held past U{after}");
+    }
     let pushed = root.counter_total("filter.pushed");
     if pushed + root.counter_total("filter.spilled") > 0 {
         outln!(
@@ -845,6 +858,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             tree.root.counter_total("plan.builds"),
             tree.root.counter_total("plan.reads"),
             tree.root.counter_total("filter.pushed"),
+            tree.root.counter_total("filter.pages_held"),
         )
     });
     if json {
@@ -861,11 +875,11 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         );
         if let Some(t) = &observed {
             let audit = explain_audit(&pred, t, &clock);
-            let (builds, reads, pushes) = plan.unwrap_or_default();
+            let (builds, reads, pushes, held) = plan.unwrap_or_default();
             out.push_str(&format!(
                 ",\"observed\":{{\"pages\":{},\"refinements\":{},\"io_ms\":{:.6},\
                  \"total_ms\":{:.6},\"plan_builds\":{builds},\"plan_reads\":{reads},\
-                 \"heap_pushes\":{pushes}}},\
+                 \"heap_pushes\":{pushes},\"pages_held\":{held}}},\
                  \"audit\":{{\"pages_rel_err\":{:.6},\"io_rel_err\":{:.6}}}",
                 t.pages_processed,
                 t.refinements,
@@ -937,8 +951,14 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             "  signed relative error: pages {pages_err:+.2}, io {io_err:+.2} \
              (prediction − observation, over observation)",
         );
-        if let Some((builds, reads, pushes)) = plan {
+        if let Some((builds, reads, pushes, held)) = plan {
             outln!("  plan                   {builds} eq 5 build(s), {reads} fraction read(s)");
+            if held > 0 {
+                outln!(
+                    "  pages held past U      {held} of the {} observed",
+                    t.pages_processed,
+                );
+            }
             if pushes > 0 {
                 outln!(
                     "  priority list          {pushes} of {} approximation(s) pushed",
@@ -996,7 +1016,7 @@ fn cmd_range(opts: &HashMap<String, String>) -> Result<(), String> {
 /// ([`iqtree_repro::engine::knn_batch`]): the queries are CSV rows, fanned
 /// out over `--threads` OS threads sharing one engine. Reported costs are
 /// the fold of the per-query clocks and are identical for every thread
-/// count.
+/// count; the summary puts the query loop's wall time next to them.
 fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
     let qfile = req(opts, "queries")?;
     let page = parse_page(opts)?;
@@ -1020,6 +1040,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
         .transpose()?;
     let queries: Vec<Vec<f32>> = qs.iter().map(<[f32]>::to_vec).collect();
     let mut agg = iqtree_repro::engine::QueryTrace::default();
+    let started = Instant::now();
     let results: Vec<Vec<(u32, f64)>> =
         if filter.is_some() || page.offset > 0 || page.limit.is_some() {
             // Filtered/paginated workloads run serially: costs accumulate on
@@ -1056,6 +1077,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
             agg = batch_agg;
             traced.into_iter().map(|(res, _)| res).collect()
         };
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     for (i, hits) in results.iter().enumerate() {
         let row: Vec<String> = hits
             .iter()
@@ -1076,7 +1098,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     outln!(
         "-- {} queries against {} on {} thread(s): {:.2} simulated ms total \
-         ({:.2} ms/query, {} seeks, {} blocks)",
+         ({:.2} ms/query, {} seeks, {} blocks), wall {wall_ms:.2} ms ({:.3} ms/query)",
         queries.len(),
         eng.name(),
         threads.max(1),
@@ -1084,6 +1106,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
         clock.total_time() * 1e3 / nq,
         clock.stats().seeks,
         clock.stats().blocks_read,
+        wall_ms / nq,
     );
     Ok(())
 }

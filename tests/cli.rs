@@ -64,6 +64,40 @@ fn generate_build_query_roundtrip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.matches("distance").count(), 3, "{stdout}");
 
+    // A batch's summary puts the query loop's wall time next to the
+    // simulated total.
+    let queries = dir.join("qs.csv");
+    let text = std::fs::read_to_string(&csv).expect("read points");
+    let head: Vec<&str> = text.lines().take(5).collect();
+    std::fs::write(&queries, head.join("\n") + "\n").expect("write queries");
+    let out = iq()
+        .args(["batch", "--index", idx.to_str().expect("utf8")])
+        .args(["--queries", queries.to_str().expect("utf8")])
+        .args(["--k", "3", "--threads", "2"])
+        .output()
+        .expect("run batch");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let summary = stdout
+        .lines()
+        .find(|l| l.contains("queries against"))
+        .unwrap_or_else(|| panic!("no summary line in:\n{stdout}"));
+    assert!(summary.contains("simulated ms total"), "{summary}");
+    let wall = summary
+        .split(", wall ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no wall time in: {summary}"));
+    let ms: f64 = wall
+        .split(" ms")
+        .next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("unparsable wall time in: {summary}"));
+    assert!(ms >= 0.0 && wall.ends_with(" ms/query)"), "{summary}");
+
     let out = iq()
         .args(["range", "--index", idx.to_str().expect("utf8")])
         .args(["--point", "0.5,0.5,0.5,0.5", "--radius", "0.2"])

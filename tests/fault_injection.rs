@@ -16,7 +16,7 @@ use iqtree_repro::storage::{
     IqResult, MemDevice, MemWal, SimClock,
 };
 use iqtree_repro::tree::verify::verify_index;
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{IqTree, IqTreeOptions, PageMeta};
 use iqtree_repro::vafile::VaFile;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -619,6 +619,111 @@ fn spilled_approximations_return_when_refinements_fail() {
                 assert!((d - dist(id, q)).abs() < 1e-9);
             }
             assert_eq!(spans.root.counter_total("filter.merged"), 0);
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Held pages under faults. A lone query on uniform data holds the run
+/// members whose MINDIST exceeds U undecoded, as their approximations
+/// cannot pop once the approximations behind U are refined. Here the
+/// exact regions of the nearest quarter of the pages (which hold the clean
+/// top-k) stay unreadable, so those refinements fail, the pruning bound
+/// never reaches U, and the held pages must pop and be decoded from their
+/// kept run: the readable answers lie in them. The answer is still the
+/// exact top-k over the points that can be read, alone and under a
+/// pushed-down filter, and no page is counted twice. Under
+/// `refine_factor 2` a popped point settles at its lower bound without a
+/// read, so nothing held pops.
+#[test]
+fn held_pages_decode_when_refinements_fail() {
+    let dir = temp_dir("held");
+    let w = Workload::generate(20_000, 3, |n| data::uniform(8, n, 17));
+    build_files(&dir, &w.db, 2048);
+    let n = w.db.len();
+    let k = 10;
+    let even = Filter::from_fn(n, |id| id % 2 == 0);
+    let rerank = QueryOptions {
+        refine_factor: 2,
+        ..QueryOptions::EXACT
+    };
+    let dist = |id: u32, q: &[f32]| Metric::Euclidean.distance(w.db.point(id as usize), q);
+    for filter in [None, Some(&even)] {
+        let matches = |id: u32| filter.is_none_or(|f| f.matches(id));
+        for q in w.queries.iter() {
+            let (tree, mut clock) = reopen(&dir, 2048, 8, |_, d| d);
+            clock.enable_tracing();
+            let (clean, _) = tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let spans = clock.take_trace().expect("tracing was on");
+            assert!(spans.root.counter_total("filter.pages_held") > 0);
+            let mut near: Vec<_> = tree.pages().iter().filter(|p| p.count > 0).collect();
+            let live = near.len() as u64;
+            near.sort_by(|a, b| {
+                let key = |p: &PageMeta| Metric::Euclidean.mindist_key(q, &p.mbr);
+                key(a).partial_cmp(&key(b)).expect("no NaN")
+            });
+            near.truncate(near.len() / 4);
+            let blocks: Vec<u64> = near
+                .iter()
+                .flat_map(|p| p.exact_start..p.exact_start + u64::from(p.exact_blocks))
+                .collect();
+            let (tree, mut clock) = reopen(&dir, 2048, 8, |i, d| {
+                let f = FaultInjectingDevice::new(d, FaultConfig::none(5));
+                if i == 2 {
+                    for &b in &blocks {
+                        f.corrupt_block(b);
+                    }
+                }
+                Box::new(f)
+            });
+            // The points that can still be read: a k = n query answers
+            // every one of them.
+            let (all, _) = tree.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+            let readable: HashSet<u32> = all.iter().map(|h| h.0).collect();
+            assert!(clean.iter().all(|h| !readable.contains(&h.0)));
+            let mut want: Vec<(u32, f64)> = readable
+                .iter()
+                .filter(|&&id| matches(id))
+                .map(|&id| (id, dist(id, q)))
+                .collect();
+            want.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(a.0.cmp(&b.0)));
+            want.truncate(k);
+
+            clock.enable_tracing();
+            let (hits, trace) =
+                tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let spans = clock.take_trace().expect("tracing was on");
+            assert_eq!(hits.len(), k);
+            for (got, want) in hits.iter().zip(&want) {
+                assert_eq!(got.0, want.0, "{hits:?} vs {want:?}");
+                assert!((got.1 - want.1).abs() < 1e-9);
+            }
+            let count = |key: &str| spans.root.counter_total(key);
+            let unheld = count("filter.pages_unheld");
+            assert!(unheld > 0, "no held page was decoded: {trace:?}");
+            // Level 2 reads fine, so every page taken was decoded or held,
+            // and one decoded after all counts once.
+            assert_eq!(
+                count("filter.pages_decoded") + count("filter.pages_held") - unheld,
+                trace.pages_processed,
+                "a page counted twice: {trace:?}"
+            );
+            assert!(
+                trace.pages_processed + trace.pages_skipped <= live,
+                "a page counted twice: {trace:?} over {live} live pages"
+            );
+
+            clock.enable_tracing();
+            let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, filter, &rerank);
+            let spans = clock.take_trace().expect("tracing was on");
+            assert!(hits.len() as u64 + trace.points_skipped >= k as u64);
+            for &(id, d) in &hits {
+                assert!(readable.contains(&id) && matches(id), "{id}");
+                assert!((d - dist(id, q)).abs() < 1e-9);
+            }
+            assert!(spans.root.counter_total("filter.pages_held") > 0);
+            assert_eq!(spans.root.counter_total("filter.pages_unheld"), 0);
+            assert!(trace.pages_processed + trace.pages_skipped <= live);
         }
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");

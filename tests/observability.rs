@@ -86,6 +86,10 @@ fn query_trace_phases_sum_to_total() {
         stdout.contains("approximations: ") && stdout.contains("entered the priority list"),
         "{stdout}"
     );
+    assert!(
+        stdout.contains("pages: ") && stdout.contains(" held past U"),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -304,6 +308,27 @@ fn lone_query_span_reports_priority_list_pushes() {
     }
 }
 
+/// A lone exact query on uniform data holds the run members whose MINDIST
+/// exceeds U undecoded, and its engine span says how many: every page it
+/// took past the pruning bound was decoded or held, each counted once.
+/// On clean data no held page is ever decoded after all.
+#[test]
+fn lone_query_span_reports_pages_held_past_u() {
+    let w = data::Workload::generate(20_000, 4, |n| data::uniform(8, n, 17));
+    let eng = build(EngineKind::IqTree, &w.db);
+    for q in w.queries.iter() {
+        let mut clock = SimClock::default();
+        clock.enable_tracing();
+        let (_, trace) = eng.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+        let tree = clock.take_trace().expect("tracing was on");
+        let count = |key: &str| tree.root.counter_total(key);
+        let (decoded, held) = (count("filter.pages_decoded"), count("filter.pages_held"));
+        assert!(held > 0, "no page held past U: {trace:?}");
+        assert_eq!(decoded + held, trace.pages_processed, "{trace:?}");
+        assert_eq!(count("filter.pages_unheld"), 0);
+    }
+}
+
 /// A micro-batch's per-query attribution: each query returns exactly its
 /// solo results, and each query's own `iqtree` span carries exactly that
 /// query's [`QueryTrace`] counters.
@@ -466,6 +491,13 @@ fn explain_analyze_stays_within_cost_band() {
         .and_then(|v| v.as_f64())
         .expect("observed heap pushes");
     assert_eq!(pushes, 0.0, "{text}");
+    // Nor does U form, so no page is held past it.
+    let held = explain
+        .get("observed")
+        .and_then(|p| p.get("pages_held"))
+        .and_then(|v| v.as_f64())
+        .expect("observed pages held");
+    assert_eq!(held, 0.0, "{text}");
     let ratio = predicted / observed;
     assert!(
         (1.0 / 3.0..=3.0).contains(&ratio),
