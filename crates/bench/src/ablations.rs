@@ -23,7 +23,7 @@ use iq_geometry::{volume, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};
 use iq_vafile::VaFile;
-use iq_xtree::{XTree, XTreeOptions};
+use iq_xtree::XTree;
 
 fn dev(cfg: &Config) -> Box<MemDevice> {
     Box::new(MemDevice::new(cfg.disk.block_size))
@@ -46,14 +46,7 @@ pub fn knn_sweep(cfg: &Config) -> Table {
         || dev(cfg),
         &mut clock,
     );
-    let xt = XTree::build(
-        &w.db,
-        Metric::Euclidean,
-        XTreeOptions::default(),
-        dev(cfg),
-        dev(cfg),
-        &mut clock,
-    );
+    let xt = XTree::build(&w.db, Metric::Euclidean, dev(cfg), dev(cfg), &mut clock);
     let va = VaFile::build(&w.db, Metric::Euclidean, 5, dev(cfg), dev(cfg), &mut clock);
     for k in [1usize, 5, 10, 20, 50, 100] {
         let a = measure(&w.queries, &mut clock, |c, q| {

@@ -29,7 +29,7 @@ use iq_scan::SeqScan;
 use iq_storage::{BlockDevice, CpuModel, DiskModel, MemDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};
 use iq_vafile::VaFile;
-use iq_xtree::{XTree, XTreeOptions};
+use iq_xtree::XTree;
 
 /// Experiment configuration shared by all figures.
 #[derive(Clone, Copy, Debug)]
@@ -192,7 +192,6 @@ pub fn run_xtree(cfg: &Config, w: &Workload) -> RunStats {
     let tree = XTree::build(
         &w.db,
         Metric::Euclidean,
-        XTreeOptions::default(),
         cfg.make_dev(),
         cfg.make_dev(),
         &mut clock,

@@ -145,17 +145,6 @@ impl Mbr {
         (0..self.dim()).all(|i| self.lb[i] <= other.ub[i] && other.lb[i] <= self.ub[i])
     }
 
-    /// Volume of the intersection of the two boxes (the R*-tree overlap
-    /// measure).
-    pub fn overlap_volume(&self, other: &Mbr) -> f64 {
-        (0..self.dim())
-            .map(|i| {
-                (f64::from(self.ub[i].min(other.ub[i])) - f64::from(self.lb[i].max(other.lb[i])))
-                    .max(0.0)
-            })
-            .product()
-    }
-
     /// By how much `self.volume()` would grow if extended to contain `p`.
     pub fn enlargement_for_point(&self, p: &[f32]) -> f64 {
         let mut grown = self.clone();
@@ -201,8 +190,6 @@ mod tests {
         let c = Mbr::from_bounds(vec![5.0, 5.0], vec![6.0, 6.0]);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
-        assert!((a.overlap_volume(&b) - 1.0).abs() < 1e-12);
-        assert_eq!(a.overlap_volume(&c), 0.0);
     }
 
     #[test]

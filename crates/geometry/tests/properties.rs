@@ -78,28 +78,6 @@ proptest! {
         prop_assert!(m3.contains_mbr(&m1));
     }
 
-    /// Overlap volume is symmetric and bounded by each box's volume.
-    #[test]
-    fn prop_overlap_bounds(
-        a_lo in point(3), a_ext in proptest::collection::vec(0.0f32..4.0, 3),
-        b_lo in point(3), b_ext in proptest::collection::vec(0.0f32..4.0, 3),
-    ) {
-        let a = Mbr::from_bounds(
-            a_lo.clone(),
-            a_lo.iter().zip(&a_ext).map(|(l, e)| l + e).collect(),
-        );
-        let b = Mbr::from_bounds(
-            b_lo.clone(),
-            b_lo.iter().zip(&b_ext).map(|(l, e)| l + e).collect(),
-        );
-        let oab = a.overlap_volume(&b);
-        let oba = b.overlap_volume(&a);
-        prop_assert!((oab - oba).abs() < 1e-6);
-        prop_assert!(oab <= a.volume() + 1e-6);
-        prop_assert!(oab <= b.volume() + 1e-6);
-        prop_assert_eq!(oab > 0.0, a.intersects(&b) && oab > 0.0);
-    }
-
     /// Ball volume is monotone in the radius and inverts correctly.
     #[test]
     fn prop_ball_volume_monotone(r1 in 0.01f64..3.0, dr in 0.0f64..3.0, d in 1usize..20) {

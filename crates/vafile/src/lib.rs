@@ -194,23 +194,51 @@ impl VaFile {
     /// whole entries unpacked in one SIMD pass and handed to
     /// `visit(first_id, cells)` (`dim` cell numbers per entry, for points
     /// `first_id..`). Charges `evals_per_point` distance evaluations for
-    /// every point.
+    /// every point visited and returns the number of points lost.
+    ///
+    /// Each chunk read is retried ([`RetryPolicy::default`]). A chunk
+    /// that stays unreadable is skipped as the sequential scan skips
+    /// one: ids are positional, so the sweep resumes at the first entry
+    /// that starts after the chunk, and the entries it held, including
+    /// one straddling into it, are lost and never visited.
     fn sweep(
         &self,
         clock: &mut SimClock,
         evals_per_point: u64,
         mut visit: impl FnMut(usize, &[u32]),
-    ) {
+    ) -> usize {
         let entry = self.entry_bytes;
+        let bs = self.approx.block_size();
         let total_blocks = self.approx.num_blocks();
         let mut processed = 0usize;
+        let mut lost = 0usize;
+        // Bytes at the head of the next chunk that belong to a lost entry.
+        let mut skip = 0usize;
         let mut carry: Vec<u8> = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
         let mut block = 0u64;
         while block < total_blocks && processed < self.n {
             let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
-            let chunk = self.approx.read_to_vec(clock, block, nb);
-            carry.extend_from_slice(&chunk.expect("read approximation file"));
+            let read = read_to_vec_retry(
+                self.approx.as_ref(),
+                clock,
+                block,
+                nb,
+                &RetryPolicy::default(),
+            );
+            block += nb;
+            let Ok(chunk) = read else {
+                let end = block as usize * bs;
+                let resume = end.div_ceil(entry).min(self.n);
+                lost += resume - processed;
+                processed = resume;
+                skip = (resume * entry).saturating_sub(end);
+                carry.clear();
+                continue;
+            };
+            let off = skip.min(chunk.len());
+            skip -= off;
+            carry.extend_from_slice(&chunk[off..]);
             let avail = (carry.len() / entry).min(self.n - processed);
             if avail > 0 {
                 cells.clear();
@@ -227,17 +255,19 @@ impl VaFile {
                 carry.drain(..avail * entry);
                 processed += avail;
             }
-            block += nb;
         }
-        clock.charge_dist_evals(self.dim, evals_per_point * self.n as u64);
+        clock.charge_dist_evals(self.dim, evals_per_point * (self.n - lost) as u64);
+        lost
     }
 
     /// Phase 1: scans the approximation file and produces per-point lower
     /// bounds plus the pruning threshold δ (the k-th smallest upper bound),
-    /// all in the metric's comparable key space. When a `filter` is
-    /// pushed down, non-matching points are dropped during the sweep: they
-    /// get a `NAN` lower bound (never a candidate) and contribute nothing
-    /// to δ, so the threshold is the k-th smallest *matching* upper bound.
+    /// all in the metric's comparable key space, and the number of points
+    /// the sweep lost. When a `filter` is pushed down, non-matching points
+    /// are dropped during the sweep: they get a `NAN` lower bound (never a
+    /// candidate) and contribute nothing to δ, so the threshold is the
+    /// k-th smallest *matching* upper bound. Lost points get a `NAN` lower
+    /// bound too.
     ///
     /// Takes `&self` (like all query paths): both files are immutable after
     /// [`VaFile::build`], so concurrent queries share the structure freely.
@@ -247,7 +277,7 @@ impl VaFile {
         q: &[f32],
         k: usize,
         filter: Option<&Filter>,
-    ) -> (Vec<f64>, f64) {
+    ) -> (Vec<f64>, f64, usize) {
         let table = self.dist_table(q);
         let mut lower = Vec::with_capacity(self.n);
         // The k smallest upper bounds seen so far (δ is their max).
@@ -255,8 +285,9 @@ impl VaFile {
         let mut lo_keys: Vec<f64> = Vec::new();
         let mut hi_keys: Vec<f64> = Vec::new();
         // Two bound evaluations per scanned point.
-        self.sweep(clock, 2, |first, cells| {
+        let lost = self.sweep(clock, 2, |first, cells| {
             table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+            lower.resize(first, f64::NAN);
             for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
                 let id = (first + j) as u32;
                 if filter.is_none_or(|f| f.matches(id)) {
@@ -267,9 +298,10 @@ impl VaFile {
                 }
             }
         });
+        lower.resize(self.n, f64::NAN);
         // δ = the k-th smallest upper bound; +∞ while fewer than k points
         // exist (then every lower bound passes anyway, since lb <= ub).
-        (lower, best_ub.bound())
+        (lower, best_ub.bound(), lost)
     }
 
     /// Fetches the exact coordinates of point `i` into `out` through the
@@ -353,8 +385,10 @@ impl AccessMethod for VaFile {
     /// 1, `pages_processed` = blocks scanned), the candidates surviving
     /// the filter (`approx_enqueued`), the exact points read and compared
     /// (`refinements`) and those that stayed unreadable
-    /// (`points_skipped`). Refinements read through one exact-block buffer
-    /// per query, so each exact block is read at most once.
+    /// (`points_skipped`, which also counts the points of an
+    /// approximation chunk the sweep lost). Refinements read through one
+    /// exact-block buffer per query, so each exact block is read at most
+    /// once.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -369,11 +403,13 @@ impl AccessMethod for VaFile {
             exec.trace.pages_processed = self.approx.num_blocks();
             exec.trace.runs = 1;
             clock.phase_begin(Phase::Filter);
-            let (lower, delta) = self.filter_phase(clock, q, k, filter);
+            let (lower, delta, lost) = self.filter_phase(clock, q, k, filter);
+            exec.trace.points_skipped += lost as u64;
 
             // Candidates that the filter could not prune, by increasing lower
-            // bound. Filtered-out points carry a NaN lower bound, which fails
-            // `lb <= delta` even when δ is +∞, so they never become candidates.
+            // bound. Filtered-out and lost points carry a NaN lower bound,
+            // which fails `lb <= delta` even when δ is +∞, so they never
+            // become candidates.
             clock.phase_begin(Phase::Plan);
             let mut cand: Vec<(f64, u32)> = lower
                 .iter()

@@ -1,55 +1,32 @@
 //! X-tree baseline (Berchtold/Keim/Kriegel, VLDB '96).
 //!
 //! The hierarchical comparator of the IQ-tree evaluation: an R-tree-like
-//! index whose directory avoids overlap by (a) an overlap-minimal split and
-//! (b) *supernodes* — directory nodes enlarged to a multiple of the block
-//! size when no good split exists. Nearest-neighbor search is the
-//! Hjaltason/Samet best-first descent with one random I/O per visited node
-//! or data page — exactly the access pattern whose degeneration in high
+//! index read with one random I/O per visited directory node or data
+//! page. Nearest-neighbor search is the Hjaltason/Samet best-first
+//! descent — exactly the access pattern whose degeneration in high
 //! dimensions the IQ-tree is designed to avoid.
 //!
 //! The tree is bulk-loaded with the same top-down median partitioning the
 //! IQ-tree uses (the paper's reference \[4\]), so the comparison isolates the
-//! indexes, not their loaders. Dynamic inserts with the X-tree split /
-//! supernode machinery are supported as well.
+//! indexes, not their loaders. The evaluation only queries it, so the
+//! index is immutable after [`XTree::build`]: a bulk load packs every
+//! directory node into one block, and the original's overlap-minimal
+//! split and *supernodes*, which only dynamic inserts need, are not
+//! implemented.
 
 #![forbid(unsafe_code)]
 
 pub mod node;
-pub mod split;
 
 use iq_engine::{
     drive, knn_query, range_query, window_query, AccessMethod, CandidateHeap, Executor, Filter,
     OrdKey, QueryOptions, QueryTrace,
 };
-use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
+use iq_geometry::{bulk_partition, Dataset, Metric};
 use iq_obs::{CostPrediction, Phase};
-use iq_storage::{fetch, BlockDevice, SimClock};
+use iq_storage::{fetch, read_to_vec_retry, BlockDevice, RetryPolicy, SimClock};
 use node::{DataPage, DirEntry, Node};
-use split::{group_mbr, split_entries, SplitDecision};
 use std::cmp::Reverse;
-
-/// Tuning options.
-#[derive(Clone, Copy, Debug)]
-pub struct XTreeOptions {
-    /// Maximum size of a supernode, in blocks.
-    pub max_supernode_blocks: u32,
-}
-
-impl Default for XTreeOptions {
-    fn default() -> Self {
-        Self {
-            max_supernode_blocks: 8,
-        }
-    }
-}
-
-/// Location of a node in the directory file.
-#[derive(Clone, Copy, Debug)]
-struct NodeAddr {
-    start: u64,
-    nblocks: u32,
-}
 
 /// The X-tree.
 ///
@@ -59,14 +36,13 @@ struct NodeAddr {
 /// use iq_engine::AccessMethod;
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
-/// use iq_xtree::{XTree, XTreeOptions};
+/// use iq_xtree::XTree;
 ///
 /// let ds = Dataset::from_flat(2, (0..100).map(|i| i as f32 / 100.0).collect());
 /// let mut clock = SimClock::default();
 /// let tree = XTree::build(
 ///     &ds,
 ///     Metric::Euclidean,
-///     XTreeOptions::default(),
 ///     Box::new(MemDevice::new(512)),
 ///     Box::new(MemDevice::new(512)),
 ///     &mut clock,
@@ -77,26 +53,15 @@ struct NodeAddr {
 pub struct XTree {
     dim: usize,
     metric: Metric,
-    opts: XTreeOptions,
     dir: Box<dyn BlockDevice>,
     data: Box<dyn BlockDevice>,
-    nodes: Vec<NodeAddr>,
+    /// Node id -> block in the directory file (nodes are single blocks).
+    nodes: Vec<u64>,
     /// Data page id -> block in the data file (pages are single blocks).
     pages: Vec<u64>,
     root: u32,
     height: usize,
     n: usize,
-    supernodes: usize,
-}
-
-/// Result of a recursive delete below one directory entry.
-enum DeleteOutcome {
-    /// The id was not found in this subtree.
-    NotFound,
-    /// Removed; the subtree's tightened MBR.
-    Updated(Mbr),
-    /// Removed and the subtree is now empty: unlink its entry.
-    Emptied,
 }
 
 /// Priority-queue target during best-first search.
@@ -114,7 +79,6 @@ impl XTree {
     pub fn build(
         ds: &Dataset,
         metric: Metric,
-        opts: XTreeOptions,
         mut dir: Box<dyn BlockDevice>,
         mut data: Box<dyn BlockDevice>,
         clock: &mut SimClock,
@@ -150,8 +114,8 @@ impl XTree {
 
         // Build the directory bottom-up over consecutive runs.
         let dir_bs = dir.block_size();
-        let node_cap = Node::capacity(dim, dir_bs, 1);
-        let mut nodes: Vec<NodeAddr> = Vec::new();
+        let node_cap = Node::capacity(dim, dir_bs);
+        let mut nodes: Vec<u64> = Vec::new();
         let mut leaf_children = true;
         let mut height = 1usize;
         loop {
@@ -159,14 +123,13 @@ impl XTree {
             for chunk in level.chunks(node_cap) {
                 let node = Node {
                     leaf_children,
-                    nblocks: 1,
                     entries: chunk.to_vec(),
                 };
                 let start = dir
                     .append(clock, &node.encode(dim, dir_bs))
                     .expect("append directory node");
                 let id = nodes.len() as u32;
-                nodes.push(NodeAddr { start, nblocks: 1 });
+                nodes.push(start);
                 next.push(DirEntry {
                     child: id,
                     mbr: node.mbr(),
@@ -178,7 +141,6 @@ impl XTree {
                 return Self {
                     dim,
                     metric,
-                    opts,
                     dir,
                     data,
                     nodes,
@@ -186,7 +148,6 @@ impl XTree {
                     root,
                     height,
                     n: ds.len(),
-                    supernodes: 0,
                 };
             }
             level = next;
@@ -204,87 +165,28 @@ impl XTree {
         self.height
     }
 
-    /// Number of supernodes created by dynamic inserts.
-    pub fn num_supernodes(&self) -> usize {
-        self.supernodes
+    /// Reads directory node `id`, retrying transient faults; `None` once
+    /// the retries are spent.
+    fn read_node(&self, clock: &mut SimClock, id: u32) -> Option<Node> {
+        let start = self.nodes[id as usize];
+        read_to_vec_retry(self.dir.as_ref(), clock, start, 1, &RetryPolicy::default())
+            .ok()
+            .map(|buf| Node::decode(&buf, self.dim))
     }
 
-    fn read_node(&self, clock: &mut SimClock, id: u32) -> Node {
-        let addr = self.nodes[id as usize];
-        let buf = self
-            .dir
-            .read_to_vec(clock, addr.start, u64::from(addr.nblocks))
-            .expect("read directory node");
-        Node::decode(&buf, self.dim)
-    }
-
-    fn write_node(&mut self, clock: &mut SimClock, id: u32, node: &Node) {
-        let dir_bs = self.dir.block_size();
-        let needed = node.blocks_needed(self.dim, dir_bs);
-        let addr = self.nodes[id as usize];
-        let mut node = node.clone();
-        node.nblocks = needed.max(node.nblocks);
-        let bytes = node.encode(self.dim, dir_bs);
-        if node.nblocks == addr.nblocks {
-            self.dir
-                .write_blocks(clock, addr.start, &bytes)
-                .expect("write directory node");
-        } else {
-            let start = self
-                .dir
-                .append(clock, &bytes)
-                .expect("append directory node");
-            self.nodes[id as usize] = NodeAddr {
-                start,
-                nblocks: node.nblocks,
-            };
-        }
-    }
-
-    fn read_page(&self, clock: &mut SimClock, id: u32) -> DataPage {
+    /// Reads data page `id`, retrying transient faults; `None` once the
+    /// retries are spent.
+    fn read_page(&self, clock: &mut SimClock, id: u32) -> Option<DataPage> {
         let start = self.pages[id as usize];
-        let buf = self
-            .data
-            .read_to_vec(clock, start, 1)
-            .expect("read data page");
-        DataPage::decode(&buf, self.dim)
-    }
-
-    fn write_page(&mut self, clock: &mut SimClock, id: u32, page: &DataPage) {
-        let bs = self.data.block_size();
-        let bytes = page.encode(self.dim, bs);
-        let start = self.pages[id as usize];
-        self.data
-            .write_blocks(clock, start, &bytes)
-            .expect("write data page");
-    }
-
-    fn append_page(&mut self, clock: &mut SimClock, page: &DataPage) -> u32 {
-        let bs = self.data.block_size();
-        let start = self
-            .data
-            .append(clock, &page.encode(self.dim, bs))
-            .expect("append data page");
-        self.pages.push(start);
-        self.pages.len() as u32 - 1
-    }
-
-    fn append_node(&mut self, clock: &mut SimClock, node: &Node) -> u32 {
-        let dir_bs = self.dir.block_size();
-        let start = self
-            .dir
-            .append(clock, &node.encode(self.dim, dir_bs))
-            .expect("append directory node");
-        self.nodes.push(NodeAddr {
-            start,
-            nblocks: node.nblocks,
-        });
-        self.nodes.len() as u32 - 1
+        read_to_vec_retry(self.data.as_ref(), clock, start, 1, &RetryPolicy::default())
+            .ok()
+            .map(|buf| DataPage::decode(&buf, self.dim))
     }
 
     /// Descends the directory, returning the data pages whose MBR satisfies
     /// `select` (directory nodes are read with random I/O, as on any
-    /// hierarchical index).
+    /// hierarchical index). A node that stays unreadable is skipped with
+    /// its subtree.
     fn collect_pages(
         &self,
         clock: &mut SimClock,
@@ -294,7 +196,9 @@ impl XTree {
         let mut pages = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
-            let node = self.read_node(clock, id);
+            let Some(node) = self.read_node(clock, id) else {
+                continue;
+            };
             clock.charge_dist_evals(self.dim, node.entries.len() as u64);
             for e in &node.entries {
                 if select(&e.mbr) {
@@ -311,7 +215,7 @@ impl XTree {
 
     /// Loads the given data pages with one optimal batch-fetch plan and
     /// feeds each decoded page to `visit`. A failed sweep (or a page the
-    /// plan somehow misses) degrades to one direct read per page; a page
+    /// plan somehow misses) degrades to one retried read per page; a page
     /// that stays unreadable is skipped — the corruption is visible in the
     /// clock's I/O statistics, and the query completes on what is left.
     fn visit_pages_batched(
@@ -328,288 +232,15 @@ impl XTree {
         let bs = self.data.block_size();
         for &id in pages {
             let pos = self.pages[id as usize];
-            let reread;
-            let bytes = match fetched.as_deref().and_then(|f| fetch::block_in(f, pos, bs)) {
-                Some(b) => b,
-                None => match self.data.read_to_vec(clock, pos, 1) {
-                    Ok(b) => {
-                        reread = b;
-                        &reread
-                    }
-                    Err(_) => continue,
+            let page = match fetched.as_deref().and_then(|f| fetch::block_in(f, pos, bs)) {
+                Some(bytes) => DataPage::decode(bytes, self.dim),
+                None => match self.read_page(clock, id) {
+                    Some(page) => page,
+                    None => continue,
                 },
             };
-            let page = DataPage::decode(bytes, self.dim);
             clock.charge_dist_evals(self.dim, page.len() as u64);
             visit(self.dim, &page);
-        }
-    }
-
-    /// Deletes the point `id` located at `p`. Returns `true` if found.
-    ///
-    /// Standard R-tree deletion restricted to what the evaluation needs:
-    /// the point is removed from its data page, emptied pages (and then
-    /// emptied directory nodes) are unlinked, and ancestor MBRs are
-    /// tightened. Underflowing (but non-empty) pages are tolerated rather
-    /// than condensed by reinsertion.
-    pub fn delete(&mut self, clock: &mut SimClock, id: u32, p: &[f32]) -> bool {
-        assert_eq!(p.len(), self.dim, "point dimensionality mismatch");
-        match self.delete_rec(clock, self.root, id, p) {
-            DeleteOutcome::NotFound => false,
-            DeleteOutcome::Updated(_) => true,
-            DeleteOutcome::Emptied => {
-                // The whole tree is empty: store an empty leaf-level root.
-                let empty = Node {
-                    leaf_children: true,
-                    nblocks: 1,
-                    entries: Vec::new(),
-                };
-                self.write_node(clock, self.root, &empty);
-                true
-            }
-        }
-    }
-
-    fn delete_rec(
-        &mut self,
-        clock: &mut SimClock,
-        node_id: u32,
-        id: u32,
-        p: &[f32],
-    ) -> DeleteOutcome {
-        let mut node = self.read_node(clock, node_id);
-        clock.charge_dist_evals(self.dim, node.entries.len() as u64);
-        for idx in 0..node.entries.len() {
-            if !node.entries[idx].mbr.contains_point(p) {
-                continue;
-            }
-            let child = node.entries[idx].child;
-            let outcome = if node.leaf_children {
-                let mut page = self.read_page(clock, child);
-                if let Some(pos) = page.ids.iter().position(|&x| x == id) {
-                    page.ids.remove(pos);
-                    page.coords.drain(pos * self.dim..(pos + 1) * self.dim);
-                    self.n -= 1;
-                    if page.is_empty() {
-                        DeleteOutcome::Emptied
-                    } else {
-                        self.write_page(clock, child, &page);
-                        DeleteOutcome::Updated(page.mbr(self.dim))
-                    }
-                } else {
-                    DeleteOutcome::NotFound
-                }
-            } else {
-                self.delete_rec(clock, child, id, p)
-            };
-            match outcome {
-                DeleteOutcome::NotFound => continue,
-                DeleteOutcome::Updated(mbr) => {
-                    node.entries[idx].mbr = mbr;
-                    self.write_node(clock, node_id, &node);
-                    return DeleteOutcome::Updated(node.mbr());
-                }
-                DeleteOutcome::Emptied => {
-                    node.entries.remove(idx);
-                    if node.entries.is_empty() {
-                        return DeleteOutcome::Emptied;
-                    }
-                    self.write_node(clock, node_id, &node);
-                    return DeleteOutcome::Updated(node.mbr());
-                }
-            }
-        }
-        DeleteOutcome::NotFound
-    }
-
-    /// Inserts a point with the given id.
-    ///
-    /// Descends by least volume enlargement; a data-page overflow splits the
-    /// page at the median of its longest dimension; directory overflows use
-    /// the X-tree split-or-supernode decision.
-    pub fn insert(&mut self, clock: &mut SimClock, id: u32, p: &[f32]) {
-        assert_eq!(p.len(), self.dim);
-        // An emptied tree (all points deleted): seed a fresh first page.
-        {
-            let root = self.read_node(clock, self.root);
-            if root.entries.is_empty() {
-                let page = DataPage {
-                    ids: vec![id],
-                    coords: p.to_vec(),
-                };
-                let page_id = self.append_page(clock, &page);
-                let node = Node {
-                    leaf_children: true,
-                    nblocks: 1,
-                    entries: vec![DirEntry {
-                        child: page_id,
-                        mbr: page.mbr(self.dim),
-                    }],
-                };
-                self.write_node(clock, self.root, &node);
-                self.n += 1;
-                return;
-            }
-        }
-        // Descend, recording the path (node id, chosen entry index).
-        let mut path: Vec<(u32, usize)> = Vec::with_capacity(self.height);
-        let mut node_id = self.root;
-        let page_id = loop {
-            let node = self.read_node(clock, node_id);
-            let chosen = node
-                .entries
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    let ea = a.mbr.enlargement_for_point(p);
-                    let eb = b.mbr.enlargement_for_point(p);
-                    ea.partial_cmp(&eb)
-                        .expect("no NaN")
-                        .then_with(|| a.mbr.volume().partial_cmp(&b.mbr.volume()).expect("no NaN"))
-                })
-                .map(|(i, _)| i)
-                .expect("nodes are never empty");
-            path.push((node_id, chosen));
-            let e = &node.entries[chosen];
-            if node.leaf_children {
-                break e.child;
-            }
-            node_id = e.child;
-        };
-
-        // Insert into the data page.
-        let bs = self.data.block_size();
-        let cap = DataPage::capacity(self.dim, bs);
-        let mut page = self.read_page(clock, page_id);
-        page.ids.push(id);
-        page.coords.extend_from_slice(p);
-        self.n += 1;
-
-        // Pending replacement for the parent entry, plus an optional new
-        // sibling entry to add at the leaf directory level.
-        let (updated_entry, mut pending_new): (DirEntry, Option<DirEntry>) = if page.len() <= cap {
-            self.write_page(clock, page_id, &page);
-            (
-                DirEntry {
-                    child: page_id,
-                    mbr: page.mbr(self.dim),
-                },
-                None,
-            )
-        } else {
-            // Median split along the page MBR's longest dimension.
-            let mbr = page.mbr(self.dim);
-            let axis = mbr.longest_dim();
-            let mut order: Vec<usize> = (0..page.len()).collect();
-            order.sort_by(|&a, &b| {
-                page.point(a, self.dim)[axis]
-                    .partial_cmp(&page.point(b, self.dim)[axis])
-                    .expect("no NaN")
-            });
-            let mid = order.len() / 2;
-            let take = |idxs: &[usize]| -> DataPage {
-                DataPage {
-                    ids: idxs.iter().map(|&i| page.ids[i]).collect(),
-                    coords: idxs
-                        .iter()
-                        .flat_map(|&i| page.point(i, self.dim).iter().copied())
-                        .collect(),
-                }
-            };
-            let left = take(&order[..mid]);
-            let right = take(&order[mid..]);
-            self.write_page(clock, page_id, &left);
-            let right_id = self.append_page(clock, &right);
-            (
-                DirEntry {
-                    child: page_id,
-                    mbr: left.mbr(self.dim),
-                },
-                Some(DirEntry {
-                    child: right_id,
-                    mbr: right.mbr(self.dim),
-                }),
-            )
-        };
-
-        // Propagate up the path.
-        let mut replace = updated_entry;
-        for depth in (0..path.len()).rev() {
-            let (nid, slot) = path[depth];
-            let mut node = self.read_node(clock, nid);
-            node.entries[slot] = replace;
-            if let Some(new_e) = pending_new.take() {
-                node.entries.push(new_e);
-            }
-            let dir_bs = self.dir.block_size();
-            let cap_now = Node::capacity(self.dim, dir_bs, node.nblocks);
-            if node.entries.len() <= cap_now {
-                self.write_node(clock, nid, &node);
-                replace = DirEntry {
-                    child: nid,
-                    mbr: node.mbr(),
-                };
-            } else {
-                let may_grow = node.nblocks < self.opts.max_supernode_blocks;
-                match split_entries(&node.entries, self.dim, may_grow) {
-                    SplitDecision::Supernode => {
-                        node.nblocks += 1;
-                        self.supernodes += 1;
-                        self.write_node(clock, nid, &node);
-                        replace = DirEntry {
-                            child: nid,
-                            mbr: node.mbr(),
-                        };
-                    }
-                    SplitDecision::Split(l, r) => {
-                        let leaf = node.leaf_children;
-                        let mut left = Node {
-                            leaf_children: leaf,
-                            nblocks: 1,
-                            entries: l,
-                        };
-                        left.nblocks = left.blocks_needed(self.dim, dir_bs);
-                        let mut right = Node {
-                            leaf_children: leaf,
-                            nblocks: 1,
-                            entries: r,
-                        };
-                        right.nblocks = right.blocks_needed(self.dim, dir_bs);
-                        // Reuse the id for the left half; the supernode's
-                        // extra blocks (if any) are abandoned.
-                        self.nodes[nid as usize] = NodeAddr {
-                            start: self
-                                .dir
-                                .append(clock, &left.encode(self.dim, dir_bs))
-                                .expect("append directory node"),
-                            nblocks: left.nblocks,
-                        };
-                        let right_id = self.append_node(clock, &right);
-                        replace = DirEntry {
-                            child: nid,
-                            mbr: group_mbr(&left.entries),
-                        };
-                        pending_new = Some(DirEntry {
-                            child: right_id,
-                            mbr: group_mbr(&right.entries),
-                        });
-                    }
-                }
-            }
-        }
-
-        // Root overflow: grow a new root.
-        if let Some(new_e) = pending_new {
-            // The new root's children are the old root and its split
-            // sibling -- always directory nodes.
-            let root_node = Node {
-                leaf_children: false,
-                nblocks: 1,
-                entries: vec![replace, new_e],
-            };
-            let new_root = self.append_node(clock, &root_node);
-            self.root = new_root;
-            self.height += 1;
         }
     }
 }
@@ -643,7 +274,9 @@ impl AccessMethod for XTree {
     ///
     /// The trace counts directory nodes and data pages read as
     /// [`QueryTrace::runs`] (one random I/O each) and data pages decoded
-    /// as `pages_processed`.
+    /// as `pages_processed`. A node or page that stays unreadable after
+    /// retries is skipped, a node with its whole subtree, and counted in
+    /// `pages_lost`: the answer then comes from what was read.
     fn knn_opts_traced(
         &self,
         clock: &mut SimClock,
@@ -664,7 +297,10 @@ impl AccessMethod for XTree {
                 |exec, clock, _mindist, target, heap| match target {
                     Target::Node(id) => {
                         clock.phase_begin(Phase::Directory);
-                        let node = self.read_node(clock, id);
+                        let Some(node) = self.read_node(clock, id) else {
+                            exec.trace.pages_lost += 1;
+                            return;
+                        };
                         clock.charge_dist_evals(self.dim, node.entries.len() as u64);
                         exec.trace.runs += 1;
                         for e in &node.entries {
@@ -686,7 +322,10 @@ impl AccessMethod for XTree {
                             return;
                         }
                         clock.phase_begin(Phase::Filter);
-                        let page = self.read_page(clock, id);
+                        let Some(page) = self.read_page(clock, id) else {
+                            exec.trace.pages_lost += 1;
+                            return;
+                        };
                         clock.charge_dist_evals(self.dim, page.len() as u64);
                         exec.trace.runs += 1;
                         exec.trace.pages_processed += 1;
@@ -777,8 +416,8 @@ impl AccessMethod for XTree {
     }
 }
 
-// Queries take `&self`; an X-tree shared across threads must stay usable
-// (inserts and deletes still require exclusive `&mut` access).
+// Queries take `&self` and the tree is immutable after `build`; an X-tree
+// shared across threads must stay usable.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<XTree>();
@@ -807,7 +446,6 @@ mod tests {
         let tree = XTree::build(
             &ds,
             Metric::Euclidean,
-            XTreeOptions::default(),
             Box::new(MemDevice::new(bs)),
             Box::new(MemDevice::new(bs)),
             &mut clock,
@@ -883,162 +521,5 @@ mod tests {
             clock.stats().blocks_read,
             total
         );
-    }
-
-    #[test]
-    fn dynamic_inserts_preserve_correctness() {
-        let base = random_ds(400, 4, 6);
-        let extra = random_ds(300, 4, 7);
-        let mut clock = SimClock::new(DiskModel::default(), CpuModel::free());
-        let mut t = XTree::build(
-            &base,
-            Metric::Euclidean,
-            XTreeOptions::default(),
-            Box::new(MemDevice::new(512)),
-            Box::new(MemDevice::new(512)),
-            &mut clock,
-        );
-        for (i, p) in extra.iter().enumerate() {
-            t.insert(&mut clock, (400 + i) as u32, p);
-        }
-        assert_eq!(t.len(), 700);
-        // Combined ground truth.
-        let mut all = base.clone();
-        for p in extra.iter() {
-            all.push(p);
-        }
-        let mut rng = StdRng::seed_from_u64(8);
-        for _ in 0..15 {
-            let q: Vec<f32> = (0..4).map(|_| rng.gen()).collect();
-            let (_, d) = t.nearest(&mut clock, &q).expect("non-empty");
-            let expect = brute_knn(&all, &q, 1)[0];
-            assert!((d - expect.1).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn delete_removes_points_and_tightens() {
-        let (ds, mut t, mut clock) = make(600, 4, 91, 1024);
-        for i in 0..300u32 {
-            assert!(t.delete(&mut clock, i, ds.point(i as usize)), "point {i}");
-        }
-        assert_eq!(t.len(), 300);
-        // Deleted points are gone; survivors answer exactly.
-        for i in (300..600).step_by(50) {
-            let (id, d) = t.nearest(&mut clock, ds.point(i)).expect("non-empty");
-            assert_eq!(id as usize, i);
-            assert!(d < 1e-9);
-        }
-        for i in (0..300).step_by(50) {
-            let hits = t.range(&mut clock, ds.point(i), 1e-9);
-            assert!(hits.iter().all(|&h| h >= 300));
-        }
-        // Deleting twice reports false.
-        assert!(!t.delete(&mut clock, 0, ds.point(0)));
-    }
-
-    #[test]
-    fn delete_everything_then_insert_again() {
-        let (ds, mut t, mut clock) = make(200, 3, 92, 512);
-        for i in 0..200u32 {
-            assert!(t.delete(&mut clock, i, ds.point(i as usize)));
-        }
-        assert_eq!(t.len(), 0);
-        assert!(t.nearest(&mut clock, &[0.5, 0.5, 0.5]).is_none());
-        t.insert(&mut clock, 777, &[0.25, 0.5, 0.75]);
-        assert_eq!(t.len(), 1);
-        let (id, d) = t
-            .nearest(&mut clock, &[0.25, 0.5, 0.75])
-            .expect("non-empty");
-        assert_eq!(id, 777);
-        assert!(d < 1e-9);
-    }
-
-    #[test]
-    fn knn_on_a_tree_emptied_by_deletes_charges_nothing() {
-        let (ds, mut t, mut clock) = make(50, 3, 93, 512);
-        for i in 0..50u32 {
-            assert!(t.delete(&mut clock, i, ds.point(i as usize)));
-        }
-        clock.reset();
-        assert!(t.nearest(&mut clock, &[0.5, 0.5, 0.5]).is_none());
-        assert_eq!(clock.total_time(), 0.0, "no root read for an empty tree");
-    }
-
-    #[test]
-    fn queries_remain_exact_with_supernodes_present() {
-        // Force supernodes (highly overlapping high-dim inserts), then
-        // verify NN and range results against brute force.
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut ds = Dataset::new(10);
-        let mut row = vec![0.0f32; 10];
-        for _ in 0..150 {
-            row.fill_with(|| rng.gen());
-            ds.push(&row);
-        }
-        let mut clock = SimClock::default();
-        let mut t = XTree::build(
-            &ds,
-            Metric::Euclidean,
-            XTreeOptions::default(),
-            Box::new(MemDevice::new(512)),
-            Box::new(MemDevice::new(512)),
-            &mut clock,
-        );
-        let mut all = ds.clone();
-        for i in 0..1_200u32 {
-            row.fill_with(|| rng.gen());
-            t.insert(&mut clock, 150 + i, &row);
-            all.push(&row);
-        }
-        assert!(
-            t.num_supernodes() > 0,
-            "setup must actually create supernodes"
-        );
-        for _ in 0..10 {
-            let q: Vec<f32> = (0..10).map(|_| rng.gen()).collect();
-            let (_, d) = t.nearest(&mut clock, &q).expect("non-empty");
-            let expect = brute_knn(&all, &q, 1)[0].1;
-            assert!((d - expect).abs() < 1e-6);
-        }
-        let q = vec![0.5f32; 10];
-        let mut got = t.range(&mut clock, &q, 0.8);
-        got.sort_unstable();
-        let mut expect: Vec<u32> = (0..all.len() as u32)
-            .filter(|&i| Metric::Euclidean.distance(all.point(i as usize), &q) <= 0.8)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn inserts_into_clustered_high_dim_data_make_supernodes() {
-        // Highly overlapping MBRs in high dimension push the split decision
-        // toward supernodes.
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut ds = Dataset::new(12);
-        let mut row = vec![0.0f32; 12];
-        for _ in 0..200 {
-            row.fill_with(|| rng.gen());
-            ds.push(&row);
-        }
-        let mut clock = SimClock::default();
-        let mut t = XTree::build(
-            &ds,
-            Metric::Euclidean,
-            XTreeOptions::default(),
-            Box::new(MemDevice::new(512)),
-            Box::new(MemDevice::new(512)),
-            &mut clock,
-        );
-        for i in 0..2_000u32 {
-            row.fill_with(|| rng.gen());
-            t.insert(&mut clock, 200 + i, &row);
-        }
-        assert_eq!(t.len(), 2_200);
-        // Correctness after heavy splitting.
-        let q = vec![0.5f32; 12];
-        let (_, d) = t.nearest(&mut clock, &q).expect("non-empty");
-        assert!(d > 0.0);
     }
 }

@@ -1,12 +1,10 @@
 //! On-disk representation of X-tree directory nodes and data pages.
 //!
-//! A directory node occupies one block — or several, when it has become a
-//! *supernode* (the X-tree's escape hatch for splits that would produce
-//! heavily overlapping halves). A data page always occupies one block and
+//! A directory node and a data page each occupy one block; a data page
 //! stores exact points with their ids.
 //!
 //! Node layout (little endian):
-//! `u16 count | u8 leaf_children | u8 nblocks | count × (u32 child | 2d × f32 mbr)`
+//! `u16 count | u8 leaf_children | u8 pad | count × (u32 child | 2d × f32 mbr)`
 //!
 //! Data page layout:
 //! `u16 count | u16 pad | count × (u32 id | d × f32 coords)`
@@ -30,8 +28,6 @@ pub struct DirEntry {
 pub struct Node {
     /// Whether the children are data pages (leaf level) rather than nodes.
     pub leaf_children: bool,
-    /// Blocks this node occupies on disk (1 = normal node, >1 = supernode).
-    pub nblocks: u32,
     /// The entries.
     pub entries: Vec<DirEntry>,
 }
@@ -42,9 +38,9 @@ impl Node {
         4 + 8 * dim
     }
 
-    /// Entry capacity of a node spanning `nblocks` blocks.
-    pub fn capacity(dim: usize, block_size: usize, nblocks: u32) -> usize {
-        (nblocks as usize * block_size - HEADER_BYTES) / Self::entry_bytes(dim)
+    /// Entry capacity of one block.
+    pub fn capacity(dim: usize, block_size: usize) -> usize {
+        (block_size - HEADER_BYTES) / Self::entry_bytes(dim)
     }
 
     /// The MBR enclosing all entries.
@@ -60,21 +56,19 @@ impl Node {
         mbr
     }
 
-    /// Serializes the node to `nblocks × block_size` bytes.
+    /// Serializes the node to one block.
     ///
     /// # Panics
-    /// Panics if the entries exceed the capacity at `self.nblocks`.
+    /// Panics if the entries exceed the block's capacity.
     pub fn encode(&self, dim: usize, block_size: usize) -> Vec<u8> {
         assert!(
-            self.entries.len() <= Self::capacity(dim, block_size, self.nblocks),
-            "node overflow: {} entries in {} block(s)",
-            self.entries.len(),
-            self.nblocks
+            self.entries.len() <= Self::capacity(dim, block_size),
+            "node overflow: {} entries",
+            self.entries.len()
         );
-        let mut out = Vec::with_capacity(self.nblocks as usize * block_size);
+        let mut out = Vec::with_capacity(block_size);
         out.extend_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        out.push(u8::from(self.leaf_children));
-        out.push(self.nblocks as u8);
+        out.extend_from_slice(&[u8::from(self.leaf_children), 0]);
         for e in &self.entries {
             out.extend_from_slice(&e.child.to_le_bytes());
             for i in 0..dim {
@@ -84,7 +78,7 @@ impl Node {
                 out.extend_from_slice(&e.mbr.ub(i).to_le_bytes());
             }
         }
-        out.resize(self.nblocks as usize * block_size, 0);
+        out.resize(block_size, 0);
         out
     }
 
@@ -92,7 +86,6 @@ impl Node {
     pub fn decode(bytes: &[u8], dim: usize) -> Self {
         let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         let leaf_children = bytes[2] != 0;
-        let nblocks = u32::from(bytes[3]);
         let eb = Self::entry_bytes(dim);
         let mut entries = Vec::with_capacity(count);
         for e in 0..count {
@@ -114,19 +107,8 @@ impl Node {
         }
         Self {
             leaf_children,
-            nblocks,
             entries,
         }
-    }
-
-    /// How many blocks the node *needs* for its current entry count
-    /// (used when rewriting after mutation).
-    pub fn blocks_needed(&self, dim: usize, block_size: usize) -> u32 {
-        let mut nb = 1u32;
-        while Self::capacity(dim, block_size, nb) < self.entries.len() {
-            nb += 1;
-        }
-        nb
     }
 }
 
@@ -228,7 +210,6 @@ mod tests {
         let dim = 3;
         let node = Node {
             leaf_children: true,
-            nblocks: 1,
             entries: vec![
                 DirEntry {
                     child: 5,
@@ -245,40 +226,14 @@ mod tests {
         let back = Node::decode(&bytes, dim);
         assert_eq!(back.entries.len(), 2);
         assert!(back.leaf_children);
-        assert_eq!(back.nblocks, 1);
         assert_eq!(back.entries[0].child, 5);
         assert_eq!(back.entries[1].mbr, node.entries[1].mbr);
-    }
-
-    #[test]
-    fn supernode_roundtrip() {
-        let dim = 2;
-        let cap1 = Node::capacity(dim, 128, 1);
-        let n_entries = cap1 + 3; // forces 2 blocks
-        let entries: Vec<DirEntry> = (0..n_entries as u32)
-            .map(|i| DirEntry {
-                child: i,
-                mbr: Mbr::from_bounds(vec![i as f32, 0.0], vec![i as f32 + 1.0, 1.0]),
-            })
-            .collect();
-        let node = Node {
-            leaf_children: false,
-            nblocks: 2,
-            entries,
-        };
-        assert_eq!(node.blocks_needed(dim, 128), 2);
-        let bytes = node.encode(dim, 128);
-        assert_eq!(bytes.len(), 256);
-        let back = Node::decode(&bytes, dim);
-        assert_eq!(back.entries.len(), n_entries);
-        assert_eq!(back.nblocks, 2);
     }
 
     #[test]
     fn node_mbr_unions_entries() {
         let node = Node {
             leaf_children: true,
-            nblocks: 1,
             entries: vec![
                 DirEntry {
                     child: 0,
@@ -316,15 +271,14 @@ mod tests {
     fn capacities_are_sane() {
         // d = 16, 8 KiB: data pages hold 120 points, nodes 62 entries.
         assert_eq!(DataPage::capacity(16, 8192), 120);
-        assert_eq!(Node::capacity(16, 8192, 1), 62);
-        assert!(Node::capacity(16, 8192, 2) >= 2 * Node::capacity(16, 8192, 1));
+        assert_eq!(Node::capacity(16, 8192), 62);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn node_encode_rejects_overflow() {
         let dim = 2;
-        let cap = Node::capacity(dim, 128, 1);
+        let cap = Node::capacity(dim, 128);
         let entries: Vec<DirEntry> = (0..=cap as u32)
             .map(|i| DirEntry {
                 child: i,
@@ -333,7 +287,6 @@ mod tests {
             .collect();
         let node = Node {
             leaf_children: false,
-            nblocks: 1,
             entries,
         };
         node.encode(dim, 128);

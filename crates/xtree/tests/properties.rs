@@ -1,11 +1,10 @@
-//! Property-based tests of the X-tree: exact results under arbitrary data,
-//! structural invariants of the directory under bulk load and dynamic
-//! inserts.
+//! Property-based tests of the X-tree: exact nearest-neighbor and range
+//! results over arbitrary bulk-loaded data.
 
 use iq_engine::AccessMethod;
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
-use iq_xtree::{XTree, XTreeOptions};
+use iq_xtree::XTree;
 use proptest::prelude::*;
 
 fn dataset_strategy(dim: usize, max_n: usize) -> impl Strategy<Value = Dataset> {
@@ -20,7 +19,6 @@ fn build(ds: &Dataset, metric: Metric) -> (XTree, SimClock) {
     let tree = XTree::build(
         ds,
         metric,
-        XTreeOptions::default(),
         Box::new(MemDevice::new(512)),
         Box::new(MemDevice::new(512)),
         &mut clock,
@@ -60,47 +58,5 @@ proptest! {
             .collect();
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
-    }
-
-    /// Dynamic inserts keep the tree exact, whatever the order.
-    #[test]
-    fn prop_inserts_stay_exact(
-        base in dataset_strategy(3, 60),
-        extra in proptest::collection::vec(
-            proptest::collection::vec(0.0f32..1.0, 3), 1..60),
-        q in proptest::collection::vec(0.0f32..1.0, 3),
-    ) {
-        let (mut tree, mut clock) = build(&base, Metric::Euclidean);
-        let n0 = base.len();
-        for (i, p) in extra.iter().enumerate() {
-            tree.insert(&mut clock, (n0 + i) as u32, p);
-        }
-        prop_assert_eq!(tree.len(), n0 + extra.len());
-        let got = tree.nearest(&mut clock, &q).expect("non-empty").1;
-        let expect = base
-            .iter()
-            .map(|p| Metric::Euclidean.distance(p, &q))
-            .chain(extra.iter().map(|p| Metric::Euclidean.distance(p, &q)))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((got - expect).abs() < 1e-5);
-    }
-
-    /// Every point remains reachable after inserts (zero-radius range hits
-    /// its own id).
-    #[test]
-    fn prop_points_reachable_after_inserts(
-        base in dataset_strategy(3, 40),
-        extra in proptest::collection::vec(
-            proptest::collection::vec(0.0f32..1.0, 3), 1..40),
-    ) {
-        let (mut tree, mut clock) = build(&base, Metric::Euclidean);
-        let n0 = base.len();
-        for (i, p) in extra.iter().enumerate() {
-            tree.insert(&mut clock, (n0 + i) as u32, p);
-        }
-        for (i, p) in extra.iter().enumerate() {
-            let hits = tree.range(&mut clock, p, 1e-9);
-            prop_assert!(hits.contains(&((n0 + i) as u32)), "inserted point {i} lost");
-        }
     }
 }

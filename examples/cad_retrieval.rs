@@ -11,7 +11,7 @@ use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
 use iqtree_repro::vafile::VaFile;
-use iqtree_repro::xtree::{XTree, XTreeOptions};
+use iqtree_repro::xtree::XTree;
 
 const DIM: usize = 16;
 const N: usize = 100_000;
@@ -31,14 +31,7 @@ fn main() {
         ..Default::default()
     };
     let iq = IqTree::build(&w.db, Metric::Euclidean, opts, || dev(), &mut clock);
-    let xt = XTree::build(
-        &w.db,
-        Metric::Euclidean,
-        XTreeOptions::default(),
-        dev(),
-        dev(),
-        &mut clock,
-    );
+    let xt = XTree::build(&w.db, Metric::Euclidean, dev(), dev(), &mut clock);
     let va = VaFile::build(&w.db, Metric::Euclidean, 5, dev(), dev(), &mut clock);
 
     println!(

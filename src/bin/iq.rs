@@ -1370,7 +1370,6 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
             ..Default::default()
         },
         va_bits: Some(bits),
-        ..Default::default()
     };
     // Both workloads query the same four engines, built once, in order.
     let engines: Vec<_> = EngineKind::ALL

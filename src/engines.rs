@@ -12,7 +12,7 @@ use iq_scan::SeqScan;
 use iq_storage::{BlockDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};
 use iq_vafile::VaFile;
-use iq_xtree::{XTree, XTreeOptions};
+use iq_xtree::XTree;
 
 /// Which access method to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,7 +21,7 @@ pub enum EngineKind {
     IqTree,
     /// VA-file baseline (filter-and-refine over bit approximations).
     VaFile,
-    /// X-tree baseline (hierarchical directory with supernodes).
+    /// X-tree baseline (hierarchical directory, bulk-loaded, query-only).
     XTree,
     /// Sequential scan baseline.
     Scan,
@@ -64,6 +64,8 @@ impl std::str::FromStr for EngineKind {
 }
 
 /// Per-engine construction knobs; the defaults match the paper's setup.
+/// The X-tree and the scan take none: the X-tree is bulk-loaded with the
+/// IQ-tree's partitioning and only queried.
 #[derive(Clone, Debug, Default)]
 pub struct EngineOptions {
     /// IQ-tree options (quantization, scheduled I/O, cache, ...).
@@ -71,8 +73,6 @@ pub struct EngineOptions {
     /// VA-file bits per dimension; `None` picks them with the cost model
     /// from the data's fractal dimension.
     pub va_bits: Option<u32>,
-    /// X-tree options (supernode threshold, ...).
-    pub xtree: XTreeOptions,
 }
 
 /// Builds engine `kind` over `ds` with default options, writing its files
@@ -112,14 +112,7 @@ pub fn build_engine_with(
                 clock,
             ))
         }
-        EngineKind::XTree => Box::new(XTree::build(
-            ds,
-            metric,
-            opts.xtree,
-            make_dev(),
-            make_dev(),
-            clock,
-        )),
+        EngineKind::XTree => Box::new(XTree::build(ds, metric, make_dev(), make_dev(), clock)),
         EngineKind::Scan => Box::new(SeqScan::build(ds, metric, make_dev(), clock)),
     }
 }

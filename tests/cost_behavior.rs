@@ -8,7 +8,7 @@ use iqtree_repro::geometry::Metric;
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
-use iqtree_repro::xtree::{XTree, XTreeOptions};
+use iqtree_repro::xtree::XTree;
 
 fn dev() -> Box<MemDevice> {
     Box::new(MemDevice::new(8192))
@@ -66,14 +66,7 @@ fn iqtree_beats_xtree_in_high_dimensions() {
         || dev(),
         &mut clock,
     );
-    let xt = XTree::build(
-        &w.db,
-        Metric::Euclidean,
-        XTreeOptions::default(),
-        dev(),
-        dev(),
-        &mut clock,
-    );
+    let xt = XTree::build(&w.db, Metric::Euclidean, dev(), dev(), &mut clock);
 
     let iq = avg_nn_time(&mut tree, &mut clock, &w.queries);
     let mut xts = 0.0;

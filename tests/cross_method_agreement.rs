@@ -10,7 +10,7 @@ use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
 use iqtree_repro::vafile::VaFile;
-use iqtree_repro::xtree::{XTree, XTreeOptions};
+use iqtree_repro::xtree::XTree;
 
 const N: usize = 6_000;
 const QUERIES: usize = 8;
@@ -37,14 +37,7 @@ impl AllMethods {
             || dev(),
             &mut clock,
         );
-        let xt = XTree::build(
-            db,
-            Metric::Euclidean,
-            XTreeOptions::default(),
-            dev(),
-            dev(),
-            &mut clock,
-        );
+        let xt = XTree::build(db, Metric::Euclidean, dev(), dev(), &mut clock);
         let va = VaFile::build(db, Metric::Euclidean, 4, dev(), dev(), &mut clock);
         let scan = SeqScan::build(db, Metric::Euclidean, dev(), &mut clock);
         Self {

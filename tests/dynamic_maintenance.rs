@@ -1,13 +1,12 @@
-//! Integration: dynamic maintenance across crates — a tree built by bulk
-//! load plus inserts answers exactly like brute force, deletions remove
-//! points from all query types, and the X-tree survives the same regime.
+//! Integration: dynamic maintenance of the IQ-tree across crates — a tree
+//! built by bulk load plus inserts answers exactly like brute force, and
+//! deletions remove points from all query types.
 
 use iqtree_repro::data::{self};
 use iqtree_repro::engine::AccessMethod;
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
-use iqtree_repro::xtree::{XTree, XTreeOptions};
 
 fn dev() -> Box<MemDevice> {
     Box::new(MemDevice::new(4096))
@@ -105,7 +104,7 @@ fn interleaved_inserts_and_deletes_stay_consistent() {
 }
 
 #[test]
-fn xtree_and_iqtree_agree_after_heavy_inserts() {
+fn iqtree_heavy_cad_inserts_match_brute_force() {
     let base = data::cad_like(8, 1_500, 51);
     let extra = data::cad_like(8, 1_500, 52);
     let mut clock = SimClock::default();
@@ -116,23 +115,20 @@ fn xtree_and_iqtree_agree_after_heavy_inserts() {
         || dev(),
         &mut clock,
     );
-    let mut xt = XTree::build(
-        &base,
-        Metric::Euclidean,
-        XTreeOptions::default(),
-        dev(),
-        dev(),
-        &mut clock,
-    );
+    let mut all = base.clone();
     for (i, p) in extra.iter().enumerate() {
         iq.insert(&mut clock, (1_500 + i) as u32, p).unwrap();
-        xt.insert(&mut clock, (1_500 + i) as u32, p);
+        all.push(p);
     }
+    assert_eq!(iq.len(), 3_000);
     let queries = data::cad_like(8, 10, 53);
     for q in queries.iter() {
-        let a = iq.nearest(&mut clock, q).expect("non-empty").1;
-        let b = xt.nearest(&mut clock, q).expect("non-empty").1;
-        assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        let got = iq.knn(&mut clock, q, 10);
+        let expect = brute_knn(&all, q, 10);
+        assert_eq!(got.len(), expect.len());
+        for (g, e) in got.iter().zip(&expect) {
+            assert!((g.1 - e).abs() < 1e-6, "knn mismatch: {} vs {e}", g.1);
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use iqtree_repro::data::{self, Workload};
 use iqtree_repro::engine::{
     knn_batch, knn_batch_traced, AccessMethod, Filter, QueryOptions, QueryTrace,
 };
-use iqtree_repro::geometry::{Dataset, Mbr, Metric};
+use iqtree_repro::geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{
     BlockDevice, ChecksummedDevice, FaultConfig, FaultInjectingDevice, FileDevice, IqError,
@@ -18,6 +18,8 @@ use iqtree_repro::storage::{
 use iqtree_repro::tree::verify::verify_index;
 use iqtree_repro::tree::{IqTree, IqTreeOptions, PageMeta};
 use iqtree_repro::vafile::VaFile;
+use iqtree_repro::xtree::node::DataPage;
+use iqtree_repro::xtree::XTree;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{BTreeSet, HashSet};
@@ -782,6 +784,153 @@ fn va_file_skips_unreadable_exact_entries() {
     // Range and window verification skip the lost entries the same way.
     let ids = va.range(&mut clock, q, 0.25);
     assert!(ids.iter().all(|&id| id >= 19));
+}
+
+/// The VA-file's approximation sweep under a chunk that stays
+/// unreadable: no panic. The chunk's read is retried, then skipped as the
+/// scan skips one; the sweep resumes at the first entry that starts after
+/// it, the lost points are counted in `points_skipped` and never become
+/// candidates, and every other point is answered as in a clean run.
+#[test]
+fn va_file_skips_an_unreadable_approximation_chunk() {
+    // 30,000 12-d points at 8 bits: 12-byte entries in 512-byte blocks,
+    // 704 blocks read in chunks of 256 blocks (128 KiB).
+    let w = Workload::generate(30_000, 2, |n| data::uniform(12, n, 19));
+    let log = Arc::new(Mutex::new(ReadLog::default()));
+    let approx = LoggedDevice {
+        inner: Box::new(MemDevice::new(512)),
+        log: Arc::clone(&log),
+    };
+    let mut clock = SimClock::default();
+    let va = VaFile::build(
+        &w.db,
+        Metric::Euclidean,
+        8,
+        Box::new(approx),
+        Box::new(MemDevice::new(512)),
+        &mut clock,
+    );
+    let n = w.db.len();
+    let q = w.queries.point(0);
+    let (clean, clean_trace) = va.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(clean.len(), n);
+    assert_eq!(clean_trace.points_skipped, 0);
+
+    // Block 300 lies in the second chunk, bytes 131,072..262,144. Entry
+    // 10,922 starts at byte 131,064 and straddles into it; entry 21,845
+    // starts at byte 262,140 and straddles out of it; entry 21,846 is the
+    // first to start after it.
+    {
+        let mut log = log.lock().expect("log lock");
+        log.fail_block = Some(300);
+        log.fail_left = u32::MAX;
+    }
+    let lost = 10_922..21_846u32;
+    let (hits, trace) = va.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(trace.points_skipped, u64::from(lost.end - lost.start));
+    assert_eq!(hits.len() + lost.len(), n);
+    assert_eq!(trace.refinements, hits.len() as u64);
+    assert!(trace.partial());
+    assert!(
+        log.lock().expect("log lock").reads_of(300) > 2,
+        "the chunk read is retried"
+    );
+    let kept: Vec<(u32, f64)> = clean
+        .iter()
+        .copied()
+        .filter(|(id, _)| !lost.contains(id))
+        .collect();
+    assert_eq!(hits, kept);
+    // A top-10 query answers from the points that were read.
+    let (top, _) = va.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+    assert_eq!(top, kept[..10]);
+    // Range and window lose the same points, and only those.
+    let survivors: Vec<u32> = (0..n as u32).filter(|id| !lost.contains(id)).collect();
+    let mut ids = va.range(&mut clock, q, 100.0);
+    ids.sort_unstable();
+    assert_eq!(ids, survivors, "range");
+    let everything = Mbr::of_points(w.db.dim(), w.db.iter());
+    let mut ids = va.window(&mut clock, &everything);
+    ids.sort_unstable();
+    assert_eq!(ids, survivors, "window");
+}
+
+/// The X-tree under a data page and a directory node that stay
+/// unreadable: no panic. Each read is retried, then skipped: a lost page
+/// takes its points with it, a lost node its whole subtree, and each is
+/// counted in `pages_lost`; every other point is answered as in a clean
+/// run.
+#[test]
+fn xtree_skips_unreadable_pages() {
+    let w = Workload::generate(2_000, 2, |n| data::uniform(6, n, 23));
+    let dir_log = Arc::new(Mutex::new(ReadLog::default()));
+    let data_log = Arc::new(Mutex::new(ReadLog::default()));
+    let logged = |log: &Arc<Mutex<ReadLog>>| {
+        Box::new(LoggedDevice {
+            inner: Box::new(MemDevice::new(512)),
+            log: Arc::clone(log),
+        })
+    };
+    let mut clock = SimClock::default();
+    let xt = XTree::build(
+        &w.db,
+        Metric::Euclidean,
+        logged(&dir_log),
+        logged(&data_log),
+        &mut clock,
+    );
+    let n = w.db.len();
+    let q = w.queries.point(0);
+    let (clean, clean_trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(clean.len(), n);
+    assert_eq!(clean_trace.pages_lost, 0);
+    let arm = |log: &Arc<Mutex<ReadLog>>, block: Option<u64>| {
+        let mut log = log.lock().expect("log lock");
+        log.fail_block = block;
+        log.fail_left = u32::MAX;
+    };
+
+    // Data pages are written one block each in bulk-load partition order,
+    // so data block 7 holds partition 7.
+    let parts = bulk_partition(&w.db, DataPage::capacity(w.db.dim(), 512));
+    let lost: HashSet<u32> = parts[7].ids.iter().copied().collect();
+    assert!(!lost.is_empty());
+    arm(&data_log, Some(7));
+    let (hits, trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(trace.pages_lost, 1);
+    assert!(trace.partial());
+    assert!(
+        data_log.lock().expect("log lock").reads_of(7) > 2,
+        "the page read is retried"
+    );
+    let kept: Vec<(u32, f64)> = clean
+        .iter()
+        .copied()
+        .filter(|(id, _)| !lost.contains(id))
+        .collect();
+    assert_eq!(hits, kept);
+    // Range and window skip the same page.
+    let survivors: Vec<u32> = (0..n as u32).filter(|id| !lost.contains(id)).collect();
+    let mut ids = xt.range(&mut clock, q, 100.0);
+    ids.sort_unstable();
+    assert_eq!(ids, survivors, "range");
+    let everything = Mbr::of_points(w.db.dim(), w.db.iter());
+    let mut ids = xt.window(&mut clock, &everything);
+    ids.sort_unstable();
+    assert_eq!(ids, survivors, "window");
+    arm(&data_log, None);
+
+    // Directory block 0 is the first leaf-level node, not the root.
+    arm(&dir_log, Some(0));
+    let (hits, trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    assert_eq!(trace.pages_lost, 1);
+    assert!(trace.partial());
+    assert!(!hits.is_empty() && hits.len() < n);
+    assert!(hits.iter().all(|h| clean.contains(h)));
+    let ids = xt.range(&mut clock, q, 100.0);
+    assert_eq!(ids.len(), hits.len(), "range loses the same subtree");
+    let ids = xt.window(&mut clock, &everything);
+    assert_eq!(ids.len(), hits.len(), "window loses the same subtree");
 }
 
 /// The sequential scan under a chunk that stays unreadable: no panic. The

@@ -8,7 +8,7 @@ use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
 use iqtree_repro::vafile::VaFile;
-use iqtree_repro::xtree::{XTree, XTreeOptions};
+use iqtree_repro::xtree::XTree;
 
 fn dev() -> Box<MemDevice> {
     Box::new(MemDevice::new(4096))
@@ -36,14 +36,7 @@ fn window_results_agree_across_methods() {
             || dev(),
             &mut clock,
         );
-        let xt = XTree::build(
-            &w.db,
-            Metric::Euclidean,
-            XTreeOptions::default(),
-            dev(),
-            dev(),
-            &mut clock,
-        );
+        let xt = XTree::build(&w.db, Metric::Euclidean, dev(), dev(), &mut clock);
         let va = VaFile::build(&w.db, Metric::Euclidean, 4, dev(), dev(), &mut clock);
         let scan = SeqScan::build(&w.db, Metric::Euclidean, dev(), &mut clock);
 
