@@ -34,9 +34,7 @@ pub use durability::RecoveryReport;
 use iq_cost::{DirectoryParams, RefineParams};
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iq_quantize::{ExactBlocks, ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
-use iq_storage::{
-    read_to_vec_retry, BlockDevice, DeviceStack, IqError, IqResult, RetryPolicy, SimClock,
-};
+use iq_storage::{read_to_vec_retry, BlockDevice, DeviceStack, IqError, IqResult, SimClock};
 use iq_wal::{Level, WalRecord};
 
 /// Construction and search options.
@@ -57,10 +55,6 @@ pub struct IqTreeOptions {
     /// default) keeps the paper's cold-query cost model: every block
     /// access pays the disk.
     pub cache_blocks: Option<usize>,
-    /// Retry budget for transient device faults on the read path. The
-    /// default retries a few times with exponential backoff;
-    /// [`RetryPolicy::none`] makes any fault surface immediately.
-    pub retry: RetryPolicy,
     /// Threads for the CPU-bound page-encoding stage of construction
     /// (`0` = one per available core). Output bytes are identical for every
     /// value — parallelism changes build wall-clock, never the index.
@@ -74,7 +68,6 @@ impl Default for IqTreeOptions {
             scheduled_io: true,
             fractal_dim: None,
             cache_blocks: None,
-            retry: RetryPolicy::default(),
             build_threads: 0,
         }
     }
@@ -85,8 +78,10 @@ impl Default for IqTreeOptions {
 /// (innermost, so cached frames always hold verified bytes), then an
 /// optional buffer pool. Callers see the *logical* block size — the
 /// physical one minus the checksum trailer. Transient-fault retries are
-/// charged at the call sites via [`IqTreeOptions::retry`], not in the
-/// stack, so the retry budget stays a per-tree query option.
+/// not a layer of the stack: every read helper retries under the one
+/// default policy ([`iq_storage::read_to_vec_retry`] and the runs of
+/// [`iq_storage::fetch::fetch_blocks`]), at the call sites that pay the
+/// backoff.
 ///
 /// When the global metrics registry is enabled at construction time
 /// (`iq_obs::global().set_enabled(true)` *before* build/open), every stage
@@ -706,10 +701,6 @@ impl IqTree {
         &self.dir_params
     }
 
-    pub(crate) fn retry(&self) -> &RetryPolicy {
-        &self.opts.retry
-    }
-
     pub(crate) fn quant_dev(&self) -> &dyn BlockDevice {
         self.quant.as_ref()
     }
@@ -751,7 +742,7 @@ impl IqTree {
             // One sequential sweep. The in-memory directory is
             // authoritative after open, so a corrupt block here only
             // surfaces in the clock's corruption statistics.
-            let _ = read_to_vec_retry(self.dir.as_ref(), clock, 0, nblocks, &self.opts.retry);
+            let _ = read_to_vec_retry(self.dir.as_ref(), clock, 0, nblocks);
         }
         clock.charge_dist_evals(self.dim, self.pages.len() as u64);
     }
@@ -777,7 +768,7 @@ impl IqTree {
             meta.exact_start,
             slot,
             coords,
-            |first, n| read_to_vec_retry(self.exact.as_ref(), clock, first, n, &self.opts.retry),
+            |first, n| read_to_vec_retry(self.exact.as_ref(), clock, first, n),
         )
     }
 
@@ -838,7 +829,6 @@ impl IqTree {
             clock,
             meta.exact_start,
             u64::from(meta.exact_blocks),
-            &self.opts.retry,
         )
     }
 }

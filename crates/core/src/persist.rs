@@ -264,7 +264,7 @@ impl IqTree {
                 "directory file is empty (no superblock)".into(),
             ));
         }
-        let sb_block = read_to_vec_retry(dir.as_ref(), clock, 0, 1, &opts.retry)?;
+        let sb_block = read_to_vec_retry(dir.as_ref(), clock, 0, 1)?;
         let sb = Superblock::decode(&sb_block)?;
         if sb.block_size as usize != bs {
             return Err(superblock_err(format!(
@@ -309,7 +309,7 @@ impl IqTree {
             )));
         }
         let dir_bytes = if payload_blocks > 0 {
-            read_to_vec_retry(dir.as_ref(), clock, 1, payload_blocks, &opts.retry)?
+            read_to_vec_retry(dir.as_ref(), clock, 1, payload_blocks)?
         } else {
             Vec::new()
         };

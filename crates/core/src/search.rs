@@ -538,7 +538,7 @@ impl IqTree {
         // One corrupt block poisons the whole ranged read: then every member
         // takes the read ladder's single retried read, so only the bad page
         // pays the fallback, not the entire sweep.
-        let run = read_to_vec_retry(self.quant_dev(), clock, start_block, run_len, self.retry());
+        let run = read_to_vec_retry(self.quant_dev(), clock, start_block, run_len);
         let run = run.ok();
         if run.is_some() {
             exec.trace.runs += 1;
@@ -642,11 +642,9 @@ impl IqTree {
         clock.charge_dist_evals(self.dim(), view.len() as u64);
         *decoded += 1;
         if view.bits() == EXACT_BITS {
-            view.for_each_entry(cells, |id, bits| {
+            view.for_each_point(coords, |id, p| {
                 if filter.is_none_or(|f| f.matches(id)) {
-                    coords.clear();
-                    coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                    exec.offer(metric.distance_key(coords, q), id);
+                    exec.offer(metric.distance_key(p, q), id);
                 }
             });
         } else {
@@ -729,8 +727,7 @@ impl IqTree {
             Some(b) => b,
             None => {
                 let block = self.pages()[p].quant_block;
-                *reread =
-                    read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry()).ok()?;
+                *reread = read_to_vec_retry(self.quant_dev(), clock, block, 1).ok()?;
                 reread.as_slice()
             }
         };
@@ -859,9 +856,7 @@ impl IqTree {
         positions.sort_unstable();
         positions.dedup();
         if !positions.is_empty() {
-            let fetched = self.retry().run(clock, |clock| {
-                fetch::fetch_blocks(self.exact_dev(), clock, &positions)
-            });
+            let fetched = fetch::fetch_blocks(self.exact_dev(), clock, &positions);
             for (run, bytes) in fetched.into_iter().flatten() {
                 exact.keep(run.start, bytes);
             }
@@ -916,12 +911,7 @@ impl IqTree {
             .map(|&i| self.pages()[i].quant_block)
             .collect();
         clock.phase_begin(Phase::Filter);
-        let fetched = self
-            .retry()
-            .run(clock, |clock| {
-                fetch::fetch_blocks(self.quant_dev(), clock, &positions)
-            })
-            .ok();
+        let fetched = fetch::fetch_blocks(self.quant_dev(), clock, &positions).ok();
         let bs = self.block_size();
         let mut out = Vec::new();
         let mut refinements: Vec<(usize, usize, u32)> = Vec::new();
@@ -946,10 +936,8 @@ impl IqTree {
             };
             clock.charge_dist_evals(self.dim(), view.len() as u64);
             if view.bits() == EXACT_BITS {
-                view.for_each_entry(&mut cells, |id, bits| {
-                    coords.clear();
-                    coords.extend(bits.iter().map(|&b| f32::from_bits(b)));
-                    if accept(&coords) {
+                view.for_each_point(&mut coords, |id, p| {
+                    if accept(p) {
                         out.push(id);
                     }
                 });

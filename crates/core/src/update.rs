@@ -48,20 +48,13 @@ impl IqTree {
     /// calling operation aborts without having touched the files.
     pub(crate) fn load_page(&self, clock: &mut SimClock, idx: usize) -> IqResult<LoadedPage> {
         let block = self.pages()[idx].quant_block;
-        let bytes = iq_storage::read_to_vec_retry(self.quant_dev(), clock, block, 1, self.retry())?;
-        let decoded = self.codec().try_decode(&bytes)?;
+        let bytes = iq_storage::read_to_vec_retry(self.quant_dev(), clock, block, 1)?;
+        let view = self.codec().try_view(&bytes)?;
         let dim = self.dim();
-        let ids: Vec<u32> = (0..decoded.len()).map(|i| decoded.id(i)).collect();
-        let mut coords = Vec::with_capacity(decoded.len() * dim);
-        if decoded.bits() == EXACT_BITS {
-            for i in 0..decoded.len() {
-                coords.extend(decoded.exact_point(i).ok_or_else(|| IqError::Decode {
-                    detail: format!(
-                        "page {idx} claims {} exact bits but point {i} has none",
-                        EXACT_BITS
-                    ),
-                })?);
-            }
+        let ids: Vec<u32> = (0..view.len()).map(|i| view.id(i)).collect();
+        let mut coords = Vec::with_capacity(view.len() * dim);
+        if view.bits() == EXACT_BITS {
+            view.for_each_point(&mut Vec::new(), |_, p| coords.extend_from_slice(p));
         } else {
             self.for_each_exact_entry(clock, idx, |entry| {
                 let (id, point) = entry?;

@@ -1,11 +1,11 @@
-//! CSV import/export for point sets.
+//! CSV export for point sets.
 //!
-//! The interchange format the `iq` CLI uses: one point per line, `f32`
-//! coordinates separated by commas. Dimensionality is inferred from the
-//! first row and enforced on the rest.
+//! The interchange format `iq generate` writes: one point per line, `f32`
+//! coordinates separated by commas. [`crate::read_vec_csv`] reads it back
+//! (plain rows are its attribute-free form).
 
 use iq_geometry::Dataset;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Writes `ds` as CSV to `path` (one row per point).
@@ -26,46 +26,10 @@ pub fn write_csv(path: &Path, ds: &Dataset) -> Result<(), String> {
     w.flush().map_err(|e| format!("flush {path:?}: {e}"))
 }
 
-/// Reads a CSV point file written by [`write_csv`] (or any compatible
-/// producer). Empty lines are skipped; ragged rows are an error.
-pub fn read_csv(path: &Path) -> Result<Dataset, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let reader = BufReader::new(file);
-    let mut ds: Option<Dataset> = None;
-    let mut row: Vec<f32> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("read {path:?}: {e}"))?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        row.clear();
-        for tok in line.split(',') {
-            let x: f32 = tok
-                .trim()
-                .parse()
-                .map_err(|_| format!("line {}: invalid coordinate `{tok}`", lineno + 1))?;
-            if !x.is_finite() {
-                return Err(format!("line {}: non-finite coordinate", lineno + 1));
-            }
-            row.push(x);
-        }
-        let ds = ds.get_or_insert_with(|| Dataset::new(row.len()));
-        if row.len() != ds.dim() {
-            return Err(format!(
-                "line {}: expected {} coordinates, got {}",
-                lineno + 1,
-                ds.dim(),
-                row.len()
-            ));
-        }
-        ds.push(&row);
-    }
-    ds.ok_or_else(|| format!("{path:?} contains no points"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read_vec_csv;
 
     fn temp_file(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("iq-data-io-{}", std::process::id()));
@@ -78,7 +42,7 @@ mod tests {
         let ds = crate::generate::uniform(5, 200, 3);
         let path = temp_file("roundtrip.csv");
         write_csv(&path, &ds).expect("write");
-        let back = read_csv(&path).expect("read");
+        let back = read_vec_csv(&path).expect("read").points;
         assert_eq!(back.dim(), 5);
         assert_eq!(back.len(), 200);
         for (a, b) in ds.iter().zip(back.iter()) {
@@ -91,7 +55,7 @@ mod tests {
     fn skips_empty_lines() {
         let path = temp_file("gaps.csv");
         std::fs::write(&path, "1,2\n\n3,4\n   \n5,6\n").expect("write");
-        let ds = read_csv(&path).expect("read");
+        let ds = read_vec_csv(&path).expect("read").points;
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.point(2), &[5.0, 6.0]);
         std::fs::remove_file(&path).expect("cleanup");
@@ -101,15 +65,12 @@ mod tests {
     fn rejects_ragged_and_garbage() {
         let path = temp_file("bad1.csv");
         std::fs::write(&path, "1,2\n3,4,5\n").expect("write");
-        assert!(read_csv(&path).expect_err("ragged").contains("expected 2"));
+        let err = |what| read_vec_csv(&path).expect_err(what).to_string();
+        assert!(err("ragged").contains("expected 2"));
         std::fs::write(&path, "1,x\n").expect("write");
-        assert!(read_csv(&path)
-            .expect_err("garbage")
-            .contains("invalid coordinate"));
+        assert!(err("garbage").contains("invalid coordinate"));
         std::fs::write(&path, "1,inf\n").expect("write");
-        assert!(read_csv(&path).expect_err("inf").contains("non-finite"));
-        std::fs::write(&path, "").expect("write");
-        assert!(read_csv(&path).expect_err("empty").contains("no points"));
+        assert!(err("inf").contains("non-finite"));
         std::fs::remove_file(&path).expect("cleanup");
     }
 }

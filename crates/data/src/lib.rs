@@ -24,5 +24,5 @@ pub use ingest::{
     read_auto, read_bvecs, read_fvecs, read_vec_csv, write_bvecs, write_fvecs, write_vec_csv,
     VectorDataset,
 };
-pub use io::{read_csv, write_csv};
+pub use io::write_csv;
 pub use workload::Workload;

@@ -11,7 +11,7 @@
 //! ([`AccessMethod::knn_opts_traced`]), skipping non-matching candidates
 //! before any refinement I/O is spent on them.
 
-use crate::{AccessMethod, QueryOptions};
+use crate::{AccessMethod, QueryOptions, QueryTrace};
 use iq_storage::SimClock;
 
 /// A precompiled predicate over point ids: one bit per id in the indexed
@@ -131,14 +131,15 @@ pub fn knn_paginated<M: AccessMethod + ?Sized>(
     filter: Option<&Filter>,
     page: &PageSpec,
 ) -> Vec<(u32, f64)> {
-    knn_paginated_opts(method, clock, q, filter, page, &QueryOptions::EXACT)
+    knn_paginated_opts(method, clock, q, filter, page, &QueryOptions::EXACT).0
 }
 
 /// [`knn_paginated`] under explicit approximation [`QueryOptions`]. The
 /// computed `page.k`-list is whatever the (possibly approximate) search
 /// returns, canonically re-ordered — so re-running the same
 /// `(q, k, filter, opts)` still yields the same list and disjoint
-/// `offset` windows still tile it without overlap or gaps.
+/// `offset` windows still tile it without overlap or gaps. Returns the
+/// page with the search's trace.
 pub fn knn_paginated_opts<M: AccessMethod + ?Sized>(
     method: &M,
     clock: &mut SimClock,
@@ -146,17 +147,19 @@ pub fn knn_paginated_opts<M: AccessMethod + ?Sized>(
     filter: Option<&Filter>,
     page: &PageSpec,
     opts: &QueryOptions,
-) -> Vec<(u32, f64)> {
-    let (mut hits, _) = method.knn_opts_traced(clock, q, page.k, filter, opts);
+) -> (Vec<(u32, f64)>, QueryTrace) {
+    let (mut hits, trace) = method.knn_opts_traced(clock, q, page.k, filter, opts);
     hits.sort_by(|a, b| {
         a.1.partial_cmp(&b.1)
             .expect("no NaN distances")
             .then(a.0.cmp(&b.0))
     });
-    hits.into_iter()
+    let hits = hits
+        .into_iter()
         .skip(page.offset)
         .take(page.limit.unwrap_or(usize::MAX))
-        .collect()
+        .collect();
+    (hits, trace)
 }
 
 #[cfg(test)]

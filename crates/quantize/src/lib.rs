@@ -31,6 +31,6 @@ pub mod table;
 pub use bits::{unpack_cells, BitReader, BitWriter};
 pub use exact_blocks::ExactBlocks;
 pub use grid::GridQuantizer;
-pub use page::{ExactPageCodec, QuantPageView, QuantizedEntry, QuantizedPageCodec, EXACT_BITS};
+pub use page::{ExactPageCodec, QuantPageView, QuantizedPageCodec, EXACT_BITS};
 pub use simd::{kernel_name, set_kernel_override, Kernel};
 pub use table::{CellMatch, DistTable, WindowTable};

@@ -57,12 +57,14 @@ proptest! {
         // the naive path exactly.
         let hint = if materialize { 1usize << 20 } else { 0 };
         let (codec, block) = encode_page(&mbr, g, &pts);
-        let decoded = codec.try_decode(&block).unwrap();
+        let decoded = codec.try_view(&block).unwrap();
         let grid = GridQuantizer::new(&mbr, g);
         let mut table = DistTable::new();
         table.build(&mbr, g, metric, &q, hint);
+        let mut cells = vec![0; DIM];
         for i in 0..decoded.len() {
-            let cells = decoded.cells(i);
+            decoded.cells_into(i, &mut cells);
+            let cells = &cells[..];
             let cell_box = grid.cell_box(cells);
             let naive_min = metric.mindist_key(&q, &cell_box);
             let naive_max = metric.maxdist(&q, &cell_box);
@@ -77,10 +79,11 @@ proptest! {
         }
     }
 
-    /// (c) The streaming decoder agrees with `DecodedQuantPage` on every
-    /// entry, for quantized and exact (g = 32) pages.
+    /// (c) The streaming decoders agree with per-entry random access on
+    /// every entry, for quantized and exact (g = 32) pages; on an exact
+    /// page the points are the cells' `f32` bit patterns.
     #[test]
-    fn prop_streaming_decoder_agrees_with_decoded_page(
+    fn prop_streaming_decoder_agrees_with_random_access(
         mbr in arb_mbr(),
         pts in arb_points(30),
         g_raw in 1u32..=17,
@@ -88,18 +91,28 @@ proptest! {
         // 17 stands in for the exact (32-bit) special case.
         let g = if g_raw == 17 { EXACT_BITS } else { g_raw };
         let (codec, block) = encode_page(&mbr, g, &pts);
-        let decoded = codec.try_decode(&block).unwrap();
         let view = codec.try_view(&block).unwrap();
-        prop_assert_eq!(view.len(), decoded.len());
-        prop_assert_eq!(view.bits(), decoded.bits());
+        prop_assert_eq!(view.len(), pts.len());
+        prop_assert_eq!(view.bits(), g);
         let mut scratch = Vec::new();
+        let mut expect = vec![0; DIM];
         let mut i = 0usize;
         view.for_each_entry(&mut scratch, |id, cells| {
-            assert_eq!(id, decoded.id(i), "entry {i}");
-            assert_eq!(cells, decoded.cells(i), "entry {i}");
+            view.cells_into(i, &mut expect);
+            assert_eq!(id, view.id(i), "entry {i}");
+            assert_eq!(cells, &expect[..], "entry {i}");
             i += 1;
         });
-        prop_assert_eq!(i, decoded.len());
+        prop_assert_eq!(i, pts.len());
+        let mut j = 0usize;
+        view.for_each_point(&mut Vec::new(), |id, p| {
+            view.cells_into(j, &mut expect);
+            assert_eq!(id, view.id(j), "point {j}");
+            assert!(p.iter().zip(&expect).all(|(x, &b)| x.to_bits() == b), "point {j}");
+            assert_eq!(p, &pts[j][..], "point {j}");
+            j += 1;
+        });
+        prop_assert_eq!(j, if g == EXACT_BITS { pts.len() } else { 0 });
     }
 
     /// Window classification over the tables reproduces the `Mbr`
@@ -117,12 +130,14 @@ proptest! {
         let win_hi: Vec<f32> = win_lo.iter().zip(&win_ext).map(|(l, e)| l + e).collect();
         let window = Mbr::from_bounds(win_lo, win_hi);
         let (codec, block) = encode_page(&mbr, g, &pts);
-        let decoded = codec.try_decode(&block).unwrap();
+        let decoded = codec.try_view(&block).unwrap();
         let grid = GridQuantizer::new(&mbr, g);
         let mut table = WindowTable::new();
         table.build(&mbr, g, &window, hint);
+        let mut cells = vec![0; DIM];
         for i in 0..decoded.len() {
-            let cells = decoded.cells(i);
+            decoded.cells_into(i, &mut cells);
+            let cells = &cells[..];
             let cell_box = grid.cell_box(cells);
             let expect = if window.contains_mbr(&cell_box) {
                 CellMatch::Inside

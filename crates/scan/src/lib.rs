@@ -13,11 +13,7 @@ use iq_engine::{
 };
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostPrediction;
-use iq_storage::{read_to_vec_retry, BlockDevice, RetryPolicy, SimClock};
-
-/// Number of blocks fetched per read while scanning (bounds buffer memory;
-/// has no effect on simulated cost because the reads stay sequential).
-const SCAN_CHUNK_BLOCKS: u64 = 256;
+use iq_storage::{sweep_records, BlockDevice, SimClock, Sweep};
 
 /// A flat file of exact points, searched by full scans.
 ///
@@ -76,96 +72,41 @@ impl SeqScan {
         self.scan_bounded(clock, f64::INFINITY, visit);
     }
 
-    /// Like [`SeqScan::scan`], stopping between chunk reads once the
-    /// clock reaches `deadline` (simulated seconds). Returns the number
-    /// of points visited, the number lost to unreadable chunks and the
-    /// number of blocks swept; with an infinite deadline the first two
-    /// always add up to the whole file.
-    ///
-    /// Each chunk read is retried ([`RetryPolicy::default`]). A chunk
-    /// that stays unreadable is skipped: ids are positional, so the
-    /// sweep resumes at the first point that starts after it, and the
-    /// points it held, including one straddling into it, are lost.
+    /// Like [`SeqScan::scan`], stopping between block reads once the
+    /// clock reaches `deadline` (simulated seconds): one
+    /// [`sweep_records`] over the file, whose records are the points.
+    /// Returns what the sweep covered; a chunk that stays unreadable loses
+    /// its points.
     fn scan_bounded(
         &self,
         clock: &mut SimClock,
         deadline: f64,
         mut visit: impl FnMut(u32, &[f32]),
-    ) -> (u64, u64, u64) {
+    ) -> Sweep {
         // The whole sweep is one filter pass over exact data; there is no
         // separate planning or refinement to attribute time to.
         clock.phase_begin(iq_obs::Phase::Filter);
-        let bs = self.dev.block_size();
-        let total_blocks = self.dev.num_blocks();
         let pb = self.dim * 4;
-        let mut carry: Vec<u8> = Vec::with_capacity(pb);
-        let mut id: u32 = 0;
-        let mut lost: u64 = 0;
-        // Bytes at the head of the next chunk that belong to a lost point.
-        let mut skip = 0usize;
         let mut coords = vec![0.0f32; self.dim];
-        let mut consume = |bytes: &[u8], id: &mut u32, carry: &mut Vec<u8>, skip: &mut usize| {
-            let mut off = (*skip).min(bytes.len());
-            *skip -= off;
-            // Finish a point straddling the previous chunk (never after a
-            // lost chunk: that drops the carry).
-            if !carry.is_empty() {
-                let need = pb - carry.len();
-                carry.extend_from_slice(&bytes[..need]);
-                off = need;
-                if (*id as usize) < self.n {
-                    decode_into(carry, &mut coords);
-                    visit(*id, &coords);
-                    *id += 1;
+        let swept = sweep_records(
+            self.dev.as_ref(),
+            clock,
+            pb,
+            self.n,
+            deadline,
+            |first, points| {
+                for (j, p) in points.chunks_exact(pb).enumerate() {
+                    for (c, x) in coords.iter_mut().zip(p.chunks_exact(4)) {
+                        *c = f32::from_le_bytes(x.try_into().expect("4 bytes"));
+                    }
+                    visit((first + j) as u32, &coords);
                 }
-                carry.clear();
-            }
-            while off + pb <= bytes.len() && (*id as usize) < self.n {
-                decode_into(&bytes[off..off + pb], &mut coords);
-                visit(*id, &coords);
-                *id += 1;
-                off += pb;
-            }
-            if (*id as usize) < self.n {
-                carry.extend_from_slice(&bytes[off..]);
-            }
-        };
-        // Under a finite deadline the sweep checks the clock after every
-        // block, not every chunk: simulated cost is identical (the reads
-        // stay sequential) but the budget resolves at block granularity.
-        let chunk = if deadline.is_finite() {
-            1
-        } else {
-            SCAN_CHUNK_BLOCKS
-        };
-        let mut block = 0u64;
-        while block < total_blocks {
-            if clock.total_time() >= deadline {
-                break;
-            }
-            let n = chunk.min(total_blocks - block);
-            match read_to_vec_retry(self.dev.as_ref(), clock, block, n, &RetryPolicy::default()) {
-                Ok(buf) => consume(&buf, &mut id, &mut carry, &mut skip),
-                Err(_) => {
-                    let end = (block + n) as usize * bs;
-                    let resume = end.div_ceil(pb).min(self.n) as u32;
-                    lost += u64::from(resume - id);
-                    id = resume;
-                    skip = (id as usize * pb).saturating_sub(end);
-                    carry.clear();
-                }
-            }
-            block += n;
-        }
-        let visited = u64::from(id) - lost;
-        // CPU cost: one distance-like evaluation per visited point.
-        clock.charge_dist_evals(self.dim, visited);
-        clock.phase_end();
-        debug_assert!(
-            block < total_blocks || id as usize == self.n,
-            "block size {bs} scan desynchronized"
+            },
         );
-        (visited, lost, block)
+        // CPU cost: one distance-like evaluation per visited point.
+        clock.charge_dist_evals(self.dim, swept.visited);
+        clock.phase_end();
+        swept
     }
 }
 
@@ -209,15 +150,15 @@ impl AccessMethod for SeqScan {
             let deadline = opts
                 .time_budget
                 .map_or(f64::INFINITY, |b| clock.total_time() + b);
-            let (visited, lost, blocks) = self.scan_bounded(clock, deadline, |id, p| {
+            let swept = self.scan_bounded(clock, deadline, |id, p| {
                 if filter.is_none_or(|f| f.matches(id)) {
                     exec.offer(metric.distance_key(p, q), id);
                 }
             });
-            exec.trace.pages_processed = blocks;
+            exec.trace.pages_processed = swept.blocks;
             exec.trace.runs = 1;
-            exec.trace.points_skipped = lost;
-            exec.skip_candidates(self.n as u64 - visited - lost);
+            exec.trace.points_skipped = swept.lost;
+            exec.skip_candidates(self.n as u64 - swept.visited - swept.lost);
             clock.phase_begin(iq_obs::Phase::TopK);
             let out = exec.into_results(metric);
             clock.phase_end();
@@ -284,13 +225,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SeqScan>();
 };
-
-#[inline]
-fn decode_into(bytes: &[u8], coords: &mut [f32]) {
-    for (c, chunk) in coords.iter_mut().zip(bytes.chunks_exact(4)) {
-        *c = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -405,5 +339,31 @@ mod tests {
         let (id, d) = scan.nearest(&mut clock, &[17.2f32; 5]).expect("non-empty");
         assert_eq!(id, 17);
         assert!(d > 0.0);
+    }
+
+    #[test]
+    fn points_larger_than_a_block_scan_under_a_time_budget() {
+        // 800-byte points in 512-byte blocks: under a time budget the
+        // sweep reads one block at a time, so a point spans up to three
+        // reads.
+        let mut ds = Dataset::new(200);
+        for i in 0..10 {
+            ds.push(&[i as f32; 200]);
+        }
+        let mut clock = SimClock::default();
+        let scan = SeqScan::build(
+            &ds,
+            Metric::Euclidean,
+            Box::new(MemDevice::new(512)),
+            &mut clock,
+        );
+        let opts = QueryOptions {
+            time_budget: Some(1e6),
+            ..QueryOptions::EXACT
+        };
+        let (hits, trace) = scan.knn_opts_traced(&mut clock, &[3.2; 200], 3, None, &opts);
+        let ids: Vec<u32> = hits.iter().map(|h| h.0).collect();
+        assert_eq!(ids, [3, 4, 2]);
+        assert_eq!(trace.pages_processed, scan.dev.num_blocks());
     }
 }

@@ -440,7 +440,7 @@ impl BlockDevice for FaultInjectingDevice {
 mod tests {
     use super::*;
     use crate::device::MemDevice;
-    use crate::retry::{read_to_vec_retry, RetryPolicy};
+    use crate::retry::read_to_vec_retry;
 
     fn filled(blocks: u64, cfg: FaultConfig) -> FaultInjectingDevice {
         let mut inner = MemDevice::new(64);
@@ -596,9 +596,8 @@ mod tests {
     fn retry_loop_recovers_everything_transient() {
         let dev = filled(128, FaultConfig::transient(42, 0.4));
         let mut clock = SimClock::default();
-        let policy = RetryPolicy::default();
         for b in 0..128u64 {
-            let got = read_to_vec_retry(&dev, &mut clock, b, 1, &policy).unwrap();
+            let got = read_to_vec_retry(&dev, &mut clock, b, 1).unwrap();
             assert_eq!(got, vec![(b % 251) as u8; 64]);
         }
         assert!(clock.stats().io_retries > 0);

@@ -10,6 +10,7 @@
 
 use crate::error::IqResult;
 use crate::model::{DiskModel, SimClock};
+use crate::retry::read_to_vec_retry;
 use crate::BlockDevice;
 
 /// A contiguous run of blocks to read in one sweep.
@@ -77,33 +78,10 @@ pub fn plan_fetch_cost(runs: &[Run], model: &DiskModel) -> f64 {
         .sum()
 }
 
-/// Buffer-limited variant (Seeger et al., VLDB '93, consider exactly this
-/// restriction): no run may exceed `max_run_blocks`, because only that much
-/// buffer memory is available for one sweep. Runs the greedy rule, then
-/// splits oversized runs; a split introduces a seek but never changes which
-/// blocks are read.
-///
-/// # Panics
-/// Panics if `max_run_blocks == 0`.
-pub fn plan_fetch_bounded(positions: &[u64], model: &DiskModel, max_run_blocks: u64) -> Vec<Run> {
-    assert!(max_run_blocks > 0, "buffer must hold at least one block");
-    let mut out = Vec::new();
-    for run in plan_fetch(positions, model) {
-        let mut start = run.start;
-        let mut remaining = run.len;
-        while remaining > 0 {
-            let len = remaining.min(max_run_blocks);
-            out.push(Run { start, len });
-            start += len;
-            remaining -= len;
-        }
-    }
-    out
-}
-
 /// Plans and executes the fetch against a device, returning for each *run*
 /// its starting block and raw bytes. Callers slice out the blocks they
-/// actually selected.
+/// actually selected. Each run's read is retried on transient faults
+/// ([`read_to_vec_retry`]); the fetch fails when one stays unreadable.
 pub fn fetch_blocks(
     dev: &dyn BlockDevice,
     clock: &mut SimClock,
@@ -112,7 +90,7 @@ pub fn fetch_blocks(
     let runs = plan_fetch(positions, clock.disk());
     runs.into_iter()
         .map(|run| {
-            let buf = dev.read_to_vec(clock, run.start, run.len)?;
+            let buf = read_to_vec_retry(dev, clock, run.start, run.len)?;
             Ok((run, buf))
         })
         .collect()
@@ -259,37 +237,6 @@ mod tests {
                 "v={v} positions={positions:?}: greedy {greedy} vs {best}"
             );
         }
-    }
-
-    #[test]
-    fn bounded_plan_respects_buffer_and_covers_everything() {
-        let m = model(0.01, 0.001);
-        let positions: Vec<u64> = (0..40).map(|i| i * 2).collect(); // one big run
-        let unbounded = plan_fetch(&positions, &m);
-        assert_eq!(unbounded.len(), 1);
-        let bounded = plan_fetch_bounded(&positions, &m, 16);
-        assert!(bounded.iter().all(|r| r.len <= 16));
-        // Coverage identical.
-        for &p in &positions {
-            assert!(bounded.iter().any(|r| r.contains(p)), "block {p}");
-        }
-        // Cost: more seeks, same transfers.
-        let c_unb = plan_fetch_cost(&unbounded, &m);
-        let c_b = plan_fetch_cost(&bounded, &m);
-        assert!(c_b > c_unb);
-        let blocks_unb: u64 = unbounded.iter().map(|r| r.len).sum();
-        let blocks_b: u64 = bounded.iter().map(|r| r.len).sum();
-        assert_eq!(blocks_unb, blocks_b);
-    }
-
-    #[test]
-    fn bounded_plan_with_huge_buffer_is_identity() {
-        let m = model(0.01, 0.001);
-        let positions = [3u64, 4, 5, 100];
-        assert_eq!(
-            plan_fetch_bounded(&positions, &m, 1_000_000),
-            plan_fetch(&positions, &m)
-        );
     }
 
     #[test]

@@ -32,14 +32,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            base_backoff: 0.0,
-        }
-    }
-
     /// Runs `op` up to `max_attempts` times, retrying only transient
     /// errors, charging backoff to `clock` before each retry.
     pub fn run<T>(
@@ -69,27 +61,16 @@ impl RetryPolicy {
     }
 }
 
-/// [`BlockDevice::read_blocks`] with transient-fault retries.
-pub fn read_blocks_retry(
-    dev: &dyn BlockDevice,
-    clock: &mut SimClock,
-    start: u64,
-    buf: &mut [u8],
-    policy: &RetryPolicy,
-) -> IqResult<()> {
-    policy.run(clock, |clock| dev.read_blocks(clock, start, buf))
-}
-
-/// [`BlockDevice::read_to_vec`] with transient-fault retries.
+/// [`BlockDevice::read_to_vec`] with transient-fault retries under
+/// [`RetryPolicy::default`]: the one read retry policy of every engine.
 pub fn read_to_vec_retry(
     dev: &dyn BlockDevice,
     clock: &mut SimClock,
     start: u64,
     n: u64,
-    policy: &RetryPolicy,
 ) -> IqResult<Vec<u8>> {
     let mut buf = vec![0u8; (n as usize) * dev.block_size()];
-    read_blocks_retry(dev, clock, start, &mut buf, policy)?;
+    RetryPolicy::default().run(clock, |clock| dev.read_blocks(clock, start, &mut buf))?;
     Ok(buf)
 }
 
@@ -168,10 +149,14 @@ mod tests {
     }
 
     #[test]
-    fn none_policy_tries_once() {
+    fn a_single_attempt_never_retries() {
         let mut clock = SimClock::default();
         let mut calls = 0;
-        let _ = RetryPolicy::none().run::<()>(&mut clock, |_| {
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            base_backoff: 0.0,
+        };
+        let _ = policy.run::<()>(&mut clock, |_| {
             calls += 1;
             Err(transient(0))
         });

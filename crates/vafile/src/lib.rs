@@ -22,13 +22,11 @@ use iq_engine::{
 };
 use iq_geometry::{Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
+use iq_quantize::simd::unpack_block;
 use iq_quantize::{
     BitWriter, CellMatch, DistTable, ExactBlocks, ExactPageCodec, GridQuantizer, WindowTable,
 };
-use iq_storage::{read_to_vec_retry, BlockDevice, DiskModel, RetryPolicy, SimClock};
-
-/// Blocks fetched per sequential read during the filter scan.
-const SCAN_CHUNK_BLOCKS: u64 = 256;
+use iq_storage::{read_to_vec_retry, sweep_records, BlockDevice, DiskModel, SimClock};
 
 /// Predicts the average NN query cost of a VA-file at `bits` per
 /// dimension, using the IQ-tree's cost model (the data space plays the
@@ -189,18 +187,13 @@ impl VaFile {
         t
     }
 
-    /// The approximation-file sweep every query shares: one sequential
-    /// read of the file in chunks of [`SCAN_CHUNK_BLOCKS`], each chunk's
-    /// whole entries unpacked in one SIMD pass and handed to
-    /// `visit(first_id, cells)` (`dim` cell numbers per entry, for points
-    /// `first_id..`). Charges `evals_per_point` distance evaluations for
-    /// every point visited and returns the number of points lost.
-    ///
-    /// Each chunk read is retried ([`RetryPolicy::default`]). A chunk
-    /// that stays unreadable is skipped as the sequential scan skips
-    /// one: ids are positional, so the sweep resumes at the first entry
-    /// that starts after the chunk, and the entries it held, including
-    /// one straddling into it, are lost and never visited.
+    /// The approximation-file sweep every query shares: one
+    /// [`sweep_records`] over the file, each batch of whole entries
+    /// unpacked in one SIMD pass and handed to `visit(first_id, cells)`
+    /// (`dim` cell numbers per entry, for points `first_id..`). Charges
+    /// `evals_per_point` distance evaluations for every point visited and
+    /// returns the number of points lost to a chunk that stayed
+    /// unreadable; those are never visited.
     fn sweep(
         &self,
         clock: &mut SimClock,
@@ -208,56 +201,22 @@ impl VaFile {
         mut visit: impl FnMut(usize, &[u32]),
     ) -> usize {
         let entry = self.entry_bytes;
-        let bs = self.approx.block_size();
-        let total_blocks = self.approx.num_blocks();
-        let mut processed = 0usize;
-        let mut lost = 0usize;
-        // Bytes at the head of the next chunk that belong to a lost entry.
-        let mut skip = 0usize;
-        let mut carry: Vec<u8> = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
-        let mut block = 0u64;
-        while block < total_blocks && processed < self.n {
-            let nb = SCAN_CHUNK_BLOCKS.min(total_blocks - block);
-            let read = read_to_vec_retry(
-                self.approx.as_ref(),
-                clock,
-                block,
-                nb,
-                &RetryPolicy::default(),
-            );
-            block += nb;
-            let Ok(chunk) = read else {
-                let end = block as usize * bs;
-                let resume = end.div_ceil(entry).min(self.n);
-                lost += resume - processed;
-                processed = resume;
-                skip = (resume * entry).saturating_sub(end);
-                carry.clear();
-                continue;
-            };
-            let off = skip.min(chunk.len());
-            skip -= off;
-            carry.extend_from_slice(&chunk[off..]);
-            let avail = (carry.len() / entry).min(self.n - processed);
-            if avail > 0 {
+        let swept = sweep_records(
+            self.approx.as_ref(),
+            clock,
+            entry,
+            self.n,
+            f64::INFINITY,
+            |first, entries| {
                 cells.clear();
-                cells.resize(avail * self.dim, 0);
-                iq_quantize::simd::unpack_block(
-                    &carry[..avail * entry],
-                    entry,
-                    0,
-                    self.bits,
-                    self.dim,
-                    &mut cells,
-                );
-                visit(processed, &cells);
-                carry.drain(..avail * entry);
-                processed += avail;
-            }
-        }
-        clock.charge_dist_evals(self.dim, evals_per_point * (self.n - lost) as u64);
-        lost
+                cells.resize(entries.len() / entry * self.dim, 0);
+                unpack_block(entries, entry, 0, self.bits, self.dim, &mut cells);
+                visit(first, &cells);
+            },
+        );
+        clock.charge_dist_evals(self.dim, evals_per_point * swept.visited);
+        swept.lost as usize
     }
 
     /// Phase 1: scans the approximation file and produces per-point lower
@@ -317,15 +276,7 @@ impl VaFile {
         i: usize,
         out: &mut [f32],
     ) -> bool {
-        let read = |first, n| {
-            read_to_vec_retry(
-                self.exact.as_ref(),
-                clock,
-                first,
-                n,
-                &RetryPolicy::default(),
-            )
-        };
+        let read = |first, n| read_to_vec_retry(self.exact.as_ref(), clock, first, n);
         let ok = blocks.entry_into(&self.codec, 0, i, out, read).is_ok();
         if ok {
             clock.charge_dist_evals(self.dim, 1);

@@ -1,18 +1,17 @@
-//! On-disk representation of X-tree directory nodes and data pages.
+//! On-disk representation of X-tree directory nodes.
 //!
-//! A directory node and a data page each occupy one block; a data page
-//! stores exact points with their ids.
-//!
-//! Node layout (little endian):
+//! A directory node occupies one block. Layout (little endian):
 //! `u16 count | u8 leaf_children | u8 pad | count × (u32 child | 2d × f32 mbr)`
 //!
-//! Data page layout:
-//! `u16 count | u16 pad | count × (u32 id | d × f32 coords)`
+//! A data page is not defined here: it is the IQ-tree's exact page, a
+//! [`iq_quantize::QuantizedPageCodec`] page at `g = 32`
+//! ([`iq_quantize::EXACT_BITS`]), one block holding
+//! `u16 count | u8 32 | u8 0 | count × (u32 id | d × f32 coords)`.
 
 use iq_geometry::Mbr;
 
-/// Header bytes shared by nodes and data pages.
-pub const HEADER_BYTES: usize = 4;
+/// Header bytes of a node.
+const HEADER_BYTES: usize = 4;
 
 /// One directory entry: a child reference and its MBR.
 #[derive(Clone, Debug)]
@@ -82,122 +81,39 @@ impl Node {
         out
     }
 
-    /// Deserializes a node.
-    pub fn decode(bytes: &[u8], dim: usize) -> Self {
+    /// Deserializes a node, or `None` when the block does not hold one:
+    /// it is too short for a header, claims more entries than it can hold,
+    /// or has an entry whose bounds are out of order (a forged or corrupt
+    /// block; the X-tree's devices have no checksum layer).
+    pub fn decode(bytes: &[u8], dim: usize) -> Option<Self> {
+        if bytes.len() < HEADER_BYTES {
+            return None;
+        }
         let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        let leaf_children = bytes[2] != 0;
+        if count > Self::capacity(dim, bytes.len()) {
+            return None;
+        }
+        let f32s = |b: &[u8]| -> Vec<f32> {
+            b.chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
+                .collect()
+        };
         let eb = Self::entry_bytes(dim);
         let mut entries = Vec::with_capacity(count);
-        for e in 0..count {
-            let off = HEADER_BYTES + e * eb;
-            let child = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"));
-            let f32_at = |k: usize| {
-                f32::from_le_bytes(
-                    bytes[off + 4 + 4 * k..off + 8 + 4 * k]
-                        .try_into()
-                        .expect("4 bytes"),
-                )
-            };
-            let lb: Vec<f32> = (0..dim).map(&f32_at).collect();
-            let ub: Vec<f32> = (dim..2 * dim).map(&f32_at).collect();
+        for e in bytes[HEADER_BYTES..HEADER_BYTES + count * eb].chunks_exact(eb) {
+            let (lb, ub) = (f32s(&e[4..4 + 4 * dim]), f32s(&e[4 + 4 * dim..]));
+            if !lb.iter().zip(&ub).all(|(l, u)| l <= u) {
+                return None;
+            }
             entries.push(DirEntry {
-                child,
+                child: u32::from_le_bytes(e[..4].try_into().expect("4 bytes")),
                 mbr: Mbr::from_bounds(lb, ub),
             });
         }
-        Self {
-            leaf_children,
+        Some(Self {
+            leaf_children: bytes[2] != 0,
             entries,
-        }
-    }
-}
-
-/// A decoded data page: ids plus flat row-major coordinates.
-#[derive(Clone, Debug, Default)]
-pub struct DataPage {
-    /// Point ids.
-    pub ids: Vec<u32>,
-    /// Flat `len × dim` coordinates.
-    pub coords: Vec<f32>,
-}
-
-impl DataPage {
-    /// Bytes one point occupies for dimension `dim`.
-    pub fn entry_bytes(dim: usize) -> usize {
-        4 + 4 * dim
-    }
-
-    /// Point capacity of one block.
-    pub fn capacity(dim: usize, block_size: usize) -> usize {
-        (block_size - HEADER_BYTES) / Self::entry_bytes(dim)
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// Whether the page is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Coordinates of point `i`.
-    pub fn point(&self, i: usize, dim: usize) -> &[f32] {
-        &self.coords[i * dim..(i + 1) * dim]
-    }
-
-    /// The tight MBR of the page's points.
-    ///
-    /// # Panics
-    /// Panics if the page is empty.
-    pub fn mbr(&self, dim: usize) -> Mbr {
-        assert!(!self.is_empty(), "empty data page has no MBR");
-        Mbr::of_points(dim, self.coords.chunks_exact(dim))
-    }
-
-    /// Serializes to one block.
-    ///
-    /// # Panics
-    /// Panics on overflow.
-    pub fn encode(&self, dim: usize, block_size: usize) -> Vec<u8> {
-        assert!(
-            self.len() <= Self::capacity(dim, block_size),
-            "data page overflow"
-        );
-        let mut out = Vec::with_capacity(block_size);
-        out.extend_from_slice(&(self.len() as u16).to_le_bytes());
-        out.extend_from_slice(&[0, 0]);
-        for (i, &id) in self.ids.iter().enumerate() {
-            out.extend_from_slice(&id.to_le_bytes());
-            for &x in self.point(i, dim) {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        out.resize(block_size, 0);
-        out
-    }
-
-    /// Deserializes one block.
-    pub fn decode(bytes: &[u8], dim: usize) -> Self {
-        let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        let eb = Self::entry_bytes(dim);
-        let mut ids = Vec::with_capacity(count);
-        let mut coords = Vec::with_capacity(count * dim);
-        for e in 0..count {
-            let off = HEADER_BYTES + e * eb;
-            ids.push(u32::from_le_bytes(
-                bytes[off..off + 4].try_into().expect("4 bytes"),
-            ));
-            for k in 0..dim {
-                coords.push(f32::from_le_bytes(
-                    bytes[off + 4 + 4 * k..off + 8 + 4 * k]
-                        .try_into()
-                        .expect("4 bytes"),
-                ));
-            }
-        }
-        Self { ids, coords }
+        })
     }
 }
 
@@ -223,11 +139,37 @@ mod tests {
         };
         let bytes = node.encode(dim, 512);
         assert_eq!(bytes.len(), 512);
-        let back = Node::decode(&bytes, dim);
+        let back = Node::decode(&bytes, dim).expect("valid node");
         assert_eq!(back.entries.len(), 2);
         assert!(back.leaf_children);
         assert_eq!(back.entries[0].child, 5);
         assert_eq!(back.entries[1].mbr, node.entries[1].mbr);
+    }
+
+    #[test]
+    fn forged_nodes_do_not_decode() {
+        let dim = 2;
+        let node = Node {
+            leaf_children: true,
+            entries: vec![DirEntry {
+                child: 1,
+                mbr: Mbr::from_bounds(vec![0.0, 0.0], vec![1.0, 1.0]),
+            }],
+        };
+        let bytes = node.encode(dim, 128);
+        assert!(Node::decode(&bytes[..3], dim).is_none(), "no header");
+        let mut forged = bytes.clone();
+        forged[..2].copy_from_slice(&0xFFFFu16.to_le_bytes());
+        assert!(Node::decode(&forged, dim).is_none(), "count past capacity");
+        let mut forged = bytes.clone();
+        forged[8..12].copy_from_slice(&2.0f32.to_le_bytes());
+        assert!(
+            Node::decode(&forged, dim).is_none(),
+            "lower bound above upper"
+        );
+        let mut forged = bytes;
+        forged[8..12].copy_from_slice(&f32::NAN.to_le_bytes());
+        assert!(Node::decode(&forged, dim).is_none(), "NaN bound");
     }
 
     #[test]
@@ -251,26 +193,8 @@ mod tests {
     }
 
     #[test]
-    fn data_page_roundtrip() {
-        let dim = 4;
-        let dp = DataPage {
-            ids: vec![10, 20],
-            coords: vec![1., 2., 3., 4., 5., 6., 7., 8.],
-        };
-        let bytes = dp.encode(dim, 256);
-        let back = DataPage::decode(&bytes, dim);
-        assert_eq!(back.ids, dp.ids);
-        assert_eq!(back.point(1, dim), &[5., 6., 7., 8.]);
-        assert_eq!(
-            back.mbr(dim),
-            Mbr::from_bounds(vec![1., 2., 3., 4.], vec![5., 6., 7., 8.])
-        );
-    }
-
-    #[test]
     fn capacities_are_sane() {
-        // d = 16, 8 KiB: data pages hold 120 points, nodes 62 entries.
-        assert_eq!(DataPage::capacity(16, 8192), 120);
+        // d = 16, 8 KiB: nodes hold 62 entries.
         assert_eq!(Node::capacity(16, 8192), 62);
     }
 

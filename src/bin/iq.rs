@@ -20,7 +20,9 @@
 //! the crate docs).
 
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_paginated, AccessMethod, Filter, PageSpec, QueryOptions};
+use iqtree_repro::engine::{
+    knn_paginated, knn_paginated_opts, AccessMethod, Filter, PageSpec, QueryOptions,
+};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, FileDevice, FileWal, MemDevice, MmapFileDevice, SimClock,
@@ -225,6 +227,18 @@ fn parse_point(s: &str) -> Result<Vec<f32>, String> {
             _ => Err(format!("non-finite coordinate: `{}`", t.trim())),
         })
         .collect()
+}
+
+/// The one dimension check of the query commands: `what` names the query
+/// side of the message ("point has", "queries have").
+fn check_dim(what: &str, got: usize, eng: &dyn AccessMethod) -> Result<(), String> {
+    if got == eng.dim() {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} {got} coordinates, index is {}-d",
+        eng.dim()
+    ))
 }
 
 /// Reads a vector file of any supported format (by extension), attribute
@@ -594,13 +608,7 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let page = parse_page(opts)?;
     let qopts = parse_query_opts(opts)?;
     let (eng, mut clock) = open_engine(opts)?;
-    if point.len() != eng.dim() {
-        return Err(format!(
-            "point has {} coordinates, index is {}-d",
-            point.len(),
-            eng.dim()
-        ));
-    }
+    check_dim("point has", point.len(), eng.as_ref())?;
     let filter = opts
         .get("filter")
         .map(|expr| build_filter(expr, opts, eng.len()))
@@ -613,21 +621,14 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
         clock.enable_tracing();
     }
     let (hits, trace) = if paged {
-        // Filtered/paginated path: trace the search, then slice the
-        // canonically ordered list exactly as `knn_paginated_opts` does.
-        let (mut all, trace) =
-            eng.knn_opts_traced(&mut clock, &point, page.k, filter.as_ref(), &qopts);
-        all.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .expect("no NaN distances")
-                .then(a.0.cmp(&b.0))
-        });
-        let hits: Vec<(u32, f64)> = all
-            .into_iter()
-            .skip(page.offset)
-            .take(page.limit.unwrap_or(usize::MAX))
-            .collect();
-        (hits, trace)
+        knn_paginated_opts(
+            eng.as_ref(),
+            &mut clock,
+            &point,
+            filter.as_ref(),
+            &page,
+            &qopts,
+        )
     } else {
         eng.knn_opts_traced(&mut clock, &point, page.k, None, &qopts)
     };
@@ -840,13 +841,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
             parse_point(req(opts, "point").map_err(|_| {
                 "--analyze runs the query and needs --point <x,y,...>".to_string()
             })?)?;
-        if point.len() != eng.dim() {
-            return Err(format!(
-                "point has {} coordinates, index is {}-d",
-                point.len(),
-                eng.dim()
-            ));
-        }
+        check_dim("point has", point.len(), eng.as_ref())?;
         clock.enable_tracing();
         let (_, trace) = eng.knn_opts_traced(&mut clock, &point, k, filter.as_ref(), &qopts);
         Some(trace)
@@ -989,13 +984,7 @@ fn cmd_range(opts: &HashMap<String, String>) -> Result<(), String> {
     let point = parse_point(req(opts, "point")?)?;
     let radius: f64 = parse_num(req(opts, "radius")?, "--radius")?;
     let (eng, mut clock) = open_engine(opts)?;
-    if point.len() != eng.dim() {
-        return Err(format!(
-            "point has {} coordinates, index is {}-d",
-            point.len(),
-            eng.dim()
-        ));
-    }
+    check_dim("point has", point.len(), eng.as_ref())?;
     let mut hits = eng.range(&mut clock, &point, radius);
     hits.sort_unstable();
     outln!("{} point(s) within {radius}", hits.len());
@@ -1027,13 +1016,7 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_or(Ok(1), |s| parse_num(s, "--threads"))?;
     let (eng, mut clock) = open_engine(opts)?;
     let qs = load_vectors(qfile)?.points;
-    if qs.dim() != eng.dim() {
-        return Err(format!(
-            "queries have {} coordinates, index is {}-d",
-            qs.dim(),
-            eng.dim()
-        ));
-    }
+    check_dim("queries have", qs.dim(), eng.as_ref())?;
     let filter = opts
         .get("filter")
         .map(|expr| build_filter(expr, opts, eng.len()))
@@ -1041,42 +1024,34 @@ fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
     let queries: Vec<Vec<f32>> = qs.iter().map(<[f32]>::to_vec).collect();
     let mut agg = iqtree_repro::engine::QueryTrace::default();
     let started = Instant::now();
-    let results: Vec<Vec<(u32, f64)>> =
-        if filter.is_some() || page.offset > 0 || page.limit.is_some() {
-            // Filtered/paginated workloads run serially: costs accumulate on
-            // the one clock exactly as the batch executor's fold would, and
-            // the canonically ordered list is sliced as `knn_paginated_opts`
-            // does (traced here so the approximate summary still reports).
-            queries
-                .iter()
-                .map(|q| {
-                    let (mut all, t) =
-                        eng.knn_opts_traced(&mut clock, q, page.k, filter.as_ref(), &qopts);
-                    agg.merge(&t);
-                    all.sort_by(|a, b| {
-                        a.1.partial_cmp(&b.1)
-                            .expect("no NaN distances")
-                            .then(a.0.cmp(&b.0))
-                    });
-                    all.into_iter()
-                        .skip(page.offset)
-                        .take(page.limit.unwrap_or(usize::MAX))
-                        .collect()
-                })
-                .collect()
-        } else {
-            let (traced, batch_agg) = iqtree_repro::engine::knn_batch_opts_traced(
-                eng.as_ref(),
-                &mut clock,
-                &queries,
-                k,
-                threads,
-                filter.as_ref(),
-                &qopts,
-            );
-            agg = batch_agg;
-            traced.into_iter().map(|(res, _)| res).collect()
-        };
+    let results: Vec<Vec<(u32, f64)>> = if filter.is_some()
+        || page.offset > 0
+        || page.limit.is_some()
+    {
+        // Filtered/paginated workloads run serially: costs accumulate on
+        // the one clock exactly as the batch executor's fold would.
+        queries
+            .iter()
+            .map(|q| {
+                let (hits, t) =
+                    knn_paginated_opts(eng.as_ref(), &mut clock, q, filter.as_ref(), &page, &qopts);
+                agg.merge(&t);
+                hits
+            })
+            .collect()
+    } else {
+        let (traced, batch_agg) = iqtree_repro::engine::knn_batch_opts_traced(
+            eng.as_ref(),
+            &mut clock,
+            &queries,
+            k,
+            threads,
+            filter.as_ref(),
+            &qopts,
+        );
+        agg = batch_agg;
+        traced.into_iter().map(|(res, _)| res).collect()
+    };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     for (i, hits) in results.iter().enumerate() {
         let row: Vec<String> = hits

@@ -247,7 +247,8 @@ fn pagination_tiles_under_approximate_options() {
     };
     let k = 20usize;
     for q in queries.iter().take(3) {
-        let full = knn_paginated_opts(eng.as_ref(), &mut clock, q, None, &PageSpec::top(k), &opts);
+        let (full, _) =
+            knn_paginated_opts(eng.as_ref(), &mut clock, q, None, &PageSpec::top(k), &opts);
         let mut tiled = Vec::new();
         let step = 5usize;
         for offset in (0..k).step_by(step) {
@@ -256,14 +257,8 @@ fn pagination_tiles_under_approximate_options() {
                 offset,
                 limit: Some(step),
             };
-            tiled.extend(knn_paginated_opts(
-                eng.as_ref(),
-                &mut clock,
-                q,
-                None,
-                &page,
-                &opts,
-            ));
+            let (hits, _) = knn_paginated_opts(eng.as_ref(), &mut clock, q, None, &page, &opts);
+            tiled.extend(hits);
         }
         assert_eq!(tiled, full, "offset windows must tile the full list");
     }
