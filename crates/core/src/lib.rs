@@ -33,8 +33,10 @@ use build::{optimize_partitions, OptimizeTrace, SolutionPage};
 pub use durability::RecoveryReport;
 use iq_cost::{DirectoryParams, RefineParams};
 use iq_geometry::{bulk_partition, Dataset, Mbr, Metric};
-use iq_quantize::{ExactBlocks, ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
-use iq_storage::{read_to_vec_retry, BlockDevice, DeviceStack, IqError, IqResult, SimClock};
+use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
+use iq_storage::{
+    read_to_vec_retry, BlockBuffer, BlockDevice, DeviceStack, IqError, IqResult, SimClock,
+};
 use iq_wal::{Level, WalRecord};
 
 /// Construction and search options.
@@ -756,20 +758,21 @@ impl IqTree {
     pub(crate) fn read_exact_entry(
         &self,
         clock: &mut SimClock,
-        exact: &mut ExactBlocks,
+        exact: &mut BlockBuffer,
         page_idx: usize,
         slot: usize,
         coords: &mut [f32],
     ) -> IqResult<u32> {
         let meta = &self.pages[page_idx];
         debug_assert!(meta.g < EXACT_BITS, "exact pages are never refined");
-        exact.entry_into(
-            &self.exact_codec,
-            meta.exact_start,
-            slot,
-            coords,
+        let (first, _, off) = self.exact_codec.entry_span(slot, self.block_size());
+        let bytes = exact.span(
+            meta.exact_start + first,
+            off,
+            self.exact_codec.entry_bytes(),
             |first, n| read_to_vec_retry(self.exact.as_ref(), clock, first, n),
-        )
+        )?;
+        self.exact_codec.try_decode_entry_into(bytes, coords)
     }
 
     /// The one decoder of a page's exact (level-3) region, shared by the

@@ -22,11 +22,11 @@
 //!
 //! U bounds pages too. Every approximation of a page whose MINDIST exceeds
 //! U would be set aside, so a planned run holds such a member undecoded:
-//! its probe is spent and its slice of the run is kept, and it returns to
-//! the list at its MINDIST, to be decoded from those bytes should it ever
-//! pop. By the same argument it pops only when a witness of U failed to
-//! settle. Its access probability (eq 2) is 0, so the plan neither prices
-//! it nor extends a run over it for its sake.
+//! its probe is spent, its block stays in the query's level-2 buffer, and
+//! it returns to the list at its MINDIST, to be decoded from the buffer
+//! should it ever pop. By the same argument it pops only when a witness
+//! of U failed to settle. Its access probability (eq 2) is 0, so the plan
+//! neither prices it nor extends a run over it for its sake.
 //!
 //! When the pivot is a page and scheduled I/O is enabled, the cumulated-
 //! cost-balance algorithm of Section 2.1 extends the read around the pivot
@@ -43,8 +43,8 @@ use iq_engine::{
 };
 use iq_geometry::{Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
-use iq_quantize::{CellMatch, DistTable, ExactBlocks, QuantPageView, WindowTable, EXACT_BITS};
-use iq_storage::{fetch, read_to_vec_retry, SimClock};
+use iq_quantize::{CellMatch, DistTable, QuantPageView, WindowTable, EXACT_BITS};
+use iq_storage::{fetch, read_to_vec_retry, BlockBuffer, SimClock};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -60,9 +60,8 @@ enum Item {
     Spill,
     /// A quantized data page (by index).
     Page(u32),
-    /// A run member held undecoded past U: `(page, run)`, where `run`
-    /// indexes the kept run buffers (`None` when the ranged read failed).
-    Held(u32, Option<u32>),
+    /// A run member held undecoded past U (by page index).
+    Held(u32),
     /// A point approximation: `(page, slot, id)` — refined when popped.
     Point(u32, u32, u32),
 }
@@ -76,10 +75,8 @@ struct SearchState<'f> {
     /// result set or the priority list, so the pruning bound (and with it
     /// MINDIST page pruning) derives only from matching points.
     filter: Option<&'f Filter>,
-    /// The micro-batch's level-2 blocks, when the query runs inside one.
-    quant: Option<&'f mut HashMap<u32, Vec<u8>>>,
-    /// The exact blocks this query — or its micro-batch — has read.
-    exact: &'f mut ExactBlocks,
+    /// The blocks this query — or its micro-batch — has read.
+    reads: &'f mut QueryReads,
     /// MINDIST key of every page.
     page_key: Vec<f64>,
     /// Page indices sorted by ascending MINDIST key (priority order);
@@ -121,8 +118,6 @@ struct SearchState<'f> {
     /// Whether `nprobes` caps the query: the plan then prices pages past
     /// U as it would any other.
     capped: bool,
-    /// Run buffers with held members, as `(first page, bytes)`.
-    held_runs: Vec<(usize, Vec<u8>)>,
     /// Pages decoded (or recovered from their exact region), held past U,
     /// and decoded after all when their held item popped.
     decoded: u64,
@@ -130,20 +125,32 @@ struct SearchState<'f> {
     unheld: u64,
 }
 
-/// The reads one micro-batch shares ([`IqTree::knn_multi_opts_traced`]).
-/// Every query still runs the single-query walk on its own clock — its
-/// own MINDIST evaluations, pivot rule, knobs and trace — but a block an
-/// earlier query of the batch has read comes from memory, not the device.
-/// Only reads that succeeded are kept, so under faults each query
-/// degrades exactly as it would alone. The buffer lives for one call, so
-/// it holds at most what one micro-batch's queries read.
-struct SharedReads {
-    /// Whether a query of the batch has swept the directory.
+/// The blocks a query has read: its own when it runs alone, its
+/// micro-batch's ([`IqTree::knn_multi_opts_traced`]) when it runs inside
+/// one. A batched query still runs the single-query walk on its own clock
+/// — its own MINDIST evaluations, pivot rule, knobs and trace — but a
+/// block an earlier query of the batch has read comes from memory, not
+/// the device. Only reads that succeeded are kept, and a level-2 block
+/// read alone only once it validates, so under faults each query degrades
+/// exactly as it would alone. The buffers live for one call, so they hold
+/// at most what one query or micro-batch read.
+struct QueryReads {
+    /// Whether a query has swept the directory.
     directory: bool,
-    /// Level-2 blocks that read and validated, by page.
-    quant: HashMap<u32, Vec<u8>>,
-    /// Exact blocks read by refinements: the batch's one exact buffer.
-    exact: ExactBlocks,
+    /// Level-2 blocks: the planned runs, and single blocks that validated.
+    quant: BlockBuffer,
+    /// Exact blocks read by refinements.
+    exact: BlockBuffer,
+}
+
+impl QueryReads {
+    fn new(block_size: usize) -> Self {
+        Self {
+            directory: false,
+            quant: BlockBuffer::new(block_size),
+            exact: BlockBuffer::new(block_size),
+        }
+    }
 }
 
 impl IqTree {
@@ -157,12 +164,12 @@ impl IqTree {
     /// `nprobes` caps the number of quantized data pages decoded and
     /// `refine_factor` caps exact-point look-ups at `k × refine_factor`.
     ///
-    /// Every refinement reads through one exact-block buffer, so the query
-    /// reads each exact block at most once: its own buffer when it runs
-    /// alone, the batch's when it runs inside a micro-batch. There,
-    /// `shared` also serves the level-2 blocks and the directory sweep of
-    /// earlier queries, and pages load one at a time: the Section 2.1 run
-    /// extension is planned for lone queries only.
+    /// Every level-2 and exact read goes through one [`QueryReads`], so
+    /// the query reads each block at most once: its own buffers when it
+    /// runs alone, the batch's (`shared`) when it runs inside a
+    /// micro-batch. There the directory sweep and the blocks of earlier
+    /// queries serve it too, and pages load one at a time: the Section 2.1
+    /// run extension is planned for lone queries only.
     ///
     /// Runs behind [`knn_query`], which has already checked `q` and
     /// answered trivial queries.
@@ -173,7 +180,7 @@ impl IqTree {
         k: usize,
         filter: Option<&Filter>,
         opts: &QueryOptions,
-        shared: Option<&mut SharedReads>,
+        shared: Option<&mut QueryReads>,
     ) -> (Vec<(u32, f64)>, QueryTrace) {
         // Partial refinement (`refine_factor >= 2`): the quantized phase
         // ranks candidates by their cell lower bound alone — no per-pivot
@@ -186,31 +193,25 @@ impl IqTree {
         } else {
             k
         };
-        let plan_runs = self.options().scheduled_io && shared.is_none();
         let mut exec = Executor::new(self.metric(), budget, opts, clock);
         let mut deferred: HashMap<u32, (u32, u32)> = HashMap::new();
-        let mut own_exact;
-        let (read_dir, quant, exact) = match shared {
-            Some(s) => (
-                !std::mem::replace(&mut s.directory, true),
-                Some(&mut s.quant),
-                &mut s.exact,
-            ),
+        let mut own;
+        let (plan_runs, reads) = match shared {
+            Some(s) => (false, s),
             None => {
-                own_exact = ExactBlocks::new(self.block_size());
-                (true, None, &mut own_exact)
+                own = QueryReads::new(self.block_size());
+                (self.options().scheduled_io, &mut own)
             }
         };
         clock.phase_begin(Phase::Directory);
-        self.charge_directory_scan(clock, read_dir);
+        self.charge_directory_scan(clock, !std::mem::replace(&mut reads.directory, true));
 
         clock.phase_begin(Phase::Plan);
         let metric = self.metric();
         let n_pages = self.pages().len();
         let mut st = SearchState {
             filter,
-            quant,
-            exact,
+            reads,
             page_key: Vec::with_capacity(n_pages),
             order: Vec::new(),
             rank: Vec::new(),
@@ -227,7 +228,6 @@ impl IqTree {
             spill_min: f64::INFINITY,
             merged: 0,
             capped: opts.nprobes.is_some_and(|m| m != u64::MAX),
-            held_runs: Vec::new(),
             decoded: 0,
             held: 0,
             unheld: 0,
@@ -298,22 +298,13 @@ impl IqTree {
                             self.process_single_page(clock, q, p, &mut st, exec, heap);
                         }
                     }
-                    Item::Held(p, run) => {
+                    Item::Held(p) => {
                         // Popped only when a witness of U did not settle
                         // (a refinement failed). The page's probe is spent
                         // and it was counted when held; decode it from the
-                        // kept run, or through the single-block ladder.
+                        // buffered run, or through the single-block ladder.
                         st.unheld += 1;
-                        let (p, bs) = (p as usize, self.block_size());
-                        let kept = run.map(|r| std::mem::take(&mut st.held_runs[r as usize]));
-                        let planned = kept.as_ref().map(|(first, b)| &b[(p - first) * bs..][..bs]);
-                        if planned.is_none() {
-                            exec.trace.runs += 1;
-                        }
-                        self.consume_page(clock, q, p, planned, &mut st, exec, heap);
-                        if let (Some(r), Some(kept)) = (run, kept) {
-                            st.held_runs[r as usize] = kept;
-                        }
+                        self.consume_page(clock, q, p as usize, &mut st, exec, heap);
                     }
                     Item::Point(page, slot, id) => {
                         if partial {
@@ -371,10 +362,11 @@ impl IqTree {
                 None => rerank.push((id, d)),
             }
         }
-        let unreadable = self.refine_batch_with(clock, st.exact, &batch, |id, coords| {
-            let d = metric.key_to_distance(metric.distance_key(coords, q));
-            rerank.push((id, d));
-        });
+        let unreadable =
+            self.refine_batch_with(clock, &mut st.reads.exact, &batch, |id, coords| {
+                let d = metric.key_to_distance(metric.distance_key(coords, q));
+                rerank.push((id, d));
+            });
         trace.refinements += batch.len() as u64 - unreadable;
         trace.points_skipped += unreadable;
         clock.phase_begin(Phase::TopK);
@@ -391,7 +383,7 @@ impl IqTree {
     /// Loads exactly one page (the "standard NN search" ablation, and
     /// every page load inside a micro-batch). Each page read consumes one
     /// unit of the `nprobes` budget; once spent, the page is scheduled
-    /// away unread. A page served from the micro-batch buffer is no run.
+    /// away unread.
     fn process_single_page(
         &self,
         clock: &mut SimClock,
@@ -405,14 +397,7 @@ impl IqTree {
         if !exec.try_probe() {
             return;
         }
-        if st
-            .quant
-            .as_deref()
-            .is_none_or(|quant| !quant.contains_key(&(p as u32)))
-        {
-            exec.trace.runs += 1;
-        }
-        if self.consume_page(clock, q, p, None, st, exec, heap) {
+        if self.consume_page(clock, q, p, st, exec, heap) {
             exec.trace.pages_processed += 1;
         }
     }
@@ -420,9 +405,9 @@ impl IqTree {
     /// The time-optimized strategy: extend the read around the pivot while
     /// the cumulated cost balance stays favorable (Section 2.1), then load
     /// the whole sequence in one sweep and process every unprocessed page
-    /// in it. A member whose MINDIST exceeds U spends its probe but is
-    /// held undecoded: the run buffer is kept, and the page returns to the
-    /// priority list at its MINDIST.
+    /// in it. The run stays in the query's level-2 buffer. A member whose
+    /// MINDIST exceeds U spends its probe but is held undecoded: the page
+    /// returns to the priority list at its MINDIST.
     fn process_page_run(
         &self,
         clock: &mut SimClock,
@@ -536,16 +521,13 @@ impl IqTree {
         let run_len = (last - first + 1) as u64;
         clock.phase_begin(Phase::Filter);
         // One corrupt block poisons the whole ranged read: then every member
-        // takes the read ladder's single retried read, so only the bad page
-        // pays the fallback, not the entire sweep.
-        let run = read_to_vec_retry(self.quant_dev(), clock, start_block, run_len);
-        let run = run.ok();
-        if run.is_some() {
+        // misses the buffer and takes the read ladder's single retried
+        // read, so only the bad page pays the fallback, not the entire
+        // sweep.
+        if let Ok(run) = read_to_vec_retry(self.quant_dev(), clock, start_block, run_len) {
             exec.trace.runs += 1;
+            st.reads.quant.keep(start_block, run);
         }
-        let bs = self.block_size();
-        let run_slot = run.is_some().then_some(st.held_runs.len() as u32);
-        let mut holds = false;
         for &p in &members {
             st.processed[p] = true;
             let key = st.page_key[p];
@@ -565,20 +547,12 @@ impl IqTree {
                 // every later member is held too.
                 exec.trace.pages_processed += 1;
                 st.held += 1;
-                holds = true;
-                heap.push(Reverse((OrdKey(key), Item::Held(p as u32, run_slot))));
+                heap.push(Reverse((OrdKey(key), Item::Held(p as u32))));
                 continue;
             }
-            let planned = run.as_deref().map(|b| &b[(p - first) * bs..][..bs]);
-            if planned.is_none() {
-                exec.trace.runs += 1;
-            }
-            if self.consume_page(clock, q, p, planned, st, exec, heap) {
+            if self.consume_page(clock, q, p, st, exec, heap) {
                 exec.trace.pages_processed += 1;
             }
-        }
-        if let (true, Some(run)) = (holds, run) {
-            st.held_runs.push((first, run));
         }
         st.members = members;
     }
@@ -587,9 +561,8 @@ impl IqTree {
     /// ([`Self::quant_view`]) and feeds its contents to the search: exact
     /// entries update the result set directly, approximations enter the
     /// priority list as point boxes. A page the ladder cannot deliver is
-    /// answered from its exact region. Inside a micro-batch, a block an
-    /// earlier query read stands in for the read, and a block this query
-    /// read and validated is kept for the queries after it.
+    /// answered from its exact region. A page whose block the query's
+    /// level-2 buffer lacks costs one run: the ladder's single-block read.
     ///
     /// This is the level-2 hot loop: the page is streamed through a
     /// header-validated [`iq_quantize::QuantPageView`] and each candidate's
@@ -599,22 +572,23 @@ impl IqTree {
     ///
     /// Returns whether the page was taken: decoded, or recovered from its
     /// exact region. The caller counts it as processed.
-    #[allow(clippy::too_many_arguments)]
     fn consume_page(
         &self,
         clock: &mut SimClock,
         q: &[f32],
         p: usize,
-        planned: Option<&[u8]>,
         st: &mut SearchState<'_>,
         exec: &mut Executor,
         heap: &mut CandidateHeap<Item>,
     ) -> bool {
         clock.phase_begin(Phase::Filter);
+        if !st.reads.quant.contains(self.pages()[p].quant_block) {
+            exec.trace.runs += 1;
+        }
         let metric = self.metric();
         let SearchState {
             filter,
-            quant,
+            reads,
             cells,
             coords,
             table,
@@ -627,14 +601,7 @@ impl IqTree {
             ..
         } = st;
         let filter = *filter;
-        let buffered = quant.as_deref().and_then(|quant| quant.get(&(p as u32)));
-        let mut reread = Vec::new();
-        let Some(view) = self.quant_view(
-            clock,
-            p,
-            planned.or(buffered.map(Vec::as_slice)),
-            &mut reread,
-        ) else {
+        let Some(view) = self.quant_view(clock, p, &mut reads.quant) else {
             let recovered = self.fallback_page(clock, q, p, filter, exec);
             *decoded += u64::from(recovered);
             return recovered;
@@ -700,38 +667,34 @@ impl IqTree {
                 heap.push(Reverse((OrdKey(page_min), Item::Spill)));
             }
         }
-        if let Some(quant) = quant {
-            if !reread.is_empty() {
-                quant.insert(p as u32, reread);
-            }
-        }
         true
     }
 
     /// The level-2 read ladder every query path shares. The page's block
-    /// comes from `planned` — its slice of a planned or ranged read, when
-    /// that read succeeded — or else from one retried single-block read,
-    /// and is then header-validated. `None` means the page must be
-    /// answered from its exact region ([`Self::fallback_exact`]): the
-    /// block stayed unreadable (the checksum layer has counted it), or it
-    /// read fine but does not decode — corruption that slipped past the
-    /// checksums, counted here.
+    /// comes from `quant` — a planned or ranged read that succeeded, or an
+    /// earlier single-block read — or else from one retried single-block
+    /// read, kept in `quant` once it validates; either way it is then
+    /// header-validated. `None` means the page must be answered from its
+    /// exact region ([`Self::fallback_exact`]): the block stayed
+    /// unreadable (the checksum layer has counted it), or it read fine but
+    /// does not decode — corruption that slipped past the checksums,
+    /// counted here.
     fn quant_view<'b>(
         &self,
         clock: &mut SimClock,
         p: usize,
-        planned: Option<&'b [u8]>,
-        reread: &'b mut Vec<u8>,
+        quant: &'b mut BlockBuffer,
     ) -> Option<QuantPageView<'b>> {
-        let bytes = match planned {
-            Some(b) => b,
-            None => {
-                let block = self.pages()[p].quant_block;
-                *reread = read_to_vec_retry(self.quant_dev(), clock, block, 1).ok()?;
-                reread.as_slice()
+        let block = self.pages()[p].quant_block;
+        if !quant.contains(block) {
+            let bytes = read_to_vec_retry(self.quant_dev(), clock, block, 1).ok()?;
+            if self.codec().try_view(&bytes).is_err() {
+                clock.note_corrupt_block();
+                return None;
             }
-        };
-        let view = self.codec().try_view(bytes);
+            quant.keep(block, bytes);
+        }
+        let view = self.codec().try_view(quant.block(block)?);
         if view.is_err() {
             clock.note_corrupt_block();
         }
@@ -812,7 +775,7 @@ impl IqTree {
         st.coords.resize(self.dim(), 0.0);
         self.read_exact_entry(
             clock,
-            st.exact,
+            &mut st.reads.exact,
             page as usize,
             slot as usize,
             &mut st.coords,
@@ -825,18 +788,17 @@ impl IqTree {
     /// Batch-refines a known set of `(page, slot, id)` candidates through
     /// the exact-block buffer `exact`: plans one optimal fetch over every
     /// exact-file block involved that the buffer lacks (Section 2 — the
-    /// positions are known in advance) and keeps its runs if it succeeds,
-    /// then calls `visit` with each candidate's id and exact coordinates.
-    /// A candidate whose blocks the fetch did not deliver (every
-    /// candidate, if the planned sweep fails even after retries) reads
-    /// them with one retried read. Returns how many candidates stayed
-    /// unreadable or did not decode; they are not visited. The refinement
-    /// step of `window`/`range` and of the `refine_factor` rerank in k-NN
-    /// search.
+    /// positions are known in advance) and keeps the runs it reads, then
+    /// calls `visit` with each candidate's id and exact coordinates. A
+    /// candidate whose blocks the fetch did not deliver (they lie in a run
+    /// that stayed unreadable after retries) reads them with one retried
+    /// read. Returns how many candidates stayed unreadable or did not
+    /// decode; they are not visited. The refinement step of
+    /// `window`/`range` and of the `refine_factor` rerank in k-NN search.
     fn refine_batch_with(
         &self,
         clock: &mut SimClock,
-        exact: &mut ExactBlocks,
+        exact: &mut BlockBuffer,
         refinements: &[(usize, usize, u32)],
         mut visit: impl FnMut(u32, &[f32]),
     ) -> u64 {
@@ -855,12 +817,7 @@ impl IqTree {
         }
         positions.sort_unstable();
         positions.dedup();
-        if !positions.is_empty() {
-            let fetched = fetch::fetch_blocks(self.exact_dev(), clock, &positions);
-            for (run, bytes) in fetched.into_iter().flatten() {
-                exact.keep(run.start, bytes);
-            }
-        }
+        fetch::fetch_blocks(self.exact_dev(), clock, &positions, exact);
         let mut unreadable = 0;
         let mut coords = vec![0.0f32; self.dim()];
         for &(page, slot, id) in refinements {
@@ -878,11 +835,12 @@ impl IqTree {
     }
 
     /// The Section 2 query over a page set known in advance, shared by
-    /// the `window` and `range` queries. The candidate pages are
-    /// the non-empty ones whose MBR passes `select`; they load with the
-    /// optimal batch fetch of Figure 1 and go through the level-2 read
-    /// ladder. Entries of exact pages, and of pages answered from their
-    /// exact region, are kept when `accept` admits their coordinates.
+    /// the `window` and `range` queries. The candidate pages are the
+    /// non-empty ones whose MBR passes `select`; they load with the optimal
+    /// batch fetch of Figure 1 into the query's level-2 buffer and go
+    /// through the level-2 read ladder. Entries of exact pages, and of
+    /// pages answered from their exact region, are kept when `accept`
+    /// admits their coordinates.
     /// Quantized pages are classified cell box by cell box:
     /// `classify(mbr, view, cells, matches)` fills one [`CellMatch`] per
     /// entry from the page's unpacked `cells`. A box inside the query is
@@ -911,22 +869,17 @@ impl IqTree {
             .map(|&i| self.pages()[i].quant_block)
             .collect();
         clock.phase_begin(Phase::Filter);
-        let fetched = fetch::fetch_blocks(self.quant_dev(), clock, &positions).ok();
-        let bs = self.block_size();
+        let mut quant = BlockBuffer::new(self.block_size());
+        fetch::fetch_blocks(self.quant_dev(), clock, &positions, &mut quant);
         let mut out = Vec::new();
         let mut refinements: Vec<(usize, usize, u32)> = Vec::new();
         // Reusable per-query scratch: the page loop below is allocation-free
         // in the steady state.
-        let mut reread: Vec<u8> = Vec::new();
         let mut cells: Vec<u32> = Vec::new();
         let mut coords: Vec<f32> = Vec::new();
         let mut matches: Vec<CellMatch> = Vec::new();
         for &p in &candidates {
-            let block = self.pages()[p].quant_block;
-            let planned = fetched
-                .as_deref()
-                .and_then(|f| fetch::block_in(f, block, bs));
-            let Some(view) = self.quant_view(clock, p, planned, &mut reread) else {
+            let Some(view) = self.quant_view(clock, p, &mut quant) else {
                 self.fallback_exact(clock, p, |id, coords| {
                     if accept(coords) {
                         out.push(id);
@@ -954,7 +907,7 @@ impl IqTree {
             }
         }
         clock.phase_begin(Phase::Refine);
-        let mut exact = ExactBlocks::new(bs);
+        let mut exact = BlockBuffer::new(self.block_size());
         self.refine_batch_with(clock, &mut exact, &refinements, |id, coords| {
             if accept(coords) {
                 out.push(id);
@@ -1091,11 +1044,7 @@ impl AccessMethod for IqTree {
         filter: Option<&Filter>,
         opts: &QueryOptions,
     ) -> Vec<TracedResult> {
-        let mut shared = (queries.len() > 1).then(|| SharedReads {
-            directory: false,
-            quant: HashMap::new(),
-            exact: ExactBlocks::new(self.block_size()),
-        });
+        let mut shared = (queries.len() > 1).then(|| QueryReads::new(self.block_size()));
         knn_multi_per_query(clock, queries, |clock, q| {
             knn_query(self, clock, q, k, filter, opts, |clock| {
                 self.knn_traced_impl(clock, q, k, filter, opts, shared.as_mut())

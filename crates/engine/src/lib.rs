@@ -166,8 +166,9 @@ pub trait AccessMethod: Send + Sync {
     }
 
     /// All points within `radius` of `q` under the index metric
-    /// (unordered ids; none for a negative or NaN radius). Every engine implements this by handing its search
-    /// to [`range_query`].
+    /// (unordered ids; none for a negative or NaN radius, or a query point
+    /// with a NaN or infinite coordinate). Every engine implements this by
+    /// handing its search to [`range_query`].
     ///
     /// # Panics
     /// Panics if `q.len() != self.dim()`.
@@ -200,12 +201,13 @@ pub trait AccessMethod: Send + Sync {
 /// function, and so does every query of the IQ-tree's micro-batch walk.
 ///
 /// It checks that `q` has `method.dim()` coordinates, then answers a
-/// trivial query — `k == 0`, an empty index, or a `filter` matching no
-/// point — with no results and an empty trace, without touching `clock`.
-/// Any other query runs `search` inside the engine's root trace span,
-/// named [`AccessMethod::name`] and annotated with `k`, every non-neutral
-/// knob and the filter's match count; the span closes with the returned
-/// trace's counters.
+/// trivial query — `k == 0`, an empty index, a `filter` matching no point,
+/// or a query point with a NaN or infinite coordinate, which is no point
+/// of the space — with no results and an empty trace, without touching
+/// `clock`. Any other query runs `search` inside the engine's root trace
+/// span, named [`AccessMethod::name`] and annotated with `k`, every
+/// non-neutral knob and the filter's match count; the span closes with the
+/// returned trace's counters.
 ///
 /// # Panics
 /// Panics if `q.len() != method.dim()`.
@@ -219,7 +221,11 @@ pub fn knn_query<M: AccessMethod + ?Sized>(
     search: impl FnOnce(&mut SimClock) -> TracedResult,
 ) -> TracedResult {
     assert_eq!(q.len(), method.dim(), "query dimensionality mismatch");
-    if k == 0 || method.is_empty() || filter.is_some_and(|f| f.matching() == 0) {
+    if k == 0
+        || method.is_empty()
+        || filter.is_some_and(|f| f.matching() == 0)
+        || q.iter().any(|x| !x.is_finite())
+    {
         return (Vec::new(), QueryTrace::default());
     }
     query_span_begin(clock, method.name(), k, filter, opts);
@@ -232,10 +238,11 @@ pub fn knn_query<M: AccessMethod + ?Sized>(
 /// engine's [`AccessMethod::range`] hands its search to this function.
 ///
 /// It checks that `q` has `method.dim()` coordinates, then answers a
-/// query on an empty index, or with a radius that is negative or NaN, with
-/// no ids, without touching `clock`. Any other query runs `search` inside
-/// the engine's root trace span, named [`AccessMethod::name`] and
-/// annotated with the radius and, on close, the number of hits.
+/// query on an empty index, with a radius that is negative or NaN, or with
+/// a point that has a NaN or infinite coordinate, with no ids, without
+/// touching `clock`. Any other query runs `search` inside the engine's
+/// root trace span, named [`AccessMethod::name`] and annotated with the
+/// radius and, on close, the number of hits.
 ///
 /// # Panics
 /// Panics if `q.len() != method.dim()`.
@@ -249,7 +256,7 @@ pub fn range_query<M: AccessMethod + ?Sized>(
     assert_eq!(q.len(), method.dim(), "query dimensionality mismatch");
     // Under L2 the engines compare squared keys, so a negative radius
     // would otherwise match the points within its absolute value.
-    if radius.is_nan() || radius < 0.0 {
+    if radius.is_nan() || radius < 0.0 || q.iter().any(|x| !x.is_finite()) {
         return Vec::new();
     }
     in_root_span(

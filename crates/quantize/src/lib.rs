@@ -8,8 +8,6 @@
 //! * [`bits`] — a bit-level writer/reader for packed cell numbers,
 //! * [`grid`] — the grid quantizer mapping points to cells and cells back
 //!   to their box approximations,
-//! * [`exact_blocks`] — the per-query buffer of exact blocks every
-//!   refinement reads through,
 //! * [`page`] — the on-disk codecs for quantized data pages (fixed one
 //!   block, per-page resolution `g`, the 32-bit exact special case) and for
 //!   exact (third-level) pages,
@@ -22,14 +20,12 @@
 //!   behind the batch MINDIST/MAXDIST keys and window classification.
 
 pub mod bits;
-pub mod exact_blocks;
 pub mod grid;
 pub mod page;
 pub mod simd;
 pub mod table;
 
 pub use bits::{unpack_cells, BitReader, BitWriter};
-pub use exact_blocks::ExactBlocks;
 pub use grid::GridQuantizer;
 pub use page::{ExactPageCodec, QuantPageView, QuantizedPageCodec, EXACT_BITS};
 pub use simd::{kernel_name, set_kernel_override, Kernel};

@@ -8,7 +8,7 @@
 //! degenerates to a single full scan or to pure random accesses, which is the
 //! behaviour the paper highlights.
 
-use crate::error::IqResult;
+use crate::buffer::BlockBuffer;
 use crate::model::{DiskModel, SimClock};
 use crate::retry::read_to_vec_retry;
 use crate::BlockDevice;
@@ -78,38 +78,29 @@ pub fn plan_fetch_cost(runs: &[Run], model: &DiskModel) -> f64 {
         .sum()
 }
 
-/// Plans and executes the fetch against a device, returning for each *run*
-/// its starting block and raw bytes. Callers slice out the blocks they
-/// actually selected. Each run's read is retried on transient faults
-/// ([`read_to_vec_retry`]); the fetch fails when one stays unreadable.
+/// Plans and executes the fetch against a device and keeps each run it
+/// reads in `buf`; callers then take the blocks they selected from the
+/// buffer. Each run's read is retried on transient faults
+/// ([`read_to_vec_retry`]). A run that stays unreadable is left out and
+/// the fetch goes on with the next, so the buffer lacks exactly the blocks
+/// of the runs that failed.
 pub fn fetch_blocks(
     dev: &dyn BlockDevice,
     clock: &mut SimClock,
     positions: &[u64],
-) -> IqResult<Vec<(Run, Vec<u8>)>> {
-    let runs = plan_fetch(positions, clock.disk());
-    runs.into_iter()
-        .map(|run| {
-            let buf = read_to_vec_retry(dev, clock, run.start, run.len)?;
-            Ok((run, buf))
-        })
-        .collect()
-}
-
-/// The bytes of block `pos` inside runs returned by [`fetch_blocks`]
-/// (blocks of `bs` bytes), or `None` when no run covers it.
-pub fn block_in(fetched: &[(Run, Vec<u8>)], pos: u64, bs: usize) -> Option<&[u8]> {
-    // Planned runs are sorted and disjoint.
-    let i = fetched.partition_point(|(run, _)| run.start + run.len <= pos);
-    let (run, buf) = fetched.get(i).filter(|(run, _)| run.contains(pos))?;
-    let off = ((pos - run.start) as usize) * bs;
-    buf.get(off..off + bs)
+    buf: &mut BlockBuffer,
+) {
+    for run in plan_fetch(positions, clock.disk()) {
+        if let Ok(bytes) = read_to_vec_retry(dev, clock, run.start, run.len) {
+            buf.keep(run.start, bytes);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemDevice;
+    use crate::{IqError, IqResult, MemDevice};
 
     fn model(t_seek: f64, t_xfer: f64) -> DiskModel {
         DiskModel {
@@ -248,19 +239,80 @@ mod tests {
             dev.append(&mut clock, &[i; 64]).unwrap();
         }
         clock.reset();
-        let fetched = fetch_blocks(&dev, &mut clock, &[1, 2, 18]).unwrap();
-        assert_eq!(fetched.len(), 2);
-        assert_eq!(fetched[0].0, Run { start: 1, len: 2 });
-        assert_eq!(&fetched[0].1[..64], &vec![1u8; 64][..]);
-        assert_eq!(fetched[1].0, Run { start: 18, len: 1 });
+        let mut buf = BlockBuffer::new(64);
+        fetch_blocks(&dev, &mut clock, &[1, 2, 18], &mut buf);
         assert_eq!(clock.stats().seeks, 2);
         assert_eq!(clock.stats().blocks_read, 3);
         // Selected and over-read blocks are found; blocks outside every
         // run are not.
-        assert_eq!(block_in(&fetched, 2, 64), Some(&[2u8; 64][..]));
-        assert_eq!(block_in(&fetched, 18, 64), Some(&[18u8; 64][..]));
+        assert_eq!(buf.block(1), Some(&[1u8; 64][..]));
+        assert_eq!(buf.block(2), Some(&[2u8; 64][..]));
+        assert_eq!(buf.block(18), Some(&[18u8; 64][..]));
         for pos in [0, 3, 17, 19] {
-            assert_eq!(block_in(&fetched, pos, 64), None, "block {pos}");
+            assert!(!buf.contains(pos), "block {pos}");
         }
+    }
+
+    /// A device whose reads fail, transiently, whenever they cover block
+    /// `bad`.
+    struct FailsAt {
+        inner: MemDevice,
+        bad: u64,
+    }
+
+    impl BlockDevice for FailsAt {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+
+        fn num_blocks(&self) -> u64 {
+            self.inner.num_blocks()
+        }
+
+        fn read_blocks(&self, clock: &mut SimClock, start: u64, buf: &mut [u8]) -> IqResult<()> {
+            let n = (buf.len() / self.block_size()) as u64;
+            if (start..start + n).contains(&self.bad) {
+                return Err(IqError::Io {
+                    op: "read",
+                    block: self.bad,
+                    transient: true,
+                    detail: "flaky".into(),
+                });
+            }
+            self.inner.read_blocks(clock, start, buf)
+        }
+
+        fn append(&mut self, clock: &mut SimClock, data: &[u8]) -> IqResult<u64> {
+            self.inner.append(clock, data)
+        }
+
+        fn write_blocks(&mut self, clock: &mut SimClock, start: u64, data: &[u8]) -> IqResult<()> {
+            self.inner.write_blocks(clock, start, data)
+        }
+
+        fn device_id(&self) -> u64 {
+            self.inner.device_id()
+        }
+    }
+
+    #[test]
+    fn a_failed_run_does_not_stop_the_fetch() {
+        let m = model(0.01, 0.001);
+        let mut clock = SimClock::new(m, crate::CpuModel::free());
+        let mut inner = MemDevice::new(64);
+        for i in 0..20u8 {
+            inner.append(&mut clock, &[i; 64]).unwrap();
+        }
+        // Two runs, [1, 3] and [18, 18]; block 2 of the first never reads.
+        let dev = FailsAt { inner, bad: 2 };
+        clock.reset();
+        let mut buf = BlockBuffer::new(64);
+        fetch_blocks(&dev, &mut clock, &[1, 3, 18], &mut buf);
+        // The first run was retried and left out; the second was read.
+        let attempts = crate::RetryPolicy::default().max_attempts;
+        assert_eq!(clock.stats().io_retries, u64::from(attempts - 1));
+        assert_eq!(clock.stats().blocks_read, 1);
+        assert_eq!(buf.block(18), Some(&[18u8; 64][..]));
+        assert!((0..18).all(|b| !buf.contains(b)));
     }
 }

@@ -14,6 +14,8 @@
 //! * [`fetch`] — the optimal batch block-fetch planner of Section 2
 //!   (Figure 1): given the sorted positions of the blocks an index selected,
 //!   decide where to seek and where to over-read,
+//! * [`BlockBuffer`] — the blocks a query (or one micro-batch of queries)
+//!   has already read, so each is read at most once while it lives,
 //! * robustness: typed errors ([`IqError`]), per-block CRC32 checksumming
 //!   ([`ChecksummedDevice`], over the runtime-dispatched [`crc`] kernels),
 //!   deterministic fault injection ([`FaultInjectingDevice`]) and bounded
@@ -23,6 +25,7 @@
 //! * [`CachedDevice`] — the sharded LRU buffer pool, stacked above the
 //!   checksum by [`DeviceStack::cache`].
 
+pub mod buffer;
 pub mod cache;
 pub mod checksum;
 pub mod crc;
@@ -38,6 +41,7 @@ pub mod stack;
 pub mod sweep;
 pub mod wal;
 
+pub use buffer::BlockBuffer;
 pub use cache::{CacheStats, CachedDevice};
 pub use checksum::{ChecksummedDevice, CHECKSUM_BYTES};
 pub use crc::{crc32, crc32_update, crc_kernel, CrcKernel};

@@ -23,10 +23,8 @@ use iq_engine::{
 use iq_geometry::{Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::simd::unpack_block;
-use iq_quantize::{
-    BitWriter, CellMatch, DistTable, ExactBlocks, ExactPageCodec, GridQuantizer, WindowTable,
-};
-use iq_storage::{read_to_vec_retry, sweep_records, BlockDevice, DiskModel, SimClock};
+use iq_quantize::{BitWriter, CellMatch, DistTable, ExactPageCodec, GridQuantizer, WindowTable};
+use iq_storage::{read_to_vec_retry, sweep_records, BlockBuffer, BlockDevice, DiskModel, SimClock};
 
 /// Predicts the average NN query cost of a VA-file at `bits` per
 /// dimension, using the IQ-tree's cost model (the data space plays the
@@ -272,12 +270,16 @@ impl VaFile {
     fn fetch_exact_into(
         &self,
         clock: &mut SimClock,
-        blocks: &mut ExactBlocks,
+        blocks: &mut BlockBuffer,
         i: usize,
         out: &mut [f32],
     ) -> bool {
+        let (first, _, off) = self.codec.entry_span(i, self.exact.block_size());
         let read = |first, n| read_to_vec_retry(self.exact.as_ref(), clock, first, n);
-        let ok = blocks.entry_into(&self.codec, 0, i, out, read).is_ok();
+        let ok = blocks
+            .span(first, off, self.codec.entry_bytes(), read)
+            .and_then(|bytes| self.codec.try_decode_entry_into(bytes, out))
+            .is_ok();
         if ok {
             clock.charge_dist_evals(self.dim, 1);
         }
@@ -295,7 +297,7 @@ impl VaFile {
         accept: impl Fn(&[f32]) -> bool,
     ) {
         clock.phase_begin(Phase::Refine);
-        let mut blocks = ExactBlocks::new(self.exact.block_size());
+        let mut blocks = BlockBuffer::new(self.exact.block_size());
         let mut p = vec![0.0f32; self.dim];
         for &id in ids {
             if self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p) && accept(&p) {
@@ -380,7 +382,7 @@ impl AccessMethod for VaFile {
             // Phase 2: refine in lower-bound order until the k-th best exact
             // distance undercuts the next lower bound (or a knob fires).
             clock.phase_begin(Phase::Refine);
-            let mut blocks = ExactBlocks::new(self.exact.block_size());
+            let mut blocks = BlockBuffer::new(self.exact.block_size());
             let mut p = vec![0.0f32; self.dim];
             refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
                 self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p)

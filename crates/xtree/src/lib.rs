@@ -33,7 +33,7 @@ use iq_engine::{
 use iq_geometry::{bulk_partition, Dataset, Metric};
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::{QuantPageView, QuantizedPageCodec, EXACT_BITS};
-use iq_storage::{fetch, read_to_vec_retry, BlockDevice, SimClock};
+use iq_storage::{fetch, read_to_vec_retry, BlockBuffer, BlockDevice, SimClock};
 use node::{DirEntry, Node};
 use std::cmp::Reverse;
 
@@ -242,11 +242,11 @@ impl XTree {
     }
 
     /// Loads the given data pages with one optimal batch-fetch plan and
-    /// feeds each of their points to `visit(id, coords)`. A failed fetch
-    /// (or a page the plan somehow misses) degrades to one retried read
-    /// per page; a page that stays unreadable or does not decode is
-    /// skipped — visible in the clock's I/O statistics, and the query
-    /// completes on what is left.
+    /// feeds each of their points to `visit(id, coords)`. A page of a run
+    /// that stayed unreadable degrades to one retried read of its own; a
+    /// page that stays unreadable or does not decode is skipped — visible
+    /// in the clock's I/O statistics, and the query completes on what is
+    /// left.
     fn visit_pages_batched(
         &self,
         clock: &mut SimClock,
@@ -257,13 +257,12 @@ impl XTree {
         let mut positions: Vec<u64> = pages.iter().map(|&id| self.pages[id as usize]).collect();
         positions.sort_unstable();
         positions.dedup();
-        let fetched = fetch::fetch_blocks(self.data.as_ref(), clock, &positions).ok();
-        let bs = self.data.block_size();
+        let mut fetched = BlockBuffer::new(self.data.block_size());
+        fetch::fetch_blocks(self.data.as_ref(), clock, &positions, &mut fetched);
         let mut coords = Vec::new();
         for &id in pages {
-            let pos = self.pages[id as usize];
             let reread;
-            let bytes = match fetched.as_deref().and_then(|f| fetch::block_in(f, pos, bs)) {
+            let bytes = match fetched.block(self.pages[id as usize]) {
                 Some(bytes) => Some(bytes),
                 None => {
                     reread = self.read_page(clock, id);

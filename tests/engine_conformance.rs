@@ -8,11 +8,15 @@
 //! engine shares: trivial k-NN queries cost nothing, a query of the wrong
 //! dimension panics with one message per kind of query on every path,
 //! range and window queries run inside the engine's root span, and a
-//! negative or NaN radius matches nothing at no cost under every metric.
+//! negative or NaN radius, or a query point with a NaN or infinite
+//! coordinate, matches nothing at no cost under every metric.
 
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_batch, AccessMethod, Filter, QueryOptions, QueryTrace};
+use iqtree_repro::engine::{
+    knn_batch, knn_batch_traced, AccessMethod, Filter, QueryOptions, QueryTrace,
+};
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
+use iqtree_repro::obs::TraceNode;
 use iqtree_repro::storage::{
     BlockDevice, DeviceStack, FaultConfig, MemDevice, RetryPolicy, SimClock,
 };
@@ -166,6 +170,20 @@ fn engines_agree_with_scan_under_injected_transient_faults() {
     assert_engines_match_scan(&engines, &queries, "faulty");
 }
 
+/// `q` with its first coordinate NaN, +∞ and −∞ in turn.
+fn non_finite(q: &[f32]) -> [Vec<f32>; 3] {
+    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].map(|x| {
+        let mut p = q.to_vec();
+        p[0] = x;
+        p
+    })
+}
+
+/// Whether `node` or a node below it is named `name`.
+fn has_span(node: &TraceNode, name: &str) -> bool {
+    node.name == name || node.children.iter().any(|c| has_span(c, name))
+}
+
 /// The message of the panic `f` raises, or `None` if it returns.
 fn panic_message(f: impl FnOnce()) -> Option<String> {
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
@@ -232,6 +250,31 @@ fn knn_boundary_is_shared_by_every_engine() {
             batch.as_deref().is_some_and(|m| m.contains(expect)),
             "{name} batch: {batch:?}"
         );
+    }
+    // A query point with a NaN or infinite coordinate is no point of the
+    // space: it is answered with nothing, at no cost and with no span,
+    // alone and inside a batch, under every metric.
+    for metric in metrics() {
+        for eng in build_all(&ds, metric, plain_dev) {
+            let name = eng.name();
+            for q in non_finite(&queries[0]) {
+                let what = format!("{metric:?} {name} q[0] = {}", q[0]);
+                let mut clock = SimClock::default();
+                clock.enable_tracing();
+                let (hits, trace) =
+                    eng.knn_opts_traced(&mut clock, &q, 5, None, &QueryOptions::EXACT);
+                assert!(hits.is_empty(), "{what}: {hits:?}");
+                assert_eq!(trace, QueryTrace::default(), "{what}");
+                let (batch, trace) =
+                    knn_batch_traced(eng.as_ref(), &mut clock, &[q.clone(), q.clone()], 5, 1);
+                assert!(batch.iter().all(|(h, _)| h.is_empty()), "{what}: {batch:?}");
+                assert_eq!(trace, QueryTrace::default(), "{what}");
+                assert_eq!(clock.total_time(), 0.0, "{what}");
+                assert_eq!(clock.stats().blocks_read, 0, "{what}");
+                let tree = clock.take_trace().expect("tracing was on");
+                assert!(!has_span(&tree.root, name), "{what}: {tree:?}");
+            }
+        }
     }
 }
 
@@ -302,6 +345,20 @@ fn range_and_window_boundary_is_shared_by_every_engine() {
                 let tree = clock.take_trace().expect("tracing was on");
                 assert!(hits.is_empty(), "{metric:?} {name}: r {radius}: {hits:?}");
                 assert_eq!(clock.total_time(), 0.0, "{metric:?} {name}: r {radius}");
+                assert_eq!(clock.stats().blocks_read, 0, "{metric:?} {name}");
+                assert!(tree.root.children.is_empty(), "{metric:?} {name}: {tree:?}");
+            }
+            for q in non_finite(q) {
+                let mut clock = SimClock::default();
+                clock.enable_tracing();
+                let hits = eng.range(&mut clock, &q, r);
+                let tree = clock.take_trace().expect("tracing was on");
+                assert!(
+                    hits.is_empty(),
+                    "{metric:?} {name}: q[0] {}: {hits:?}",
+                    q[0]
+                );
+                assert_eq!(clock.total_time(), 0.0, "{metric:?} {name}: q[0] {}", q[0]);
                 assert_eq!(clock.stats().blocks_read, 0, "{metric:?} {name}");
                 assert!(tree.root.children.is_empty(), "{metric:?} {name}: {tree:?}");
             }

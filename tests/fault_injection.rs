@@ -13,8 +13,8 @@ use iqtree_repro::geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iqtree_repro::quantize::{QuantizedPageCodec, EXACT_BITS};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{
-    BlockDevice, ChecksummedDevice, FaultConfig, FaultInjectingDevice, FileDevice, IqError,
-    IqResult, MemDevice, MemWal, RetryPolicy, SimClock,
+    plan_fetch, BlockDevice, ChecksummedDevice, DiskModel, FaultConfig, FaultInjectingDevice,
+    FileDevice, IqError, IqResult, MemDevice, MemWal, RetryPolicy, Run, SimClock,
 };
 use iqtree_repro::tree::verify::verify_index;
 use iqtree_repro::tree::{IqTree, IqTreeOptions, PageMeta};
@@ -418,12 +418,18 @@ impl BlockDevice for LoggedDevice {
     }
 }
 
-/// Reopens the index files with the exact file behind a [`LoggedDevice`]
-/// and returns the tree with the exact file's log.
-fn reopen_logged(dir: &Path, block: usize, dim: usize) -> (IqTree, SimClock, Arc<Mutex<ReadLog>>) {
+/// Reopens the index files with file `file` (1 the quantized file, 2 the
+/// exact file) behind a [`LoggedDevice`] and returns the tree with that
+/// file's log.
+fn reopen_logged(
+    dir: &Path,
+    block: usize,
+    dim: usize,
+    file: usize,
+) -> (IqTree, SimClock, Arc<Mutex<ReadLog>>) {
     let log = Arc::new(Mutex::new(ReadLog::default()));
     let (tree, clock) = reopen(dir, block, dim, |i, d| {
-        if i == 2 {
+        if i == file {
             Box::new(LoggedDevice {
                 inner: d,
                 log: Arc::clone(&log),
@@ -444,7 +450,7 @@ fn a_lone_query_reads_each_exact_block_once() {
     let dir = temp_dir("exact-once");
     let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
     build_files(&dir, &w.db, 2048);
-    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6);
+    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6, 2);
     let scan = SeqScan::build(
         &w.db,
         Metric::Euclidean,
@@ -474,6 +480,168 @@ fn a_lone_query_reads_each_exact_block_once() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// Asserts that each logged read of one block reads a block no earlier
+/// read covered. A block may be read again only inside a longer run:
+/// Section 2.1 over-reads a gap of pages already taken when that is
+/// cheaper than a seek. A page is never read again for its own sake.
+fn assert_single_reads_are_new(log: &ReadLog, what: &str) {
+    for (i, &(start, n)) in log.reads.iter().enumerate() {
+        let again = log.reads[..i]
+            .iter()
+            .any(|&(s, m)| (s..s + m).contains(&start));
+        assert!(
+            n > 1 || !again,
+            "{what}: block {start} read again on its own: {:?}",
+            log.reads
+        );
+    }
+}
+
+/// Level-2 blocks are read once per micro-batch, and a lone query reads a
+/// page's block on its own at most once: planned runs and single-block
+/// reads land in one level-2 buffer, and a page whose block it holds is
+/// decoded from it. Checked for lone exact queries and for one 8-query
+/// micro-batch, which plans no runs and so reads each block once.
+#[test]
+fn level_two_blocks_are_read_once() {
+    let dir = temp_dir("quant-once");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6, 1);
+    for q in w.queries.iter() {
+        log.lock().expect("log lock").reads.clear();
+        let (_, trace) = tree.knn_traced(&mut clock, q, 40);
+        let log = log.lock().expect("log lock");
+        assert_eq!(log.reads.len() as u64, trace.runs);
+        assert_single_reads_are_new(&log, "lone query");
+    }
+    log.lock().expect("log lock").reads.clear();
+    let queries: Vec<&[f32]> = w.queries.iter().collect();
+    assert_eq!(queries.len(), 8);
+    let batch = tree.knn_multi_opts_traced(&mut clock, &queries, 40, None, &QueryOptions::EXACT);
+    {
+        let log = log.lock().expect("log lock");
+        assert!(!log.reads.is_empty());
+        for &(start, n) in &log.reads {
+            assert_eq!(n, 1, "a micro-batch plans no runs");
+            assert_eq!(log.reads_of(start), 1, "level-2 block {start} read twice");
+        }
+    }
+    for (q, (hits, _)) in queries.iter().zip(&batch) {
+        assert_eq!(hits, &tree.knn(&mut SimClock::default(), q, 40));
+    }
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A batch fetch leaves out only a run that stays unreadable. A window
+/// query whose Figure 1 plan has several runs meets a level-2 (X-tree:
+/// data) block of its second run that never reads: every other run is
+/// still read once, in one read of its full length, and only the pages of
+/// the failed run are read again one by one. The answer is what a failed
+/// page leaves: complete on the IQ-tree, which answers the page from its
+/// exact region, and short of the page's points on the X-tree.
+#[test]
+fn a_failed_fetch_run_leaves_the_other_runs() {
+    let w = Workload::generate(6_000, 32, |n| data::uniform(6, n, 29));
+    let disk = DiskModel::default();
+    // The first window (a cube around a query point) whose pages, in
+    // disk order, make a plan of at least two runs.
+    let pick = |mbrs: &[(u64, Mbr)]| {
+        w.queries
+            .iter()
+            .flat_map(|q| [0.02f32, 0.05, 0.1].map(|h| (q, h)))
+            .find_map(|(q, h)| {
+                let lo: Vec<f32> = q.iter().map(|x| x - h).collect();
+                let hi: Vec<f32> = q.iter().map(|x| x + h).collect();
+                let window = Mbr::from_bounds(lo, hi);
+                let mut positions: Vec<u64> = mbrs
+                    .iter()
+                    .filter(|(_, mbr)| mbr.intersects(&window))
+                    .map(|&(b, _)| b)
+                    .collect();
+                positions.sort_unstable();
+                let runs = plan_fetch(&positions, &disk);
+                (runs.len() >= 2).then_some((window, runs))
+            })
+            .expect("a window with a plan of two runs")
+    };
+    // Runs the window clean and with the second run's first block
+    // unreadable; returns both answers, sorted, and the failed block.
+    let check = |log: &Arc<Mutex<ReadLog>>, runs: &[Run], query: &mut dyn FnMut() -> Vec<u32>| {
+        let sorted = |mut ids: Vec<u32>| {
+            ids.sort_unstable();
+            ids
+        };
+        log.lock().expect("log lock").reads.clear();
+        let clean = sorted(query());
+        let want: Vec<(u64, u64)> = runs.iter().map(|r| (r.start, r.len)).collect();
+        assert_eq!(log.lock().expect("log lock").reads, want, "clean plan");
+        let bad = runs[1].start;
+        {
+            let mut log = log.lock().expect("log lock");
+            log.reads.clear();
+            log.fail_block = Some(bad);
+            log.fail_left = u32::MAX;
+        }
+        let hits = sorted(query());
+        let mut log = log.lock().expect("log lock");
+        for run in runs.iter().filter(|r| r.start != bad) {
+            let whole = log.reads.iter().filter(|&&r| r == (run.start, run.len));
+            assert_eq!(whole.count(), 1, "run {run:?}: {:?}", log.reads);
+            for b in run.start..run.start + run.len {
+                assert_eq!(log.reads_of(b), 1, "block {b} read twice: {:?}", log.reads);
+            }
+        }
+        assert!(log.reads_of(bad) > 1, "the failed run was not retried");
+        log.fail_block = None;
+        (clean, hits, bad)
+    };
+
+    // The IQ-tree, with its quantized file logged.
+    let dir = temp_dir("partial-fetch");
+    build_files(&dir, &w.db, 2048);
+    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6, 1);
+    let mbrs: Vec<(u64, Mbr)> = tree
+        .pages()
+        .iter()
+        .filter(|p| p.count > 0)
+        .map(|p| (p.quant_block, p.mbr.clone()))
+        .collect();
+    let (window, runs) = pick(&mbrs);
+    let (clean, hits, _) = check(&log, &runs, &mut || tree.window(&mut clock, &window));
+    assert_eq!(hits, clean, "iqtree");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    // The X-tree, with its data file logged: data block i holds bulk-load
+    // partition i.
+    let log = Arc::new(Mutex::new(ReadLog::default()));
+    let mut clock = SimClock::default();
+    let xt = XTree::build(
+        &w.db,
+        Metric::Euclidean,
+        Box::new(MemDevice::new(2048)),
+        Box::new(LoggedDevice {
+            inner: Box::new(MemDevice::new(2048)),
+            log: Arc::clone(&log),
+        }),
+        &mut clock,
+    );
+    let parts = bulk_partition(
+        &w.db,
+        QuantizedPageCodec::new(w.db.dim(), 2048).capacity(EXACT_BITS),
+    );
+    let mbrs: Vec<(u64, Mbr)> = parts
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (i as u64, p.mbr.clone()))
+        .collect();
+    let (window, runs) = pick(&mbrs);
+    let (clean, hits, bad) = check(&log, &runs, &mut || xt.window(&mut clock, &window));
+    let lost: HashSet<u32> = parts[bad as usize].ids.iter().copied().collect();
+    let kept: Vec<u32> = clean.into_iter().filter(|id| !lost.contains(id)).collect();
+    assert_eq!(hits, kept, "xtree");
+}
+
 /// An exact block whose read fails after every retry is not kept: the
 /// next refinement that needs it reads it again. In the pivot walk only
 /// the refinement that met the failure is skipped — the block's other
@@ -485,7 +653,7 @@ fn a_failed_exact_read_is_retried_by_the_next_refinement() {
     let dir = temp_dir("exact-retry");
     let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
     build_files(&dir, &w.db, 2048);
-    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6);
+    let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6, 2);
     let attempts = RetryPolicy::default().max_attempts;
     let q = w.queries.point(0);
     let rerank = QueryOptions {
@@ -557,7 +725,7 @@ fn spilled_approximations_return_when_refinements_fail() {
         let matches = |id: u32| filter.is_none_or(|f| f.matches(id));
         for q in w.queries.iter() {
             // The exact blocks the clean query refines.
-            let (tree, mut clock, log) = reopen_logged(&dir, 2048, 8);
+            let (tree, mut clock, log) = reopen_logged(&dir, 2048, 8, 2);
             log.lock().expect("log lock").reads.clear();
             let (clean, _) = tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
             let blocks: BTreeSet<u64> = log
@@ -637,7 +805,8 @@ fn spilled_approximations_return_when_refinements_fail() {
 /// exact top-k over the points that can be read, alone and under a
 /// pushed-down filter, and no page is counted twice. Under
 /// `refine_factor 2` a popped point settles at its lower bound without a
-/// read, so nothing held pops.
+/// read, so nothing held pops. A held page that pops reads no level-2
+/// block again.
 #[test]
 fn held_pages_decode_when_refinements_fail() {
     let dir = temp_dir("held");
@@ -670,12 +839,19 @@ fn held_pages_decode_when_refinements_fail() {
                 .iter()
                 .flat_map(|p| p.exact_start..p.exact_start + u64::from(p.exact_blocks))
                 .collect();
+            let quant_log = Arc::new(Mutex::new(ReadLog::default()));
             let (tree, mut clock) = reopen(&dir, 2048, 8, |i, d| {
                 let f = FaultInjectingDevice::new(d, FaultConfig::none(5));
                 if i == 2 {
                     for &b in &blocks {
                         f.corrupt_block(b);
                     }
+                }
+                if i == 1 {
+                    return Box::new(LoggedDevice {
+                        inner: Box::new(f),
+                        log: Arc::clone(&quant_log),
+                    });
                 }
                 Box::new(f)
             });
@@ -692,6 +868,7 @@ fn held_pages_decode_when_refinements_fail() {
             want.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN").then(a.0.cmp(&b.0)));
             want.truncate(k);
 
+            quant_log.lock().expect("log lock").reads.clear();
             clock.enable_tracing();
             let (hits, trace) =
                 tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
@@ -704,6 +881,11 @@ fn held_pages_decode_when_refinements_fail() {
             let count = |key: &str| spans.root.counter_total(key);
             let unheld = count("filter.pages_unheld");
             assert!(unheld > 0, "no held page was decoded: {trace:?}");
+            // A held page that pops is decoded from its buffered run.
+            let log = quant_log.lock().expect("log lock");
+            assert_eq!(log.reads.len() as u64, trace.runs);
+            assert_single_reads_are_new(&log, "held pages");
+            drop(log);
             // Level 2 reads fine, so every page taken was decoded or held,
             // and one decoded after all counts once.
             assert_eq!(
