@@ -55,7 +55,8 @@ pub struct IqTreeOptions {
     /// Put an LRU buffer pool of this many block frames in front of each
     /// of the three level files ([`iq_storage::CachedDevice`]). `None` (the
     /// default) keeps the paper's cold-query cost model: every block
-    /// access pays the disk.
+    /// access pays the disk. A block the pool holds is free to read, so
+    /// the scheduled strategy plans no run around it.
     pub cache_blocks: Option<usize>,
     /// Threads for the CPU-bound page-encoding stage of construction
     /// (`0` = one per available core). Output bytes are identical for every

@@ -34,6 +34,13 @@
 //! contributes `t_xfer − a·(t_seek + t_xfer)` to the balance; sequences
 //! with negative balance are over-read in the same sweep; the search in
 //! either direction stops once the balance exceeds `t_seek`.
+//!
+//! The balance prices what the device would charge. A block the buffer
+//! pool holds ([`iq_storage::BlockDevice::is_resident`]) costs neither
+//! `t_seek` nor `t_xfer`, so a resident pivot is read alone with no plan.
+//! The check is advisory: a frame evicted between the check and the read
+//! changes what the read is charged, never which pages are decoded or
+//! what the query returns.
 
 use crate::{IqTree, PageMeta};
 use iq_cost::GapSums;
@@ -80,7 +87,7 @@ struct SearchState<'f> {
     /// MINDIST key of every page.
     page_key: Vec<f64>,
     /// Page indices sorted by ascending MINDIST key (priority order);
-    /// built only when page runs will be planned.
+    /// built when the query plans its first page run.
     order: Vec<u32>,
     /// Rank of each page in `order` (pages before it are its
     /// higher-priority competitors).
@@ -169,7 +176,8 @@ impl IqTree {
     /// runs alone, the batch's (`shared`) when it runs inside a
     /// micro-batch. There the directory sweep and the blocks of earlier
     /// queries serve it too, and pages load one at a time: the Section 2.1
-    /// run extension is planned for lone queries only.
+    /// run extension is planned for lone queries only, and only around a
+    /// pivot whose block the buffer pool does not hold.
     ///
     /// Runs behind [`knn_query`], which has already checked `q` and
     /// answered trivial queries.
@@ -249,19 +257,6 @@ impl IqTree {
         // One O(n) heapify. `(key, item)` orders distinct pages totally, so
         // the pops come out as they would after one push per page.
         let mut heap: CandidateHeap<Item> = CandidateHeap::from(live);
-        if plan_runs {
-            // Priority order for the access-probability prefix walks.
-            st.order = (0..n_pages as u32).collect();
-            st.order.sort_by(|&a, &b| {
-                st.page_key[a as usize]
-                    .partial_cmp(&st.page_key[b as usize])
-                    .expect("keys are never NaN")
-            });
-            st.rank = vec![0u32; n_pages];
-            for (pos, &i) in st.order.iter().enumerate() {
-                st.rank[i as usize] = pos as u32;
-            }
-        }
 
         drive(
             &mut exec,
@@ -292,7 +287,10 @@ impl IqTree {
                             exec.skip_candidates(1);
                             return;
                         }
-                        if plan_runs {
+                        // A pivot the buffer pool holds costs nothing to
+                        // read: there is no seek to save, so no run.
+                        let block = self.pages()[p].quant_block;
+                        if plan_runs && !self.quant_dev().is_resident(block) {
                             self.process_page_run(clock, q, p, &mut st, exec, heap);
                         } else {
                             self.process_single_page(clock, q, p, &mut st, exec, heap);
@@ -422,6 +420,20 @@ impl IqTree {
         let metric = self.metric();
         let n_pages = self.pages().len();
         let bound = exec.prune_threshold();
+        if st.order.is_empty() {
+            // Priority order for the access-probability prefix walks, built
+            // when the query plans its first run.
+            st.order = (0..n_pages as u32).collect();
+            st.order.sort_by(|&a, &b| {
+                st.page_key[a as usize]
+                    .partial_cmp(&st.page_key[b as usize])
+                    .expect("keys are never NaN")
+            });
+            st.rank = vec![0u32; n_pages];
+            for (pos, &i) in st.order.iter().enumerate() {
+                st.rank[i as usize] = pos as u32;
+            }
+        }
 
         // Access probability of page i (eq 2) over its unprocessed
         // higher-priority competitors — exactly the prefix of the sorted

@@ -14,6 +14,8 @@
 //! The all-or-nothing policy keeps the cost semantics of ranged reads
 //! simple and conservative: a partially resident run still pays the full
 //! sweep, exactly like a real scatter-limited disk schedule would.
+//! [`BlockDevice::is_resident`] tells a planner ahead of time which blocks
+//! would be hits, without touching the LRU order or the counters.
 //! [`DeviceStack::cache`](crate::DeviceStack::cache) puts the pool above
 //! the checksum layer, so frames hold only verified bytes; a failed read
 //! populates nothing.
@@ -365,6 +367,16 @@ impl BlockDevice for CachedDevice {
     fn device_id(&self) -> u64 {
         self.inner.device_id()
     }
+
+    /// True when the block has a frame: a read of it would be a hit. Only
+    /// looks the block up in its shard's frame map.
+    fn is_resident(&self, block: u64) -> bool {
+        self.shard(block)
+            .lock()
+            .expect("cache shard poisoned")
+            .map
+            .contains_key(&block)
+    }
 }
 
 #[cfg(test)]
@@ -492,6 +504,58 @@ mod tests {
         clock.reset();
         dev.read_to_vec(&mut clock, 0, 1).unwrap();
         assert!(clock.io_time() > 0.0);
+    }
+
+    #[test]
+    fn is_resident_is_true_only_for_blocks_with_a_frame() {
+        let (mut dev, mut clock) = setup(8);
+        dev.append(&mut clock, &vec![4u8; 64 * 4]).unwrap();
+        dev.clear();
+        assert!(!dev.is_resident(0), "cold pool");
+        dev.read_to_vec(&mut clock, 1, 2).unwrap();
+        assert!(dev.is_resident(1));
+        assert!(dev.is_resident(2));
+        assert!(!dev.is_resident(0), "block 0 has no frame");
+        assert!(!dev.is_resident(3), "block 3 has no frame");
+        assert!(!dev.is_resident(4), "past the end");
+    }
+
+    #[test]
+    fn is_resident_is_false_after_clear_and_eviction() {
+        let (mut dev, mut clock) = setup(2);
+        dev.append(&mut clock, &vec![6u8; 64 * 4]).unwrap();
+        dev.clear();
+        dev.read_to_vec(&mut clock, 0, 2).unwrap();
+        assert!(dev.is_resident(0) && dev.is_resident(1));
+        dev.read_to_vec(&mut clock, 2, 1).unwrap(); // evicts block 0
+        assert!(!dev.is_resident(0), "evicted");
+        assert!(dev.is_resident(1) && dev.is_resident(2));
+        dev.clear();
+        assert!(!dev.is_resident(1), "cleared");
+        assert!(!dev.is_resident(2), "cleared");
+    }
+
+    #[test]
+    fn is_resident_changes_no_lru_order_counter_or_clock() {
+        let (mut dev, mut clock) = setup(2);
+        dev.append(&mut clock, &vec![8u8; 64 * 4]).unwrap();
+        dev.clear();
+        clock.reset();
+        dev.read_to_vec(&mut clock, 0, 1).unwrap();
+        dev.read_to_vec(&mut clock, 1, 1).unwrap(); // LRU is now block 0
+        let (stats, io, clock_stats) = (dev.stats(), clock.io_time(), clock.stats());
+        for _ in 0..3 {
+            assert!(dev.is_resident(0));
+            assert!(!dev.is_resident(2));
+        }
+        assert_eq!(dev.stats(), stats, "hit/miss counters moved");
+        assert_eq!(clock.io_time(), io, "clock charged");
+        assert_eq!(clock.stats(), clock_stats, "clock counters moved");
+        // Asking about block 0 did not make it recently used: the next
+        // miss still evicts it, not block 1.
+        dev.read_to_vec(&mut clock, 2, 1).unwrap();
+        assert!(!dev.is_resident(0));
+        assert!(dev.is_resident(1));
     }
 
     #[test]

@@ -137,6 +137,10 @@ impl BlockDevice for ChecksummedDevice {
     fn device_id(&self) -> u64 {
         self.inner.device_id()
     }
+
+    fn is_resident(&self, block: u64) -> bool {
+        self.inner.is_resident(block)
+    }
 }
 
 #[cfg(test)]

@@ -69,6 +69,16 @@ pub trait BlockDevice: Send + Sync {
     /// Stable identifier used by the clock to track head position.
     fn device_id(&self) -> u64;
 
+    /// Whether a read of `block` would be served without charging the
+    /// clock: true only when a buffer pool in the stack holds it. The
+    /// answer is advisory (a concurrent reader may evict the frame before
+    /// the read) and asking changes nothing: no LRU order, counter or
+    /// clock. Devices without a pool keep the default, `false`; wrappers
+    /// forward it.
+    fn is_resident(&self, _block: u64) -> bool {
+        false
+    }
+
     /// Convenience: reads `n` blocks starting at `start` into a fresh
     /// buffer.
     fn read_to_vec(&self, clock: &mut SimClock, start: u64, n: u64) -> IqResult<Vec<u8>> {

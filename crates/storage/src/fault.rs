@@ -434,6 +434,10 @@ impl BlockDevice for FaultInjectingDevice {
     fn device_id(&self) -> u64 {
         self.inner.device_id()
     }
+
+    fn is_resident(&self, block: u64) -> bool {
+        self.inner.is_resident(block)
+    }
 }
 
 #[cfg(test)]

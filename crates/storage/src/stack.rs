@@ -94,6 +94,10 @@ impl BlockDevice for RetryingDevice {
     fn device_id(&self) -> u64 {
         self.inner.device_id()
     }
+
+    fn is_resident(&self, block: u64) -> bool {
+        self.inner.is_resident(block)
+    }
 }
 
 /// Builder for the canonical layered device. It wraps in call order, so
@@ -229,6 +233,60 @@ mod tests {
             .unwrap_err();
         assert!(err.is_corruption());
         assert_eq!(clock.stats().io_retries, n_before);
+    }
+
+    #[test]
+    fn residency_is_forwarded_through_every_layer() {
+        // Observation and checksum layers below and above the pool, faults
+        // and retries at the ends: the answer comes from the pool.
+        let mut dev = DeviceStack::new(Box::new(MemDevice::new(128)))
+            .faults(FaultConfig::none(5))
+            .observe("raw")
+            .checksum()
+            .observe("below")
+            .cache(8)
+            .observe("above")
+            .checksum()
+            .retry(RetryPolicy::default())
+            .build();
+        let mut clock = SimClock::default();
+        let bs = dev.block_size();
+        dev.append(&mut clock, &vec![2u8; bs * 3]).unwrap();
+        assert!((0..3).all(|b| dev.is_resident(b)), "appends fill the pool");
+        assert!(!dev.is_resident(3), "past the end");
+        let cold = DeviceStack::new(Box::new(MemDevice::new(128)))
+            .checksum()
+            .cache(8)
+            .observe("cache")
+            .build();
+        assert!(!cold.is_resident(0), "empty pool");
+    }
+
+    #[test]
+    fn devices_without_a_pool_are_never_resident() {
+        let dir = std::env::temp_dir().join(format!("iq-storage-resident-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dev.bin");
+        let mut clock = SimClock::default();
+        let mut file = crate::FileDevice::create(&path, 64).unwrap();
+        file.append(&mut clock, &[1u8; 128]).unwrap();
+        let mut mem = MemDevice::new(64);
+        mem.append(&mut clock, &[1u8; 128]).unwrap();
+        let mmap = crate::MmapFileDevice::open(&path, 64).unwrap();
+        let mut stacked = DeviceStack::new(Box::new(MemDevice::new(64)))
+            .checksum()
+            .retry(RetryPolicy::default())
+            .observe("plain")
+            .build();
+        let bs = stacked.block_size();
+        stacked.append(&mut clock, &vec![1u8; 2 * bs]).unwrap();
+        let devices: [&dyn BlockDevice; 4] = [&mem, &file, &mmap, stacked.as_ref()];
+        for dev in devices {
+            dev.read_to_vec(&mut clock, 0, 2).unwrap();
+            assert!(!dev.is_resident(0));
+            assert!(!dev.is_resident(1));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
