@@ -170,10 +170,7 @@ impl Ord for Benefit {
 }
 
 fn var_cost(params: &RefineParams, disk: &DiskModel, part: &Partition, g: u32) -> f64 {
-    let sides: Vec<f32> = (0..part.mbr.dim())
-        .map(|i| part.mbr.extent(i) as f32)
-        .collect();
-    iq_cost::refinement_cost(params, disk, &sides, part.len(), g)
+    iq_cost::refinement_cost(params, disk, &part.mbr.sides(), part.len(), g)
 }
 
 /// Runs the optimal-quantization algorithm over the initial partitions.

@@ -644,11 +644,10 @@ impl IqTree {
         let mut total_var = 0.0;
         let mut n_pages = 0usize;
         for meta in live {
-            let sides: Vec<f32> = (0..self.dim).map(|i| meta.mbr.extent(i) as f32).collect();
             total_var += iq_cost::refinement_cost(
                 &self.refine_params,
                 disk,
-                &sides,
+                &meta.mbr.sides(),
                 meta.count as usize,
                 meta.g,
             );

@@ -11,7 +11,9 @@
 //! [`IqTree::open`] validates all of it and returns a typed [`IqError`]
 //! instead of panicking: a truncated file, a version from the future, a
 //! flipped bit in the directory or metadata that disagrees with the files
-//! it describes all surface as distinct, inspectable errors.
+//! it describes all surface as distinct, inspectable errors. The
+//! directory check is one function, shared with
+//! [`crate::verify::verify_index`], so the two agree on every index.
 //!
 //! [`ChecksummedDevice`]: iq_storage::ChecksummedDevice
 //! [`FileDevice`]: iq_storage::FileDevice
@@ -160,6 +162,141 @@ fn superblock_err(detail: String) -> IqError {
     IqError::Superblock { detail }
 }
 
+/// Decodes the superblock of a directory file of `dir_blocks` logical
+/// blocks; `read` returns the bytes of block 0.
+pub(crate) fn read_superblock(
+    dir_blocks: u64,
+    read: impl FnOnce() -> IqResult<Vec<u8>>,
+) -> IqResult<Superblock> {
+    if dir_blocks == 0 {
+        return Err(superblock_err(
+            "directory file is empty (no superblock)".into(),
+        ));
+    }
+    Superblock::decode(&read()?)
+}
+
+/// What [`check_directory`] found.
+pub(crate) struct DirectoryCheck {
+    /// Every problem, in check order; empty for a valid directory.
+    pub(crate) problems: Vec<IqError>,
+    /// The entries that decoded, each with its index in the directory.
+    pub(crate) entries: Vec<(usize, PageMeta)>,
+    /// The payload blocks as read (empty when they were not read).
+    pub(crate) payload: Vec<u8>,
+    /// The page codec, when the superblock's dimension fits a page.
+    pub(crate) codec: Option<QuantizedPageCodec>,
+}
+
+/// The one check of a directory (level 1) against its superblock and the
+/// level files, shared by [`IqTree::open`] and
+/// [`crate::verify::verify_index`]. In this order it checks the block
+/// size, both level-file lengths, that the directory file holds
+/// `n_pages` entries (the byte count computed without overflow), that
+/// the dimension fits a page, the payload CRC, every entry and the point
+/// sum. `read_payload(n)` reads the `n` payload blocks after the
+/// superblock; it is called only when the file holds them. Every problem
+/// is recorded; a check whose input is missing is skipped.
+pub(crate) fn check_directory(
+    sb: &Superblock,
+    bs: usize,
+    dir_blocks: u64,
+    quant_blocks: u64,
+    exact_blocks: u64,
+    read_payload: impl FnOnce(u64) -> IqResult<Vec<u8>>,
+) -> DirectoryCheck {
+    let mut problems = Vec::new();
+    if sb.block_size as usize != bs {
+        problems.push(superblock_err(format!(
+            "superblock records block size {}, device uses {bs}",
+            sb.block_size
+        )));
+    }
+    if sb.quant_blocks != quant_blocks {
+        problems.push(superblock_err(format!(
+            "superblock records {} quantized blocks, file has {quant_blocks}",
+            sb.quant_blocks
+        )));
+    }
+    if sb.exact_blocks > exact_blocks {
+        problems.push(superblock_err(format!(
+            "superblock records {} exact blocks, file has only {exact_blocks}",
+            sb.exact_blocks
+        )));
+    }
+
+    let dim = sb.dim as usize;
+    let eb = dir_entry_bytes(dim);
+    let payload = match sb.n_pages.checked_mul(eb as u64) {
+        None => {
+            problems.push(superblock_err(format!(
+                "superblock records {} pages, whose {eb}-byte entries overflow a file",
+                sb.n_pages
+            )));
+            None
+        }
+        Some(len) => match len.div_ceil(bs as u64) {
+            blocks if blocks >= dir_blocks => {
+                problems.push(superblock_err(format!(
+                    "directory file too short: {dir_blocks} blocks for {} pages",
+                    sb.n_pages
+                )));
+                None
+            }
+            0 => Some(Vec::new()),
+            blocks => read_payload(blocks).map_err(|e| problems.push(e)).ok(),
+        },
+    };
+    // The page codec's precondition: a header and one exact entry fit.
+    let codec = (dim > 0 && bs >= 4 + 4 + 4 * dim).then(|| QuantizedPageCodec::new(dim, bs));
+    if codec.is_none() {
+        problems.push(superblock_err(format!(
+            "superblock dimension {dim} does not fit a {bs}-byte page"
+        )));
+    }
+
+    let mut entries = Vec::new();
+    if let (Some(payload), Some(codec)) = (&payload, &codec) {
+        let computed = crc32(payload);
+        if computed != sb.dir_crc {
+            problems.push(IqError::ChecksumMismatch {
+                block: 1,
+                stored: sb.dir_crc,
+                computed,
+            });
+        }
+        // The payload holds at least `n_pages` entries: checked above.
+        let mut points = 0u64;
+        for (e, entry) in payload
+            .chunks_exact(eb)
+            .take(sb.n_pages as usize)
+            .enumerate()
+        {
+            match PageMeta::decode(entry, codec, sb) {
+                Ok(meta) => {
+                    points += u64::from(meta.count);
+                    entries.push((e, meta));
+                }
+                Err(msg) => problems.push(IqError::Decode {
+                    detail: format!("directory entry {e}: {msg}"),
+                }),
+            }
+        }
+        if points != sb.n_points {
+            problems.push(superblock_err(format!(
+                "superblock records {} points, directory entries sum to {points}",
+                sb.n_points
+            )));
+        }
+    }
+    DirectoryCheck {
+        problems,
+        entries,
+        payload: payload.unwrap_or_default(),
+        codec,
+    }
+}
+
 impl IqTree {
     /// Opens an IQ-tree whose three files already exist (e.g. created by a
     /// previous [`IqTree::build`] against [`FileDevice`]s).
@@ -259,19 +396,9 @@ impl IqTree {
                 exact.block_size()
             )));
         }
-        if dir.num_blocks() == 0 {
-            return Err(superblock_err(
-                "directory file is empty (no superblock)".into(),
-            ));
-        }
-        let sb_block = read_to_vec_retry(dir.as_ref(), clock, 0, 1)?;
-        let sb = Superblock::decode(&sb_block)?;
-        if sb.block_size as usize != bs {
-            return Err(superblock_err(format!(
-                "superblock records block size {}, device uses {bs}",
-                sb.block_size
-            )));
-        }
+        let sb = read_superblock(dir.num_blocks(), || {
+            read_to_vec_retry(dir.as_ref(), clock, 0, 1)
+        })?;
         if sb.dim as usize != dim {
             return Err(superblock_err(format!(
                 "superblock records dimension {}, caller expects {dim}",
@@ -284,67 +411,25 @@ impl IqTree {
                 sb.metric
             )));
         }
-        if sb.quant_blocks != quant.num_blocks() {
-            return Err(superblock_err(format!(
-                "superblock records {} quantized blocks, file has {}",
-                sb.quant_blocks,
-                quant.num_blocks()
-            )));
+        let mut check = check_directory(
+            &sb,
+            bs,
+            dir.num_blocks(),
+            quant.num_blocks(),
+            exact.num_blocks(),
+            |n| read_to_vec_retry(dir.as_ref(), clock, 1, n),
+        );
+        if !check.problems.is_empty() {
+            return Err(check.problems.swap_remove(0));
         }
-        if sb.exact_blocks > exact.num_blocks() {
-            return Err(superblock_err(format!(
-                "superblock records {} exact blocks, file has only {}",
-                sb.exact_blocks,
-                exact.num_blocks()
-            )));
-        }
-
-        let n_pages = sb.n_pages as usize;
-        let eb = dir_entry_bytes(dim);
-        let payload_blocks = (n_pages * eb).div_ceil(bs) as u64;
-        if dir.num_blocks() < 1 + payload_blocks {
-            return Err(superblock_err(format!(
-                "directory file too short: {} blocks for {n_pages} pages",
-                dir.num_blocks()
-            )));
-        }
-        let dir_bytes = if payload_blocks > 0 {
-            read_to_vec_retry(dir.as_ref(), clock, 1, payload_blocks)?
-        } else {
-            Vec::new()
-        };
-        let computed = crc32(&dir_bytes);
-        if computed != sb.dir_crc {
-            return Err(IqError::ChecksumMismatch {
-                block: 1,
-                stored: sb.dir_crc,
-                computed,
-            });
-        }
-
-        let codec = QuantizedPageCodec::new(dim, bs);
-        let mut pages = Vec::with_capacity(n_pages);
-        let mut n = 0usize;
-        for e in 0..n_pages {
-            let meta =
-                PageMeta::decode(&dir_bytes[e * eb..(e + 1) * eb], &codec, &sb).map_err(|msg| {
-                    IqError::Decode {
-                        detail: format!("directory entry {e}: {msg}"),
-                    }
-                })?;
-            n += meta.count as usize;
-            pages.push(meta);
-        }
-        if n as u64 != sb.n_points {
-            return Err(superblock_err(format!(
-                "superblock records {} points, directory entries sum to {n}",
-                sb.n_points
-            )));
-        }
-
+        let codec = check
+            .codec
+            .expect("a directory without problems has a codec");
+        let pages: Vec<PageMeta> = check.entries.into_iter().map(|(_, meta)| meta).collect();
+        let n = sb.n_points as usize;
         let fractal = opts.fractal_dim.unwrap_or(dim as f64);
         let mut dir_params = DirectoryParams::new(metric, dim, fractal, n.max(1));
-        dir_params.dir_entry_bytes = eb;
+        dir_params.dir_entry_bytes = dir_entry_bytes(dim);
         Ok(Self {
             dim,
             metric,
@@ -355,7 +440,7 @@ impl IqTree {
             quant,
             exact,
             pages,
-            dir_bytes,
+            dir_bytes: check.payload,
             n,
             refine_params: RefineParams::fractal(metric, dim, fractal, n.max(1)),
             dir_params,
@@ -645,6 +730,147 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, IqError::Superblock { .. }), "{err}");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Builds an `n`-point 4-d Euclidean index on 1 KiB `FileDevice`s in
+    /// `dir` and returns the bytes of its directory file.
+    fn build_forgeable(dir: &std::path::Path, n: usize) -> Vec<u8> {
+        let ds = random_ds(n, 4, 95);
+        let mut clock = SimClock::default();
+        let mut it = ["d.bin", "q.bin", "e.bin"].into_iter();
+        drop(IqTree::build(
+            &ds,
+            Metric::Euclidean,
+            IqTreeOptions::default(),
+            || file_dev(dir, it.next().expect("three"), true),
+            &mut clock,
+        ));
+        std::fs::read(dir.join("d.bin")).expect("read dir file")
+    }
+
+    /// Writes `pristine` with `patch` at byte `at` as the directory file,
+    /// recomputing the CRC of the 1024-byte physical block it lands in (the
+    /// last 4 bytes of that block), so only the directory check can tell.
+    fn forge(dir: &std::path::Path, pristine: &[u8], at: usize, patch: &[u8]) {
+        let mut bytes = pristine.to_vec();
+        bytes[at..at + patch.len()].copy_from_slice(patch);
+        let block = at / 1024 * 1024;
+        let crc = iq_storage::crc32(&bytes[block..block + 1020]);
+        bytes[block + 1020..block + 1024].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join("d.bin"), &bytes).expect("write dir file");
+    }
+
+    fn open_forged(dir: &std::path::Path, dim: usize, metric: Metric) -> IqResult<IqTree> {
+        IqTree::open(
+            dim,
+            metric,
+            IqTreeOptions::default(),
+            file_dev(dir, "d.bin", false),
+            file_dev(dir, "q.bin", false),
+            file_dev(dir, "e.bin", false),
+            &mut SimClock::default(),
+        )
+    }
+
+    fn verify_forged(dir: &std::path::Path) -> crate::verify::VerifyReport {
+        crate::verify::verify_index(
+            file_dev(dir, "d.bin", false),
+            file_dev(dir, "q.bin", false),
+            file_dev(dir, "e.bin", false),
+            &mut SimClock::default(),
+        )
+    }
+
+    /// A superblock whose page count makes `n_pages × entry bytes`
+    /// overflow (2^62 × 60 wraps to 0, the second value to 44 bytes) is a
+    /// typed error for `open` and a named problem for `verify`.
+    #[test]
+    fn forged_page_count_is_an_error_not_a_panic() {
+        let dir = temp_dir("forged-count");
+        let pristine = build_forgeable(&dir, 300);
+        for n_pages in [1u64 << 62, 307_445_734_561_825_861] {
+            forge(&dir, &pristine, 24, &n_pages.to_le_bytes());
+            match open_forged(&dir, 4, Metric::Euclidean) {
+                Ok(_) => panic!("{n_pages} pages opened"),
+                Err(e) => assert!(matches!(e, IqError::Superblock { .. }), "{e}"),
+            }
+            let report = verify_forged(&dir);
+            assert!(!report.is_clean(), "{n_pages} pages verified clean");
+            assert!(
+                report
+                    .errors
+                    .iter()
+                    .any(|e| e.contains(&n_pages.to_string())),
+                "{:?}",
+                report.errors
+            );
+        }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// `open` and `verify` run one directory check, so they agree on every
+    /// forged superblock field and on a forged payload byte: `open` fails
+    /// exactly when `verify` reports a problem, and its error is one of
+    /// `verify`'s. `open` is given the dimension and metric the forged
+    /// superblock records, as `verify` has no other source.
+    #[test]
+    fn open_and_verify_agree_on_forged_directories() {
+        let dir = temp_dir("forged-agree");
+        // 1,000 points: pages with exact regions, so the exact-file length
+        // is checked too.
+        let pristine = build_forgeable(&dir, 1_000);
+        let sb = Superblock::decode(&pristine[..1020]).expect("valid superblock");
+        assert!(sb.exact_blocks > 0, "{sb:?}");
+        let u32s = |v: u32| v.to_le_bytes().to_vec();
+        let u64s = |v: u64| v.to_le_bytes().to_vec();
+        let cases: Vec<(&str, usize, Vec<u8>)> = vec![
+            ("magic", 0, b"XQTRIDX\0".to_vec()),
+            ("future version", 8, u32s(99)),
+            ("version 2", 8, u32s(2)),
+            ("block size", 12, u32s(1016)),
+            ("dimension 5", 16, u32s(5)),
+            ("dimension 0", 16, u32s(0)),
+            ("dimension u32::MAX", 16, u32s(u32::MAX)),
+            ("metric L-inf", 20, u32s(1)),
+            ("metric code 7", 20, u32s(7)),
+            ("one page more", 24, u64s(sb.n_pages + 1)),
+            ("no pages", 24, u64s(0)),
+            ("2^62 pages", 24, u64s(1 << 62)),
+            ("one point more", 32, u64s(sb.n_points + 1)),
+            ("one quantized block more", 40, u64s(sb.quant_blocks + 1)),
+            ("one quantized block less", 40, u64s(sb.quant_blocks - 1)),
+            ("one exact block more", 48, u64s(sb.exact_blocks + 1)),
+            ("one exact block less", 48, u64s(sb.exact_blocks - 1)),
+            ("payload CRC", 56, u32s(sb.dir_crc ^ 1)),
+            ("generation", 60, u64s(sb.generation + 5)),
+            ("payload byte", 1024, vec![pristine[1024] ^ 0x40]),
+        ];
+        let mut failed = 0;
+        for (name, at, patch) in &cases {
+            forge(&dir, &pristine, *at, patch);
+            let forged = std::fs::read(dir.join("d.bin")).expect("read dir file");
+            let (dim, metric) = Superblock::decode(&forged[..1020])
+                .map_or((4, Metric::Euclidean), |sb| (sb.dim as usize, sb.metric));
+            let opened = open_forged(&dir, dim, metric);
+            let report = verify_forged(&dir);
+            assert_eq!(
+                opened.is_err(),
+                !report.is_clean(),
+                "{name}: verify reports {:?}",
+                report.errors
+            );
+            if let Err(e) = opened {
+                failed += 1;
+                assert!(
+                    report.errors.contains(&e.to_string()),
+                    "{name}: open says `{e}`, verify says {:?}",
+                    report.errors
+                );
+            }
+        }
+        // Version 2, metric L-inf and generation leave a valid index.
+        assert_eq!(failed, cases.len() - 3);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 }

@@ -969,10 +969,9 @@ impl IqTree {
         let mut refine_pages: f64 = live
             .iter()
             .map(|meta| {
-                let sides: Vec<f32> = (0..self.dim()).map(|i| meta.mbr.extent(i) as f32).collect();
                 iq_cost::expected_refinements_knn(
                     self.refine_params(),
-                    &sides,
+                    &meta.mbr.sides(),
                     meta.count as usize,
                     meta.g,
                     k,

@@ -41,6 +41,16 @@ impl LoadedPage {
     }
 }
 
+/// A page's new images, encoded once for [`IqTree::store_page`] and
+/// [`IqTree::append_page`].
+struct PageImage {
+    mbr: Mbr,
+    /// The quantized block.
+    quant: Vec<u8>,
+    /// Below [`EXACT_BITS`]: the exact region and its length in blocks.
+    exact: Option<(Vec<u8>, u32)>,
+}
+
 impl IqTree {
     /// Loads ids and exact coordinates of every point in a page.
     ///
@@ -76,6 +86,25 @@ impl IqTree {
         Ok(LoadedPage { ids, coords })
     }
 
+    /// The new images of `page` at `g` bits.
+    fn encode_page(&self, page: &LoadedPage, g: u32) -> PageImage {
+        let dim = self.dim();
+        let mbr = page.mbr(dim);
+        let entries = || {
+            page.ids
+                .iter()
+                .enumerate()
+                .map(move |(i, &id)| (id, page.point(i, dim)))
+        };
+        let quant = self.codec().encode(&mbr, g, entries());
+        let exact = (g < EXACT_BITS).then(|| {
+            let bytes = self.exact_codec().encode(entries());
+            let nblocks = bytes.len().div_ceil(self.block_size()) as u32;
+            (bytes, nblocks)
+        });
+        PageImage { mbr, quant, exact }
+    }
+
     /// Writes a page's quantized block (in place) and exact region
     /// (appended when it grows or moves), updating the directory entry.
     fn store_page(
@@ -85,49 +114,26 @@ impl IqTree {
         page: &LoadedPage,
         g: u32,
     ) -> IqResult<()> {
-        let dim = self.dim();
-        let mbr = page.mbr(dim);
-        let quant_bytes = {
-            let codec = *self.codec();
-            codec.encode(
-                &mbr,
-                g,
-                page.ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, page.point(i, dim))),
-            )
-        };
+        let PageImage { mbr, quant, exact } = self.encode_page(page, g);
         let old = self.pages()[idx].clone();
         let quant_block = old.quant_block;
-        self.dev_write(clock, Level::Quant, quant_block, &quant_bytes)?;
+        self.dev_write(clock, Level::Quant, quant_block, &quant)?;
 
-        let (exact_start, exact_blocks) = if g < EXACT_BITS {
-            let bytes = {
-                let codec = *self.exact_codec();
-                codec.encode(
-                    page.ids
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &id)| (id, page.point(i, dim))),
-                )
-            };
-            let nblocks = bytes.len().div_ceil(self.block_size()) as u32;
-            if nblocks == old.exact_blocks && old.g < EXACT_BITS {
+        let (exact_start, exact_blocks) = match exact {
+            Some((mut bytes, nblocks)) if nblocks == old.exact_blocks && old.g < EXACT_BITS => {
                 // Same footprint: overwrite in place.
-                let mut padded = bytes;
-                padded.resize(nblocks as usize * self.block_size(), 0);
-                let start = old.exact_start;
-                self.dev_write(clock, Level::Exact, start, &padded)?;
-                (start, nblocks)
-            } else {
-                self.waste_exact(u64::from(old.exact_blocks));
-                let start = self.dev_append(clock, Level::Exact, &bytes)?;
-                (start, nblocks)
+                bytes.resize(nblocks as usize * self.block_size(), 0);
+                self.dev_write(clock, Level::Exact, old.exact_start, &bytes)?;
+                (old.exact_start, nblocks)
             }
-        } else {
-            self.waste_exact(u64::from(old.exact_blocks));
-            (0, 0)
+            Some((bytes, nblocks)) => {
+                self.waste_exact(u64::from(old.exact_blocks));
+                (self.dev_append(clock, Level::Exact, &bytes)?, nblocks)
+            }
+            None => {
+                self.waste_exact(u64::from(old.exact_blocks));
+                (0, 0)
+            }
         };
 
         self.set_page_meta(
@@ -147,35 +153,11 @@ impl IqTree {
     /// Appends a brand-new page (quantized block + exact region + directory
     /// entry).
     fn append_page(&mut self, clock: &mut SimClock, page: &LoadedPage, g: u32) -> IqResult<()> {
-        let dim = self.dim();
-        let mbr = page.mbr(dim);
-        let quant_bytes = {
-            let codec = *self.codec();
-            codec.encode(
-                &mbr,
-                g,
-                page.ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| (id, page.point(i, dim))),
-            )
-        };
-        let quant_block = self.dev_append(clock, Level::Quant, &quant_bytes)?;
-        let (exact_start, exact_blocks) = if g < EXACT_BITS {
-            let bytes = {
-                let codec = *self.exact_codec();
-                codec.encode(
-                    page.ids
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &id)| (id, page.point(i, dim))),
-                )
-            };
-            let nblocks = bytes.len().div_ceil(self.block_size()) as u32;
-            let start = self.dev_append(clock, Level::Exact, &bytes)?;
-            (start, nblocks)
-        } else {
-            (0, 0)
+        let PageImage { mbr, quant, exact } = self.encode_page(page, g);
+        let quant_block = self.dev_append(clock, Level::Quant, &quant)?;
+        let (exact_start, exact_blocks) = match exact {
+            Some((bytes, nblocks)) => (self.dev_append(clock, Level::Exact, &bytes)?, nblocks),
+            None => (0, 0),
         };
         self.push_page_meta(PageMeta {
             mbr,
@@ -263,21 +245,13 @@ impl IqTree {
         let refine = *self.refine_params();
         let dirp = *self.dir_params();
         let n_pages = self.pages().len();
-        let sides_of = |mbr: &Mbr| -> Vec<f32> { (0..dim).map(|i| mbr.extent(i) as f32).collect() };
 
+        let mbr = page.mbr(dim);
         let coarse_g = self.codec().max_bits_for(page.ids.len());
-        let coarsen_cost = coarse_g.map(|cg| {
-            iq_cost::refinement_cost(
-                &refine,
-                &disk,
-                &sides_of(&page.mbr(dim)),
-                page.ids.len(),
-                cg,
-            )
-        });
+        let coarsen_cost = coarse_g
+            .map(|cg| iq_cost::refinement_cost(&refine, &disk, &mbr.sides(), page.ids.len(), cg));
 
         // Tentative median split.
-        let mbr = page.mbr(dim);
         let axis = mbr.longest_dim();
         let mut order: Vec<usize> = (0..page.ids.len()).collect();
         order.sort_by(|&a, &b| {
@@ -305,20 +279,17 @@ impl IqTree {
             .codec()
             .max_bits_for(right.ids.len())
             .expect("half fits");
-        let split_cost = iq_cost::refinement_cost(
-            &refine,
-            &disk,
-            &sides_of(&left.mbr(dim)),
-            left.ids.len(),
-            lg,
-        ) + iq_cost::refinement_cost(
-            &refine,
-            &disk,
-            &sides_of(&right.mbr(dim)),
-            right.ids.len(),
-            rg,
-        ) + (directory::constant_cost(&dirp, &disk, n_pages + 1)
-            - directory::constant_cost(&dirp, &disk, n_pages));
+        let split_cost =
+            iq_cost::refinement_cost(&refine, &disk, &left.mbr(dim).sides(), left.ids.len(), lg)
+                + iq_cost::refinement_cost(
+                    &refine,
+                    &disk,
+                    &right.mbr(dim).sides(),
+                    right.ids.len(),
+                    rg,
+                )
+                + (directory::constant_cost(&dirp, &disk, n_pages + 1)
+                    - directory::constant_cost(&dirp, &disk, n_pages));
 
         match coarsen_cost {
             Some(cc) if cc <= split_cost => {
@@ -466,7 +437,6 @@ impl IqTree {
         let disk = *clock.disk();
         let refine = *self.refine_params();
         let dirp = *self.dir_params();
-        let sides_of = |mbr: &Mbr| -> Vec<f32> { (0..dim).map(|i| mbr.extent(i) as f32).collect() };
         let other = self.load_page(clock, j)?;
         let mut merged = LoadedPage {
             ids: page.ids.clone(),
@@ -480,18 +450,18 @@ impl IqTree {
             .expect("checked to fit at 1 bit");
         let merged_mbr = merged.mbr(dim);
         let merged_cost =
-            iq_cost::refinement_cost(&refine, &disk, &sides_of(&merged_mbr), merged.ids.len(), mg);
+            iq_cost::refinement_cost(&refine, &disk, &merged_mbr.sides(), merged.ids.len(), mg);
         let n_pages = self.pages().len();
         let separate_cost = iq_cost::refinement_cost(
             &refine,
             &disk,
-            &sides_of(&my_mbr),
+            &my_mbr.sides(),
             page.ids.len(),
             self.codec().max_bits_for(page.ids.len()).expect("fits"),
         ) + iq_cost::refinement_cost(
             &refine,
             &disk,
-            &sides_of(&other.mbr(dim)),
+            &other.mbr(dim).sides(),
             other.ids.len(),
             self.pages()[j].g,
         ) + (directory::constant_cost(&dirp, &disk, n_pages)

@@ -2,8 +2,9 @@
 //!
 //! [`verify_index`] takes the three *raw* devices (as stored on disk),
 //! wraps them in the same [`ChecksummedDevice`] the tree itself uses, and
-//! scans every block of every level: per-block CRCs, the superblock, the
-//! directory payload CRC, per-entry metadata invariants, the decodability
+//! scans every block of every level: per-block CRCs, then the superblock,
+//! the directory payload CRC and per-entry metadata invariants through
+//! the directory check [`crate::IqTree::open`] runs, the decodability
 //! of every quantized page, and cross-level consistency (each page holds
 //! exactly the point count its directory entry records, and the ids in its
 //! exact region agree entry-for-entry with the ids in the quantized page —
@@ -12,10 +13,9 @@
 //! that pinpoints each corrupt block by level and index — the `iq verify`
 //! CLI command prints it and exits nonzero when anything is wrong.
 
-use crate::persist::Superblock;
-use crate::{dir_entry_bytes, PageMeta};
-use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
-use iq_storage::{crc32, BlockDevice, ChecksummedDevice, SimClock};
+use crate::persist::{check_directory, read_superblock, Superblock};
+use iq_quantize::{ExactPageCodec, EXACT_BITS};
+use iq_storage::{BlockDevice, ChecksummedDevice, IqError, IqResult, SimClock};
 
 /// Per-level scan outcome.
 #[derive(Clone, Debug, Default)]
@@ -117,29 +117,25 @@ impl VerifyReport {
 }
 
 /// Scans every block of `dev`, returning the per-level report and the
-/// bytes of each readable block (by index).
+/// outcome of reading each block (by index).
 fn scan_level(
     name: &'static str,
     dev: &dyn BlockDevice,
     clock: &mut SimClock,
-) -> (LevelReport, Vec<Option<Vec<u8>>>) {
+) -> (LevelReport, Vec<IqResult<Vec<u8>>>) {
     let blocks = dev.num_blocks();
     let mut report = LevelReport {
         name,
         blocks,
         corrupt_blocks: Vec::new(),
     };
-    let mut contents = Vec::with_capacity(blocks as usize);
-    for b in 0..blocks {
-        // One block at a time: a corrupt block must not mask the health of
-        // its neighbors, and the simulated cost of a sequential per-block
-        // sweep equals one ranged read anyway.
-        match dev.read_to_vec(clock, b, 1) {
-            Ok(bytes) => contents.push(Some(bytes)),
-            Err(_) => {
-                report.corrupt_blocks.push(b);
-                contents.push(None);
-            }
+    // One block at a time: a corrupt block must not mask the health of its
+    // neighbors, and the simulated cost of a sequential per-block sweep
+    // equals one ranged read anyway.
+    let contents: Vec<_> = (0..blocks).map(|b| dev.read_to_vec(clock, b, 1)).collect();
+    for (b, read) in contents.iter().enumerate() {
+        if read.is_err() {
+            report.corrupt_blocks.push(b as u64);
         }
     }
     (report, contents)
@@ -147,6 +143,9 @@ fn scan_level(
 
 /// Verifies an index given its three raw (unwrapped) level devices.
 ///
+/// The superblock and the directory go through the same check
+/// [`crate::IqTree::open`] runs; each problem it records lands in
+/// [`VerifyReport::errors`] as the text of the error `open` would return.
 /// Never panics on corrupt input: every problem is recorded in the
 /// returned [`VerifyReport`].
 pub fn verify_index(
@@ -158,173 +157,107 @@ pub fn verify_index(
     let dir = ChecksummedDevice::new(dir);
     let quant = ChecksummedDevice::new(quant);
     let exact = ChecksummedDevice::new(exact);
-    let bs = dir.block_size();
 
     let mut report = VerifyReport::default();
     let (dir_rep, dir_blocks) = scan_level("directory", &dir, clock);
     let (quant_rep, quant_blocks) = scan_level("quantized", &quant, clock);
-    let (exact_rep, exact_blocks_v) = scan_level("exact", &exact, clock);
-    report.levels = vec![dir_rep, quant_rep];
+    let (exact_rep, exact_blocks) = scan_level("exact", &exact, clock);
+    report.levels = vec![dir_rep, quant_rep, exact_rep];
 
-    // Superblock.
-    let sb = match dir_blocks.first() {
-        None => {
-            report.errors.push("directory file is empty".into());
-            None
+    let sb = read_superblock(dir_blocks.len() as u64, || {
+        dir_blocks[0].clone().map_err(|e| IqError::Superblock {
+            detail: format!("directory block 0 is unreadable: {e}"),
+        })
+    });
+    let sb = match sb {
+        Ok(sb) => sb,
+        Err(e) => {
+            report.errors.push(e.to_string());
+            return report;
         }
-        Some(None) => {
-            report
-                .errors
-                .push("superblock (directory block 0) failed its checksum".into());
-            None
-        }
-        Some(Some(bytes)) => match Superblock::decode(bytes) {
-            Ok(sb) => Some(sb),
-            Err(e) => {
-                report.errors.push(format!("superblock: {e}"));
-                None
-            }
-        },
     };
-    report.superblock = sb;
+    report.superblock = Some(sb);
+    let check = check_directory(
+        &sb,
+        dir.block_size(),
+        dir.num_blocks(),
+        quant.num_blocks(),
+        exact.num_blocks(),
+        |n| {
+            let blocks = dir_blocks[1..=n as usize].iter().cloned();
+            Ok(blocks.collect::<IqResult<Vec<_>>>()?.concat())
+        },
+    );
+    report.errors = check.problems.iter().map(ToString::to_string).collect();
+    let Some(codec) = check.codec else {
+        return report;
+    };
 
-    if let Some(sb) = sb {
-        if sb.block_size as usize != bs {
-            report.errors.push(format!(
-                "superblock records block size {}, device uses {bs}",
-                sb.block_size
-            ));
-        }
-        if sb.quant_blocks != quant.num_blocks() {
-            report.errors.push(format!(
-                "superblock records {} quantized blocks, file has {}",
-                sb.quant_blocks,
-                quant.num_blocks()
-            ));
-        }
-        if sb.exact_blocks > exact.num_blocks() {
-            report.errors.push(format!(
-                "superblock records {} exact blocks, file has only {}",
-                sb.exact_blocks,
-                exact.num_blocks()
-            ));
-        }
-
-        // Directory payload: CRC over blocks 1.. and per-entry invariants.
-        let dim = sb.dim as usize;
-        let eb = dir_entry_bytes(dim);
-        let n_pages = sb.n_pages as usize;
-        let payload_blocks = (n_pages * eb).div_ceil(bs);
-        let payload: Option<Vec<u8>> = (1..=payload_blocks)
-            .map(|b| dir_blocks.get(b).cloned().flatten())
-            .collect::<Option<Vec<Vec<u8>>>>()
-            .map(|v| v.concat());
-        // Mirror the codec's precondition (header + one exact entry fits)
-        // so a garbage dim in a forged superblock cannot make verify panic.
-        let codec = (dim > 0 && bs >= 4 + 4 + 4 * dim).then(|| QuantizedPageCodec::new(dim, bs));
-        let mut metas: Vec<(usize, PageMeta)> = Vec::new();
-        match (payload, &codec) {
-            (None, _) => report.errors.push(format!(
-                "directory payload unreadable ({payload_blocks} blocks for {n_pages} entries)"
-            )),
-            (Some(_), None) => report.errors.push(format!(
-                "superblock dimension {dim} does not fit a {bs}-byte page"
-            )),
-            (Some(payload), Some(codec)) => {
-                let computed = crc32(&payload);
-                if computed != sb.dir_crc {
-                    report.errors.push(format!(
-                        "directory payload CRC mismatch: superblock records {:#010x}, payload hashes to {computed:#010x}",
-                        sb.dir_crc
-                    ));
-                }
-                let mut total_points = 0u64;
-                for e in 0..n_pages {
-                    match PageMeta::decode(&payload[e * eb..(e + 1) * eb], codec, &sb) {
-                        Ok(meta) => {
-                            total_points += u64::from(meta.count);
-                            metas.push((e, meta));
-                        }
-                        Err(msg) => report.errors.push(format!("directory entry {e}: {msg}")),
-                    }
-                }
-                if total_points != sb.n_points {
-                    report.errors.push(format!(
-                        "superblock records {} points, directory entries sum to {total_points}",
-                        sb.n_points
-                    ));
-                }
-            }
-        }
-
-        // Every quantized block must decode as a page (the directory maps
-        // pages 1:1 onto quantized blocks).
-        if let Some(codec) = codec {
-            for (b, bytes) in quant_blocks.iter().enumerate() {
-                if let Some(bytes) = bytes {
-                    if codec.try_view(bytes).is_err() {
-                        report.undecodable_pages.push(b as u64);
-                    }
-                }
-            }
-
-            // Cross-level consistency for every decodable directory entry:
-            // the page must hold exactly `count` entries, and for pages with
-            // a separate exact region the level-3 ids must agree with the
-            // level-2 ids entry for entry. Blocks that already failed the
-            // CRC scan are skipped silently — they are reported above.
-            let exact_codec = ExactPageCodec::new(dim);
-            let entry_len = exact_codec.entry_bytes();
-            let mut coords = vec![0.0f32; dim];
-            for (e, meta) in &metas {
-                let Some(Some(bytes)) = quant_blocks.get(meta.quant_block as usize) else {
-                    continue;
-                };
-                let Ok(view) = codec.try_view(bytes) else {
-                    continue;
-                };
-                if view.len() != meta.count as usize {
-                    report.errors.push(format!(
-                        "directory entry {e}: records {} points, page at block {} holds {}",
-                        meta.count,
-                        meta.quant_block,
-                        view.len()
-                    ));
-                    continue;
-                }
-                if meta.g >= EXACT_BITS || meta.count == 0 {
-                    continue;
-                }
-                let region: Option<Vec<u8>> = (meta.exact_start
-                    ..meta.exact_start + u64::from(meta.exact_blocks))
-                    .map(|b| exact_blocks_v.get(b as usize).cloned().flatten())
-                    .collect::<Option<Vec<Vec<u8>>>>()
-                    .map(|v| v.concat());
-                let Some(region) = region else { continue };
-                if region.len() < meta.count as usize * entry_len {
-                    report.errors.push(format!(
-                        "directory entry {e}: exact region of {} blocks too short for {} entries",
-                        meta.exact_blocks, meta.count
-                    ));
-                    continue;
-                }
-                for i in 0..meta.count as usize {
-                    let entry = &region[i * entry_len..(i + 1) * entry_len];
-                    match exact_codec.try_decode_entry_into(entry, &mut coords) {
-                        Ok(id) if id == view.id(i) => {}
-                        Ok(id) => report.errors.push(format!(
-                            "directory entry {e}: exact entry {i} has id {id}, quantized page has {}",
-                            view.id(i)
-                        )),
-                        Err(err) => report
-                            .errors
-                            .push(format!("directory entry {e}: exact entry {i}: {err}")),
-                    }
-                }
+    // Every quantized block must decode as a page (the directory maps
+    // pages 1:1 onto quantized blocks).
+    for (b, bytes) in quant_blocks.iter().enumerate() {
+        if let Ok(bytes) = bytes {
+            if codec.try_view(bytes).is_err() {
+                report.undecodable_pages.push(b as u64);
             }
         }
     }
-    report.levels.push(exact_rep);
+
+    // Cross-level consistency for every decodable directory entry: the
+    // page must hold exactly `count` entries, and for pages with a
+    // separate exact region the level-3 ids must agree with the level-2
+    // ids entry for entry. Blocks that already failed the CRC scan are
+    // skipped silently — they are reported above.
+    let dim = codec.dim();
+    let exact_codec = ExactPageCodec::new(dim);
+    let entry_len = exact_codec.entry_bytes();
+    let mut coords = vec![0.0f32; dim];
+    for (e, meta) in &check.entries {
+        let Some(Ok(bytes)) = quant_blocks.get(meta.quant_block as usize) else {
+            continue;
+        };
+        let Ok(view) = codec.try_view(bytes) else {
+            continue;
+        };
+        if view.len() != meta.count as usize {
+            report.errors.push(format!(
+                "directory entry {e}: records {} points, page at block {} holds {}",
+                meta.count,
+                meta.quant_block,
+                view.len()
+            ));
+            continue;
+        }
+        if meta.g >= EXACT_BITS || meta.count == 0 {
+            continue;
+        }
+        let region: Option<Vec<u8>> = (meta.exact_start
+            ..meta.exact_start + u64::from(meta.exact_blocks))
+            .map(|b| exact_blocks.get(b as usize)?.as_ref().ok().cloned())
+            .collect::<Option<Vec<Vec<u8>>>>()
+            .map(|v| v.concat());
+        let Some(region) = region else { continue };
+        if region.len() < meta.count as usize * entry_len {
+            report.errors.push(format!(
+                "directory entry {e}: exact region of {} blocks too short for {} entries",
+                meta.exact_blocks, meta.count
+            ));
+            continue;
+        }
+        for i in 0..meta.count as usize {
+            let entry = &region[i * entry_len..(i + 1) * entry_len];
+            match exact_codec.try_decode_entry_into(entry, &mut coords) {
+                Ok(id) if id == view.id(i) => {}
+                Ok(id) => report.errors.push(format!(
+                    "directory entry {e}: exact entry {i} has id {id}, quantized page has {}",
+                    view.id(i)
+                )),
+                Err(err) => report
+                    .errors
+                    .push(format!("directory entry {e}: exact entry {i}: {err}")),
+            }
+        }
+    }
     report
 }
 
@@ -352,7 +285,7 @@ mod tests {
     use crate::tests::random_ds;
     use crate::{IqTree, IqTreeOptions};
     use iq_geometry::Metric;
-    use iq_storage::{FaultConfig, FaultInjectingDevice, IqResult, MemDevice};
+    use iq_storage::{FaultConfig, FaultInjectingDevice, MemDevice};
     use std::sync::{Arc, Mutex};
 
     /// A MemDevice behind a shared handle, so the test keeps access to the

@@ -87,6 +87,12 @@ impl Mbr {
         (f64::from(self.ub[i]) - f64::from(self.lb[i])).max(0.0)
     }
 
+    /// Every [`Self::extent`] as an `f32`: the page sides the cost model
+    /// (`iq_cost`) takes.
+    pub fn sides(&self) -> Vec<f32> {
+        (0..self.dim()).map(|i| self.extent(i) as f32).collect()
+    }
+
     /// The dimension with the largest extension — the paper's split
     /// dimension choice ("we split the page along the dimension where the
     /// MBR has its largest extension").

@@ -61,7 +61,7 @@ pub fn auto_bits(
     fractal_dim: f64,
 ) -> u32 {
     let mbr = Mbr::of_points(ds.dim(), ds.iter());
-    let sides: Vec<f32> = (0..ds.dim()).map(|i| mbr.extent(i) as f32).collect();
+    let sides = mbr.sides();
     (1..=16u32)
         .min_by(|&a, &b| {
             let ca = predict_cost(disk, cpu, ds.dim(), ds.len(), fractal_dim, &sides, a);
@@ -463,10 +463,14 @@ impl AccessMethod for VaFile {
     fn cost_prediction(&self, k: usize, opts: &QueryOptions) -> Option<CostPrediction> {
         let disk = DiskModel::default();
         let approx_blocks = self.approx.num_blocks();
-        let sides: Vec<f32> = (0..self.dim).map(|i| self.mbr.extent(i) as f32).collect();
         let params = RefineParams::uniform(self.metric, self.dim, self.n);
-        let mut refine_pages =
-            iq_cost::expected_refinements_knn(&params, &sides, self.n, self.bits, k.max(1));
+        let mut refine_pages = iq_cost::expected_refinements_knn(
+            &params,
+            &self.mbr.sides(),
+            self.n,
+            self.bits,
+            k.max(1),
+        );
         if opts.refine_factor >= 2 {
             refine_pages = refine_pages.min(k.max(1) as f64 * f64::from(opts.refine_factor));
         }

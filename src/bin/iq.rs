@@ -27,7 +27,7 @@ use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, FileDevice, FileWal, MemDevice, MmapFileDevice, SimClock,
 };
-use iqtree_repro::tree::{IqTree, IqTreeOptions};
+use iqtree_repro::tree::{IqTree, IqTreeOptions, RecoveryReport};
 use iqtree_repro::EngineKind;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -505,24 +505,33 @@ fn cmd_build(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn open_tree(
-    index: &Path,
-    cache_blocks: Option<usize>,
-) -> Result<(IqTree, SimClock, IndexMeta), String> {
-    let meta = load_meta(index)?;
-    let mut clock = SimClock::default();
+/// Opens the directory, quantized and exact files of `index` as raw
+/// devices of `block`-byte blocks.
+fn open_files(index: &Path, block: usize) -> Result<[Box<dyn BlockDevice>; 3], String> {
     let open = |name: &str| -> Result<Box<dyn BlockDevice>, String> {
         Ok(Box::new(
-            FileDevice::open(&index.join(name), meta.block)
-                .map_err(|e| format!("open {name}: {e}"))?,
+            FileDevice::open(&index.join(name), block).map_err(|e| format!("open {name}: {e}"))?,
         ))
     };
+    Ok([open(FILES[0])?, open(FILES[1])?, open(FILES[2])?])
+}
+
+/// An opened index: the tree, a reset clock, the meta file and what
+/// recovery did (`None` for an index without a write-ahead log).
+type Opened = (IqTree, SimClock, IndexMeta, Option<RecoveryReport>);
+
+/// Opens the index at `index`, recovering through its write-ahead log
+/// when it has one.
+fn open_tree(index: &Path, cache_blocks: Option<usize>) -> Result<Opened, String> {
+    let meta = load_meta(index)?;
+    let mut clock = SimClock::default();
     let opts = IqTreeOptions {
         cache_blocks,
         ..Default::default()
     };
     let wal_path = index.join(WAL_FILE);
-    let tree = if wal_path.exists() {
+    let [dir, quant, exact] = open_files(index, meta.block)?;
+    let (tree, report) = if wal_path.exists() {
         // Recovery-on-open: replay committed transactions the log still
         // holds, drop torn tails, and keep the log attached for updates.
         let store = FileWal::open(&wal_path).map_err(|e| format!("open {WAL_FILE}: {e}"))?;
@@ -530,9 +539,9 @@ fn open_tree(
             meta.dim,
             meta.metric,
             opts,
-            open(FILES[0])?,
-            open(FILES[1])?,
-            open(FILES[2])?,
+            dir,
+            quant,
+            exact,
             Box::new(store),
             &mut clock,
         )
@@ -544,23 +553,16 @@ fn open_tree(
                 report.replayed_txns, report.replayed_frames, report.discarded_bytes,
             );
         }
-        tree
+        (tree, Some(report))
     } else {
         // No log: a pre-WAL (format v2) index, opened read-only for
         // queries; updates require a rebuild to the current format.
-        IqTree::open(
-            meta.dim,
-            meta.metric,
-            opts,
-            open(FILES[0])?,
-            open(FILES[1])?,
-            open(FILES[2])?,
-            &mut clock,
-        )
-        .map_err(|e| format!("open index: {e}"))?
+        let tree = IqTree::open(meta.dim, meta.metric, opts, dir, quant, exact, &mut clock)
+            .map_err(|e| format!("open index: {e}"))?;
+        (tree, None)
     };
     clock.reset();
-    Ok((tree, clock, meta))
+    Ok((tree, clock, meta, report))
 }
 
 fn parse_engine(opts: &HashMap<String, String>) -> Result<EngineKind, String> {
@@ -580,7 +582,7 @@ fn open_engine(
     let kind = parse_engine(opts)?;
     if kind == EngineKind::IqTree {
         let index = PathBuf::from(req(opts, "index")?);
-        let (tree, clock, _) = open_tree(&index, parse_cache_blocks(opts)?)?;
+        let (tree, clock, ..) = open_tree(&index, parse_cache_blocks(opts)?)?;
         return Ok((Box::new(tree), clock));
     }
     let input = req(opts, "input").map_err(|_| {
@@ -1095,30 +1097,14 @@ fn cmd_verify(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let index = PathBuf::from(req(opts, "index")?);
     let meta = load_meta(&index)?;
-    let open = |name: &str| -> Result<Box<dyn BlockDevice>, String> {
-        Ok(Box::new(
-            FileDevice::open(&index.join(name), meta.block)
-                .map_err(|e| format!("open {name}: {e}"))?,
-        ))
-    };
     let mut clock = SimClock::default();
     let wal_path = index.join(WAL_FILE);
+    let [dir, quant, exact] = open_files(&index, meta.block)?;
     let report = if wal_path.exists() {
         let image = std::fs::read(&wal_path).map_err(|e| format!("read {WAL_FILE}: {e}"))?;
-        verify_index_with_wal(
-            open(FILES[0])?,
-            open(FILES[1])?,
-            open(FILES[2])?,
-            &image,
-            &mut clock,
-        )
+        verify_index_with_wal(dir, quant, exact, &image, &mut clock)
     } else {
-        verify_index(
-            open(FILES[0])?,
-            open(FILES[1])?,
-            open(FILES[2])?,
-            &mut clock,
-        )
+        verify_index(dir, quant, exact, &mut clock)
     };
 
     outln!("verify {index:?} (block size {} B)", meta.block);
@@ -1191,7 +1177,7 @@ fn cmd_checkpoint(opts: &HashMap<String, String>) -> Result<(), String> {
              must be rebuilt with `iq build` before it can checkpoint"
         ));
     }
-    let (mut tree, mut clock, meta) = open_tree(&index, None)?;
+    let (mut tree, mut clock, meta, _) = open_tree(&index, None)?;
     let wasted_before = tree.wasted_exact_blocks();
     let wal_before = tree.wal_bytes();
     let generation = tree
@@ -1258,26 +1244,8 @@ fn cmd_recover(opts: &HashMap<String, String>) -> Result<(), String> {
         return Ok(());
     }
     // A plain open performs the actual recovery; report what it did.
-    let meta = load_meta(&index)?;
-    let mut clock = SimClock::default();
-    let open = |name: &str| -> Result<Box<dyn BlockDevice>, String> {
-        Ok(Box::new(
-            FileDevice::open(&index.join(name), meta.block)
-                .map_err(|e| format!("open {name}: {e}"))?,
-        ))
-    };
-    let store = FileWal::open(&wal_path).map_err(|e| format!("open {WAL_FILE}: {e}"))?;
-    let (tree, report) = IqTree::open_with_wal(
-        meta.dim,
-        meta.metric,
-        IqTreeOptions::default(),
-        open(FILES[0])?,
-        open(FILES[1])?,
-        open(FILES[2])?,
-        Box::new(store),
-        &mut clock,
-    )
-    .map_err(|e| format!("recover: {e}"))?;
+    let (tree, _, _, report) = open_tree(&index, None)?;
+    let report = report.unwrap_or_default();
     outln!(
         "recovered {index:?}: replayed {} transaction(s) ({} frame(s)), \
          discarded {} byte(s), log now {} byte(s), {} point(s) indexed",
@@ -1542,7 +1510,7 @@ fn cmd_stats(opts: &HashMap<String, String>) -> Result<(), String> {
     if format.is_some() {
         reg.set_enabled(true);
     }
-    let (tree, _, meta) = open_tree(&index, parse_cache_blocks(opts)?)?;
+    let (tree, _, meta, _) = open_tree(&index, parse_cache_blocks(opts)?)?;
     let (d, q, e) = tree.storage_blocks();
     let Some(format) = format else {
         outln!("IQ-tree index at {index:?}");
