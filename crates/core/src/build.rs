@@ -20,7 +20,7 @@
 //!    optimality argument (Lemmas 1–2, Theorem 1) applies verbatim.
 
 use iq_cost::{directory, refine::RefineParams, DirectoryParams};
-use iq_geometry::{split_at_median, Dataset, Mbr, Partition};
+use iq_geometry::{block_aligned_order, split_at_median, Dataset, Mbr, Partition};
 use iq_quantize::{ExactPageCodec, QuantizedPageCodec, EXACT_BITS};
 use iq_storage::DiskModel;
 use std::cmp::Reverse;
@@ -49,10 +49,11 @@ pub struct EncodedPage {
     pub exact: Vec<u8>,
 }
 
-/// Encodes every solution page — per-page grid quantization, bit packing
-/// and exact-row serialization, the CPU-bound half of page writing —
-/// fanning the work out over `threads` scoped threads (`0` = one per
-/// available core).
+/// Encodes every solution page — the block-aligned entry order of a
+/// quantized page ([`block_aligned_order`]), per-page grid quantization,
+/// bit packing and exact-row serialization, the CPU-bound half of page
+/// writing — fanning the work out over `threads` scoped threads (`0` =
+/// one per available core).
 ///
 /// The output is **byte-for-byte identical** to sequential encoding for
 /// every thread count: each page's encoding is a pure function of its own
@@ -69,19 +70,24 @@ pub fn encode_pages(
 ) -> Vec<EncodedPage> {
     let external = |row: u32| id_map.map_or(row, |m| m[row as usize]);
     let encode_one = |page: &SolutionPage| -> EncodedPage {
-        let quant = codec.encode(
-            &page.mbr,
-            page.g,
-            page.ids
-                .iter()
-                .map(|&row| (external(row), ds.point(row as usize))),
-        );
-        let exact = if page.g < EXACT_BITS {
-            exact_codec.encode(
-                page.ids
-                    .iter()
-                    .map(|&row| (external(row), ds.point(row as usize))),
-            )
+        let quantized = page.g < EXACT_BITS;
+        let mut ids = page.ids.clone();
+        if quantized {
+            block_aligned_order(
+                &mut ids,
+                &page.mbr,
+                exact_codec.entry_bytes(),
+                codec.block_size(),
+                |row| ds.point(row as usize),
+            );
+        }
+        let entries = || {
+            ids.iter()
+                .map(|&row| (external(row), ds.point(row as usize)))
+        };
+        let quant = codec.encode(&page.mbr, page.g, entries());
+        let exact = if quantized {
+            exact_codec.encode(entries())
         } else {
             Vec::new()
         };

@@ -257,12 +257,16 @@ pub(crate) fn check_directory(
 
     let mut entries = Vec::new();
     if let (Some(payload), Some(codec)) = (&payload, &codec) {
+        // One CRC covers the whole payload, so a mismatch names all of its
+        // blocks: any of them may differ.
         let computed = crc32(payload);
         if computed != sb.dir_crc {
-            problems.push(IqError::ChecksumMismatch {
-                block: 1,
-                stored: sb.dir_crc,
-                computed,
+            problems.push(IqError::Decode {
+                detail: format!(
+                    "directory payload (blocks 1..={}) fails its checksum: stored {:#010x}, computed {computed:#010x}",
+                    payload.len().div_ceil(bs),
+                    sb.dir_crc
+                ),
             });
         }
         // The payload holds at least `n_pages` entries: checked above.
@@ -806,6 +810,33 @@ mod tests {
                 report.errors
             );
         }
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// A payload that fails its one CRC is corruption, reported by the
+    /// payload's block range even when the forged byte lies in block 2.
+    #[test]
+    fn payload_checksum_mismatch_is_corruption_of_the_payload() {
+        let dir = temp_dir("payload-crc");
+        let pristine = build_forgeable(&dir, 5_000);
+        let payload_blocks = pristine.len() / 1024 - 1;
+        assert!(payload_blocks >= 3, "{payload_blocks} payload blocks");
+        forge(
+            &dir,
+            &pristine,
+            2 * 1024 + 100,
+            &[pristine[2 * 1024 + 100] ^ 1],
+        );
+        let e = open_forged(&dir, 4, Metric::Euclidean)
+            .err()
+            .expect("a forged payload must not open");
+        assert!(e.is_corruption(), "{e}");
+        let msg = e.to_string();
+        assert!(
+            msg.contains(&format!("directory payload (blocks 1..={payload_blocks})")),
+            "{msg}"
+        );
+        assert_eq!(verify_forged(&dir).errors.first(), Some(&msg));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -111,9 +111,14 @@ struct SearchState<'f> {
     /// Whether popped approximations are settled at their MINDIST
     /// (`refine_factor >= 2`) rather than refined.
     partial: bool,
+    /// The size of the result set the query ranks: `k`, or
+    /// `k × refine_factor` under partial refinement.
+    budget: usize,
     /// The `budget` smallest settle keys of the approximations pushed so
     /// far; its bound is U.
     settle: TopK,
+    /// Reusable list of the slots a page settles before its push loop.
+    first: Vec<u32>,
     /// Approximations under the pruning bound whose MINDIST exceeded U
     /// when decoded, as `(key, page, slot, id)`.
     spill: Vec<(f64, u32, u32, u32)>,
@@ -231,7 +236,9 @@ impl IqTree {
             keys: Vec::new(),
             members: Vec::new(),
             partial,
+            budget,
             settle: TopK::new(budget),
+            first: Vec::new(),
             spill: Vec::new(),
             spill_min: f64::INFINITY,
             merged: 0,
@@ -606,7 +613,9 @@ impl IqTree {
             table,
             keys,
             partial,
+            budget,
             settle,
+            first,
             spill,
             spill_min,
             decoded,
@@ -639,15 +648,46 @@ impl IqTree {
             // the pruning threshold is loop-invariant.
             let bound = exec.prune_threshold();
             let dim = self.dim();
+            // Filtered-out points never enter the priority list: they are
+            // neither refined nor allowed to influence the bound.
+            let listed =
+                |slot: usize| filter.is_none_or(|f| f.matches(view.id(slot))) && keys[slot] < bound;
+            // Only an entry with MINDIST <= U can tighten U, so only these
+            // need a settle key.
+            let settle_key = |slot: usize| {
+                if *partial {
+                    keys[slot]
+                } else {
+                    table.maxdist_key(&cells[slot * dim..(slot + 1) * dim])
+                }
+            };
+            // While U is unbounded, the entries a page stores first would
+            // form it, and a page stores near entries together. Settling
+            // the page's `budget` smallest keys first makes U independent
+            // of the storage order.
+            first.clear();
+            if settle.bound() == f64::INFINITY {
+                first.extend((0..keys.len() as u32).filter(|&slot| listed(slot as usize)));
+                if first.len() > *budget {
+                    first.select_nth_unstable_by(*budget, |&a, &b| {
+                        keys[a as usize].total_cmp(&keys[b as usize])
+                    });
+                    first.truncate(*budget);
+                }
+                first.sort_unstable();
+                for &slot in first.iter() {
+                    settle.insert(settle_key(slot as usize), view.id(slot as usize));
+                }
+            }
+            let mut first = first.iter().peekable();
             let mut u = settle.bound();
             let mut page_min = f64::INFINITY;
             for (slot, &key) in keys.iter().enumerate() {
-                // Filtered-out points never enter the priority list: they
-                // are neither refined nor allowed to influence the bound.
-                let id = view.id(slot);
-                if !(filter.is_none_or(|f| f.matches(id)) && key < bound) {
+                if !listed(slot) {
                     continue;
                 }
+                let settled = first.next_if_eq(&&(slot as u32)).is_some();
+                let id = view.id(slot);
                 exec.trace.approx_enqueued += 1;
                 if key > u {
                     // Pruned before it could pop unless a witness of U
@@ -656,14 +696,7 @@ impl IqTree {
                     page_min = page_min.min(key);
                     continue;
                 }
-                // Only an entry with MINDIST <= U can tighten U, so only
-                // these need a settle key.
-                let settle_key = if *partial {
-                    key
-                } else {
-                    table.maxdist_key(&cells[slot * dim..(slot + 1) * dim])
-                };
-                if settle.insert(settle_key, id) {
+                if !settled && settle.insert(settle_key(slot), id) {
                     u = settle.bound();
                 }
                 heap.push(Reverse((

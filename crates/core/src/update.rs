@@ -19,7 +19,7 @@
 
 use crate::{IqTree, PageMeta};
 use iq_cost::directory;
-use iq_geometry::Mbr;
+use iq_geometry::{block_aligned_order, Mbr};
 use iq_quantize::EXACT_BITS;
 use iq_storage::{IqError, IqResult, SimClock};
 use iq_wal::{Level, WalRecord};
@@ -86,18 +86,29 @@ impl IqTree {
         Ok(LoadedPage { ids, coords })
     }
 
-    /// The new images of `page` at `g` bits.
+    /// The new images of `page` at `g` bits. A quantized page stores its
+    /// entries in the block-aligned order every page encoder writes.
     fn encode_page(&self, page: &LoadedPage, g: u32) -> PageImage {
         let dim = self.dim();
         let mbr = page.mbr(dim);
+        let quantized = g < EXACT_BITS;
+        let mut order: Vec<u32> = (0..page.ids.len() as u32).collect();
+        if quantized {
+            block_aligned_order(
+                &mut order,
+                &mbr,
+                self.exact_codec().entry_bytes(),
+                self.block_size(),
+                |i| page.point(i as usize, dim),
+            );
+        }
         let entries = || {
-            page.ids
+            order
                 .iter()
-                .enumerate()
-                .map(move |(i, &id)| (id, page.point(i, dim)))
+                .map(|&i| (page.ids[i as usize], page.point(i as usize, dim)))
         };
         let quant = self.codec().encode(&mbr, g, entries());
-        let exact = (g < EXACT_BITS).then(|| {
+        let exact = quantized.then(|| {
             let bytes = self.exact_codec().encode(entries());
             let nblocks = bytes.len().div_ceil(self.block_size()) as u32;
             (bytes, nblocks)

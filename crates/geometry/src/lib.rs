@@ -18,5 +18,7 @@ pub mod volume;
 
 pub use mbr::Mbr;
 pub use metric::Metric;
-pub use partition::{bulk_partition, split_at_median, Partition};
+pub use partition::{
+    block_aligned_order, bulk_partition, split_at_median, split_in_place, Partition,
+};
 pub use point::Dataset;

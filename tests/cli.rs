@@ -182,6 +182,68 @@ fn verify_detects_on_disk_corruption() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
+/// One CRC covers the whole directory payload (blocks 1.. of `dir.bin`),
+/// so a payload that fails it is reported by its block range: a byte
+/// flipped in block 2, with that block's own CRC recomputed, must not be
+/// blamed on block 1 by `verify` or by a query that opens the index.
+#[test]
+fn payload_checksum_mismatch_names_the_payload() {
+    let dir = temp_dir_tagged("payload");
+    let csv = dir.join("p.csv");
+    let idx = dir.join("pidx");
+    let out = iq()
+        .args([
+            "generate", "--kind", "uniform", "--dim", "8", "--n", "20000",
+        ])
+        .args(["--seed", "5", "--out", csv.to_str().expect("utf8")])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let out = iq()
+        .args(["build", "--input", csv.to_str().expect("utf8")])
+        .args(["--index", idx.to_str().expect("utf8"), "--block", "1024"])
+        .output()
+        .expect("run build");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let dir_file = idx.join("dir.bin");
+    let mut bytes = std::fs::read(&dir_file).expect("read dir file");
+    let payload_blocks = bytes.len() / 1024 - 1;
+    assert!(payload_blocks >= 3, "{payload_blocks} payload blocks");
+    bytes[2 * 1024 + 100] ^= 0x01;
+    let crc = iqtree_repro::storage::crc32(&bytes[2 * 1024..2 * 1024 + 1020]);
+    bytes[2 * 1024 + 1020..3 * 1024].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&dir_file, bytes).expect("rewrite dir file");
+
+    let named = format!("directory payload (blocks 1..={payload_blocks}) fails its checksum");
+    let out = iq()
+        .args(["verify", "--index", idx.to_str().expect("utf8")])
+        .output()
+        .expect("run verify");
+    assert!(
+        !out.status.success(),
+        "a forged payload must fail verification"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&named), "{stdout}");
+    assert!(!stdout.contains("block 1"), "{stdout}");
+
+    let out = iq()
+        .args(["query", "--index", idx.to_str().expect("utf8")])
+        .args(["--point", "0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5"])
+        .output()
+        .expect("run query");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&named), "{stderr}");
+    assert!(!stderr.contains("block 1"), "{stderr}");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
 /// The durability surface end to end: `build` creates the log, `stats`
 /// reports generation and log size, `checkpoint` bumps the generation,
 /// and `recover` (dry-run first) cleans a log with an uncommitted frame
