@@ -41,6 +41,16 @@
 //! The check is advisory: a frame evicted between the check and the read
 //! changes what the read is charged, never which pages are decoded or
 //! what the query returns.
+//!
+//! A query inside a micro-batch plans no run. U gives it a cheaper tool:
+//! once U is finite, every page it can still decode has MINDIST ≤ U, so
+//! its page set is known, and the first page it pops whose block the
+//! batch's buffer lacks loads that whole set with the optimal batch fetch
+//! of Section 2 (Figure 1). The pages are then decoded one at a time, in
+//! the same order from the same bytes as without the fetch: only what
+//! sits in memory, and so what the reads are charged, changes. A query
+//! capped by `nprobes` or a finite time budget reads its pages one at a
+//! time, as its knob may never let it decode the rest.
 
 use crate::{IqTree, PageMeta};
 use iq_cost::GapSums;
@@ -149,7 +159,8 @@ struct SearchState<'f> {
 struct QueryReads {
     /// Whether a query has swept the directory.
     directory: bool,
-    /// Level-2 blocks: the planned runs, and single blocks that validated.
+    /// Level-2 blocks: the planned runs of a lone query, the known-set
+    /// fetches of batched ones, and single blocks that validated.
     quant: BlockBuffer,
     /// Exact blocks read by refinements.
     exact: BlockBuffer,
@@ -180,9 +191,12 @@ impl IqTree {
     /// the query reads each block at most once: its own buffers when it
     /// runs alone, the batch's (`shared`) when it runs inside a
     /// micro-batch. There the directory sweep and the blocks of earlier
-    /// queries serve it too, and pages load one at a time: the Section 2.1
-    /// run extension is planned for lone queries only, and only around a
-    /// pivot whose block the buffer pool does not hold.
+    /// queries serve it too. The Section 2.1 run extension is planned for
+    /// lone queries only, and only around a pivot whose block the buffer
+    /// pool does not hold. A batched query instead loads its known page
+    /// set with one Figure 1 fetch once U is finite
+    /// ([`Self::fetch_known_pages`]), unless `nprobes` or a finite time
+    /// budget caps it; either way it decodes its pages one at a time.
     ///
     /// Runs behind [`knn_query`], which has already checked `q` and
     /// answered trivial queries.
@@ -209,11 +223,15 @@ impl IqTree {
         let mut exec = Executor::new(self.metric(), budget, opts, clock);
         let mut deferred: HashMap<u32, (u32, u32)> = HashMap::new();
         let mut own;
-        let (plan_runs, reads) = match shared {
-            Some(s) => (false, s),
+        let capped = opts.nprobes.is_some_and(|m| m != u64::MAX);
+        let (plan_runs, mut fetch_known, reads) = match shared {
+            Some(s) => {
+                let timed = opts.time_budget.is_some_and(f64::is_finite);
+                (false, self.options().scheduled_io && !capped && !timed, s)
+            }
             None => {
                 own = QueryReads::new(self.block_size());
-                (self.options().scheduled_io, &mut own)
+                (self.options().scheduled_io, false, &mut own)
             }
         };
         clock.phase_begin(Phase::Directory);
@@ -242,7 +260,7 @@ impl IqTree {
             spill: Vec::new(),
             spill_min: f64::INFINITY,
             merged: 0,
-            capped: opts.nprobes.is_some_and(|m| m != u64::MAX),
+            capped,
             decoded: 0,
             held: 0,
             unheld: 0,
@@ -299,9 +317,18 @@ impl IqTree {
                         let block = self.pages()[p].quant_block;
                         if plan_runs && !self.quant_dev().is_resident(block) {
                             self.process_page_run(clock, q, p, &mut st, exec, heap);
-                        } else {
-                            self.process_single_page(clock, q, p, &mut st, exec, heap);
+                            return;
                         }
+                        if fetch_known
+                            && st.settle.bound() < f64::INFINITY
+                            && !st.reads.quant.contains(block)
+                        {
+                            // Once: the pages of a run that fails take the
+                            // single-block ladder.
+                            fetch_known = false;
+                            self.fetch_known_pages(clock, p, &mut st, exec);
+                        }
+                        self.process_single_page(clock, q, p, &mut st, exec, heap);
                     }
                     Item::Held(p) => {
                         // Popped only when a witness of U did not settle
@@ -386,9 +413,9 @@ impl IqTree {
     }
 
     /// Loads exactly one page (the "standard NN search" ablation, and
-    /// every page load inside a micro-batch). Each page read consumes one
-    /// unit of the `nprobes` budget; once spent, the page is scheduled
-    /// away unread.
+    /// every page load inside a micro-batch, from the batch's buffer when
+    /// it holds the block). Each page read consumes one unit of the
+    /// `nprobes` budget; once spent, the page is scheduled away unread.
     fn process_single_page(
         &self,
         clock: &mut SimClock,
@@ -405,6 +432,39 @@ impl IqTree {
         if self.consume_page(clock, q, p, st, exec, heap) {
             exec.trace.pages_processed += 1;
         }
+    }
+
+    /// The known-set fetch of a batched query whose U is finite: every page
+    /// it can still decode has MINDIST ≤ U and is not pruned, so these
+    /// pages and the `pivot` it popped are read with one Figure 1 fetch
+    /// (Section 2) into the batch's level-2 buffer, leaving out the blocks
+    /// it already holds. Each run read counts in the trace; the pages of a
+    /// run that fails miss the buffer and take the single-block ladder of
+    /// [`Self::consume_page`].
+    fn fetch_known_pages(
+        &self,
+        clock: &mut SimClock,
+        pivot: usize,
+        st: &mut SearchState<'_>,
+        exec: &mut Executor,
+    ) {
+        clock.phase_begin(Phase::Filter);
+        let u = st.settle.bound();
+        let quant = &st.reads.quant;
+        let mut positions: Vec<u64> = self
+            .pages()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| {
+                let key = st.page_key[i];
+                i == pivot || (!st.processed[i] && key <= u && !exec.is_pruned(key))
+            })
+            .map(|(_, meta)| meta.quant_block)
+            .filter(|&b| !quant.contains(b))
+            .collect();
+        positions.sort_unstable();
+        exec.trace.runs +=
+            fetch::fetch_blocks(self.quant_dev(), clock, &positions, &mut st.reads.quant);
     }
 
     /// The time-optimized strategy: extend the read around the pivot while
@@ -1079,7 +1139,10 @@ impl AccessMethod for IqTree {
     /// own fresh clock, exact or approximate, so results, knobs and time
     /// budgets are per query. A batch of two or more shares its reads:
     /// the directory is swept once, and level-2 and exact blocks read by
-    /// one query serve the queries after it.
+    /// one query serve the queries after it. A batched query plans no
+    /// Section 2.1 run; once its U is finite it loads its known page set
+    /// with one Figure 1 fetch (unless `nprobes` or a finite time budget
+    /// caps it) and decodes the pages one at a time.
     fn knn_multi_opts_traced(
         &self,
         clock: &mut SimClock,

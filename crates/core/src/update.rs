@@ -19,7 +19,7 @@
 
 use crate::{IqTree, PageMeta};
 use iq_cost::directory;
-use iq_geometry::{block_aligned_order, Mbr};
+use iq_geometry::{block_aligned_order, split_in_place, Mbr};
 use iq_quantize::EXACT_BITS;
 use iq_storage::{IqError, IqResult, SimClock};
 use iq_wal::{Level, WalRecord};
@@ -262,21 +262,16 @@ impl IqTree {
         let coarsen_cost = coarse_g
             .map(|cg| iq_cost::refinement_cost(&refine, &disk, &mbr.sides(), page.ids.len(), cg));
 
-        // Tentative median split.
-        let axis = mbr.longest_dim();
-        let mut order: Vec<usize> = (0..page.ids.len()).collect();
-        order.sort_by(|&a, &b| {
-            page.point(a, dim)[axis]
-                .partial_cmp(&page.point(b, dim)[axis])
-                .expect("no NaN")
-        });
+        // Tentative median split, over slot indices.
+        let mut order: Vec<u32> = (0..page.ids.len() as u32).collect();
         let mid = order.len() / 2;
-        let take = |idxs: &[usize]| -> LoadedPage {
+        split_in_place(&mut order, mid, &mbr, |i| page.point(i as usize, dim));
+        let take = |slots: &[u32]| -> LoadedPage {
             LoadedPage {
-                ids: idxs.iter().map(|&i| page.ids[i]).collect(),
-                coords: idxs
+                ids: slots.iter().map(|&i| page.ids[i as usize]).collect(),
+                coords: slots
                     .iter()
-                    .flat_map(|&i| page.point(i, dim).iter().copied())
+                    .flat_map(|&i| page.point(i as usize, dim).iter().copied())
                     .collect(),
             }
         };

@@ -147,8 +147,10 @@ pub trait AccessMethod: Send + Sync {
     /// costs legitimately drop). Exact answers are those of
     /// [`AccessMethod::knn_opts_traced`]; under approximation knobs a
     /// batched query may schedule its pages differently (the IQ-tree
-    /// plans no page runs inside a batch), so its answer may differ from
-    /// the lone query's while keeping each knob's guarantee.
+    /// plans no Section 2.1 page runs inside a batch: it decodes pages
+    /// one at a time, after one Figure 1 fetch of its known page set
+    /// unless `nprobes` or a time budget caps it), so its answer may
+    /// differ from the lone query's while keeping each knob's guarantee.
     ///
     /// Callers must keep micro-batches at or below
     /// [`MAX_MICRO_BATCH`]; [`knn_batch`] does this automatically.
@@ -395,11 +397,18 @@ pub type TracedResult = (Vec<(u32, f64)>, QueryTrace);
 /// Answers every query in `queries` with a `k`-NN search against `method`,
 /// fanning the batch out over `threads` OS threads that share the index.
 ///
-/// Each query runs against a fresh clone of `clock` (reset to zero), so
-/// per-query costs are charged exactly as in a serial cold run; the
-/// per-query clocks are then folded back into `clock` in query order via
-/// [`SimClock::absorb`]. Results and accumulated statistics are therefore
-/// identical for every thread count, including `1`.
+/// The queries are cut, in order, into micro-batches of at most
+/// [`MAX_MICRO_BATCH`], each answered by one
+/// [`AccessMethod::knn_multi_opts_traced`] call on a fresh clone of
+/// `clock` (reset to zero). An engine that shares reads inside a
+/// micro-batch (the IQ-tree) charges a query only for the blocks it reads
+/// itself: one an earlier query of its micro-batch read costs nothing, so
+/// per-query costs are not those of a serial cold run. The other engines
+/// charge each query exactly as a serial cold run. The micro-batch clocks
+/// are then folded back into `clock` in query order via
+/// [`SimClock::absorb`]. Since the cut does not depend on `threads`,
+/// results and accumulated statistics are identical for every thread
+/// count, including `1`.
 pub fn knn_batch<M: AccessMethod + ?Sized>(
     method: &M,
     clock: &mut SimClock,

@@ -83,18 +83,21 @@ pub fn plan_fetch_cost(runs: &[Run], model: &DiskModel) -> f64 {
 /// buffer. Each run's read is retried on transient faults
 /// ([`read_to_vec_retry`]). A run that stays unreadable is left out and
 /// the fetch goes on with the next, so the buffer lacks exactly the blocks
-/// of the runs that failed.
+/// of the runs that failed. Returns how many runs were read.
 pub fn fetch_blocks(
     dev: &dyn BlockDevice,
     clock: &mut SimClock,
     positions: &[u64],
     buf: &mut BlockBuffer,
-) {
+) -> u64 {
+    let mut read = 0;
     for run in plan_fetch(positions, clock.disk()) {
         if let Ok(bytes) = read_to_vec_retry(dev, clock, run.start, run.len) {
             buf.keep(run.start, bytes);
+            read += 1;
         }
     }
+    read
 }
 
 #[cfg(test)]
@@ -240,7 +243,7 @@ mod tests {
         }
         clock.reset();
         let mut buf = BlockBuffer::new(64);
-        fetch_blocks(&dev, &mut clock, &[1, 2, 18], &mut buf);
+        assert_eq!(fetch_blocks(&dev, &mut clock, &[1, 2, 18], &mut buf), 2);
         assert_eq!(clock.stats().seeks, 2);
         assert_eq!(clock.stats().blocks_read, 3);
         // Selected and over-read blocks are found; blocks outside every
@@ -307,8 +310,8 @@ mod tests {
         let dev = FailsAt { inner, bad: 2 };
         clock.reset();
         let mut buf = BlockBuffer::new(64);
-        fetch_blocks(&dev, &mut clock, &[1, 3, 18], &mut buf);
         // The first run was retried and left out; the second was read.
+        assert_eq!(fetch_blocks(&dev, &mut clock, &[1, 3, 18], &mut buf), 1);
         let attempts = crate::RetryPolicy::default().max_attempts;
         assert_eq!(clock.stats().io_retries, u64::from(attempts - 1));
         assert_eq!(clock.stats().blocks_read, 1);

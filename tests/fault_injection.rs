@@ -497,11 +497,12 @@ fn assert_single_reads_are_new(log: &ReadLog, what: &str) {
     }
 }
 
-/// Level-2 blocks are read once per micro-batch, and a lone query reads a
-/// page's block on its own at most once: planned runs and single-block
-/// reads land in one level-2 buffer, and a page whose block it holds is
-/// decoded from it. Checked for lone exact queries and for one 8-query
-/// micro-batch, which plans no runs and so reads each block once.
+/// A lone query reads a page's level-2 block on its own at most once, and
+/// so does one 8-query micro-batch: planned runs, known-set fetches and
+/// single-block reads land in one level-2 buffer, and a page whose block
+/// it holds is decoded from it. A block is read again only inside a
+/// longer run. Every read counts in the traces' runs, and the batch's
+/// known-set fetch reads at least one run longer than a block.
 #[test]
 fn level_two_blocks_are_read_once() {
     let dir = temp_dir("quant-once");
@@ -521,11 +522,14 @@ fn level_two_blocks_are_read_once() {
     let batch = tree.knn_multi_opts_traced(&mut clock, &queries, 40, None, &QueryOptions::EXACT);
     {
         let log = log.lock().expect("log lock");
-        assert!(!log.reads.is_empty());
-        for &(start, n) in &log.reads {
-            assert_eq!(n, 1, "a micro-batch plans no runs");
-            assert_eq!(log.reads_of(start), 1, "level-2 block {start} read twice");
-        }
+        let runs: u64 = batch.iter().map(|(_, trace)| trace.runs).sum();
+        assert_eq!(log.reads.len() as u64, runs);
+        assert_single_reads_are_new(&log, "micro-batch");
+        assert!(
+            log.reads.iter().any(|&(_, n)| n > 1),
+            "the micro-batch fetched no run: {:?}",
+            log.reads
+        );
     }
     for (q, (hits, _)) in queries.iter().zip(&batch) {
         assert_eq!(hits, &tree.knn(&mut SimClock::default(), q, 40));
@@ -640,6 +644,118 @@ fn a_failed_fetch_run_leaves_the_other_runs() {
     let lost: HashSet<u32> = parts[bad as usize].ids.iter().copied().collect();
     let kept: Vec<u32> = clean.into_iter().filter(|id| !lost.contains(id)).collect();
     assert_eq!(hits, kept, "xtree");
+}
+
+/// A k-NN micro-batch's known-set fetch leaves out only a run that stays
+/// unreadable. A batch of one query and its repeat loads the query's page
+/// set with one Figure 1 fetch once U is finite. Here the level-2 block of
+/// a page the query refines, read only by one of the fetch's runs of two
+/// or more blocks, never reads. Every read of the clean batch outside that
+/// run is made once, as it was, and every read the fault adds lies inside
+/// the failed run: its pages take single-block reads, and the repeat,
+/// which finds every other block in the buffer, tries only those. Each
+/// query fetches once, so each tries the failed block once in a fetch and
+/// once on its own. The failed page is answered from its exact region, so
+/// both answers are exact.
+#[test]
+fn a_failed_known_set_run_leaves_the_other_runs() {
+    let dir = temp_dir("known-set");
+    let w = Workload::generate(20_000, 8, |n| data::cad_like(16, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let k = 10;
+    let (quant, exact) = (
+        Arc::new(Mutex::new(ReadLog::default())),
+        Arc::new(Mutex::new(ReadLog::default())),
+    );
+    let (tree, mut clock) = reopen(&dir, 2048, 16, |i, d| {
+        let log = match i {
+            1 => &quant,
+            2 => &exact,
+            _ => return d,
+        };
+        Box::new(LoggedDevice {
+            inner: d,
+            log: Arc::clone(log),
+        })
+    });
+    let mut batch =
+        |q: &[f32]| tree.knn_multi_opts_traced(&mut clock, &[q, q], k, None, &QueryOptions::EXACT);
+    // The first query whose clean batch reads two runs of two or more
+    // blocks, one of them the only read of a page the query refines: its
+    // level-2 reads, that run, and the page's block.
+    let (q, clean, (start, len), bad) = w
+        .queries
+        .iter()
+        .find_map(|q| {
+            quant.lock().expect("log lock").reads.clear();
+            exact.lock().expect("log lock").reads.clear();
+            batch(q);
+            let exact = exact.lock().expect("log lock");
+            let refined: Vec<u64> = tree
+                .pages()
+                .iter()
+                .filter(|p| {
+                    let region = p.exact_start..p.exact_start + u64::from(p.exact_blocks);
+                    region.clone().any(|b| exact.reads_of(b) > 0)
+                })
+                .map(|p| p.quant_block)
+                .collect();
+            let clean = quant.lock().expect("log lock").reads.clone();
+            if clean.iter().filter(|&&(_, n)| n > 1).count() < 2 {
+                return None;
+            }
+            let read_once = |b: u64| {
+                clean
+                    .iter()
+                    .filter(|&&(s, n)| (s..s + n).contains(&b))
+                    .count()
+                    == 1
+            };
+            let (run, bad) = clean.iter().filter(|&&(_, n)| n > 1).find_map(|&(s, n)| {
+                let bad = refined
+                    .iter()
+                    .find(|&&b| (s..s + n).contains(&b) && read_once(b))?;
+                Some(((s, n), *bad))
+            })?;
+            Some((q, clean, run, bad))
+        })
+        .expect("a query whose fetch reads a run holding a page it refines");
+    {
+        let mut log = quant.lock().expect("log lock");
+        log.reads.clear();
+        log.fail_block = Some(bad);
+        log.fail_left = u32::MAX;
+    }
+    let want = brute_all(&w.db, q);
+    for (i, (hits, trace)) in batch(q).iter().enumerate() {
+        assert_eq!(hits.len(), k);
+        for (got, want) in hits.iter().zip(&want) {
+            assert!((got.1 - want).abs() < 1e-9, "query {i}: {hits:?}");
+        }
+        assert!(trace.quant_fallbacks >= 1, "query {i}: {trace:?}");
+    }
+    let log = quant.lock().expect("log lock");
+    let outside = |reads: &[(u64, u64)]| -> Vec<(u64, u64)> {
+        let inside = |&&(s, n): &&(u64, u64)| s >= start && s + n <= start + len;
+        reads.iter().filter(|r| !inside(r)).copied().collect()
+    };
+    assert_eq!(
+        outside(&log.reads),
+        outside(&clean),
+        "failed run ({start}, {len}) at block {bad}: {:?}",
+        log.reads
+    );
+    // Each query tries the failed block once in its fetch and once on its
+    // own, each time with every retry: no query fetches it twice.
+    let attempts = RetryPolicy::default().max_attempts as usize;
+    assert_eq!(
+        log.reads_of(bad),
+        4 * attempts,
+        "block {bad}: {:?}",
+        log.reads
+    );
+    drop(log);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// An exact block whose read fails after every retry is not kept: the
