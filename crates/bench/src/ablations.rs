@@ -18,7 +18,7 @@
 
 use crate::{measure, Config, DataKind, Table};
 use iq_cost::refine::RefineParams;
-use iq_engine::AccessMethod;
+use iq_engine::{AccessMethod, Query};
 use iq_geometry::{volume, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};
@@ -50,13 +50,13 @@ pub fn knn_sweep(cfg: &Config) -> Table {
     let va = VaFile::build(&w.db, Metric::Euclidean, 5, dev(cfg), dev(cfg), &mut clock);
     for k in [1usize, 5, 10, 20, 50, 100] {
         let a = measure(&w.queries, &mut clock, |c, q| {
-            iq.knn(c, q, k);
+            iq.run(c, &Query::knn(q, k)).expect("valid query");
         });
         let b = measure(&w.queries, &mut clock, |c, q| {
-            xt.knn(c, q, k);
+            xt.run(c, &Query::knn(q, k)).expect("valid query");
         });
         let c_ = measure(&w.queries, &mut clock, |c, q| {
-            va.knn(c, q, k);
+            va.run(c, &Query::knn(q, k)).expect("valid query");
         });
         t.push_row(k, vec![a.total, b.total, c_.total]);
     }
@@ -146,7 +146,7 @@ pub fn model_validation(cfg: &Config) -> Table {
         let tree = IqTree::build(&w.db, Metric::Euclidean, opts, || dev(cfg), &mut clock);
         let predicted = tree.optimize_trace().cost_per_step[tree.optimize_trace().best_step];
         let s = measure(&w.queries, &mut clock, |c, q| {
-            tree.nearest(c, q);
+            tree.run(c, &Query::knn(q, 1)).expect("valid query");
         });
         t.push_row(name, vec![predicted, s.io, s.io / predicted]);
     }
@@ -281,10 +281,11 @@ pub fn cache_ablation(cfg: &Config) -> Table {
         // Warm up with one pass, then measure a second pass over the same
         // queries (the regime a buffer pool exists for).
         for q in w.queries.iter() {
-            tree.nearest(&mut clock, q);
+            tree.run(&mut clock, &Query::knn(q, 1))
+                .expect("valid query");
         }
         let s = measure(&w.queries, &mut clock, |c, q| {
-            tree.nearest(c, q);
+            tree.run(c, &Query::knn(q, 1)).expect("valid query");
         });
         t.push_row(label, vec![s.total, s.io]);
     }
@@ -356,7 +357,11 @@ pub fn knn_model_check(cfg: &Config) -> Table {
         let predicted = params.knn_radius(&sides, n, k);
         let mut measured = 0.0;
         for q in w.queries.iter() {
-            let knn = tree.knn(&mut clock, q, k);
+            let knn = tree
+                .run(&mut clock, &Query::knn(q, k))
+                .expect("valid query")
+                .into_ranked()
+                .0;
             measured += knn.last().expect("k results").1;
         }
         measured /= w.queries.len() as f64;

@@ -23,7 +23,7 @@ pub mod figures;
 pub mod provenance;
 
 use iq_data::Workload;
-use iq_engine::AccessMethod;
+use iq_engine::{AccessMethod, Query};
 use iq_geometry::{Dataset, Metric};
 use iq_scan::SeqScan;
 use iq_storage::{BlockDevice, CpuModel, DiskModel, MemDevice, SimClock};
@@ -164,7 +164,7 @@ pub fn measure_method(
     method: &dyn AccessMethod,
 ) -> RunStats {
     measure(queries, clock, |c, q| {
-        method.nearest(c, q);
+        method.run(c, &Query::knn(q, 1)).expect("valid query");
     })
 }
 

@@ -141,7 +141,7 @@ pub struct PageMeta {
 /// # Example
 ///
 /// ```
-/// use iq_engine::AccessMethod;
+/// use iq_engine::{AccessMethod, Query};
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_tree::{IqTree, IqTreeOptions};
@@ -156,12 +156,15 @@ pub struct PageMeta {
 ///     || Box::new(MemDevice::new(512)),
 ///     &mut clock,
 /// );
-/// let (id, dist) = tree.nearest(&mut clock, &[0.33, 0.34]).unwrap();
+/// let (hits, _) = tree.run(&mut clock, &Query::knn(&[0.33, 0.34], 1))?.into_ranked();
+/// let (id, dist) = hits[0];
 /// assert!(dist < 0.1);
 /// assert!((id as usize) < ds.len());
 /// // Dynamic updates:
-/// tree.insert(&mut clock, 999, &[0.5, 0.5]).unwrap();
-/// assert_eq!(tree.nearest(&mut clock, &[0.5, 0.5]).unwrap().0, 999);
+/// tree.insert(&mut clock, 999, &[0.5, 0.5])?;
+/// let (hits, _) = tree.run(&mut clock, &Query::knn(&[0.5, 0.5], 1))?.into_ranked();
+/// assert_eq!(hits[0].0, 999);
+/// # Ok::<(), iq_storage::IqError>(())
 /// ```
 pub struct IqTree {
     dim: usize,
@@ -198,8 +201,9 @@ pub struct IqTree {
 }
 
 // Queries take `&self`, so a tree behind an `Arc` (or borrowed into scoped
-// threads, as `knn_batch` does) must be shareable. Guarded at compile time:
-// a non-`Sync` field would break `knn_batch` and every concurrent caller.
+// threads, as `run_threaded` does) must be shareable. Guarded at compile
+// time: a non-`Sync` field would break `run_threaded` and every concurrent
+// caller.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<IqTree>();
@@ -590,24 +594,20 @@ impl IqTree {
         self.write_superblock(clock)
     }
 
-    /// Dimensionality of the indexed points.
+    /// Dimensionality of the indexed points ([`AccessMethod::dim`]
+    /// without the trait in scope).
+    ///
+    /// [`AccessMethod::dim`]: iq_engine::AccessMethod::dim
     pub fn dim(&self) -> usize {
         self.dim
     }
 
-    /// The metric queries use.
+    /// The metric queries use ([`AccessMethod::metric`] without the trait
+    /// in scope).
+    ///
+    /// [`AccessMethod::metric`]: iq_engine::AccessMethod::metric
     pub fn metric(&self) -> Metric {
         self.metric
-    }
-
-    /// Number of indexed points.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the tree is empty (possible after deletions).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Number of quantized data pages.
@@ -870,7 +870,7 @@ mod tests {
     fn build_covers_all_points() {
         let ds = random_ds(2_000, 8, 1);
         let (tree, _) = build_tree(&ds, IqTreeOptions::default(), 1024);
-        assert_eq!(tree.len(), 2_000);
+        assert_eq!(tree.n, 2_000);
         let total: u32 = tree.pages().iter().map(|p| p.count).sum();
         assert_eq!(total as usize, 2_000);
         assert!(tree.num_pages() > 1);

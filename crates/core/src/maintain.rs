@@ -20,8 +20,8 @@ impl IqTree {
     /// undecodable blocks surface as typed errors.
     pub fn export_points(&self, clock: &mut SimClock) -> IqResult<(Vec<u32>, Dataset)> {
         let dim = self.dim();
-        let mut ids = Vec::with_capacity(self.len());
-        let mut points = Dataset::with_capacity(dim, self.len());
+        let mut ids = Vec::with_capacity(self.n);
+        let mut points = Dataset::with_capacity(dim, self.n);
         for idx in 0..self.pages().len() {
             if self.pages()[idx].count == 0 {
                 continue;
@@ -52,7 +52,7 @@ impl IqTree {
         clock: &mut SimClock,
         make_dev: impl FnMut() -> Box<dyn BlockDevice>,
     ) -> IqResult<()> {
-        assert!(!self.is_empty(), "cannot rebuild an empty tree");
+        assert!(self.n > 0, "cannot rebuild an empty tree");
         self.ensure_writable()?;
         let (ids, points) = self.export_points(clock)?;
         let opts: IqTreeOptions = *self.options();
@@ -75,7 +75,7 @@ impl IqTree {
 mod tests {
     use crate::tests::{build_tree, random_ds};
     use crate::IqTreeOptions;
-    use iq_engine::AccessMethod;
+    use iq_engine::{AccessMethod, Query};
     use iq_storage::MemDevice;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -114,7 +114,12 @@ mod tests {
         }
         let wasted_before = tree.wasted_exact_blocks();
         let before: Vec<_> = (0..5)
-            .map(|i| tree.nearest(&mut clock, &extra[i]).expect("non-empty"))
+            .map(|i| {
+                tree.run(&mut clock, &Query::knn(&extra[i], 1))
+                    .expect("valid query")
+                    .into_ranked()
+                    .0[0]
+            })
             .collect();
 
         tree.rebuild(&mut clock, || Box::new(MemDevice::new(1024)))
@@ -124,7 +129,11 @@ mod tests {
         assert_eq!(tree.wasted_exact_blocks(), 0);
         let _ = wasted_before; // may be zero if no region moved, that's fine
         for (i, b) in before.iter().enumerate() {
-            let a = tree.nearest(&mut clock, &extra[i]).expect("non-empty");
+            let a = tree
+                .run(&mut clock, &Query::knn(&extra[i], 1))
+                .expect("valid query")
+                .into_ranked()
+                .0[0];
             assert_eq!(a.0, b.0, "query {i}");
             assert!((a.1 - b.1).abs() < 1e-9);
         }
@@ -137,7 +146,11 @@ mod tests {
         tree.rebuild(&mut clock, || Box::new(MemDevice::new(512)))
             .unwrap();
         for i in (0..800).step_by(97) {
-            let (id, d) = tree.nearest(&mut clock, ds.point(i)).expect("non-empty");
+            let (id, d) = tree
+                .run(&mut clock, &Query::knn(ds.point(i), 1))
+                .expect("valid query")
+                .into_ranked()
+                .0[0];
             assert_eq!(id as usize, i);
             assert!(d < 1e-9);
         }

@@ -463,7 +463,7 @@ impl IqTree {
 mod tests {
     use super::*;
     use crate::tests::random_ds;
-    use iq_engine::AccessMethod;
+    use iq_engine::{AccessMethod, Query};
     use iq_storage::FileDevice;
     use std::path::PathBuf;
 
@@ -544,7 +544,11 @@ mod tests {
             &mut clock,
         );
         let q = vec![0.42f32; 6];
-        let expect = tree.knn(&mut clock, &q, 5);
+        let expect = tree
+            .run(&mut clock, &Query::knn(&q, 5))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         let pages_before = tree.num_pages();
         drop(tree);
 
@@ -561,7 +565,11 @@ mod tests {
         .expect("clean index opens");
         assert_eq!(reopened.len(), 2_000);
         assert_eq!(reopened.num_pages(), pages_before);
-        let got = reopened.knn(&mut clock, &q, 5);
+        let got = reopened
+            .run(&mut clock, &Query::knn(&q, 5))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         assert_eq!(got, expect);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
@@ -643,7 +651,12 @@ mod tests {
         let p = [0.9f32, 0.8, 0.7, 0.6];
         reopened.insert(&mut clock, 12_345, &p).unwrap();
         assert_eq!(
-            reopened.nearest(&mut clock, &p).expect("non-empty").0,
+            reopened
+                .run(&mut clock, &Query::knn(&p, 1))
+                .expect("valid query")
+                .into_ranked()
+                .0[0]
+                .0,
             12_345
         );
         assert!(reopened.delete(&mut clock, 12_345, &p).unwrap());
@@ -669,7 +682,11 @@ mod tests {
             &mut clock,
         );
         let q = vec![0.3f32; 4];
-        let expect = tree.knn(&mut clock, &q, 5);
+        let expect = tree
+            .run(&mut clock, &Query::knn(&q, 5))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         drop(tree);
 
         // Downgrade the on-disk superblock to format version 2, exactly as
@@ -701,7 +718,11 @@ mod tests {
         assert!(reopened.is_read_only());
         assert_eq!(reopened.generation(), 0);
         assert_eq!(
-            reopened.knn(&mut clock, &q, 5),
+            reopened
+                .run(&mut clock, &Query::knn(&q, 5))
+                .expect("valid query")
+                .into_ranked()
+                .0,
             expect,
             "queries still exact"
         );

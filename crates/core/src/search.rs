@@ -55,13 +55,13 @@
 use crate::{IqTree, PageMeta};
 use iq_cost::GapSums;
 use iq_engine::{
-    drive, knn_multi_per_query, knn_query, range_query, window_query, AccessMethod, CandidateHeap,
-    Executor, Filter, OrdKey, QueryOptions, QueryTrace, TopK, TracedResult,
+    answer, drive, run_per_query, AccessMethod, Answer, CandidateHeap, Executor, Filter, OrdKey,
+    Query, QueryOptions, QueryTrace, Region, TopK,
 };
-use iq_geometry::{Mbr, Metric};
+use iq_geometry::Metric;
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::{CellMatch, DistTable, QuantPageView, WindowTable, EXACT_BITS};
-use iq_storage::{fetch, read_to_vec_retry, BlockBuffer, SimClock};
+use iq_storage::{fetch, read_to_vec_retry, BlockBuffer, IqResult, SimClock};
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
@@ -148,9 +148,9 @@ struct SearchState<'f> {
 }
 
 /// The blocks a query has read: its own when it runs alone, its
-/// micro-batch's ([`IqTree::knn_multi_opts_traced`]) when it runs inside
-/// one. A batched query still runs the single-query walk on its own clock
-/// — its own MINDIST evaluations, pivot rule, knobs and trace — but a
+/// micro-batch's ([`IqTree::run_batch`]) when it runs inside one. A
+/// batched query still runs the single-query walk on its own clock —
+/// its own MINDIST evaluations, pivot rule, knobs and trace — but a
 /// block an earlier query of the batch has read comes from memory, not
 /// the device. Only reads that succeeded are kept, and a level-2 block
 /// read alone only once it validates, so under faults each query degrades
@@ -177,6 +177,23 @@ impl QueryReads {
 }
 
 impl IqTree {
+    /// [`answer`] over this tree's searches; a k-NN query shares its reads
+    /// through `shared` when it is given.
+    fn answer(
+        &self,
+        clock: &mut SimClock,
+        query: &Query,
+        shared: Option<&mut QueryReads>,
+    ) -> IqResult<Answer> {
+        answer(
+            self,
+            clock,
+            query,
+            |clock, q, k, filter, opts| self.search_knn(clock, q, k, filter, opts, shared),
+            |clock, region| self.search_region(clock, region),
+        )
+    }
+
     /// Shared search core; a pushed-down `filter` drops non-matching points
     /// at page-decode time (level 2), so they never enter the priority list
     /// and are never refined, and `k` counts post-filter results.
@@ -198,9 +215,9 @@ impl IqTree {
     /// ([`Self::fetch_known_pages`]), unless `nprobes` or a finite time
     /// budget caps it; either way it decodes its pages one at a time.
     ///
-    /// Runs behind [`knn_query`], which has already checked `q` and
-    /// answered trivial queries.
-    fn knn_traced_impl(
+    /// Runs behind [`answer`], which has already checked the query and
+    /// answered trivial ones.
+    fn search_knn(
         &self,
         clock: &mut SimClock,
         q: &[f32],
@@ -375,7 +392,6 @@ impl IqTree {
         clock.phase_begin(Phase::TopK);
         let (results, mut trace) = exec.into_results(metric);
         if !partial {
-            clock.phase_end();
             return (results, trace);
         }
 
@@ -404,11 +420,10 @@ impl IqTree {
         clock.phase_begin(Phase::TopK);
         rerank.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
-                .expect("distances are never NaN")
+                .expect("validated queries have no NaN distance")
                 .then(a.0.cmp(&b.0))
         });
         rerank.truncate(k);
-        clock.phase_end();
         (rerank, trace)
     }
 
@@ -494,7 +509,7 @@ impl IqTree {
             st.order.sort_by(|&a, &b| {
                 st.page_key[a as usize]
                     .partial_cmp(&st.page_key[b as usize])
-                    .expect("keys are never NaN")
+                    .expect("validated queries have no NaN distance key")
             });
             st.rank = vec![0u32; n_pages];
             for (pos, &i) in st.order.iter().enumerate() {
@@ -594,7 +609,7 @@ impl IqTree {
         members.sort_by(|&a, &b| {
             st.page_key[a]
                 .partial_cmp(&st.page_key[b])
-                .expect("keys are never NaN")
+                .expect("validated queries have no NaN distance key")
         });
         let start_block = self.pages()[first].quant_block;
         let run_len = (last - first + 1) as u64;
@@ -683,7 +698,13 @@ impl IqTree {
         } = st;
         let filter = *filter;
         let Some(view) = self.quant_view(clock, p, &mut reads.quant) else {
-            let recovered = self.fallback_page(clock, q, p, filter, exec);
+            clock.phase_begin(Phase::Refine);
+            let outcome = self.fallback_exact(clock, p, |id, coords| {
+                if filter.is_none_or(|f| f.matches(id)) {
+                    exec.offer(metric.distance_key(coords, q), id);
+                }
+            });
+            let recovered = note_fallback(&mut exec.trace, outcome);
             *decoded += u64::from(recovered);
             return recovered;
         };
@@ -834,37 +855,6 @@ impl IqTree {
         Some(undecodable)
     }
 
-    /// [`Self::fallback_exact`] for k-NN search: matching entries go
-    /// straight into the result set; its undecodable entries count as
-    /// skipped points. Returns whether the page was recovered.
-    fn fallback_page(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        p: usize,
-        filter: Option<&Filter>,
-        exec: &mut Executor,
-    ) -> bool {
-        clock.phase_begin(Phase::Refine);
-        let metric = self.metric();
-        let outcome = self.fallback_exact(clock, p, |id, coords| {
-            if filter.is_none_or(|f| f.matches(id)) {
-                exec.offer(metric.distance_key(coords, q), id);
-            }
-        });
-        match outcome {
-            Some(undecodable) => {
-                exec.trace.quant_fallbacks += 1;
-                exec.trace.points_skipped += undecodable;
-                true
-            }
-            None => {
-                exec.trace.pages_lost += 1;
-                false
-            }
-        }
-    }
-
     /// Refines the point at `(page, slot)` through the query's exact-block
     /// buffer and returns its distance key from `q` (one charged distance
     /// evaluation), or `None` when the entry stays unreadable after
@@ -939,26 +929,21 @@ impl IqTree {
         unreadable
     }
 
-    /// The Section 2 query over a page set known in advance, shared by
-    /// the `window` and `range` queries. The candidate pages are the
-    /// non-empty ones whose MBR passes `select`; they load with the optimal
-    /// batch fetch of Figure 1 into the query's level-2 buffer and go
-    /// through the level-2 read ladder. Entries of exact pages, and of
-    /// pages answered from their exact region, are kept when `accept`
-    /// admits their coordinates.
-    /// Quantized pages are classified cell box by cell box:
-    /// `classify(mbr, view, cells, matches)` fills one [`CellMatch`] per
-    /// entry from the page's unpacked `cells`. A box inside the query is
-    /// kept as is; a box straddling its boundary is refined in one
-    /// batched sweep and verified with `accept`. Returns ids in no
-    /// particular order.
-    fn scan_known_pages(
-        &self,
-        clock: &mut SimClock,
-        select: impl Fn(&Mbr) -> bool,
-        accept: impl Fn(&[f32]) -> bool,
-        mut classify: impl FnMut(&Mbr, &QuantPageView<'_>, &[u32], &mut Vec<CellMatch>),
-    ) -> Vec<u32> {
+    /// All points in a range or window `region` (unordered ids): the
+    /// paper's Section 2 query over a page set known in advance. The
+    /// candidate pages are the non-empty ones whose MBR meets `region`;
+    /// they load with the optimal batch fetch of Figure 1 into the query's
+    /// level-2 buffer and go through the level-2 read ladder. Entries of
+    /// exact pages, and of pages answered from their exact region, are
+    /// hits when their point lies in `region`. Quantized pages are
+    /// classified cell box by cell box, a range by both bounds of each box
+    /// and a window through the flag-AND row fold. A box inside the region
+    /// is a hit as is; a box straddling its boundary is refined in one
+    /// batched sweep and verified. The trace counts what the k-NN trace
+    /// counts: the level-2 runs read, the pages taken, the fallbacks to and
+    /// losses of exact regions, the boxes refined and the points that
+    /// stayed unreadable.
+    fn search_region(&self, clock: &mut SimClock, region: &Region) -> (Vec<u32>, QueryTrace) {
         clock.phase_begin(Phase::Directory);
         self.charge_directory_scan(clock, true);
         clock.phase_begin(Phase::Plan);
@@ -966,7 +951,7 @@ impl IqTree {
             .pages()
             .iter()
             .enumerate()
-            .filter(|(_, m)| m.count > 0 && select(&m.mbr))
+            .filter(|(_, m)| m.count > 0 && region.meets(&m.mbr))
             .map(|(i, _)| i)
             .collect();
         let positions: Vec<u64> = candidates
@@ -974,8 +959,9 @@ impl IqTree {
             .map(|&i| self.pages()[i].quant_block)
             .collect();
         clock.phase_begin(Phase::Filter);
+        let mut trace = QueryTrace::default();
         let mut quant = BlockBuffer::new(self.block_size());
-        fetch::fetch_blocks(self.quant_dev(), clock, &positions, &mut quant);
+        trace.runs = fetch::fetch_blocks(self.quant_dev(), clock, &positions, &mut quant);
         let mut out = Vec::new();
         let mut refinements: Vec<(usize, usize, u32)> = Vec::new();
         // Reusable per-query scratch: the page loop below is allocation-free
@@ -983,25 +969,60 @@ impl IqTree {
         let mut cells: Vec<u32> = Vec::new();
         let mut coords: Vec<f32> = Vec::new();
         let mut matches: Vec<CellMatch> = Vec::new();
+        let (mut table, mut wtable) = (DistTable::new(), WindowTable::new());
+        let (mut lo_keys, mut hi_keys) = (Vec::new(), Vec::new());
         for &p in &candidates {
+            trace.runs += u64::from(!quant.contains(self.pages()[p].quant_block));
             let Some(view) = self.quant_view(clock, p, &mut quant) else {
-                self.fallback_exact(clock, p, |id, coords| {
-                    if accept(coords) {
+                let outcome = self.fallback_exact(clock, p, |id, coords| {
+                    if region.holds(coords) {
                         out.push(id);
                     }
                 });
+                trace.pages_processed += u64::from(note_fallback(&mut trace, outcome));
                 continue;
             };
+            trace.pages_processed += 1;
             clock.charge_dist_evals(self.dim(), view.len() as u64);
             if view.bits() == EXACT_BITS {
                 view.for_each_point(&mut coords, |id, p| {
-                    if accept(p) {
+                    if region.holds(p) {
                         out.push(id);
                     }
                 });
             } else {
                 view.unpack_all(&mut cells);
-                classify(&self.pages()[p].mbr, &view, &cells, &mut matches);
+                let mbr = &self.pages()[p].mbr;
+                match *region {
+                    Region::Ball {
+                        center,
+                        key,
+                        metric,
+                    } => {
+                        table.build_bounds(mbr, view.bits(), metric, center, view.len());
+                        // Batch fold: MINDIST and MAXDIST keys for the
+                        // whole page in one SIMD pass. Both comparisons
+                        // stay in the key domain, so a box accepted
+                        // without refinement satisfies the same
+                        // `distance_key <= key` predicate refinement would
+                        // have checked.
+                        table.bounds_keys(&cells, &mut lo_keys, &mut hi_keys);
+                        matches.clear();
+                        matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
+                            match (lo <= key, hi <= key) {
+                                (false, _) => CellMatch::Disjoint,
+                                (true, true) => CellMatch::Inside,
+                                (true, false) => CellMatch::Partial,
+                            }
+                        }));
+                    }
+                    // Whole-page classification through the flag-AND row
+                    // fold — bit-identical to per-entry `classify`.
+                    Region::Window(window) => {
+                        wtable.build(mbr, view.bits(), window, view.len());
+                        wtable.classify_batch(&cells, &mut matches);
+                    }
+                }
                 for (slot, &m) in matches.iter().enumerate() {
                     match m {
                         CellMatch::Disjoint => {}
@@ -1012,14 +1033,16 @@ impl IqTree {
             }
         }
         clock.phase_begin(Phase::Refine);
+        trace.approx_enqueued = refinements.len() as u64;
         let mut exact = BlockBuffer::new(self.block_size());
-        self.refine_batch_with(clock, &mut exact, &refinements, |id, coords| {
-            if accept(coords) {
+        let unreadable = self.refine_batch_with(clock, &mut exact, &refinements, |id, coords| {
+            if region.holds(coords) {
                 out.push(id);
             }
         });
-        clock.phase_end();
-        out
+        trace.refinements = refinements.len() as u64 - unreadable;
+        trace.points_skipped += unreadable;
+        (out, trace)
     }
 
     /// The cost model's prediction of what a `k`-NN query against the
@@ -1101,6 +1124,24 @@ impl IqTree {
     }
 }
 
+/// Counts the outcome of [`IqTree::fallback_exact`] in `trace`: a
+/// recovered page is a quantized fallback whose undecodable entries are
+/// skipped points, a lost one a lost page. Returns whether the page was
+/// recovered.
+fn note_fallback(trace: &mut QueryTrace, outcome: Option<u64>) -> bool {
+    match outcome {
+        Some(undecodable) => {
+            trace.quant_fallbacks += 1;
+            trace.points_skipped += undecodable;
+            true
+        }
+        None => {
+            trace.pages_lost += 1;
+            false
+        }
+    }
+}
+
 /// The IQ-tree's query surface: k-NN, range and window queries, callable
 /// through `&dyn AccessMethod` alongside the scan, VA-file and X-tree
 /// baselines.
@@ -1114,108 +1155,35 @@ impl AccessMethod for IqTree {
     }
 
     fn len(&self) -> usize {
-        IqTree::len(self)
+        self.n
     }
 
     fn metric(&self) -> Metric {
         IqTree::metric(self)
     }
 
-    fn knn_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        // True pushdown into the level-2 filter phase — no top-up rounds.
-        knn_query(self, clock, q, k, filter, opts, |clock| {
-            self.knn_traced_impl(clock, q, k, filter, opts, None)
-        })
+    /// k-NN by the priority walk with a pushed-down filter (no top-up
+    /// rounds); range and window over their known page set.
+    fn run(&self, clock: &mut SimClock, query: &Query) -> IqResult<Answer> {
+        self.answer(clock, query, None)
     }
 
-    /// Every query of the micro-batch runs the single-query walk on its
-    /// own fresh clock, exact or approximate, so results, knobs and time
-    /// budgets are per query. A batch of two or more shares its reads:
-    /// the directory is swept once, and level-2 and exact blocks read by
-    /// one query serve the queries after it. A batched query plans no
-    /// Section 2.1 run; once its U is finite it loads its known page set
-    /// with one Figure 1 fetch (unless `nprobes` or a finite time budget
-    /// caps it) and decodes the pages one at a time.
-    fn knn_multi_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        queries: &[&[f32]],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> Vec<TracedResult> {
-        let mut shared = (queries.len() > 1).then(|| QueryReads::new(self.block_size()));
-        knn_multi_per_query(clock, queries, |clock, q| {
-            knn_query(self, clock, q, k, filter, opts, |clock| {
-                self.knn_traced_impl(clock, q, k, filter, opts, shared.as_mut())
-            })
-        })
-    }
-
-    /// All points within `radius` of `q` (unordered ids).
-    ///
-    /// The set of candidate pages is known up front, so the optimal batch
-    /// fetch of Section 2 (Figure 1) loads them with the minimal
-    /// seek/over-read schedule. Points whose cell box lies entirely within
-    /// the radius are accepted without refinement.
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        range_query(self, clock, q, radius, |clock| {
-            let metric = self.metric();
-            let key_r = metric.distance_to_key(radius);
-            let mut table = DistTable::new();
-            let mut lo_keys: Vec<f64> = Vec::new();
-            let mut hi_keys: Vec<f64> = Vec::new();
-            self.scan_known_pages(
-                clock,
-                |mbr| metric.mindist_key(q, mbr) <= key_r,
-                |coords| metric.distance_key(coords, q) <= key_r,
-                |mbr, view, cells, matches| {
-                    table.build_bounds(mbr, view.bits(), metric, q, view.len());
-                    // Batch fold: MINDIST and MAXDIST keys for the whole
-                    // page in one SIMD pass. Both comparisons stay in the
-                    // key domain, so a box accepted without refinement
-                    // satisfies the same `distance_key <= key_r` predicate
-                    // refinement would have checked.
-                    table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-                    matches.clear();
-                    matches.extend(lo_keys.iter().zip(&hi_keys).map(|(&lo, &hi)| {
-                        match (lo <= key_r, hi <= key_r) {
-                            (false, _) => CellMatch::Disjoint,
-                            (true, true) => CellMatch::Inside,
-                            (true, false) => CellMatch::Partial,
-                        }
-                    }));
-                },
-            )
-        })
-    }
-
-    /// All points inside the query window (unordered ids) — the paper's
-    /// Section 2 case where the page set is known in advance: candidate
-    /// pages are exactly those whose MBR intersects the window, loaded with
-    /// the optimal batch-fetch schedule of Figure 1. A point is refined
-    /// only when its cell box straddles the window boundary.
-    fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        window_query(self, clock, window, |clock| {
-            let mut wtable = WindowTable::new();
-            self.scan_known_pages(
-                clock,
-                |mbr| mbr.intersects(window),
-                |coords| window.contains_point(coords),
-                |mbr, view, cells, matches| {
-                    wtable.build(mbr, view.bits(), window, view.len());
-                    // Whole-page classification through the flag-AND row
-                    // fold — bit-identical to per-entry `classify`.
-                    wtable.classify_batch(cells, matches);
-                },
-            )
+    /// Every query of the micro-batch runs on its own fresh clock, so
+    /// results, knobs and time budgets are per query. The valid k-NN
+    /// queries of a batch holding two or more run the single-query walk
+    /// and share their reads: the directory is swept once, and level-2 and exact blocks
+    /// read by one query serve the queries after it. A batched query plans
+    /// no Section 2.1 run; once its U is finite it loads its known page
+    /// set with one Figure 1 fetch (unless `nprobes` or a finite time
+    /// budget caps it) and decodes the pages one at a time. Range and
+    /// window queries, and a lone valid k-NN query among them, run as
+    /// they do alone.
+    fn run_batch(&self, clock: &mut SimClock, queries: &[Query]) -> Vec<IqResult<Answer>> {
+        let knn = |q: &&Query| matches!(q, Query::Knn { .. }) && q.validate(self.dim).is_ok();
+        let mut shared =
+            (queries.iter().filter(knn).count() > 1).then(|| QueryReads::new(self.block_size()));
+        run_per_query(clock, queries, |clock, query| {
+            self.answer(clock, query, shared.as_mut())
         })
     }
 
@@ -1232,9 +1200,35 @@ impl AccessMethod for IqTree {
 mod tests {
     use crate::tests::{build_tree, random_ds};
     use crate::IqTreeOptions;
-    use iq_engine::AccessMethod;
+    use iq_engine::{AccessMethod, Filter, Query, QueryOptions, TracedResult};
     use iq_geometry::{Dataset, Metric};
+    use iq_storage::SimClock;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The IQ-tree's micro-batch over k-NN queries sharing `k`, `filter`
+    /// and `opts`.
+    fn multi(
+        tree: &crate::IqTree,
+        clock: &mut SimClock,
+        queries: &[Vec<f32>],
+        k: usize,
+        filter: Option<&Filter>,
+        opts: QueryOptions,
+    ) -> Vec<TracedResult> {
+        let queries: Vec<Query> = queries
+            .iter()
+            .map(|q| Query::Knn {
+                point: q,
+                k,
+                filter,
+                opts,
+            })
+            .collect();
+        tree.run_batch(clock, &queries)
+            .into_iter()
+            .map(|r| r.expect("valid query").into_ranked())
+            .collect()
+    }
 
     fn brute_knn(ds: &Dataset, q: &[f32], k: usize) -> Vec<(u32, f64)> {
         let m = Metric::Euclidean;
@@ -1270,7 +1264,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(42);
             for t in 0..15 {
                 let q: Vec<f32> = (0..6).map(|_| rng.gen()).collect();
-                let (_, d) = tree.nearest(&mut clock, &q).expect("non-empty");
+                let (_, d) = tree
+                    .run(&mut clock, &Query::knn(&q, 1))
+                    .expect("valid query")
+                    .into_ranked()
+                    .0[0];
                 let expect = brute_knn(&ds, &q, 1)[0];
                 assert!(
                     (d - expect.1).abs() < 1e-6,
@@ -1286,7 +1284,11 @@ mod tests {
         let ds = random_ds(900, 5, 12);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 1024);
         let q = vec![0.37f32; 5];
-        let got = tree.knn(&mut clock, &q, 11);
+        let got = tree
+            .run(&mut clock, &Query::knn(&q, 11))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         let expect = brute_knn(&ds, &q, 11);
         assert_eq!(got.len(), 11);
         for (g, e) in got.iter().zip(&expect) {
@@ -1304,7 +1306,16 @@ mod tests {
             (vec![0.1f32; 4], 0.5),
             (vec![0.9f32; 4], 0.05),
         ] {
-            let mut got = tree.range(&mut clock, &q, r);
+            let mut got = tree
+                .run(
+                    &mut clock,
+                    &Query::Range {
+                        point: &q,
+                        radius: r,
+                    },
+                )
+                .expect("valid query")
+                .ids();
             got.sort_unstable();
             let mut expect: Vec<u32> = (0..ds.len() as u32)
                 .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)
@@ -1329,8 +1340,12 @@ mod tests {
         );
         let (t_opt, mut c_opt) = build_tree(&ds, IqTreeOptions::default(), 1024);
         let q = vec![0.5f32; 12];
-        t_std.nearest(&mut c_std, &q);
-        t_opt.nearest(&mut c_opt, &q);
+        t_std
+            .run(&mut c_std, &Query::knn(&q, 1))
+            .expect("valid query");
+        t_opt
+            .run(&mut c_opt, &Query::knn(&q, 1))
+            .expect("valid query");
         assert!(
             c_opt.stats().seeks < c_std.stats().seeks,
             "opt {} vs std {} seeks",
@@ -1349,21 +1364,28 @@ mod tests {
     fn empty_k_returns_empty() {
         let ds = random_ds(100, 3, 15);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 512);
-        assert!(tree.knn(&mut clock, &[0.5, 0.5, 0.5], 0).is_empty());
+        assert!(tree
+            .run(&mut clock, &Query::knn(&[0.5, 0.5, 0.5], 0))
+            .expect("valid query")
+            .is_empty());
     }
 
     #[test]
     fn k_larger_than_n_returns_all() {
         let ds = random_ds(50, 3, 16);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 512);
-        let got = tree.knn(&mut clock, &[0.5, 0.5, 0.5], 500);
+        let got = tree
+            .run(&mut clock, &Query::knn(&[0.5, 0.5, 0.5], 500))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         assert_eq!(got.len(), 50);
     }
 
     #[test]
     fn maximum_metric_nearest() {
         let ds = random_ds(700, 5, 17);
-        let mut clock = iq_storage::SimClock::default();
+        let mut clock = SimClock::default();
         let tree = crate::IqTree::build(
             &ds,
             Metric::Maximum,
@@ -1372,7 +1394,11 @@ mod tests {
             &mut clock,
         );
         let q = vec![0.6f32; 5];
-        let (_, d) = tree.nearest(&mut clock, &q).expect("non-empty");
+        let (_, d) = tree
+            .run(&mut clock, &Query::knn(&q, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         let expect = (0..ds.len())
             .map(|i| Metric::Maximum.distance(ds.point(i), &q))
             .fold(f64::INFINITY, f64::min);
@@ -1384,7 +1410,10 @@ mod tests {
         let ds = random_ds(3_000, 8, 19);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 1024);
         let q = vec![0.5f32; 8];
-        let (results, trace) = tree.knn_traced(&mut clock, &q, 3);
+        let (results, trace) = tree
+            .run(&mut clock, &Query::knn(&q, 3))
+            .expect("valid query")
+            .into_ranked();
         assert_eq!(results.len(), 3);
         assert!(trace.pages_processed >= 1);
         assert!(trace.runs >= 1);
@@ -1408,7 +1437,10 @@ mod tests {
             ..Default::default()
         };
         let (tree, mut clock) = build_tree(&ds, opts, 1024);
-        let (_, trace) = tree.knn_traced(&mut clock, &[0.3f32; 6], 1);
+        let (_, trace) = tree
+            .run(&mut clock, &Query::knn(&[0.3f32; 6], 1))
+            .expect("valid query")
+            .into_ranked();
         assert_eq!(
             trace.runs, trace.pages_processed,
             "one random read per page"
@@ -1420,7 +1452,10 @@ mod tests {
     fn knn_phase_times_cover_total_query_cost() {
         let ds = random_ds(3_000, 8, 21);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 1024);
-        let (results, _) = tree.knn_traced(&mut clock, &[0.4f32; 8], 5);
+        let (results, _) = tree
+            .run(&mut clock, &Query::knn(&[0.4f32; 8], 5))
+            .expect("valid query")
+            .into_ranked();
         assert_eq!(results.len(), 5);
         let phases = clock.phase_times();
         // Every charge inside knn_traced happens inside an open phase, so
@@ -1441,13 +1476,23 @@ mod tests {
     fn window_and_range_phase_times_cover_total_cost() {
         let ds = random_ds(1_500, 4, 22);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 512);
-        tree.range(&mut clock, &[0.5f32; 4], 0.25);
+        tree.run(
+            &mut clock,
+            &Query::Range {
+                point: &[0.5f32; 4],
+                radius: 0.25,
+            },
+        )
+        .expect("valid query")
+        .ids();
         let total = clock.total_time();
         assert!(total > 0.0);
         assert!((clock.phase_times().total_sim() - total).abs() <= 1e-12 * total);
         clock.reset();
         let w = iq_geometry::Mbr::from_bounds(vec![0.2; 4], vec![0.6; 4]);
-        tree.window(&mut clock, &w);
+        tree.run(&mut clock, &Query::Window(&w))
+            .expect("valid query")
+            .ids();
         let total = clock.total_time();
         assert!(total > 0.0);
         assert!((clock.phase_times().total_sim() - total).abs() <= 1e-12 * total);
@@ -1455,7 +1500,6 @@ mod tests {
 
     #[test]
     fn cost_prediction_is_sane() {
-        use iq_engine::AccessMethod;
         let ds = random_ds(2_000, 8, 23);
         let (tree, _) = build_tree(&ds, IqTreeOptions::default(), 1024);
         let disk = iq_storage::DiskModel::default();
@@ -1468,16 +1512,16 @@ mod tests {
         }
         // The trait hook reports the same pages as the inherent method on
         // the default disk.
-        let via_trait = AccessMethod::cost_prediction(&tree, 5, &iq_engine::QueryOptions::EXACT)
+        let via_trait = AccessMethod::cost_prediction(&tree, 5, &QueryOptions::EXACT)
             .expect("iq-tree has a model");
         assert_eq!(via_trait.pages, tree.predict_knn_cost(&disk, 5).pages);
 
         // Knobs cap the prediction from their respective sides.
-        let opts = iq_engine::QueryOptions {
+        let opts = QueryOptions {
             nprobes: Some(2),
             refine_factor: 2,
             time_budget: Some(1e-4),
-            ..iq_engine::QueryOptions::EXACT
+            ..QueryOptions::EXACT
         };
         let capped = tree.predict_knn_cost_opts(&disk, 25, &opts);
         let exact = tree.predict_knn_cost(&disk, 25);
@@ -1519,20 +1563,21 @@ mod tests {
 
     #[test]
     fn multi_query_knn_matches_single_query_path() {
-        use iq_engine::AccessMethod;
         let ds = random_ds(2_500, 6, 31);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 1024);
         let mut rng = StdRng::seed_from_u64(77);
         let queries: Vec<Vec<f32>> = (0..7)
             .map(|_| (0..6).map(|_| rng.gen()).collect())
             .collect();
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        let mut mc = iq_storage::SimClock::default();
-        let multi =
-            tree.knn_multi_opts_traced(&mut mc, &refs, 9, None, &iq_engine::QueryOptions::EXACT);
+        let mut mc = SimClock::default();
+        let multi = multi(&tree, &mut mc, &queries, 9, None, QueryOptions::EXACT);
         assert_eq!(multi.len(), queries.len());
         for (q, (got, trace)) in queries.iter().zip(&multi) {
-            let want = tree.knn(&mut clock, q, 9);
+            let want = tree
+                .run(&mut clock, &Query::knn(q, 9))
+                .expect("valid query")
+                .into_ranked()
+                .0;
             assert_eq!(canon(got.clone()), canon(want), "distances must be exact");
             assert!(trace.pages_processed >= 1);
         }
@@ -1544,31 +1589,74 @@ mod tests {
 
     #[test]
     fn multi_query_knn_respects_filter() {
-        use iq_engine::AccessMethod;
         let ds = random_ds(1_200, 5, 33);
         let (tree, _) = build_tree(&ds, IqTreeOptions::default(), 1024);
-        let filter = iq_engine::Filter::from_fn(ds.len(), |id| id % 3 == 0);
+        let filter = Filter::from_fn(ds.len(), |id| id % 3 == 0);
         let queries = [vec![0.3f32; 5], vec![0.7f32; 5], vec![0.1f32; 5]];
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        let mut mc = iq_storage::SimClock::default();
-        let multi = tree.knn_multi_opts_traced(
+        let mut mc = SimClock::default();
+        let multi = multi(
+            &tree,
             &mut mc,
-            &refs,
+            &queries,
             6,
             Some(&filter),
-            &iq_engine::QueryOptions::EXACT,
+            QueryOptions::EXACT,
         );
         for (q, (got, _)) in queries.iter().zip(&multi) {
             assert!(got.iter().all(|&(id, _)| id % 3 == 0));
-            let mut sc = iq_storage::SimClock::default();
-            let want = tree.knn_filtered(&mut sc, q, 6, Some(&filter));
+            let mut sc = SimClock::default();
+            let want = tree
+                .run(
+                    &mut sc,
+                    &Query::Knn {
+                        point: q,
+                        k: 6,
+                        filter: Some(&filter),
+                        opts: QueryOptions::EXACT,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked()
+                .0;
             assert_eq!(canon(got.clone()), canon(want));
         }
     }
 
     #[test]
+    fn a_lone_knn_query_in_a_mixed_batch_is_charged_as_run() {
+        // One valid k-NN query among a rejected one, a range and a window
+        // has no other k-NN query to share reads with: it must plan its
+        // page runs as it does alone, and every query costs what `run` does.
+        let ds = random_ds(2_500, 6, 39);
+        let (tree, _) = build_tree(&ds, IqTreeOptions::default(), 1024);
+        let q = [0.4f32; 6];
+        let short = [0.4f32; 5];
+        let w = iq_geometry::Mbr::from_bounds(vec![0.3; 6], vec![0.5; 6]);
+        let queries = [
+            Query::knn(&short, 5),
+            Query::Range {
+                point: &q,
+                radius: 0.2,
+            },
+            Query::knn(&q, 9),
+            Query::Window(&w),
+        ];
+        let mut mc = SimClock::default();
+        let got = tree.run_batch(&mut mc, &queries);
+        let mut sc = SimClock::default();
+        for (query, got) in queries.iter().zip(&got) {
+            let mut c = SimClock::default();
+            let want = tree.run(&mut c, query);
+            sc.absorb(&c);
+            assert_eq!(*got, want, "{query:?}");
+        }
+        assert!(got[0].is_err() && got[2].is_ok());
+        assert_eq!(mc.stats(), sc.stats());
+        assert_eq!(mc.total_time(), sc.total_time());
+    }
+
+    #[test]
     fn approximate_micro_batch_matches_solo_runs_and_shares_reads() {
-        use iq_engine::{AccessMethod, QueryOptions};
         let ds = random_ds(2_500, 6, 37);
         // A lone query on a scheduled tree spends `nprobes` and ε on the
         // page runs it plans around the pivot; a batched query plans none.
@@ -1583,7 +1671,6 @@ mod tests {
         let queries: Vec<Vec<f32>> = (0..8)
             .map(|_| (0..6).map(|_| rng.gen()).collect())
             .collect();
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
         for opts in [
             QueryOptions {
                 nprobes: Some(4),
@@ -1596,11 +1683,22 @@ mod tests {
             },
         ] {
             let (mut solo_blocks, mut solo_runs, mut batch_runs) = (0, 0, 0);
-            let mut mc = iq_storage::SimClock::default();
-            let multi = tree.knn_multi_opts_traced(&mut mc, &refs, 10, None, &opts);
+            let mut mc = SimClock::default();
+            let multi = multi(&tree, &mut mc, &queries, 10, None, opts);
             for (q, (got, trace)) in queries.iter().zip(&multi) {
-                let mut sc = iq_storage::SimClock::default();
-                let (want, solo) = tree.knn_opts_traced(&mut sc, q, 10, None, &opts);
+                let mut sc = SimClock::default();
+                let (want, solo) = tree
+                    .run(
+                        &mut sc,
+                        &Query::Knn {
+                            point: q,
+                            k: 10,
+                            filter: None,
+                            opts,
+                        },
+                    )
+                    .expect("valid query")
+                    .into_ranked();
                 assert_eq!(*got, want, "{opts:?}");
                 solo_blocks += sc.stats().blocks_read;
                 solo_runs += solo.runs;
@@ -1618,7 +1716,7 @@ mod tests {
 
     #[test]
     fn approximate_batches_on_a_scheduled_tree_keep_solo_recall() {
-        use iq_engine::{knn_batch_opts_traced, AccessMethod, QueryOptions};
+        use iq_engine::run_threaded;
         // The default tree plans page runs for a lone query and none for a
         // batched one, so under `nprobes` or ε the two may return different
         // answers. The batched answers must be at least as good.
@@ -1643,13 +1741,35 @@ mod tests {
                 ..QueryOptions::EXACT
             },
         ] {
-            let mut clock = iq_storage::SimClock::default();
-            let (batched, _) =
-                knn_batch_opts_traced(&tree, &mut clock, &queries, k, 2, None, &opts);
+            let mut clock = SimClock::default();
+            let batch: Vec<Query> = queries
+                .iter()
+                .map(|q| Query::Knn {
+                    point: q,
+                    k,
+                    filter: None,
+                    opts,
+                })
+                .collect();
+            let batched: Vec<TracedResult> = run_threaded(&tree, &mut clock, &batch, 2)
+                .into_iter()
+                .map(|r| r.expect("valid query").into_ranked())
+                .collect();
             let (mut batch_hits, mut solo_hits) = (0, 0);
             for ((q, want), (got, _)) in queries.iter().zip(&truth).zip(&batched) {
-                let mut sc = iq_storage::SimClock::default();
-                let (solo, _) = tree.knn_opts_traced(&mut sc, q, k, None, &opts);
+                let mut sc = SimClock::default();
+                let (solo, _) = tree
+                    .run(
+                        &mut sc,
+                        &Query::Knn {
+                            point: q,
+                            k,
+                            filter: None,
+                            opts,
+                        },
+                    )
+                    .expect("valid query")
+                    .into_ranked();
                 batch_hits += hits(got, want);
                 solo_hits += hits(&solo, want);
                 assert_eq!(got.len(), k);
@@ -1668,18 +1788,10 @@ mod tests {
 
     #[test]
     fn multi_query_knn_k_larger_than_n_returns_all() {
-        use iq_engine::AccessMethod;
         let ds = random_ds(60, 3, 35);
         let (tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 512);
         let queries = [vec![0.2f32; 3], vec![0.8f32; 3]];
-        let refs: Vec<&[f32]> = queries.iter().map(Vec::as_slice).collect();
-        let multi = tree.knn_multi_opts_traced(
-            &mut clock,
-            &refs,
-            500,
-            None,
-            &iq_engine::QueryOptions::EXACT,
-        );
+        let multi = multi(&tree, &mut clock, &queries, 500, None, QueryOptions::EXACT);
         for (got, _) in &multi {
             assert_eq!(got.len(), 60);
         }
@@ -1691,8 +1803,8 @@ mod tests {
         let q = vec![0.42f32; 8];
         let (t1, mut c1) = build_tree(&ds, IqTreeOptions::default(), 1024);
         let (t2, mut c2) = build_tree(&ds, IqTreeOptions::default(), 1024);
-        t1.nearest(&mut c1, &q);
-        t2.nearest(&mut c2, &q);
+        t1.run(&mut c1, &Query::knn(&q, 1)).expect("valid query");
+        t2.run(&mut c2, &Query::knn(&q, 1)).expect("valid query");
         assert_eq!(c1.io_time(), c2.io_time());
         assert_eq!(c1.stats(), c2.stats());
     }

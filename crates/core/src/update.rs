@@ -512,7 +512,7 @@ impl IqTree {
 mod tests {
     use crate::tests::{build_tree, random_ds};
     use crate::IqTreeOptions;
-    use iq_engine::AccessMethod;
+    use iq_engine::{AccessMethod, Query};
     use iq_geometry::{Dataset, Metric};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -538,7 +538,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..10 {
             let q: Vec<f32> = (0..5).map(|_| rng.gen()).collect();
-            let (_, d) = tree.nearest(&mut clock, &q).expect("non-empty");
+            let (_, d) = tree
+                .run(&mut clock, &Query::knn(&q, 1))
+                .expect("valid query")
+                .into_ranked()
+                .0[0];
             assert!((d - brute_nn(&all, &q)).abs() < 1e-6);
         }
         // Page invariants hold.
@@ -578,7 +582,11 @@ mod tests {
         assert_eq!(tree.len(), 400);
         // Deleted points no longer appear in results.
         for i in 0..20u32 {
-            let got = tree.knn(&mut clock, ds.point(i as usize), 3);
+            let got = tree
+                .run(&mut clock, &Query::knn(ds.point(i as usize), 3))
+                .expect("valid query")
+                .into_ranked()
+                .0;
             assert!(got.iter().all(|&(id, _)| id >= 100), "{got:?}");
         }
         // Deleting a non-existent point reports false.
@@ -593,7 +601,14 @@ mod tests {
             assert!(tree.delete(&mut clock, i, ds.point(i as usize)).unwrap());
         }
         assert!(tree.is_empty());
-        assert!(tree.nearest(&mut clock, &[0.5, 0.5, 0.5]).is_none());
+        assert!(tree
+            .run(&mut clock, &Query::knn(&[0.5, 0.5, 0.5], 1))
+            .expect("valid query")
+            .into_ranked()
+            .0
+            .first()
+            .copied()
+            .is_none());
     }
 
     #[test]
@@ -616,7 +631,16 @@ mod tests {
         let total: u32 = tree.pages().iter().map(|p| p.count).sum();
         assert_eq!(total as usize, tree.len());
         // Deleted originals are really gone.
-        let hits = tree.range(&mut clock, ds.point(0), 1e-9);
+        let hits = tree
+            .run(
+                &mut clock,
+                &Query::Range {
+                    point: ds.point(0),
+                    radius: 1e-9,
+                },
+            )
+            .expect("valid query")
+            .ids();
         assert!(hits.iter().all(|&id| id >= 1_000), "{hits:?}");
     }
 
@@ -649,11 +673,19 @@ mod tests {
         let (mut tree, mut clock) = build_tree(&ds, IqTreeOptions::default(), 512);
         let p = vec![0.111f32, 0.222, 0.333, 0.444];
         tree.insert(&mut clock, 9_999, &p).unwrap();
-        let (id, d) = tree.nearest(&mut clock, &p).expect("non-empty");
+        let (id, d) = tree
+            .run(&mut clock, &Query::knn(&p, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         assert_eq!(id, 9_999);
         assert!(d < 1e-6);
         assert!(tree.delete(&mut clock, 9_999, &p).unwrap());
-        let (id2, _) = tree.nearest(&mut clock, &p).expect("non-empty");
+        let (id2, _) = tree
+            .run(&mut clock, &Query::knn(&p, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         assert_ne!(id2, 9_999);
     }
 }

@@ -11,7 +11,7 @@
 //! observed page count must lie within `TOLERANCE_FACTOR`× of the
 //! prediction, in both directions, for every tested `k`.
 
-use iq_engine::AccessMethod;
+use iq_engine::{AccessMethod, Query};
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostAudit;
 use iq_storage::{CpuModel, DiskModel, MemDevice, SimClock};
@@ -56,7 +56,10 @@ fn predicted_page_accesses_track_observed_on_uniform_data() {
         for _ in 0..queries {
             let q: Vec<f32> = (0..dim).map(|_| rng.gen()).collect();
             let mut c = SimClock::new(disk, CpuModel::free());
-            let (results, trace) = tree.knn_traced(&mut c, &q, k);
+            let (results, trace) = tree
+                .run(&mut c, &Query::knn(&q, k))
+                .expect("valid query")
+                .into_ranked();
             assert_eq!(results.len(), k);
             observed_pages += trace.pages_processed as f64;
         }

@@ -2,7 +2,7 @@
 //! the data distribution, block size, metric or option set, query results
 //! are exact and structural invariants hold.
 
-use iq_engine::AccessMethod;
+use iq_engine::{AccessMethod, Query};
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_tree::{IqTree, IqTreeOptions};
@@ -46,7 +46,7 @@ proptest! {
     ) {
         let opts = IqTreeOptions { quantize, scheduled_io: scheduled, ..Default::default() };
         let (tree, mut clock) = build(&ds, opts, Metric::Euclidean, 512);
-        let got = tree.nearest(&mut clock, &q).expect("non-empty").1;
+        let got = tree.run(&mut clock, &Query::knn(&q, 1)).expect("valid query").into_ranked().0[0].1;
         let expect = brute_nn(&ds, &q, Metric::Euclidean);
         prop_assert!((got - expect).abs() < 1e-5, "{got} vs {expect}");
     }
@@ -59,7 +59,7 @@ proptest! {
         k in 1usize..20,
     ) {
         let (tree, mut clock) = build(&ds, IqTreeOptions::default(), Metric::Euclidean, 512);
-        let got = tree.knn(&mut clock, &q, k);
+        let got = tree.run(&mut clock, &Query::knn(&q, k)).expect("valid query").into_ranked().0;
         prop_assert_eq!(got.len(), k.min(ds.len()));
         prop_assert!(got.windows(2).all(|w| w[0].1 <= w[1].1));
         let mut truth: Vec<f64> =
@@ -78,7 +78,7 @@ proptest! {
         r in 0.05f64..0.8,
     ) {
         let (tree, mut clock) = build(&ds, IqTreeOptions::default(), Metric::Euclidean, 512);
-        let mut got = tree.range(&mut clock, &q, r);
+        let mut got = tree.run(&mut clock, &Query::Range { point: &q, radius: r }).expect("valid query").ids();
         got.sort_unstable();
         let mut expect: Vec<u32> = (0..ds.len() as u32)
             .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)
@@ -113,7 +113,7 @@ proptest! {
         prop_assert_eq!(total as usize, live.len());
         // A random live point is findable at distance 0.
         let (id, p) = &live[live.len() / 2];
-        let hits = tree.range(&mut clock, p, 1e-9);
+        let hits = tree.run(&mut clock, &Query::Range { point: p, radius: 1e-9 }).expect("valid query").ids();
         prop_assert!(hits.contains(id));
     }
 
@@ -124,7 +124,7 @@ proptest! {
         q in proptest::collection::vec(0.0f32..1.0, 5),
     ) {
         let (tree, mut clock) = build(&ds, IqTreeOptions::default(), Metric::Maximum, 512);
-        let got = tree.nearest(&mut clock, &q).expect("non-empty").1;
+        let got = tree.run(&mut clock, &Query::knn(&q, 1)).expect("valid query").into_ranked().0[0].1;
         let expect = brute_nn(&ds, &q, Metric::Maximum);
         prop_assert!((got - expect).abs() < 1e-5);
     }
@@ -148,10 +148,10 @@ proptest! {
             &mut SimClock::default(),
         );
         for (q, k) in qs {
-            let expect = scan.knn(&mut SimClock::default(), &q, k);
+            let expect = scan.run(&mut SimClock::default(), &Query::knn(&q, k)).expect("valid query").into_ranked().0;
             let shared = Arc::clone(&tree);
             let got = std::thread::spawn(move || {
-                shared.knn(&mut SimClock::default(), &q, k)
+                shared.run(&mut SimClock::default(), &Query::knn(&q, k)).expect("valid query").into_ranked().0
             })
             .join()
             .expect("query thread panicked");

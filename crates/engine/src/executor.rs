@@ -87,32 +87,11 @@ impl QueryOptions {
             && self.refine_factor <= 1
             && self.time_budget.is_none_or(|b| b == f64::INFINITY)
     }
-
-    /// Validates ranges (the CLI calls this before running a query).
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.epsilon.is_finite() || self.epsilon < 0.0 {
-            return Err(format!(
-                "epsilon must be finite and >= 0, got {}",
-                self.epsilon
-            ));
-        }
-        if self.nprobes == Some(0) {
-            return Err("nprobes must be at least 1".to_string());
-        }
-        if self.refine_factor == 0 {
-            return Err("refine-factor must be at least 1".to_string());
-        }
-        if let Some(b) = self.time_budget {
-            if b.is_nan() || b <= 0.0 {
-                return Err(format!("time budget must be > 0, got {b}"));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A total order over distance keys for candidate heaps. Keys come from
-/// MINDIST/metric computations over finite coordinates and are never NaN.
+/// MINDIST/metric computations over finite coordinates — query validation
+/// admits no other — and are never NaN.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OrdKey(pub f64);
 
@@ -128,7 +107,7 @@ impl Ord for OrdKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0
             .partial_cmp(&other.0)
-            .expect("distance keys are never NaN")
+            .expect("validated queries have no NaN distance key")
     }
 }
 
@@ -388,10 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn default_options_are_exact_and_valid() {
+    fn default_options_are_exact() {
         let d = QueryOptions::default();
         assert!(d.is_exact());
-        assert!(d.validate().is_ok());
         assert_eq!(d, QueryOptions::EXACT);
         // Explicitly-neutral settings are exact too.
         let neutral = QueryOptions {
@@ -418,42 +396,6 @@ mod tests {
             ..d
         }
         .is_exact());
-    }
-
-    #[test]
-    fn validate_rejects_bad_ranges() {
-        let d = QueryOptions::default();
-        assert!(QueryOptions { epsilon: -0.5, ..d }.validate().is_err());
-        assert!(QueryOptions {
-            epsilon: f64::NAN,
-            ..d
-        }
-        .validate()
-        .is_err());
-        assert!(QueryOptions {
-            nprobes: Some(0),
-            ..d
-        }
-        .validate()
-        .is_err());
-        assert!(QueryOptions {
-            refine_factor: 0,
-            ..d
-        }
-        .validate()
-        .is_err());
-        assert!(QueryOptions {
-            time_budget: Some(0.0),
-            ..d
-        }
-        .validate()
-        .is_err());
-        assert!(QueryOptions {
-            time_budget: Some(-1.0),
-            ..d
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
@@ -556,7 +498,7 @@ mod tests {
             time_budget: Some(0.0),
             ..QueryOptions::default()
         };
-        // validate() rejects 0.0, but the executor itself treats it as
+        // Validation rejects 0.0, but the executor itself treats it as
         // an immediately-spent budget — exercise the deadline check.
         let clock = SimClock::default();
         let mut e = Executor::new(Metric::Euclidean, 1, &opts, &clock);

@@ -8,11 +8,8 @@
 //! itself only asks `matches(id)` in its hot loops. `k` counts results
 //! *after* filtering (the Lance ≥ 0.5.0 convention), and every engine
 //! pushes the predicate into its single executor-driven search
-//! ([`AccessMethod::knn_opts_traced`]), skipping non-matching candidates
+//! ([`Query::Knn`](crate::Query::Knn)), skipping non-matching candidates
 //! before any refinement I/O is spent on them.
-
-use crate::{AccessMethod, QueryOptions, QueryTrace};
-use iq_storage::SimClock;
 
 /// A precompiled predicate over point ids: one bit per id in the indexed
 /// domain `0..domain`.
@@ -118,48 +115,21 @@ impl PageSpec {
             limit: None,
         }
     }
-}
 
-/// The `page.k` exact post-filter nearest neighbors of `q`, canonically
-/// ordered (ascending distance, ties by ascending id — engines may break
-/// exact-distance ties differently, so pagination must not depend on their
-/// internal order), sliced to `[offset, offset + limit)`.
-pub fn knn_paginated<M: AccessMethod + ?Sized>(
-    method: &M,
-    clock: &mut SimClock,
-    q: &[f32],
-    filter: Option<&Filter>,
-    page: &PageSpec,
-) -> Vec<(u32, f64)> {
-    knn_paginated_opts(method, clock, q, filter, page, &QueryOptions::EXACT).0
-}
-
-/// [`knn_paginated`] under explicit approximation [`QueryOptions`]. The
-/// computed `page.k`-list is whatever the (possibly approximate) search
-/// returns, canonically re-ordered — so re-running the same
-/// `(q, k, filter, opts)` still yields the same list and disjoint
-/// `offset` windows still tile it without overlap or gaps. Returns the
-/// page with the search's trace.
-pub fn knn_paginated_opts<M: AccessMethod + ?Sized>(
-    method: &M,
-    clock: &mut SimClock,
-    q: &[f32],
-    filter: Option<&Filter>,
-    page: &PageSpec,
-    opts: &QueryOptions,
-) -> (Vec<(u32, f64)>, QueryTrace) {
-    let (mut hits, trace) = method.knn_opts_traced(clock, q, page.k, filter, opts);
-    hits.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1)
-            .expect("no NaN distances")
-            .then(a.0.cmp(&b.0))
-    });
-    let hits = hits
-        .into_iter()
-        .skip(page.offset)
-        .take(page.limit.unwrap_or(usize::MAX))
-        .collect();
-    (hits, trace)
+    /// Slices the hits of a `k`-NN answer run with `self.k` to
+    /// `[offset, offset + limit)`, after ordering them canonically
+    /// (ascending distance, ties by ascending id — engines may break
+    /// exact-distance ties differently, so pagination must not depend on
+    /// their internal order). Re-running the same query, exact or under
+    /// the same approximation knobs, yields the same list, so disjoint
+    /// `offset` windows tile it without overlap or gaps.
+    pub fn slice(&self, mut hits: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+        hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        hits.into_iter()
+            .skip(self.offset)
+            .take(self.limit.unwrap_or(usize::MAX))
+            .collect()
+    }
 }
 
 #[cfg(test)]

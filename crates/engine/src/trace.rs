@@ -1,8 +1,7 @@
 //! The unified per-query work report.
 
-/// What a nearest-neighbor query actually did — returned by
-/// [`AccessMethod::knn_traced`](crate::AccessMethod::knn_traced) for
-/// inspection, tuning and tests.
+/// What a query actually did — returned in every
+/// [`Answer`](crate::Answer) for inspection, tuning and tests.
 ///
 /// The fields are written from the IQ-tree's three-level perspective but
 /// apply to every method: a VA-file "page" is an approximation block, a

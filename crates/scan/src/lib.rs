@@ -8,19 +8,17 @@
 
 #![forbid(unsafe_code)]
 
-use iq_engine::{
-    knn_query, range_query, window_query, AccessMethod, Executor, Filter, QueryOptions, QueryTrace,
-};
+use iq_engine::{answer, AccessMethod, Answer, Executor, Query, QueryOptions, QueryTrace, Region};
 use iq_geometry::{Dataset, Metric};
 use iq_obs::CostPrediction;
-use iq_storage::{sweep_records, BlockDevice, SimClock, Sweep};
+use iq_storage::{sweep_records, BlockDevice, IqResult, SimClock, Sweep};
 
 /// A flat file of exact points, searched by full scans.
 ///
 /// # Example
 ///
 /// ```
-/// use iq_engine::AccessMethod;
+/// use iq_engine::{AccessMethod, Query};
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_scan::SeqScan;
@@ -28,7 +26,9 @@ use iq_storage::{sweep_records, BlockDevice, SimClock, Sweep};
 /// let ds = Dataset::from_flat(2, vec![0.1, 0.1, 0.9, 0.9]);
 /// let mut clock = SimClock::default();
 /// let scan = SeqScan::build(&ds, Metric::Euclidean, Box::new(MemDevice::new(512)), &mut clock);
-/// assert_eq!(scan.nearest(&mut clock, &[0.0, 0.0]).unwrap().0, 0);
+/// let (hits, _) = scan.run(&mut clock, &Query::knn(&[0.0, 0.0], 1))?.into_ranked();
+/// assert_eq!(hits[0].0, 0);
+/// # Ok::<(), iq_storage::IqError>(())
 /// ```
 pub struct SeqScan {
     dim: usize,
@@ -63,21 +63,16 @@ impl SeqScan {
         }
     }
 
-    /// Scans the file once, invoking `visit(id, coords)` for every point.
+    /// Scans the file once, invoking `visit(id, coords)` for every point,
+    /// stopping between block reads once the clock reaches `deadline`
+    /// (simulated seconds): one [`sweep_records`] over the file, whose
+    /// records are the points. Returns what the sweep covered; a chunk
+    /// that stays unreadable loses its points.
     ///
     /// Takes `&self`: the scan file is immutable after [`SeqScan::build`],
     /// so any number of threads may query it concurrently, each with its
     /// own clock.
-    fn scan(&self, clock: &mut SimClock, visit: impl FnMut(u32, &[f32])) {
-        self.scan_bounded(clock, f64::INFINITY, visit);
-    }
-
-    /// Like [`SeqScan::scan`], stopping between block reads once the
-    /// clock reaches `deadline` (simulated seconds): one
-    /// [`sweep_records`] over the file, whose records are the points.
-    /// Returns what the sweep covered; a chunk that stays unreadable loses
-    /// its points.
-    fn scan_bounded(
+    fn scan(
         &self,
         clock: &mut SimClock,
         deadline: f64,
@@ -133,37 +128,41 @@ impl AccessMethod for SeqScan {
     /// searches are tested against. The scan has no approximation level,
     /// so `epsilon`, `nprobes` and `refine_factor` cannot shorten it —
     /// only `time_budget` does (the sweep stops between chunk reads,
-    /// returning the best answer so far). The trace reports one run, the
-    /// blocks swept as `pages_processed` and the points of chunks that
-    /// stayed unreadable as `points_skipped`.
-    fn knn_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        knn_query(self, clock, q, k, filter, opts, |clock| {
-            let metric = self.metric;
-            let mut exec = Executor::new(metric, k, opts, clock);
-            let deadline = opts
-                .time_budget
-                .map_or(f64::INFINITY, |b| clock.total_time() + b);
-            let swept = self.scan_bounded(clock, deadline, |id, p| {
-                if filter.is_none_or(|f| f.matches(id)) {
-                    exec.offer(metric.distance_key(p, q), id);
-                }
-            });
-            exec.trace.pages_processed = swept.blocks;
-            exec.trace.runs = 1;
-            exec.trace.points_skipped = swept.lost;
-            exec.skip_candidates(self.n as u64 - swept.visited - swept.lost);
-            clock.phase_begin(iq_obs::Phase::TopK);
-            let out = exec.into_results(metric);
-            clock.phase_end();
-            out
-        })
+    /// returning the best answer so far). A range or window query sweeps
+    /// the whole file, keeping the points in its region. The trace
+    /// reports one run, the blocks swept as `pages_processed` and the
+    /// points of chunks that stayed unreadable as `points_skipped`.
+    fn run(&self, clock: &mut SimClock, query: &Query) -> IqResult<Answer> {
+        let metric = self.metric;
+        answer(
+            self,
+            clock,
+            query,
+            |clock, q, k, filter, opts| {
+                let mut exec = Executor::new(metric, k, opts, clock);
+                let deadline = opts
+                    .time_budget
+                    .map_or(f64::INFINITY, |b| clock.total_time() + b);
+                let swept = self.scan(clock, deadline, |id, p| {
+                    if filter.is_none_or(|f| f.matches(id)) {
+                        exec.offer(metric.distance_key(p, q), id);
+                    }
+                });
+                exec.trace = sweep_trace(&swept);
+                exec.skip_candidates(self.n as u64 - swept.visited - swept.lost);
+                clock.phase_begin(iq_obs::Phase::TopK);
+                exec.into_results(metric)
+            },
+            |clock, region: &Region| {
+                let mut out = Vec::new();
+                let swept = self.scan(clock, f64::INFINITY, |id, p| {
+                    if region.holds(p) {
+                        out.push(id);
+                    }
+                });
+                (out, sweep_trace(&swept))
+            },
+        )
     }
 
     /// A sequential scan's cost is fully analytic: every query reads the
@@ -190,33 +189,15 @@ impl AccessMethod for SeqScan {
             refine_pages: 0.0,
         })
     }
+}
 
-    /// All points within `radius` of `q`, as ids (unordered).
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        range_query(self, clock, q, radius, |clock| {
-            let metric = self.metric;
-            let key = metric.distance_to_key(radius);
-            let mut out = Vec::new();
-            self.scan(clock, |id, p| {
-                if metric.distance_key(p, q) <= key {
-                    out.push(id);
-                }
-            });
-            out
-        })
-    }
-
-    /// All points inside the query window (unordered ids).
-    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        window_query(self, clock, window, |clock| {
-            let mut out = Vec::new();
-            self.scan(clock, |id, p| {
-                if window.contains_point(p) {
-                    out.push(id);
-                }
-            });
-            out
-        })
+/// The trace of one sweep over the scan file.
+fn sweep_trace(swept: &Sweep) -> QueryTrace {
+    QueryTrace {
+        pages_processed: swept.blocks,
+        runs: 1,
+        points_skipped: swept.lost,
+        ..QueryTrace::default()
     }
 }
 
@@ -229,8 +210,16 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iq_engine::Hits;
     use iq_storage::{CpuModel, DiskModel, MemDevice};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    fn knn(scan: &SeqScan, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
+        scan.run(clock, &Query::knn(q, k))
+            .expect("valid query")
+            .into_ranked()
+            .0
+    }
 
     fn make(n: usize, dim: usize, seed: u64) -> (Dataset, SeqScan, SimClock) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -265,7 +254,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..20 {
             let q: Vec<f32> = (0..7).map(|_| rng.gen()).collect();
-            let (id, d) = scan.nearest(&mut clock, &q).expect("non-empty");
+            let (id, d) = knn(&scan, &mut clock, &q, 1)[0];
             let (bid, bd) = brute_nn(&ds, &q);
             assert_eq!(id, bid);
             assert!((d - bd).abs() < 1e-9);
@@ -276,7 +265,7 @@ mod tests {
     fn knn_is_sorted_and_correct() {
         let (ds, scan, mut clock) = make(300, 4, 2);
         let q = vec![0.5f32; 4];
-        let knn = scan.knn(&mut clock, &q, 10);
+        let knn = knn(&scan, &mut clock, &q, 10);
         assert_eq!(knn.len(), 10);
         assert!(knn.windows(2).all(|w| w[0].1 <= w[1].1));
         assert_eq!(knn[0].0, brute_nn(&ds, &q).0);
@@ -295,7 +284,14 @@ mod tests {
         let (ds, scan, mut clock) = make(400, 5, 3);
         let q = vec![0.4f32; 5];
         let r = 0.5;
-        let mut got = scan.range(&mut clock, &q, r);
+        let query = Query::Range {
+            point: &q,
+            radius: r,
+        };
+        let answer = scan.run(&mut clock, &query).expect("valid query");
+        let Hits::Ids(mut got) = answer.hits else {
+            panic!("a range query returns ids");
+        };
         got.sort_unstable();
         let mut expect: Vec<u32> = (0..ds.len() as u32)
             .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)
@@ -307,7 +303,7 @@ mod tests {
     #[test]
     fn cost_is_one_sequential_scan() {
         let (_, scan, mut clock) = make(2_000, 16, 4);
-        scan.nearest(&mut clock, &[0.1f32; 16]);
+        knn(&scan, &mut clock, &[0.1f32; 16], 1);
         let d = DiskModel::default();
         let blocks = d.blocks_for(2_000 * 16 * 4);
         assert_eq!(clock.stats().seeks, 1);
@@ -318,7 +314,7 @@ mod tests {
     #[test]
     fn k_larger_than_n_returns_all() {
         let (ds, scan, mut clock) = make(5, 3, 5);
-        let knn = scan.knn(&mut clock, &[0.0, 0.0, 0.0], 50);
+        let knn = knn(&scan, &mut clock, &[0.0, 0.0, 0.0], 50);
         assert_eq!(knn.len(), ds.len());
     }
 
@@ -336,7 +332,7 @@ mod tests {
             Box::new(MemDevice::new(64)),
             &mut clock,
         );
-        let (id, d) = scan.nearest(&mut clock, &[17.2f32; 5]).expect("non-empty");
+        let (id, d) = knn(&scan, &mut clock, &[17.2f32; 5], 1)[0];
         assert_eq!(id, 17);
         assert!(d > 0.0);
     }
@@ -361,7 +357,13 @@ mod tests {
             time_budget: Some(1e6),
             ..QueryOptions::EXACT
         };
-        let (hits, trace) = scan.knn_opts_traced(&mut clock, &[3.2; 200], 3, None, &opts);
+        let query = Query::Knn {
+            point: &[3.2; 200],
+            k: 3,
+            filter: None,
+            opts,
+        };
+        let (hits, trace) = scan.run(&mut clock, &query).expect("valid").into_ranked();
         let ids: Vec<u32> = hits.iter().map(|h| h.0).collect();
         assert_eq!(ids, [3, 4, 2]);
         assert_eq!(trace.pages_processed, scan.dev.num_blocks());

@@ -69,6 +69,14 @@ pub enum IqError {
         /// Version this build reads and writes.
         supported: u32,
     },
+    /// A query the index cannot answer: a point of the wrong dimension or
+    /// with a non-finite coordinate, a radius that is not a finite
+    /// non-negative number, a window with non-finite bounds, or an
+    /// approximation knob out of range. Nothing was read or charged.
+    InvalidQuery {
+        /// What was wrong.
+        detail: String,
+    },
     /// A bounded retry loop exhausted its attempts; `last` is the final
     /// error observed.
     RetriesExhausted {
@@ -147,6 +155,7 @@ impl fmt::Display for IqError {
                 f,
                 "unsupported on-disk format version {found} (this build supports {supported})"
             ),
+            IqError::InvalidQuery { detail } => write!(f, "invalid query: {detail}"),
             IqError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempt(s): {last}")
             }

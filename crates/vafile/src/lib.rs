@@ -17,14 +17,16 @@
 
 use iq_cost::refine::RefineParams;
 use iq_engine::{
-    knn_query, range_query, refine_ascending, window_query, AccessMethod, Executor, Filter,
-    QueryOptions, QueryTrace, TopK,
+    answer, refine_ascending, AccessMethod, Answer, Executor, Filter, Query, QueryOptions,
+    QueryTrace, Region, TopK,
 };
 use iq_geometry::{Dataset, Mbr, Metric};
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::simd::unpack_block;
 use iq_quantize::{BitWriter, CellMatch, DistTable, ExactPageCodec, GridQuantizer, WindowTable};
-use iq_storage::{read_to_vec_retry, sweep_records, BlockBuffer, BlockDevice, DiskModel, SimClock};
+use iq_storage::{
+    read_to_vec_retry, sweep_records, BlockBuffer, BlockDevice, DiskModel, IqResult, SimClock,
+};
 
 /// Predicts the average NN query cost of a VA-file at `bits` per
 /// dimension, using the IQ-tree's cost model (the data space plays the
@@ -76,7 +78,7 @@ pub fn auto_bits(
 /// # Example
 ///
 /// ```
-/// use iq_engine::AccessMethod;
+/// use iq_engine::{AccessMethod, Query};
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_vafile::VaFile;
@@ -91,8 +93,9 @@ pub fn auto_bits(
 ///     Box::new(MemDevice::new(512)),
 ///     &mut clock,
 /// );
-/// let (_, dist) = va.nearest(&mut clock, &[0.51, 0.52]).unwrap();
-/// assert!(dist < 0.1);
+/// let (hits, _) = va.run(&mut clock, &Query::knn(&[0.51, 0.52], 1))?.into_ranked();
+/// assert!(hits[0].1 < 0.1);
+/// # Ok::<(), iq_storage::IqError>(())
 /// ```
 pub struct VaFile {
     dim: usize,
@@ -286,25 +289,143 @@ impl VaFile {
         ok
     }
 
-    /// Refinement phase of `window` and `range`: fetches each point in
-    /// `ids` from the exact file and keeps those `accept` admits. An entry
-    /// that stays unreadable is left out.
-    fn verify(
+    /// The two-phase search. The `filter` (if any) is pushed into the
+    /// approximation sweep, so δ and the candidate set derive only from
+    /// matching points and `k` counts post-filter results — no top-up
+    /// rounds are ever needed. Phase 2 is the shared executor's
+    /// [`refine_ascending`] sweep, which owns pruning, ε-termination, the
+    /// `refine_factor` cap and the time budget; `nprobes` truncates the
+    /// sorted candidate list first (IVF-style: only the m best
+    /// approximations are ever refined).
+    ///
+    /// The trace reports the approximation sweep ([`QueryTrace::runs`] =
+    /// 1, `pages_processed` = blocks scanned), the candidates surviving
+    /// the filter (`approx_enqueued`), the exact points read and compared
+    /// (`refinements`) and those that stayed unreadable
+    /// (`points_skipped`, which also counts the points of an
+    /// approximation chunk the sweep lost). Refinements read through one
+    /// exact-block buffer per query, so each exact block is read at most
+    /// once.
+    fn search_knn(
         &self,
         clock: &mut SimClock,
-        ids: &[u32],
-        out: &mut Vec<u32>,
-        accept: impl Fn(&[f32]) -> bool,
-    ) {
+        q: &[f32],
+        k: usize,
+        filter: Option<&Filter>,
+        opts: &QueryOptions,
+    ) -> (Vec<(u32, f64)>, QueryTrace) {
+        let metric = self.metric;
+        let mut exec = Executor::new(metric, k, opts, clock);
+        exec.trace.pages_processed = self.approx.num_blocks();
+        exec.trace.runs = 1;
+        clock.phase_begin(Phase::Filter);
+        let (lower, delta, lost) = self.filter_phase(clock, q, k, filter);
+        exec.trace.points_skipped += lost as u64;
+
+        // Candidates that the filter could not prune, by increasing lower
+        // bound. Filtered-out and lost points carry a NaN lower bound,
+        // which fails `lb <= delta` even when δ is +∞, so they never
+        // become candidates.
+        clock.phase_begin(Phase::Plan);
+        let mut cand: Vec<(f64, u32)> = lower
+            .iter()
+            .enumerate()
+            .filter(|&(_, &lb)| lb <= delta)
+            .map(|(i, &lb)| (lb, i as u32))
+            .collect();
+        cand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("`lb <= delta` admits no NaN"));
+        exec.trace.approx_enqueued = cand.len() as u64;
+        if let Some(m) = opts.nprobes {
+            if (cand.len() as u64) > m {
+                exec.skip_candidates(cand.len() as u64 - m);
+                cand.truncate(m as usize);
+            }
+        }
+
+        // Phase 2: refine in lower-bound order until the k-th best exact
+        // distance undercuts the next lower bound (or a knob fires).
         clock.phase_begin(Phase::Refine);
         let mut blocks = BlockBuffer::new(self.exact.block_size());
         let mut p = vec![0.0f32; self.dim];
-        for &id in ids {
-            if self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p) && accept(&p) {
+        refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
+            self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p)
+                .then(|| metric.distance_key(&p, q))
+        });
+        clock.phase_begin(Phase::TopK);
+        exec.into_results(metric)
+    }
+
+    /// The range and window search: one scan of the approximation file
+    /// classifies each cell box against `region`. A box inside the region
+    /// is a hit without fetching its exact coordinates; only boxes
+    /// straddling its boundary are refined through the exact file and
+    /// kept when their point lies in the region. A range query charges
+    /// both cell bounds of every box, a window query one flag fold. The
+    /// trace reports the sweep as the k-NN trace does, the straddling
+    /// boxes as `approx_enqueued`, their exact reads as `refinements` and
+    /// the points lost to an unreadable chunk or entry as
+    /// `points_skipped`.
+    fn search_region(&self, clock: &mut SimClock, region: &Region) -> (Vec<u32>, QueryTrace) {
+        clock.phase_begin(Phase::Filter);
+        let mut out = Vec::new();
+        let mut to_verify: Vec<u32> = Vec::new();
+        let mut keep = |id: usize, m: CellMatch| match m {
+            CellMatch::Inside => out.push(id as u32),
+            CellMatch::Partial => to_verify.push(id as u32),
+            CellMatch::Disjoint => {}
+        };
+        let lost = match *region {
+            Region::Ball { center, key, .. } => {
+                let table = self.dist_table(center);
+                let mut lo_keys: Vec<f64> = Vec::new();
+                let mut hi_keys: Vec<f64> = Vec::new();
+                // Two bound evaluations per scanned point, as in the k-NN
+                // filter.
+                self.sweep(clock, 2, |first, cells| {
+                    table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
+                    for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
+                        let m = match (lo <= key, hi <= key) {
+                            (false, _) => CellMatch::Disjoint,
+                            (true, true) => CellMatch::Inside,
+                            (true, false) => CellMatch::Partial,
+                        };
+                        keep(first + j, m);
+                    }
+                })
+            }
+            Region::Window(window) => {
+                let mut wtable = WindowTable::new();
+                wtable.build(&self.mbr, self.bits, window, self.n);
+                let mut matches: Vec<CellMatch> = Vec::new();
+                self.sweep(clock, 1, |first, cells| {
+                    wtable.classify_batch(cells, &mut matches);
+                    for (j, &m) in matches.iter().enumerate() {
+                        keep(first + j, m);
+                    }
+                })
+            }
+        };
+        clock.phase_begin(Phase::Refine);
+        let mut trace = QueryTrace {
+            pages_processed: self.approx.num_blocks(),
+            runs: 1,
+            approx_enqueued: to_verify.len() as u64,
+            points_skipped: lost as u64,
+            ..QueryTrace::default()
+        };
+        let mut blocks = BlockBuffer::new(self.exact.block_size());
+        let mut p = vec![0.0f32; self.dim];
+        for &id in &to_verify {
+            if !self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p) {
+                trace.points_skipped += 1;
+                continue;
+            }
+            trace.refinements += 1;
+            if region.holds(&p) {
                 out.push(id);
             }
         }
-        clock.phase_end();
+        (out, trace)
     }
 }
 
@@ -325,133 +446,16 @@ impl AccessMethod for VaFile {
         self.metric
     }
 
-    /// The two-phase search. The `filter` (if any) is pushed into the
-    /// approximation sweep, so δ and the candidate set derive only from
-    /// matching points and `k` counts post-filter results — no top-up
-    /// rounds are ever needed. Phase 2 is the shared executor's
-    /// [`refine_ascending`] sweep, which owns pruning, ε-termination, the
-    /// `refine_factor` cap and the time budget; `nprobes` truncates the
-    /// sorted candidate list first (IVF-style: only the m best
-    /// approximations are ever refined).
-    ///
-    /// The trace reports the approximation sweep ([`QueryTrace::runs`] =
-    /// 1, `pages_processed` = blocks scanned), the candidates surviving
-    /// the filter (`approx_enqueued`), the exact points read and compared
-    /// (`refinements`) and those that stayed unreadable
-    /// (`points_skipped`, which also counts the points of an
-    /// approximation chunk the sweep lost). Refinements read through one
-    /// exact-block buffer per query, so each exact block is read at most
-    /// once.
-    fn knn_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        knn_query(self, clock, q, k, filter, opts, |clock| {
-            let metric = self.metric;
-            let mut exec = Executor::new(metric, k, opts, clock);
-            exec.trace.pages_processed = self.approx.num_blocks();
-            exec.trace.runs = 1;
-            clock.phase_begin(Phase::Filter);
-            let (lower, delta, lost) = self.filter_phase(clock, q, k, filter);
-            exec.trace.points_skipped += lost as u64;
-
-            // Candidates that the filter could not prune, by increasing lower
-            // bound. Filtered-out and lost points carry a NaN lower bound,
-            // which fails `lb <= delta` even when δ is +∞, so they never
-            // become candidates.
-            clock.phase_begin(Phase::Plan);
-            let mut cand: Vec<(f64, u32)> = lower
-                .iter()
-                .enumerate()
-                .filter(|&(_, &lb)| lb <= delta)
-                .map(|(i, &lb)| (lb, i as u32))
-                .collect();
-            cand.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            exec.trace.approx_enqueued = cand.len() as u64;
-            if let Some(m) = opts.nprobes {
-                if (cand.len() as u64) > m {
-                    exec.skip_candidates(cand.len() as u64 - m);
-                    cand.truncate(m as usize);
-                }
-            }
-
-            // Phase 2: refine in lower-bound order until the k-th best exact
-            // distance undercuts the next lower bound (or a knob fires).
-            clock.phase_begin(Phase::Refine);
-            let mut blocks = BlockBuffer::new(self.exact.block_size());
-            let mut p = vec![0.0f32; self.dim];
-            refine_ascending(&mut exec, clock, &cand, |clock, _, id| {
-                self.fetch_exact_into(clock, &mut blocks, id as usize, &mut p)
-                    .then(|| metric.distance_key(&p, q))
-            });
-            clock.phase_begin(Phase::TopK);
-            let out = exec.into_results(metric);
-            clock.phase_end();
-            out
-        })
-    }
-
-    /// All points within `radius` of `q` (unordered ids): one scan of the
-    /// approximation file classifies each cell box by both bounds. Boxes
-    /// entirely within the radius are accepted without fetching their
-    /// exact coordinates; only boxes straddling it are refined.
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        range_query(self, clock, q, radius, |clock| {
-            let key_r = self.metric.distance_to_key(radius);
-            clock.phase_begin(Phase::Filter);
-            let table = self.dist_table(q);
-            let mut out = Vec::new();
-            let mut to_verify: Vec<u32> = Vec::new();
-            let mut lo_keys: Vec<f64> = Vec::new();
-            let mut hi_keys: Vec<f64> = Vec::new();
-            // Two bound evaluations per scanned point, as in the k-NN filter.
-            self.sweep(clock, 2, |first, cells| {
-                table.bounds_keys(cells, &mut lo_keys, &mut hi_keys);
-                for (j, (&lo, &hi)) in lo_keys.iter().zip(&hi_keys).enumerate() {
-                    if lo <= key_r {
-                        if hi <= key_r {
-                            out.push((first + j) as u32);
-                        } else {
-                            to_verify.push((first + j) as u32);
-                        }
-                    }
-                }
-            });
-            self.verify(clock, &to_verify, &mut out, |p| {
-                self.metric.distance_key(p, q) <= key_r
-            });
-            out
-        })
-    }
-
-    /// All points inside the query window (unordered ids): one scan of the
-    /// approximation file; a point is refined only when its cell box
-    /// straddles the window boundary.
-    fn window(&self, clock: &mut SimClock, window: &Mbr) -> Vec<u32> {
-        window_query(self, clock, window, |clock| {
-            clock.phase_begin(Phase::Filter);
-            let mut wtable = WindowTable::new();
-            wtable.build(&self.mbr, self.bits, window, self.n);
-            let mut out = Vec::new();
-            let mut to_verify: Vec<u32> = Vec::new();
-            let mut matches: Vec<CellMatch> = Vec::new();
-            self.sweep(clock, 1, |first, cells| {
-                wtable.classify_batch(cells, &mut matches);
-                for (j, &m) in matches.iter().enumerate() {
-                    match m {
-                        CellMatch::Inside => out.push((first + j) as u32),
-                        CellMatch::Partial => to_verify.push((first + j) as u32),
-                        CellMatch::Disjoint => {}
-                    }
-                }
-            });
-            self.verify(clock, &to_verify, &mut out, |p| window.contains_point(p));
-            out
-        })
+    /// k-NN by the two-phase search, range and window by one classifying
+    /// sweep of the approximation file.
+    fn run(&self, clock: &mut SimClock, query: &Query) -> IqResult<Answer> {
+        answer(
+            self,
+            clock,
+            query,
+            |clock, q, k, filter, opts| self.search_knn(clock, q, k, filter, opts),
+            |clock, region| self.search_region(clock, region),
+        )
     }
 
     /// The [`predict_cost`] model evaluated against this file's actual
@@ -561,7 +565,7 @@ mod model_tests {
             let mut total = 0.0;
             for q in &queries {
                 clock.reset();
-                va.nearest(&mut clock, q);
+                va.run(&mut clock, &Query::knn(q, 1)).expect("valid query");
                 total += clock.total_time();
             }
             if total < best.1 {
@@ -636,7 +640,11 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(7);
             for _ in 0..15 {
                 let q: Vec<f32> = (0..6).map(|_| rng.gen()).collect();
-                let (id, d) = va.nearest(&mut clock, &q).expect("non-empty");
+                let (id, d) = va
+                    .run(&mut clock, &Query::knn(&q, 1))
+                    .expect("valid query")
+                    .into_ranked()
+                    .0[0];
                 let expect = brute_knn(&ds, &q, 1)[0];
                 assert!((d - expect.1).abs() < 1e-9, "bits={bits}");
                 assert_eq!(
@@ -652,7 +660,11 @@ mod tests {
     fn knn_matches_brute_force() {
         let (ds, va, mut clock) = make(400, 5, 4, 2);
         let q = vec![0.3f32; 5];
-        let got = va.knn(&mut clock, &q, 7);
+        let got = va
+            .run(&mut clock, &Query::knn(&q, 7))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         let expect = brute_knn(&ds, &q, 7);
         assert_eq!(got.len(), 7);
         for (g, e) in got.iter().zip(&expect) {
@@ -665,7 +677,16 @@ mod tests {
         let (ds, va, mut clock) = make(500, 4, 5, 3);
         let q = vec![0.5f32; 4];
         let r = 0.4;
-        let mut got = va.range(&mut clock, &q, r);
+        let mut got = va
+            .run(
+                &mut clock,
+                &Query::Range {
+                    point: &q,
+                    radius: r,
+                },
+            )
+            .expect("valid query")
+            .ids();
         got.sort_unstable();
         let mut expect: Vec<u32> = (0..ds.len() as u32)
             .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)
@@ -681,8 +702,8 @@ mod tests {
         let (_, va2, mut c2) = make(3_000, 8, 2, 4);
         let (_, va8, mut c8) = make(3_000, 8, 8, 4);
         let q = vec![0.42f32; 8];
-        va2.nearest(&mut c2, &q);
-        va8.nearest(&mut c8, &q);
+        va2.run(&mut c2, &Query::knn(&q, 1)).expect("valid query");
+        va8.run(&mut c8, &Query::knn(&q, 1)).expect("valid query");
         assert!(
             c8.stats().seeks <= c2.stats().seeks,
             "8-bit: {} seeks, 2-bit: {} seeks",
@@ -702,7 +723,8 @@ mod tests {
     #[test]
     fn filter_phase_scans_sequentially() {
         let (_, va, mut clock) = make(5_000, 8, 4, 6);
-        va.nearest(&mut clock, &[0.5f32; 8]);
+        va.run(&mut clock, &Query::knn(&[0.5f32; 8], 1))
+            .expect("valid query");
         // The approx scan is one seek; phase 2 adds a few random accesses.
         let stats = clock.stats();
         assert!(stats.seeks >= 1);
@@ -714,12 +736,24 @@ mod tests {
         let (_, va, mut clock) = make(5_000, 8, 4, 6);
         // Far outside the data: every cell box is disjoint, so neither
         // query verifies a point and only the one sweep is paid.
-        assert!(va.range(&mut clock, &[10.0f32; 8], 0.1).is_empty());
+        assert!(va
+            .run(
+                &mut clock,
+                &Query::Range {
+                    point: &[10.0f32; 8],
+                    radius: 0.1
+                }
+            )
+            .expect("valid query")
+            .is_empty());
         assert_eq!(clock.stats().seeks, 1, "range");
         assert_eq!(clock.stats().blocks_read, va.approx_blocks(), "range");
         clock.reset();
         let w = Mbr::from_bounds(vec![5.0; 8], vec![6.0; 8]);
-        assert!(va.window(&mut clock, &w).is_empty());
+        assert!(va
+            .run(&mut clock, &Query::Window(&w))
+            .expect("valid query")
+            .is_empty());
         assert_eq!(clock.stats().seeks, 1, "window");
         assert_eq!(clock.stats().blocks_read, va.approx_blocks(), "window");
     }
@@ -743,7 +777,11 @@ mod tests {
             &mut clock,
         );
         let q = [0.7f32, 0.1, 0.5, 0.9];
-        let (id, d) = va.nearest(&mut clock, &q).expect("non-empty");
+        let (id, d) = va
+            .run(&mut clock, &Query::knn(&q, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         let expect = (0..ds.len())
             .map(|i| (i as u32, Metric::Maximum.distance(ds.point(i), &q)))
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"))

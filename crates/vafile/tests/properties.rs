@@ -1,7 +1,7 @@
 //! Property-based tests of the VA-file's guarantees: exact results at
 //! every resolution, correct filter bounds, sane cost structure.
 
-use iq_engine::AccessMethod;
+use iq_engine::{AccessMethod, Query};
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_vafile::VaFile;
@@ -40,7 +40,7 @@ proptest! {
     ) {
         let metric = if use_max { Metric::Maximum } else { Metric::Euclidean };
         let (va, mut clock) = build(&ds, bits, metric);
-        let got = va.nearest(&mut clock, &q).expect("non-empty").1;
+        let got = va.run(&mut clock, &Query::knn(&q, 1)).expect("valid query").into_ranked().0[0].1;
         let expect = ds.iter().map(|p| metric.distance(p, &q)).fold(f64::INFINITY, f64::min);
         prop_assert!((got - expect).abs() < 1e-5, "bits={bits}: {got} vs {expect}");
     }
@@ -54,7 +54,7 @@ proptest! {
         bits in 2u32..7,
     ) {
         let (va, mut clock) = build(&ds, bits, Metric::Euclidean);
-        let got = va.knn(&mut clock, &q, k);
+        let got = va.run(&mut clock, &Query::knn(&q, k)).expect("valid query").into_ranked().0;
         prop_assert_eq!(got.len(), k.min(ds.len()));
         let mut truth: Vec<f64> =
             ds.iter().map(|p| Metric::Euclidean.distance(p, &q)).collect();
@@ -73,7 +73,7 @@ proptest! {
         bits in 2u32..7,
     ) {
         let (va, mut clock) = build(&ds, bits, Metric::Euclidean);
-        let mut got = va.range(&mut clock, &q, r);
+        let mut got = va.run(&mut clock, &Query::Range { point: &q, radius: r }).expect("valid query").ids();
         got.sort_unstable();
         let mut expect: Vec<u32> = (0..ds.len() as u32)
             .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let (va, mut clock) = build(&ds, 4, Metric::Euclidean);
         clock.reset();
-        va.nearest(&mut clock, &q);
+        va.run(&mut clock, &Query::knn(&q, 1)).expect("valid query");
         prop_assert!(clock.stats().blocks_read >= va.approx_blocks());
     }
 }

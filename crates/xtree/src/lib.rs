@@ -27,13 +27,13 @@
 pub mod node;
 
 use iq_engine::{
-    drive, knn_query, range_query, window_query, AccessMethod, CandidateHeap, Executor, Filter,
-    OrdKey, QueryOptions, QueryTrace,
+    answer, drive, AccessMethod, Answer, CandidateHeap, Executor, Filter, OrdKey, Query,
+    QueryOptions, QueryTrace, Region,
 };
 use iq_geometry::{bulk_partition, Dataset, Metric};
 use iq_obs::{CostPrediction, Phase};
 use iq_quantize::{QuantPageView, QuantizedPageCodec, EXACT_BITS};
-use iq_storage::{fetch, read_to_vec_retry, BlockBuffer, BlockDevice, SimClock};
+use iq_storage::{fetch, read_to_vec_retry, BlockBuffer, BlockDevice, IqResult, SimClock};
 use node::{DirEntry, Node};
 use std::cmp::Reverse;
 
@@ -42,7 +42,7 @@ use std::cmp::Reverse;
 /// # Example
 ///
 /// ```
-/// use iq_engine::AccessMethod;
+/// use iq_engine::{AccessMethod, Query};
 /// use iq_geometry::{Dataset, Metric};
 /// use iq_storage::{MemDevice, SimClock};
 /// use iq_xtree::XTree;
@@ -56,8 +56,9 @@ use std::cmp::Reverse;
 ///     Box::new(MemDevice::new(512)),
 ///     &mut clock,
 /// );
-/// let hits = tree.range(&mut clock, &[0.5, 0.5], 0.05);
-/// assert!(!hits.is_empty());
+/// let query = Query::Range { point: &[0.5, 0.5], radius: 0.05 };
+/// assert!(!tree.run(&mut clock, &query)?.is_empty());
+/// # Ok::<(), iq_storage::IqError>(())
 /// ```
 pub struct XTree {
     dim: usize,
@@ -211,70 +212,163 @@ impl XTree {
         view
     }
 
-    /// Descends the directory, returning the data pages whose MBR satisfies
-    /// `select` (directory nodes are read with random I/O, as on any
+    /// Descends the directory, returning the data pages whose MBR meets
+    /// `region` (directory nodes are read with random I/O, as on any
     /// hierarchical index). A node that stays unreadable is skipped with
-    /// its subtree.
+    /// its subtree. `trace` counts each node read as a run, each entry
+    /// that meets the region as enqueued and each node lost.
     fn collect_pages(
         &self,
         clock: &mut SimClock,
-        select: impl Fn(&iq_geometry::Mbr) -> bool,
+        region: &Region,
+        trace: &mut QueryTrace,
     ) -> Vec<u32> {
         clock.phase_begin(Phase::Directory);
         let mut pages = Vec::new();
         let mut stack = vec![self.root];
         while let Some(id) = stack.pop() {
             let Some(node) = self.read_node(clock, id) else {
+                trace.pages_lost += 1;
                 continue;
             };
             clock.charge_dist_evals(self.dim, node.entries.len() as u64);
-            for e in &node.entries {
-                if select(&e.mbr) {
-                    if node.leaf_children {
-                        pages.push(e.child);
-                    } else {
-                        stack.push(e.child);
-                    }
+            trace.runs += 1;
+            for e in node.entries.iter().filter(|e| region.meets(&e.mbr)) {
+                trace.approx_enqueued += 1;
+                if node.leaf_children {
+                    pages.push(e.child);
+                } else {
+                    stack.push(e.child);
                 }
             }
         }
         pages
     }
 
-    /// Loads the given data pages with one optimal batch-fetch plan and
-    /// feeds each of their points to `visit(id, coords)`. A page of a run
-    /// that stayed unreadable degrades to one retried read of its own; a
-    /// page that stays unreadable or does not decode is skipped — visible
-    /// in the clock's I/O statistics, and the query completes on what is
-    /// left.
-    fn visit_pages_batched(
-        &self,
-        clock: &mut SimClock,
-        pages: &[u32],
-        mut visit: impl FnMut(u32, &[f32]),
-    ) {
+    /// The range and window search: the directory descent determines the
+    /// full set of candidate data pages up front (the paper's Section 2
+    /// observation), which are then loaded with one optimal batch-fetch
+    /// plan instead of one random access each; their points in `region`
+    /// are the hits. A page of a run that stayed unreadable degrades to
+    /// one retried read of its own; a page that stays unreadable or does
+    /// not decode is skipped, and the query completes on what is left.
+    /// The trace counts reads as runs, pages decoded as processed and
+    /// nodes and pages skipped as lost, as the k-NN trace does.
+    fn search_region(&self, clock: &mut SimClock, region: &Region) -> (Vec<u32>, QueryTrace) {
+        let mut trace = QueryTrace::default();
+        let pages = self.collect_pages(clock, region, &mut trace);
         clock.phase_begin(Phase::Filter);
         let mut positions: Vec<u64> = pages.iter().map(|&id| self.pages[id as usize]).collect();
         positions.sort_unstable();
         positions.dedup();
         let mut fetched = BlockBuffer::new(self.data.block_size());
-        fetch::fetch_blocks(self.data.as_ref(), clock, &positions, &mut fetched);
+        trace.runs += fetch::fetch_blocks(self.data.as_ref(), clock, &positions, &mut fetched);
         let mut coords = Vec::new();
-        for &id in pages {
+        let mut out = Vec::new();
+        for &id in &pages {
             let reread;
             let bytes = match fetched.block(self.pages[id as usize]) {
                 Some(bytes) => Some(bytes),
                 None => {
                     reread = self.read_page(clock, id);
+                    trace.runs += u64::from(reread.is_some());
                     reread.as_deref()
                 }
             };
             let Some(page) = bytes.and_then(|b| self.page_view(clock, b)) else {
+                trace.pages_lost += 1;
                 continue;
             };
             clock.charge_dist_evals(self.dim, page.len() as u64);
-            page.for_each_point(&mut coords, &mut visit);
+            trace.pages_processed += 1;
+            page.for_each_point(&mut coords, |pid, p| {
+                if region.holds(p) {
+                    out.push(pid);
+                }
+            });
         }
+        (out, trace)
+    }
+
+    /// Exact k-NN via the best-first (Hjaltason/Samet) descent, as a
+    /// producer into the shared bound-driven [`Executor`]: directory
+    /// nodes and data pages stream through [`drive`] in ascending MINDIST
+    /// order; pruning, ε-termination and the budgets live in the
+    /// executor. A pushed-down `filter` drops non-matching points at
+    /// page-decode time, so the pruning bound derives only from matching
+    /// points and stays exact — no top-up rounds. `nprobes` counts
+    /// decoded data pages — once spent, no further page read can improve
+    /// the answer, so the descent stops outright.
+    ///
+    /// The trace counts directory nodes and data pages read as
+    /// [`QueryTrace::runs`] (one random I/O each) and data pages decoded
+    /// as `pages_processed`. A node or page that stays unreadable after
+    /// retries, or does not decode, is skipped, a node with its whole
+    /// subtree, and counted in `pages_lost`: the answer then comes from
+    /// what was read.
+    fn search_knn(
+        &self,
+        clock: &mut SimClock,
+        q: &[f32],
+        k: usize,
+        filter: Option<&Filter>,
+        opts: &QueryOptions,
+    ) -> (Vec<(u32, f64)>, QueryTrace) {
+        let metric = self.metric;
+        let mut exec = Executor::new(metric, k, opts, clock);
+        let mut coords = Vec::new();
+        let mut heap: CandidateHeap<Target> = CandidateHeap::new();
+        heap.push(Reverse((OrdKey(0.0), Target::Node(self.root))));
+        drive(
+            &mut exec,
+            clock,
+            &mut heap,
+            |exec, clock, _mindist, target, heap| match target {
+                Target::Node(id) => {
+                    clock.phase_begin(Phase::Directory);
+                    let Some(node) = self.read_node(clock, id) else {
+                        exec.trace.pages_lost += 1;
+                        return;
+                    };
+                    clock.charge_dist_evals(self.dim, node.entries.len() as u64);
+                    exec.trace.runs += 1;
+                    for e in &node.entries {
+                        let d = metric.mindist_key(q, &e.mbr);
+                        if !exec.is_pruned(d) {
+                            let t = if node.leaf_children {
+                                Target::Page(e.child)
+                            } else {
+                                Target::Node(e.child)
+                            };
+                            exec.trace.approx_enqueued += 1;
+                            heap.push(Reverse((OrdKey(d), t)));
+                        }
+                    }
+                }
+                Target::Page(id) => {
+                    if !exec.try_probe() {
+                        exec.stop();
+                        return;
+                    }
+                    clock.phase_begin(Phase::Filter);
+                    let bytes = self.read_page(clock, id);
+                    let Some(page) = bytes.as_deref().and_then(|b| self.page_view(clock, b)) else {
+                        exec.trace.pages_lost += 1;
+                        return;
+                    };
+                    clock.charge_dist_evals(self.dim, page.len() as u64);
+                    exec.trace.runs += 1;
+                    exec.trace.pages_processed += 1;
+                    page.for_each_point(&mut coords, |pid, p| {
+                        if filter.is_none_or(|f| f.matches(pid)) {
+                            exec.offer(metric.distance_key(p, q), pid);
+                        }
+                    });
+                }
+            },
+        );
+        clock.phase_begin(Phase::TopK);
+        exec.into_results(metric)
     }
 }
 
@@ -295,126 +389,16 @@ impl AccessMethod for XTree {
         self.metric
     }
 
-    /// Exact k-NN via the best-first (Hjaltason/Samet) descent, as a
-    /// producer into the shared bound-driven [`Executor`]: directory
-    /// nodes and data pages stream through [`drive`] in ascending MINDIST
-    /// order; pruning, ε-termination and the budgets live in the
-    /// executor. A pushed-down `filter` drops non-matching points at
-    /// page-decode time, so the pruning bound derives only from matching
-    /// points and stays exact — no top-up rounds. `nprobes` counts
-    /// decoded data pages — once spent, no further page read can improve
-    /// the answer, so the descent stops outright.
-    ///
-    /// The trace counts directory nodes and data pages read as
-    /// [`QueryTrace::runs`] (one random I/O each) and data pages decoded
-    /// as `pages_processed`. A node or page that stays unreadable after
-    /// retries, or does not decode, is skipped, a node with its whole
-    /// subtree, and counted in `pages_lost`: the answer then comes from
-    /// what was read.
-    fn knn_opts_traced(
-        &self,
-        clock: &mut SimClock,
-        q: &[f32],
-        k: usize,
-        filter: Option<&Filter>,
-        opts: &QueryOptions,
-    ) -> (Vec<(u32, f64)>, QueryTrace) {
-        knn_query(self, clock, q, k, filter, opts, |clock| {
-            let metric = self.metric;
-            let mut exec = Executor::new(metric, k, opts, clock);
-            let mut coords = Vec::new();
-            let mut heap: CandidateHeap<Target> = CandidateHeap::new();
-            heap.push(Reverse((OrdKey(0.0), Target::Node(self.root))));
-            drive(
-                &mut exec,
-                clock,
-                &mut heap,
-                |exec, clock, _mindist, target, heap| match target {
-                    Target::Node(id) => {
-                        clock.phase_begin(Phase::Directory);
-                        let Some(node) = self.read_node(clock, id) else {
-                            exec.trace.pages_lost += 1;
-                            return;
-                        };
-                        clock.charge_dist_evals(self.dim, node.entries.len() as u64);
-                        exec.trace.runs += 1;
-                        for e in &node.entries {
-                            let d = metric.mindist_key(q, &e.mbr);
-                            if !exec.is_pruned(d) {
-                                let t = if node.leaf_children {
-                                    Target::Page(e.child)
-                                } else {
-                                    Target::Node(e.child)
-                                };
-                                exec.trace.approx_enqueued += 1;
-                                heap.push(Reverse((OrdKey(d), t)));
-                            }
-                        }
-                    }
-                    Target::Page(id) => {
-                        if !exec.try_probe() {
-                            exec.stop();
-                            return;
-                        }
-                        clock.phase_begin(Phase::Filter);
-                        let bytes = self.read_page(clock, id);
-                        let Some(page) = bytes.as_deref().and_then(|b| self.page_view(clock, b))
-                        else {
-                            exec.trace.pages_lost += 1;
-                            return;
-                        };
-                        clock.charge_dist_evals(self.dim, page.len() as u64);
-                        exec.trace.runs += 1;
-                        exec.trace.pages_processed += 1;
-                        page.for_each_point(&mut coords, |pid, p| {
-                            if filter.is_none_or(|f| f.matches(pid)) {
-                                exec.offer(metric.distance_key(p, q), pid);
-                            }
-                        });
-                    }
-                },
-            );
-            clock.phase_begin(Phase::TopK);
-            let out = exec.into_results(metric);
-            clock.phase_end();
-            out
-        })
-    }
-
-    /// All points within `radius` of `q` (unordered ids).
-    ///
-    /// The directory descent determines the full set of candidate data
-    /// pages up front (the paper's Section 2 observation for range
-    /// queries), which are then loaded with the optimal batch-fetch
-    /// schedule instead of one random access each.
-    fn range(&self, clock: &mut SimClock, q: &[f32], radius: f64) -> Vec<u32> {
-        range_query(self, clock, q, radius, |clock| {
-            let key_r = self.metric.distance_to_key(radius);
-            let metric = self.metric;
-            let pages = self.collect_pages(clock, |mbr| metric.mindist_key(q, mbr) <= key_r);
-            let mut out = Vec::new();
-            self.visit_pages_batched(clock, &pages, |pid, p| {
-                if metric.distance_key(p, q) <= key_r {
-                    out.push(pid);
-                }
-            });
-            out
-        })
-    }
-
-    /// All points inside the query window (unordered ids), with batched
-    /// data-page loading like `range`.
-    fn window(&self, clock: &mut SimClock, window: &iq_geometry::Mbr) -> Vec<u32> {
-        window_query(self, clock, window, |clock| {
-            let pages = self.collect_pages(clock, |mbr| mbr.intersects(window));
-            let mut out = Vec::new();
-            self.visit_pages_batched(clock, &pages, |pid, p| {
-                if window.contains_point(p) {
-                    out.push(pid);
-                }
-            });
-            out
-        })
+    /// k-NN by the best-first descent, range and window by one descent
+    /// and a batch fetch of the pages it finds.
+    fn run(&self, clock: &mut SimClock, query: &Query) -> IqResult<Answer> {
+        answer(
+            self,
+            clock,
+            query,
+            |clock, q, k, filter, opts| self.search_knn(clock, q, k, filter, opts),
+            |clock, region| self.search_region(clock, region),
+        )
     }
 
     /// Sphere-volume estimate of the leaves a best-first k-NN descent
@@ -462,6 +446,13 @@ mod tests {
     use iq_storage::{CpuModel, DiskModel, MemDevice};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
+    fn knn(t: &XTree, clock: &mut SimClock, q: &[f32], k: usize) -> Vec<(u32, f64)> {
+        t.run(clock, &Query::knn(q, k))
+            .expect("valid query")
+            .into_ranked()
+            .0
+    }
+
     fn random_ds(n: usize, dim: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ds = Dataset::new(dim);
@@ -503,7 +494,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         for _ in 0..20 {
             let q: Vec<f32> = (0..6).map(|_| rng.gen()).collect();
-            let (id, d) = t.nearest(&mut clock, &q).expect("non-empty");
+            let (id, d) = knn(&t, &mut clock, &q, 1)[0];
             let expect = brute_knn(&ds, &q, 1)[0];
             assert!((d - expect.1).abs() < 1e-9, "{id} vs {}", expect.0);
         }
@@ -513,7 +504,7 @@ mod tests {
     fn knn_matches_brute_force() {
         let (ds, t, mut clock) = make(500, 4, 2, 1024);
         let q = vec![0.5f32; 4];
-        let got = t.knn(&mut clock, &q, 9);
+        let got = knn(&t, &mut clock, &q, 9);
         let expect = brute_knn(&ds, &q, 9);
         assert_eq!(got.len(), 9);
         for (g, e) in got.iter().zip(&expect) {
@@ -526,7 +517,11 @@ mod tests {
         let (ds, t, mut clock) = make(600, 5, 3, 1024);
         let q = vec![0.4f32; 5];
         let r = 0.45;
-        let mut got = t.range(&mut clock, &q, r);
+        let query = Query::Range {
+            point: &q,
+            radius: r,
+        };
+        let mut got = t.run(&mut clock, &query).expect("valid query").ids();
         got.sort_unstable();
         let mut expect: Vec<u32> = (0..ds.len() as u32)
             .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)
@@ -545,7 +540,7 @@ mod tests {
     #[test]
     fn search_prunes_compared_to_reading_everything() {
         let (_, t, mut clock) = make(5_000, 4, 5, 1024);
-        t.nearest(&mut clock, &[0.5f32; 4]);
+        knn(&t, &mut clock, &[0.5f32; 4], 1);
         // In 4-d the tree should visit far fewer blocks than a full scan.
         let total = t.num_data_pages() as u64;
         assert!(

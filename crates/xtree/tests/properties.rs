@@ -1,7 +1,7 @@
 //! Property-based tests of the X-tree: exact nearest-neighbor and range
 //! results over arbitrary bulk-loaded data.
 
-use iq_engine::AccessMethod;
+use iq_engine::{AccessMethod, Query};
 use iq_geometry::{Dataset, Metric};
 use iq_storage::{MemDevice, SimClock};
 use iq_xtree::XTree;
@@ -38,7 +38,7 @@ proptest! {
     ) {
         let metric = if use_max { Metric::Maximum } else { Metric::Euclidean };
         let (tree, mut clock) = build(&ds, metric);
-        let got = tree.nearest(&mut clock, &q).expect("non-empty").1;
+        let got = tree.run(&mut clock, &Query::knn(&q, 1)).expect("valid query").into_ranked().0[0].1;
         let expect = ds.iter().map(|p| metric.distance(p, &q)).fold(f64::INFINITY, f64::min);
         prop_assert!((got - expect).abs() < 1e-5);
     }
@@ -51,7 +51,7 @@ proptest! {
         r in 0.05f64..0.7,
     ) {
         let (tree, mut clock) = build(&ds, Metric::Euclidean);
-        let mut got = tree.range(&mut clock, &q, r);
+        let mut got = tree.run(&mut clock, &Query::Range { point: &q, radius: r }).expect("valid query").ids();
         got.sort_unstable();
         let mut expect: Vec<u32> = (0..ds.len() as u32)
             .filter(|&i| Metric::Euclidean.distance(ds.point(i as usize), &q) <= r)

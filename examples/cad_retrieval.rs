@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example cad_retrieval`
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -48,15 +48,27 @@ fn main() {
     let (mut t_iq, mut t_xt, mut t_va) = (0.0, 0.0, 0.0);
     for q in w.queries.iter() {
         clock.reset();
-        let a = iq.nearest(&mut clock, q).expect("non-empty");
+        let a = iq
+            .run(&mut clock, &Query::knn(q, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         t_iq += clock.total_time();
 
         clock.reset();
-        let b = xt.nearest(&mut clock, q).expect("non-empty");
+        let b = xt
+            .run(&mut clock, &Query::knn(q, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         t_xt += clock.total_time();
 
         clock.reset();
-        let c = va.nearest(&mut clock, q).expect("non-empty");
+        let c = va
+            .run(&mut clock, &Query::knn(q, 1))
+            .expect("valid query")
+            .into_ranked()
+            .0[0];
         t_va += clock.total_time();
 
         assert!(

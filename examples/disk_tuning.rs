@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example disk_tuning`
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{CpuModel, DiskModel, MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -56,7 +56,8 @@ fn main() {
         let mut seeks = 0u64;
         for q in w.queries.iter() {
             clock.reset();
-            tree.nearest(&mut clock, q);
+            tree.run(&mut clock, &Query::knn(q, 1))
+                .expect("valid query");
             total += clock.total_time();
             seeks += clock.stats().seeks;
         }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example image_search`
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -47,11 +47,19 @@ fn main() {
 
     for (qi, q) in w.queries.iter().enumerate() {
         clock.reset();
-        let iq_hits = tree.knn(&mut clock, q, K);
+        let iq_hits = tree
+            .run(&mut clock, &Query::knn(q, K))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         let iq_time = clock.total_time();
 
         clock.reset();
-        let va_hits = va.knn(&mut clock, q, K);
+        let va_hits = va
+            .run(&mut clock, &Query::knn(q, K))
+            .expect("valid query")
+            .into_ranked()
+            .0;
         let va_time = clock.total_time();
 
         assert_eq!(

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example weather_stations`
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -44,7 +44,16 @@ fn main() {
     let reference = w.queries.point(0);
     for radius in [0.02, 0.05, 0.1] {
         clock.reset();
-        let hits = tree.range(&mut clock, reference, radius);
+        let hits = tree
+            .run(
+                &mut clock,
+                &Query::Range {
+                    point: reference,
+                    radius,
+                },
+            )
+            .expect("valid query")
+            .ids();
         println!(
             "range r={radius:<5}: {:>6} similar observations ({:.1} ms simulated, {} seeks)",
             hits.len(),
@@ -68,7 +77,11 @@ fn main() {
 
     // Queries remain correct.
     clock.reset();
-    let (id, d) = tree.nearest(&mut clock, fresh.point(0)).expect("non-empty");
+    let (id, d) = tree
+        .run(&mut clock, &Query::knn(fresh.point(0), 1))
+        .expect("valid query")
+        .into_ranked()
+        .0[0];
     println!("1-NN of the first new observation: {id} at {d:.5}");
     assert_eq!(
         id as usize, N,

@@ -21,7 +21,7 @@
 
 use iqtree_repro::data;
 use iqtree_repro::engine::{
-    knn_paginated, knn_paginated_opts, AccessMethod, Filter, PageSpec, QueryOptions,
+    run_threaded, AccessMethod, Filter, PageSpec, Query, QueryOptions, QueryTrace,
 };
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
@@ -229,18 +229,6 @@ fn parse_point(s: &str) -> Result<Vec<f32>, String> {
         .collect()
 }
 
-/// The one dimension check of the query commands: `what` names the query
-/// side of the message ("point has", "queries have").
-fn check_dim(what: &str, got: usize, eng: &dyn AccessMethod) -> Result<(), String> {
-    if got == eng.dim() {
-        return Ok(());
-    }
-    Err(format!(
-        "{what} {got} coordinates, index is {}-d",
-        eng.dim()
-    ))
-}
-
 /// Reads a vector file of any supported format (by extension), attribute
 /// columns included.
 fn load_vectors(path: &str) -> Result<data::VectorDataset, String> {
@@ -283,7 +271,8 @@ fn build_filter(
 }
 
 /// The approximation knobs of a query command (`--epsilon`, `--nprobes`,
-/// `--refine-factor`, `--budget-ms`); all default to the exact search.
+/// `--refine-factor`, `--budget-ms`); all default to the exact search. The
+/// engine checks their ranges with the rest of the query.
 fn parse_query_opts(opts: &HashMap<String, String>) -> Result<QueryOptions, String> {
     let mut qopts = QueryOptions::EXACT;
     if let Some(s) = opts.get("epsilon") {
@@ -299,7 +288,6 @@ fn parse_query_opts(opts: &HashMap<String, String>) -> Result<QueryOptions, Stri
         let ms: f64 = parse_num(s, "--budget-ms")?;
         qopts.time_budget = Some(ms / 1e3);
     }
-    qopts.validate()?;
     Ok(qopts)
 }
 
@@ -610,7 +598,6 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let page = parse_page(opts)?;
     let qopts = parse_query_opts(opts)?;
     let (eng, mut clock) = open_engine(opts)?;
-    check_dim("point has", point.len(), eng.as_ref())?;
     let filter = opts
         .get("filter")
         .map(|expr| build_filter(expr, opts, eng.len()))
@@ -622,18 +609,17 @@ fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     if traced || trace_tree || trace_json.is_some() {
         clock.enable_tracing();
     }
-    let (hits, trace) = if paged {
-        knn_paginated_opts(
-            eng.as_ref(),
-            &mut clock,
-            &point,
-            filter.as_ref(),
-            &page,
-            &qopts,
-        )
-    } else {
-        eng.knn_opts_traced(&mut clock, &point, page.k, None, &qopts)
+    let query = Query::Knn {
+        point: &point,
+        k: page.k,
+        filter: filter.as_ref(),
+        opts: qopts,
     };
+    let (hits, trace) = eng
+        .run(&mut clock, &query)
+        .map_err(|e| e.to_string())?
+        .into_ranked();
+    let hits = if paged { page.slice(hits) } else { hits };
     for (rank, (id, dist)) in hits.iter().enumerate() {
         outln!(
             "{:>3}. id {id:>8}  distance {dist:.6}",
@@ -715,7 +701,7 @@ fn describe_query_opts(qopts: &QueryOptions) -> String {
 fn print_trace(
     eng: &dyn AccessMethod,
     clock: &SimClock,
-    trace: &iqtree_repro::engine::QueryTrace,
+    trace: &QueryTrace,
     k: usize,
     qopts: &QueryOptions,
 ) {
@@ -834,22 +820,31 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
         .get("filter")
         .map(|expr| build_filter(expr, opts, eng.len()))
         .transpose()?;
+    qopts.check().map_err(|e| e.to_string())?;
+    let point = analyze
+        .then(|| {
+            req(opts, "point")
+                .map_err(|_| "--analyze runs the query and needs --point <x,y,...>".to_string())
+                .and_then(parse_point)
+        })
+        .transpose()?;
     let Some(pred) = eng.cost_prediction(k, &qopts) else {
         return Err(format!("engine {} has no cost model", eng.name()));
     };
     let knobs = describe_query_opts(&qopts);
-    let observed = if analyze {
-        let point =
-            parse_point(req(opts, "point").map_err(|_| {
-                "--analyze runs the query and needs --point <x,y,...>".to_string()
-            })?)?;
-        check_dim("point has", point.len(), eng.as_ref())?;
-        clock.enable_tracing();
-        let (_, trace) = eng.knn_opts_traced(&mut clock, &point, k, filter.as_ref(), &qopts);
-        Some(trace)
-    } else {
-        None
-    };
+    let observed = point
+        .map(|point| {
+            clock.enable_tracing();
+            let query = Query::Knn {
+                point: &point,
+                k,
+                filter: filter.as_ref(),
+                opts: qopts,
+            };
+            eng.run(&mut clock, &query).map(|answer| answer.trace)
+        })
+        .transpose()
+        .map_err(|e| e.to_string())?;
     let plan = clock.take_trace().map(|tree| {
         (
             tree.root.counter_total("plan.builds"),
@@ -971,7 +966,7 @@ fn cmd_explain(opts: &HashMap<String, String>) -> Result<(), String> {
 /// and returns the signed relative errors for (pages, io_seconds).
 fn explain_audit(
     pred: &iqtree_repro::obs::CostPrediction,
-    trace: &iqtree_repro::engine::QueryTrace,
+    trace: &QueryTrace,
     clock: &SimClock,
 ) -> (f64, f64) {
     let mut audit = iqtree_repro::obs::CostAudit::new();
@@ -986,8 +981,14 @@ fn cmd_range(opts: &HashMap<String, String>) -> Result<(), String> {
     let point = parse_point(req(opts, "point")?)?;
     let radius: f64 = parse_num(req(opts, "radius")?, "--radius")?;
     let (eng, mut clock) = open_engine(opts)?;
-    check_dim("point has", point.len(), eng.as_ref())?;
-    let mut hits = eng.range(&mut clock, &point, radius);
+    let query = Query::Range {
+        point: &point,
+        radius,
+    };
+    let mut hits = eng
+        .run(&mut clock, &query)
+        .map_err(|e| e.to_string())?
+        .ids();
     hits.sort_unstable();
     outln!("{} point(s) within {radius}", hits.len());
     for chunk in hits.chunks(10) {
@@ -1004,57 +1005,45 @@ fn cmd_range(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Runs a whole k-NN workload through the engine-layer batch executor
-/// ([`iqtree_repro::engine::knn_batch`]): the queries are CSV rows, fanned
-/// out over `--threads` OS threads sharing one engine. Reported costs are
-/// the fold of the per-query clocks and are identical for every thread
-/// count; the summary puts the query loop's wall time next to them.
+/// ([`run_threaded`]): the queries are CSV rows, fanned out over
+/// `--threads` OS threads sharing one engine, each answer sliced to the
+/// requested page. Reported costs are the fold of the per-query clocks and
+/// are identical for every thread count; the summary puts the query
+/// loop's wall time next to them. A query the engine rejects ends the
+/// command with its error before anything is printed.
 fn cmd_batch(opts: &HashMap<String, String>) -> Result<(), String> {
     let qfile = req(opts, "queries")?;
     let page = parse_page(opts)?;
     let qopts = parse_query_opts(opts)?;
-    let k = page.k;
     let threads: usize = opts
         .get("threads")
         .map_or(Ok(1), |s| parse_num(s, "--threads"))?;
     let (eng, mut clock) = open_engine(opts)?;
     let qs = load_vectors(qfile)?.points;
-    check_dim("queries have", qs.dim(), eng.as_ref())?;
     let filter = opts
         .get("filter")
         .map(|expr| build_filter(expr, opts, eng.len()))
         .transpose()?;
-    let queries: Vec<Vec<f32>> = qs.iter().map(<[f32]>::to_vec).collect();
-    let mut agg = iqtree_repro::engine::QueryTrace::default();
+    let paged = filter.is_some() || page.offset > 0 || page.limit.is_some();
+    let queries: Vec<Query> = qs
+        .iter()
+        .map(|q| Query::Knn {
+            point: q,
+            k: page.k,
+            filter: filter.as_ref(),
+            opts: qopts,
+        })
+        .collect();
     let started = Instant::now();
-    let results: Vec<Vec<(u32, f64)>> = if filter.is_some()
-        || page.offset > 0
-        || page.limit.is_some()
-    {
-        // Filtered/paginated workloads run serially: costs accumulate on
-        // the one clock exactly as the batch executor's fold would.
-        queries
-            .iter()
-            .map(|q| {
-                let (hits, t) =
-                    knn_paginated_opts(eng.as_ref(), &mut clock, q, filter.as_ref(), &page, &qopts);
-                agg.merge(&t);
-                hits
-            })
-            .collect()
-    } else {
-        let (traced, batch_agg) = iqtree_repro::engine::knn_batch_opts_traced(
-            eng.as_ref(),
-            &mut clock,
-            &queries,
-            k,
-            threads,
-            filter.as_ref(),
-            &qopts,
-        );
-        agg = batch_agg;
-        traced.into_iter().map(|(res, _)| res).collect()
-    };
+    let answers = run_threaded(eng.as_ref(), &mut clock, &queries, threads);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let mut agg = QueryTrace::default();
+    let mut results = Vec::with_capacity(answers.len());
+    for answer in answers {
+        let (hits, trace) = answer.map_err(|e| e.to_string())?.into_ranked();
+        agg.merge(&trace);
+        results.push(if paged { page.slice(hits) } else { hits });
+    }
     for (i, hits) in results.iter().enumerate() {
         let row: Vec<String> = hits
             .iter()
@@ -1346,7 +1335,8 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
             if slowlog.should_sample() {
                 clock.enable_tracing();
             }
-            eng.nearest(&mut clock, q);
+            eng.run(&mut clock, &Query::knn(q, 1))
+                .map_err(|e| e.to_string())?;
             total += clock.total_time();
             seeks += clock.stats().seeks;
             blocks += clock.stats().blocks_read;
@@ -1423,7 +1413,14 @@ fn cmd_bench(opts: &HashMap<String, String>) -> Result<(), String> {
             if slowlog.should_sample() {
                 clock.enable_tracing();
             }
-            let got = knn_paginated(eng.as_ref(), &mut clock, q, Some(&filter), &page);
+            let query = Query::Knn {
+                point: q,
+                k: page.k,
+                filter: Some(&filter),
+                opts: QueryOptions::EXACT,
+            };
+            let answer = eng.run(&mut clock, &query).map_err(|e| e.to_string())?;
+            let got = page.slice(answer.into_ranked().0);
             total += clock.total_time();
             if let Some(tree) = clock.take_trace() {
                 slowlog.offer(&format!("{}/filtered/q{qi}", eng.name()), tree);

@@ -120,6 +120,7 @@ pub fn build_engine_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iq_engine::Query;
     use iq_storage::MemDevice;
 
     #[test]
@@ -138,7 +139,11 @@ mod tests {
             assert_eq!(eng.len(), 400);
             assert_eq!(eng.dim(), 4);
             clock.reset();
-            let (id, d) = eng.nearest(&mut clock, ds.point(7)).expect("non-empty");
+            let (id, d) = eng
+                .run(&mut clock, &Query::knn(ds.point(7), 1))
+                .expect("valid query")
+                .into_ranked()
+                .0[0];
             assert_eq!(id, 7, "{}", kind.name());
             assert!(d.abs() < 1e-9);
         }

@@ -10,15 +10,16 @@
 //! * [`obs`] — metrics registry, spans, phase times and cost auditing,
 //! * [`data`] — synthetic data sets and fractal-dimension estimation,
 //! * [`scan`], [`vafile`], [`xtree`] — the baselines of the evaluation,
-//! * [`engine`] — the unified query layer ([`engine::AccessMethod`],
-//!   the shared batch executor) with the [`engines`] factory building any
-//!   of the four methods behind one trait object.
+//! * [`engine`] — the unified query layer ([`engine::AccessMethod`] and
+//!   its one query method, `run`, the shared batch executor) with the
+//!   [`engines`] factory building any of the four methods behind one
+//!   trait object.
 //!
 //! # Quickstart
 //!
 //! ```
 //! use iqtree_repro::data::{self, Workload};
-//! use iqtree_repro::engine::AccessMethod;
+//! use iqtree_repro::engine::{AccessMethod, Query};
 //! use iqtree_repro::geometry::Metric;
 //! use iqtree_repro::storage::{MemDevice, SimClock};
 //! use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -34,9 +35,13 @@
 //!     &mut clock,
 //! );
 //! clock.reset();
-//! let (id, dist) = tree.nearest(&mut clock, w.queries.point(0)).unwrap();
+//! let (hits, _) = tree.run(&mut clock, &Query::knn(w.queries.point(0), 1))?.into_ranked();
+//! let (id, dist) = hits[0];
 //! assert!(dist >= 0.0 && (id as usize) < w.db.len());
 //! println!("nn = {id} at {dist:.4} (simulated {:.1} ms)", clock.total_time() * 1e3);
+//! // A query the index cannot answer is a typed error, not a panic.
+//! assert!(tree.run(&mut clock, &Query::knn(&[0.5; 3], 1)).is_err());
+//! # Ok::<(), iqtree_repro::storage::IqError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -11,7 +11,7 @@
 //! approximate options still tiles without overlap or gaps.
 
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_paginated_opts, AccessMethod, PageSpec, QueryOptions};
+use iqtree_repro::engine::{AccessMethod, PageSpec, Query, QueryOptions};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{BlockDevice, MemDevice, SimClock};
 use iqtree_repro::{build_engine, EngineKind};
@@ -90,7 +90,18 @@ fn default_and_neutral_options_reduce_to_exact() {
                     ("default", QueryOptions::default()),
                     ("neutral", neutral_opts()),
                 ] {
-                    let (hits, trace) = eng.knn_opts_traced(&mut clock, q, K, None, &opts);
+                    let (hits, trace) = eng
+                        .run(
+                            &mut clock,
+                            &Query::Knn {
+                                point: q,
+                                k: K,
+                                filter: None,
+                                opts,
+                            },
+                        )
+                        .expect("valid query")
+                        .into_ranked();
                     assert_eq!(
                         canon(hits),
                         want,
@@ -126,7 +137,18 @@ fn epsilon_bounds_relative_error_at_every_rank() {
             let mut clock = SimClock::default();
             for (qi, q) in queries.iter().enumerate() {
                 let true_knn = oracle(&ds, metric, q, K);
-                let (hits, _) = eng.knn_opts_traced(&mut clock, q, K, None, &opts);
+                let (hits, _) = eng
+                    .run(
+                        &mut clock,
+                        &Query::Knn {
+                            point: q,
+                            k: K,
+                            filter: None,
+                            opts,
+                        },
+                    )
+                    .expect("valid query")
+                    .into_ranked();
                 let got = canon(hits);
                 assert_eq!(got.len(), K, "{} query {qi}", eng.name());
                 for (rank, ((_, gd), (_, td))) in got.iter().zip(&true_knn).enumerate() {
@@ -158,7 +180,18 @@ fn nprobes_cap_skips_candidates_and_flags_early_termination() {
         let eng = build_engine(kind, &ds, metric, plain_dev, &mut clock);
         let mut skipped_somewhere = false;
         for q in &queries {
-            let (_, trace) = eng.knn_opts_traced(&mut clock, q, K, None, &opts);
+            let (_, trace) = eng
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k: K,
+                        filter: None,
+                        opts,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             if trace.candidates_skipped > 0 {
                 skipped_somewhere = true;
                 assert_eq!(trace.terminated_early, 1, "{}", eng.name());
@@ -187,7 +220,18 @@ fn refine_factor_caps_exact_lookups() {
         let mut clock = SimClock::default();
         let eng = build_engine(kind, &ds, metric, plain_dev, &mut clock);
         for (qi, q) in queries.iter().enumerate() {
-            let (hits, trace) = eng.knn_opts_traced(&mut clock, q, K, None, &opts);
+            let (hits, trace) = eng
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k: K,
+                        filter: None,
+                        opts,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             assert!(
                 trace.refinements <= (K as u64) * u64::from(rf),
                 "{} query {qi}: {} refinements",
@@ -217,7 +261,18 @@ fn time_budget_flags_early_termination() {
     let q = &queries[0];
     for eng in &engines {
         let mut clock = SimClock::default();
-        let (_, trace) = eng.knn_opts_traced(&mut clock, q, K, None, &tiny);
+        let (_, trace) = eng
+            .run(
+                &mut clock,
+                &Query::Knn {
+                    point: q,
+                    k: K,
+                    filter: None,
+                    opts: tiny,
+                },
+            )
+            .expect("valid query")
+            .into_ranked();
         assert_eq!(
             trace.terminated_early,
             1,
@@ -225,7 +280,18 @@ fn time_budget_flags_early_termination() {
             eng.name()
         );
         let mut clock = SimClock::default();
-        let (hits, trace) = eng.knn_opts_traced(&mut clock, q, K, None, &generous);
+        let (hits, trace) = eng
+            .run(
+                &mut clock,
+                &Query::Knn {
+                    point: q,
+                    k: K,
+                    filter: None,
+                    opts: generous,
+                },
+            )
+            .expect("valid query")
+            .into_ranked();
         assert_eq!(trace.terminated_early, 0, "{}", eng.name());
         assert_eq!(canon(hits), oracle(&ds, metric, q, K), "{}", eng.name());
     }
@@ -247,8 +313,17 @@ fn pagination_tiles_under_approximate_options() {
     };
     let k = 20usize;
     for q in queries.iter().take(3) {
-        let (full, _) =
-            knn_paginated_opts(eng.as_ref(), &mut clock, q, None, &PageSpec::top(k), &opts);
+        let query = Query::Knn {
+            point: q,
+            k,
+            filter: None,
+            opts,
+        };
+        let mut page_of = |page: PageSpec| {
+            let answer = eng.run(&mut clock, &query).expect("valid query");
+            page.slice(answer.into_ranked().0)
+        };
+        let full = page_of(PageSpec::top(k));
         let mut tiled = Vec::new();
         let step = 5usize;
         for offset in (0..k).step_by(step) {
@@ -257,8 +332,7 @@ fn pagination_tiles_under_approximate_options() {
                 offset,
                 limit: Some(step),
             };
-            let (hits, _) = knn_paginated_opts(eng.as_ref(), &mut clock, q, None, &page, &opts);
-            tiled.extend(hits);
+            tiled.extend(page_of(page));
         }
         assert_eq!(tiled, full, "offset windows must tile the full list");
     }

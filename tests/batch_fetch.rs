@@ -9,8 +9,11 @@
 //! page it decodes, the reads of the same batch on that tree. A query capped by `nprobes` or by a finite time budget
 //! fetches nothing: every level-2 read it makes is one block.
 
+mod common;
+
+use common::knn_micro_batch;
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::{AccessMethod, Filter, QueryOptions};
+use iqtree_repro::engine::{AccessMethod, Filter, Query, QueryOptions};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{BlockDevice, IqResult, MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -108,16 +111,32 @@ fn the_known_set_fetch_changes_io_not_the_walk() {
         ("refine_factor 2", None, rerank),
     ] {
         reads.lock().expect("log lock").clear();
-        let batch =
-            batched.knn_multi_opts_traced(&mut SimClock::default(), &queries, K, filter, &opts);
+        let batch = knn_micro_batch(
+            &batched,
+            &mut SimClock::default(),
+            &queries,
+            K,
+            filter,
+            opts,
+        );
         // Without scheduled I/O the micro-batch reads the block of each
         // page it decodes once, one block at a time.
         single_reads.lock().expect("log lock").clear();
-        single.knn_multi_opts_traced(&mut SimClock::default(), &queries, K, filter, &opts);
+        knn_micro_batch(&single, &mut SimClock::default(), &queries, K, filter, opts);
         let pages = single_reads.lock().expect("log lock").len();
         for (i, (q, (hits, trace))) in queries.iter().zip(&batch).enumerate() {
-            let (want, alone) =
-                single.knn_opts_traced(&mut SimClock::default(), q, K, filter, &opts);
+            let (want, alone) = single
+                .run(
+                    &mut SimClock::default(),
+                    &Query::Knn {
+                        point: q,
+                        k: K,
+                        filter,
+                        opts,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             assert_eq!(hits, &want, "{what}, query {i}");
             assert_eq!(trace.pages_processed, alone.pages_processed, "{what}, {i}");
             assert_eq!(trace.refinements, alone.refinements, "{what}, {i}");
@@ -147,7 +166,7 @@ fn a_capped_query_fetches_nothing() {
     };
     for (what, opts) in [("nprobes 4", probes), ("time budget", budget)] {
         reads.lock().expect("log lock").clear();
-        tree.knn_multi_opts_traced(&mut SimClock::default(), &queries, K, None, &opts);
+        knn_micro_batch(&tree, &mut SimClock::default(), &queries, K, None, opts);
         let reads = reads.lock().expect("log lock");
         assert!(!reads.is_empty(), "{what}: no level-2 read");
         assert!(

@@ -446,6 +446,24 @@ fn helpful_errors() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("index is 2-d"));
 
+    // The same mismatch in a batch: the engine's error, one line, exit 1,
+    // nothing on stdout.
+    let qs = dir.join("q3.csv");
+    std::fs::write(&qs, "0.1,0.2,0.3\n0.4,0.5,0.6\n").expect("write queries");
+    let out = iq()
+        .args(["batch", "--index", idx.to_str().expect("utf8")])
+        .args(["--queries", qs.to_str().expect("utf8"), "--threads", "2"])
+        .output()
+        .expect("run batch");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("error: invalid query: query has 3 coordinates, index is 2-d"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(out.stdout.is_empty());
+
     // Non-finite query coordinates: one error line, exit 1, no search.
     for point in ["nan,0.2", "0.1,inf", "-inf,0.2"] {
         let out = iq()

@@ -3,8 +3,11 @@
 //! account for exactly the serial I/O — thread count is an execution
 //! detail, never an accounting one.
 
+mod common;
+
+use common::{knn, knn_threaded, knn_threaded_hits};
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_batch, knn_batch_traced, AccessMethod, QueryTrace};
+use iqtree_repro::engine::QueryTrace;
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{IoStats, MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -42,7 +45,7 @@ fn serial_run(tree: &IqTree, queries: &[Vec<f32>], k: usize) -> (Vec<Vec<(u32, f
         .iter()
         .map(|q| {
             let mut c = SimClock::default();
-            let r = tree.knn(&mut c, q, k);
+            let r = knn(tree, &mut c, q, k).0;
             total.absorb(&c);
             r
         })
@@ -81,7 +84,7 @@ fn knn_batch_matches_serial_for_every_thread_count() {
         let mut reference: Option<(Vec<QueryTrace>, SimClock)> = None;
         for threads in [1, 2, 8] {
             let mut clock = SimClock::default();
-            let (batch, _) = knn_batch_traced(tree, &mut clock, queries, k, threads);
+            let batch = knn_threaded(tree, &mut clock, queries, k, threads);
             let (hits, traces): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
             assert_eq!(hits, serial, "{name}: results differ at {threads} threads");
             assert!(
@@ -129,7 +132,7 @@ fn eight_threads_sharing_an_arc_agree_with_serial() {
             for i in 0..queries.len() {
                 let j = (i + t * 4) % queries.len();
                 let mut c = SimClock::default();
-                let got = tree.knn(&mut c, &queries[j], k);
+                let got = knn(tree.as_ref(), &mut c, &queries[j], k).0;
                 assert_eq!(got, serial[j], "thread {t}, query {j}");
                 stats.merge(&c.stats());
             }
@@ -160,13 +163,13 @@ fn batch_over_a_cached_tree_is_consistent_and_cheaper() {
     let queries = query_workload(16);
 
     let mut cold_clock = SimClock::default();
-    let expect = knn_batch(&cold, &mut cold_clock, &queries, 4, 4);
+    let expect = knn_threaded_hits(&cold, &mut cold_clock, &queries, 4, 4);
 
     // Warm the pool, then run the measured batch.
     let mut warmup = SimClock::default();
-    knn_batch(&tree, &mut warmup, &queries, 4, 4);
+    knn_threaded_hits(&tree, &mut warmup, &queries, 4, 4);
     let mut clock = SimClock::default();
-    let got = knn_batch(&tree, &mut clock, &queries, 4, 4);
+    let got = knn_threaded_hits(&tree, &mut clock, &queries, 4, 4);
 
     assert_eq!(got, expect, "cache must be invisible in the results");
     assert!(
@@ -181,13 +184,13 @@ fn batch_over_a_cached_tree_is_consistent_and_cheaper() {
 fn empty_and_degenerate_batches() {
     let tree = build(500, IqTreeOptions::default());
     let mut clock = SimClock::default();
-    assert!(knn_batch(&tree, &mut clock, &[], 3, 4).is_empty());
+    assert!(knn_threaded_hits(&tree, &mut clock, &[] as &[Vec<f32>], 3, 4).is_empty());
     assert_eq!(clock.stats(), IoStats::default());
     // More threads than queries.
     let queries = query_workload(2);
-    let res = knn_batch(&tree, &mut clock, &queries, 1, 64);
+    let res = knn_threaded_hits(&tree, &mut clock, &queries, 1, 64);
     assert_eq!(res.len(), 2);
     // threads == 0 is clamped to 1.
-    let res0 = knn_batch(&tree, &mut SimClock::default(), &queries, 1, 0);
+    let res0 = knn_threaded_hits(&tree, &mut SimClock::default(), &queries, 1, 0);
     assert_eq!(res0, res);
 }

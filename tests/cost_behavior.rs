@@ -3,7 +3,7 @@
 //! result correctness.
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
@@ -22,7 +22,7 @@ fn avg_nn_time(
     let mut t = 0.0;
     for q in queries.iter() {
         clock.reset();
-        tree.nearest(clock, q);
+        tree.run(clock, &Query::knn(q, 1)).expect("valid query");
         t += clock.total_time();
     }
     t / queries.len() as f64
@@ -48,7 +48,8 @@ fn iqtree_beats_scan_in_high_dimensions() {
     let mut sc = 0.0;
     for q in w.queries.iter() {
         clock.reset();
-        scan.nearest(&mut clock, q);
+        scan.run(&mut clock, &Query::knn(q, 1))
+            .expect("valid query");
         sc += clock.total_time();
     }
     sc /= w.queries.len() as f64;
@@ -72,7 +73,7 @@ fn iqtree_beats_xtree_in_high_dimensions() {
     let mut xts = 0.0;
     for q in w.queries.iter() {
         clock.reset();
-        xt.nearest(&mut clock, q);
+        xt.run(&mut clock, &Query::knn(q, 1)).expect("valid query");
         xts += clock.total_time();
     }
     xts /= w.queries.len() as f64;
@@ -104,11 +105,15 @@ fn scheduled_io_never_pays_more_seeks_on_average() {
     let (mut seeks_opt, mut seeks_std, mut time_opt, mut time_std) = (0u64, 0u64, 0.0, 0.0);
     for q in w.queries.iter() {
         c_opt.reset();
-        t_opt.nearest(&mut c_opt, q);
+        t_opt
+            .run(&mut c_opt, &Query::knn(q, 1))
+            .expect("valid query");
         seeks_opt += c_opt.stats().seeks;
         time_opt += c_opt.total_time();
         c_std.reset();
-        t_std.nearest(&mut c_std, q);
+        t_std
+            .run(&mut c_std, &Query::knn(q, 1))
+            .expect("valid query");
         seeks_std += c_std.stats().seeks;
         time_std += c_std.total_time();
     }
@@ -180,7 +185,8 @@ fn queries_on_fresh_clock_have_reproducible_cost() {
             .iter()
             .map(|q| {
                 clock.reset();
-                tree.nearest(&mut clock, q);
+                tree.run(&mut clock, &Query::knn(q, 1))
+                    .expect("valid query");
                 (clock.stats().seeks, clock.stats().blocks_read)
             })
             .collect()

@@ -19,10 +19,14 @@
 //! * crash at every frame boundary of a checkpoint transaction — either
 //!   the whole fold happens or none of it.
 
+mod common;
+
+use common::knn;
+
 use std::sync::{Arc, Mutex, OnceLock};
 
 use iqtree_repro::data;
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, FaultConfig, FaultInjectingDevice, IqResult, MemDevice, MemWal, SimClock, WalStore,
@@ -178,7 +182,8 @@ fn shadow_answers(tree: &IqTree, queries: &[Vec<f32>]) -> Answers {
     queries
         .iter()
         .map(|q| {
-            tree.knn(&mut clock, q, K)
+            knn(tree, &mut clock, q, K)
+                .0
                 .into_iter()
                 .map(|(id, d)| (id, d.to_bits()))
                 .collect()
@@ -297,8 +302,8 @@ fn check_recovery(fx: &Fixture, cut: u64, committed: usize, base_idx: usize) {
         "cut {cut}: committed transaction count"
     );
     for (qi, q) in fx.queries.iter().enumerate() {
-        let got: Vec<(u32, u64)> = tree
-            .knn(&mut clock, q, K)
+        let got: Vec<(u32, u64)> = knn(&tree, &mut clock, q, K)
+            .0
             .into_iter()
             .map(|(id, d)| (id, d.to_bits()))
             .collect();
@@ -519,7 +524,16 @@ fn crash_during_apply_poisons_the_tree_and_recovery_completes_the_op() {
     .expect("recovery after mid-apply crash");
     assert_eq!(report.replayed_txns, 11, "10 healthy + 1 crashed-mid-apply");
     assert_eq!(tree.len(), N0 + 11);
-    let hits = tree.range(&mut clock, &victim, 1e-9);
+    let hits = tree
+        .run(
+            &mut clock,
+            &Query::Range {
+                point: &victim,
+                radius: 1e-9,
+            },
+        )
+        .expect("valid query")
+        .ids();
     assert!(
         hits.contains(&99_999),
         "the committed-but-unapplied insert must be rolled forward"

@@ -3,8 +3,12 @@
 //! the paper's evaluation — they differ only in how much they pay to get
 //! them.
 
+mod common;
+
+use common::knn;
+
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
@@ -76,10 +80,10 @@ fn nearest_neighbor_distances_agree() {
     for (name, w) in workloads() {
         let mut m = AllMethods::build(&w.db);
         for (qi, q) in w.queries.iter().enumerate() {
-            let a = m.iq.nearest(&mut m.clock, q).expect("iq non-empty");
-            let b = m.xt.nearest(&mut m.clock, q).expect("xt non-empty");
-            let c = m.va.nearest(&mut m.clock, q).expect("va non-empty");
-            let d = m.scan.nearest(&mut m.clock, q).expect("scan non-empty");
+            let a = knn(&m.iq, &mut m.clock, q, 1).0[0];
+            let b = knn(&m.xt, &mut m.clock, q, 1).0[0];
+            let c = knn(&m.va, &mut m.clock, q, 1).0[0];
+            let d = knn(&m.scan, &mut m.clock, q, 1).0[0];
             for (tag, x) in [("xt", b.1), ("va", c.1), ("scan", d.1)] {
                 assert!(
                     (a.1 - x).abs() < 1e-6,
@@ -97,10 +101,10 @@ fn knn_distance_sequences_agree() {
     for (name, w) in workloads() {
         let mut m = AllMethods::build(&w.db);
         for (qi, q) in w.queries.iter().enumerate() {
-            let a = m.iq.knn(&mut m.clock, q, K);
-            let b = m.xt.knn(&mut m.clock, q, K);
-            let c = m.va.knn(&mut m.clock, q, K);
-            let d = m.scan.knn(&mut m.clock, q, K);
+            let a = knn(&m.iq, &mut m.clock, q, K).0;
+            let b = knn(&m.xt, &mut m.clock, q, K).0;
+            let c = knn(&m.va, &mut m.clock, q, K).0;
+            let d = knn(&m.scan, &mut m.clock, q, K).0;
             assert_eq!(a.len(), K, "{name} query {qi}");
             for i in 0..K {
                 for (tag, x) in [("xt", b[i].1), ("va", c[i].1), ("scan", d[i].1)] {
@@ -124,17 +128,53 @@ fn range_query_id_sets_agree() {
         // distance.
         // Tiny inflation so the 20th neighbor survives the key <-> distance
         // round-trip at the boundary.
-        let r = m
-            .scan
-            .knn(&mut m.clock, q, 20)
+        let r = knn(&m.scan, &mut m.clock, q, 20)
+            .0
             .last()
             .expect("20 results")
             .1
             * (1.0 + 1e-9);
-        let mut a = m.iq.range(&mut m.clock, q, r);
-        let mut b = m.xt.range(&mut m.clock, q, r);
-        let mut c = m.va.range(&mut m.clock, q, r);
-        let mut d = m.scan.range(&mut m.clock, q, r);
+        let mut a =
+            m.iq.run(
+                &mut m.clock,
+                &Query::Range {
+                    point: q,
+                    radius: r,
+                },
+            )
+            .expect("valid query")
+            .ids();
+        let mut b =
+            m.xt.run(
+                &mut m.clock,
+                &Query::Range {
+                    point: q,
+                    radius: r,
+                },
+            )
+            .expect("valid query")
+            .ids();
+        let mut c =
+            m.va.run(
+                &mut m.clock,
+                &Query::Range {
+                    point: q,
+                    radius: r,
+                },
+            )
+            .expect("valid query")
+            .ids();
+        let mut d = m
+            .scan
+            .run(
+                &mut m.clock,
+                &Query::Range {
+                    point: q,
+                    radius: r,
+                },
+            )
+            .expect("valid query")
+            .ids();
         for v in [&mut a, &mut b, &mut c, &mut d] {
             v.sort_unstable();
         }
@@ -159,9 +199,9 @@ fn maximum_metric_agreement() {
     let va = VaFile::build(&w.db, Metric::Maximum, 4, dev(), dev(), &mut clock);
     let scan = SeqScan::build(&w.db, Metric::Maximum, dev(), &mut clock);
     for q in w.queries.iter() {
-        let a = iq.nearest(&mut clock, q).expect("non-empty").1;
-        let b = va.nearest(&mut clock, q).expect("non-empty").1;
-        let c = scan.nearest(&mut clock, q).expect("non-empty").1;
+        let a = knn(&iq, &mut clock, q, 1).0[0].1;
+        let b = knn(&va, &mut clock, q, 1).0[0].1;
+        let c = knn(&scan, &mut clock, q, 1).0[0].1;
         assert!((a - c).abs() < 1e-6);
         assert!((b - c).abs() < 1e-6);
     }

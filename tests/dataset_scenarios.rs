@@ -10,8 +10,12 @@
 //! `limit`/`offset` slice the canonically ordered (distance, then id)
 //! result list so disjoint offsets paginate without overlap or gaps.
 
+mod common;
+
+use common::knn;
+
 use iqtree_repro::data::{self, Predicate, VectorDataset};
-use iqtree_repro::engine::{knn_paginated, AccessMethod, Filter, PageSpec};
+use iqtree_repro::engine::{AccessMethod, Filter, PageSpec, Query, QueryOptions};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{
     BlockDevice, DeviceStack, FaultConfig, MemDevice, RetryPolicy, SimClock,
@@ -125,7 +129,20 @@ fn assert_filtered_conformance(
                     let mut clock = SimClock::default();
                     // The scan's filtered k-NN *is* filter-then-scan: one
                     // sweep, predicate applied before distance ranking.
-                    let want = canon(scan.knn_filtered(&mut clock, q, k, Some(&filter)));
+                    let want = canon(
+                        scan.run(
+                            &mut clock,
+                            &Query::Knn {
+                                point: q,
+                                k,
+                                filter: Some(&filter),
+                                opts: QueryOptions::EXACT,
+                            },
+                        )
+                        .expect("valid query")
+                        .into_ranked()
+                        .0,
+                    );
                     assert_eq!(
                         want.len(),
                         k.min(filter.matching()),
@@ -139,7 +156,20 @@ fn assert_filtered_conformance(
                         if eng.name() == "scan" {
                             continue;
                         }
-                        let got = canon(eng.knn_filtered(&mut clock, q, k, Some(&filter)));
+                        let got = canon(
+                            eng.run(
+                                &mut clock,
+                                &Query::Knn {
+                                    point: q,
+                                    k,
+                                    filter: Some(&filter),
+                                    opts: QueryOptions::EXACT,
+                                },
+                            )
+                            .expect("valid query")
+                            .into_ranked()
+                            .0,
+                        );
                         assert_eq!(
                             got,
                             want,
@@ -185,7 +215,16 @@ fn filtered_knn_matches_filter_then_scan_oracle_under_injected_faults() {
     let filter = Filter::from_fn(vd.points.len(), |id| id % 2 == 0);
     for eng in &engines {
         for q in queries(&vd.points) {
-            eng.knn_filtered(&mut clock, &q, 20, Some(&filter));
+            eng.run(
+                &mut clock,
+                &Query::Knn {
+                    point: &q,
+                    k: 20,
+                    filter: Some(&filter),
+                    opts: QueryOptions::EXACT,
+                },
+            )
+            .expect("valid query");
         }
     }
     assert!(clock.stats().io_retries > 0, "faults were never injected");
@@ -206,13 +245,17 @@ fn pagination_tiles_the_filtered_result_on_every_engine() {
     const K: usize = 24;
     for eng in build_all(&vd.points, Metric::Euclidean, plain_dev) {
         let mut clock = SimClock::default();
-        let full = knn_paginated(
-            eng.as_ref(),
-            &mut clock,
-            &q,
-            Some(&filter),
-            &PageSpec::top(K),
-        );
+        let query = Query::Knn {
+            point: &q,
+            k: K,
+            filter: Some(&filter),
+            opts: QueryOptions::EXACT,
+        };
+        let mut page_of = |page: PageSpec| {
+            let answer = eng.run(&mut clock, &query).expect("valid query");
+            page.slice(answer.into_ranked().0)
+        };
+        let full = page_of(PageSpec::top(K));
         assert_eq!(full.len(), K.min(filter.matching()), "{}", eng.name());
         // Strictly canonically ordered: ascending distance, ties by id.
         for w in full.windows(2) {
@@ -224,33 +267,21 @@ fn pagination_tiles_the_filtered_result_on_every_engine() {
         }
         let mut tiled = Vec::new();
         for offset in (0..K).step_by(7) {
-            let page = knn_paginated(
-                eng.as_ref(),
-                &mut clock,
-                &q,
-                Some(&filter),
-                &PageSpec {
-                    k: K,
-                    offset,
-                    limit: Some(7),
-                },
-            );
+            let page = page_of(PageSpec {
+                k: K,
+                offset,
+                limit: Some(7),
+            });
             assert!(page.len() <= 7);
             tiled.extend(page);
         }
         assert_eq!(tiled, full, "{} pages do not tile the top-{K}", eng.name());
         // An offset past the end yields an empty page, not an error.
-        let empty = knn_paginated(
-            eng.as_ref(),
-            &mut clock,
-            &q,
-            Some(&filter),
-            &PageSpec {
-                k: K,
-                offset: K + 1,
-                limit: None,
-            },
-        );
+        let empty = page_of(PageSpec {
+            k: K,
+            offset: K + 1,
+            limit: None,
+        });
         assert!(empty.is_empty(), "{}", eng.name());
     }
 }
@@ -264,13 +295,37 @@ fn trivial_filters_reduce_to_plain_knn() {
     let all = Filter::from_fn(vd.points.len(), |_| true);
     for eng in build_all(&vd.points, Metric::Manhattan, plain_dev) {
         let mut clock = SimClock::default();
-        let plain = canon(eng.knn(&mut clock, &q, 12));
-        let via_none = canon(eng.knn_filtered(&mut clock, &q, 12, None));
-        let via_all = canon(eng.knn_filtered(&mut clock, &q, 12, Some(&all)));
+        let plain = canon(knn(eng.as_ref(), &mut clock, &q, 12).0);
+        let via_none = canon(knn(eng.as_ref(), &mut clock, &q, 12).0);
+        let via_all = canon(
+            eng.run(
+                &mut clock,
+                &Query::Knn {
+                    point: &q,
+                    k: 12,
+                    filter: Some(&all),
+                    opts: QueryOptions::EXACT,
+                },
+            )
+            .expect("valid query")
+            .into_ranked()
+            .0,
+        );
         assert_eq!(via_none, plain, "{}", eng.name());
         assert_eq!(via_all, plain, "{}", eng.name());
         // Empty filter: no results, regardless of k.
         let none = Filter::from_fn(vd.points.len(), |_| false);
-        assert!(eng.knn_filtered(&mut clock, &q, 12, Some(&none)).is_empty());
+        assert!(eng
+            .run(
+                &mut clock,
+                &Query::Knn {
+                    point: &q,
+                    k: 12,
+                    filter: Some(&none),
+                    opts: QueryOptions::EXACT
+                }
+            )
+            .expect("valid query")
+            .is_empty());
     }
 }

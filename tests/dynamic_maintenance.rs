@@ -2,8 +2,12 @@
 //! built by bulk load plus inserts answers exactly like brute force, and
 //! deletions remove points from all query types.
 
+mod common;
+
+use common::knn;
+
 use iqtree_repro::data::{self};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{MemDevice, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -43,7 +47,7 @@ fn iqtree_half_bulk_half_inserted_matches_brute_force() {
 
     let queries = data::weather_like(9, 10, 97);
     for q in queries.iter() {
-        let got = tree.knn(&mut clock, q, 7);
+        let got = knn(&tree, &mut clock, q, 7).0;
         let expect = brute_knn(&all, q, 7);
         for (g, e) in got.iter().zip(&expect) {
             assert!((g.1 - e).abs() < 1e-6, "knn mismatch: {} vs {e}", g.1);
@@ -87,14 +91,23 @@ fn interleaved_inserts_and_deletes_stay_consistent() {
     }
     let queries = data::uniform(5, 10, 43);
     for q in queries.iter() {
-        let (_, d) = tree.nearest(&mut clock, q).expect("non-empty");
+        let (_, d) = knn(&tree, &mut clock, q, 1).0[0];
         let expect = brute_knn(&truth, q, 1)[0];
         assert!((d - expect).abs() < 1e-6);
     }
     // Deleted points are really gone from range queries.
     for (i, p) in extra.iter().enumerate().take(50) {
         if i % 2 == 0 {
-            let hits = tree.range(&mut clock, p, 1e-7);
+            let hits = tree
+                .run(
+                    &mut clock,
+                    &Query::Range {
+                        point: p,
+                        radius: 1e-7,
+                    },
+                )
+                .expect("valid query")
+                .ids();
             assert!(
                 !hits.contains(&((2_000 + i) as u32)),
                 "deleted point {i} still present"
@@ -123,7 +136,7 @@ fn iqtree_heavy_cad_inserts_match_brute_force() {
     assert_eq!(iq.len(), 3_000);
     let queries = data::cad_like(8, 10, 53);
     for q in queries.iter() {
-        let got = iq.knn(&mut clock, q, 10);
+        let got = knn(&iq, &mut clock, q, 10).0;
         let expect = brute_knn(&all, q, 10);
         assert_eq!(got.len(), expect.len());
         for (g, e) in got.iter().zip(&expect) {

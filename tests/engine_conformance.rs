@@ -4,21 +4,25 @@
 //! shared batch executor must be thread-count-invariant for each of them.
 //! A third test drives the baselines through a [`DeviceStack`] injecting
 //! transient faults: with the retry layer in the stack, results must still
-//! match the scan bit for bit. The last two pin the query boundaries every
-//! engine shares: trivial k-NN queries cost nothing, a query of the wrong
-//! dimension panics with one message per kind of query on every path,
-//! range and window queries run inside the engine's root span, and a
-//! negative or NaN radius, or a query point with a NaN or infinite
-//! coordinate, matches nothing at no cost under every metric.
+//! match the scan bit for bit. The last two pin the query boundary every
+//! engine shares: trivial k-NN queries cost nothing; a query of the wrong
+//! dimension, a query point with a NaN or infinite coordinate, a radius
+//! that is negative, NaN or infinite and a window with non-finite bounds
+//! are rejected with a typed error on every path, alone, in a micro-batch
+//! and through the threaded executor, at no cost and under every metric;
+//! and range and window queries run inside the engine's root span.
 
+mod common;
+
+use common::{knn, knn_threaded_hits};
 use iqtree_repro::data;
 use iqtree_repro::engine::{
-    knn_batch, knn_batch_traced, AccessMethod, Filter, QueryOptions, QueryTrace,
+    run_threaded, AccessMethod, Answer, Filter, Hits, Query, QueryOptions, QueryTrace,
 };
 use iqtree_repro::geometry::{Dataset, Mbr, Metric};
-use iqtree_repro::obs::TraceNode;
 use iqtree_repro::storage::{
-    BlockDevice, DeviceStack, FaultConfig, MemDevice, RetryPolicy, SimClock,
+    BlockDevice, DeviceStack, FaultConfig, IoStats, IqError, IqResult, MemDevice, RetryPolicy,
+    SimClock,
 };
 use iqtree_repro::{build_engine, EngineKind};
 
@@ -75,26 +79,40 @@ fn assert_engines_match_scan(engines: &[Box<dyn AccessMethod>], queries: &[Vec<f
     let mut clock = SimClock::default();
     for (qi, q) in queries.iter().enumerate() {
         // k-NN: identical distances (bitwise), ids up to tie order.
-        let want_knn = canon(scan.knn(&mut clock, q, 10));
+        let want_knn = canon(knn(scan.as_ref(), &mut clock, q, 10).0);
         // Range at the 15th-NN distance (inflated so the boundary point
         // survives the key <-> distance round-trip).
-        let radius = scan.knn(&mut clock, q, 15).last().expect("15 hits").1 * (1.0 + 1e-9);
-        let mut want_range = scan.range(&mut clock, q, radius);
+        let radius = knn(scan.as_ref(), &mut clock, q, 15)
+            .0
+            .last()
+            .expect("15 hits")
+            .1
+            * (1.0 + 1e-9);
+        let mut want_range = scan
+            .run(&mut clock, &Query::Range { point: q, radius })
+            .expect("valid query")
+            .ids();
         want_range.sort_unstable();
         // Window: a box of half-width 0.15 around the query point.
         let lo: Vec<f32> = q.iter().map(|c| c - 0.15).collect();
         let hi: Vec<f32> = q.iter().map(|c| c + 0.15).collect();
         let win = Mbr::from_bounds(lo, hi);
-        let mut want_win = scan.window(&mut clock, &win);
+        let mut want_win = scan
+            .run(&mut clock, &Query::Window(&win))
+            .expect("valid query")
+            .ids();
         want_win.sort_unstable();
 
         for eng in engines {
             if eng.name() == "scan" {
                 continue;
             }
-            let got_knn = canon(eng.knn(&mut clock, q, 10));
+            let got_knn = canon(knn(eng.as_ref(), &mut clock, q, 10).0);
             assert_eq!(got_knn, want_knn, "{tag} {} knn query {qi}", eng.name());
-            let mut got_range = eng.range(&mut clock, q, radius);
+            let mut got_range = eng
+                .run(&mut clock, &Query::Range { point: q, radius })
+                .expect("valid query")
+                .ids();
             got_range.sort_unstable();
             assert_eq!(
                 got_range,
@@ -102,7 +120,10 @@ fn assert_engines_match_scan(engines: &[Box<dyn AccessMethod>], queries: &[Vec<f
                 "{tag} {} range query {qi}",
                 eng.name()
             );
-            let mut got_win = eng.window(&mut clock, &win);
+            let mut got_win = eng
+                .run(&mut clock, &Query::Window(&win))
+                .expect("valid query")
+                .ids();
             got_win.sort_unstable();
             assert_eq!(got_win, want_win, "{tag} {} window query {qi}", eng.name());
         }
@@ -126,7 +147,7 @@ fn batch_executor_is_thread_count_invariant_per_engine() {
         let mut runs = Vec::new();
         for threads in [1usize, 2, 8] {
             let mut clock = SimClock::default();
-            let results = knn_batch(eng.as_ref(), &mut clock, &queries, 7, threads);
+            let results = knn_threaded_hits(eng.as_ref(), &mut clock, &queries, 7, threads);
             runs.push((threads, results, clock.stats(), clock.total_time()));
         }
         let (_, r1, s1, t1) = &runs[0];
@@ -164,7 +185,8 @@ fn engines_agree_with_scan_under_injected_transient_faults() {
     // Sanity: the workload actually exercised the fault path.
     let mut clock = SimClock::default();
     for eng in &engines {
-        eng.knn(&mut clock, &queries[0], 5);
+        eng.run(&mut clock, &Query::knn(&queries[0], 5))
+            .expect("valid query");
     }
     assert!(clock.stats().io_retries > 0, "faults were never injected");
     assert_engines_match_scan(&engines, &queries, "faulty");
@@ -179,18 +201,36 @@ fn non_finite(q: &[f32]) -> [Vec<f32>; 3] {
     })
 }
 
-/// Whether `node` or a node below it is named `name`.
-fn has_span(node: &TraceNode, name: &str) -> bool {
-    node.name == name || node.children.iter().any(|c| has_span(c, name))
+/// Whether `r` is the typed error of a rejected query.
+fn invalid(r: &IqResult<Answer>) -> bool {
+    matches!(r, Err(IqError::InvalidQuery { .. }))
 }
 
-/// The message of the panic `f` raises, or `None` if it returns.
-fn panic_message(f: impl FnOnce()) -> Option<String> {
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+/// Asserts `eng` rejects `query` with [`IqError::InvalidQuery`] alone, in
+/// a micro-batch of two and through the threaded executor, and that none
+/// of them charged the clock or opened a span. Returns the message.
+fn assert_rejected(eng: &dyn AccessMethod, query: &Query, what: &str) -> String {
+    let mut clock = SimClock::default();
+    clock.enable_tracing();
+    let solo = eng.run(&mut clock, query);
+    assert!(invalid(&solo), "{what}: run gave {solo:?}");
+    let pair = [*query, *query];
+    let batch = eng.run_batch(&mut clock, &pair);
+    assert!(
+        batch.iter().all(invalid),
+        "{what}: run_batch gave {batch:?}"
+    );
+    let threaded = run_threaded(eng, &mut clock, &pair, 2);
+    assert!(
+        threaded.iter().all(invalid),
+        "{what}: threaded {threads:?}",
+        threads = threaded
+    );
+    assert_eq!(clock.stats(), IoStats::default(), "{what}");
+    assert_eq!(clock.total_time(), 0.0, "{what}");
+    let tree = clock.take_trace().expect("tracing was on");
+    assert!(tree.root.children.is_empty(), "{what}: {tree:?}");
+    solo.expect_err("rejected").to_string()
 }
 
 #[test]
@@ -212,67 +252,48 @@ fn knn_boundary_is_shared_by_every_engine() {
         for (what, k, filter) in [("k = 0", 0, None), ("empty filter", 5, Some(&nothing))] {
             let mut clock = SimClock::default();
             clock.enable_tracing();
-            let (hits, trace) =
-                eng.knn_opts_traced(&mut clock, &queries[0], k, filter, &QueryOptions::EXACT);
-            assert!(hits.is_empty(), "{name} {what}");
-            assert_eq!(trace, QueryTrace::default(), "{name} {what}");
+            let query = Query::Knn {
+                point: &queries[0],
+                k,
+                filter,
+                opts: QueryOptions::EXACT,
+            };
+            let answer = eng
+                .run(&mut clock, &query)
+                .expect("a trivial query is valid");
+            assert_eq!(answer.hits, Hits::Ranked(Vec::new()), "{name} {what}");
+            assert_eq!(answer.trace, QueryTrace::default(), "{name} {what}");
             assert_eq!(clock.total_time(), 0.0, "{name} {what}");
             let tree = clock.take_trace().expect("tracing was on");
             assert!(tree.root.children.is_empty(), "{name} {what}: {tree:?}");
         }
-        // A query one coordinate short panics with the boundary's message,
-        // alone and inside a batch (the IQ-tree's micro-batch override).
-        let short = queries[0][..DIM - 1].to_vec();
-        let expect = "query dimensionality mismatch";
-        let solo = panic_message(|| {
-            eng.knn_opts_traced(
-                &mut SimClock::default(),
-                &short,
-                5,
-                None,
-                &QueryOptions::EXACT,
-            );
-        });
-        assert!(
-            solo.as_deref().is_some_and(|m| m.contains(expect)),
-            "{name} solo: {solo:?}"
-        );
-        let batch = panic_message(|| {
-            knn_batch(
-                eng.as_ref(),
-                &mut SimClock::default(),
-                &[short.clone(), short.clone()],
-                5,
-                1,
-            );
-        });
-        assert!(
-            batch.as_deref().is_some_and(|m| m.contains(expect)),
-            "{name} batch: {batch:?}"
-        );
+        // A query one coordinate short is rejected with the dimensions in
+        // the message, alone and inside a batch (the IQ-tree's micro-batch
+        // override).
+        let short = &queries[0][..DIM - 1];
+        let msg = assert_rejected(eng.as_ref(), &Query::knn(short, 5), name);
+        assert!(msg.contains("7 coordinates, index is 8-d"), "{name}: {msg}");
+        // So is a knob out of range.
+        let query = Query::Knn {
+            point: &queries[0],
+            k: 5,
+            filter: None,
+            opts: QueryOptions {
+                nprobes: Some(0),
+                ..QueryOptions::EXACT
+            },
+        };
+        let msg = assert_rejected(eng.as_ref(), &query, name);
+        assert!(msg.contains("nprobes"), "{name}: {msg}");
     }
     // A query point with a NaN or infinite coordinate is no point of the
-    // space: it is answered with nothing, at no cost and with no span,
-    // alone and inside a batch, under every metric.
+    // space: it is rejected at no cost and with no span, alone and inside
+    // a batch, under every metric.
     for metric in metrics() {
         for eng in build_all(&ds, metric, plain_dev) {
-            let name = eng.name();
             for q in non_finite(&queries[0]) {
-                let what = format!("{metric:?} {name} q[0] = {}", q[0]);
-                let mut clock = SimClock::default();
-                clock.enable_tracing();
-                let (hits, trace) =
-                    eng.knn_opts_traced(&mut clock, &q, 5, None, &QueryOptions::EXACT);
-                assert!(hits.is_empty(), "{what}: {hits:?}");
-                assert_eq!(trace, QueryTrace::default(), "{what}");
-                let (batch, trace) =
-                    knn_batch_traced(eng.as_ref(), &mut clock, &[q.clone(), q.clone()], 5, 1);
-                assert!(batch.iter().all(|(h, _)| h.is_empty()), "{what}: {batch:?}");
-                assert_eq!(trace, QueryTrace::default(), "{what}");
-                assert_eq!(clock.total_time(), 0.0, "{what}");
-                assert_eq!(clock.stats().blocks_read, 0, "{what}");
-                let tree = clock.take_trace().expect("tracing was on");
-                assert!(!has_span(&tree.root, name), "{what}: {tree:?}");
+                let what = format!("{metric:?} {} q[0] = {}", eng.name(), q[0]);
+                assert_rejected(eng.as_ref(), &Query::knn(&q, 5), &what);
             }
         }
     }
@@ -291,76 +312,79 @@ fn range_and_window_boundary_is_shared_by_every_engine() {
             &mut SimClock::default(),
         );
         let name = eng.name();
-        // A query one coordinate short panics with one message per kind
-        // of query on every engine.
-        let short = queries[0][..DIM - 1].to_vec();
-        let range = panic_message(|| {
-            eng.range(&mut SimClock::default(), &short, 0.5);
-        });
-        assert!(
-            range
-                .as_deref()
-                .is_some_and(|m| m.contains("query dimensionality mismatch")),
-            "{name} range: {range:?}"
-        );
+        // A query one coordinate short is rejected on every engine, a
+        // range and a window alike.
+        let short = &queries[0][..DIM - 1];
+        let range = Query::Range {
+            point: short,
+            radius: 0.5,
+        };
+        let msg = assert_rejected(eng.as_ref(), &range, name);
+        assert!(msg.contains("index is 8-d"), "{name}: {msg}");
         let short_window = Mbr::from_bounds(vec![0.0; DIM - 1], vec![1.0; DIM - 1]);
-        let window = panic_message(|| {
-            eng.window(&mut SimClock::default(), &short_window);
-        });
-        assert!(
-            window
-                .as_deref()
-                .is_some_and(|m| m.contains("window dimensionality mismatch")),
-            "{name} window: {window:?}"
-        );
+        let msg = assert_rejected(eng.as_ref(), &Query::Window(&short_window), name);
+        assert!(msg.contains("index is 8-d"), "{name}: {msg}");
+        // So is a window with an infinite bound.
+        let mut ub = vec![1.0; DIM];
+        ub[3] = f32::INFINITY;
+        let open = Mbr::from_bounds(vec![0.0; DIM], ub);
+        assert_rejected(eng.as_ref(), &Query::Window(&open), name);
         // A valid query runs inside the engine's root span, which carries
-        // the radius and the hit count.
+        // the radius, the trace's counters and the hit count.
         let mut clock = SimClock::default();
         clock.enable_tracing();
-        let hits = eng.range(&mut clock, &queries[0], 0.3);
-        let all = eng.window(&mut clock, &whole);
+        let range = Query::Range {
+            point: &queries[0],
+            radius: 0.3,
+        };
+        let hits = eng.run(&mut clock, &range).expect("valid query");
+        let all = eng
+            .run(&mut clock, &Query::Window(&whole))
+            .expect("valid query");
         assert_eq!(all.len(), ds.len(), "{name}");
         let tree = clock.take_trace().expect("tracing was on");
         let spans: Vec<_> = tree.root.children.iter().collect();
         assert_eq!(spans.len(), 2, "{name}: {tree:?}");
-        for (span, n) in spans.iter().zip([hits.len(), all.len()]) {
+        for (span, answer) in spans.iter().zip([&hits, &all]) {
             assert_eq!(span.name, name);
-            assert!(span.counters.contains(&("hits".to_string(), n as u64)));
+            let n = answer.len() as u64;
+            assert!(span.counters.contains(&("hits".to_string(), n)));
+            let runs = ("runs".to_string(), answer.trace.runs);
+            assert!(
+                answer.trace.runs > 0 && span.counters.contains(&runs),
+                "{name}"
+            );
         }
         assert!(spans[0].attrs.iter().any(|(k, _)| k == "radius"), "{name}");
     }
-    // A negative or NaN radius matches no point and costs nothing, under
-    // every metric: L2 keys are squared, so −r must not act as r.
+    // A negative, NaN or infinite radius is rejected at no cost, under
+    // every metric: L2 keys are squared, so −r must never act as r. So is
+    // a query point with a NaN or infinite coordinate.
     for metric in metrics() {
         for eng in build_all(&ds, metric, plain_dev) {
             let name = eng.name();
             let q = &queries[0];
             // The 5th-NN distance, inflated past the key round-trip.
-            let r = eng.knn(&mut SimClock::default(), q, 5)[4].1 * (1.0 + 1e-9);
-            assert!(eng.range(&mut SimClock::default(), q, r).len() >= 5);
-            for radius in [-r, f64::NAN] {
-                let mut clock = SimClock::default();
-                clock.enable_tracing();
-                let hits = eng.range(&mut clock, q, radius);
-                let tree = clock.take_trace().expect("tracing was on");
-                assert!(hits.is_empty(), "{metric:?} {name}: r {radius}: {hits:?}");
-                assert_eq!(clock.total_time(), 0.0, "{metric:?} {name}: r {radius}");
-                assert_eq!(clock.stats().blocks_read, 0, "{metric:?} {name}");
-                assert!(tree.root.children.is_empty(), "{metric:?} {name}: {tree:?}");
+            let nearest = eng.run(&mut SimClock::default(), &Query::knn(q, 5));
+            let r = nearest.expect("valid query").into_ranked().0[4].1 * (1.0 + 1e-9);
+            let range = Query::Range {
+                point: q,
+                radius: r,
+            };
+            let within = eng.run(&mut SimClock::default(), &range).expect("valid");
+            assert!(within.len() >= 5, "{metric:?} {name}");
+            for radius in [-r, f64::NAN, f64::INFINITY] {
+                let what = format!("{metric:?} {name}: r {radius}");
+                let msg = assert_rejected(eng.as_ref(), &Query::Range { point: q, radius }, &what);
+                assert!(msg.contains("radius"), "{what}: {msg}");
             }
             for q in non_finite(q) {
-                let mut clock = SimClock::default();
-                clock.enable_tracing();
-                let hits = eng.range(&mut clock, &q, r);
-                let tree = clock.take_trace().expect("tracing was on");
-                assert!(
-                    hits.is_empty(),
-                    "{metric:?} {name}: q[0] {}: {hits:?}",
-                    q[0]
-                );
-                assert_eq!(clock.total_time(), 0.0, "{metric:?} {name}: q[0] {}", q[0]);
-                assert_eq!(clock.stats().blocks_read, 0, "{metric:?} {name}");
-                assert!(tree.root.children.is_empty(), "{metric:?} {name}: {tree:?}");
+                let what = format!("{metric:?} {name}: q[0] {}", q[0]);
+                let range = Query::Range {
+                    point: &q,
+                    radius: r,
+                };
+                assert_rejected(eng.as_ref(), &range, &what);
             }
         }
     }

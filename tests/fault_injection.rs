@@ -5,10 +5,11 @@
 //! level, not to a panic or a wrong answer, on every query path that reads
 //! one).
 
+mod common;
+
+use common::{knn, knn_micro_batch, knn_threaded, knn_threaded_hits, range, total, window};
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::{
-    knn_batch, knn_batch_traced, AccessMethod, Filter, QueryOptions, QueryTrace,
-};
+use iqtree_repro::engine::{AccessMethod, Filter, Query, QueryOptions, QueryTrace};
 use iqtree_repro::geometry::{bulk_partition, Dataset, Mbr, Metric};
 use iqtree_repro::quantize::{QuantizedPageCodec, EXACT_BITS};
 use iqtree_repro::scan::SeqScan;
@@ -111,7 +112,7 @@ fn transient_faults_are_invisible_in_batch_results() {
     let queries: Vec<Vec<f32>> = w.queries.iter().map(<[f32]>::to_vec).collect();
 
     let (clean_tree, mut clean_clock) = reopen(&dir, 4096, 8, |_, d| d);
-    let clean = knn_batch(&clean_tree, &mut clean_clock, &queries, 10, 4);
+    let clean = knn_threaded_hits(&clean_tree, &mut clean_clock, &queries, 10, 4);
 
     let cfg = FaultConfig {
         seed: 7,
@@ -123,7 +124,7 @@ fn transient_faults_are_invisible_in_batch_results() {
     let (faulty_tree, mut faulty_clock) = reopen(&dir, 4096, 8, |_, d| {
         Box::new(FaultInjectingDevice::new(d, cfg))
     });
-    let faulty = knn_batch(&faulty_tree, &mut faulty_clock, &queries, 10, 4);
+    let faulty = knn_threaded_hits(&faulty_tree, &mut faulty_clock, &queries, 10, 4);
 
     assert_eq!(clean, faulty, "retries must hide every transient fault");
     let stats = faulty_clock.stats();
@@ -171,7 +172,18 @@ fn assert_every_path_degrades_exactly(tree: &IqTree, clock: &mut SimClock, w: &W
     for q in w.queries.iter().take(4) {
         for (what, opts) in [("pivot walk", QueryOptions::EXACT), ("rerank", rerank)] {
             let before = clock.stats().corrupt_blocks;
-            let (hits, trace) = tree.knn_opts_traced(clock, q, k, None, &opts);
+            let (hits, trace) = tree
+                .run(
+                    clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter: None,
+                        opts,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             assert!(trace.quant_fallbacks >= 1, "{what}: no fallback: {trace:?}");
             assert_eq!(trace.pages_lost, 0, "{what}: exact level was available");
             assert_eq!(trace.points_skipped, 0, "{what}");
@@ -184,7 +196,8 @@ fn assert_every_path_degrades_exactly(tree: &IqTree, clock: &mut SimClock, w: &W
     let queries: Vec<Vec<f32>> = w.queries.iter().take(8).map(<[f32]>::to_vec).collect();
     assert_eq!(queries.len(), 8);
     let before = clock.stats().corrupt_blocks;
-    let (batch, agg) = knn_batch_traced(tree, clock, &queries, k, 2);
+    let batch = knn_threaded(tree, clock, &queries, k, 2);
+    let agg = total(&batch);
     assert!(clock.stats().corrupt_blocks > before, "batch walk");
     assert!(agg.quant_fallbacks >= 1, "batch walk: no fallback: {agg:?}");
     assert_eq!(agg.pages_lost + agg.points_skipped, 0, "batch walk");
@@ -192,15 +205,20 @@ fn assert_every_path_degrades_exactly(tree: &IqTree, clock: &mut SimClock, w: &W
         assert_exact_knn(hits, &w.db, q, "batch walk");
     }
 
-    let before = clock.stats().corrupt_blocks;
+    // Window and range read the one bad page once, from its exact region.
     let whole = Mbr::from_bounds(vec![-1.0; dim], vec![2.0; dim]);
-    assert_all_ids(tree.window(clock, &whole), k, "window");
-    assert!(clock.stats().corrupt_blocks > before, "window");
-
-    let before = clock.stats().corrupt_blocks;
     let center = vec![0.5f32; dim];
-    assert_all_ids(tree.range(clock, &center, 10.0), k, "range");
-    assert!(clock.stats().corrupt_blocks > before, "range");
+    for what in ["window", "range"] {
+        let before = clock.stats().corrupt_blocks;
+        let (ids, trace) = match what {
+            "window" => window(tree, clock, &whole),
+            _ => range(tree, clock, &center, 10.0),
+        };
+        assert_all_ids(ids, k, what);
+        assert!(clock.stats().corrupt_blocks > before, "{what}");
+        assert_eq!(trace.quant_fallbacks, 1, "{what}: {trace:?}");
+        assert_eq!(trace.pages_lost + trace.points_skipped, 0, "{what}");
+    }
 }
 
 /// One permanently corrupt quantized (level-2) block: full-result k-NN
@@ -221,6 +239,40 @@ fn corrupt_quant_block_falls_back_to_exact_level() {
         Box::new(f)
     });
     assert_every_path_degrades_exactly(&tree, &mut clock, &w);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Window and range over a page whose quantized block and exact region
+/// both stay unreadable: the page is lost, counted once in `pages_lost`,
+/// and every other point is still answered.
+#[test]
+fn region_queries_count_a_page_lost_at_both_levels() {
+    let dir = temp_dir("region-lost");
+    let w = Workload::generate(3_000, 8, |n| data::uniform(6, n, 7));
+    build_files(&dir, &w.db, 2048);
+    let (clean, _) = reopen(&dir, 2048, 6, |_, d| d);
+    let meta = clean.pages().iter().find(|m| m.quant_block == 0).cloned();
+    let meta = meta.expect("a page starts at level-2 block 0");
+    assert!(meta.g < EXACT_BITS && meta.exact_blocks > 0);
+    let (tree, mut clock) = reopen(&dir, 2048, 6, |i, d| {
+        let f = FaultInjectingDevice::new(d, FaultConfig::none(3));
+        match i {
+            1 => f.corrupt_block(0),
+            2 => (meta.exact_start..meta.exact_start + u64::from(meta.exact_blocks))
+                .for_each(|b| f.corrupt_block(b)),
+            _ => {}
+        }
+        Box::new(f)
+    });
+    let whole = Mbr::from_bounds(vec![-1.0; 6], vec![2.0; 6]);
+    for (what, (ids, trace)) in [
+        ("window", window(&tree, &mut clock, &whole)),
+        ("range", range(&tree, &mut clock, &[0.5; 6], 10.0)),
+    ] {
+        assert_eq!(trace.pages_lost, 1, "{what}: {trace:?}");
+        assert_eq!(trace.quant_fallbacks, 0, "{what}");
+        assert_eq!(ids.len(), w.db.len() - meta.count as usize, "{what}");
+    }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
@@ -252,7 +304,7 @@ fn cached_tree_never_serves_a_corrupt_block() {
     let mut fallbacks = Vec::new();
     for run in ["cold", "warm"] {
         clock.reset();
-        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &QueryOptions::EXACT);
+        let (hits, trace) = knn(&tree, &mut clock, q, k);
         assert_exact_knn(&hits, &w.db, q, run);
         assert!(trace.quant_fallbacks >= 1, "{run}: no fallback: {trace:?}");
         assert!(
@@ -337,13 +389,24 @@ fn corrupt_exact_block_is_counted_alike_on_every_knn_path() {
     };
     let k = n as usize;
     for q in w.queries.iter().take(2) {
-        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &QueryOptions::EXACT);
+        let (hits, trace) = knn(&tree, &mut clock, q, k);
         check(&hits, &trace, "pivot walk");
-        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &rerank);
+        let (hits, trace) = tree
+            .run(
+                &mut clock,
+                &Query::Knn {
+                    point: q,
+                    k,
+                    filter: None,
+                    opts: rerank,
+                },
+            )
+            .expect("valid query")
+            .into_ranked();
         check(&hits, &trace, "rerank");
     }
     let queries: Vec<Vec<f32>> = w.queries.iter().take(8).map(<[f32]>::to_vec).collect();
-    let (batch, _) = knn_batch_traced(&tree, &mut clock, &queries, k, 2);
+    let batch = knn_threaded(&tree, &mut clock, &queries, k, 2);
     for (hits, trace) in &batch {
         check(hits, trace, "batch walk");
     }
@@ -460,8 +523,8 @@ fn a_lone_query_reads_each_exact_block_once() {
     let (mut refinements, mut reads) = (0, 0);
     for q in w.queries.iter() {
         log.lock().expect("log lock").reads.clear();
-        let (hits, trace) = tree.knn_traced(&mut clock, q, 40);
-        let want = scan.knn(&mut SimClock::default(), q, 40);
+        let (hits, trace) = knn(&tree, &mut clock, q, 40);
+        let want = knn(&scan, &mut SimClock::default(), q, 40).0;
         assert_eq!(hits, want);
         let log = log.lock().expect("log lock");
         let blocks = log.reads.iter().map(|&(start, _)| start);
@@ -511,7 +574,7 @@ fn level_two_blocks_are_read_once() {
     let (tree, mut clock, log) = reopen_logged(&dir, 2048, 6, 1);
     for q in w.queries.iter() {
         log.lock().expect("log lock").reads.clear();
-        let (_, trace) = tree.knn_traced(&mut clock, q, 40);
+        let (_, trace) = knn(&tree, &mut clock, q, 40);
         let log = log.lock().expect("log lock");
         assert_eq!(log.reads.len() as u64, trace.runs);
         assert_single_reads_are_new(&log, "lone query");
@@ -519,7 +582,7 @@ fn level_two_blocks_are_read_once() {
     log.lock().expect("log lock").reads.clear();
     let queries: Vec<&[f32]> = w.queries.iter().collect();
     assert_eq!(queries.len(), 8);
-    let batch = tree.knn_multi_opts_traced(&mut clock, &queries, 40, None, &QueryOptions::EXACT);
+    let batch = knn_micro_batch(&tree, &mut clock, &queries, 40, None, QueryOptions::EXACT);
     {
         let log = log.lock().expect("log lock");
         let runs: u64 = batch.iter().map(|(_, trace)| trace.runs).sum();
@@ -532,7 +595,7 @@ fn level_two_blocks_are_read_once() {
         );
     }
     for (q, (hits, _)) in queries.iter().zip(&batch) {
-        assert_eq!(hits, &tree.knn(&mut SimClock::default(), q, 40));
+        assert_eq!(hits, &knn(&tree, &mut SimClock::default(), q, 40).0);
     }
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
@@ -612,7 +675,11 @@ fn a_failed_fetch_run_leaves_the_other_runs() {
         .map(|p| (p.quant_block, p.mbr.clone()))
         .collect();
     let (window, runs) = pick(&mbrs);
-    let (clean, hits, _) = check(&log, &runs, &mut || tree.window(&mut clock, &window));
+    let (clean, hits, _) = check(&log, &runs, &mut || {
+        tree.run(&mut clock, &Query::Window(&window))
+            .expect("valid query")
+            .ids()
+    });
     assert_eq!(hits, clean, "iqtree");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 
@@ -640,7 +707,11 @@ fn a_failed_fetch_run_leaves_the_other_runs() {
         .map(|(i, p)| (i as u64, p.mbr.clone()))
         .collect();
     let (window, runs) = pick(&mbrs);
-    let (clean, hits, bad) = check(&log, &runs, &mut || xt.window(&mut clock, &window));
+    let (clean, hits, bad) = check(&log, &runs, &mut || {
+        xt.run(&mut clock, &Query::Window(&window))
+            .expect("valid query")
+            .ids()
+    });
     let lost: HashSet<u32> = parts[bad as usize].ids.iter().copied().collect();
     let kept: Vec<u32> = clean.into_iter().filter(|id| !lost.contains(id)).collect();
     assert_eq!(hits, kept, "xtree");
@@ -679,7 +750,7 @@ fn a_failed_known_set_run_leaves_the_other_runs() {
         })
     });
     let mut batch =
-        |q: &[f32]| tree.knn_multi_opts_traced(&mut clock, &[q, q], k, None, &QueryOptions::EXACT);
+        |q: &[f32]| knn_micro_batch(&tree, &mut clock, &[q, q], k, None, QueryOptions::EXACT);
     // The first query whose clean batch reads two runs of two or more
     // blocks, one of them the only read of a page the query refines: its
     // level-2 reads, that run, and the page's block.
@@ -779,7 +850,18 @@ fn a_failed_exact_read_is_retried_by_the_next_refinement() {
     for (k, opts) in [(tree.len(), QueryOptions::EXACT), (10, rerank)] {
         // A fault-free run, and the first exact block it read.
         log.lock().expect("log lock").reads.clear();
-        let (clean, clean_trace) = tree.knn_opts_traced(&mut clock, q, k, None, &opts);
+        let (clean, clean_trace) = tree
+            .run(
+                &mut clock,
+                &Query::Knn {
+                    point: q,
+                    k,
+                    filter: None,
+                    opts,
+                },
+            )
+            .expect("valid query")
+            .into_ranked();
         let block = log.lock().expect("log lock").reads[0].0;
         // The same query with that block's first reads failing.
         {
@@ -788,7 +870,18 @@ fn a_failed_exact_read_is_retried_by_the_next_refinement() {
             log.fail_block = Some(block);
             log.fail_left = attempts;
         }
-        let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, None, &opts);
+        let (hits, trace) = tree
+            .run(
+                &mut clock,
+                &Query::Knn {
+                    point: q,
+                    k,
+                    filter: None,
+                    opts,
+                },
+            )
+            .expect("valid query")
+            .into_ranked();
         let log = log.lock().expect("log lock");
         assert_eq!(log.fail_left, 0, "k={k}: the failure never fired");
         assert!(
@@ -843,7 +936,18 @@ fn spilled_approximations_return_when_refinements_fail() {
             // The exact blocks the clean query refines.
             let (tree, mut clock, log) = reopen_logged(&dir, 2048, 8, 2);
             log.lock().expect("log lock").reads.clear();
-            let (clean, _) = tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let (clean, _) = tree
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter,
+                        opts: QueryOptions::EXACT,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             let blocks: BTreeSet<u64> = log
                 .lock()
                 .expect("log lock")
@@ -862,7 +966,7 @@ fn spilled_approximations_return_when_refinements_fail() {
             });
             // The points that can still be read: a k = n query answers
             // every one of them.
-            let (all, _) = tree.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+            let (all, _) = knn(&tree, &mut clock, q, n);
             let readable: HashSet<u32> = all.iter().map(|h| h.0).collect();
             assert!(clean.iter().all(|h| !readable.contains(&h.0)));
             let mut want: Vec<(u32, f64)> = readable
@@ -879,8 +983,18 @@ fn spilled_approximations_return_when_refinements_fail() {
             assert!(lost_near >= k as u64);
 
             clock.enable_tracing();
-            let (hits, trace) =
-                tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let (hits, trace) = tree
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter,
+                        opts: QueryOptions::EXACT,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             let spans = clock.take_trace().expect("tracing was on");
             assert_eq!(hits.len(), k);
             for (got, want) in hits.iter().zip(&want) {
@@ -897,7 +1011,18 @@ fn spilled_approximations_return_when_refinements_fail() {
             );
 
             clock.enable_tracing();
-            let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, filter, &rerank);
+            let (hits, trace) = tree
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter,
+                        opts: rerank,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             let spans = clock.take_trace().expect("tracing was on");
             assert!(trace.points_skipped > 0, "the rerank met no lost point");
             assert!(hits.len() as u64 + trace.points_skipped >= k as u64);
@@ -941,7 +1066,18 @@ fn held_pages_decode_when_refinements_fail() {
         for q in w.queries.iter() {
             let (tree, mut clock) = reopen(&dir, 2048, 8, |_, d| d);
             clock.enable_tracing();
-            let (clean, _) = tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let (clean, _) = tree
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter,
+                        opts: QueryOptions::EXACT,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             let spans = clock.take_trace().expect("tracing was on");
             assert!(spans.root.counter_total("filter.pages_held") > 0);
             let mut near: Vec<_> = tree.pages().iter().filter(|p| p.count > 0).collect();
@@ -973,7 +1109,7 @@ fn held_pages_decode_when_refinements_fail() {
             });
             // The points that can still be read: a k = n query answers
             // every one of them.
-            let (all, _) = tree.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+            let (all, _) = knn(&tree, &mut clock, q, n);
             let readable: HashSet<u32> = all.iter().map(|h| h.0).collect();
             assert!(clean.iter().all(|h| !readable.contains(&h.0)));
             let mut want: Vec<(u32, f64)> = readable
@@ -986,8 +1122,18 @@ fn held_pages_decode_when_refinements_fail() {
 
             quant_log.lock().expect("log lock").reads.clear();
             clock.enable_tracing();
-            let (hits, trace) =
-                tree.knn_opts_traced(&mut clock, q, k, filter, &QueryOptions::EXACT);
+            let (hits, trace) = tree
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter,
+                        opts: QueryOptions::EXACT,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             let spans = clock.take_trace().expect("tracing was on");
             assert_eq!(hits.len(), k);
             for (got, want) in hits.iter().zip(&want) {
@@ -1015,7 +1161,18 @@ fn held_pages_decode_when_refinements_fail() {
             );
 
             clock.enable_tracing();
-            let (hits, trace) = tree.knn_opts_traced(&mut clock, q, k, filter, &rerank);
+            let (hits, trace) = tree
+                .run(
+                    &mut clock,
+                    &Query::Knn {
+                        point: q,
+                        k,
+                        filter,
+                        opts: rerank,
+                    },
+                )
+                .expect("valid query")
+                .into_ranked();
             let spans = clock.take_trace().expect("tracing was on");
             assert!(hits.len() as u64 + trace.points_skipped >= k as u64);
             for &(id, d) in &hits {
@@ -1055,7 +1212,7 @@ fn va_file_skips_unreadable_exact_entries() {
     let n = w.db.len();
     let q = w.queries.point(0);
     log.lock().expect("log lock").reads.clear();
-    let (clean, clean_trace) = va.knn_traced(&mut clock, q, 50);
+    let (clean, clean_trace) = knn(&va, &mut clock, q, 50);
     {
         let log = log.lock().expect("log lock");
         for &(start, _) in &log.reads {
@@ -1069,7 +1226,7 @@ fn va_file_skips_unreadable_exact_entries() {
         log.fail_block = Some(0);
         log.fail_left = u32::MAX;
     }
-    let (hits, trace) = va.knn_traced(&mut clock, q, n);
+    let (hits, trace) = knn(&va, &mut clock, q, n);
     assert!(trace.points_skipped > 0, "the failure never fired");
     assert_eq!(hits.len() as u64 + trace.points_skipped, n as u64);
     assert_eq!(trace.refinements, hits.len() as u64);
@@ -1081,7 +1238,16 @@ fn va_file_skips_unreadable_exact_entries() {
     let good: Vec<_> = clean.iter().filter(|(id, _)| *id >= 19).collect();
     assert!(good.iter().all(|h| hits.contains(h)));
     // Range and window verification skip the lost entries the same way.
-    let ids = va.range(&mut clock, q, 0.25);
+    let ids = va
+        .run(
+            &mut clock,
+            &Query::Range {
+                point: q,
+                radius: 0.25,
+            },
+        )
+        .expect("valid query")
+        .ids();
     assert!(ids.iter().all(|&id| id >= 19));
 }
 
@@ -1111,7 +1277,7 @@ fn va_file_skips_an_unreadable_approximation_chunk() {
     );
     let n = w.db.len();
     let q = w.queries.point(0);
-    let (clean, clean_trace) = va.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (clean, clean_trace) = knn(&va, &mut clock, q, n);
     assert_eq!(clean.len(), n);
     assert_eq!(clean_trace.points_skipped, 0);
 
@@ -1125,7 +1291,7 @@ fn va_file_skips_an_unreadable_approximation_chunk() {
         log.fail_left = u32::MAX;
     }
     let lost = 10_922..21_846u32;
-    let (hits, trace) = va.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (hits, trace) = knn(&va, &mut clock, q, n);
     assert_eq!(trace.points_skipped, u64::from(lost.end - lost.start));
     assert_eq!(hits.len() + lost.len(), n);
     assert_eq!(trace.refinements, hits.len() as u64);
@@ -1141,17 +1307,19 @@ fn va_file_skips_an_unreadable_approximation_chunk() {
         .collect();
     assert_eq!(hits, kept);
     // A top-10 query answers from the points that were read.
-    let (top, _) = va.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+    let (top, _) = knn(&va, &mut clock, q, 10);
     assert_eq!(top, kept[..10]);
-    // Range and window lose the same points, and only those.
+    // Range and window lose the same points, only those, and say so.
     let survivors: Vec<u32> = (0..n as u32).filter(|id| !lost.contains(id)).collect();
-    let mut ids = va.range(&mut clock, q, 100.0);
-    ids.sort_unstable();
-    assert_eq!(ids, survivors, "range");
     let everything = Mbr::of_points(w.db.dim(), w.db.iter());
-    let mut ids = va.window(&mut clock, &everything);
-    ids.sort_unstable();
-    assert_eq!(ids, survivors, "window");
+    for (what, (ids, trace)) in [
+        ("range", range(&va, &mut clock, q, 100.0)),
+        ("window", window(&va, &mut clock, &everything)),
+    ] {
+        assert_eq!(ids, survivors, "{what}");
+        assert_eq!(trace.points_skipped, 10_924, "{what}");
+        assert!(trace.partial(), "{what}");
+    }
 }
 
 /// The X-tree under a data page and a directory node that stay
@@ -1180,7 +1348,7 @@ fn xtree_skips_unreadable_pages() {
     );
     let n = w.db.len();
     let q = w.queries.point(0);
-    let (clean, clean_trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (clean, clean_trace) = knn(&xt, &mut clock, q, n);
     assert_eq!(clean.len(), n);
     assert_eq!(clean_trace.pages_lost, 0);
     let arm = |log: &Arc<Mutex<ReadLog>>, block: Option<u64>| {
@@ -1198,7 +1366,7 @@ fn xtree_skips_unreadable_pages() {
     let lost: HashSet<u32> = parts[7].ids.iter().copied().collect();
     assert!(!lost.is_empty());
     arm(&data_log, Some(7));
-    let (hits, trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (hits, trace) = knn(&xt, &mut clock, q, n);
     assert_eq!(trace.pages_lost, 1);
     assert!(trace.partial());
     assert!(
@@ -1211,28 +1379,33 @@ fn xtree_skips_unreadable_pages() {
         .filter(|(id, _)| !lost.contains(id))
         .collect();
     assert_eq!(hits, kept);
-    // Range and window skip the same page.
+    // Range and window skip the same page, and say so.
     let survivors: Vec<u32> = (0..n as u32).filter(|id| !lost.contains(id)).collect();
-    let mut ids = xt.range(&mut clock, q, 100.0);
-    ids.sort_unstable();
-    assert_eq!(ids, survivors, "range");
     let everything = Mbr::of_points(w.db.dim(), w.db.iter());
-    let mut ids = xt.window(&mut clock, &everything);
-    ids.sort_unstable();
-    assert_eq!(ids, survivors, "window");
+    for (what, (ids, trace)) in [
+        ("range", range(&xt, &mut clock, q, 100.0)),
+        ("window", window(&xt, &mut clock, &everything)),
+    ] {
+        assert_eq!(ids, survivors, "{what}");
+        assert_eq!(trace.pages_lost, 1, "{what}");
+    }
     arm(&data_log, None);
 
     // Directory block 0 is the first leaf-level node, not the root.
     arm(&dir_log, Some(0));
-    let (hits, trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (hits, trace) = knn(&xt, &mut clock, q, n);
     assert_eq!(trace.pages_lost, 1);
     assert!(trace.partial());
     assert!(!hits.is_empty() && hits.len() < n);
     assert!(hits.iter().all(|h| clean.contains(h)));
-    let ids = xt.range(&mut clock, q, 100.0);
-    assert_eq!(ids.len(), hits.len(), "range loses the same subtree");
-    let ids = xt.window(&mut clock, &everything);
-    assert_eq!(ids.len(), hits.len(), "window loses the same subtree");
+    // Range and window lose the same subtree, and say so.
+    for (what, (ids, trace)) in [
+        ("range", range(&xt, &mut clock, q, 100.0)),
+        ("window", window(&xt, &mut clock, &everything)),
+    ] {
+        assert_eq!(ids.len(), hits.len(), "{what}");
+        assert_eq!(trace.pages_lost, 1, "{what}");
+    }
 }
 
 /// An in-memory device behind a shared handle: a test keeps a clone and
@@ -1334,7 +1507,7 @@ fn xtree_survives_forged_blocks() {
         hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         hits
     };
-    let (hits, trace) = xt.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (hits, trace) = knn(&xt, &mut clock, q, n);
     assert_eq!(trace.pages_lost, 3, "two pages and one node");
     assert!(trace.partial());
     let brute: Vec<(u32, f64)> = survivors
@@ -1343,7 +1516,10 @@ fn xtree_survives_forged_blocks() {
         .collect();
     assert_eq!(by_distance(hits), by_distance(brute.clone()), "k = n");
     for radius in [0.5, 100.0] {
-        let mut ids = xt.range(&mut clock, q, radius);
+        let mut ids = xt
+            .run(&mut clock, &Query::Range { point: q, radius })
+            .expect("valid query")
+            .ids();
         ids.sort_unstable();
         let expect: Vec<u32> = brute
             .iter()
@@ -1355,7 +1531,10 @@ fn xtree_survives_forged_blocks() {
     let half = Mbr::from_bounds(vec![0.0; dim], vec![0.5; dim]);
     let everything = Mbr::of_points(dim, w.db.iter());
     for window in [half, everything] {
-        let mut ids = xt.window(&mut clock, &window);
+        let mut ids = xt
+            .run(&mut clock, &Query::Window(&window))
+            .expect("valid query")
+            .ids();
         ids.sort_unstable();
         let expect: Vec<u32> = survivors
             .iter()
@@ -1384,7 +1563,7 @@ fn scan_skips_an_unreadable_chunk() {
     let scan = SeqScan::build(&w.db, Metric::Euclidean, Box::new(dev), &mut clock);
     let n = w.db.len();
     let q = w.queries.point(0);
-    let (clean, clean_trace) = scan.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (clean, clean_trace) = knn(&scan, &mut clock, q, n);
     assert_eq!(clean_trace.points_skipped, 0);
 
     // Block 300 lies in the second chunk, bytes 131,072..262,144. Point
@@ -1396,7 +1575,7 @@ fn scan_skips_an_unreadable_chunk() {
         log.fail_left = u32::MAX;
     }
     let lost = 5_461..10_923u32;
-    let (hits, trace) = scan.knn_opts_traced(&mut clock, q, n, None, &QueryOptions::EXACT);
+    let (hits, trace) = knn(&scan, &mut clock, q, n);
     assert_eq!(trace.points_skipped, u64::from(lost.end - lost.start));
     assert_eq!(hits.len() + lost.len(), n);
     assert_eq!(trace.candidates_skipped, 0);
@@ -1411,7 +1590,7 @@ fn scan_skips_an_unreadable_chunk() {
         .collect();
     assert_eq!(hits, kept);
     // A top-10 query answers from the points that were read.
-    let (top, _) = scan.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+    let (top, _) = knn(&scan, &mut clock, q, 10);
     assert_eq!(top, kept[..10]);
 }
 
@@ -1450,7 +1629,8 @@ fn logged_updates_interleaved_with_reads_absorb_transient_faults() {
             if step % 5 == 0 {
                 let q = &queries[(step / 5) % queries.len()];
                 answers.push(
-                    tree.knn(clock, q, 8)
+                    knn(&*tree, clock, q, 8)
+                        .0
                         .into_iter()
                         .map(|(id, d)| (id, d.to_bits()))
                         .collect(),

@@ -2,8 +2,12 @@
 //! in-memory devices — same results, same simulated costs (the clock, not
 //! the backend, is the source of truth for cost).
 
+mod common;
+
+use common::knn;
+
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+
 use iqtree_repro::geometry::Metric;
 use iqtree_repro::storage::{
     BlockDevice, ChecksummedDevice, FileDevice, IqError, MemDevice, MmapFileDevice, SimClock,
@@ -62,8 +66,8 @@ fn file_and_memory_backends_agree() {
     for q in w.queries.iter() {
         mem_clock.reset();
         file_clock.reset();
-        let a = mem_tree.knn(&mut mem_clock, q, 5);
-        let b = file_tree.knn(&mut file_clock, q, 5);
+        let a = knn(&mem_tree, &mut mem_clock, q, 5).0;
+        let b = knn(&file_tree, &mut file_clock, q, 5).0;
         assert_eq!(a, b);
         assert_eq!(mem_clock.io_time(), file_clock.io_time());
         assert_eq!(mem_clock.stats(), file_clock.stats());
@@ -92,11 +96,11 @@ fn file_backed_updates_persist_within_session() {
     );
     let p = [0.123f32, 0.456, 0.789, 0.5];
     tree.insert(&mut clock, 777_777, &p).unwrap();
-    let (id, d) = tree.nearest(&mut clock, &p).expect("non-empty");
+    let (id, d) = knn(&tree, &mut clock, &p, 1).0[0];
     assert_eq!(id, 777_777);
     assert!(d < 1e-6);
     assert!(tree.delete(&mut clock, 777_777, &p).unwrap());
-    let (id2, _) = tree.nearest(&mut clock, &p).expect("non-empty");
+    let (id2, _) = knn(&tree, &mut clock, &p, 1).0[0];
     assert_ne!(id2, 777_777);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

@@ -7,6 +7,9 @@
 //! [`PhaseTimes`] breakdown, and the multi-query shared walk attributes
 //! per-query counters that reconcile with single-query traces.
 
+mod common;
+
+use common::{knn, knn_micro_batch};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -223,8 +226,7 @@ fn span_tree_phase_leaves_sum_to_flat_phase_times() {
         let eng = build(kind, &ds);
         let mut clock = SimClock::default();
         clock.enable_tracing();
-        let (hits, _) =
-            eng.knn_opts_traced(&mut clock, &queries[0], 10, None, &QueryOptions::EXACT);
+        let (hits, _) = knn(eng.as_ref(), &mut clock, &queries[0], 10);
         assert_eq!(hits.len(), 10);
         let flat = clock.phase_times();
         let tree = clock.take_trace().expect("tracing was on");
@@ -263,7 +265,7 @@ fn lone_query_span_reports_plan_cache() {
     for q in &queries {
         let mut clock = SimClock::default();
         clock.enable_tracing();
-        let (_, trace) = eng.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+        let (_, trace) = knn(eng.as_ref(), &mut clock, q, 10);
         assert!(trace.runs > 0);
         let tree = clock.take_trace().expect("tracing was on");
         let span = &tree.root.children[0];
@@ -293,7 +295,7 @@ fn lone_query_span_reports_priority_list_pushes() {
     for q in w.queries.iter() {
         let mut clock = SimClock::default();
         clock.enable_tracing();
-        let (_, trace) = eng.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+        let (_, trace) = knn(eng.as_ref(), &mut clock, q, 10);
         let tree = clock.take_trace().expect("tracing was on");
         let count = |key: &str| tree.root.counter_total(key);
         let (pushed, spilled) = (count("filter.pushed"), count("filter.spilled"));
@@ -319,7 +321,7 @@ fn lone_query_span_reports_pages_held_past_u() {
     for q in w.queries.iter() {
         let mut clock = SimClock::default();
         clock.enable_tracing();
-        let (_, trace) = eng.knn_opts_traced(&mut clock, q, 10, None, &QueryOptions::EXACT);
+        let (_, trace) = knn(eng.as_ref(), &mut clock, q, 10);
         let tree = clock.take_trace().expect("tracing was on");
         let count = |key: &str| tree.root.counter_total(key);
         let (decoded, held) = (count("filter.pages_decoded"), count("filter.pages_held"));
@@ -343,13 +345,20 @@ fn knn_multi_opts_traced_attributes_per_query_counters() {
         .iter()
         .map(|q| {
             let mut c = SimClock::default();
-            eng.knn_opts_traced(&mut c, q, 5, None, &QueryOptions::EXACT)
+            knn(eng.as_ref(), &mut c, q, 5)
         })
         .collect();
 
     let mut clock = SimClock::default();
     clock.enable_tracing();
-    let multi = eng.knn_multi_opts_traced(&mut clock, &qrefs, 5, None, &QueryOptions::EXACT);
+    let multi = knn_micro_batch(
+        eng.as_ref(),
+        &mut clock,
+        &qrefs,
+        5,
+        None,
+        QueryOptions::EXACT,
+    );
     let flat = clock.phase_times();
     let tree = clock.take_trace().expect("tracing was on");
 

@@ -9,8 +9,11 @@
 //! environment — so both the runtime override and the env escape hatch
 //! are on record.
 
+mod common;
+
+use common::{knn, knn_threaded_hits};
 use iqtree_repro::data;
-use iqtree_repro::engine::{knn_batch, QueryOptions};
+use iqtree_repro::engine::{Query, QueryOptions};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::quantize::{kernel_name, set_kernel_override, Kernel};
 use iqtree_repro::storage::{BlockDevice, MemDevice, SimClock};
@@ -53,14 +56,38 @@ fn transcript(ds: &Dataset, queries: &[Vec<f32>]) -> Vec<Vec<(u64, u32)>> {
         let mut clock = SimClock::default();
         let engine = build_engine(kind, ds, Metric::Euclidean, &mut plain_dev, &mut clock);
         for q in queries {
-            out.push(canon(engine.knn(&mut clock, q, K)));
-            let radius = engine.knn(&mut clock, q, 14).last().expect("14 hits").1;
-            let mut ids: Vec<u32> = engine.range(&mut clock, q, radius * (1.0 + 1e-9));
+            out.push(canon(knn(engine.as_ref(), &mut clock, q, K).0));
+            let radius = knn(engine.as_ref(), &mut clock, q, 14)
+                .0
+                .last()
+                .expect("14 hits")
+                .1;
+            let mut ids: Vec<u32> = engine
+                .run(
+                    &mut clock,
+                    &Query::Range {
+                        point: q,
+                        radius: radius * (1.0 + 1e-9),
+                    },
+                )
+                .expect("valid query")
+                .ids();
             ids.sort_unstable();
             out.push(ids.into_iter().map(|id| (0, id)).collect());
             if kind == EngineKind::IqTree {
                 let opts = QueryOptions::default();
-                let (_, trace) = engine.knn_opts_traced(&mut clock, q, K, None, &opts);
+                let (_, trace) = engine
+                    .run(
+                        &mut clock,
+                        &Query::Knn {
+                            point: q,
+                            k: K,
+                            filter: None,
+                            opts,
+                        },
+                    )
+                    .expect("valid query")
+                    .into_ranked();
                 out.push(vec![(trace.runs, 0), (trace.pages_processed, 1)]);
             }
         }
@@ -104,10 +131,10 @@ fn batched_queries_agree_with_single_query_path() {
     for kind in EngineKind::ALL {
         let mut clock = SimClock::default();
         let engine = build_engine(kind, &ds, Metric::Euclidean, &mut plain_dev, &mut clock);
-        let batched = knn_batch(engine.as_ref(), &mut clock, &queries, K, 2);
+        let batched = knn_threaded_hits(engine.as_ref(), &mut clock, &queries, K, 2);
         assert_eq!(batched.len(), queries.len());
         for (q, got) in queries.iter().zip(batched) {
-            let want = canon(engine.knn(&mut clock, q, K));
+            let want = canon(knn(engine.as_ref(), &mut clock, q, K).0);
             assert_eq!(
                 canon(got),
                 want,

@@ -9,8 +9,12 @@
 //! layers the global metrics registry inserts above the pool. A pool that
 //! holds nothing yet plans the runs a tree without a pool plans.
 
+mod common;
+
+use common::knn;
+
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::{AccessMethod, QueryOptions, QueryTrace};
+use iqtree_repro::engine::{AccessMethod, Query, QueryOptions, QueryTrace};
 use iqtree_repro::geometry::{Dataset, Metric};
 use iqtree_repro::storage::{BlockDevice, FileDevice, IoStats, SimClock};
 use iqtree_repro::tree::{IqTree, IqTreeOptions};
@@ -102,7 +106,7 @@ fn open_warm(dir: &Path, scheduled_io: bool, q: &[f32]) -> IqTree {
     let mut clock = SimClock::default();
     tree.export_points(&mut clock)
         .expect("export fills the pool");
-    tree.knn_opts_traced(&mut clock, q, K, None, &QueryOptions::EXACT);
+    knn(&tree, &mut clock, q, K);
     tree
 }
 
@@ -120,7 +124,18 @@ struct Run {
 fn run(tree: &IqTree, q: &[f32], opts: &QueryOptions) -> Run {
     let mut clock = SimClock::default();
     clock.enable_tracing();
-    let (hits, trace) = tree.knn_opts_traced(&mut clock, q, K, None, opts);
+    let (hits, trace) = tree
+        .run(
+            &mut clock,
+            &Query::Knn {
+                point: q,
+                k: K,
+                filter: None,
+                opts: *opts,
+            },
+        )
+        .expect("valid query")
+        .into_ranked();
     let (sim_s, io) = (clock.total_time(), clock.stats());
     let spans = clock.take_trace().expect("tracing was on");
     Run {

@@ -2,7 +2,7 @@
 //! methods and match a brute-force filter.
 
 use iqtree_repro::data::{self, Workload};
-use iqtree_repro::engine::AccessMethod;
+use iqtree_repro::engine::{AccessMethod, Query};
 use iqtree_repro::geometry::{Mbr, Metric};
 use iqtree_repro::scan::SeqScan;
 use iqtree_repro::storage::{MemDevice, SimClock};
@@ -42,10 +42,22 @@ fn window_results_agree_across_methods() {
 
         for (lo, hi) in [(0.2f32, 0.5f32), (0.0, 1.0), (0.45, 0.55), (0.9, 0.95)] {
             let win = Mbr::from_bounds(vec![lo; dim], vec![hi; dim]);
-            let mut a = iq.window(&mut clock, &win);
-            let mut b = xt.window(&mut clock, &win);
-            let mut c = va.window(&mut clock, &win);
-            let mut d = scan.window(&mut clock, &win);
+            let mut a = iq
+                .run(&mut clock, &Query::Window(&win))
+                .expect("valid query")
+                .ids();
+            let mut b = xt
+                .run(&mut clock, &Query::Window(&win))
+                .expect("valid query")
+                .ids();
+            let mut c = va
+                .run(&mut clock, &Query::Window(&win))
+                .expect("valid query")
+                .ids();
+            let mut d = scan
+                .run(&mut clock, &Query::Window(&win))
+                .expect("valid query")
+                .ids();
             for v in [&mut a, &mut b, &mut c, &mut d] {
                 v.sort_unstable();
             }
@@ -73,7 +85,10 @@ fn empty_window_returns_nothing() {
         &mut clock,
     );
     let win = Mbr::from_bounds(vec![2.0; 4], vec![3.0; 4]); // outside the cube
-    assert!(iq.window(&mut clock, &win).is_empty());
+    assert!(iq
+        .run(&mut clock, &Query::Window(&win))
+        .expect("valid query")
+        .is_empty());
 }
 
 #[test]
@@ -91,7 +106,10 @@ fn iq_window_uses_batched_fetch() {
     );
     let win = Mbr::from_bounds(vec![0.1; 8], vec![0.9; 8]);
     clock.reset();
-    let hits = iq.window(&mut clock, &win);
+    let hits = iq
+        .run(&mut clock, &Query::Window(&win))
+        .expect("valid query")
+        .ids();
     assert!(!hits.is_empty());
     let pages_touched = clock.stats().blocks_read;
     assert!(
